@@ -1,9 +1,11 @@
 //! The `SJoin` operator: key semi-join against a Subtree Key Table (§3.3).
 //!
 //! `SJoin({idT}, SKT_T, π)` scans an ascending stream of `T` ids, reads the
-//! SKT row of each (ascending access: every touched page is loaded exactly
-//! once), and emits `<idT, idTi, idTj …>` projected on π. It needs two
-//! buffers to scan its operands and one to write the result (§3.4).
+//! SKT row of each (ascending access: every touched page is visited once,
+//! and only the byte spans its needed rows occupy are read when that is
+//! cheaper than the whole page), and emits `<idT, idTi, idTj …>` projected
+//! on π. It needs two buffers to scan its operands, one to hold the ids
+//! that fall on the current SKT page, and one to write the result (§3.4).
 
 use crate::ctx::ExecCtx;
 use crate::report::OpKind;
@@ -33,6 +35,13 @@ impl SJoinTable {
 /// Streaming SJoin driver. The caller feeds ascending owner ids via
 /// `next_id` and receives projected rows via `sink` (id + projected target
 /// ids, in `targets` order). SKT read time is attributed to `SJoin`.
+///
+/// Ids are pulled until the first one that falls on a later SKT page; the
+/// rows of the current page are then read in the byte spans
+/// [`FlashTableReader::load_rows`] plans for them, emitted, and the pending
+/// id carried over to the next page. The ids of one page are held in one
+/// more secure-RAM buffer, charged here: an SKT row is at least one 4-byte
+/// id wide, so a page's ids fit in one page-sized buffer.
 pub fn sjoin_stream(
     ctx: &mut ExecCtx<'_>,
     skt: &SubtreeKeyTable,
@@ -56,22 +65,38 @@ pub fn sjoin_stream(
     let ram = ctx.ram();
     let page_size = ctx.page_size();
     let mut reader: FlashTableReader = skt.flash.reader(&ram, page_size)?;
+    let _lookahead = ram.alloc()?;
     let layout = skt.flash.layout.clone();
+    let rows_per_page = layout.rows_per_page(page_size) as u64;
+    let mut page_rows: Vec<u64> = Vec::with_capacity(rows_per_page as usize);
     let mut out_ids = vec![0 as Id; targets.len()];
     let mut emitted = 0u64;
-    while let Some(id) = next_id(ctx)? {
+    let mut pending = next_id(ctx)?;
+    while let Some(first) = pending {
+        let page = first as u64 / rows_per_page;
+        page_rows.clear();
+        page_rows.push(first as u64);
+        pending = loop {
+            match next_id(ctx)? {
+                Some(id) if id as u64 / rows_per_page == page => page_rows.push(id as u64),
+                other => break other,
+            }
+        };
         ctx.tracked(OpKind::SJoin, |dev| -> Result<()> {
-            let row = reader.row_at(dev, id as u64)?;
+            Ok(reader.load_rows(dev, &page_rows)?)
+        })?;
+        for &row in &page_rows {
+            let skt_row = reader.loaded_row(row)?;
+            let id = row as Id;
             for (slot, col) in out_ids.iter_mut().zip(&col_idx) {
                 *slot = match col {
                     None => id,
-                    Some(c) => layout.get_id(row, *c),
+                    Some(c) => layout.get_id(skt_row, *c),
                 };
             }
-            Ok(())
-        })?;
-        sink(ctx, id, &out_ids)?;
-        emitted += 1;
+            sink(ctx, id, &out_ids)?;
+            emitted += 1;
+        }
     }
     Ok(emitted)
 }

@@ -301,9 +301,9 @@ pub fn execute_sj(
     for plan in post_plans {
         match plan.strategy {
             VisStrategy::Post | VisStrategy::CrossPost => {
-                // Leave merge + SJoin room: 2 scan buffers, 1 output, and a
+                // Leave merge + SJoin room: the SJoin reserve below and a
                 // little merge headroom; everything else may go to the BF.
-                let reserve = 6usize.min(ctx.ram().capacity() / 2);
+                let reserve = 7usize.min(ctx.ram().capacity() / 2);
                 let budget = (ctx.ram().available().saturating_sub(reserve)) * ctx.ram().buf_size();
                 let n = plan.ids.len() as u64;
                 let useful = calibrate(n, budget)
@@ -349,8 +349,8 @@ pub fn execute_sj(
     }
 
     // Merge → SJoin → ProbeBF, pipelined (reduction guarantees the merge
-    // fits beside the already-allocated Bloom RAM; SJoin needs 2 buffers +
-    // 1 writer buffer → reserve 3).
+    // fits beside the already-allocated Bloom RAM; SJoin needs 2 scan
+    // buffers, 1 for its id lookahead and 1 writer buffer → reserve 4).
     if groups.is_empty() {
         groups.push(vec![IdSource::Range {
             start: 0,
@@ -362,7 +362,7 @@ pub fn execute_sj(
         .map(|g| g.iter().map(|s| s.count()).sum::<u64>())
         .min()
         .unwrap_or(0);
-    let mut stream = open_merge(ctx, groups, 3)?;
+    let mut stream = open_merge(ctx, groups, 4)?;
     if cols.is_empty() {
         // Root-only plan (single-table schema or all filters on the root):
         // no SKT is involved, probe the owner ids directly.
@@ -474,7 +474,8 @@ fn post_select_pass(
                 for i in 1..table.cols.len() {
                     targets.push(layout.get_id(row, i));
                 }
-                let keep = chunk.contains(&targets[col - 1]);
+                // Column 0 is the owner id: a root-table filter probes it.
+                let keep = chunk.contains(&layout.get_id(row, col));
                 Ok(Some((owner, targets, keep)))
             })?;
             let Some((owner, targets, keep)) = next else {

@@ -329,7 +329,8 @@ mod tests {
         assert_eq!(skt.rows(), 100);
         assert_eq!(skt.descendants.len(), 4); // T1, T11, T12, T2
         let mut reader = skt.flash.reader(&ram, dev.page_size()).unwrap();
-        let row = reader.row_at(&mut dev, 77).unwrap();
+        reader.load_rows(&mut dev, &[77]).unwrap();
+        let row = reader.loaded_row(77).unwrap();
         let l = &skt.flash.layout;
         assert_eq!(l.get_id(row, 0), 27); // T1 = 77 % 50
         assert_eq!(l.get_id(row, 1), 7); // T11 = 27 % 10

@@ -12,8 +12,9 @@ use crate::error::StorageError;
 use crate::row::RowLayout;
 use crate::value::{ColumnType, Value};
 use crate::{Id, Result};
-use ghostdb_flash::{FlashDevice, Segment, SegmentAllocator};
+use ghostdb_flash::{FlashDevice, FlashTiming, Segment, SegmentAllocator};
 use ghostdb_token::{RamArena, RamBuffer};
+use std::ops::Range;
 
 /// One hidden column on flash, sorted by tuple id.
 #[derive(Debug, Clone)]
@@ -292,6 +293,7 @@ impl FlashTable {
             table: self.clone(),
             buf: ram.alloc()?,
             buffered_page: None,
+            loaded: Vec::new(),
             pos: 0,
             page_size,
         })
@@ -455,13 +457,46 @@ impl FlashTableWriter {
     }
 }
 
+/// Byte spans of one page to read for the rows at `offsets` (ascending
+/// in-page byte offsets, each row `size` bytes).
+///
+/// Each span costs a page load plus its bytes (the Table 1 model,
+/// [`FlashTiming::read_cost_ns`]). Two neighbouring rows share a span when
+/// transferring the gap between them costs less than a second page load.
+/// So every gap left between spans costs at least a page load, and the
+/// spans together never cost more than one read of the whole page: a page
+/// whose rows are dense comes out as that single read.
+pub fn page_spans(
+    timing: &FlashTiming,
+    size: usize,
+    offsets: impl IntoIterator<Item = usize>,
+) -> Vec<Range<usize>> {
+    let load_ns = timing.read_cost_ns(0);
+    let mut spans: Vec<Range<usize>> = Vec::new();
+    for off in offsets {
+        match spans.last_mut() {
+            Some(last) if off < last.end => {}
+            Some(last)
+                if (off - last.end) as u128 * (timing.transfer_ns_per_byte as u128) < load_ns =>
+            {
+                last.end = off + size;
+            }
+            _ => spans.push(off..off + size),
+        }
+    }
+    spans
+}
+
 /// Streaming reader over a row table, with ascending random skip support
-/// (key semi-join access pattern: each needed page loaded once).
+/// (key semi-join access pattern: each needed page visited once, and only
+/// the byte spans [`page_spans`] plans for its rows read from it).
 #[derive(Debug)]
 pub struct FlashTableReader {
     table: FlashTable,
     buf: RamBuffer,
     buffered_page: Option<u64>,
+    /// Byte ranges of `buffered_page` held in `buf`.
+    loaded: Vec<Range<usize>>,
     pos: u64,
     page_size: usize,
 }
@@ -472,51 +507,93 @@ impl FlashTableReader {
         self.table.rows
     }
 
-    /// Read row `row` (must be ≥ previously requested rows) and return a
-    /// view of it. Pages are each loaded at most once thanks to ascending
-    /// access.
-    pub fn row_at(&mut self, dev: &mut FlashDevice, row: u64) -> Result<&[u8]> {
-        if row >= self.table.rows {
+    /// Bytes of page `page` that hold rows.
+    fn used_bytes(&self, page: u64) -> usize {
+        let rpp = self.table.layout.rows_per_page(self.page_size) as u64;
+        let rows_on_page = (self.table.rows - page * rpp).min(rpp);
+        rows_on_page as usize * self.table.layout.size()
+    }
+
+    /// Read `spans` of page `page` into the buffer, replacing what it held.
+    fn fill(&mut self, dev: &mut FlashDevice, page: u64, spans: Vec<Range<usize>>) -> Result<()> {
+        let lpn = self.table.segment.lpn(page)?;
+        for s in &spans {
+            dev.read(lpn, s.start, &mut self.buf[s.clone()])?;
+        }
+        self.buffered_page = Some(page);
+        self.loaded = spans;
+        Ok(())
+    }
+
+    fn holds(&self, page: u64, bytes: &Range<usize>) -> bool {
+        self.buffered_page == Some(page)
+            && self
+                .loaded
+                .iter()
+                .any(|s| s.start <= bytes.start && bytes.end <= s.end)
+    }
+
+    /// Load the ascending `rows`, which must all lie on one page and be ≥
+    /// any previously requested row, reading only the spans
+    /// [`page_spans`] plans for them. Read them back with
+    /// [`FlashTableReader::loaded_row`].
+    pub fn load_rows(&mut self, dev: &mut FlashDevice, rows: &[u64]) -> Result<()> {
+        let (Some(&first), Some(&last)) = (rows.first(), rows.last()) else {
+            return Ok(());
+        };
+        if last >= self.table.rows {
             return Err(StorageError::RowOutOfRange {
-                row,
+                row: last,
                 rows: self.table.rows,
             });
         }
-        if row < self.pos {
+        if first < self.pos {
             return Err(StorageError::Corrupt(format!(
-                "FlashTableReader going backwards: {row} after {}",
+                "FlashTableReader going backwards: {first} after {}",
                 self.pos
             )));
         }
-        self.pos = row;
-        let (page, off) = self.table.layout.locate(row, self.page_size);
-        if self.buffered_page != Some(page) {
-            let rpp = self.table.layout.rows_per_page(self.page_size) as u64;
-            let rows_on_page = ((self.table.rows - page * rpp) as usize).min(rpp as usize);
-            let used = rows_on_page * self.table.layout.size();
-            dev.read(self.table.segment.lpn(page)?, 0, &mut self.buf[..used])?;
-            self.buffered_page = Some(page);
+        let layout = &self.table.layout;
+        let (page, _) = layout.locate(first, self.page_size);
+        if layout.locate(last, self.page_size).0 != page {
+            return Err(StorageError::Corrupt(format!(
+                "FlashTableReader::load_rows: rows {first}..={last} span pages"
+            )));
         }
-        Ok(&self.buf[off..off + self.table.layout.size()])
+        self.pos = last;
+        let offsets = rows.iter().map(|r| layout.locate(*r, self.page_size).1);
+        let spans = page_spans(dev.timing(), layout.size(), offsets);
+        self.fill(dev, page, spans)
     }
 
-    /// Next row in sequence, or `None` at the end.
+    /// A row loaded by the last [`FlashTableReader::load_rows`] (or the
+    /// current page of a sequential scan).
+    pub fn loaded_row(&self, row: u64) -> Result<&[u8]> {
+        let (page, off) = self.table.layout.locate(row, self.page_size);
+        let bytes = off..off + self.table.layout.size();
+        if !self.holds(page, &bytes) {
+            return Err(StorageError::Corrupt(format!(
+                "FlashTableReader: row {row} was not loaded"
+            )));
+        }
+        Ok(&self.buf[bytes])
+    }
+
+    /// Next row in sequence, or `None` at the end. A sequential scan reads
+    /// each page whole.
     pub fn next_row(&mut self, dev: &mut FlashDevice) -> Result<Option<&[u8]>> {
         if self.pos >= self.table.rows {
             return Ok(None);
         }
         let row = self.pos;
         self.pos += 1;
-        // Re-borrow via row_at's logic without the monotonicity bump.
         let (page, off) = self.table.layout.locate(row, self.page_size);
-        if self.buffered_page != Some(page) {
-            let rpp = self.table.layout.rows_per_page(self.page_size) as u64;
-            let rows_on_page = ((self.table.rows - page * rpp) as usize).min(rpp as usize);
-            let used = rows_on_page * self.table.layout.size();
-            dev.read(self.table.segment.lpn(page)?, 0, &mut self.buf[..used])?;
-            self.buffered_page = Some(page);
+        let bytes = off..off + self.table.layout.size();
+        if !self.holds(page, &bytes) {
+            let whole_page = 0..self.used_bytes(page);
+            self.fill(dev, page, vec![whole_page])?;
         }
-        Ok(Some(&self.buf[off..off + self.table.layout.size()]))
+        Ok(Some(&self.buf[bytes]))
     }
 }
 
@@ -632,12 +709,115 @@ mod tests {
         )
         .unwrap();
         let mut r = table.reader(&ram, dev.page_size()).unwrap();
-        for probe in [3u64, 100, 101, 499] {
-            let row = r.row_at(&mut dev, probe).unwrap();
+        // 256 rows per page: rows 3, 100 and 101 share page 0.
+        r.load_rows(&mut dev, &[3, 100, 101]).unwrap();
+        for probe in [3u64, 100, 101] {
+            let row = r.loaded_row(probe).unwrap();
             assert_eq!(layout.get_id(row, 1) as u64, 1000 + probe);
         }
-        assert!(r.row_at(&mut dev, 2).is_err(), "backwards rejected");
-        assert!(r.row_at(&mut dev, 500).is_err(), "out of range rejected");
+        assert!(r.loaded_row(4).is_err(), "row outside the spans");
+        r.load_rows(&mut dev, &[499]).unwrap();
+        assert_eq!(layout.get_id(r.loaded_row(499).unwrap(), 1), 1499);
+        assert!(r.loaded_row(101).is_err(), "previous page released");
+        assert!(r.load_rows(&mut dev, &[2]).is_err(), "backwards rejected");
+        assert!(
+            r.load_rows(&mut dev, &[500]).is_err(),
+            "out of range rejected"
+        );
+        let mut r = table.reader(&ram, dev.page_size()).unwrap();
+        assert!(
+            r.load_rows(&mut dev, &[255, 256]).is_err(),
+            "one page per load"
+        );
+    }
+
+    /// A tiny deterministic generator for the span-planner property test.
+    struct SplitMix(u64);
+
+    impl SplitMix {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)) % n
+        }
+    }
+
+    /// For random ascending row sets over random table sizes and row
+    /// widths, span loads return the bytes a full-page scan returns, bill
+    /// no more per page than one full-page read, never read past a page's
+    /// used bytes, and read a dense page whole.
+    #[test]
+    fn span_loads_match_full_page_reads() {
+        let (mut dev, mut alloc, ram) = setup();
+        let timing = *dev.timing();
+        let page_size = dev.page_size();
+        let mut rng = SplitMix(7);
+        for case in 0..64 {
+            let size = 1 + rng.below(300) as usize;
+            let layout = RowLayout::new(&[size]);
+            let rpp = layout.rows_per_page(page_size) as u64;
+            let rows = 1 + rng.below(5 * rpp);
+            let fill = |r: u64, row: &mut [u8]| {
+                for (i, b) in row.iter_mut().enumerate() {
+                    *b = (r as usize * 31 + i * 7 + case) as u8;
+                }
+            };
+            let table =
+                FlashTable::bulk_load_with(&mut dev, &mut alloc, layout.clone(), rows, fill)
+                    .unwrap();
+            let mut full = Vec::new();
+            let mut scan = table.reader(&ram, page_size).unwrap();
+            while let Some(row) = scan.next_row(&mut dev).unwrap() {
+                full.push(row.to_vec());
+            }
+            // Keep each row with a per-case density, from sparse to dense.
+            let keep = 1 + rng.below(8);
+            let wanted: Vec<u64> = (0..rows).filter(|_| rng.below(keep) == 0).collect();
+            let mut r = table.reader(&ram, page_size).unwrap();
+            for page_rows in wanted.chunk_by(|a, b| a / rpp == b / rpp) {
+                let page = page_rows[0] / rpp;
+                let used = (rows - page * rpp).min(rpp) as usize * size;
+                let offsets = page_rows.iter().map(|r| (r % rpp) as usize * size);
+                let spans = page_spans(&timing, size, offsets);
+                assert!(
+                    spans.iter().all(|s| s.end <= used),
+                    "case {case}: past used"
+                );
+                let snap = dev.snapshot();
+                r.load_rows(&mut dev, page_rows).unwrap();
+                let billed = dev.elapsed_since(&snap).as_ns();
+                assert!(
+                    billed <= timing.read_cost_ns(used),
+                    "case {case}: page {page} billed {billed} ns"
+                );
+                let d = dev.stats_since(&snap);
+                assert_eq!(d.pages_read, spans.len() as u64, "case {case}");
+                let bytes: usize = spans.iter().map(|s| s.len()).sum();
+                assert_eq!(d.bytes_to_ram, bytes as u64, "case {case}");
+                for row in page_rows {
+                    assert_eq!(
+                        r.loaded_row(*row).unwrap(),
+                        full[*row as usize].as_slice(),
+                        "case {case}: row {row}"
+                    );
+                }
+                if page_rows.len() as u64 == (rows - page * rpp).min(rpp) {
+                    assert_eq!(spans, vec![0..used], "case {case}: dense page");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn page_spans_merge_cheap_gaps_only() {
+        let t = FlashTiming::default();
+        // 25 µs load vs 50 ns/byte: gaps under 500 bytes are merged.
+        assert_eq!(page_spans(&t, 16, [0, 16 + 499]), vec![0..531]);
+        assert_eq!(page_spans(&t, 16, [0, 16 + 500]), vec![0..16, 516..532]);
+        // One sparse row: one short span; repeated rows add nothing.
+        assert_eq!(page_spans(&t, 16, [1024, 1024]), vec![1024..1040]);
     }
 
     #[test]

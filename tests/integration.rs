@@ -245,3 +245,43 @@ fn queries_can_be_rerun_on_the_same_database() {
         "temp segments leaked across queries"
     );
 }
+
+#[test]
+fn post_select_on_a_root_selection_matches_oracle_and_keeps_the_handle() {
+    use ghostdb_core::{GhostDb, QueryOptions};
+    let ds = dataset();
+    let t0 = ds.schema.root();
+    let t1 = ds.schema.table_id("T1").unwrap();
+    let k = ds.rows("T0") / 10;
+    let pred = Predicate::new("v1", CmpOp::Lt, ghostdb_datagen::pad8(k), None);
+    let mut ghost = GhostDb::from_database(ds.build().expect("build"));
+    let sealed = ghost.finalize().expect("finalize");
+    let post_select = QueryOptions::new().per_table("T0", VisStrategy::PostSelect);
+    // Root only (no SKT involved), then with a joined table (SJoin path).
+    for with_t1 in [false, true] {
+        let (select, from, projections) = if with_t1 {
+            (
+                "T0.id, T1.id",
+                "T0, T1 WHERE T0.fk1 = T1.id AND",
+                vec![(t0, "id".into()), (t1, "id".into())],
+            )
+        } else {
+            ("T0.id", "T0 WHERE", vec![(t0, "id".into())])
+        };
+        let sql = format!("SELECT {select} FROM {from} T0.v1 < '{k:08}'");
+        let expect = ds
+            .ref_db()
+            .run(&RefQuery {
+                predicates: vec![(t0, pred.clone())],
+                projections,
+            })
+            .expect("oracle");
+        let (rs, _) = sealed
+            .query_with(&sql, &post_select)
+            .expect("Post-Select on the root table");
+        assert_eq!(rs.rows, expect, "{sql}");
+        // The handle is still usable: the same query under the optimizer.
+        let (rs, _) = sealed.query_with(&sql, &QueryOptions::new()).unwrap();
+        assert_eq!(rs.rows, expect, "{sql} (second query)");
+    }
+}
