@@ -7,7 +7,7 @@
 //! ```text
 //! perfbench [--smoke] [--out BENCH.json] [--scale F] [--scale2 F]
 //!           [--medical-scale F] [--iters N] [--threads N]
-//!           [--intra-threads N] [--spill-policy P] [--padded]
+//!           [--intra-threads N] [--padded]
 //!           [--read-ahead N] [--serve]
 //! perfbench --check BENCH.json
 //! perfbench --compare A.json B.json [--tolerance PCT] [--exact]
@@ -38,15 +38,14 @@ use ghostdb_bench::{
 };
 use ghostdb_bloom::hash::hash_i;
 use ghostdb_bloom::{BlockedBloomFilter, BloomFilter};
-use ghostdb_exec::merge::{merge_to_vec, merge_to_vec_streaming};
+use ghostdb_exec::ci_ops::select_sublists;
+use ghostdb_exec::merge::{merge_to_list, merge_to_vec, merge_to_vec_streaming};
 use ghostdb_exec::parallel::fan_out;
 use ghostdb_exec::project::ProjectAlgo;
 use ghostdb_exec::sjoin::sjoin_stream;
 use ghostdb_exec::source::{IdSource, NaiveUnionStream, UnionStream};
 use ghostdb_exec::strategy::VisStrategy;
-use ghostdb_exec::{
-    CiPrefetch, ExecCtx, ExecOptions, ExecReport, GhostDbServer, ServeConfig, SpillPolicy,
-};
+use ghostdb_exec::{CiPrefetch, ExecCtx, ExecOptions, ExecReport, GhostDbServer, ServeConfig};
 use ghostdb_flash::{
     FlashDevice, FlashGeometry, FlashTiming, Segment, SegmentAllocator, SimDuration,
 };
@@ -65,7 +64,7 @@ perfbench — wall-clock performance baseline emitting BENCH.json
 USAGE:
     perfbench [--smoke] [--out PATH] [--scale F] [--scale2 F]
               [--medical-scale F] [--iters N] [--threads N]
-              [--intra-threads N] [--spill-policy P] [--padded]
+              [--intra-threads N] [--padded]
               [--read-ahead N] [--serve]
     perfbench --check PATH
     perfbench --compare PATH PATH [--tolerance PCT] [--exact]
@@ -90,9 +89,6 @@ OPTIONS:
                        fan-out: per-table MJoin passes, host merges).
                        simulated_s/ops/bytes_io are bit-identical to the
                        serial executor at any value — only wall_ns moves
-    --spill-policy P   reduction-phase spill policy: widest-smallest
-                       (default) or global-smallest-k; recorded in the
-                       document so alternatives A/B by number
     --padded           run the query sweeps with volume-padded Vis
                        shipments (power-of-two row buckets, the SECURITY.md
                        countermeasure); recorded in the document. The
@@ -142,7 +138,6 @@ struct Opts {
     iters: usize,
     threads: usize,
     intra_threads: usize,
-    spill: SpillPolicy,
     padded: bool,
     read_ahead: usize,
     serve: bool,
@@ -178,7 +173,6 @@ fn parse_args() -> Opts {
         iters: 0,           // resolved after --smoke is known
         threads: 1,
         intra_threads: 1,
-        spill: SpillPolicy::WidestSmallest,
         padded: false,
         read_ahead: 0,
         serve: false,
@@ -239,15 +233,6 @@ fn parse_args() -> Opts {
             }
             "--intra-threads" => {
                 opts.intra_threads = parse_count("--intra-threads", &value_of(&args, i));
-                i += 2;
-            }
-            "--spill-policy" => {
-                let raw = value_of(&args, i);
-                opts.spill = SpillPolicy::parse(&raw).unwrap_or_else(|| {
-                    usage_error(&format!(
-                        "bad --spill-policy {raw} (expected widest-smallest or global-smallest-k)"
-                    ))
-                });
                 i += 2;
             }
             "--padded" => {
@@ -459,7 +444,6 @@ fn synthetic_scenarios(
                     strategy,
                     algo,
                     tune.intra,
-                    tune.spill,
                     tune.padded,
                     tune.read_ahead,
                 ))
@@ -495,7 +479,6 @@ fn zipf_scenarios(
                     strategy,
                     ProjectAlgo::Project,
                     tune.intra,
-                    tune.spill,
                     tune.padded,
                     tune.read_ahead,
                 ))
@@ -534,7 +517,6 @@ fn hicard_scenarios(
                     strategy,
                     ProjectAlgo::Project,
                     tune.intra,
-                    tune.spill,
                     tune.padded,
                     tune.read_ahead,
                 ))
@@ -582,7 +564,6 @@ fn padded_scenarios(
                     strategy,
                     ProjectAlgo::Project,
                     tune.intra,
-                    tune.spill,
                     padded,
                     tune.read_ahead,
                 ))
@@ -616,7 +597,6 @@ fn medical_scenarios(
                     strategy,
                     ProjectAlgo::Project,
                     tune.intra,
-                    tune.spill,
                     tune.padded,
                     tune.read_ahead,
                 ))
@@ -1347,6 +1327,34 @@ fn micro_sjoin(scale: f64, warmup: usize, iters: usize, out: &mut Vec<BenchEntry
     }));
 }
 
+/// The Merge reduction on a wide hidden range: a 10% range on the
+/// unique-valued `T1.h1` yields one one-id sublist per key at T1's own
+/// level, stored back to back, far more than the 32 RAM buffers. The
+/// reduction packs them page by page into sorted temps, so
+/// `simulated_s` here is the Merge layer's own cost of that shape.
+fn micro_merge_reduce(scale: f64, warmup: usize, iters: usize, out: &mut Vec<BenchEntry>) {
+    let (ds, mut db) = build_synthetic(scale);
+    let t1 = db.schema.table_id("T1").unwrap();
+    let pred = ds.selectivity_pred("T1", "h1", 0.1);
+    out.push(measure("micro/merge/reduce-range", warmup, iters, || {
+        let mut ctx = ExecCtx::new(&mut db);
+        let ci = ctx.attr_index(t1, "h1").unwrap();
+        let sublists = select_sublists(&mut ctx, ci, &pred, t1).unwrap();
+        assert!(sublists.len() > ctx.ram().capacity(), "range must reduce");
+        let snap = ctx.lane.io();
+        let list = merge_to_list(&mut ctx, vec![sublists]).unwrap();
+        let io = ctx.lane.io() - snap;
+        let stats = RunStats {
+            simulated_s: ctx.lane.elapsed_of(&io).as_secs(),
+            ops: list.count,
+            bytes_io: io.bytes_to_ram + io.bytes_from_ram,
+            channel: None,
+        };
+        ctx.free_temps().unwrap();
+        stats
+    }));
+}
+
 /// Disjoint-chip channel scaling on the sharded flash device — the
 /// multi-chip array's bank gate. Four independent id-list jobs (write +
 /// full readback) run against a 4-chip device three ways: all through one
@@ -1898,7 +1906,6 @@ fn print_improvements(entries: &[BenchEntry]) {
 struct Tuning {
     threads: usize,
     intra: usize,
-    spill: SpillPolicy,
     padded: bool,
     read_ahead: usize,
 }
@@ -1918,16 +1925,13 @@ fn main() {
     let tune = Tuning {
         threads,
         intra: opts.intra_threads,
-        spill: opts.spill,
         padded: opts.padded,
         read_ahead: opts.read_ahead,
     };
     eprintln!(
         "perfbench: mode {mode}, {iters} timed iterations per scenario \
-         (+{warmup} warmup), {threads} sweep thread(s), {} intra lane(s), \
-         spill {}",
-        tune.intra,
-        tune.spill.name()
+         (+{warmup} warmup), {threads} sweep thread(s), {} intra lane(s)",
+        tune.intra
     );
 
     let mut entries: Vec<BenchEntry> = Vec::new();
@@ -1954,6 +1958,7 @@ fn main() {
     micro_ci_probe(warmup, iters, &mut entries);
     micro_ci_multi(warmup, iters, &mut entries);
     micro_sjoin(opts.scale, warmup, iters, &mut entries);
+    micro_merge_reduce(opts.scale, warmup, iters, &mut entries);
     micro_lanes(warmup, iters, &mut entries);
     micro_io(warmup, iters, &mut entries);
     micro_write(warmup, iters, &mut entries);
@@ -1966,7 +1971,6 @@ fn main() {
         mode,
         threads,
         tune.intra,
-        tune.spill.name(),
         tune.padded,
         tune.read_ahead,
         &entries,

@@ -329,11 +329,6 @@ pub fn check_bench(doc: &Json) -> Result<BenchSummary, String> {
             }
         }
     }
-    if let Some(p) = doc.get("spill_policy") {
-        p.as_str()
-            .filter(|p| *p == "widest-smallest" || *p == "global-smallest-k")
-            .ok_or("spill_policy must be \"widest-smallest\" or \"global-smallest-k\"")?;
-    }
     // `padded` arrived with the volume-padding mode; absent in older docs.
     if let Some(p) = doc.get("padded") {
         if !matches!(p, Json::Bool(_)) {
@@ -732,7 +727,7 @@ mod tests {
     }
 
     #[test]
-    fn checker_validates_optional_intra_threads_and_spill_policy() {
+    fn checker_validates_optional_intra_threads_and_padded() {
         let names: Vec<String> = (0..12)
             .map(|i| format!("q{i}"))
             .chain(std::iter::once("micro/x".into()))
@@ -747,17 +742,6 @@ mod tests {
         assert!(check_bench(&with_field("intra_threads", Json::Num(2.0))).is_ok());
         assert!(check_bench(&with_field("intra_threads", Json::Num(0.0))).is_err());
         assert!(check_bench(&with_field("intra_threads", Json::Num(1.5))).is_err());
-        assert!(check_bench(&with_field(
-            "spill_policy",
-            Json::Str("widest-smallest".into())
-        ))
-        .is_ok());
-        assert!(check_bench(&with_field(
-            "spill_policy",
-            Json::Str("global-smallest-k".into())
-        ))
-        .is_ok());
-        assert!(check_bench(&with_field("spill_policy", Json::Str("bogus".into()))).is_err());
         assert!(check_bench(&with_field("padded", Json::Bool(true))).is_ok());
         assert!(check_bench(&with_field("padded", Json::Bool(false))).is_ok());
         assert!(check_bench(&with_field("padded", Json::Num(1.0))).is_err());

@@ -14,7 +14,7 @@ pub mod perf;
 use ghostdb_datagen::{MedicalDataset, SyntheticDataset, SyntheticSpec};
 use ghostdb_exec::project::ProjectAlgo;
 use ghostdb_exec::strategy::VisStrategy;
-use ghostdb_exec::{Database, ExecOptions, ExecReport, Executor, SpillPolicy, SpjQuery};
+use ghostdb_exec::{Database, ExecOptions, ExecReport, Executor, SpjQuery};
 use ghostdb_index::size_model::{db_raw_bytes, scheme_index_bytes, SizeModelInput};
 use ghostdb_index::IndexScheme;
 use ghostdb_storage::schema::paper_synthetic_schema;
@@ -104,16 +104,15 @@ pub fn run_with(
     strategy: VisStrategy,
     algo: ProjectAlgo,
 ) -> ExecReport {
-    run_with_tuned(db, q, strategy, algo, 1, SpillPolicy::default(), false, 0)
+    run_with_tuned(db, q, strategy, algo, 1, false, 0)
 }
 
-/// [`run_with`] with explicit intra-query worker budget, spill policy,
-/// volume-padding mode and vectored read-ahead window (the `perfbench
-/// --intra-threads` / `--spill-policy` / `--padded` / `--read-ahead`
-/// path). Simulated numbers are bit-identical across `intra` and
-/// `read_ahead` values; `padded` inflates the channel cost (its overhead
-/// is exactly what the `*-padded/` scenarios quantify) without changing
-/// results.
+/// [`run_with`] with explicit intra-query worker budget, volume-padding
+/// mode and vectored read-ahead window (the `perfbench --intra-threads` /
+/// `--padded` / `--read-ahead` path). Simulated numbers are bit-identical
+/// across `intra` and `read_ahead` values; `padded` inflates the channel
+/// cost (its overhead is exactly what the `*-padded/` scenarios quantify)
+/// without changing results.
 #[allow(clippy::too_many_arguments)]
 pub fn run_with_tuned(
     db: &mut Database,
@@ -121,7 +120,6 @@ pub fn run_with_tuned(
     strategy: VisStrategy,
     algo: ProjectAlgo,
     intra: usize,
-    spill: SpillPolicy,
     padded: bool,
     read_ahead: usize,
 ) -> ExecReport {
@@ -130,7 +128,6 @@ pub fn run_with_tuned(
         forced_strategy: Some(strategy),
         project: Some(algo),
         intra_threads: intra,
-        spill_policy: spill,
         padded,
         read_ahead,
     };

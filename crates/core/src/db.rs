@@ -11,7 +11,7 @@ use ghostdb_exec::query::analyze;
 use ghostdb_exec::strategy::{VisDecision, VisStrategy};
 use ghostdb_exec::{
     optimizer, ExecCtx, ExecOptions, ExecReport, Executor, GhostDbServer, HostTrace, ResultSet,
-    ServeConfig, SpillPolicy, SpjQuery,
+    ServeConfig, SpjQuery,
 };
 use ghostdb_storage::schema::{Column, SchemaTree, TableDef, Visibility};
 use ghostdb_storage::{Id, Value};
@@ -80,12 +80,6 @@ impl QueryOptions {
     /// bit-identical at any value).
     pub fn intra_threads(mut self, threads: usize) -> Self {
         self.exec = self.exec.intra_threads(threads);
-        self
-    }
-
-    /// Reduction-phase spill policy.
-    pub fn spill_policy(mut self, policy: SpillPolicy) -> Self {
-        self.exec = self.exec.spill_policy(policy);
         self
     }
 

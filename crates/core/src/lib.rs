@@ -53,7 +53,7 @@ pub use ghostdb_exec::project::ProjectAlgo;
 pub use ghostdb_exec::strategy::VisStrategy as Strategy;
 pub use ghostdb_exec::{
     BatchStats, ExecReport, GhostDbServer, HostOp, HostTrace, HostTraceEvent, QueryOutcome,
-    ResultSet, ServeConfig, ServeError, Session, SpillPolicy,
+    ResultSet, ServeConfig, ServeError, Session,
 };
 
 /// Result alias.

@@ -43,37 +43,6 @@ use ghostdb_untrusted::{PadMode, UntrustedHost, VisShipment};
 use std::collections::HashMap;
 use std::sync::Mutex;
 
-/// How the reduction phase picks sublists to spill (see `merge::reduce`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SpillPolicy {
-    /// Reduce the group holding the most flash sublists, merging its
-    /// smallest sublists first (the paper's "alternative 1" reading).
-    #[default]
-    WidestSmallest,
-    /// Reduce the group containing the globally smallest flash sublist,
-    /// merging its smallest sublists first (cheapest merge first).
-    GlobalSmallestK,
-}
-
-impl SpillPolicy {
-    /// Parse a CLI name.
-    pub fn parse(name: &str) -> Option<SpillPolicy> {
-        match name {
-            "widest-smallest" => Some(SpillPolicy::WidestSmallest),
-            "global-smallest-k" => Some(SpillPolicy::GlobalSmallestK),
-            _ => None,
-        }
-    }
-
-    /// CLI / BENCH.json name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            SpillPolicy::WidestSmallest => "widest-smallest",
-            SpillPolicy::GlobalSmallestK => "global-smallest-k",
-        }
-    }
-}
-
 /// The shared read-only catalog lane.
 #[derive(Debug, Clone, Copy)]
 pub struct CatalogCtx<'a> {
@@ -320,8 +289,6 @@ pub struct ExecCtx<'a> {
     pub cost: CostScope,
     /// Intra-query worker budget for `run_lanes` (1 = serial).
     pub intra: usize,
-    /// Reduction-phase spill policy.
-    pub spill: SpillPolicy,
     /// Pad every `Vis` shipment to a power-of-two row bucket (the volume
     /// side-channel countermeasure; see `SECURITY.md`).
     pub padded: bool,
@@ -355,7 +322,6 @@ impl<'a> ExecCtx<'a> {
             lane: DeviceLane::new(&mut token.flash, token.ram.clone(), &mut db.alloc),
             cost: CostScope::new(),
             intra: 1,
-            spill: SpillPolicy::default(),
             padded: false,
             read_ahead: 0,
             prefetch: None,
@@ -379,7 +345,6 @@ impl<'a> ExecCtx<'a> {
             lane,
             cost: CostScope::new(),
             intra: 1,
-            spill: SpillPolicy::default(),
             padded: false,
             read_ahead: 0,
             prefetch: None,
@@ -645,7 +610,6 @@ impl<'a> ExecCtx<'a> {
             }
         }
         let cat = self.cat;
-        let spill = self.spill;
         let padded = self.padded;
         let read_ahead = self.read_ahead;
         let prefetch = self.prefetch;
@@ -682,7 +646,6 @@ impl<'a> ExecCtx<'a> {
                         // Workers never re-fan: one level of intra-query
                         // parallelism keeps scheduling analysable.
                         intra: 1,
-                        spill,
                         padded,
                         read_ahead,
                         prefetch,

@@ -1,6 +1,6 @@
 //! The executor: assembles the Figure 6 global QEP and runs it.
 
-use crate::ctx::{ExecCtx, SpillPolicy};
+use crate::ctx::ExecCtx;
 use crate::database::Database;
 use crate::error::ExecError;
 use crate::optimizer;
@@ -26,8 +26,6 @@ pub struct ExecOptions {
     /// Intra-query worker lanes for operator fan-out (1 = serial; results
     /// and per-operator attribution are bit-identical at any value).
     pub intra_threads: usize,
-    /// Reduction-phase spill policy (`merge::reduce`).
-    pub spill_policy: SpillPolicy,
     /// Pad every `Vis` shipment to a power-of-two row bucket, quantising
     /// the wire volume a snooper observes (results are unchanged; the
     /// filler bytes are charged to the channel, so reports carry the
@@ -49,7 +47,6 @@ impl Default for ExecOptions {
             forced_strategy: None,
             project: None,
             intra_threads: 1,
-            spill_policy: SpillPolicy::default(),
             padded: false,
             read_ahead: 0,
         }
@@ -91,12 +88,6 @@ impl ExecOptions {
     /// Intra-query worker budget.
     pub fn intra_threads(mut self, threads: usize) -> Self {
         self.intra_threads = threads;
-        self
-    }
-
-    /// Reduction-phase spill policy.
-    pub fn spill_policy(mut self, policy: SpillPolicy) -> Self {
-        self.spill_policy = policy;
         self
     }
 
@@ -157,7 +148,6 @@ impl Executor {
         db.untrusted.reset_trace();
         let mut ctx = ExecCtx::new(db);
         ctx.intra = opts.intra_threads;
-        ctx.spill = opts.spill_policy;
         ctx.padded = opts.padded;
         ctx.read_ahead = opts.read_ahead;
         ctx.prefetch = prefetch;

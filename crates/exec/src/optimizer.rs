@@ -10,8 +10,8 @@
 //!
 //! Each cutoff is the selectivity at which two forced strategies cost the
 //! same simulated time, found by sweeping sV over the synthetic dataset
-//! (`tests/optimizer_cutoffs.rs` re-measures every one of them). The
-//! crossovers sit within a few percent of each other from ×0.002 to ×0.05:
+//! (`tests/optimizer_cutoffs.rs` re-measures every one of them at ×0.002;
+//! the ranges below add ×0.01 where it differs):
 //!
 //! * cross-filtering applies whenever a hidden selection exists on the
 //!   table or its subtree; Cross-Pre is then the cheapest plan up to
@@ -24,9 +24,10 @@
 //! * a hidden selection on the root thins the root stream that Post checks,
 //!   so the Pre/Post crossover then moves with its hidden selectivity,
 //!   which the optimizer may not see; the cutoff is
-//!   [`HIDDEN_ROOT_PRE_POST_CUTOFF`] instead, the sV at which Post's worst
-//!   regret over the hidden selectivities drops below Pre's (for a hidden
-//!   selection in a sibling subtree that point is [`PRE_POST_CUTOFF`]);
+//!   [`HIDDEN_ROOT_PRE_POST_CUTOFF`] instead, the crossover beside the
+//!   narrowest hidden root range (for a hidden selection in a sibling
+//!   subtree, the worst-regret crossover over hidden selectivities is
+//!   [`PRE_POST_CUTOFF`]);
 //! * a selection on the root needs no climbing-index probe, so Pre beats
 //!   Post at every sV there; it is deferred above [`ROOT_PRE_CUTOFF`];
 //! * with visible selections on several tables, the most selective one is
@@ -43,22 +44,24 @@ use crate::Result;
 use ghostdb_bloom::worth_post_filtering;
 
 /// Cross-Pre vs the cheapest other strategy on a table with a hidden
-/// selection in its subtree (measured: 0.41–0.52).
-pub const CROSS_PRE_CUTOFF: f64 = 0.45;
-/// Pre vs Post on a non-root table without cross-filtering (measured:
-/// 0.055–0.062).
-pub const PRE_POST_CUTOFF: f64 = 0.058;
+/// selection in its subtree (measured: 0.63 at ×0.002 and ×0.01).
+pub const CROSS_PRE_CUTOFF: f64 = 0.63;
+/// Pre vs Post on a non-root table without cross-filtering (measured: 0.08,
+/// and 0.10 as the worst-regret point beside a hidden sibling selection).
+pub const PRE_POST_CUTOFF: f64 = 0.09;
 /// Pre vs Post on a non-root table without cross-filtering when the root
-/// carries a hidden selection: the minimax-regret point over hidden
-/// selectivities 0.01–0.3 (measured: 0.040–0.050; the plain crossover
-/// runs 0.025–0.1 as the hidden selectivity does 0.01–0.1).
-pub const HIDDEN_ROOT_PRE_POST_CUTOFF: f64 = 0.045;
+/// carries a hidden selection: the crossover at hidden selectivity 0.01,
+/// the narrowest swept (measured: 0.03). Wider hidden root ranges move the
+/// crossover up (0.10 at 0.02, 0.13 at 0.03, 0.20 at 0.05–0.1, 0.13 at
+/// 0.3), so on them Post pays up to 1.6× Pre between here and there: the
+/// price of never paying Pre's regret on a narrow hidden range.
+pub const HIDDEN_ROOT_PRE_POST_CUTOFF: f64 = 0.03;
 /// Pre vs NoFilter on the root table (measured: 0.81–0.93).
 pub const ROOT_PRE_CUTOFF: f64 = 0.9;
 /// With several visible tables, a table is deferred to projection when its
-/// sV exceeds this multiple of the most selective table's (measured:
-/// 1.3–3.1 as the most selective sV runs 0.001–0.01).
-pub const DEFER_RATIO: f64 = 2.5;
+/// sV exceeds this multiple of the most selective table's (measured: 3.17
+/// at ×0.002, 5.0 at ×0.01, with the most selective sV at 0.01).
+pub const DEFER_RATIO: f64 = 3.17;
 
 /// Decide a strategy for every table carrying visible predicates.
 pub fn decide(ctx: &ExecCtx<'_>, a: &Analyzed) -> Result<Vec<VisDecision>> {
@@ -137,14 +140,14 @@ mod tests {
     fn cutoffs_switch_strategies_at_their_boundaries() {
         let n1 = TINY_ROWS[1] as f64;
         // Without Cross: Pre up to PRE_POST_CUTOFF, Post past it.
-        assert!(6.0 / n1 <= PRE_POST_CUTOFF && 7.0 / n1 > PRE_POST_CUTOFF);
-        assert_eq!(decide_t1(6, false), VisStrategy::Pre);
-        assert_eq!(decide_t1(7, false), VisStrategy::Post);
-        // With Cross: Cross-Pre up to CROSS_PRE_CUTOFF (54/120), then the
-        // plain rules, whose Bloom filter is still useful at 55/120.
-        assert!(54.0 / n1 <= CROSS_PRE_CUTOFF && 55.0 / n1 > CROSS_PRE_CUTOFF);
-        assert_eq!(decide_t1(54, true), VisStrategy::CrossPre);
-        assert_eq!(decide_t1(55, true), VisStrategy::Post);
+        assert!(10.0 / n1 <= PRE_POST_CUTOFF && 11.0 / n1 > PRE_POST_CUTOFF);
+        assert_eq!(decide_t1(10, false), VisStrategy::Pre);
+        assert_eq!(decide_t1(11, false), VisStrategy::Post);
+        // With Cross: Cross-Pre up to CROSS_PRE_CUTOFF (75/120), then the
+        // plain rules, whose Bloom filter is still useful at 76/120.
+        assert!(75.0 / n1 <= CROSS_PRE_CUTOFF && 76.0 / n1 > CROSS_PRE_CUTOFF);
+        assert_eq!(decide_t1(75, true), VisStrategy::CrossPre);
+        assert_eq!(decide_t1(76, true), VisStrategy::Post);
     }
 
     #[test]
@@ -165,12 +168,12 @@ mod tests {
             d.iter().find(|d| d.table == t1).unwrap().strategy
         };
         let n1 = TINY_ROWS[1] as f64;
-        assert!(5.0 / n1 <= HIDDEN_ROOT_PRE_POST_CUTOFF && 6.0 / n1 > HIDDEN_ROOT_PRE_POST_CUTOFF);
-        assert!(6.0 / n1 <= PRE_POST_CUTOFF);
-        assert_eq!(decide_with(5, "T0"), VisStrategy::Pre);
-        assert_eq!(decide_with(6, "T0"), VisStrategy::Post);
-        assert_eq!(decide_with(6, "T2"), VisStrategy::Pre);
-        assert_eq!(decide_with(7, "T2"), VisStrategy::Post);
+        assert!(3.0 / n1 <= HIDDEN_ROOT_PRE_POST_CUTOFF && 4.0 / n1 > HIDDEN_ROOT_PRE_POST_CUTOFF);
+        assert!(10.0 / n1 <= PRE_POST_CUTOFF && 11.0 / n1 > PRE_POST_CUTOFF);
+        assert_eq!(decide_with(3, "T0"), VisStrategy::Pre);
+        assert_eq!(decide_with(4, "T0"), VisStrategy::Post);
+        assert_eq!(decide_with(10, "T2"), VisStrategy::Pre);
+        assert_eq!(decide_with(11, "T2"), VisStrategy::Post);
     }
 
     /// Decisions for a query with visible selections on T1 (`k1` of 120
@@ -192,15 +195,15 @@ mod tests {
     #[test]
     fn less_selective_tables_are_deferred() {
         // T2 at 1/40 = 0.025 is the most selective; T1 ties it at 3/120 and
-        // at 6/120 = 0.05 stays within DEFER_RATIO × 0.025: both keep
+        // at 9/120 = 0.075 stays within DEFER_RATIO × 0.025: both keep
         // their own Pre.
         assert_eq!(decide_t1_t2(3, 1), (VisStrategy::Pre, VisStrategy::Pre));
-        assert_eq!(decide_t1_t2(6, 1), (VisStrategy::Pre, VisStrategy::Pre));
-        // At 8/120 T1 is past the ratio: it is checked at projection.
+        assert_eq!(decide_t1_t2(9, 1), (VisStrategy::Pre, VisStrategy::Pre));
+        // At 10/120 T1 is past the ratio: it is checked at projection.
         let (n1, n2) = (TINY_ROWS[1] as f64, TINY_ROWS[2] as f64);
-        assert!(6.0 / n1 <= DEFER_RATIO / n2 && 8.0 / n1 > DEFER_RATIO / n2);
+        assert!(9.0 / n1 <= DEFER_RATIO / n2 && 10.0 / n1 > DEFER_RATIO / n2);
         assert_eq!(
-            decide_t1_t2(8, 1),
+            decide_t1_t2(10, 1),
             (VisStrategy::NoFilter, VisStrategy::Pre)
         );
         // The rule is symmetric: the most selective table is kept whichever

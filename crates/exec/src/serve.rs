@@ -512,7 +512,6 @@ fn run_batch_parallel(
                 let lane = DeviceLane::new(flash, arena.clone(), alloc);
                 let mut ctx = ExecCtx::from_parts(cat, lane, Some(channel));
                 ctx.intra = item.opts.intra_threads;
-                ctx.spill = item.opts.spill_policy;
                 ctx.padded = item.opts.padded;
                 ctx.read_ahead = item.opts.read_ahead;
                 ctx.prefetch = bank;

@@ -375,6 +375,9 @@ pub fn execute_sj(
             }
             writer.push(ctx, id, &[])?;
         }
+        // The exhausted merge's readers go back to the arena before the
+        // post-select passes size their RAM chunks.
+        drop(stream);
         drop(bloom_filters);
         let mut table = writer.finish(ctx)?;
         for (t, ids) in exact_filters {
@@ -411,6 +414,7 @@ pub fn execute_sj(
             writer.push(ctx, id, targets)
         },
     )?;
+    drop(stream);
     drop(bloom_filters);
     let mut table = writer.finish(ctx)?;
 

@@ -457,31 +457,31 @@ impl FlashTableWriter {
     }
 }
 
-/// Byte spans of one page to read for the rows at `offsets` (ascending
-/// in-page byte offsets, each row `size` bytes).
+/// Byte spans of one page to read for the byte `intervals` wanted from it
+/// (sorted by start; rows of a table, or the id runs of packed sublists).
 ///
 /// Each span costs a page load plus its bytes (the Table 1 model,
-/// [`FlashTiming::read_cost_ns`]). Two neighbouring rows share a span when
-/// transferring the gap between them costs less than a second page load.
-/// So every gap left between spans costs at least a page load, and the
-/// spans together never cost more than one read of the whole page: a page
-/// whose rows are dense comes out as that single read.
+/// [`FlashTiming::read_cost_ns`]). Two neighbouring intervals share a span
+/// when transferring the gap between them costs less than a second page
+/// load. So every gap left between spans costs at least a page load, and
+/// the spans together never cost more than one read of the whole page: a
+/// page whose wanted bytes are dense comes out as that single read.
 pub fn page_spans(
     timing: &FlashTiming,
-    size: usize,
-    offsets: impl IntoIterator<Item = usize>,
+    intervals: impl IntoIterator<Item = Range<usize>>,
 ) -> Vec<Range<usize>> {
     let load_ns = timing.read_cost_ns(0);
     let mut spans: Vec<Range<usize>> = Vec::new();
-    for off in offsets {
+    for iv in intervals {
         match spans.last_mut() {
-            Some(last) if off < last.end => {}
             Some(last)
-                if (off - last.end) as u128 * (timing.transfer_ns_per_byte as u128) < load_ns =>
+                if (iv.start.saturating_sub(last.end) as u128)
+                    * (timing.transfer_ns_per_byte as u128)
+                    < load_ns =>
             {
-                last.end = off + size;
+                last.end = last.end.max(iv.end);
             }
-            _ => spans.push(off..off + size),
+            _ => spans.push(iv),
         }
     }
     spans
@@ -561,8 +561,9 @@ impl FlashTableReader {
             )));
         }
         self.pos = last;
+        let size = layout.size();
         let offsets = rows.iter().map(|r| layout.locate(*r, self.page_size).1);
-        let spans = page_spans(dev.timing(), layout.size(), offsets);
+        let spans = page_spans(dev.timing(), offsets.map(|off| off..off + size));
         self.fill(dev, page, spans)
     }
 
@@ -780,7 +781,7 @@ mod tests {
                 let page = page_rows[0] / rpp;
                 let used = (rows - page * rpp).min(rpp) as usize * size;
                 let offsets = page_rows.iter().map(|r| (r % rpp) as usize * size);
-                let spans = page_spans(&timing, size, offsets);
+                let spans = page_spans(&timing, offsets.map(|o| o..o + size));
                 assert!(
                     spans.iter().all(|s| s.end <= used),
                     "case {case}: past used"
@@ -814,10 +815,17 @@ mod tests {
     fn page_spans_merge_cheap_gaps_only() {
         let t = FlashTiming::default();
         // 25 µs load vs 50 ns/byte: gaps under 500 bytes are merged.
-        assert_eq!(page_spans(&t, 16, [0, 16 + 499]), vec![0..531]);
-        assert_eq!(page_spans(&t, 16, [0, 16 + 500]), vec![0..16, 516..532]);
+        assert_eq!(page_spans(&t, [0..16, 515..531]), vec![0..531]);
+        assert_eq!(page_spans(&t, [0..16, 516..532]), vec![0..16, 516..532]);
         // One sparse row: one short span; repeated rows add nothing.
-        assert_eq!(page_spans(&t, 16, [1024, 1024]), vec![1024..1040]);
+        assert_eq!(page_spans(&t, [1024..1040, 1024..1040]), vec![1024..1040]);
+        // Variable-length intervals: overlaps and nesting extend a span
+        // only as far as the longest interval reaches.
+        assert_eq!(page_spans(&t, [0..4, 4..40, 8..12]), vec![0..40]);
+        assert_eq!(
+            page_spans(&t, [100..104, 2000..2048]),
+            vec![100..104, 2000..2048]
+        );
     }
 
     #[test]

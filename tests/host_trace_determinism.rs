@@ -1,7 +1,7 @@
 //! Host-trace determinism: the sequence of requests the engine makes of
 //! the untrusted PC is a pure function of (query, visible data, pad mode).
-//! It must be bit-identical across repeated runs, across `--intra-threads`
-//! widths, and across spill policies — otherwise scheduling noise would
+//! It must be bit-identical across repeated runs and across
+//! `--intra-threads` widths — otherwise scheduling noise would
 //! itself be a covert channel, and the leakage suite (`tests/leakage.rs`)
 //! could pass on one machine and fail on another. All host contact happens
 //! on the root lane (workers get no channel), so any diff here means an
@@ -11,7 +11,7 @@ use ghostdb_datagen::{SyntheticDataset, SyntheticSpec};
 use ghostdb_exec::project::ProjectAlgo;
 use ghostdb_exec::strategy::VisStrategy;
 use ghostdb_exec::{
-    Database, ExecOptions, Executor, GhostDbServer, HostTrace, ServeConfig, SpillPolicy, SpjQuery,
+    Database, ExecOptions, Executor, GhostDbServer, HostTrace, ServeConfig, SpjQuery,
 };
 
 const STRATEGIES: [VisStrategy; 7] = [
@@ -91,33 +91,6 @@ fn host_trace_identical_across_intra_widths() {
             }
         }
     }
-}
-
-/// Spill policy is a token-internal decision; it must not change what the
-/// host observes.
-#[test]
-fn host_trace_identical_across_spill_policies() {
-    let ds = dataset();
-    let q = query(&ds);
-    let mut base_db = ds.build().expect("build");
-    let base = run_trace(
-        &mut base_db,
-        &q,
-        &ExecOptions::new()
-            .strategy(VisStrategy::CrossPost)
-            .project(ProjectAlgo::Project)
-            .spill_policy(SpillPolicy::WidestSmallest),
-    );
-    let mut db = ds.build().expect("build");
-    let got = run_trace(
-        &mut db,
-        &q,
-        &ExecOptions::new()
-            .strategy(VisStrategy::CrossPost)
-            .project(ProjectAlgo::Project)
-            .spill_policy(SpillPolicy::GlobalSmallestK),
-    );
-    assert_eq!(base, got, "spill policy leaked into the host trace");
 }
 
 /// Repeated runs on fresh databases record the same trace — and a repeat
