@@ -45,15 +45,17 @@ use ghostdb_exec::project::ProjectAlgo;
 use ghostdb_exec::sjoin::sjoin_stream;
 use ghostdb_exec::source::{IdSource, NaiveUnionStream, UnionStream};
 use ghostdb_exec::strategy::VisStrategy;
-use ghostdb_exec::{CiPrefetch, ExecCtx, ExecOptions, ExecReport, GhostDbServer, ServeConfig};
+use ghostdb_exec::{
+    CiPrefetch, ExecCtx, ExecOptions, ExecReport, Executor, GhostDbServer, ServeConfig, SpjQuery,
+};
 use ghostdb_flash::{
     FlashDevice, FlashGeometry, FlashTiming, Segment, SegmentAllocator, SimDuration,
 };
 use ghostdb_index::{ClimbingSpec, FkData, IndexBuilder, LevelSpec};
 use ghostdb_storage::idlist::write_id_list;
 use ghostdb_storage::schema::paper_synthetic_schema;
-use ghostdb_storage::Id;
 use ghostdb_storage::IdListReader;
+use ghostdb_storage::{Id, Predicate};
 use ghostdb_token::RamArena;
 use std::sync::Arc;
 use std::time::Instant;
@@ -1355,6 +1357,30 @@ fn micro_merge_reduce(scale: f64, warmup: usize, iters: usize, out: &mut Vec<Ben
     }));
 }
 
+/// The MJoin layer on a hidden point: `T1.h1 = <point>` projecting `T1.h2`
+/// at ×0.01, through `Executor::run` with the optimizer choosing the plan.
+/// T1 has no visible side, so its σ comes from its QEPSJ id column and
+/// MJoin reads a page per column instead of all of `T1.h2` and `T1.h1`.
+/// Fixed at ×0.01 in every mode, so the smoke run's wall time compares
+/// with the committed full run's.
+fn micro_project_hidden_point(warmup: usize, iters: usize, out: &mut Vec<BenchEntry>) {
+    let (ds, mut db) = build_synthetic(0.01);
+    let t0 = db.schema.root();
+    let t1 = db.schema.table_id("T1").unwrap();
+    let point = ds.selectivity_pred("T1", "h1", 0.37);
+    let mut q = SpjQuery::new()
+        .pred(t1, Predicate::eq("h1", point.value))
+        .project(t0, "id")
+        .project(t1, "id")
+        .project(t1, "h2");
+    q.text =
+        "SELECT T0.id, T1.id, T1.h2 FROM T0, T1 WHERE T0.fk1 = T1.id AND T1.h1 = <point>".into();
+    out.push(measure("micro/project/hidden-point", warmup, iters, || {
+        let (_, report) = Executor::run(&mut db, &q, &ExecOptions::new()).unwrap();
+        report_stats(&report)
+    }));
+}
+
 /// Disjoint-chip channel scaling on the sharded flash device — the
 /// multi-chip array's bank gate. Four independent id-list jobs (write +
 /// full readback) run against a 4-chip device three ways: all through one
@@ -1959,6 +1985,7 @@ fn main() {
     micro_ci_multi(warmup, iters, &mut entries);
     micro_sjoin(opts.scale, warmup, iters, &mut entries);
     micro_merge_reduce(opts.scale, warmup, iters, &mut entries);
+    micro_project_hidden_point(warmup, iters, &mut entries);
     micro_lanes(warmup, iters, &mut entries);
     micro_io(warmup, iters, &mut entries);
     micro_write(warmup, iters, &mut entries);

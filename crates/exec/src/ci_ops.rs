@@ -80,8 +80,8 @@ impl CiPrefetch {
 
     /// Run and bank one shared traversal over **all** of `ci`'s levels.
     /// `ram` must be a scratch arena (`RamArena::fresh_like`), not the
-    /// token's: the bank is built outside any query, and the token
-    /// arena's peak is a monotone high-water mark shared across queries.
+    /// token's: the bank is built outside any query, so its buffers must
+    /// not count toward any query's RAM peak.
     /// `read_ahead` is the batch's leaf read-ahead window (pages; `0` =
     /// serial). The counter delta banked — and so what every hit bills —
     /// is identical at any window; only the shared traversal's channel
@@ -138,9 +138,9 @@ pub fn select_sublists(
     let (lo, hi) = pred.key_range();
     if let Some(hit) = ctx.prefetch.and_then(|p| p.get(ci, lo, hi)) {
         return ctx.track(OpKind::Ci, |ctx| {
-            // Reproduce the solo probe's RAM pin (the arena peak is a
-            // monotone high-water mark) and bill the banked traversal's
-            // flash delta, so reports match solo execution bit for bit.
+            // Reproduce the solo probe's RAM pin (it counts toward the
+            // query's RAM peak) and bill the banked traversal's flash
+            // delta, so reports match solo execution bit for bit.
             let ram = ctx.ram();
             let _probe = ci.probe(&ram)?;
             ctx.lane.charge(hit.io());

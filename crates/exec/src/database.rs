@@ -237,7 +237,9 @@ impl Database {
         self.cis.get(&(t, column.to_string()))
     }
 
-    /// Reset per-query channel state: transcript and byte counters. Flash
+    /// Reset per-query token state: the channel's transcript and byte
+    /// counters, and the RAM arena's high-water mark (so
+    /// `ExecReport::peak_ram_buffers` is this query's own peak). Flash
     /// stats are monotone; the executor snapshots them instead. The
     /// host-observable trace is deliberately NOT reset here — its reset
     /// belongs to the session (the executor for solo runs, the serving
@@ -245,6 +247,7 @@ impl Database {
     /// other's captured traces.
     pub fn begin_query(&mut self) {
         self.token.channel.reset();
+        self.token.ram.reset_peak();
     }
 }
 

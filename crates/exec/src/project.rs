@@ -11,6 +11,18 @@
 //! which simultaneously kills Bloom false positives and deferred visible
 //! selections, and runs the exact re-checks for non-injective index keys.
 //!
+//! A table with no visible side (no visible predicate, no visible
+//! projection) has no visible stream to shrink. MJoin over the dense range
+//! `0..|Ti|` reads every value of each scanned hidden column and cuts |Ti|
+//! dict entries into passes, however few ids the QEPSJ result holds. So
+//! `Project` may instead build a sparse σ: the same Bloom filter over the
+//! id column, probed with the dense range, its survivors written to a
+//! sorted flash temp. A per-table flash-cost comparison (`SigmaShape`)
+//! picks the arm. It reads the id column's length, a hidden cardinality,
+//! so the choice and the temp stay token-internal: no shipment, host
+//! request or wire byte depends on them. `Project-NoBF` keeps the dense
+//! range.
+//!
 //! The per-table σVH + MJoin passes are independent of each other (each
 //! touches only its own id column, its own hidden columns and its own
 //! shipments), which is why they are the projection's intra-query fan-out
@@ -27,11 +39,15 @@ use crate::sjoin::sjoin_stream;
 use crate::source::{IdSource, SharedIds, SourceReader};
 use crate::strategy::{RootIds, SjOutcome};
 use crate::Result;
-use ghostdb_bloom::calibrate;
+use ghostdb_bloom::calibrate::{self, calibrate};
+use ghostdb_bloom::filter::theoretical_fp;
 use ghostdb_bloom::BloomFilter;
+use ghostdb_flash::FlashTiming;
 use ghostdb_storage::row::RowLayout;
 use ghostdb_storage::table::{ColumnScan, FlashTableWriter};
-use ghostdb_storage::{ColumnType, FlashTable, Id, IdListReader, Predicate, TableId, Value};
+use ghostdb_storage::{
+    ColumnType, FlashTable, Id, IdListReader, IdListWriter, Predicate, TableId, Value, ID_BYTES,
+};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -177,15 +193,19 @@ pub fn execute(
     let outs: Vec<ProjTable> = ctx.run_lanes(participants.len(), |ctx, i| {
         let t = participants[i];
         let prep = &preps[i];
+        let rows = ctx.cat.rows[t];
         // σVH: the visible ids filtered against this table's QEPSJ column.
-        let sigma: IdSource = match &prep.sigma_ids {
-            Some(ids) => match algo {
-                ProjectAlgo::Project => sigma_vh(ctx, &id_cols[i], ids)?,
-                _ => IdSource::Host(ids.clone()),
-            },
-            None => IdSource::Range {
+        // A table with no visible side probes the dense range instead, when
+        // that is cheaper than MJoin over the whole table.
+        let sigma: IdSource = match (&prep.sigma_ids, algo) {
+            (Some(ids), ProjectAlgo::Project) => sigma_vh(ctx, &id_cols[i], Probe::Shipment(ids))?,
+            (Some(ids), _) => IdSource::Host(ids.clone()),
+            (None, ProjectAlgo::Project) if sparse_sigma_pays(ctx, t, prep, id_cols[i].rows()) => {
+                sigma_vh(ctx, &id_cols[i], Probe::Dense(rows as Id))?
+            }
+            (None, _) => IdSource::Range {
                 start: 0,
-                end: ctx.cat.rows[t] as Id,
+                end: rows as Id,
             },
         };
         mjoin(
@@ -340,21 +360,44 @@ fn partition(
     Ok((root_col, id_cols))
 }
 
+/// What a table's σVH Bloom filter is probed with.
+#[derive(Clone, Copy)]
+enum Probe<'a> {
+    /// The ids of the table's visible shipment (Figure 5, line 4).
+    Shipment(&'a SharedIds),
+    /// The dense range `0..|Ti|`, for a table with no visible side.
+    Dense(Id),
+}
+
 /// Figure 5, lines 3–4: Bloom over the table's QEPSJ id column, probed with
 /// the visible ids → σVH. "The Bloom filter is calibrated by default to
 /// occupy the entire RAM" (§5) minus the scan buffers.
-fn sigma_vh(ctx: &mut ExecCtx<'_>, id_col: &FlashTable, vis_ids: &SharedIds) -> Result<IdSource> {
+///
+/// A [`Probe::Dense`] filter takes that whole budget whatever the id
+/// column's length, because its false positives scale with |Ti|. Its
+/// survivors go to a sorted flash temp: σ is derived from hidden data, so
+/// it stays in flash or the arena and never becomes a host-side list.
+fn sigma_vh(ctx: &mut ExecCtx<'_>, id_col: &FlashTable, probe: Probe<'_>) -> Result<IdSource> {
     let n = id_col.rows();
-    let budget = ctx.ram().available().saturating_sub(3) * ctx.ram().buf_size();
-    let Some(cal) = calibrate(n, budget) else {
-        // Hopeless filter: fall back to the unfiltered visible ids.
-        return Ok(IdSource::Host(vis_ids.clone()));
-    };
-    let buffers = cal.bytes.div_ceil(ctx.ram().buf_size()).max(1);
-    let region = ctx.ram().alloc_region(buffers)?;
-    let mut bf = BloomFilter::new(region, cal.m_bits, cal.k);
     let ram = ctx.ram();
     let page_size = ctx.page_size();
+    let budget = ram.available().saturating_sub(3) * ram.buf_size();
+    let Some(cal) = calibrate(n, budget) else {
+        // Hopeless filter: fall back to the unfiltered probe stream.
+        return Ok(match probe {
+            Probe::Shipment(ids) => IdSource::Host(ids.clone()),
+            Probe::Dense(rows) => IdSource::Range {
+                start: 0,
+                end: rows,
+            },
+        });
+    };
+    let m_bits = match probe {
+        Probe::Shipment(_) => cal.m_bits,
+        Probe::Dense(_) => (budget as u64 * 8).max(cal.m_bits),
+    };
+    let region = ram.alloc_region(m_bits.div_ceil(8).div_ceil(ram.buf_size() as u64) as usize)?;
+    let mut bf = BloomFilter::new(region, m_bits, cal.k);
     let mut reader = id_col.reader(&ram, page_size)?;
     ctx.track(OpKind::ProjBloom, |ctx| {
         ctx.lane.with_flash(|dev| {
@@ -365,17 +408,169 @@ fn sigma_vh(ctx: &mut ExecCtx<'_>, id_col: &FlashTable, vis_ids: &SharedIds) -> 
             Ok(())
         })
     })?;
-    let filtered: Vec<Id> = vis_ids
+    drop(reader);
+    match probe {
+        Probe::Shipment(ids) => Ok(IdSource::Host(Arc::new(
+            ids.iter()
+                .copied()
+                .filter(|id| bf.contains(*id as u64))
+                .collect(),
+        ))),
+        Probe::Dense(rows) => {
+            let mut writer = IdListWriter::create(ctx.lane.alloc(), &ram, rows as u64, page_size)?;
+            ctx.add_temp(writer.segment());
+            let list = ctx.track(OpKind::ProjBloom, |ctx| {
+                ctx.lane.with_flash(|dev| {
+                    for id in (0..rows).filter(|id| bf.contains(*id as u64)) {
+                        writer.push(dev, id)?;
+                    }
+                    Ok(writer.finish(dev)?)
+                })
+            })?;
+            Ok(IdSource::Flash(list))
+        }
+    }
+}
+
+/// Whether a table with no visible side should build its σ from the QEPSJ
+/// id column ([`Probe::Dense`]) rather than run MJoin over the dense range.
+/// Reads the id column's length, a hidden cardinality, so the choice and
+/// everything it changes stay below the channel.
+fn sparse_sigma_pays(ctx: &ExecCtx<'_>, t: TableId, prep: &TablePrep<'_>, n: u64) -> bool {
+    let def = ctx.cat.schema.def(t);
+    let width = |c: &str| def.column(c).expect("analyzed").ty.width();
+    let widths: Vec<usize> = prep
+        .tproj
+        .hid
         .iter()
-        .copied()
-        .filter(|id| bf.contains(*id as u64))
+        .map(|c| width(c))
+        .chain(prep.rechecks.iter().map(|p| width(&p.column)))
         .collect();
-    Ok(IdSource::Host(Arc::new(filtered)))
+    let ram = ctx.ram();
+    // What MJoin's dict keeps after its scans, its two buffers (§4) and,
+    // for the sparse arm, the σ reader.
+    let dict_buffers = ram.available().saturating_sub(widths.len() + 2);
+    let shape = SigmaShape {
+        n,
+        rows: ctx.cat.rows[t],
+        entry_bytes: 4 + widths[..prep.tproj.hid.len()].iter().sum::<usize>(),
+        widths,
+        dict_bytes: dict_buffers * ram.buf_size(),
+        buf_size: ram.buf_size(),
+        filter_bits: ram.available().saturating_sub(3) as u64 * ram.buf_size() as u64 * 8,
+    };
+    shape.sparse_ns(ctx.lane.timing(), ctx.page_size())
+        < shape.dense_ns(ctx.lane.timing(), ctx.page_size())
+}
+
+/// The inputs of the sparse-σ cost rule: the flash time each σ arm costs
+/// MJoin under the Table 1 model. Both estimates are upper bounds of the
+/// same shape (every σ id reads a whole page of each scanned column), so
+/// they compare like for like.
+#[derive(Debug, Clone, PartialEq)]
+struct SigmaShape {
+    /// Rows of the QEPSJ id column.
+    n: u64,
+    /// |Ti|.
+    rows: u64,
+    /// Widths of the hidden columns MJoin scans: projections, then
+    /// re-checks.
+    widths: Vec<usize>,
+    /// Bytes of one dict entry (`idTi` plus the projected values).
+    entry_bytes: usize,
+    /// RAM left for the dict with the dense range (no σ reader).
+    dict_bytes: usize,
+    /// One RAM buffer (the σ reader's cost in dict space).
+    buf_size: usize,
+    /// Bits of the dense-probe Bloom filter.
+    filter_bits: u64,
+}
+
+impl SigmaShape {
+    /// MJoin over `0..|Ti|`: every page of every scanned column, and one
+    /// id-column sweep per dict load.
+    fn dense_ns(&self, t: &FlashTiming, page_size: usize) -> u128 {
+        let columns: u128 = self
+            .widths
+            .iter()
+            .map(|w| {
+                column_pages(self.rows, *w, page_size) as u128
+                    * page_read_ns(t, self.rows, *w, page_size)
+            })
+            .sum();
+        columns + self.passes_ns(t, page_size, self.rows, self.dict_bytes)
+    }
+
+    /// Bloom sweep of the id column, the σ temp's write and read, at most
+    /// one page per σ id per scanned column, and MJoin's passes over σ.
+    /// σ holds at most min(n, |Ti|) distinct ids plus the filter's false
+    /// positives over the rest of the range.
+    fn sparse_ns(&self, t: &FlashTiming, page_size: usize) -> u128 {
+        let distinct = self.n.min(self.rows);
+        let fp = theoretical_fp(self.filter_bits.max(1), distinct, calibrate::PAPER_K);
+        let sigma = distinct + (fp * (self.rows - distinct) as f64).ceil() as u64;
+        let sigma_pages = (sigma * ID_BYTES as u64).div_ceil(page_size as u64);
+        let fixed = self.sweep_ns(t, page_size)
+            + sigma_pages as u128 * (t.write_cost_ns(page_size) + t.read_cost_ns(0))
+            + sigma as u128 * ID_BYTES as u128 * t.transfer_ns_per_byte as u128;
+        let columns: u128 = self
+            .widths
+            .iter()
+            .map(|w| {
+                column_pages(self.rows, *w, page_size).min(sigma) as u128
+                    * page_read_ns(t, self.rows, *w, page_size)
+            })
+            .sum();
+        let dict_bytes = self.dict_bytes.saturating_sub(self.buf_size);
+        fixed + columns + self.passes_ns(t, page_size, sigma, dict_bytes)
+    }
+
+    /// One sequential read of the id column.
+    fn sweep_ns(&self, t: &FlashTiming, page_size: usize) -> u128 {
+        (self.n * ID_BYTES as u64).div_ceil(page_size as u64) as u128 * t.read_cost_ns(0)
+            + self.n as u128 * ID_BYTES as u128 * t.transfer_ns_per_byte as u128
+    }
+
+    /// MJoin's passes over `entries` σ ids with `dict_bytes` of dict: one
+    /// id-column sweep each, plus one read and rewrite of the runs when
+    /// there is more than one.
+    fn passes_ns(
+        &self,
+        t: &FlashTiming,
+        page_size: usize,
+        entries: u64,
+        dict_bytes: usize,
+    ) -> u128 {
+        let capacity = (dict_bytes / self.entry_bytes).max(1) as u64;
+        let passes = entries.div_ceil(capacity).max(1);
+        let mut ns = passes as u128 * self.sweep_ns(t, page_size);
+        if passes > 1 {
+            let run_bytes = self.n * (self.entry_bytes + 4) as u64;
+            let run_pages = run_bytes.div_ceil(page_size as u64) as u128;
+            ns += run_pages * (t.read_cost_ns(0) + t.write_cost_ns(page_size))
+                + run_bytes as u128 * t.transfer_ns_per_byte as u128;
+        }
+        ns
+    }
+}
+
+/// Pages of a hidden column of `rows` values of `width` bytes.
+fn column_pages(rows: u64, width: usize, page_size: usize) -> u64 {
+    rows.div_ceil((page_size / width) as u64)
+}
+
+/// One `ColumnScan` page load: the page and every value on it.
+fn page_read_ns(t: &FlashTiming, rows: u64, width: usize, page_size: usize) -> u128 {
+    let per_page = (page_size / width) as u64;
+    t.read_cost_ns(per_page.min(rows) as usize * width)
 }
 
 /// Figure 5, line 6: MJoin — merge visible values, hidden columns and σVH
 /// into complete tuples held in RAM (capacity minus the scan buffers), then
 /// sweep the table's id column once per RAM-load emitting `<pos, tuple>`.
+/// `sigma` is a shipment's filtered ids, a sparse σ temp on flash (one
+/// more buffer, so a smaller dict) or the dense range. A σ id that is a
+/// Bloom false positive enters the dict and matches no position.
 fn mjoin(
     ctx: &mut ExecCtx<'_>,
     t: TableId,
@@ -921,4 +1116,85 @@ fn brute_force(
     })?;
 
     Ok(ResultSet { columns, rows })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const PAGE: usize = 2048;
+
+    /// A table's σ inputs on the paper's 32 × 2 KB arena, with `scans`
+    /// char(10) columns open and the first `projected` of them projected.
+    fn shape(n: u64, rows: u64, scans: usize, projected: usize) -> SigmaShape {
+        SigmaShape {
+            n,
+            rows,
+            widths: vec![10; scans],
+            entry_bytes: 4 + 10 * projected,
+            dict_bytes: (32 - scans - 2) * PAGE,
+            buf_size: PAGE,
+            filter_bits: 29 * PAGE as u64 * 8,
+        }
+    }
+
+    fn pays(s: &SigmaShape) -> bool {
+        let t = FlashTiming::default();
+        s.sparse_ns(&t, PAGE) < s.dense_ns(&t, PAGE)
+    }
+
+    #[test]
+    fn a_point_lookup_on_a_large_table_takes_the_filter() {
+        // `T1.h1 = <point>` projecting `T1.h2` at ×0.05: a dozen ids
+        // against 2 × 246 column pages and 13 dict loads.
+        assert!(pays(&shape(12, 50_000, 2, 1)));
+    }
+
+    #[test]
+    fn an_empty_id_column_takes_the_filter() {
+        assert!(pays(&shape(0, 5_000, 1, 0)));
+        assert_eq!(
+            shape(0, 5_000, 1, 0).sparse_ns(&FlashTiming::default(), PAGE),
+            0
+        );
+    }
+
+    #[test]
+    fn a_table_with_no_scanned_column_keeps_the_dense_range() {
+        // Only `Ti.id` projected, one dict load either way: the sweep and
+        // the σ temp are pure overhead.
+        assert!(!pays(&shape(10, 2_000, 0, 0)));
+    }
+
+    #[test]
+    fn the_choice_flips_once_as_the_id_column_grows() {
+        // A re-check-only table (`T12` at ×0.05): 25 column pages, one dict
+        // load. The filter pays for a handful of ids and stops paying once
+        // the distinct-id bound reaches the page count.
+        let flips: Vec<u64> = (1..=5_000)
+            .filter(|n| pays(&shape(n - 1, 5_000, 1, 0)) != pays(&shape(*n, 5_000, 1, 0)))
+            .collect();
+        assert_eq!(flips.len(), 1, "one boundary, got {flips:?}");
+        let boundary = flips[0];
+        assert!(pays(&shape(boundary - 1, 5_000, 1, 0)));
+        assert!(!pays(&shape(boundary, 5_000, 1, 0)));
+        let column_pages = column_pages(5_000, 10, PAGE);
+        assert!(boundary > 1 && boundary <= column_pages, "{boundary}");
+    }
+
+    #[test]
+    fn an_id_column_covering_the_table_never_takes_the_filter() {
+        // σ can then hold every id: each of the filter arm's terms is at
+        // least the dense arm's, plus the sweep and the σ temp.
+        for rows in [100, 5_000, 50_000] {
+            for (scans, projected) in [(0, 0), (1, 0), (1, 1), (2, 1), (3, 2)] {
+                for n in [rows, rows + 1, 4 * rows] {
+                    assert!(
+                        !pays(&shape(n, rows, scans, projected)),
+                        "{rows} {n} {scans}"
+                    );
+                }
+            }
+        }
+    }
 }

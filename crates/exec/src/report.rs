@@ -9,8 +9,10 @@
 use ghostdb_flash::{FlashStats, FlashTiming, SimDuration};
 use serde::{Deserialize, Serialize};
 
-/// The operators the executor attributes time to.
+/// The operators the executor attributes time to. The discriminant is the
+/// operator's slot in [`OpKind::ALL`] and in every per-operator array.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[repr(usize)]
 pub enum OpKind {
     /// Visible shipments (channel time lives in `comm`, flash time ~0).
     Vis,
@@ -53,10 +55,7 @@ impl OpKind {
     ];
 
     pub(crate) fn idx(self) -> usize {
-        OpKind::ALL
-            .iter()
-            .position(|k| *k == self)
-            .expect("known kind")
+        self as usize
     }
 
     /// Display name.
@@ -83,7 +82,7 @@ impl OpKind {
 /// solo/serial observation.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct ExecReport {
-    op_ns: Vec<u128>,
+    op_ns: [u128; OpKind::ALL.len()],
     /// Wire time (bytes / throughput).
     pub comm: SimDuration,
     /// Bytes shipped PC → token for this query.
@@ -99,23 +98,17 @@ pub struct ExecReport {
 impl ExecReport {
     /// Empty report.
     pub fn new() -> Self {
-        ExecReport {
-            op_ns: vec![0; OpKind::ALL.len()],
-            ..Default::default()
-        }
+        ExecReport::default()
     }
 
     /// Attribute simulated time to an operator.
     pub fn add(&mut self, op: OpKind, d: SimDuration) {
-        if self.op_ns.is_empty() {
-            self.op_ns = vec![0; OpKind::ALL.len()];
-        }
         self.op_ns[op.idx()] += d.as_ns();
     }
 
     /// Time attributed to an operator.
     pub fn op(&self, op: OpKind) -> SimDuration {
-        SimDuration::from_ns(self.op_ns.get(op.idx()).copied().unwrap_or(0))
+        SimDuration::from_ns(self.op_ns[op.idx()])
     }
 
     /// Total flash time (all operators, communication excluded) — the
@@ -151,9 +144,6 @@ impl ExecReport {
 
     /// Fold another report into this one (used by sweeps).
     pub fn merge_from(&mut self, other: &ExecReport) {
-        if self.op_ns.is_empty() {
-            self.op_ns = vec![0; OpKind::ALL.len()];
-        }
         for (a, b) in self.op_ns.iter_mut().zip(&other.op_ns) {
             *a += b;
         }
@@ -199,6 +189,13 @@ mod tests {
         assert_eq!(r.op(OpKind::Merge), SimDuration::from_us(110));
         assert_eq!(r.flash_total(), SimDuration::from_us(160));
         assert_eq!(r.total(), SimDuration::from_us(165));
+    }
+
+    #[test]
+    fn discriminants_are_slots_in_all() {
+        for (i, op) in OpKind::ALL.into_iter().enumerate() {
+            assert_eq!(op.idx(), i, "{}", op.name());
+        }
     }
 
     #[test]

@@ -289,8 +289,8 @@ impl GhostDbServer {
         .map_err(ServeError::Exec)?;
 
         // Phase 2 — bank one shared traversal per key demanded ≥ 2 times,
-        // in sorted key order (deterministic), on a scratch arena so the
-        // token arena's monotone peak is untouched.
+        // in sorted key order (deterministic), on a scratch arena so no
+        // query's RAM peak sees the bank's traversals.
         let mut prefetch = CiPrefetch::new();
         if self.cfg.batching {
             let mut demand: BTreeMap<PrefetchKey, u64> = BTreeMap::new();
@@ -347,32 +347,17 @@ impl GhostDbServer {
         let outcomes: Vec<Result<QueryOutcome, ServeError>> = match parallel {
             Some(done) => {
                 st.stats.parallel_drains += 1;
-                // Arrival-order arena-peak reconstruction: the serial loop
-                // runs every query on the token arena, whose high-water
-                // mark is monotone across the whole drain, so query i's
-                // report carries max(own peak, all earlier peaks). Worker
-                // jobs each ran on a fresh arena; replay that monotone
-                // accumulation here, then merge the final mark back into
-                // the token arena.
-                let mut running = st.db.token.ram.peak();
-                let mut outcomes = Vec::with_capacity(done.len());
-                for job in done {
-                    running = running.max(job.own_peak);
-                    outcomes.push(match job.outcome {
-                        Ok((result, mut report)) => {
-                            report.peak_ram_buffers = report.peak_ram_buffers.max(running);
-                            Ok(QueryOutcome {
-                                result,
-                                report,
-                                trace: job.trace,
-                                transcript: job.transcript,
-                            })
-                        }
+                done.into_iter()
+                    .map(|job| match job.outcome {
+                        Ok((result, report)) => Ok(QueryOutcome {
+                            result,
+                            report,
+                            trace: job.trace,
+                            transcript: job.transcript,
+                        }),
                         Err(e) => Err(ServeError::Exec(e)),
-                    });
-                }
-                st.db.token.ram.raise_peak(running);
-                outcomes
+                    })
+                    .collect()
             }
             None => batch
                 .iter()
@@ -408,13 +393,11 @@ impl GhostDbServer {
     }
 }
 
-/// Everything one parallel drain job produced. The arena peak and the
-/// observations are captured even for failed queries — a failing query
-/// still raised the (monotone) token arena mark in the serial loop, so
-/// reconstruction needs its peak regardless of outcome.
+/// Everything one parallel drain job produced. The job ran on a fresh
+/// arena, which starts where `Database::begin_query` leaves the token's,
+/// so its report's RAM peak already equals the serial loop's.
 struct JobDone {
     outcome: Result<(ResultSet, ExecReport), ExecError>,
-    own_peak: usize,
     trace: HostTrace,
     transcript: Vec<TranscriptEntry>,
 }
@@ -519,7 +502,6 @@ fn run_batch_parallel(
             })();
             Ok(JobDone {
                 outcome,
-                own_peak: res.arena.peak(),
                 trace: res.host.trace(),
                 transcript: res.channel.transcript().to_vec(),
             })

@@ -84,23 +84,23 @@ impl RamArena {
         self.state.in_use.load(Ordering::Relaxed)
     }
 
-    /// High-water mark of concurrently held buffers (for assertions that a
-    /// plan never exceeded the secure RAM).
+    /// High-water mark of concurrently held buffers since the arena was
+    /// built or last [`reset_peak`](Self::reset_peak) (for assertions that
+    /// a plan never exceeded the secure RAM).
     pub fn peak(&self) -> usize {
         self.state.peak.load(Ordering::Relaxed)
+    }
+
+    /// Restart the high-water mark from the buffers held right now. The
+    /// executor calls this as each query begins, so a query's reported
+    /// peak is its own and does not depend on the queries before it.
+    pub fn reset_peak(&self) {
+        self.state.peak.store(self.in_use(), Ordering::Relaxed);
     }
 
     /// Total RAM bytes represented by the pool.
     pub fn total_bytes(&self) -> usize {
         self.state.buf_size * self.state.capacity
-    }
-
-    /// Raise the high-water mark to at least `n` buffers without holding
-    /// any. Used when work ran on a scratch arena (`fresh_like`) on behalf
-    /// of this one: merging the scratch peak back keeps the monotone
-    /// high-water semantics identical to having run here directly.
-    pub fn raise_peak(&self, n: usize) {
-        self.state.peak.fetch_max(n, Ordering::Relaxed);
     }
 
     fn reserve(&self, n: usize) -> Result<()> {
@@ -253,6 +253,22 @@ mod tests {
         drop(b);
         assert_eq!(arena.available(), 4);
         assert_eq!(arena.peak(), 2);
+    }
+
+    #[test]
+    fn reset_peak_restarts_from_the_buffers_held() {
+        let arena = RamArena::new(128, 4);
+        let a = arena.alloc().unwrap();
+        let b = arena.alloc().unwrap();
+        drop(b);
+        assert_eq!(arena.peak(), 2);
+        arena.reset_peak();
+        assert_eq!(arena.peak(), 1);
+        drop(a);
+        arena.reset_peak();
+        assert_eq!(arena.peak(), 0);
+        let _c = arena.alloc().unwrap();
+        assert_eq!(arena.peak(), 1);
     }
 
     #[test]
