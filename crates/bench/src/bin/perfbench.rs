@@ -37,7 +37,7 @@ use ghostdb_bench::{
     build_medical, build_synthetic, build_synthetic_zipf, medical_q, query_q, run_with_tuned,
 };
 use ghostdb_bloom::hash::hash_i;
-use ghostdb_bloom::{BlockedBloomFilter, BloomFilter};
+use ghostdb_bloom::BloomFilter;
 use ghostdb_exec::ci_ops::select_sublists;
 use ghostdb_exec::merge::{merge_to_list, merge_to_vec, merge_to_vec_streaming};
 use ghostdb_exec::parallel::fan_out;
@@ -1113,35 +1113,6 @@ fn micro_bloom(warmup: usize, iters: usize, out: &mut Vec<BenchEntry>) {
             ..Default::default()
         }
     }));
-
-    // The blocked ("split") candidate: one cache line per key, judged
-    // against double hashing. The executor only adopts it if these show a
-    // wall-clock win — on cache-resident token-sized filters the locality
-    // argument is weak, and this pair records the measured verdict.
-    out.push(measure("micro/bloom/build_blocked", warmup, iters, || {
-        let mut bf = BlockedBloomFilter::new(vec![0u8; bytes], m_bits, k);
-        for key in 0..n {
-            bf.insert(key);
-        }
-        std::hint::black_box(&bf);
-        RunStats {
-            ops: n,
-            ..Default::default()
-        }
-    }));
-    let mut blk = BlockedBloomFilter::new(vec![0u8; bytes], m_bits, k);
-    for key in (0..2 * n).step_by(2) {
-        blk.insert(key);
-    }
-    let mut blk_scratch: Vec<u64> = Vec::new();
-    out.push(measure("micro/bloom/probe_blocked", warmup, iters, || {
-        blk.retain_into(&probes, &mut blk_scratch);
-        std::hint::black_box(blk_scratch.len());
-        RunStats {
-            ops: probes.len() as u64,
-            ..Default::default()
-        }
-    }));
 }
 
 /// Climbing-index equality probes: per-id descents vs the batched
@@ -1692,28 +1663,18 @@ fn micro_write(warmup: usize, iters: usize, out: &mut Vec<BenchEntry>) {
     }
 }
 
-/// The maintenance-strategy judgment pair: the same deterministic stream
-/// of 96 inserts/deletes against a two-level maintained climbing index,
-/// absorbed via tombstone-merge (host-side delta, merge every 16 ops) vs
-/// rebuild-per-op. Both preserve the query contract exactly
-/// (`tests/maintain_equivalence.rs`); this pair records which one earns
-/// the write path, in wall time and — via `bytes_io`/`simulated_s` — in
-/// flash traffic. The loser stays in-tree as the measured-and-rejected
-/// variant (the `BlockedBloomFilter` pattern).
+/// Incremental maintenance on the write path: a deterministic stream of
+/// 96 inserts/deletes against a two-level maintained climbing index
+/// (host-side delta, base merged every 16 ops), in wall time and, via
+/// `bytes_io`/`simulated_s`, in flash traffic.
 fn micro_maint(warmup: usize, iters: usize, out: &mut Vec<BenchEntry>) {
-    use ghostdb_index::{MaintainedIndex, MaintenanceStrategy};
+    use ghostdb_index::MaintainedIndex;
     const UPDATES: u64 = 96;
-    for (strategy, name) in [
-        (
-            MaintenanceStrategy::TombstoneMerge,
-            "micro/maint/update-tombstone",
-        ),
-        (
-            MaintenanceStrategy::RebuildSegment,
-            "micro/maint/update-rebuild",
-        ),
-    ] {
-        out.push(measure(name, warmup, iters, || {
+    out.push(measure(
+        "micro/maint/update-tombstone",
+        warmup,
+        iters,
+        || {
             let mut dev = FlashDevice::new(
                 FlashGeometry {
                     page_size: 2048,
@@ -1736,7 +1697,6 @@ fn micro_maint(warmup: usize, iters: usize, out: &mut Vec<BenchEntry>) {
                 vec![1, 0],
                 true,
                 &initial,
-                strategy,
                 16,
             )
             .expect("maintained index builds");
@@ -1769,28 +1729,8 @@ fn micro_maint(warmup: usize, iters: usize, out: &mut Vec<BenchEntry>) {
                 bytes_io: io.bytes_to_ram + io.bytes_from_ram,
                 channel: None,
             }
-        }));
-    }
-    let pair: Vec<&BenchEntry> = out
-        .iter()
-        .filter(|e| e.scenario.starts_with("micro/maint/"))
-        .collect();
-    if let [t, r] = pair[..] {
-        let (winner, loser) = if t.wall_ns <= r.wall_ns {
-            ("tombstone-merge", "rebuild-per-op")
-        } else {
-            ("rebuild-per-op", "tombstone-merge")
-        };
-        eprintln!(
-            "perfbench: maintenance strategy verdict — {winner} wins \
-             ({} ns vs {} ns wall, {} vs {} flash bytes); {loser} stays \
-             in-tree as the measured-and-rejected variant",
-            t.wall_ns.min(r.wall_ns),
-            t.wall_ns.max(r.wall_ns),
-            t.bytes_io.min(r.bytes_io),
-            t.bytes_io.max(r.bytes_io),
-        );
-    }
+        },
+    ));
 }
 
 /// The batch scheduler's traversal sharing in isolation: 8 queued queries
@@ -1897,8 +1837,6 @@ fn print_improvements(entries: &[BenchEntry]) {
         ("micro/merge/union16_naive", "micro/merge/union16_heap"),
         ("micro/bloom/build_naive", "micro/bloom/build_dh"),
         ("micro/bloom/probe_naive", "micro/bloom/probe_dh"),
-        ("micro/bloom/build_dh", "micro/bloom/build_blocked"),
-        ("micro/bloom/probe_dh", "micro/bloom/probe_blocked"),
         ("micro/ci/probe_scalar", "micro/ci/probe_run"),
         ("micro/ci/multi-2lvl_naive", "micro/ci/multi-2lvl_single"),
         ("micro/ci/multi-4lvl_naive", "micro/ci/multi-4lvl_single"),
@@ -1914,7 +1852,6 @@ fn print_improvements(entries: &[BenchEntry]) {
             "micro/io/write-vectored_serial",
             "micro/io/write-vectored_batched",
         ),
-        ("micro/maint/update-rebuild", "micro/maint/update-tombstone"),
     ] {
         if let (Some(a), Some(b)) = (wall(naive), wall(opt)) {
             println!(

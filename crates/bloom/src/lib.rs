@@ -18,11 +18,9 @@
 //! Compressed Bloom filters are deliberately not provided: the paper rejects
 //! them because decompression itself needs RAM (§3.4, footnote 6).
 
-pub mod blocked;
 pub mod calibrate;
 pub mod filter;
 pub mod hash;
 
-pub use blocked::BlockedBloomFilter;
 pub use calibrate::{calibrate, worth_post_filtering, BloomCalibration};
 pub use filter::BloomFilter;

@@ -136,7 +136,7 @@ pub fn select_sublists(
 ) -> Result<Vec<IdSource>> {
     let level = level_of(ctx, ci, target)?;
     let (lo, hi) = pred.key_range();
-    if let Some(hit) = ctx.prefetch.and_then(|p| p.get(ci, lo, hi)) {
+    if let Some(hit) = ctx.knobs.prefetch.and_then(|p| p.get(ci, lo, hi)) {
         return ctx.track(OpKind::Ci, |ctx| {
             // Reproduce the solo probe's RAM pin (it counts toward the
             // query's RAM peak) and bill the banked traversal's flash
@@ -155,7 +155,7 @@ pub fn select_sublists(
     ctx.track(OpKind::Ci, |ctx| {
         let ram = ctx.ram();
         let mut probe = ci.probe(&ram)?;
-        probe.set_read_ahead(ctx.read_ahead);
+        probe.set_read_ahead(ctx.knobs.read_ahead);
         let lists = ctx
             .lane
             .with_flash(|dev| probe.lookup_range(dev, lo, hi, level))?;
@@ -186,7 +186,7 @@ pub fn select_sublists_multi(
         .map(|t| level_of(ctx, ci, *t))
         .collect::<Result<_>>()?;
     let (lo, hi) = pred.key_range();
-    if let Some(hit) = ctx.prefetch.and_then(|p| p.get(ci, lo, hi)) {
+    if let Some(hit) = ctx.knobs.prefetch.and_then(|p| p.get(ci, lo, hi)) {
         return ctx.track(OpKind::Ci, |ctx| {
             let ram = ctx.ram();
             let _probe = ci.probe(&ram)?;
@@ -200,7 +200,7 @@ pub fn select_sublists_multi(
     ctx.track(OpKind::Ci, |ctx| {
         let ram = ctx.ram();
         let mut probe = ci.probe(&ram)?;
-        probe.set_read_ahead(ctx.read_ahead);
+        probe.set_read_ahead(ctx.knobs.read_ahead);
         let lists = ctx
             .lane
             .with_flash(|dev| probe.lookup_range_multi(dev, lo, hi, &levels))?;
@@ -262,7 +262,7 @@ pub fn probe_in(
     ctx.track(OpKind::Ci, |ctx| {
         let ram = ctx.ram();
         let mut probe = ci.probe(&ram)?;
-        probe.set_read_ahead(ctx.read_ahead);
+        probe.set_read_ahead(ctx.knobs.read_ahead);
         let lists = ctx
             .lane
             .with_flash(|dev| probe.lookup_eq_run(dev, &keys, level))?;

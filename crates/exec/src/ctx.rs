@@ -8,16 +8,14 @@
 //!   hidden images, SKTs, climbing indexes and the untrusted PC. `Copy`, so
 //!   every worker sees the same catalog at zero cost.
 //! * [`DeviceLane`] — the per-worker **device** lane: a flash handle
-//!   (the token's own on the serial path, a [`FlashDevice::fork`] under
-//!   intra-query fan-out), a RAM arena, a segment-allocator slice and a
-//!   temp registry. The lane mirrors every flash counter delta it causes
-//!   into a **lane-local** [`FlashStats`], which is what makes cost
-//!   tracking reentrant: concurrent lanes never read each other's deltas.
-//!   Locking is **per page operation, per chip** inside the device — a
-//!   whole tracked operator scope (an entire MJoin dict-fill) no longer
-//!   holds any device-wide lock, so per-row CPU work overlaps across
-//!   lanes, and lanes whose allocator slices sit on disjoint chips never
-//!   contend at all.
+//!   (the token's own on the serial path, a [`FlashDevice::fork`] on a
+//!   worker), a RAM arena, a segment-allocator slice and a temp registry.
+//!   The lane mirrors every flash counter delta it causes into a
+//!   **lane-local** [`FlashStats`], which is what makes cost tracking
+//!   reentrant: concurrent lanes never read each other's deltas. Locking
+//!   is **per page operation, per chip** inside the device, so per-row CPU
+//!   work overlaps across lanes, and lanes whose allocator slices sit on
+//!   disjoint chips never contend at all.
 //! * [`CostScope`] — the per-worker **cost** lane: local `OpKind →
 //!   SimDuration` accumulation, merged into the parent scope in canonical
 //!   operator order when workers join. Merging is associative and
@@ -25,14 +23,23 @@
 //!   reports are bit-identical to serial ones.
 //!
 //! [`ExecCtx`] recomposes the three lanes (plus the channel, root lane
-//! only) and is what operators borrow. [`ExecCtx::run_lanes`] is the
-//! intra-query fan-out point: it gives each worker a forked device
-//! handle, a fresh arena, an allocator slice carved on a GC-unpressured
-//! chip and an empty cost scope, and deterministically merges results
-//! and attribution back.
+//! only) and the query's `RunKnobs`; `ExecCtx::assemble` is the one
+//! place a context is built, whether over the token's own resources, a
+//! serve job's or an intra-query worker's.
+//!
+//! In the paper one secure chip runs each query sequentially, so every
+//! parallel path here may change wall time only. `LaneCarve` is the one
+//! gate a parallel attempt passes before it may write flash: it picks the
+//! chips with GC headroom, carves one allocator slice per worker there
+//! (rolling back a refused carve), builds each worker's `WorkerLane`
+//! and snapshots the GC counters, so the caller can discard an attempt a
+//! collection overlapped. Its two callers are [`ExecCtx::run_lanes`]
+//! (intra-query fan-out: slices adopted as query temps) and serve's
+//! parallel drain (one slice per query, released after the batch).
 
 use crate::database::Database;
 use crate::error::ExecError;
+use crate::executor::ExecOptions;
 use crate::report::{split_rw, ExecReport, OpKind};
 use crate::Result;
 use ghostdb_flash::{FlashDevice, FlashStats, FlashTiming, Segment, SegmentAllocator, SimDuration};
@@ -163,12 +170,6 @@ impl<'a> DeviceLane<'a> {
         out
     }
 
-    /// A fresh handle onto this lane's device with zeroed local counters
-    /// (what a worker lane is built over).
-    pub fn fork_device(&self) -> FlashDevice {
-        self.flash.fork()
-    }
-
     /// The RAM arena (cheap clone of the shared handle).
     pub fn ram(&self) -> RamArena {
         self.ram.clone()
@@ -277,6 +278,45 @@ impl CostScope {
     }
 }
 
+/// How one query runs: the execution knobs a context carries, copied
+/// whole into every context built for the query (root, serve job or
+/// intra-query worker).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct RunKnobs<'a> {
+    /// Intra-query worker budget for `run_lanes` (1 = serial).
+    pub(crate) intra: usize,
+    /// Pad every `Vis` shipment to a power-of-two row bucket (the volume
+    /// side-channel countermeasure; see `SECURITY.md`).
+    pub(crate) padded: bool,
+    /// Climbing-index read-ahead window in pages (`0` = serial). Forwarded
+    /// to every `CiProbe` this context opens; counters and results are
+    /// bit-identical at any value.
+    pub(crate) read_ahead: usize,
+    /// Cross-query climbing-index prefetch (the serve-mode batch
+    /// scheduler's shared traversals). `None` on solo executions; hits are
+    /// billed as-if-solo via [`DeviceLane::charge`], so the report is
+    /// bit-identical either way.
+    pub(crate) prefetch: Option<&'a crate::ci_ops::CiPrefetch>,
+}
+
+impl Default for RunKnobs<'_> {
+    fn default() -> Self {
+        RunKnobs::of(&ExecOptions::default(), None)
+    }
+}
+
+impl<'a> RunKnobs<'a> {
+    /// The knobs `opts` asks for, plus an optional prefetch bank.
+    pub(crate) fn of(opts: &ExecOptions, prefetch: Option<&'a crate::ci_ops::CiPrefetch>) -> Self {
+        RunKnobs {
+            intra: opts.intra_threads,
+            padded: opts.padded,
+            read_ahead: opts.read_ahead,
+            prefetch,
+        }
+    }
+}
+
 /// Execution state threaded through every operator: the three lanes, plus
 /// the channel on the root lane (worker lanes never talk to the PC — every
 /// shipment is prefetched before a fan-out).
@@ -287,71 +327,55 @@ pub struct ExecCtx<'a> {
     pub lane: DeviceLane<'a>,
     /// This worker's cost lane.
     pub cost: CostScope,
-    /// Intra-query worker budget for `run_lanes` (1 = serial).
-    pub intra: usize,
-    /// Pad every `Vis` shipment to a power-of-two row bucket (the volume
-    /// side-channel countermeasure; see `SECURITY.md`).
-    pub padded: bool,
-    /// Climbing-index read-ahead window in pages (`0` = serial). Forwarded
-    /// to every `CiProbe` this context opens; counters and results are
-    /// bit-identical at any value.
-    pub read_ahead: usize,
-    /// Cross-query climbing-index prefetch (the serve-mode batch
-    /// scheduler's shared traversals). `None` on solo executions; hits are
-    /// billed as-if-solo via [`DeviceLane::charge`], so the report is
-    /// bit-identical either way.
-    pub prefetch: Option<&'a crate::ci_ops::CiPrefetch>,
+    /// The query's execution knobs.
+    pub(crate) knobs: RunKnobs<'a>,
     channel: Option<&'a mut Channel>,
     /// Open `track`/`track_rw` scopes; guards the run_lanes nesting rule.
     track_depth: u32,
 }
 
 impl<'a> ExecCtx<'a> {
-    /// Build a root context over a database (the token's own resources).
+    /// Build a serial root context over a database (the token's own
+    /// resources) with default knobs.
     pub fn new(db: &'a mut Database) -> Self {
-        let token = &mut db.token;
-        ExecCtx {
-            cat: CatalogCtx {
-                schema: &db.schema,
-                rows: &db.rows,
-                hidden: &db.hidden,
-                skts: &db.skts,
-                cis: &db.cis,
-                untrusted: &db.untrusted,
-            },
-            lane: DeviceLane::new(&mut token.flash, token.ram.clone(), &mut db.alloc),
-            cost: CostScope::new(),
-            intra: 1,
-            padded: false,
-            read_ahead: 0,
-            prefetch: None,
-            channel: Some(&mut token.channel),
-            track_depth: 0,
-        }
+        Self::with_knobs(db, RunKnobs::default())
     }
 
-    /// Build a context from explicitly assembled parts: a catalog (with a
-    /// possibly forked untrusted host), a device lane over any flash
-    /// handle/arena/allocator, and an optional channel. This is the serve
-    /// worker path — per-query isolated resources standing in for the
-    /// token's own.
-    pub(crate) fn from_parts(
+    /// Build a root context over a database (the token's own resources).
+    pub(crate) fn with_knobs(db: &'a mut Database, knobs: RunKnobs<'a>) -> Self {
+        let token = &mut db.token;
+        let cat = CatalogCtx {
+            schema: &db.schema,
+            rows: &db.rows,
+            hidden: &db.hidden,
+            skts: &db.skts,
+            cis: &db.cis,
+            untrusted: &db.untrusted,
+        };
+        let lane = DeviceLane::new(&mut token.flash, token.ram.clone(), &mut db.alloc);
+        Self::assemble(cat, lane, Some(&mut token.channel), knobs)
+    }
+
+    /// Build a context from its parts: a catalog (possibly over a forked
+    /// untrusted host), a device lane over any flash handle, arena and
+    /// allocator, an optional channel and the query's knobs. Every context
+    /// is built here.
+    pub(crate) fn assemble(
         cat: CatalogCtx<'a>,
         lane: DeviceLane<'a>,
         channel: Option<&'a mut Channel>,
+        knobs: RunKnobs<'a>,
     ) -> Self {
         ExecCtx {
             cat,
             lane,
             cost: CostScope::new(),
-            intra: 1,
-            padded: false,
-            read_ahead: 0,
-            prefetch: None,
+            knobs,
             channel,
             track_depth: 0,
         }
     }
+
     /// The RAM arena (cheap clone of the shared handle).
     pub fn ram(&self) -> RamArena {
         self.lane.ram()
@@ -396,7 +420,7 @@ impl<'a> ExecCtx<'a> {
     ) -> Result<VisShipment> {
         let name = self.cat.schema.def(t).name.clone();
         let untrusted = self.cat.untrusted;
-        let pad = if self.padded {
+        let pad = if self.knobs.padded {
             PadMode::PowerOfTwo
         } else {
             PadMode::Exact
@@ -484,14 +508,13 @@ impl<'a> ExecCtx<'a> {
     }
 
     /// Fan `jobs` independent sub-units of this plan across up to
-    /// `self.intra` worker lanes and return their results in job order.
+    /// `knobs.intra` worker lanes and return their results in job order.
     ///
-    /// Each worker runs on its own [`DeviceLane`] (fresh RAM arena of the
-    /// same geometry, a segment-allocator slice carved on a GC-unpressured
-    /// chip, a forked flash handle onto the shared chip array) and its own
-    /// [`CostScope`]; scopes merge back into the parent in job order.
-    /// Because every job issues exactly the flash operations it would
-    /// issue serially, and every per-operation cost is
+    /// Each worker runs on a `WorkerLane` from `LaneCarve` (a fresh
+    /// arena, an allocator slice on a GC-unpressured chip, a forked flash
+    /// handle) and its own [`CostScope`]; scopes merge back into the parent
+    /// in job order. Because every job issues exactly the flash operations
+    /// it would issue serially, and every per-operation cost is
     /// placement-independent, results AND per-operator attribution are
     /// bit-identical to the serial loop (locked by the intra equivalence
     /// suite). Lanes whose slices land on disjoint chips never contend;
@@ -501,27 +524,16 @@ impl<'a> ExecCtx<'a> {
     /// Falls back to the serial loop on this lane when `intra <= 1`, when
     /// there is at most one job, when the parent arena still holds buffers
     /// (worker arenas start empty, so a non-empty baseline would change
-    /// RAM-driven decisions), when the allocator cannot carve a meaningful
-    /// slice per worker (including a fragmented free list refusing a carve
-    /// the page count allowed), or when **every** chip is close enough to
-    /// its GC watermark that a fan-out's writes could trigger collection.
-    /// GC pressure is judged per chip: a pressured chip simply stops
-    /// hosting lane slices (its data stays readable — reads never program
-    /// pages) while lanes keep fanning out across the unpressured chips;
-    /// only a device with no unpressured chip left forces the whole
-    /// fan-out serial. On a single-chip device this degenerates to the
-    /// old all-or-nothing check.
-    ///
-    /// GC is the one scheduling-dependent cost: interleaved worker writes
-    /// land in the FTL in thread-timing order, so a collection pass over
-    /// such blocks has timing-dependent relocation counts. Three defences
-    /// keep reports serial-identical: the headroom precondition keeps a
-    /// fan-out from driving any chip to its watermark itself, the
-    /// GC-taint window below tears down and serially replays any attempt a
-    /// collection did overlap, and free_temps trims every worker page at
-    /// query end so fan-out data does not linger as GC fodder. A workload
-    /// that churns the device to the watermark *after* a fan-out (past the
-    /// trim) can still reach GC over perturbed placement; keep
+    /// RAM-driven decisions), or when `LaneCarve::try_carve` declines.
+    /// A worker failing (e.g. its slice running out of space on a query
+    /// the undivided pool could serve) or GC firing mid-attempt tears the
+    /// attempt down and replays the whole batch serially on this lane:
+    /// worker scopes are dropped unmerged and `io` comes from lane mirrors,
+    /// so the discarded work never reaches the report. On success the
+    /// slices become query temps, so `free_temps` trims every page any
+    /// worker wrote at query end and fan-out data does not linger as GC
+    /// fodder. A workload that churns the device to the watermark *after*
+    /// a fan-out can still reach GC over perturbed placement; keep
     /// `intra_threads = 1` for bit-exact reports under that regime.
     ///
     /// Must not be nested inside a `track` scope: worker I/O lands on the
@@ -536,140 +548,47 @@ impl<'a> ExecCtx<'a> {
             "run_lanes must not be nested inside a track scope: worker I/O \
              lands on worker lanes and would escape the enclosing window"
         );
-        let lanes = self.intra.min(jobs);
+        let lanes = self.knobs.intra.min(jobs);
         if lanes <= 1 || self.lane.ram().in_use() != 0 {
             return (0..jobs).map(|i| work(self, i)).collect();
         }
-        const MIN_SLICE_PAGES: u64 = 64;
-        // Per-chip GC pressure: GC only fires near physical exhaustion, so
-        // a chip is eligible to host lane slices while at least 1/8 of its
-        // physical pages remain programmable before a collection could
-        // start. Within that margin typical temp bursts cannot reach the
-        // watermark; the taint window below remains the hard guard.
-        let (chips, chip_pages, chip_physical) = self.lane.with_flash(|dev| {
-            (
-                dev.chip_count() as u64,
-                dev.chip_pages(),
-                dev.geometry().physical_pages(),
-            )
-        });
-        let mut eligible: Vec<u64> = Vec::new();
-        for c in 0..chips {
-            let headroom = self.lane.with_flash(|dev| dev.gc_headroom_of(c as usize));
-            if headroom * 8 >= chip_physical {
-                eligible.push(c);
-            }
-        }
-        if eligible.is_empty() {
+        let ram = self.lane.ram();
+        let Some((carve, workers)) = self
+            .lane
+            .with_flash_alloc(|dev, alloc| LaneCarve::try_carve(dev, alloc, &ram, lanes))?
+        else {
             return (0..jobs).map(|i| work(self, i)).collect();
-        }
-        // Round-robin lanes over the eligible chips; size each lane's
-        // slice as an equal share of its chip's free pages, keeping one
-        // share per chip in reserve for the parent's own later
-        // allocations.
-        let lane_chip: Vec<u64> = (0..lanes).map(|j| eligible[j % eligible.len()]).collect();
-        let mut lanes_on = vec![0u64; chips as usize];
-        for &c in &lane_chip {
-            lanes_on[c as usize] += 1;
-        }
-        let mut slice_pages: Vec<u64> = Vec::with_capacity(lanes);
-        for &c in &lane_chip {
-            let free = self
-                .lane
-                .alloc()
-                .free_in_range(c * chip_pages, (c + 1) * chip_pages);
-            slice_pages.push(free / (lanes_on[c as usize] + 1));
-        }
-        if slice_pages.iter().any(|&p| p < MIN_SLICE_PAGES) {
-            return (0..jobs).map(|i| work(self, i)).collect();
-        }
-        let mut carves: Vec<Segment> = Vec::with_capacity(lanes);
-        let mut slices: Vec<SegmentAllocator> = Vec::with_capacity(lanes);
-        for (j, &c) in lane_chip.iter().enumerate() {
-            // A fragmented free list can refuse a carve the page count
-            // allowed: return what was carved and run serially instead of
-            // failing the query (and leaking the partial carves).
-            match self.lane.alloc().alloc_in_range(
-                slice_pages[j],
-                c * chip_pages,
-                (c + 1) * chip_pages,
-            ) {
-                Ok(seg) => {
-                    slices.push(SegmentAllocator::over(seg.start(), seg.pages()));
-                    carves.push(seg);
-                }
-                Err(_) => {
-                    self.lane.with_flash_alloc(|dev, alloc| {
-                        for seg in carves {
-                            alloc.free(seg, dev)?;
-                        }
-                        Ok::<(), ExecError>(())
-                    })?;
-                    return (0..jobs).map(|i| work(self, i)).collect();
-                }
-            }
-        }
-        let cat = self.cat;
-        let padded = self.padded;
-        let read_ahead = self.read_ahead;
-        let prefetch = self.prefetch;
-        let arena = self.lane.ram();
-        let proto = self.lane.fork_device();
-        // GC placement is the one scheduling-dependent cost in the FTL: if
-        // garbage collection fires while workers interleave writes, victim
-        // selection (and so relocation counts) depends on thread timing.
-        // Snapshot the GC counters around the attempt; a GC-tainted run is
-        // torn down and replayed serially below.
-        let gc_before = self.lane.with_flash(|dev| dev.stats());
-        let results: Result<Vec<(T, CostScope)>> = {
-            let pool = Mutex::new(slices);
-            crate::parallel::fan_out(
-                jobs,
-                lanes,
-                || {
-                    let alloc = pool
-                        .lock()
-                        .expect("slice pool")
-                        .pop()
-                        .ok_or_else(|| ExecError::Query("lane slice pool exhausted".into()))?;
-                    Ok(WorkerLane {
-                        alloc,
-                        arena: arena.fresh_like(),
-                        flash: proto.fork(),
-                    })
-                },
-                |w, i| {
-                    let mut ctx = ExecCtx {
-                        cat,
-                        lane: DeviceLane::new(&mut w.flash, w.arena.clone(), &mut w.alloc),
-                        cost: CostScope::new(),
-                        // Workers never re-fan: one level of intra-query
-                        // parallelism keeps scheduling analysable.
-                        intra: 1,
-                        padded,
-                        read_ahead,
-                        prefetch,
-                        channel: None,
-                        track_depth: 0,
-                    };
-                    let out = work(&mut ctx, i)?;
-                    let mut scope = ctx.cost;
-                    scope.peak_ram = scope.peak_ram.max(w.arena.peak());
-                    scope.io = ctx.lane.io();
-                    Ok((out, scope))
-                },
-            )
         };
-        let gc_after = self.lane.with_flash(|dev| dev.stats());
-        let gc_fired = gc_after.blocks_erased != gc_before.blocks_erased
-            || gc_after.gc_pages_read != gc_before.gc_pages_read
-            || gc_after.gc_pages_written != gc_before.gc_pages_written;
+        let cat = self.cat;
+        // Workers never re-fan: one level of intra-query parallelism keeps
+        // scheduling analysable.
+        let knobs = RunKnobs {
+            intra: 1,
+            ..self.knobs
+        };
+        let pool = Mutex::new(workers);
+        let results: Result<Vec<(T, CostScope)>> = crate::parallel::fan_out(
+            jobs,
+            lanes,
+            || {
+                pool.lock()
+                    .expect("slice pool")
+                    .pop()
+                    .ok_or_else(|| ExecError::Query("lane slice pool exhausted".into()))
+            },
+            |w, i| {
+                let mut ctx = ExecCtx::assemble(cat, w.device_lane(), None, knobs);
+                let out = work(&mut ctx, i)?;
+                let mut scope = std::mem::take(&mut ctx.cost);
+                scope.peak_ram = scope.peak_ram.max(ctx.ram().peak());
+                scope.io = ctx.lane.io();
+                Ok((out, scope))
+            },
+        );
+        let gc_fired = self.lane.with_flash(|dev| carve.gc_fired(dev));
         match results {
             Ok(res) if !gc_fired => {
-                // Success: the carves become query temps — freeing them at
-                // the end trims every page any worker wrote and returns the
-                // slices to the parent pool.
-                for seg in carves {
+                for seg in carve.adopt() {
                     self.lane.add_temp(seg);
                 }
                 let mut out = Vec::with_capacity(jobs);
@@ -680,36 +599,148 @@ impl<'a> ExecCtx<'a> {
                 Ok(out)
             }
             outcome => {
-                // A worker failed (e.g. its slice ran out of logical space
-                // on a query the undivided pool could serve) or GC fired
-                // mid-fan-out (scheduling-dependent relocation costs): tear
-                // the attempt down — trims are metadata-only, worker scopes
-                // are dropped unmerged, and `io` comes from lane mirrors so
-                // the discarded work never reaches the report — and replay
-                // the whole batch serially on this lane. Intra-parallel
-                // execution is therefore *always* serial-equivalent; the
-                // parallel path is strictly an optimisation.
                 drop(outcome);
-                self.lane.with_flash_alloc(|dev, alloc| {
-                    for seg in carves {
-                        alloc.free(seg, dev)?;
-                    }
-                    Ok::<(), ExecError>(())
-                })?;
+                self.lane
+                    .with_flash_alloc(|dev, alloc| carve.release(dev, alloc))?;
                 (0..jobs).map(|i| work(self, i)).collect()
             }
         }
     }
 }
 
-/// Per-worker state of an intra-query fan-out: a fresh arena (same
-/// geometry as the token's, so RAM-driven decisions match the serial path
-/// exactly), an allocator slice carved on one chip, and a forked handle
-/// onto the shared chip array.
-struct WorkerLane {
-    alloc: SegmentAllocator,
-    arena: RamArena,
+/// Smallest allocator slice `LaneCarve` hands a worker: a thinner one
+/// would run out of space on queries the undivided pool serves.
+const MIN_SLICE_PAGES: u64 = 64;
+
+/// The flash a parallel attempt may write: allocator slices carved on
+/// GC-unpressured chips, plus the GC counters as they stood at the carve.
+///
+/// GC is the one scheduling-dependent cost in the FTL: interleaved worker
+/// writes land in thread-timing order, so a collection over them has
+/// timing-dependent victims and relocation counts. Two defences keep
+/// every parallel path serial-equivalent. The headroom rule keeps an
+/// attempt from driving a chip to its watermark itself, and
+/// [`Self::gc_fired`] lets the caller discard any attempt a collection
+/// did overlap.
+#[derive(Debug)]
+pub(crate) struct LaneCarve {
+    segs: Vec<Segment>,
+    gc_before: FlashStats,
+}
+
+impl LaneCarve {
+    /// Carve `slices` allocator slices and build one `WorkerLane` over
+    /// each (in carve order), or decline with `Ok(None)`, leaving `alloc`
+    /// as it was.
+    ///
+    /// * **Eligibility.** A chip hosts slices only while at least 1/8 of
+    ///   its physical pages remain programmable before a collection could
+    ///   start (`gc_headroom_of(c) * 8 ≥` physical pages). A pressured
+    ///   chip stays readable; it just stops hosting slices. The attempt
+    ///   declines when no chip is eligible.
+    /// * **Placement.** Slice `j` goes to eligible chip `j mod n` and gets
+    ///   `free_in_range(chip) / (slices on chip + 1)` pages, keeping one
+    ///   share per chip for the parent's own later allocations. The
+    ///   attempt declines if any slice would be under 64 pages.
+    /// * **Rollback.** A fragmented free list can refuse a carve the page
+    ///   count allowed: the partial carves are freed and the attempt
+    ///   declines.
+    ///
+    /// Placement is a pure function of the allocator state and `slices`,
+    /// never of worker scheduling.
+    pub(crate) fn try_carve(
+        dev: &mut FlashDevice,
+        alloc: &mut SegmentAllocator,
+        ram: &RamArena,
+        slices: usize,
+    ) -> Result<Option<(LaneCarve, Vec<WorkerLane>)>> {
+        let (chip_pages, chip_physical) = (dev.chip_pages(), dev.geometry().physical_pages());
+        let eligible: Vec<u64> = (0..dev.chip_count() as u64)
+            .filter(|&c| dev.gc_headroom_of(c as usize) * 8 >= chip_physical)
+            .collect();
+        if eligible.is_empty() {
+            return Ok(None);
+        }
+        let on: Vec<u64> = (0..slices).map(|j| eligible[j % eligible.len()]).collect();
+        let range = |c: u64| (c * chip_pages, (c + 1) * chip_pages);
+        let pages: Vec<u64> = on
+            .iter()
+            .map(|&c| {
+                let (lo, hi) = range(c);
+                let sharing = on.iter().filter(|&&d| d == c).count() as u64;
+                alloc.free_in_range(lo, hi) / (sharing + 1)
+            })
+            .collect();
+        if pages.iter().any(|&p| p < MIN_SLICE_PAGES) {
+            return Ok(None);
+        }
+        let mut segs = Vec::with_capacity(slices);
+        for (&c, &p) in on.iter().zip(&pages) {
+            let (lo, hi) = range(c);
+            let Ok(seg) = alloc.alloc_in_range(p, lo, hi) else {
+                for seg in segs {
+                    alloc.free(seg, dev)?;
+                }
+                return Ok(None);
+            };
+            segs.push(seg);
+        }
+        let workers = segs
+            .iter()
+            .map(|seg| WorkerLane {
+                flash: dev.fork(),
+                arena: ram.fresh_like(),
+                alloc: SegmentAllocator::over(seg.start(), seg.pages()),
+            })
+            .collect();
+        let carve = LaneCarve {
+            segs,
+            gc_before: dev.stats(),
+        };
+        Ok(Some((carve, workers)))
+    }
+
+    /// Whether garbage collection ran on `dev` since the carve. A tainted
+    /// attempt's costs depend on scheduling: discard it and replay
+    /// serially.
+    pub(crate) fn gc_fired(&self, dev: &FlashDevice) -> bool {
+        let (now, was) = (dev.stats(), &self.gc_before);
+        now.blocks_erased != was.blocks_erased
+            || now.gc_pages_read != was.gc_pages_read
+            || now.gc_pages_written != was.gc_pages_written
+    }
+
+    /// Return every slice to `alloc`. Frees trim, so any page a worker
+    /// wrote (error-path stragglers included) leaves the logical image.
+    pub(crate) fn release(self, dev: &mut FlashDevice, alloc: &mut SegmentAllocator) -> Result<()> {
+        for seg in self.segs {
+            alloc.free(seg, dev)?;
+        }
+        Ok(())
+    }
+
+    /// Hand the slices to the caller, who now owns freeing them.
+    pub(crate) fn adopt(self) -> Vec<Segment> {
+        self.segs
+    }
+}
+
+/// One worker's resources for a parallel attempt: a forked handle onto the
+/// shared chip array, a fresh arena (same geometry as the token's, so
+/// RAM-driven decisions match the serial path exactly) and an allocator
+/// over one carved slice.
+#[derive(Debug)]
+pub(crate) struct WorkerLane {
     flash: FlashDevice,
+    arena: RamArena,
+    alloc: SegmentAllocator,
+}
+
+impl WorkerLane {
+    /// A device lane over these resources.
+    pub(crate) fn device_lane(&mut self) -> DeviceLane<'_> {
+        DeviceLane::new(&mut self.flash, self.arena.clone(), &mut self.alloc)
+    }
 }
 
 #[cfg(test)]
@@ -771,7 +802,7 @@ mod tests {
         let mut db = testkit::tiny_db();
         for intra in [1usize, 3] {
             let mut ctx = ExecCtx::new(&mut db);
-            ctx.intra = intra;
+            ctx.knobs.intra = intra;
             let out = ctx.run_lanes(5, |_ctx, i| Ok(i * 10)).unwrap();
             assert_eq!(out, vec![0, 10, 20, 30, 40]);
             ctx.free_temps().unwrap();
@@ -829,7 +860,7 @@ mod tests {
         serial_ctx.free_temps().unwrap();
         let mut db2 = testkit::tiny_db();
         let mut par_ctx = ExecCtx::new(&mut db2);
-        par_ctx.intra = 4;
+        par_ctx.knobs.intra = 4;
         let (par_lists, par_cost) = write_lists(&mut par_ctx);
         par_ctx.free_temps().unwrap();
         assert_eq!(serial_lists, par_lists);
@@ -845,11 +876,121 @@ mod tests {
         let mut db = testkit::tiny_db();
         let mut ctx = ExecCtx::new(&mut db);
         assert!(ctx.channel().is_ok());
-        ctx.intra = 2;
+        ctx.knobs.intra = 2;
         let errs = ctx
             .run_lanes(2, |ctx, _| Ok(ctx.channel().is_err()))
             .unwrap();
         assert_eq!(errs, vec![true, true]);
         ctx.free_temps().unwrap();
+    }
+
+    /// A `chips`-chip device of 288 logical (320 physical) pages per chip,
+    /// with a striped allocator and a small arena.
+    fn tiny_device(chips: usize) -> (FlashDevice, SegmentAllocator, RamArena) {
+        let geometry = ghostdb_flash::FlashGeometry {
+            page_size: 256,
+            pages_per_block: 8,
+            block_count: 40,
+            spare_blocks: 4,
+        };
+        let dev = FlashDevice::with_chips(geometry, FlashTiming::default(), chips);
+        let alloc = SegmentAllocator::with_chips(dev.logical_pages(), chips);
+        (dev, alloc, RamArena::new(256, 8))
+    }
+
+    /// Program every logical page of `chip`, leaving it under 1/8 GC
+    /// headroom (the allocator does not see these writes).
+    fn pressure(dev: &mut FlashDevice, chip: u64) {
+        let pages = dev.chip_pages();
+        for lpn in chip * pages..(chip + 1) * pages {
+            dev.write(lpn, &[1; 8]).unwrap();
+        }
+        assert!(dev.gc_headroom_of(chip as usize) * 8 < dev.geometry().physical_pages());
+    }
+
+    #[test]
+    fn lane_carve_skips_gc_pressured_chips() {
+        let (mut dev, mut alloc, ram) = tiny_device(4);
+        pressure(&mut dev, 1);
+        let (carve, workers) = LaneCarve::try_carve(&mut dev, &mut alloc, &ram, 3)
+            .unwrap()
+            .expect("three chips are still eligible");
+        let chips: Vec<usize> = carve
+            .segs
+            .iter()
+            .map(|s| alloc.chip_of(s.start()))
+            .collect();
+        assert_eq!(chips, vec![0, 2, 3]);
+        for (w, seg) in workers.iter().zip(&carve.segs) {
+            assert_eq!(w.alloc.total_pages(), seg.pages());
+            assert_eq!(seg.pages(), dev.chip_pages() / 2);
+        }
+        carve.release(&mut dev, &mut alloc).unwrap();
+    }
+
+    #[test]
+    fn lane_carve_declines_when_every_chip_is_pressured() {
+        let (mut dev, mut alloc, ram) = tiny_device(2);
+        pressure(&mut dev, 0);
+        pressure(&mut dev, 1);
+        let before = format!("{alloc:?}");
+        assert!(LaneCarve::try_carve(&mut dev, &mut alloc, &ram, 2)
+            .unwrap()
+            .is_none());
+        assert_eq!(
+            format!("{alloc:?}"),
+            before,
+            "a declined carve carves nothing"
+        );
+    }
+
+    #[test]
+    fn lane_carve_rolls_back_a_refused_carve() {
+        // A 100-page hole, eight 10-page holes and an 18-page tail: 198
+        // free pages size each of two slices at 66. The first fits the
+        // 100-page hole; the second fits nowhere.
+        let (mut dev, mut alloc, ram) = tiny_device(1);
+        let big = alloc.alloc(100).unwrap();
+        let small: Vec<Segment> = (0..18).map(|_| alloc.alloc(10).unwrap()).collect();
+        alloc.free(big, &mut dev).unwrap();
+        for seg in small.into_iter().skip(1).step_by(2) {
+            alloc.free(seg, &mut dev).unwrap();
+        }
+        assert_eq!(alloc.free_pages(), 198);
+        let before = format!("{alloc:?}");
+        assert!(LaneCarve::try_carve(&mut dev, &mut alloc, &ram, 2)
+            .unwrap()
+            .is_none());
+        assert_eq!(format!("{alloc:?}"), before, "the partial carve leaked");
+    }
+
+    #[test]
+    fn released_slices_restore_the_free_pool() {
+        let (mut dev, mut alloc, ram) = tiny_device(4);
+        let before = (alloc.free_pages(), format!("{alloc:?}"));
+        let (carve, workers) = LaneCarve::try_carve(&mut dev, &mut alloc, &ram, 6)
+            .unwrap()
+            .expect("a fresh device hosts six slices");
+        assert_eq!(workers.len(), 6);
+        assert!(alloc.free_pages() < before.0);
+        assert!(!carve.gc_fired(&dev));
+        carve.release(&mut dev, &mut alloc).unwrap();
+        assert_eq!((alloc.free_pages(), format!("{alloc:?}")), before);
+    }
+
+    #[test]
+    fn lane_carve_reports_gc_during_the_attempt() {
+        let (mut dev, mut alloc, ram) = tiny_device(1);
+        let (carve, _workers) = LaneCarve::try_carve(&mut dev, &mut alloc, &ram, 2)
+            .unwrap()
+            .expect("a fresh device hosts two slices");
+        // Rewriting the whole logical space twice overflows the spares.
+        for _ in 0..2 {
+            for lpn in 0..dev.chip_pages() {
+                dev.write(lpn, &[2; 8]).unwrap();
+            }
+        }
+        assert!(carve.gc_fired(&dev));
+        carve.release(&mut dev, &mut alloc).unwrap();
     }
 }

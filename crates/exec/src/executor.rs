@@ -1,6 +1,6 @@
 //! The executor: assembles the Figure 6 global QEP and runs it.
 
-use crate::ctx::ExecCtx;
+use crate::ctx::{ExecCtx, RunKnobs};
 use crate::database::Database;
 use crate::error::ExecError;
 use crate::optimizer;
@@ -146,11 +146,7 @@ impl Executor {
         // snapshot their traces per query, so one session's next query
         // must not clobber what another session already observed.
         db.untrusted.reset_trace();
-        let mut ctx = ExecCtx::new(db);
-        ctx.intra = opts.intra_threads;
-        ctx.padded = opts.padded;
-        ctx.read_ahead = opts.read_ahead;
-        ctx.prefetch = prefetch;
+        let mut ctx = ExecCtx::with_knobs(db, RunKnobs::of(opts, prefetch));
         Self::run_body(&mut ctx, q, opts)
     }
 

@@ -313,7 +313,7 @@ pub fn merge_to_vec(ctx: &mut ExecCtx<'_>, groups: Vec<Vec<IdSource>>) -> Result
         .iter()
         .all(|g| g.iter().all(|s| matches!(s, IdSource::Host(_))))
     {
-        return merge_host_groups(&groups, ctx.intra);
+        return merge_host_groups(&groups, ctx.knobs.intra);
     }
     merge_to_vec_streaming(ctx, groups)
 }

@@ -3,46 +3,45 @@
 //!
 //! The paper's token serves one client; this module is the skeleton for
 //! serving many. A [`GhostDbServer`] owns the finalized [`Database`] (one
-//! immutable catalog — every execution borrows the same `CatalogCtx` from
-//! it) and hands out [`Session`] handles whose methods all take `&self`
-//! on the server: submissions land in a bounded admission queue
-//! (configurable depth, [`ServeError::QueueFull`] past it) and execute
-//! when the queue drains, each query on a `DeviceLane` built over the
-//! shared device.
+//! immutable catalog every execution borrows) and hands out [`Session`]
+//! handles whose methods all take `&self` on the server: submissions land
+//! in a bounded admission queue ([`ServeError::QueueFull`] past its depth)
+//! and execute when the queue drains. A drain has three phases:
 //!
-//! The headline optimization is the **cross-query batch scheduler**: the
-//! drain first fans query analysis across a [`crate::parallel::fan_out`]
-//! worker pool to extract each queued query's climbing-index probe keys
-//! (`(table, column, lo, hi)` — pure functions of public query text and
-//! catalog), then runs ONE `lookup_range_multi` traversal over *all*
-//! levels for every key demanded by ≥ 2 queued probes, banking the
-//! per-level sublists and the traversal's flash-counter delta in a
-//! [`CiPrefetch`]. Executions then run in arrival order; each probe hit
-//! demultiplexes its own level slices and is billed the banked delta
-//! as-if-solo (`DeviceLane::charge`), so per-query results, every
-//! `ExecReport` field and the per-query host transcript are bit-identical
-//! to unbatched execution — the cross-*query* generalization of PR 5's
-//! cross-*level* single-traversal win. `probe_in` eq-runs are deliberately
-//! NOT batched: their probe lists derive from host-shipped visible ids,
-//! so grouping them across queries would either perturb the per-query
-//! host transcript or require unrecorded host contact.
+//! 1. **Analysis.** A [`crate::parallel::fan_out`] worker pool extracts
+//!    each queued query's climbing-index probe keys (`(table, column, lo,
+//!    hi)`, pure functions of public query text and catalog).
+//! 2. **Shared traversals.** Every key demanded by ≥ 2 queued probes gets
+//!    ONE all-levels traversal, banked with its flash-counter delta in a
+//!    [`CiPrefetch`]; each probe hit demultiplexes its own level slices
+//!    and is billed the banked delta as-if-solo (`DeviceLane::charge`).
+//!    `probe_in` eq-runs are NOT batched: their probe lists derive from
+//!    host-shipped visible ids, so grouping them across queries would
+//!    perturb the per-query host transcript.
+//! 3. **Execution.** With one worker (or one query) the queries run in
+//!    arrival order on the token's own resources. With more, each runs
+//!    concurrently on a worker lane from `LaneCarve` (one allocator
+//!    slice per query, carved in arrival order on GC-unpressured chips)
+//!    plus a fresh channel and a forked host; a declined attempt, or one
+//!    a GC pass overlapped, falls back to the serial loop.
 //!
 //! Scheduling is deterministic: sequence numbers are assigned under the
-//! queue lock at submission, traversal keys are banked in sorted order,
-//! and execution replays arrival order on the one simulated token core —
-//! batching compresses wall-clock work, never the simulated observations
-//! (`tests/serve_equivalence.rs` pins all of this down).
+//! queue lock at submission and traversal keys are banked in sorted
+//! order. Per-query results, every `ExecReport` field, host trace and
+//! wire transcript are bit-identical to a plain `Executor::run` loop over
+//! the same arrival sequence at any batching and worker setting: batching
+//! and workers compress wall-clock work, never the simulated observations
+//! (`tests/serve_equivalence.rs`, at one and four chips).
 
 use crate::ci_ops::{CiPrefetch, PrefetchKey};
-use crate::ctx::{CatalogCtx, DeviceLane, ExecCtx};
+use crate::ctx::{CatalogCtx, ExecCtx, LaneCarve, RunKnobs, WorkerLane};
 use crate::database::Database;
 use crate::error::ExecError;
 use crate::executor::{ExecOptions, Executor};
 use crate::query::{analyze, SpjQuery};
 use crate::report::ExecReport;
 use crate::result::ResultSet;
-use ghostdb_flash::SegmentAllocator;
-use ghostdb_token::{Channel, RamArena, TranscriptEntry};
+use ghostdb_token::{Channel, TranscriptEntry};
 use ghostdb_untrusted::{HostTrace, UntrustedHost};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Mutex;
@@ -53,8 +52,10 @@ pub struct ServeConfig {
     /// Maximum queries queued but not yet executed; submissions past it
     /// are rejected with [`ServeError::QueueFull`].
     pub queue_depth: usize,
-    /// Worker threads for the drain's analysis fan-out (execution itself
-    /// serializes on the one simulated token core).
+    /// Worker threads of a drain: its analysis fan-out and, with more than
+    /// one worker and more than one queued query, its execution (one
+    /// isolated resource set per query; outcomes bit-identical to the
+    /// serial loop).
     pub workers: usize,
     /// Enable the cross-query batch scheduler. Off = every query runs
     /// exactly as solo; on = shared traversals, identical observations.
@@ -83,7 +84,7 @@ impl ServeConfig {
         self
     }
 
-    /// Analysis worker-pool width.
+    /// Drain worker-pool width (analysis and execution).
     pub fn workers(mut self, workers: usize) -> Self {
         self.workers = workers;
         self
@@ -251,8 +252,9 @@ impl GhostDbServer {
     ///
     /// Per-query failures are delivered to their sessions like results;
     /// `Err` here means the drain infrastructure itself failed (a banked
-    /// traversal erroring), in which case no query of the batch ran and
-    /// all were dropped from the queue.
+    /// traversal or returning a parallel attempt's allocator slices
+    /// erroring), in which case no outcome of the batch was delivered and
+    /// all its queries were dropped from the queue.
     pub fn drain(&self) -> Result<usize, ServeError> {
         let mut guard = self.state.lock().expect("server state");
         let st = &mut *guard;
@@ -323,14 +325,10 @@ impl GhostDbServer {
         // serial loop runs each query on the token's own resources, in
         // arrival order, exactly as a client looping `Executor::run` would.
         // With more workers, queries run concurrently on per-query isolated
-        // resources — a forked flash handle onto the shared chip array, a
-        // fresh arena and channel, a forked host, an allocator slice carved
-        // in arrival order — and the outcomes are post-processed so every
-        // observable is bit-identical to the serial loop
-        // (`tests/serve_equivalence.rs`). The parallel attempt declines
-        // (returns `None`) near the GC watermark or when slices cannot be
-        // carved, and a GC-tainted attempt is torn down and replayed
-        // serially, so parallel drains are always serial-equivalent.
+        // resources (`run_batch_parallel`), and every observable is
+        // bit-identical to the serial loop (`tests/serve_equivalence.rs`).
+        // A declined or discarded parallel attempt falls back to the
+        // serial loop, so parallel drains are always serial-equivalent.
         let bank = if prefetch.is_empty() {
             None
         } else {
@@ -341,6 +339,7 @@ impl GhostDbServer {
         let executed = batch.len();
         let parallel = if self.cfg.workers > 1 && batch.len() > 1 {
             run_batch_parallel(&mut st.db, &batch, bank, self.cfg.workers)
+                .map_err(ServeError::Exec)?
         } else {
             None
         };
@@ -402,82 +401,65 @@ struct JobDone {
     transcript: Vec<TranscriptEntry>,
 }
 
-/// Per-query isolated execution resources of one parallel drain job.
+/// Per-query isolated execution resources of one parallel drain job: a
+/// worker lane from `LaneCarve` plus a fresh channel and a forked host.
 struct JobRes {
-    flash: ghostdb_flash::FlashDevice,
-    arena: RamArena,
-    alloc: SegmentAllocator,
+    lane: WorkerLane,
     channel: Channel,
     host: UntrustedHost,
 }
 
 /// Execute a drained batch on the worker pool, one isolated resource set
-/// per query. Returns `None` when the parallel attempt declines or must
-/// be discarded (near the GC watermark, slices unavailable, or GC fired
-/// mid-batch) — the caller then runs the plain serial loop; the attempt
-/// leaves no trace on the token (fresh channels/hosts are dropped, slice
-/// frees trim every page the jobs wrote).
+/// and one allocator slice per query. Returns `Ok(None)` when
+/// `LaneCarve` declines or the attempt must be discarded (a job's
+/// infrastructure failed, or GC fired mid-batch); the caller then runs the
+/// plain serial loop. The attempt leaves no trace on the token: fresh
+/// channels and hosts are dropped, and releasing the slices trims every
+/// page the jobs wrote.
 fn run_batch_parallel(
     db: &mut Database,
     batch: &[Queued],
     bank: Option<&CiPrefetch>,
     workers: usize,
-) -> Option<Vec<JobDone>> {
-    const MIN_JOB_SLICE_PAGES: u64 = 64;
-    let n = batch.len();
-    // Mirror run_lanes' GC precondition on the weakest chip: near the
-    // watermark the serial loop is the only schedule with deterministic
-    // GC placement.
-    if db.token.flash.gc_headroom_pages() * 8 < db.token.flash.geometry().physical_pages() {
-        return None;
-    }
-    // One allocator slice per query, carved in arrival order under the
-    // drain lock — so flash placement is a pure function of the admitted
-    // sequence, never of worker scheduling. On a chip-striped allocator
-    // successive carves rotate across chips, which is what lets disjoint
-    // queries run on disjoint channels.
-    let per = db.alloc.free_pages() / (n as u64 + 1);
-    if per < MIN_JOB_SLICE_PAGES {
-        return None;
-    }
-    let mut carves = Vec::with_capacity(n);
-    for _ in 0..n {
-        match db.alloc.alloc(per) {
-            Ok(seg) => carves.push(seg),
-            Err(_) => {
-                for seg in carves {
-                    db.alloc
-                        .free(seg, &mut db.token.flash)
-                        .expect("returning an unused drain slice");
-                }
-                return None;
-            }
-        }
-    }
-    let gc_before = db.token.flash.stats();
-    let resources: Vec<Mutex<JobRes>> = carves
-        .iter()
-        .map(|seg| {
+) -> Result<Option<Vec<JobDone>>, ExecError> {
+    // Slices are carved in arrival order under the drain lock, so flash
+    // placement is a pure function of the admitted sequence, never of
+    // worker scheduling.
+    let Some((carve, lanes)) = LaneCarve::try_carve(
+        &mut db.token.flash,
+        &mut db.alloc,
+        &db.token.ram,
+        batch.len(),
+    )?
+    else {
+        return Ok(None);
+    };
+    let resources: Vec<Mutex<JobRes>> = lanes
+        .into_iter()
+        .map(|lane| {
             Mutex::new(JobRes {
-                flash: db.token.flash.fork(),
-                arena: db.token.ram.fresh_like(),
-                alloc: SegmentAllocator::over(seg.start(), seg.pages()),
+                lane,
                 channel: db.token.channel.fresh_like(),
                 host: db.untrusted.fork(),
             })
         })
         .collect();
-    let (schema, rows, hidden, skts, cis) = (&db.schema, &db.rows, &db.hidden, &db.skts, &db.cis);
-    let done: Result<Vec<JobDone>, ExecError> = crate::parallel::fan_out(
-        n,
+    let cat = CatalogCtx {
+        schema: &db.schema,
+        rows: &db.rows,
+        hidden: &db.hidden,
+        skts: &db.skts,
+        cis: &db.cis,
+        untrusted: &db.untrusted,
+    };
+    let done = crate::parallel::fan_out(
+        batch.len(),
         workers,
         || Ok(()),
         |_, i| {
             let mut res = resources[i].lock().expect("job resources");
             let JobRes {
-                flash,
-                arena,
-                alloc,
+                lane,
                 channel,
                 host,
             } = &mut *res;
@@ -485,19 +467,11 @@ fn run_batch_parallel(
             let outcome = (|| {
                 item.opts.validate()?;
                 let cat = CatalogCtx {
-                    schema,
-                    rows,
-                    hidden,
-                    skts,
-                    cis,
                     untrusted: &*host,
+                    ..cat
                 };
-                let lane = DeviceLane::new(flash, arena.clone(), alloc);
-                let mut ctx = ExecCtx::from_parts(cat, lane, Some(channel));
-                ctx.intra = item.opts.intra_threads;
-                ctx.padded = item.opts.padded;
-                ctx.read_ahead = item.opts.read_ahead;
-                ctx.prefetch = bank;
+                let knobs = RunKnobs::of(&item.opts, bank);
+                let mut ctx = ExecCtx::assemble(cat, lane.device_lane(), Some(channel), knobs);
                 Executor::run_body(&mut ctx, &item.query, &item.opts)
             })();
             Ok(JobDone {
@@ -507,26 +481,9 @@ fn run_batch_parallel(
             })
         },
     );
-    // Return every slice: frees trim, so any page a job wrote (including
-    // error-path stragglers its own free_temps never reached) is erased
-    // from the logical image before anything else runs.
-    for seg in carves {
-        db.alloc
-            .free(seg, &mut db.token.flash)
-            .expect("returning a drain slice");
-    }
-    let done = done.ok()?;
-    let gc_after = db.token.flash.stats();
-    let gc_fired = gc_after.blocks_erased != gc_before.blocks_erased
-        || gc_after.gc_pages_read != gc_before.gc_pages_read
-        || gc_after.gc_pages_written != gc_before.gc_pages_written;
-    if gc_fired {
-        // Scheduling-dependent relocation costs leaked into the jobs'
-        // lane mirrors: discard everything and let the serial loop replay
-        // the batch with deterministic GC placement.
-        return None;
-    }
-    Some(done)
+    let gc_fired = carve.gc_fired(&db.token.flash);
+    carve.release(&mut db.token.flash, &mut db.alloc)?;
+    Ok(done.ok().filter(|_| !gc_fired))
 }
 
 /// A session handle: the admission and observation endpoint of one

@@ -324,15 +324,6 @@ impl ChipArray {
         self.chips[chip].lock().unwrap().gc_headroom_pages()
     }
 
-    /// Worst-case GC headroom across chips: a write burst of at most this
-    /// many fresh pages never triggers GC wherever it lands.
-    pub fn gc_headroom_pages(&self) -> u64 {
-        (0..self.chips.len())
-            .map(|c| self.gc_headroom_of(c))
-            .min()
-            .unwrap_or(0)
-    }
-
     /// Largest per-chip wear spread (diagnostics).
     pub fn wear_spread(&self) -> u64 {
         (0..self.chips.len())
@@ -418,15 +409,15 @@ mod tests {
     }
 
     #[test]
-    fn headroom_is_the_weakest_chip() {
+    fn headroom_is_tracked_per_chip() {
         let arr = tiny_array(2);
-        let fresh = arr.gc_headroom_pages();
+        let fresh = arr.gc_headroom_of(0);
+        assert_eq!(arr.gc_headroom_of(1), fresh);
         // Burn chip 1's headroom with fresh programs; chip 0 untouched.
         for i in 0..arr.chip_pages() {
             arr.write(arr.chip_pages() + i, &[2; 8]).unwrap();
         }
         assert_eq!(arr.gc_headroom_of(0), fresh);
         assert!(arr.gc_headroom_of(1) < fresh);
-        assert_eq!(arr.gc_headroom_pages(), arr.gc_headroom_of(1));
     }
 }

@@ -269,13 +269,9 @@ impl FlashDevice {
         self.array.wear_spread()
     }
 
-    /// Physical page programs the weakest chip can absorb before garbage
-    /// collection could first run (see [`crate::ftl::Ftl::gc_headroom_pages`]).
-    pub fn gc_headroom_pages(&self) -> u64 {
-        self.array.gc_headroom_pages()
-    }
-
-    /// GC headroom of one chip.
+    /// Physical page programs one chip can absorb before garbage
+    /// collection could first run there (see
+    /// [`crate::ftl::Ftl::gc_headroom_pages`]).
     pub fn gc_headroom_of(&self, chip: usize) -> u64 {
         self.array.gc_headroom_of(chip)
     }

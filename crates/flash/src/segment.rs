@@ -217,8 +217,8 @@ impl SegmentAllocator {
         Ok(Segment { start, pages })
     }
 
-    /// Allocate a run constrained to one chip's range (used by `run_lanes`
-    /// to carve per-lane slices on specific, unpressured chips).
+    /// Allocate a run constrained to one chip's range (each part of a
+    /// striped run).
     pub fn alloc_on_chip(&mut self, pages: u64, chip: usize) -> Result<Segment> {
         let (lo, hi) = self.chip_range(chip);
         self.alloc_in_range(pages, lo, hi)

@@ -29,8 +29,6 @@ pub mod skt;
 
 pub use builder::{ClimbingSpec, FkData, IndexBuilder};
 pub use climbing::{CiProbe, ClimbingIndex, LevelSpec};
-pub use maintain::{
-    build_from_state, LevelState, MaintainedIndex, MaintainedSkt, MaintenanceStrategy,
-};
+pub use maintain::{build_from_state, LevelState, MaintainedIndex, MaintainedSkt};
 pub use schemes::IndexScheme;
 pub use skt::SubtreeKeyTable;

@@ -1,26 +1,19 @@
-//! Incremental maintenance of climbing indexes and SKTs (ROADMAP item 4).
+//! Incremental maintenance of climbing indexes and SKTs.
 //!
 //! Bulk-built structures answer build-once-query-forever workloads; the
-//! write path needs insert/delete without a full reload. Two strategies
-//! are implemented and judged by measurement (`micro/maint/*` in
-//! perfbench), both preserving the query contract exactly:
+//! write path needs insert/delete without a full reload. A
+//! [`MaintainedIndex`] keeps its bulk-built base index immutable on flash;
+//! inserts accumulate in a host-side delta (per level: key → new ids) and
+//! deletes in per-level tombstone sets. Probes merge base sublists
+//! (tombstones filtered) with the delta. After `merge_threshold` ops the
+//! base is rebuilt out of place from the logical state and the delta
+//! cleared, amortising flash writes over many updates (the classic LSM
+//! bargain). `merge_threshold = 1` is rebuild-per-op: every update
+//! rewrites the base and nothing stays buffered.
 //!
-//! * [`MaintenanceStrategy::TombstoneMerge`] — the bulk-built base index
-//!   stays immutable on flash; inserts accumulate in a host-side delta
-//!   (per level: key → new ids) and deletes in per-level tombstone sets.
-//!   Probes merge base sublists (tombstones filtered) with the delta.
-//!   After `merge_threshold` ops the base is rebuilt from the logical
-//!   state and the delta cleared — amortising flash writes over many
-//!   updates, the classic LSM bargain.
-//! * [`MaintenanceStrategy::RebuildSegment`] — every update rebuilds the
-//!   index segments out of place from the logical state and frees the old
-//!   ones. Probes never touch host-side state, so the read path is
-//!   identical to a bulk-built index; writes pay full reconstruction.
-//!
-//! Whichever loses the measurement stays in-tree (the `BlockedBloomFilter`
-//! pattern): the differential suite (`tests/maintain_equivalence.rs`)
-//! locks both to a fresh rebuild at every intermediate state, so the
-//! rejected variant keeps being judged against what replaced it.
+//! The differential suite (`tests/maintain_equivalence.rs`) locks the
+//! maintained index to a fresh rebuild at every intermediate state, for
+//! thresholds 1 through 5.
 //!
 //! The logical ground truth is per-level `id → key` maps ([`LevelState`]):
 //! exactly the `level_keys` arrays `IndexBuilder::build_climbing` derives
@@ -39,35 +32,6 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 /// Live `id → key` mapping of one level table (ascending id order keeps
 /// every rebuilt sublist sorted for free).
 pub type LevelState = BTreeMap<Id, u64>;
-
-/// How a [`MaintainedIndex`] absorbs updates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MaintenanceStrategy {
-    /// Immutable base + host-side delta/tombstones, merged into a rebuilt
-    /// base every `merge_threshold` ops.
-    TombstoneMerge,
-    /// Rebuild the index segments out of place on every update.
-    RebuildSegment,
-}
-
-impl MaintenanceStrategy {
-    /// Name used by benches and the CI matrix (`MAINT_STRATEGY`).
-    pub fn name(&self) -> &'static str {
-        match self {
-            MaintenanceStrategy::TombstoneMerge => "tombstone",
-            MaintenanceStrategy::RebuildSegment => "rebuild",
-        }
-    }
-
-    /// Parse a CI matrix value (`tombstone` / `rebuild`).
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "tombstone" => Some(MaintenanceStrategy::TombstoneMerge),
-            "rebuild" => Some(MaintenanceStrategy::RebuildSegment),
-            _ => None,
-        }
-    }
-}
 
 /// Build a [`ClimbingIndex`] directly from per-level logical state.
 ///
@@ -144,7 +108,6 @@ pub fn build_from_state(
 /// A climbing index that absorbs inserts and deletes.
 #[derive(Debug)]
 pub struct MaintainedIndex {
-    strategy: MaintenanceStrategy,
     merge_threshold: usize,
     exact: bool,
     column: String,
@@ -156,9 +119,9 @@ pub struct MaintainedIndex {
     next_id: Vec<Id>,
     /// The on-flash base index.
     base: ClimbingIndex,
-    /// TombstoneMerge: per level, key → ids inserted since the last merge.
+    /// Per level, key → ids inserted since the last merge.
     delta: Vec<BTreeMap<u64, BTreeSet<Id>>>,
-    /// TombstoneMerge: per level, base ids deleted since the last merge.
+    /// Per level, base ids deleted since the last merge.
     tombstones: Vec<BTreeSet<Id>>,
     /// Updates absorbed since the last merge/rebuild.
     pending: usize,
@@ -167,6 +130,7 @@ pub struct MaintainedIndex {
 impl MaintainedIndex {
     /// Bulk-build the initial index. `initial[l]` holds level `l`'s keys,
     /// one per row, ids assigned `0..n` in order (the bulk-load contract).
+    /// The base absorbs buffered updates every `merge_threshold` ops.
     #[allow(clippy::too_many_arguments)]
     pub fn build(
         dev: &mut FlashDevice,
@@ -176,7 +140,6 @@ impl MaintainedIndex {
         levels: Vec<TableId>,
         exact: bool,
         initial: &[Vec<u64>],
-        strategy: MaintenanceStrategy,
         merge_threshold: usize,
     ) -> Result<MaintainedIndex> {
         assert_eq!(levels.len(), initial.len(), "one key vector per level");
@@ -194,7 +157,6 @@ impl MaintainedIndex {
         let base = build_from_state(dev, alloc, table, column, &levels, exact, &state)?;
         let n = levels.len();
         Ok(MaintainedIndex {
-            strategy,
             merge_threshold,
             exact,
             column: column.to_string(),
@@ -209,11 +171,6 @@ impl MaintainedIndex {
         })
     }
 
-    /// The strategy in force.
-    pub fn strategy(&self) -> MaintenanceStrategy {
-        self.strategy
-    }
-
     /// Target tables, innermost first.
     pub fn levels(&self) -> &[TableId] {
         &self.levels
@@ -224,8 +181,7 @@ impl MaintainedIndex {
         self.state[level].len()
     }
 
-    /// Updates buffered since the last merge/rebuild (always 0 for
-    /// `RebuildSegment`).
+    /// Updates buffered since the last merge.
     pub fn pending_ops(&self) -> usize {
         self.pending
     }
@@ -257,13 +213,8 @@ impl MaintainedIndex {
         let id = self.next_id[level];
         self.next_id[level] += 1;
         self.state[level].insert(id, key);
-        match self.strategy {
-            MaintenanceStrategy::RebuildSegment => self.rebuild(dev, alloc)?,
-            MaintenanceStrategy::TombstoneMerge => {
-                self.delta[level].entry(key).or_default().insert(id);
-                self.note_op(dev, alloc)?;
-            }
-        }
+        self.delta[level].entry(key).or_default().insert(id);
+        self.note_op(dev, alloc)?;
         Ok(id)
     }
 
@@ -280,32 +231,26 @@ impl MaintainedIndex {
         let Some(key) = self.state[level].remove(&id) else {
             return Ok(false);
         };
-        match self.strategy {
-            MaintenanceStrategy::RebuildSegment => self.rebuild(dev, alloc)?,
-            MaintenanceStrategy::TombstoneMerge => {
-                // An id still sitting in the delta never reached flash:
-                // retract it host-side. Otherwise tombstone the base copy.
-                let in_delta = match self.delta[level].get_mut(&key) {
-                    Some(ids) => {
-                        let was = ids.remove(&id);
-                        if ids.is_empty() {
-                            self.delta[level].remove(&key);
-                        }
-                        was
-                    }
-                    None => false,
-                };
-                if !in_delta {
-                    self.tombstones[level].insert(id);
+        // An id still sitting in the delta never reached flash: retract it
+        // host-side. Otherwise tombstone the base copy.
+        let in_delta = match self.delta[level].get_mut(&key) {
+            Some(ids) => {
+                let was = ids.remove(&id);
+                if ids.is_empty() {
+                    self.delta[level].remove(&key);
                 }
-                self.note_op(dev, alloc)?;
+                was
             }
+            None => false,
+        };
+        if !in_delta {
+            self.tombstones[level].insert(id);
         }
+        self.note_op(dev, alloc)?;
         Ok(true)
     }
 
-    /// Force the base to absorb all buffered updates now (merge for
-    /// `TombstoneMerge`, no-op for `RebuildSegment`, which never buffers).
+    /// Force the base to absorb all buffered updates now.
     pub fn flush(&mut self, dev: &mut FlashDevice, alloc: &mut SegmentAllocator) -> Result<()> {
         if self.pending > 0 {
             self.rebuild(dev, alloc)?;
@@ -361,7 +306,7 @@ impl MaintainedIndex {
     }
 
     /// Equality probe: the sorted ids of live rows at `level` whose key is
-    /// `key`. Identical across strategies and to a fresh rebuild.
+    /// `key`. Identical to a fresh rebuild's answer.
     pub fn lookup_eq(
         &self,
         dev: &mut FlashDevice,
@@ -371,12 +316,10 @@ impl MaintainedIndex {
     ) -> Result<Vec<Id>> {
         self.check_level(level)?;
         let mut ids = self.base_ids(dev, ram, level, key)?;
-        if self.strategy == MaintenanceStrategy::TombstoneMerge {
-            ids.retain(|id| !self.tombstones[level].contains(id));
-            if let Some(fresh) = self.delta[level].get(&key) {
-                ids.extend(fresh.iter().copied());
-                ids.sort_unstable();
-            }
+        ids.retain(|id| !self.tombstones[level].contains(id));
+        if let Some(fresh) = self.delta[level].get(&key) {
+            ids.extend(fresh.iter().copied());
+            ids.sort_unstable();
         }
         Ok(ids)
     }
@@ -399,12 +342,10 @@ impl MaintainedIndex {
             let sub = IdListReader::open(list, ram, dev.page_size())?.drain(dev)?;
             ids.extend(sub);
         }
-        if self.strategy == MaintenanceStrategy::TombstoneMerge {
-            ids.retain(|id| !self.tombstones[level].contains(id));
-            if lo <= hi {
-                for (_, fresh) in self.delta[level].range(lo..=hi) {
-                    ids.extend(fresh.iter().copied());
-                }
+        ids.retain(|id| !self.tombstones[level].contains(id));
+        if lo <= hi {
+            for (_, fresh) in self.delta[level].range(lo..=hi) {
+                ids.extend(fresh.iter().copied());
             }
         }
         ids.sort_unstable();

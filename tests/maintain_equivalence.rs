@@ -1,22 +1,18 @@
 //! Incremental-maintenance differential suite: a [`MaintainedIndex`]
 //! absorbing inserts and deletes must answer every probe exactly like a
 //! climbing index freshly rebuilt from the same logical state — at every
-//! intermediate state, under both maintenance strategies. The host-side
-//! model (plain `BTreeMap`s maintained by the test) is the independent
-//! ground truth; the maintained index, a fresh `build_from_state` rebuild,
-//! and the model must agree three ways at each step. This is the lock that
-//! lets the measured-and-rejected strategy stay in-tree: whichever of
-//! tombstone-merge / rebuild-per-op loses the `micro/maint/*` benchmark
-//! keeps being judged against the exact query contract here.
+//! intermediate state and at every merge threshold drawn (1, rebuild per
+//! op, through 5). The host-side model (plain `BTreeMap`s maintained by
+//! the test) is the independent ground truth; the maintained index, a
+//! fresh `build_from_state` rebuild, and the model must agree three ways
+//! at each step.
 //!
-//! CI's `write-smoke` legs pin one strategy via `MAINT_STRATEGY`
-//! (`tombstone` / `rebuild`) and a chip count via `MULTICHIP_CHIPS`;
-//! unset (the local default) runs both strategies on one chip.
+//! CI's `write-smoke` legs pin a chip count via `MULTICHIP_CHIPS`; unset
+//! (the local default) runs on one chip.
 
 use ghostdb_flash::{FlashDevice, FlashGeometry, FlashTiming, SegmentAllocator};
 use ghostdb_index::{
     build_from_state, ClimbingIndex, IndexBuilder, MaintainedIndex, MaintainedSkt,
-    MaintenanceStrategy,
 };
 use ghostdb_storage::schema::paper_synthetic_schema;
 use ghostdb_storage::{Id, IdListReader};
@@ -30,17 +26,6 @@ const KEYS: u64 = 12;
 /// Two levels — the indexed table and one ancestor (labels only; the
 /// maintenance layer never consults a schema).
 const LEVELS: [usize; 2] = [1, 0];
-
-fn strategies() -> Vec<MaintenanceStrategy> {
-    match std::env::var("MAINT_STRATEGY") {
-        Ok(v) => vec![MaintenanceStrategy::parse(&v)
-            .unwrap_or_else(|| panic!("MAINT_STRATEGY must be tombstone|rebuild, got {v:?}"))],
-        Err(_) => vec![
-            MaintenanceStrategy::TombstoneMerge,
-            MaintenanceStrategy::RebuildSegment,
-        ],
-    }
-}
 
 fn chips() -> usize {
     std::env::var("MULTICHIP_CHIPS")
@@ -241,34 +226,32 @@ proptest! {
         threshold in 1usize..6,
     ) {
         let all_keys: Vec<u64> = (0..KEYS).collect();
-        for strategy in strategies() {
-            let mut dev = device();
-            let mut alloc = SegmentAllocator::new(dev.logical_pages());
-            let ram = ram();
-            let mut mi = MaintainedIndex::build(
-                &mut dev, &mut alloc, LEVELS[0], "k", LEVELS.to_vec(), true,
-                &initial, strategy, threshold,
-            ).expect("build");
-            let mut model: Model = initial
-                .iter()
-                .map(|keys| keys.iter().enumerate().map(|(i, k)| (i as Id, *k)).collect())
-                .collect();
-            let name = strategy.name();
-            verify(&mi, &model, &all_keys, &mut dev, &mut alloc, &ram,
-                   &format!("{name}/initial"));
-            for (i, op) in ops.iter().enumerate() {
-                let (_, key) = apply(&mut mi, &mut model, *op, &mut dev, &mut alloc);
-                let sample = [key, 0, KEYS / 2, KEYS - 1];
-                verify(&mi, &model, &sample, &mut dev, &mut alloc, &ram,
-                       &format!("{name}/op {i} ({op:?})"));
-            }
-            verify(&mi, &model, &all_keys, &mut dev, &mut alloc, &ram,
-                   &format!("{name}/final"));
-            mi.flush(&mut dev, &mut alloc).expect("flush");
-            prop_assert_eq!(mi.pending_ops(), 0, "{}: flush left buffered ops", name);
-            verify(&mi, &model, &all_keys, &mut dev, &mut alloc, &ram,
-                   &format!("{name}/flushed"));
+        let mut dev = device();
+        let mut alloc = SegmentAllocator::new(dev.logical_pages());
+        let ram = ram();
+        let mut mi = MaintainedIndex::build(
+            &mut dev, &mut alloc, LEVELS[0], "k", LEVELS.to_vec(), true,
+            &initial, threshold,
+        ).expect("build");
+        let mut model: Model = initial
+            .iter()
+            .map(|keys| keys.iter().enumerate().map(|(i, k)| (i as Id, *k)).collect())
+            .collect();
+        let name = format!("threshold {threshold}");
+        verify(&mi, &model, &all_keys, &mut dev, &mut alloc, &ram,
+               &format!("{name}/initial"));
+        for (i, op) in ops.iter().enumerate() {
+            let (_, key) = apply(&mut mi, &mut model, *op, &mut dev, &mut alloc);
+            let sample = [key, 0, KEYS / 2, KEYS - 1];
+            verify(&mi, &model, &sample, &mut dev, &mut alloc, &ram,
+                   &format!("{name}/op {i} ({op:?})"));
         }
+        verify(&mi, &model, &all_keys, &mut dev, &mut alloc, &ram,
+               &format!("{name}/final"));
+        mi.flush(&mut dev, &mut alloc).expect("flush");
+        prop_assert_eq!(mi.pending_ops(), 0, "{}: flush left buffered ops", name);
+        verify(&mi, &model, &all_keys, &mut dev, &mut alloc, &ram,
+               &format!("{name}/flushed"));
     }
 
     /// Replaying the same op sequence on two fresh devices is bit-identical
@@ -280,37 +263,35 @@ proptest! {
         ops in proptest::collection::vec(op_strategy(), 1..20),
         threshold in 1usize..6,
     ) {
-        for strategy in strategies() {
-            let mut runs = Vec::new();
-            for _ in 0..2 {
-                let mut dev = device();
-                let mut alloc = SegmentAllocator::new(dev.logical_pages());
-                let ram = ram();
-                let initial = vec![vec![1, 5, 5, 9], vec![2, 5]];
-                let mut mi = MaintainedIndex::build(
-                    &mut dev, &mut alloc, LEVELS[0], "k", LEVELS.to_vec(), true,
-                    &initial, strategy, threshold,
-                ).expect("build");
-                let mut model: Model = initial
-                    .iter()
-                    .map(|keys| keys.iter().enumerate().map(|(i, k)| (i as Id, *k)).collect())
-                    .collect();
-                for op in &ops {
-                    apply(&mut mi, &mut model, *op, &mut dev, &mut alloc);
-                }
-                let mut probes = Vec::new();
-                for level in 0..LEVELS.len() {
-                    for key in 0..KEYS {
-                        probes.push(mi.lookup_eq(&mut dev, &ram, level, key).expect("eq"));
-                    }
-                }
-                runs.push((dev.stats(), probes));
+        let mut runs = Vec::new();
+        for _ in 0..2 {
+            let mut dev = device();
+            let mut alloc = SegmentAllocator::new(dev.logical_pages());
+            let ram = ram();
+            let initial = vec![vec![1, 5, 5, 9], vec![2, 5]];
+            let mut mi = MaintainedIndex::build(
+                &mut dev, &mut alloc, LEVELS[0], "k", LEVELS.to_vec(), true,
+                &initial, threshold,
+            ).expect("build");
+            let mut model: Model = initial
+                .iter()
+                .map(|keys| keys.iter().enumerate().map(|(i, k)| (i as Id, *k)).collect())
+                .collect();
+            for op in &ops {
+                apply(&mut mi, &mut model, *op, &mut dev, &mut alloc);
             }
-            prop_assert_eq!(
-                &runs[0], &runs[1],
-                "{}: replay diverged in counters or probe answers", strategy.name()
-            );
+            let mut probes = Vec::new();
+            for level in 0..LEVELS.len() {
+                for key in 0..KEYS {
+                    probes.push(mi.lookup_eq(&mut dev, &ram, level, key).expect("eq"));
+                }
+            }
+            runs.push((dev.stats(), probes));
         }
+        prop_assert_eq!(
+            &runs[0], &runs[1],
+            "threshold {}: replay diverged in counters or probe answers", threshold
+        );
     }
 }
 

@@ -34,7 +34,11 @@ fn dataset() -> SyntheticDataset {
 }
 
 fn capture_db(ds: &SyntheticDataset) -> Database {
-    let mut db = ds.build().expect("build");
+    capture_db_chips(ds, 1)
+}
+
+fn capture_db_chips(ds: &SyntheticDataset, chips: usize) -> Database {
+    let mut db = ds.build_chips(chips).expect("build");
     db.token.channel.set_capture(true);
     db
 }
@@ -189,49 +193,52 @@ fn serve_batched_equals_solo_across_matrix() {
 /// isolated resources) and still delivers outcomes bit-identical to a
 /// single-worker server's serial loop and to the solo `Executor::run`
 /// loop — results, every `ExecReport` field, host trace and wire
-/// transcript. The `parallel_drains` counter proves the pool actually
-/// engaged, so the equivalence is not vacuous.
+/// transcript. It holds on one chip and on four, where the drain places
+/// its per-query slices chip by chip. The `parallel_drains` counter
+/// proves the pool actually engaged, so the equivalence is not vacuous.
 #[test]
 fn worker_pool_drain_matches_single_worker_and_solo() {
     let ds = dataset();
-    let mut solo_db = capture_db(&ds);
-    for strategy in [
-        VisStrategy::Pre,
-        VisStrategy::CrossPost,
-        VisStrategy::NoFilter,
-    ] {
-        let opts = ExecOptions::new().strategy(strategy);
-        let queries = workload(&ds, 8, &format!("workers {}", strategy.name()));
-        let solo: Vec<SoloRef> = queries
-            .iter()
-            .map(|q| run_solo(&mut solo_db, q, &opts))
-            .collect();
-        let w1 = GhostDbServer::new(
-            capture_db(&ds),
-            ServeConfig::new().queue_depth(8).workers(1),
-        )
-        .expect("1-worker server");
-        let w4 = GhostDbServer::new(
-            capture_db(&ds),
-            ServeConfig::new().queue_depth(8).workers(4),
-        )
-        .expect("4-worker server");
-        let outs_1 = serve_round(&w1, &queries, &opts, 2);
-        let outs_4 = serve_round(&w4, &queries, &opts, 2);
-        assert_eq!(
-            w1.batch_stats().parallel_drains,
-            0,
-            "a 1-worker server must run the serial loop"
-        );
-        assert_eq!(
-            w4.batch_stats().parallel_drains,
-            1,
-            "the 4-worker server must actually use the pool"
-        );
-        for (i, solo_ref) in solo.iter().enumerate() {
-            let label = strategy.name();
-            assert_outcome_matches(&outs_1[i], solo_ref, &format!("{label} w1 #{i}"));
-            assert_outcome_matches(&outs_4[i], solo_ref, &format!("{label} w4 #{i}"));
+    for chips in [1, 4] {
+        let mut solo_db = capture_db_chips(&ds, chips);
+        for strategy in [
+            VisStrategy::Pre,
+            VisStrategy::CrossPost,
+            VisStrategy::NoFilter,
+        ] {
+            let opts = ExecOptions::new().strategy(strategy);
+            let queries = workload(&ds, 8, &format!("workers {}", strategy.name()));
+            let solo: Vec<SoloRef> = queries
+                .iter()
+                .map(|q| run_solo(&mut solo_db, q, &opts))
+                .collect();
+            let w1 = GhostDbServer::new(
+                capture_db_chips(&ds, chips),
+                ServeConfig::new().queue_depth(8).workers(1),
+            )
+            .expect("1-worker server");
+            let w4 = GhostDbServer::new(
+                capture_db_chips(&ds, chips),
+                ServeConfig::new().queue_depth(8).workers(4),
+            )
+            .expect("4-worker server");
+            let outs_1 = serve_round(&w1, &queries, &opts, 2);
+            let outs_4 = serve_round(&w4, &queries, &opts, 2);
+            assert_eq!(
+                w1.batch_stats().parallel_drains,
+                0,
+                "chips {chips}: a 1-worker server must run the serial loop"
+            );
+            assert_eq!(
+                w4.batch_stats().parallel_drains,
+                1,
+                "chips {chips}: the 4-worker server must actually use the pool"
+            );
+            for (i, solo_ref) in solo.iter().enumerate() {
+                let label = format!("chips {chips} {}", strategy.name());
+                assert_outcome_matches(&outs_1[i], solo_ref, &format!("{label} w1 #{i}"));
+                assert_outcome_matches(&outs_4[i], solo_ref, &format!("{label} w4 #{i}"));
+            }
         }
     }
 }
