@@ -38,6 +38,7 @@ use ghostdb_bench::{
 };
 use ghostdb_bloom::hash::hash_i;
 use ghostdb_bloom::BloomFilter;
+use ghostdb_datagen::pad8;
 use ghostdb_exec::ci_ops::select_sublists;
 use ghostdb_exec::merge::{merge_to_list, merge_to_vec, merge_to_vec_streaming};
 use ghostdb_exec::parallel::fan_out;
@@ -55,7 +56,7 @@ use ghostdb_index::{ClimbingSpec, FkData, IndexBuilder, LevelSpec};
 use ghostdb_storage::idlist::write_id_list;
 use ghostdb_storage::schema::paper_synthetic_schema;
 use ghostdb_storage::IdListReader;
-use ghostdb_storage::{Id, Predicate};
+use ghostdb_storage::{CmpOp, Id, Predicate};
 use ghostdb_token::RamArena;
 use std::sync::Arc;
 use std::time::Instant;
@@ -1352,6 +1353,45 @@ fn micro_project_hidden_point(warmup: usize, iters: usize, out: &mut Vec<BenchEn
     }));
 }
 
+/// FinalJoin's root hidden reads on a narrow two-table hidden conjunction:
+/// `T0.h1 BETWEEN … ∧ T2.h1 BETWEEN …` projecting `T0.id, T0.h2, T2.h1`
+/// at ×0.01 (ghostbench `sql-hidden`'s slowest shape), through
+/// `Executor::run` with the optimizer choosing the plan. A 1% root range
+/// against a 5% T2 range leaves a few dozen survivors spread over the
+/// root's hidden column pages, so FinalJoin reads `T0.h1` (the re-check)
+/// and `T0.h2` page by page, in the spans the survivors need. Fixed at
+/// ×0.01 in every mode, like `micro/project/hidden-point`.
+fn micro_project_root_hidden_sparse(warmup: usize, iters: usize, out: &mut Vec<BenchEntry>) {
+    let (ds, mut db) = build_synthetic(0.01);
+    let t0 = db.schema.root();
+    let t2 = db.schema.table_id("T2").unwrap();
+    let between = |table: &str, from: f64, share: f64| {
+        let n = ds.rows(table) as f64;
+        let lo = (from * n) as u64;
+        let hi = lo + (share * n) as u64 - 1;
+        Predicate::new("h1", CmpOp::Between, pad8(lo), Some(pad8(hi)))
+    };
+    let mut q = SpjQuery::new()
+        .pred(t0, between("T0", 0.3, 0.01))
+        .pred(t2, between("T2", 0.6, 0.05))
+        .project(t0, "id")
+        .project(t0, "h2")
+        .project(t2, "h1");
+    q.text = "SELECT T0.id, T0.h2, T2.h1 FROM T0, T2 WHERE T0.fk2 = T2.id \
+              AND T0.h1 BETWEEN <1%> AND T2.h1 BETWEEN <5%>"
+        .into();
+    out.push(measure(
+        "micro/project/root-hidden-sparse",
+        warmup,
+        iters,
+        || {
+            let (rs, report) = Executor::run(&mut db, &q, &ExecOptions::new()).unwrap();
+            assert!(!rs.rows.is_empty(), "the conjunction must keep some rows");
+            report_stats(&report)
+        },
+    ));
+}
+
 /// Disjoint-chip channel scaling on the sharded flash device — the
 /// multi-chip array's bank gate. Four independent id-list jobs (write +
 /// full readback) run against a 4-chip device three ways: all through one
@@ -1923,6 +1963,7 @@ fn main() {
     micro_sjoin(opts.scale, warmup, iters, &mut entries);
     micro_merge_reduce(opts.scale, warmup, iters, &mut entries);
     micro_project_hidden_point(warmup, iters, &mut entries);
+    micro_project_root_hidden_sparse(warmup, iters, &mut entries);
     micro_lanes(warmup, iters, &mut entries);
     micro_io(warmup, iters, &mut entries);
     micro_write(warmup, iters, &mut entries);

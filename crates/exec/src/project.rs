@@ -42,12 +42,14 @@ use crate::Result;
 use ghostdb_bloom::calibrate::{self, calibrate};
 use ghostdb_bloom::filter::theoretical_fp;
 use ghostdb_bloom::BloomFilter;
-use ghostdb_flash::FlashTiming;
+use ghostdb_flash::{FlashDevice, FlashTiming};
 use ghostdb_storage::row::RowLayout;
-use ghostdb_storage::table::{ColumnScan, FlashTableWriter};
+use ghostdb_storage::table::{FlashTableWriter, PageCursor};
 use ghostdb_storage::{
-    ColumnType, FlashTable, Id, IdListReader, IdListWriter, Predicate, TableId, Value, ID_BYTES,
+    ColumnType, FlashTable, HiddenColumn, HiddenImage, Id, IdListReader, IdListWriter, Predicate,
+    TableId, Value, ID_BYTES,
 };
+use ghostdb_token::RamArena;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -466,7 +468,9 @@ fn sparse_sigma_pays(ctx: &ExecCtx<'_>, t: TableId, prep: &TablePrep<'_>, n: u64
 /// The inputs of the sparse-σ cost rule: the flash time each σ arm costs
 /// MJoin under the Table 1 model. Both estimates are upper bounds of the
 /// same shape (every σ id reads a whole page of each scanned column), so
-/// they compare like for like.
+/// they compare like for like. MJoin reads its columns in page spans, and
+/// a page's spans never cost more than one whole-page read, so the
+/// whole-page term stays an upper bound of what either arm reads.
 #[derive(Debug, Clone, PartialEq)]
 struct SigmaShape {
     /// Rows of the QEPSJ id column.
@@ -559,10 +563,114 @@ fn column_pages(rows: u64, width: usize, page_size: usize) -> u64 {
     rows.div_ceil((page_size / width) as u64)
 }
 
-/// One `ColumnScan` page load: the page and every value on it.
+/// One whole-page read of a hidden column: the page and every value on it.
 fn page_read_ns(t: &FlashTiming, rows: u64, width: usize, page_size: usize) -> u128 {
     let per_page = (page_size / width) as u64;
     t.read_cost_ns(per_page.min(rows) as usize * width)
+}
+
+/// A re-check: an exact hidden predicate, read page by page.
+struct Recheck<'a> {
+    column: &'a HiddenColumn,
+    pred: &'a Predicate,
+    cursor: PageCursor,
+}
+
+impl<'a> Recheck<'a> {
+    fn open(
+        image: &'a HiddenImage,
+        pred: &'a Predicate,
+        ram: &RamArena,
+        page_size: usize,
+    ) -> Result<Self> {
+        let column = image.column(&pred.column)?;
+        Ok(Recheck {
+            column,
+            pred,
+            cursor: column.table().cursor(ram, page_size)?,
+        })
+    }
+}
+
+/// Push ascending `ids` through `cursor`, loading each page the next id
+/// leaves; `each` sees every id loaded, in order, with its bytes. The ids
+/// of the last page stay queued until a [`drain`].
+fn through(
+    dev: &mut FlashDevice,
+    cursor: &mut PageCursor,
+    ids: &[Id],
+    mut each: impl FnMut(Id, &[u8]) -> Result<()>,
+) -> Result<()> {
+    for &id in ids {
+        if cursor.opens_page(id as u64) {
+            drain(dev, cursor, Some(id), &mut each)?;
+        }
+        cursor.push(id as u64);
+    }
+    Ok(())
+}
+
+/// Load `cursor`'s queued page, `next` being the least id still to come
+/// (see [`PageCursor::flush`]); `each` sees every id loaded.
+fn drain(
+    dev: &mut FlashDevice,
+    cursor: &mut PageCursor,
+    next: Option<Id>,
+    mut each: impl FnMut(Id, &[u8]) -> Result<()>,
+) -> Result<()> {
+    if cursor.flush(dev, next.map(u64::from))? {
+        for item in cursor.ready() {
+            let (row, bytes) = item?;
+            each(row as Id, bytes)?;
+        }
+    }
+    Ok(())
+}
+
+/// Run ascending `ids` through every re-check in turn; returns the ids all
+/// of them accepted. Ids on a page a column has not loaded yet wait in its
+/// cursor, unless `flush` is set: then each column also drains its queued
+/// page, `next` being the least id still to come.
+fn recheck_chain(
+    dev: &mut FlashDevice,
+    rechecks: &mut [Recheck<'_>],
+    mut ids: Vec<Id>,
+    flush: bool,
+    next: Option<Id>,
+) -> Result<Vec<Id>> {
+    for r in rechecks {
+        let mut kept = Vec::with_capacity(ids.len());
+        let mut keep = |id, bytes: &[u8]| {
+            if r.pred.matches(&r.column.decode(bytes)) {
+                kept.push(id);
+            }
+            Ok(())
+        };
+        through(dev, &mut r.cursor, &ids, &mut keep)?;
+        if flush {
+            drain(dev, &mut r.cursor, next, &mut keep)?;
+        }
+        ids = kept;
+    }
+    Ok(ids)
+}
+
+/// Copy a projected value into its id's dict entry, at byte `at`.
+fn into_dict(
+    dict: &mut HashMap<Id, Vec<u8>>,
+    at: usize,
+) -> impl FnMut(Id, &[u8]) -> Result<()> + '_ {
+    move |id, value| {
+        let entry = dict.get_mut(&id).ok_or_else(|| missing(id))?;
+        entry[at..at + value.len()].copy_from_slice(value);
+        Ok(())
+    }
+}
+
+/// An MJoin id that should be, and is not, in the visible shipment or the
+/// dict.
+fn missing(id: Id) -> ExecError {
+    ExecError::Query(format!("MJoin: id {id} lost between lookahead and dict"))
 }
 
 /// Figure 5, line 6: MJoin — merge visible values, hidden columns and σVH
@@ -570,7 +678,9 @@ fn page_read_ns(t: &FlashTiming, rows: u64, width: usize, page_size: usize) -> u
 /// sweep the table's id column once per RAM-load emitting `<pos, tuple>`.
 /// `sigma` is a shipment's filtered ids, a sparse σ temp on flash (one
 /// more buffer, so a smaller dict) or the dense range. A σ id that is a
-/// Bloom false positive enters the dict and matches no position.
+/// Bloom false positive enters the dict and matches no position. Each
+/// re-check and projected column is read page by page through a
+/// [`PageCursor`], in the spans the page's wanted ids need.
 fn mjoin(
     ctx: &mut ExecCtx<'_>,
     t: TableId,
@@ -594,22 +704,18 @@ fn mjoin(
     let layout = ProjTable::layout(&vis, &hid);
     let entry_bytes = layout.size() - 4; // dict entries exclude pos
 
-    // Hidden column scans: projected hidden columns + re-check columns.
+    // Page cursors over the re-check columns and the projected hidden
+    // columns, one buffer each.
     let image = &ctx.cat.hidden[t];
     let ram = ctx.ram();
     let page_size = ctx.page_size();
-    let mut hid_scans: Vec<ColumnScan> = hid
+    let mut hid_cursors: Vec<PageCursor> = hid
         .iter()
-        .map(|(name, _)| Ok(image.column(name)?.selective_scan(&ram, page_size)?))
+        .map(|(name, _)| Ok(image.column(name)?.table().cursor(&ram, page_size)?))
         .collect::<Result<_>>()?;
-    let mut recheck_scans: Vec<(ColumnScan, &Predicate)> = rechecks
+    let mut recheck_cols: Vec<Recheck<'_>> = rechecks
         .iter()
-        .map(|p| {
-            Ok((
-                image.column(&p.column)?.selective_scan(&ram, page_size)?,
-                *p,
-            ))
-        })
+        .map(|p| Recheck::open(image, p, &ram, page_size))
         .collect::<Result<_>>()?;
 
     // Dict capacity: RAM minus two buffers (§4) and the open scans.
@@ -630,64 +736,89 @@ fn mjoin(
     // Host map for value lookup of the visible shipment.
     let vis_map: Option<HashMap<Id, usize>> =
         vis_values.map(|s| s.ids.iter().enumerate().map(|(i, id)| (*id, i)).collect());
+    // Where each projected hidden value sits in a dict entry.
+    let vis_bytes: usize = vis.iter().map(|(_, ty)| ty.width()).sum();
+    let hid_at: Vec<usize> = hid
+        .iter()
+        .scan(4 + vis_bytes, |at, (_, ty)| {
+            let here = *at;
+            *at += ty.width();
+            Some(here)
+        })
+        .collect();
 
     let mut sigma_reader = SourceReader::open(&sigma, &ram, page_size)?;
     let mut runs: Vec<FlashTable> = Vec::new();
-    let mut exhausted = false;
-    while !exhausted {
-        // Fill the dict with the next RAM-load of σVH entries.
+    loop {
+        // Fill the dict with the next RAM-load of σVH entries. The dict's
+        // free slots are the lookahead: σ ids are pulled that many at a
+        // time, and each column reads them page by page. Ids waiting on a
+        // re-check page hold a slot each, so a pass takes exactly the σ
+        // ids an id-at-a-time fill would.
         let mut dict: HashMap<Id, Vec<u8>> = HashMap::new();
         ctx.track(OpKind::MJoin, |ctx| {
             ctx.lane.with_flash(|dev| {
-                while dict.len() < dict_capacity {
-                    let Some(id) = sigma_reader.next(dev)? else {
-                        exhausted = true;
-                        break;
-                    };
-                    // Re-checks: exact hidden predicate evaluation.
-                    let mut keep = true;
-                    for (scan, pred) in recheck_scans.iter_mut() {
-                        let v = scan.value_at(dev, id)?;
-                        if !pred.matches(&v) {
-                            keep = false;
+                // Enter re-check survivors into the dict and queue their
+                // projected values.
+                let mut admit = |dev: &mut FlashDevice,
+                                 dict: &mut HashMap<Id, Vec<u8>>,
+                                 ids: Vec<Id>|
+                 -> Result<()> {
+                    for &id in &ids {
+                        let mut entry = vec![0u8; entry_bytes];
+                        entry[..4].copy_from_slice(&id.to_le_bytes());
+                        if let (Some(map), Some(shipment)) = (&vis_map, vis_values) {
+                            let idx = map.get(&id).copied().ok_or_else(|| missing(id))?;
+                            let mut at = 4;
+                            for (c, (_, ty)) in vis.iter().enumerate() {
+                                let w = ty.width();
+                                shipment.columns[c].1[idx].encode(ty, &mut entry[at..at + w])?;
+                                at += w;
+                            }
                         }
+                        dict.insert(id, entry);
                     }
-                    if !keep {
+                    for (cursor, at) in hid_cursors.iter_mut().zip(&hid_at) {
+                        through(dev, cursor, &ids, into_dict(dict, *at))?;
+                    }
+                    Ok(())
+                };
+                loop {
+                    let in_flight: usize = recheck_cols.iter().map(|r| r.cursor.queued()).sum();
+                    let free = dict_capacity - dict.len() - in_flight;
+                    let next = sigma_reader.peek(dev)?;
+                    if free == 0 || next.is_none() {
+                        if in_flight == 0 {
+                            break;
+                        }
+                        // Resolve the ids waiting on re-check pages.
+                        let ids = recheck_chain(dev, &mut recheck_cols, Vec::new(), true, next)?;
+                        admit(dev, &mut dict, ids)?;
                         continue;
                     }
-                    let mut entry = vec![0u8; entry_bytes];
-                    entry[..4].copy_from_slice(&id.to_le_bytes());
-                    let mut at = 4usize;
-                    if let (Some(map), Some(shipment)) = (&vis_map, vis_values) {
-                        let idx = match map.get(&id) {
-                            Some(i) => *i,
-                            None => continue, // not visible-selected
+                    let mut batch = Vec::with_capacity(free);
+                    for _ in 0..free {
+                        let Some(id) = sigma_reader.next(dev)? else {
+                            break;
                         };
-                        for (c, (_, ty)) in vis.iter().enumerate() {
-                            let w = ty.width();
-                            shipment.columns[c].1[idx].encode(ty, &mut entry[at..at + w])?;
-                            at += w;
+                        // Not visible-selected: dropped before any read.
+                        if vis_map.as_ref().is_none_or(|m| m.contains_key(&id)) {
+                            batch.push(id);
                         }
                     }
-                    for (scan, (_, ty)) in hid_scans.iter_mut().zip(&hid) {
-                        let v = scan.value_at(dev, id)?;
-                        let w = ty.width();
-                        v.encode(ty, &mut entry[at..at + w])?;
-                        at += w;
-                    }
-                    dict.insert(id, entry);
+                    let ids = recheck_chain(dev, &mut recheck_cols, batch, false, None)?;
+                    admit(dev, &mut dict, ids)?;
+                }
+                // Complete the dict's projected values before the sweep.
+                let next = sigma_reader.peek(dev)?;
+                for (cursor, at) in hid_cursors.iter_mut().zip(&hid_at) {
+                    drain(dev, cursor, next, into_dict(&mut dict, *at))?;
                 }
                 Ok(())
             })
         })?;
         if dict.is_empty() {
-            if exhausted && !runs.is_empty() {
-                break;
-            }
-            if exhausted {
-                break;
-            }
-            continue;
+            break;
         }
         // Sweep the id column, emitting <pos, entry> for dict hits.
         let mut col_reader = id_col.reader(&ram, page_size)?;
@@ -717,14 +848,17 @@ fn mjoin(
         let run = ctx.lane.with_flash(|dev| writer.finish(dev))?;
         ctx.add_temp(run.segment());
         runs.push(run);
+        if dict.len() < dict_capacity {
+            break;
+        }
     }
 
     // Release the MJoin working RAM before merging the per-pass runs: the
     // run merge budgets its own buffers.
     drop(dict_region);
     drop(sigma_reader);
-    drop(hid_scans);
-    drop(recheck_scans);
+    drop(hid_cursors);
+    drop(recheck_cols);
     let table = match runs.len() {
         0 => {
             let empty = ctx.lane.with_flash_alloc(|dev, alloc| {
@@ -770,28 +904,25 @@ fn merge_runs_level(ctx: &mut ExecCtx<'_>, runs: Vec<FlashTable>) -> Result<Flas
         FlashTableWriter::create(ctx.lane.alloc(), &ram, layout.clone(), total, page_size)?;
     ctx.track(OpKind::MJoin, |ctx| {
         ctx.lane.with_flash(|dev| {
-            let mut heads: Vec<Option<Vec<u8>>> = Vec::new();
-            for r in readers.iter_mut() {
-                heads.push(r.next_row(dev)?.map(|x| x.to_vec()));
-            }
+            // Heads are row numbers, read in place from each run's reader.
+            let mut heads = readers
+                .iter_mut()
+                .map(|r| r.advance(dev))
+                .collect::<std::result::Result<Vec<_>, _>>()?;
             loop {
-                let mut best: Option<usize> = None;
-                for (i, h) in heads.iter().enumerate() {
-                    if let Some(row) = h {
-                        let pos = layout.get_id(row, 0);
-                        let better = match best {
-                            None => true,
-                            Some(b) => pos < layout.get_id(heads[b].as_ref().expect("head"), 0),
-                        };
-                        if better {
-                            best = Some(i);
+                let mut best: Option<(usize, u32)> = None;
+                for (i, (r, head)) in readers.iter().zip(&heads).enumerate() {
+                    if let Some(row) = head {
+                        let pos = layout.get_id(r.loaded_row(*row)?, 0);
+                        if best.is_none_or(|(_, b)| pos < b) {
+                            best = Some((i, pos));
                         }
                     }
                 }
-                let Some(b) = best else { break };
-                let row = heads[b].take().expect("best");
-                writer.push(dev, &row)?;
-                heads[b] = readers[b].next_row(dev)?.map(|x| x.to_vec());
+                let Some((b, _)) = best else { break };
+                let row = heads[b].expect("best");
+                writer.push(dev, readers[b].loaded_row(row)?)?;
+                heads[b] = readers[b].advance(dev)?;
             }
             Ok(())
         })
@@ -803,7 +934,9 @@ fn merge_runs_level(ctx: &mut ExecCtx<'_>, runs: Vec<FlashTable>) -> Result<Flas
 
 /// Figure 5, line 7: merge every per-table projection stream (and the root
 /// streams) in position order; a row survives only if every participating
-/// table confirmed its position.
+/// table confirmed its position. Survivors wait in one charged buffer, and
+/// each flush of it reads the root re-check and root hidden projection
+/// columns page by page, in the spans the held root ids need.
 fn final_join(
     ctx: &mut ExecCtx<'_>,
     a: &Analyzed,
@@ -835,27 +968,35 @@ fn final_join(
         .map(|s| s.ids.iter().enumerate().map(|(i, id)| (*id, i)).collect());
 
     let image = &ctx.cat.hidden[root];
-    let mut root_hid_scans: Vec<(String, ColumnScan)> = root_proj
-        .hid
-        .iter()
-        .map(|c| Ok((c.clone(), image.column(c)?.selective_scan(&ram, page_size)?)))
-        .collect::<Result<_>>()?;
-    let mut root_recheck: Vec<(ColumnScan, &Predicate)> = sj
+    let mut rechecks: Vec<Recheck<'_>> = sj
         .recheck
         .iter()
         .filter(|(t, _)| *t == root)
-        .map(|(_, p)| Ok((image.column(&p.column)?.selective_scan(&ram, page_size)?, p)))
+        .map(|(_, p)| Recheck::open(image, p, &ram, page_size))
+        .collect::<Result<_>>()?;
+    let mut hid_cursors: Vec<(&HiddenColumn, PageCursor)> = root_proj
+        .hid
+        .iter()
+        .map(|c| {
+            let column = image.column(c)?;
+            Ok((column, column.table().cursor(&ram, page_size)?))
+        })
         .collect::<Result<_>>()?;
 
     let mut root_reader = root_col.reader(&ram, page_size)?;
-    let mut table_readers: Vec<(
-        TableId,
-        &ProjTable,
-        ghostdb_storage::table::FlashTableReader,
-    )> = Vec::new();
-    for (t, pt) in &proj_tables {
-        table_readers.push((*t, pt, pt.table.reader(&ram, page_size)?));
-    }
+    let mut readers = proj_tables
+        .iter()
+        .map(|(_, pt)| Ok(pt.table.reader(&ram, page_size)?))
+        .collect::<Result<Vec<_>>>()?;
+
+    // Survivors wait in one charged buffer for their root re-checks and
+    // root hidden projections: root id, then each table's current row.
+    let entry_bytes = 4 + proj_tables
+        .iter()
+        .map(|(_, pt)| pt.table.layout.size())
+        .sum::<usize>();
+    let mut held = ram.alloc_region(entry_bytes.div_ceil(ram.buf_size()))?;
+    let capacity = held.len() / entry_bytes;
 
     let columns: Vec<String> = a
         .output
@@ -866,62 +1007,45 @@ fn final_join(
 
     ctx.track(OpKind::FinalJoin, |ctx| {
         ctx.lane.with_flash(|dev| {
-            let mut heads: Vec<Option<Vec<u8>>> = Vec::new();
-            for (_, _, r) in table_readers.iter_mut() {
-                heads.push(r.next_row(dev)?.map(|x| x.to_vec()));
-            }
-            let mut pos = 0u32;
-            while let Some(cell) = root_reader.next_row(dev)? {
-                let root_id = u32::from_le_bytes(cell[..4].try_into().expect("id cell"));
-                // Advance each table stream to `pos`.
-                let mut all_present = true;
-                let mut current: Vec<Option<Vec<u8>>> = vec![None; table_readers.len()];
-                for (i, (_, pt, r)) in table_readers.iter_mut().enumerate() {
-                    loop {
-                        match &heads[i] {
-                            None => {
-                                all_present = false;
-                                break;
-                            }
-                            Some(row) => {
-                                let rpos = pt.table.layout.get_id(row, 0);
-                                if rpos < pos {
-                                    heads[i] = r.next_row(dev)?.map(|x| x.to_vec());
-                                } else if rpos == pos {
-                                    current[i] = heads[i].clone();
-                                    break;
-                                } else {
-                                    all_present = false;
-                                    break;
-                                }
-                            }
-                        }
-                    }
-                    if !all_present {
-                        break;
-                    }
+            // Each stream's head is a row number, read in place from its
+            // reader's buffer: a reader advances only past a consumed head.
+            let mut heads = readers
+                .iter_mut()
+                .map(|r| r.advance(dev))
+                .collect::<std::result::Result<Vec<_>, _>>()?;
+            let root_id_at = |cell: &[u8]| u32::from_le_bytes(cell[..4].try_into().expect("id"));
+            // Run held entries through the root re-checks and then the root
+            // hidden projections, each page by page, and append the
+            // survivors' rows in position order. `next` is the next root id
+            // FinalJoin will meet (`None` at the end), so a page it shares
+            // is loaded only once.
+            let mut flush = |dev: &mut FlashDevice, entries: &[u8], next: Option<Id>| {
+                let ids: Vec<Id> = entries.chunks(entry_bytes).map(root_id_at).collect();
+                let ids = recheck_chain(dev, &mut rechecks, ids, true, next)?;
+                let mut hidden: Vec<Vec<Value>> = Vec::with_capacity(hid_cursors.len());
+                for (column, cursor) in hid_cursors.iter_mut() {
+                    let mut values = Vec::with_capacity(ids.len());
+                    let mut take = |_: Id, bytes: &[u8]| -> Result<()> {
+                        values.push(column.decode(bytes));
+                        Ok(())
+                    };
+                    through(dev, cursor, &ids, &mut take)?;
+                    drain(dev, cursor, next, &mut take)?;
+                    hidden.push(values);
                 }
-                // Root-side checks.
-                let mut keep = all_present;
-                if keep {
-                    for (scan, pred) in root_recheck.iter_mut() {
-                        let v = scan.value_at(dev, root_id)?;
-                        if !pred.matches(&v) {
-                            keep = false;
-                        }
+                let mut unread = entries.chunks(entry_bytes);
+                for (k, &root_id) in ids.iter().enumerate() {
+                    let entry = unread
+                        .find(|e| root_id_at(e) == root_id)
+                        .expect("re-checks keep held ids");
+                    let root_idx = root_vis_map.as_ref().and_then(|m| m.get(&root_id).copied());
+                    let mut table_rows = Vec::with_capacity(proj_tables.len());
+                    let mut at = 4;
+                    for (_, pt) in &proj_tables {
+                        let size = pt.table.layout.size();
+                        table_rows.push(&entry[at..at + size]);
+                        at += size;
                     }
-                }
-                let root_idx = match (&root_vis_map, keep) {
-                    (Some(map), true) => {
-                        let idx = map.get(&root_id).copied();
-                        if root_filter_pending && idx.is_none() {
-                            keep = false;
-                        }
-                        idx
-                    }
-                    _ => None,
-                };
-                if keep {
                     let mut out_row = Vec::with_capacity(a.output.len());
                     for (t, cname) in &a.output {
                         if *t == root {
@@ -936,19 +1060,19 @@ fn final_join(
                                 })?;
                                 out_row.push(shipment.columns[i].1[idx].clone());
                             } else {
-                                let (_, scan) = root_hid_scans
-                                    .iter_mut()
-                                    .find(|(n, _)| n == cname)
+                                let c = hid_cursors
+                                    .iter()
+                                    .position(|(column, _)| column.name == *cname)
                                     .expect("analyzed hidden projection");
-                                out_row.push(scan.value_at(dev, root_id)?);
+                                out_row.push(hidden[c][k].clone());
                             }
                         } else {
-                            let i = table_readers
+                            let i = proj_tables
                                 .iter()
-                                .position(|(tt, _, _)| tt == t)
+                                .position(|(tt, _)| tt == t)
                                 .expect("participating table");
-                            let (_, pt, _) = &table_readers[i];
-                            let row = current[i].as_ref().expect("present");
+                            let pt = &proj_tables[i].1;
+                            let row = table_rows[i];
                             if cname == "id" {
                                 out_row.push(Value::Int(pt.table.layout.get_id(row, 1) as i64));
                             } else {
@@ -959,7 +1083,58 @@ fn final_join(
                     }
                     rows.push(out_row);
                 }
+                Ok::<_, ExecError>(())
+            };
+            let mut next_root = root_reader.next_row(dev)?.map(root_id_at);
+            let mut n_held = 0usize;
+            let mut pos = 0u32;
+            while let Some(root_id) = next_root {
+                // Advance each table stream to `pos`.
+                let mut all_present = true;
+                for (i, r) in readers.iter_mut().enumerate() {
+                    let layout = &proj_tables[i].1.table.layout;
+                    loop {
+                        let Some(head) = heads[i] else {
+                            all_present = false;
+                            break;
+                        };
+                        let rpos = layout.get_id(r.loaded_row(head)?, 0);
+                        if rpos < pos {
+                            heads[i] = r.advance(dev)?;
+                        } else {
+                            all_present = rpos == pos;
+                            break;
+                        }
+                    }
+                    if !all_present {
+                        break;
+                    }
+                }
+                // A pending root visible filter drops the row before any
+                // hidden read.
+                let keep = all_present
+                    && !(root_filter_pending
+                        && root_vis_map
+                            .as_ref()
+                            .is_some_and(|m| !m.contains_key(&root_id)));
+                if keep {
+                    let entry = &mut held[n_held * entry_bytes..(n_held + 1) * entry_bytes];
+                    entry[..4].copy_from_slice(&root_id.to_le_bytes());
+                    let mut at = 4;
+                    for (r, head) in readers.iter().zip(&heads) {
+                        let row = r.loaded_row(head.expect("present"))?;
+                        entry[at..at + row.len()].copy_from_slice(row);
+                        at += row.len();
+                    }
+                    n_held += 1;
+                }
+                next_root = root_reader.next_row(dev)?.map(root_id_at);
                 pos += 1;
+                if n_held == capacity || (next_root.is_none() && n_held > 0) {
+                    let entries = &held[..n_held * entry_bytes];
+                    flush(dev, entries, next_root)?;
+                    n_held = 0;
+                }
             }
             Ok(())
         })
@@ -1121,8 +1296,70 @@ fn brute_force(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testkit::{self, pad8};
+    use ghostdb_storage::CmpOp;
 
     const PAGE: usize = 2048;
+
+    /// With the dict cut to one buffer, MJoin over T0's 600 ids takes
+    /// exactly ⌈survivors / capacity⌉ passes, as an id-at-a-time fill does:
+    /// ids waiting on a re-check page hold their dict slot.
+    #[test]
+    fn mjoin_passes_fill_the_dict_exactly() {
+        let mut db = testkit::tiny_db();
+        let t0 = db.schema.root();
+        let mut ctx = ExecCtx::new(&mut db);
+        let rows = ctx.cat.rows[t0];
+        let id_col = ctx
+            .lane
+            .with_flash_alloc(|dev, alloc| {
+                FlashTable::bulk_load_with(dev, alloc, RowLayout::ids(1), rows, |r, cell| {
+                    cell.copy_from_slice(&(r as Id).to_le_bytes())
+                })
+            })
+            .unwrap();
+        let tproj = TableProjection {
+            hid: vec!["h1".into()],
+            ..TableProjection::default()
+        };
+        // `h2 = pad8(id % 8)`: half the ids pass.
+        let recheck = Predicate::new("h2", CmpOp::Lt, pad8(4), None);
+        let ram = ctx.ram();
+        // Leave the two cursors, the sweep's reader and writer, and one
+        // buffer of dict.
+        let hold = ram.alloc_region(ram.available() - 5).unwrap();
+        let sigma = IdSource::Range {
+            start: 0,
+            end: rows as Id,
+        };
+        let free = ctx.lane.alloc().free_pages();
+        let pt = mjoin(&mut ctx, t0, &tproj, &[&recheck], &id_col, sigma, None).unwrap();
+        drop(hold);
+        // Each pass registers one run temp sized for the whole id column,
+        // and the runs' merge one more for the 300 survivors.
+        let capacity = PAGE / (4 + 10);
+        let passes = 300u64.div_ceil(capacity as u64);
+        let layout = &pt.table.layout;
+        assert_eq!(
+            free - ctx.lane.alloc().free_pages(),
+            passes * layout.pages_for(rows, PAGE) + layout.pages_for(300, PAGE)
+        );
+        let mut reader = pt.table.reader(&ram, PAGE).unwrap();
+        let mut got = Vec::new();
+        ctx.lane.with_flash(|dev| {
+            while let Some(row) = reader.next_row(dev).unwrap() {
+                let (field, ty) = pt.field_of("h1").unwrap();
+                let id = pt.table.layout.get_id(row, 1) as u64;
+                let value = Value::decode(&ty, pt.table.layout.field(row, field));
+                got.push((pt.table.layout.get_id(row, 0) as u64, id, value));
+            }
+        });
+        let expect: Vec<(u64, u64, Value)> = (0..rows)
+            .filter(|id| id % 8 < 4)
+            .map(|id| (id, id, pad8(id % 4)))
+            .collect();
+        assert_eq!(got, expect);
+    }
 
     /// A table's σ inputs on the paper's 32 × 2 KB arena, with `scans`
     /// char(10) columns open and the first `projected` of them projected.

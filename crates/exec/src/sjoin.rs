@@ -12,7 +12,9 @@ use crate::report::OpKind;
 use crate::Result;
 use ghostdb_index::SubtreeKeyTable;
 use ghostdb_storage::row::RowLayout;
-use ghostdb_storage::table::{FlashTableReader, FlashTableWriter};
+use ghostdb_storage::table::FlashTableWriter;
+#[cfg(doc)]
+use ghostdb_storage::table::{page_spans, PageCursor};
 use ghostdb_storage::{FlashTable, Id, TableId};
 
 /// An SJoin output description: the materialised rows and their column
@@ -36,12 +38,12 @@ impl SJoinTable {
 /// `next_id` and receives projected rows via `sink` (id + projected target
 /// ids, in `targets` order). SKT read time is attributed to `SJoin`.
 ///
-/// Ids are pulled until the first one that falls on a later SKT page; the
-/// rows of the current page are then read in the byte spans
-/// [`FlashTableReader::load_rows`] plans for them, emitted, and the pending
-/// id carried over to the next page. The ids of one page are held in one
-/// more secure-RAM buffer, charged here: an SKT row is at least one 4-byte
-/// id wide, so a page's ids fit in one page-sized buffer.
+/// Ids go through a [`PageCursor`]: they queue until the first one that
+/// falls on a later SKT page, the rows of the queued page are then read in
+/// the byte spans [`page_spans`] plans for them (one tracked flash access
+/// per page) and emitted. The ids of one page are held in one more
+/// secure-RAM buffer, charged here: an SKT row is at least one 4-byte id
+/// wide, so a page's ids fit in one page-sized buffer.
 pub fn sjoin_stream(
     ctx: &mut ExecCtx<'_>,
     skt: &SubtreeKeyTable,
@@ -64,29 +66,23 @@ pub fn sjoin_stream(
         .collect();
     let ram = ctx.ram();
     let page_size = ctx.page_size();
-    let mut reader: FlashTableReader = skt.flash.reader(&ram, page_size)?;
+    let mut cursor = skt.flash.cursor(&ram, page_size)?;
     let _lookahead = ram.alloc()?;
     let layout = skt.flash.layout.clone();
-    let rows_per_page = layout.rows_per_page(page_size) as u64;
-    let mut page_rows: Vec<u64> = Vec::with_capacity(rows_per_page as usize);
     let mut out_ids = vec![0 as Id; targets.len()];
     let mut emitted = 0u64;
-    let mut pending = next_id(ctx)?;
-    while let Some(first) = pending {
-        let page = first as u64 / rows_per_page;
-        page_rows.clear();
-        page_rows.push(first as u64);
-        pending = loop {
+    let mut next = next_id(ctx)?;
+    while let Some(first) = next {
+        cursor.push(first as u64);
+        next = loop {
             match next_id(ctx)? {
-                Some(id) if id as u64 / rows_per_page == page => page_rows.push(id as u64),
+                Some(id) if !cursor.opens_page(id as u64) => cursor.push(id as u64),
                 other => break other,
             }
         };
-        ctx.tracked(OpKind::SJoin, |dev| -> Result<()> {
-            Ok(reader.load_rows(dev, &page_rows)?)
-        })?;
-        for &row in &page_rows {
-            let skt_row = reader.loaded_row(row)?;
+        ctx.tracked(OpKind::SJoin, |dev| cursor.flush(dev, next.map(u64::from)))?;
+        for item in cursor.ready() {
+            let (row, skt_row) = item?;
             let id = row as Id;
             for (slot, col) in out_ids.iter_mut().zip(&col_idx) {
                 *slot = match col {

@@ -511,39 +511,31 @@ fn merge_sjoin_runs(ctx: &mut ExecCtx<'_>, runs: Vec<SJoinTable>) -> Result<SJoi
                 .map_err(crate::error::ExecError::from)
         })
         .collect::<Result<Vec<_>>>()?;
-    let mut heads: Vec<Option<Vec<u8>>> = Vec::new();
+    // Heads are row numbers, read in place from each run's reader.
+    let mut heads: Vec<Option<u64>> = Vec::new();
     for r in readers.iter_mut() {
-        let h = ctx.tracked(OpKind::SJoin, |dev| {
-            Ok::<_, crate::ExecError>(r.next_row(dev)?.map(|row| row.to_vec()))
-        })?;
-        heads.push(h);
+        heads.push(ctx.tracked(OpKind::SJoin, |dev| r.advance(dev))?);
     }
     let mut writer = SJoinWriter::create(ctx, cols[0], &cols[1..], total)?;
     let layout = runs[0].table.layout.clone();
+    let mut targets: Vec<Id> = vec![0; cols.len() - 1];
     loop {
-        let mut best: Option<usize> = None;
-        for (i, h) in heads.iter().enumerate() {
-            if let Some(row) = h {
-                let key = layout.get_id(row, 0);
-                match best {
-                    None => best = Some(i),
-                    Some(b) => {
-                        let bkey = layout.get_id(heads[b].as_ref().expect("best"), 0);
-                        if key < bkey {
-                            best = Some(i);
-                        }
-                    }
+        let mut best: Option<(usize, Id)> = None;
+        for (i, (r, head)) in readers.iter().zip(&heads).enumerate() {
+            if let Some(row) = head {
+                let key = layout.get_id(r.loaded_row(*row)?, 0);
+                if best.is_none_or(|(_, b)| key < b) {
+                    best = Some((i, key));
                 }
             }
         }
-        let Some(b) = best else { break };
-        let row = heads[b].take().expect("best head");
-        let owner = layout.get_id(&row, 0);
-        let targets: Vec<Id> = (1..cols.len()).map(|i| layout.get_id(&row, i)).collect();
+        let Some((b, owner)) = best else { break };
+        let row = readers[b].loaded_row(heads[b].expect("best head"))?;
+        for (i, t) in targets.iter_mut().enumerate() {
+            *t = layout.get_id(row, 1 + i);
+        }
         writer.push(ctx, owner, &targets)?;
-        heads[b] = ctx.tracked(OpKind::SJoin, |dev| {
-            Ok::<_, crate::ExecError>(readers[b].next_row(dev)?.map(|r| r.to_vec()))
-        })?;
+        heads[b] = ctx.tracked(OpKind::SJoin, |dev| readers[b].advance(dev))?;
     }
     writer.finish(ctx)
 }

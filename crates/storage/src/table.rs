@@ -17,14 +17,17 @@ use ghostdb_token::{RamArena, RamBuffer};
 use std::ops::Range;
 
 /// One hidden column on flash, sorted by tuple id.
+///
+/// On flash it is a one-field row table: a page holds `page_size / width`
+/// values, exactly what [`RowLayout::new`]`(&[width])` gives, so every read
+/// of it goes through [`FlashTableReader`] and decodes the bytes it returns.
 #[derive(Debug, Clone)]
 pub struct HiddenColumn {
     /// Column name.
     pub name: String,
     /// Declared type (fixed width).
     pub ty: ColumnType,
-    segment: Segment,
-    rows: u64,
+    table: FlashTable,
 }
 
 impl HiddenColumn {
@@ -38,34 +41,21 @@ impl HiddenColumn {
         rows: u64,
         mut gen: impl FnMut(Id) -> Value,
     ) -> Result<Self> {
-        let width = ty.width();
-        let page_size = dev.page_size();
-        let vals_per_page = (page_size / width) as u64;
-        assert!(vals_per_page > 0, "column value wider than a page");
-        let pages = rows.div_ceil(vals_per_page).max(1);
-        let segment = alloc.alloc(pages)?;
-        let mut image = vec![0u8; page_size];
-        let mut row = 0u64;
-        let mut page = 0u64;
-        while row < rows {
-            let on_page = vals_per_page.min(rows - row) as usize;
-            for i in 0..on_page {
-                gen((row + i as u64) as Id)
-                    .encode(&ty, &mut image[i * width..(i + 1) * width])
-                    .map_err(|_| StorageError::TypeMismatch {
-                        column: name.into(),
-                        expected: "declared column type",
-                    })?;
-            }
-            dev.write(segment.lpn(page)?, &image[..on_page * width])?;
-            row += on_page as u64;
-            page += 1;
+        let layout = RowLayout::new(&[ty.width()]);
+        let mut bad = false;
+        let table = FlashTable::bulk_load_with(dev, alloc, layout, rows, |r, cell| {
+            bad |= gen(r as Id).encode(&ty, cell).is_err();
+        })?;
+        if bad {
+            return Err(StorageError::TypeMismatch {
+                column: name.into(),
+                expected: "declared column type",
+            });
         }
         Ok(HiddenColumn {
             name: name.into(),
             ty,
-            segment,
-            rows,
+            table,
         })
     }
 
@@ -84,100 +74,30 @@ impl HiddenColumn {
 
     /// Number of rows.
     pub fn rows(&self) -> u64 {
-        self.rows
+        self.table.rows
     }
 
     /// Bytes occupied (for size accounting).
     pub fn bytes(&self) -> u64 {
-        self.rows * self.ty.width() as u64
+        self.table.bytes()
     }
 
-    fn locate(&self, row: u64, page_size: usize) -> (u64, usize) {
-        let width = self.ty.width();
-        let vpp = (page_size / width) as u64;
-        (row / vpp, (row % vpp) as usize * width)
+    /// The column as the one-field row table it is stored as.
+    pub fn table(&self) -> &FlashTable {
+        &self.table
+    }
+
+    /// Decode one stored value (bytes handed back by a reader over
+    /// [`HiddenColumn::table`]).
+    pub fn decode(&self, bytes: &[u8]) -> Value {
+        Value::decode(&self.ty, bytes)
     }
 
     /// Random access to one value (charges a page load + `width` bytes).
     pub fn get(&self, dev: &mut FlashDevice, row: Id) -> Result<Value> {
-        if row as u64 >= self.rows {
-            return Err(StorageError::RowOutOfRange {
-                row: row as u64,
-                rows: self.rows,
-            });
-        }
-        let (page, off) = self.locate(row as u64, dev.page_size());
         let mut buf = vec![0u8; self.ty.width()];
-        dev.read(self.segment.lpn(page)?, off, &mut buf)?;
-        Ok(Value::decode(&self.ty, &buf))
-    }
-
-    /// Open a sequential scan (one RAM buffer).
-    pub fn scan(&self, ram: &RamArena, page_size: usize) -> Result<ColumnScan> {
-        Ok(ColumnScan {
-            column: self.clone(),
-            buf: ram.alloc()?,
-            buffered_page: None,
-            pos: 0,
-            page_size,
-        })
-    }
-
-    /// Scan positioned to deliver values for an *ascending* sequence of row
-    /// ids (merge-style access: each page read at most once).
-    pub fn selective_scan(&self, ram: &RamArena, page_size: usize) -> Result<ColumnScan> {
-        self.scan(ram, page_size)
-    }
-}
-
-/// Sequential (or ascending-skip) scan over a hidden column.
-#[derive(Debug)]
-pub struct ColumnScan {
-    column: HiddenColumn,
-    buf: RamBuffer,
-    buffered_page: Option<u64>,
-    pos: u64,
-    page_size: usize,
-}
-
-impl ColumnScan {
-    /// Value at row `row`, which must be ≥ any previously requested row.
-    /// Pages are loaded at most once each (sorted merge access pattern).
-    pub fn value_at(&mut self, dev: &mut FlashDevice, row: Id) -> Result<Value> {
-        if (row as u64) < self.pos {
-            return Err(StorageError::Corrupt(format!(
-                "ColumnScan going backwards: {row} after {}",
-                self.pos
-            )));
-        }
-        self.pos = row as u64;
-        if row as u64 >= self.column.rows {
-            return Err(StorageError::RowOutOfRange {
-                row: row as u64,
-                rows: self.column.rows,
-            });
-        }
-        let (page, off) = self.column.locate(row as u64, self.page_size);
-        if self.buffered_page != Some(page) {
-            let width = self.column.ty.width();
-            let vpp = self.page_size / width;
-            let rows_on_page = ((self.column.rows - page * vpp as u64) as usize).min(vpp);
-            let used = rows_on_page * width;
-            dev.read(self.column.segment.lpn(page)?, 0, &mut self.buf[..used])?;
-            self.buffered_page = Some(page);
-        }
-        let width = self.column.ty.width();
-        Ok(Value::decode(&self.column.ty, &self.buf[off..off + width]))
-    }
-
-    /// Next value in sequence (plain full scan).
-    pub fn next_value(&mut self, dev: &mut FlashDevice) -> Result<Option<Value>> {
-        if self.pos >= self.column.rows {
-            return Ok(None);
-        }
-        let v = self.value_at(dev, self.pos as Id)?;
-        self.pos += 1;
-        Ok(Some(v))
+        self.table.read_row(dev, row as u64, &mut buf)?;
+        Ok(self.decode(&buf))
     }
 }
 
@@ -296,6 +216,17 @@ impl FlashTable {
             loaded: Vec::new(),
             pos: 0,
             page_size,
+        })
+    }
+
+    /// Open a page-by-page reader over ascending rows (one RAM buffer).
+    pub fn cursor(&self, ram: &RamArena, page_size: usize) -> Result<PageCursor> {
+        Ok(PageCursor {
+            rows_per_page: self.layout.rows_per_page(page_size) as u64,
+            reader: self.reader(ram, page_size)?,
+            queued: Vec::new(),
+            page_end: 0,
+            ready: Vec::new(),
         })
     }
 
@@ -514,14 +445,18 @@ impl FlashTableReader {
         rows_on_page as usize * self.table.layout.size()
     }
 
-    /// Read `spans` of page `page` into the buffer, replacing what it held.
+    /// Read `spans` of page `page` into the buffer. Spans of the page
+    /// already buffered are kept; another page's are released.
     fn fill(&mut self, dev: &mut FlashDevice, page: u64, spans: Vec<Range<usize>>) -> Result<()> {
-        let lpn = self.table.segment.lpn(page)?;
-        for s in &spans {
-            dev.read(lpn, s.start, &mut self.buf[s.clone()])?;
+        if self.buffered_page != Some(page) {
+            self.buffered_page = Some(page);
+            self.loaded.clear();
         }
-        self.buffered_page = Some(page);
-        self.loaded = spans;
+        let lpn = self.table.segment.lpn(page)?;
+        for s in spans {
+            dev.read(lpn, s.start, &mut self.buf[s.clone()])?;
+            self.loaded.push(s);
+        }
         Ok(())
     }
 
@@ -533,14 +468,9 @@ impl FlashTableReader {
                 .any(|s| s.start <= bytes.start && bytes.end <= s.end)
     }
 
-    /// Load the ascending `rows`, which must all lie on one page and be ≥
-    /// any previously requested row, reading only the spans
-    /// [`page_spans`] plans for them. Read them back with
-    /// [`FlashTableReader::loaded_row`].
-    pub fn load_rows(&mut self, dev: &mut FlashDevice, rows: &[u64]) -> Result<()> {
-        let (Some(&first), Some(&last)) = (rows.first(), rows.last()) else {
-            return Ok(());
-        };
+    /// Page of the rows `first..=last`, which must lie on one page, in
+    /// range and not before any previously requested row.
+    fn page_of(&self, first: u64, last: u64) -> Result<u64> {
         if last >= self.table.rows {
             return Err(StorageError::RowOutOfRange {
                 row: last,
@@ -560,11 +490,41 @@ impl FlashTableReader {
                 "FlashTableReader::load_rows: rows {first}..={last} span pages"
             )));
         }
+        Ok(page)
+    }
+
+    /// Load the ascending `rows`, which must all lie on one page and be ≥
+    /// any previously requested row, reading only the spans
+    /// [`page_spans`] plans for them. Read them back with
+    /// [`FlashTableReader::loaded_row`]. Rows the buffer already holds
+    /// (an earlier load of the same page) are not read again.
+    pub fn load_rows(&mut self, dev: &mut FlashDevice, rows: &[u64]) -> Result<()> {
+        let (Some(&first), Some(&last)) = (rows.first(), rows.last()) else {
+            return Ok(());
+        };
+        let page = self.page_of(first, last)?;
         self.pos = last;
+        let layout = &self.table.layout;
         let size = layout.size();
-        let offsets = rows.iter().map(|r| layout.locate(*r, self.page_size).1);
-        let spans = page_spans(dev.timing(), offsets.map(|off| off..off + size));
+        let wanted = rows.iter().map(|r| {
+            let off = layout.locate(*r, self.page_size).1;
+            off..off + size
+        });
+        let spans = page_spans(dev.timing(), wanted.filter(|b| !self.holds(page, b)));
         self.fill(dev, page, spans)
+    }
+
+    /// Load page `row`'s bytes from `row` to the page's end in one span, so
+    /// that every later row of the page is held too.
+    fn load_tail(&mut self, dev: &mut FlashDevice, row: u64) -> Result<()> {
+        let page = self.page_of(row, row)?;
+        self.pos = row;
+        let off = self.table.layout.locate(row, self.page_size).1;
+        let tail = off..self.used_bytes(page);
+        if self.holds(page, &tail) {
+            return Ok(());
+        }
+        self.fill(dev, page, vec![tail])
     }
 
     /// A row loaded by the last [`FlashTableReader::load_rows`] (or the
@@ -580,21 +540,104 @@ impl FlashTableReader {
         Ok(&self.buf[bytes])
     }
 
-    /// Next row in sequence, or `None` at the end. A sequential scan reads
-    /// each page whole.
-    pub fn next_row(&mut self, dev: &mut FlashDevice) -> Result<Option<&[u8]>> {
+    /// Advance a sequential scan: the number of the next row, or `None` at
+    /// the end. The row stays readable through
+    /// [`FlashTableReader::loaded_row`] until the scan leaves its page, so
+    /// a caller can keep a row number instead of a copy. A sequential scan
+    /// reads each page whole.
+    pub fn advance(&mut self, dev: &mut FlashDevice) -> Result<Option<u64>> {
         if self.pos >= self.table.rows {
             return Ok(None);
         }
         let row = self.pos;
         self.pos += 1;
         let (page, off) = self.table.layout.locate(row, self.page_size);
-        let bytes = off..off + self.table.layout.size();
-        if !self.holds(page, &bytes) {
+        if !self.holds(page, &(off..off + self.table.layout.size())) {
             let whole_page = 0..self.used_bytes(page);
             self.fill(dev, page, vec![whole_page])?;
         }
-        Ok(Some(&self.buf[bytes]))
+        Ok(Some(row))
+    }
+
+    /// Next row in sequence, or `None` at the end (see
+    /// [`FlashTableReader::advance`]).
+    pub fn next_row(&mut self, dev: &mut FlashDevice) -> Result<Option<&[u8]>> {
+        match self.advance(dev)? {
+            Some(row) => self.loaded_row(row).map(Some),
+            None => Ok(None),
+        }
+    }
+}
+
+/// Page-by-page reads of ascending rows of a row table (hidden columns
+/// included, through [`HiddenColumn::table`]) over one
+/// [`FlashTableReader`]. Rows are pushed without a flash read while they
+/// fall on one page; before a row that [`PageCursor::opens_page`], the
+/// caller flushes, which loads the queued page once, in the spans
+/// [`page_spans`] plans for all its queued rows, and makes those rows
+/// [`PageCursor::ready`]. However a caller batches its rows, a page pushed
+/// through is loaded once and bills no more than one whole-page read.
+#[derive(Debug)]
+pub struct PageCursor {
+    reader: FlashTableReader,
+    rows_per_page: u64,
+    /// Rows of the page not yet loaded.
+    queued: Vec<u64>,
+    /// The first row past the queued rows' page.
+    page_end: u64,
+    /// Rows of the page the last flush loaded.
+    ready: Vec<u64>,
+}
+
+impl PageCursor {
+    /// Whether `row` falls on a later page than the queued rows, which must
+    /// then be flushed before it is pushed.
+    #[inline]
+    pub fn opens_page(&self, row: u64) -> bool {
+        !self.queued.is_empty() && row >= self.page_end
+    }
+
+    /// Queue `row`, ascending and on the queued rows' page. No flash read;
+    /// a row that breaks this is refused when the page loads.
+    #[inline]
+    pub fn push(&mut self, row: u64) {
+        debug_assert!(!self.opens_page(row), "row {row} opens a page");
+        if self.queued.is_empty() {
+            self.page_end = (row / self.rows_per_page + 1) * self.rows_per_page;
+        }
+        self.queued.push(row);
+    }
+
+    /// Load the queued rows now and make them [`PageCursor::ready`];
+    /// returns whether any were queued. `next` is the least row that may
+    /// still be pushed (`None`: no more rows). If it falls on the queued
+    /// page, that page is read from its first queued row to its end, so the
+    /// rows still to come on it are already held and the page is loaded
+    /// once; otherwise only the spans its queued rows need are read.
+    pub fn flush(&mut self, dev: &mut FlashDevice, next: Option<u64>) -> Result<bool> {
+        self.ready.clear();
+        let Some(&first) = self.queued.first() else {
+            return Ok(false);
+        };
+        if next.is_some_and(|n| n < self.page_end) {
+            self.reader.load_tail(dev, first)?;
+        } else {
+            self.reader.load_rows(dev, &self.queued)?;
+        }
+        std::mem::swap(&mut self.queued, &mut self.ready);
+        Ok(true)
+    }
+
+    /// Rows pushed but not yet loaded.
+    pub fn queued(&self) -> usize {
+        self.queued.len()
+    }
+
+    /// The rows the last flush loaded, ascending, with their bytes.
+    pub fn ready(&self) -> impl Iterator<Item = Result<(u64, &[u8])>> + '_ {
+        self.ready
+            .iter()
+            .map(|r| self.reader.loaded_row(*r).map(|bytes| (*r, bytes)))
     }
 }
 
@@ -602,6 +645,7 @@ impl FlashTableReader {
 mod tests {
     use super::*;
     use ghostdb_flash::{FlashGeometry, FlashTiming};
+    use std::collections::HashMap;
 
     fn setup() -> (FlashDevice, SegmentAllocator, RamArena) {
         let dev = FlashDevice::new(
@@ -629,40 +673,12 @@ mod tests {
         assert_eq!(col.get(&mut dev, 4999).unwrap(), Value::Int(4999 * 7));
         assert_eq!(col.get(&mut dev, 0).unwrap(), Value::Int(0));
         assert!(col.get(&mut dev, 5000).is_err());
-        let mut scan = col.scan(&ram, dev.page_size()).unwrap();
+        let mut scan = col.table().reader(&ram, dev.page_size()).unwrap();
         for i in 0..5000 {
-            assert_eq!(
-                scan.next_value(&mut dev).unwrap(),
-                Some(Value::Int(i * 7)),
-                "row {i}"
-            );
+            let bytes = scan.next_row(&mut dev).unwrap().expect("row");
+            assert_eq!(col.decode(bytes), Value::Int(i * 7), "row {i}");
         }
-        assert_eq!(scan.next_value(&mut dev).unwrap(), None);
-    }
-
-    #[test]
-    fn selective_scan_loads_each_page_once() {
-        let (mut dev, mut alloc, ram) = setup();
-        let values: Vec<Value> = (0..2048).map(Value::Int).collect();
-        let col = HiddenColumn::bulk_load(
-            &mut dev,
-            &mut alloc,
-            "h",
-            ColumnType::Int { width: 8 },
-            &values,
-        )
-        .unwrap();
-        let snap = dev.snapshot();
-        let mut scan = col.selective_scan(&ram, dev.page_size()).unwrap();
-        // 8-byte vals, 256 per page; probe two rows per page.
-        for row in (0..2048u32).step_by(128) {
-            let v = scan.value_at(&mut dev, row).unwrap();
-            assert_eq!(v, Value::Int(row as i64));
-        }
-        let d = dev.stats_since(&snap);
-        assert_eq!(d.pages_read, 8, "each of the 8 pages loaded exactly once");
-        // Backwards access is rejected.
-        assert!(scan.value_at(&mut dev, 0).is_err());
+        assert!(scan.next_row(&mut dev).unwrap().is_none());
     }
 
     #[test]
@@ -806,6 +822,116 @@ mod tests {
                 }
                 if page_rows.len() as u64 == (rows - page * rpp).min(rpp) {
                     assert_eq!(spans, vec![0..used], "case {case}: dense page");
+                }
+            }
+        }
+    }
+
+    /// For hidden columns of random widths and random ascending id sets
+    /// from sparse to dense, cut into random lookahead batches, the page
+    /// cursor decodes what a full scan decodes and bills no page more than
+    /// one whole-page read. Pushed through, each page is read in exactly
+    /// the spans planned for all its ids; flushed at each batch's end with
+    /// the next batch's first id, each page is still loaded once.
+    #[test]
+    fn page_cursor_reads_hidden_columns_page_exactly() {
+        let (mut dev, mut alloc, ram) = setup();
+        let timing = *dev.timing();
+        let page_size = dev.page_size();
+        let mut rng = SplitMix(11);
+        for case in 0..48 {
+            let width = 1 + rng.below(300) as usize;
+            let ty = ColumnType::char(width as u16);
+            let vpp = (page_size / width) as u64;
+            let rows = 1 + rng.below(5 * vpp);
+            let values: Vec<Value> = (0..rows)
+                .map(|r| {
+                    let len = (r as usize * 7 + case) % (width + 1);
+                    Value::Str(
+                        (0..len)
+                            .map(|i| (b'a' + ((r as usize + i) % 26) as u8) as char)
+                            .collect(),
+                    )
+                })
+                .collect();
+            let col = HiddenColumn::bulk_load(&mut dev, &mut alloc, "h", ty, &values).unwrap();
+            let mut full = Vec::new();
+            let mut scan = col.table().reader(&ram, page_size).unwrap();
+            while let Some(bytes) = scan.next_row(&mut dev).unwrap() {
+                full.push(col.decode(bytes));
+            }
+            assert_eq!(full, values, "case {case}: full scan");
+            let sparsity = rng.below(7);
+            let keep = 1 + rng.below(1 << sparsity);
+            let wanted: Vec<u64> = (0..rows).filter(|_| rng.below(keep) == 0).collect();
+            let mut cuts = vec![0];
+            while *cuts.last().unwrap() < wanted.len() {
+                let next = cuts.last().unwrap() + 1 + rng.below(3 * vpp) as usize;
+                cuts.push(next.min(wanted.len()));
+            }
+            let used = |page: u64| (rows - page * vpp).min(vpp) as usize * width;
+            for forced in [false, true] {
+                let mut cursor = col.table().cursor(&ram, page_size).unwrap();
+                let mut got = Vec::new();
+                let mut billed: HashMap<u64, (u128, u32)> = HashMap::new();
+                let mut flush = |dev: &mut FlashDevice, cursor: &mut PageCursor, next| {
+                    let snap = dev.snapshot();
+                    let loaded = cursor.flush(dev, next).unwrap();
+                    let ns = dev.elapsed_since(&snap).as_ns();
+                    let mut page = None;
+                    for item in cursor.ready() {
+                        let (row, bytes) = item.unwrap();
+                        page = Some(row / vpp);
+                        got.push((row, col.decode(bytes)));
+                    }
+                    assert_eq!(loaded, page.is_some(), "case {case}");
+                    match page {
+                        Some(p) if ns > 0 => {
+                            let e = billed.entry(p).or_default();
+                            e.0 += ns;
+                            e.1 += 1;
+                        }
+                        Some(_) => {}
+                        None => assert_eq!(ns, 0, "case {case}: an empty flush read"),
+                    }
+                };
+                let snap = dev.snapshot();
+                for w in cuts.windows(2) {
+                    for &row in &wanted[w[0]..w[1]] {
+                        if cursor.opens_page(row) {
+                            flush(&mut dev, &mut cursor, Some(row));
+                        }
+                        cursor.push(row);
+                    }
+                    let next = wanted.get(w[1]).copied();
+                    if forced || next.is_none() {
+                        flush(&mut dev, &mut cursor, next);
+                    }
+                }
+                let d = dev.stats_since(&snap);
+                let expect: Vec<(u64, Value)> = wanted
+                    .iter()
+                    .map(|r| (*r, values[*r as usize].clone()))
+                    .collect();
+                assert_eq!(got, expect, "case {case} forced {forced}");
+                for (page, (ns, loads)) in &billed {
+                    assert!(
+                        *ns <= timing.read_cost_ns(used(*page)),
+                        "case {case} forced {forced}: page {page} billed {ns} ns"
+                    );
+                    assert_eq!(*loads, 1, "case {case} forced {forced}: page {page}");
+                }
+                if !forced {
+                    let spans: Vec<Range<usize>> = wanted
+                        .chunk_by(|a, b| a / vpp == b / vpp)
+                        .flat_map(|ids| {
+                            let offs = ids.iter().map(|r| (r % vpp) as usize * width);
+                            page_spans(&timing, offs.map(|o| o..o + width))
+                        })
+                        .collect();
+                    assert_eq!(d.pages_read, spans.len() as u64, "case {case}");
+                    let bytes: usize = spans.iter().map(|s| s.len()).sum();
+                    assert_eq!(d.bytes_to_ram, bytes as u64, "case {case}");
                 }
             }
         }

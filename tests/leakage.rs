@@ -296,3 +296,81 @@ fn padded_results_equal_unpadded() {
         "padded mode moves at least as many bytes into the token"
     );
 }
+
+/// Two worlds for hidden projections under re-checks: `code` is CHAR(12)
+/// and four rows share each 8-byte index-key prefix, so every predicate on
+/// it is re-checked on the token. Hidden values shift with
+/// `hidden_offset`; the visible partitions are identical.
+fn recheck_world(hidden_offset: i64) -> GhostDb {
+    let mut db = GhostDb::new(GhostDbConfig {
+        capture_channel: true,
+        ..Default::default()
+    });
+    db.execute("CREATE TABLE Branches (id INT, city CHAR(10), code CHAR(12) HIDDEN)")
+        .expect("DDL");
+    db.execute(
+        "CREATE TABLE Accounts (id INT, branch_id INT HIDDEN REFERENCES Branches, \
+         kind CHAR(10), code CHAR(12) HIDDEN, balance INT HIDDEN)",
+    )
+    .expect("DDL");
+    let code = |prefix: &str, i: i64| format!("{prefix}{:06}{:04}", i / 4, i % 4);
+    db.insert_rows(
+        "Branches",
+        (0..16)
+            .map(|i| {
+                vec![
+                    Value::Str(format!("CITY{:02}", i % 4)),
+                    Value::Str(code("BR", i + hidden_offset)),
+                ]
+            })
+            .collect(),
+    )
+    .expect("load");
+    db.insert_rows(
+        "Accounts",
+        (0..512)
+            .map(|i| {
+                vec![
+                    Value::Int((i * 7 + hidden_offset) % 16),
+                    Value::Str(format!("K{}", i % 3)),
+                    Value::Str(code("AC", (i * 5 + hidden_offset) % 512)),
+                    Value::Int(1_000 + hidden_offset + i * 13),
+                ]
+            })
+            .collect(),
+    )
+    .expect("load");
+    db
+}
+
+/// SECURITY.md claim 12: MJoin's and FinalJoin's page-exact column reads
+/// are planned from hidden-derived ids, and stay below the channel. With a
+/// root re-check, a child re-check and a root hidden projection, worlds
+/// that differ only in hidden values produce bit-identical transcripts and
+/// host traces.
+#[test]
+fn root_hidden_projection_under_a_recheck_is_invisible() {
+    const Q: &str = "SELECT Accounts.id, Accounts.balance, Accounts.code, Branches.city \
+                     FROM Accounts, Branches WHERE Accounts.branch_id = Branches.id \
+                     AND Accounts.kind = 'K1' AND Accounts.code < 'AC0000600002' \
+                     AND Branches.code > 'BR0000010001'";
+    let mut a = recheck_world(0);
+    let mut b = recheck_world(3);
+    let plan = a.finalize().expect("finalize A").explain(Q).expect("plan");
+    assert_eq!(
+        plan.matches("(+ exact re-check at projection)").count(),
+        2,
+        "both hidden selections must be re-checked:\n{plan}"
+    );
+    let rows_a = a.finalize().expect("finalize A").query(Q).expect("query A");
+    let rows_b = b.finalize().expect("finalize B").query(Q).expect("query B");
+    assert!(!rows_a.rows.is_empty());
+    assert_ne!(
+        rows_a.rows, rows_b.rows,
+        "the worlds must actually differ in hidden outcomes"
+    );
+    assert_eq!(transcript(&a), transcript(&b));
+    assert_eq!(a.host_trace().unwrap(), b.host_trace().unwrap());
+    assert!(a.audit().unwrap().ok);
+    assert!(b.audit().unwrap().ok);
+}
