@@ -1392,6 +1392,36 @@ fn micro_project_root_hidden_sparse(warmup: usize, iters: usize, out: &mut Vec<B
     ));
 }
 
+/// FinalJoin over a multi-pass MJoin: ghostbench `sql-mix`'s visible-only
+/// shape, `T1.v1 < 0.56·|T1|` projecting `T0.id, T1.id, T1.v1` at ×0.01,
+/// through `Executor::run` with the optimizer choosing the plan. Its 5 600
+/// σ ids are those of the `sql-mix` top query (`T1.v1 < 0.28·|T1|` at
+/// ×0.02) and overflow one 4 096-entry dict, so MJoin writes two runs and
+/// FinalJoin reads both in place. Fixed at ×0.01 in every mode, like
+/// `micro/project/hidden-point`.
+fn micro_project_mjoin_multipass(warmup: usize, iters: usize, out: &mut Vec<BenchEntry>) {
+    let (ds, mut db) = build_synthetic(0.01);
+    let t0 = db.schema.root();
+    let t1 = db.schema.table_id("T1").unwrap();
+    let mut q = SpjQuery::new()
+        .pred(t1, ds.selectivity_pred("T1", "v1", 0.56))
+        .project(t0, "id")
+        .project(t1, "id")
+        .project(t1, "v1");
+    q.text = "SELECT T0.id, T1.id, T1.v1 FROM T0, T1 WHERE T0.fk1 = T1.id \
+              AND T1.v1 < <56%>"
+        .into();
+    out.push(measure(
+        "micro/project/mjoin-multipass",
+        warmup,
+        iters,
+        || {
+            let (_, report) = Executor::run(&mut db, &q, &ExecOptions::new()).unwrap();
+            report_stats(&report)
+        },
+    ));
+}
+
 /// Disjoint-chip channel scaling on the sharded flash device — the
 /// multi-chip array's bank gate. Four independent id-list jobs (write +
 /// full readback) run against a 4-chip device three ways: all through one
@@ -1964,6 +1994,7 @@ fn main() {
     micro_merge_reduce(opts.scale, warmup, iters, &mut entries);
     micro_project_hidden_point(warmup, iters, &mut entries);
     micro_project_root_hidden_sparse(warmup, iters, &mut entries);
+    micro_project_mjoin_multipass(warmup, iters, &mut entries);
     micro_lanes(warmup, iters, &mut entries);
     micro_io(warmup, iters, &mut entries);
     micro_write(warmup, iters, &mut entries);

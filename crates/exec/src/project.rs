@@ -11,6 +11,15 @@
 //! which simultaneously kills Bloom false positives and deferred visible
 //! selections, and runs the exact re-checks for non-injective index keys.
 //!
+//! Each MJoin pass writes one `<pos, tuple>` run, and FinalJoin reads a
+//! table's runs in place as a k-way merge by position (`RunMerge`): the
+//! last level of the external merge is folded into its consumer, so no
+//! projection row is written twice. Only when one reader per run would not
+//! fit the arena's free buffers does FinalJoin first merge the fewest runs
+//! that make it fit (`fit_runs`). The run count equals MJoin's pass
+//! count, a hidden-derived cardinality; it changes only token-internal
+//! flash reads, never a host request, shipment or wire byte.
+//!
 //! A table with no visible side (no visible predicate, no visible
 //! projection) has no visible stream to shrink. MJoin over the dense range
 //! `0..|Ti|` reads every value of each scanned hidden column and cuts |Ti|
@@ -44,7 +53,7 @@ use ghostdb_bloom::filter::theoretical_fp;
 use ghostdb_bloom::BloomFilter;
 use ghostdb_flash::{FlashDevice, FlashTiming};
 use ghostdb_storage::row::RowLayout;
-use ghostdb_storage::table::{FlashTableWriter, PageCursor};
+use ghostdb_storage::table::{FlashTableReader, FlashTableWriter, PageCursor};
 use ghostdb_storage::{
     ColumnType, FlashTable, HiddenColumn, HiddenImage, Id, IdListReader, IdListWriter, Predicate,
     TableId, Value, ID_BYTES,
@@ -76,10 +85,14 @@ impl ProjectAlgo {
     }
 }
 
-/// A materialised per-table projection run: rows `<pos, idTi, values…>`
-/// sorted by `pos`.
+/// A per-table projection: MJoin's runs, one per dict load, of rows
+/// `<pos, idTi, values…>` sorted by `pos`. Each σ id enters exactly one
+/// pass's dict, so the runs partition the positions the table confirms;
+/// FinalJoin reads them as one stream through a [`RunMerge`]. A table no
+/// pass filled has no run and confirms no position.
 struct ProjTable {
-    table: FlashTable,
+    runs: Vec<FlashTable>,
+    layout: RowLayout,
     vis: Vec<(String, ColumnType)>,
     hid: Vec<(String, ColumnType)>,
 }
@@ -100,6 +113,104 @@ impl ProjTable {
             .iter()
             .position(|(n, _)| n == name)
             .map(|i| (2 + self.vis.len() + i, self.hid[i].1))
+    }
+}
+
+/// The id in a row's first cell (an id column's only one).
+fn id_cell(row: &[u8]) -> Result<Id> {
+    row.get(..ID_BYTES)
+        .and_then(|cell| cell.try_into().ok())
+        .map(Id::from_le_bytes)
+        .ok_or_else(|| ExecError::Query(format!("a {}-byte row has no id cell", row.len())))
+}
+
+/// A table's MJoin runs read as one stream in position order: a k-way
+/// merge with one reader (one buffer) per run. Each head is a row number
+/// read in place from its reader's buffer, and a reader advances only
+/// past a consumed head.
+struct RunMerge {
+    layout: RowLayout,
+    readers: Vec<FlashTableReader>,
+    heads: Vec<Option<u64>>,
+}
+
+impl RunMerge {
+    /// Open a reader on every run and load its head.
+    fn open(
+        dev: &mut FlashDevice,
+        runs: &[FlashTable],
+        layout: &RowLayout,
+        ram: &RamArena,
+        page_size: usize,
+    ) -> Result<Self> {
+        let mut readers = runs
+            .iter()
+            .map(|r| r.reader(ram, page_size))
+            .collect::<std::result::Result<Vec<_>, _>>()?;
+        let heads = readers
+            .iter_mut()
+            .map(|r| r.advance(dev))
+            .collect::<std::result::Result<_, _>>()?;
+        Ok(RunMerge {
+            layout: layout.clone(),
+            readers,
+            heads,
+        })
+    }
+
+    /// The row at `run`'s head.
+    fn head(&self, run: usize) -> Result<&[u8]> {
+        let row = self.heads[run]
+            .ok_or_else(|| ExecError::Query(format!("MJoin run {run} has no row left")))?;
+        Ok(self.readers[run].loaded_row(row)?)
+    }
+
+    /// The position at `run`'s head, `None` once the run is consumed.
+    fn pos(&self, run: usize) -> Result<Option<u32>> {
+        match self.heads[run] {
+            Some(_) => Ok(Some(self.layout.get_id(self.head(run)?, 0))),
+            None => Ok(None),
+        }
+    }
+
+    /// Consume `run`'s head.
+    fn pop(&mut self, dev: &mut FlashDevice, run: usize) -> Result<()> {
+        self.heads[run] = self.readers[run].advance(dev)?;
+        Ok(())
+    }
+
+    /// The run whose head holds the least position, `None` once every run
+    /// is consumed.
+    fn least(&self) -> Result<Option<usize>> {
+        let mut best: Option<(usize, u32)> = None;
+        for run in 0..self.heads.len() {
+            if let Some(pos) = self.pos(run)? {
+                if best.is_none_or(|(_, b)| pos < b) {
+                    best = Some((run, pos));
+                }
+            }
+        }
+        Ok(best.map(|(run, _)| run))
+    }
+
+    /// Consume every head before `pos`; the run whose head then sits at
+    /// `pos`, if any. `pos` must not fall below an earlier seek's.
+    fn seek(&mut self, dev: &mut FlashDevice, pos: u32) -> Result<Option<usize>> {
+        let mut at = None;
+        for run in 0..self.heads.len() {
+            while let Some(p) = self.pos(run)? {
+                if p < pos {
+                    self.pop(dev, run)?;
+                    continue;
+                }
+                if p == pos {
+                    debug_assert!(at.is_none(), "MJoin runs share position {pos}");
+                    at = Some(run);
+                }
+                break;
+            }
+        }
+        Ok(at)
     }
 }
 
@@ -404,8 +515,7 @@ fn sigma_vh(ctx: &mut ExecCtx<'_>, id_col: &FlashTable, probe: Probe<'_>) -> Res
     ctx.track(OpKind::ProjBloom, |ctx| {
         ctx.lane.with_flash(|dev| {
             while let Some(row) = reader.next_row(dev)? {
-                let id = u32::from_le_bytes(row[..4].try_into().expect("id cell"));
-                bf.insert(id as u64);
+                bf.insert(id_cell(row)? as u64);
             }
             Ok(())
         })
@@ -537,7 +647,10 @@ impl SigmaShape {
 
     /// MJoin's passes over `entries` σ ids with `dict_bytes` of dict: one
     /// id-column sweep each, plus one read and rewrite of the runs when
-    /// there is more than one.
+    /// there is more than one. FinalJoin reads the runs in place unless
+    /// [`fit_runs`] must merge some, so the term is an over-estimate.
+    /// It stays on measurement: dropping it made ghostbench `sql-hidden`
+    /// `sim_p50_ms` 26–39% worse.
     fn passes_ns(
         &self,
         t: &FlashTiming,
@@ -675,12 +788,16 @@ fn missing(id: Id) -> ExecError {
 
 /// Figure 5, line 6: MJoin — merge visible values, hidden columns and σVH
 /// into complete tuples held in RAM (capacity minus the scan buffers), then
-/// sweep the table's id column once per RAM-load emitting `<pos, tuple>`.
+/// sweep the table's id column once per RAM-load, writing the `<pos, tuple>`
+/// run of that pass. The runs are returned unmerged: FinalJoin reads them
+/// in place (see [`fit_runs`] for when it merges some first).
 /// `sigma` is a shipment's filtered ids, a sparse σ temp on flash (one
 /// more buffer, so a smaller dict) or the dense range. A σ id that is a
 /// Bloom false positive enters the dict and matches no position. Each
 /// re-check and projected column is read page by page through a
-/// [`PageCursor`], in the spans the page's wanted ids need.
+/// [`PageCursor`], in the spans the page's wanted ids need. Its `expect`s
+/// state what analysis guarantees: every projected column is in the
+/// table's schema.
 fn mjoin(
     ctx: &mut ExecCtx<'_>,
     t: TableId,
@@ -731,7 +848,7 @@ fn mjoin(
     let dict_buffers = avail - reserved;
     let dict_bytes = dict_buffers * ctx.ram().buf_size();
     let dict_capacity = (dict_bytes / entry_bytes.max(1)).max(1);
-    let dict_region = ctx.ram().alloc_region(dict_buffers)?;
+    let _dict_region = ctx.ram().alloc_region(dict_buffers)?;
 
     // Host map for value lookup of the visible shipment.
     let vis_map: Option<HashMap<Id, usize>> =
@@ -834,8 +951,7 @@ fn mjoin(
                 let mut pos = 0u32;
                 let mut row = vec![0u8; layout.size()];
                 while let Some(cell) = col_reader.next_row(dev)? {
-                    let id = u32::from_le_bytes(cell[..4].try_into().expect("id cell"));
-                    if let Some(entry) = dict.get(&id) {
+                    if let Some(entry) = dict.get(&id_cell(cell)?) {
                         row[..4].copy_from_slice(&pos.to_le_bytes());
                         row[4..].copy_from_slice(entry);
                         writer.push(dev, &row)?;
@@ -852,29 +968,51 @@ fn mjoin(
             break;
         }
     }
+    Ok(ProjTable {
+        runs,
+        layout,
+        vis,
+        hid,
+    })
+}
 
-    // Release the MJoin working RAM before merging the per-pass runs: the
-    // run merge budgets its own buffers.
-    drop(dict_region);
-    drop(sigma_reader);
-    drop(hid_cursors);
-    drop(recheck_cols);
-    let table = match runs.len() {
-        0 => {
-            let empty = ctx.lane.with_flash_alloc(|dev, alloc| {
-                FlashTable::bulk_load_with(dev, alloc, layout, 0, |_, _| {})
-            })?;
-            ctx.add_temp(empty.segment());
-            empty
+/// FinalJoin's fallback. It holds `fixed` buffers (the root reader, the
+/// held region and the root cursors) plus one reader per run. While that
+/// exceeds the arena's free buffers, merge the excess + 1 shortest runs of
+/// the table with the most runs into one. While the readers fit, no run is
+/// merged: a merge reads and rewrites its runs only for FinalJoin to read
+/// them again. With every table down to one run, FinalJoin's own
+/// allocations report the shortfall.
+fn fit_runs(
+    ctx: &mut ExecCtx<'_>,
+    fixed: usize,
+    tables: &mut [(TableId, ProjTable)],
+) -> Result<()> {
+    loop {
+        let need = fixed + tables.iter().map(|(_, pt)| pt.runs.len()).sum::<usize>();
+        let available = ctx.ram().available();
+        if need <= available {
+            return Ok(());
         }
-        1 => runs.into_iter().next().expect("one run"),
-        _ => merge_runs_by_pos(ctx, runs)?,
-    };
-    Ok(ProjTable { table, vis, hid })
+        let widest = tables
+            .iter_mut()
+            .map(|(_, pt)| pt)
+            .filter(|pt| pt.runs.len() > 1)
+            .max_by_key(|pt| pt.runs.len());
+        let Some(pt) = widest else {
+            return Ok(());
+        };
+        let merged = (need - available + 1).min(pt.runs.len());
+        pt.runs.sort_by_key(FlashTable::rows);
+        let batch = pt.runs.drain(..merged).collect();
+        let run = merge_runs_by_pos(ctx, batch)?;
+        pt.runs.push(run);
+    }
 }
 
 /// K-way merge of MJoin runs by their `pos` field (field 0), batched so
-/// each merge level holds at most `available - 1` run readers.
+/// each merge level holds at most `available - 1` run readers. Only
+/// [`fit_runs`] merges runs.
 fn merge_runs_by_pos(ctx: &mut ExecCtx<'_>, mut runs: Vec<FlashTable>) -> Result<FlashTable> {
     loop {
         let fan_in = ctx.ram().available().saturating_sub(1).max(2);
@@ -893,36 +1031,14 @@ fn merge_runs_level(ctx: &mut ExecCtx<'_>, runs: Vec<FlashTable>) -> Result<Flas
     let total: u64 = runs.iter().map(|r| r.rows()).sum();
     let ram = ctx.ram();
     let page_size = ctx.page_size();
-    let mut readers = runs
-        .iter()
-        .map(|r| {
-            r.reader(&ram, page_size)
-                .map_err(crate::error::ExecError::from)
-        })
-        .collect::<Result<Vec<_>>>()?;
     let mut writer =
         FlashTableWriter::create(ctx.lane.alloc(), &ram, layout.clone(), total, page_size)?;
     ctx.track(OpKind::MJoin, |ctx| {
         ctx.lane.with_flash(|dev| {
-            // Heads are row numbers, read in place from each run's reader.
-            let mut heads = readers
-                .iter_mut()
-                .map(|r| r.advance(dev))
-                .collect::<std::result::Result<Vec<_>, _>>()?;
-            loop {
-                let mut best: Option<(usize, u32)> = None;
-                for (i, (r, head)) in readers.iter().zip(&heads).enumerate() {
-                    if let Some(row) = head {
-                        let pos = layout.get_id(r.loaded_row(*row)?, 0);
-                        if best.is_none_or(|(_, b)| pos < b) {
-                            best = Some((i, pos));
-                        }
-                    }
-                }
-                let Some((b, _)) = best else { break };
-                let row = heads[b].expect("best");
-                writer.push(dev, readers[b].loaded_row(row)?)?;
-                heads[b] = readers[b].advance(dev)?;
+            let mut merge = RunMerge::open(dev, &runs, &layout, &ram, page_size)?;
+            while let Some(run) = merge.least()? {
+                writer.push(dev, merge.head(run)?)?;
+                merge.pop(dev, run)?;
             }
             Ok(())
         })
@@ -934,15 +1050,20 @@ fn merge_runs_level(ctx: &mut ExecCtx<'_>, runs: Vec<FlashTable>) -> Result<Flas
 
 /// Figure 5, line 7: merge every per-table projection stream (and the root
 /// streams) in position order; a row survives only if every participating
-/// table confirmed its position. Survivors wait in one charged buffer, and
-/// each flush of it reads the root re-check and root hidden projection
+/// table confirmed its position. A table's stream is a [`RunMerge`] over
+/// its MJoin runs, read in place. Survivors wait in one charged buffer,
+/// and each flush of it reads the root re-check and root hidden projection
 /// columns page by page, in the spans the held root ids need.
+///
+/// The `expect`s below state what analysis and planning guarantee: every
+/// output column was analysed and projected by its table or the root, and
+/// every non-root output table participates.
 fn final_join(
     ctx: &mut ExecCtx<'_>,
     a: &Analyzed,
     sj: &SjOutcome,
     root_col: FlashTable,
-    proj_tables: Vec<(TableId, ProjTable)>,
+    mut proj_tables: Vec<(TableId, ProjTable)>,
 ) -> Result<ResultSet> {
     let root = ctx.cat.schema.root();
     let ram = ctx.ram();
@@ -967,12 +1088,26 @@ fn final_join(
         .as_ref()
         .map(|s| s.ids.iter().enumerate().map(|(i, id)| (*id, i)).collect());
 
-    let image = &ctx.cat.hidden[root];
-    let mut rechecks: Vec<Recheck<'_>> = sj
+    // Survivors wait in one charged buffer for their root re-checks and
+    // root hidden projections: root id, then each table's current row.
+    let entry_bytes = 4 + proj_tables
+        .iter()
+        .map(|(_, pt)| pt.layout.size())
+        .sum::<usize>();
+    let held_buffers = entry_bytes.div_ceil(ram.buf_size());
+    let root_rechecks: Vec<&Predicate> = sj
         .recheck
         .iter()
         .filter(|(t, _)| *t == root)
-        .map(|(_, p)| Recheck::open(image, p, &ram, page_size))
+        .map(|(_, p)| p)
+        .collect();
+    let fixed = 1 + held_buffers + root_rechecks.len() + root_proj.hid.len();
+    fit_runs(ctx, fixed, &mut proj_tables)?;
+
+    let image = &ctx.cat.hidden[root];
+    let mut rechecks: Vec<Recheck<'_>> = root_rechecks
+        .into_iter()
+        .map(|p| Recheck::open(image, p, &ram, page_size))
         .collect::<Result<_>>()?;
     let mut hid_cursors: Vec<(&HiddenColumn, PageCursor)> = root_proj
         .hid
@@ -984,18 +1119,7 @@ fn final_join(
         .collect::<Result<_>>()?;
 
     let mut root_reader = root_col.reader(&ram, page_size)?;
-    let mut readers = proj_tables
-        .iter()
-        .map(|(_, pt)| Ok(pt.table.reader(&ram, page_size)?))
-        .collect::<Result<Vec<_>>>()?;
-
-    // Survivors wait in one charged buffer for their root re-checks and
-    // root hidden projections: root id, then each table's current row.
-    let entry_bytes = 4 + proj_tables
-        .iter()
-        .map(|(_, pt)| pt.table.layout.size())
-        .sum::<usize>();
-    let mut held = ram.alloc_region(entry_bytes.div_ceil(ram.buf_size()))?;
+    let mut held = ram.alloc_region(held_buffers)?;
     let capacity = held.len() / entry_bytes;
 
     let columns: Vec<String> = a
@@ -1007,20 +1131,22 @@ fn final_join(
 
     ctx.track(OpKind::FinalJoin, |ctx| {
         ctx.lane.with_flash(|dev| {
-            // Each stream's head is a row number, read in place from its
-            // reader's buffer: a reader advances only past a consumed head.
-            let mut heads = readers
-                .iter_mut()
-                .map(|r| r.advance(dev))
-                .collect::<std::result::Result<Vec<_>, _>>()?;
-            let root_id_at = |cell: &[u8]| u32::from_le_bytes(cell[..4].try_into().expect("id"));
+            let mut streams = proj_tables
+                .iter()
+                .map(|(_, pt)| RunMerge::open(dev, &pt.runs, &pt.layout, &ram, page_size))
+                .collect::<Result<Vec<_>>>()?;
+            // The run that confirmed the current position, per table.
+            let mut confirming = vec![0usize; streams.len()];
             // Run held entries through the root re-checks and then the root
             // hidden projections, each page by page, and append the
             // survivors' rows in position order. `next` is the next root id
             // FinalJoin will meet (`None` at the end), so a page it shares
             // is loaded only once.
             let mut flush = |dev: &mut FlashDevice, entries: &[u8], next: Option<Id>| {
-                let ids: Vec<Id> = entries.chunks(entry_bytes).map(root_id_at).collect();
+                let ids = entries
+                    .chunks(entry_bytes)
+                    .map(id_cell)
+                    .collect::<Result<Vec<_>>>()?;
                 let ids = recheck_chain(dev, &mut rechecks, ids, true, next)?;
                 let mut hidden: Vec<Vec<Value>> = Vec::with_capacity(hid_cursors.len());
                 for (column, cursor) in hid_cursors.iter_mut() {
@@ -1036,13 +1162,15 @@ fn final_join(
                 let mut unread = entries.chunks(entry_bytes);
                 for (k, &root_id) in ids.iter().enumerate() {
                     let entry = unread
-                        .find(|e| root_id_at(e) == root_id)
-                        .expect("re-checks keep held ids");
+                        .find(|e| id_cell(e).is_ok_and(|id| id == root_id))
+                        .ok_or_else(|| {
+                            ExecError::Query(format!("root id {root_id} left the held buffer"))
+                        })?;
                     let root_idx = root_vis_map.as_ref().and_then(|m| m.get(&root_id).copied());
                     let mut table_rows = Vec::with_capacity(proj_tables.len());
                     let mut at = 4;
                     for (_, pt) in &proj_tables {
-                        let size = pt.table.layout.size();
+                        let size = pt.layout.size();
                         table_rows.push(&entry[at..at + size]);
                         at += size;
                     }
@@ -1074,10 +1202,10 @@ fn final_join(
                             let pt = &proj_tables[i].1;
                             let row = table_rows[i];
                             if cname == "id" {
-                                out_row.push(Value::Int(pt.table.layout.get_id(row, 1) as i64));
+                                out_row.push(Value::Int(pt.layout.get_id(row, 1) as i64));
                             } else {
                                 let (field, ty) = pt.field_of(cname).expect("analyzed projection");
-                                out_row.push(Value::decode(&ty, pt.table.layout.field(row, field)));
+                                out_row.push(Value::decode(&ty, pt.layout.field(row, field)));
                             }
                         }
                     }
@@ -1085,29 +1213,19 @@ fn final_join(
                 }
                 Ok::<_, ExecError>(())
             };
-            let mut next_root = root_reader.next_row(dev)?.map(root_id_at);
+            let mut next_root = root_reader.next_row(dev)?.map(id_cell).transpose()?;
             let mut n_held = 0usize;
             let mut pos = 0u32;
             while let Some(root_id) = next_root {
                 // Advance each table stream to `pos`.
                 let mut all_present = true;
-                for (i, r) in readers.iter_mut().enumerate() {
-                    let layout = &proj_tables[i].1.table.layout;
-                    loop {
-                        let Some(head) = heads[i] else {
+                for (stream, run) in streams.iter_mut().zip(&mut confirming) {
+                    match stream.seek(dev, pos)? {
+                        Some(r) => *run = r,
+                        None => {
                             all_present = false;
                             break;
-                        };
-                        let rpos = layout.get_id(r.loaded_row(head)?, 0);
-                        if rpos < pos {
-                            heads[i] = r.advance(dev)?;
-                        } else {
-                            all_present = rpos == pos;
-                            break;
                         }
-                    }
-                    if !all_present {
-                        break;
                     }
                 }
                 // A pending root visible filter drops the row before any
@@ -1121,14 +1239,14 @@ fn final_join(
                     let entry = &mut held[n_held * entry_bytes..(n_held + 1) * entry_bytes];
                     entry[..4].copy_from_slice(&root_id.to_le_bytes());
                     let mut at = 4;
-                    for (r, head) in readers.iter().zip(&heads) {
-                        let row = r.loaded_row(head.expect("present"))?;
+                    for (stream, run) in streams.iter().zip(&confirming) {
+                        let row = stream.head(*run)?;
                         entry[at..at + row.len()].copy_from_slice(row);
                         at += row.len();
                     }
                     n_held += 1;
                 }
-                next_root = root_reader.next_row(dev)?.map(root_id_at);
+                next_root = root_reader.next_row(dev)?.map(id_cell).transpose()?;
                 pos += 1;
                 if n_held == capacity || (next_root.is_none() && n_held > 0) {
                     let entries = &held[..n_held * entry_bytes];
@@ -1223,14 +1341,14 @@ fn brute_force(
     ctx.track(OpKind::BruteForce, |ctx| {
         ctx.lane.with_flash(|dev| {
             while let Some(cell) = root_reader.next_row(dev)? {
-                let root_id = u32::from_le_bytes(cell[..4].try_into().expect("id"));
+                let root_id = id_cell(cell)?;
                 let mut ids: HashMap<TableId, Id> = HashMap::new();
                 ids.insert(root, root_id);
                 for (t, r) in participants.iter().zip(col_readers.iter_mut()) {
                     let cell = r
                         .next_row(dev)?
                         .ok_or_else(|| ExecError::Query("column underrun".into()))?;
-                    ids.insert(*t, u32::from_le_bytes(cell[..4].try_into().expect("id")));
+                    ids.insert(*t, id_cell(cell)?);
                 }
                 // Filters: pending visible selections + exact re-checks, all
                 // by random access.
@@ -1301,14 +1419,11 @@ mod tests {
 
     const PAGE: usize = 2048;
 
-    /// With the dict cut to one buffer, MJoin over T0's 600 ids takes
-    /// exactly ⌈survivors / capacity⌉ passes, as an id-at-a-time fill does:
-    /// ids waiting on a re-check page hold their dict slot.
-    #[test]
-    fn mjoin_passes_fill_the_dict_exactly() {
-        let mut db = testkit::tiny_db();
-        let t0 = db.schema.root();
-        let mut ctx = ExecCtx::new(&mut db);
+    /// T0's id column and MJoin over all 600 of its ids, re-checking
+    /// `h2 < pad8(4)` (half the ids pass) and projecting `h1`, with the
+    /// arena cut so the dict gets `dict_buffers` buffers.
+    fn multipass_mjoin(ctx: &mut ExecCtx<'_>, dict_buffers: usize) -> (FlashTable, ProjTable) {
+        let t0 = ctx.cat.schema.root();
         let rows = ctx.cat.rows[t0];
         let id_col = ctx
             .lane
@@ -1325,40 +1440,116 @@ mod tests {
         // `h2 = pad8(id % 8)`: half the ids pass.
         let recheck = Predicate::new("h2", CmpOp::Lt, pad8(4), None);
         let ram = ctx.ram();
-        // Leave the two cursors, the sweep's reader and writer, and one
-        // buffer of dict.
-        let hold = ram.alloc_region(ram.available() - 5).unwrap();
+        // Leave the two cursors, the sweep's reader and writer, and the
+        // dict.
+        let hold = ram
+            .alloc_region(ram.available() - 4 - dict_buffers)
+            .unwrap();
         let sigma = IdSource::Range {
             start: 0,
             end: rows as Id,
         };
-        let free = ctx.lane.alloc().free_pages();
-        let pt = mjoin(&mut ctx, t0, &tproj, &[&recheck], &id_col, sigma, None).unwrap();
+        let pt = mjoin(ctx, t0, &tproj, &[&recheck], &id_col, sigma, None).unwrap();
         drop(hold);
-        // Each pass registers one run temp sized for the whole id column,
-        // and the runs' merge one more for the 300 survivors.
-        let capacity = PAGE / (4 + 10);
-        let passes = 300u64.div_ceil(capacity as u64);
-        let layout = &pt.table.layout;
-        assert_eq!(
-            free - ctx.lane.alloc().free_pages(),
-            passes * layout.pages_for(rows, PAGE) + layout.pages_for(300, PAGE)
-        );
-        let mut reader = pt.table.reader(&ram, PAGE).unwrap();
-        let mut got = Vec::new();
-        ctx.lane.with_flash(|dev| {
-            while let Some(row) = reader.next_row(dev).unwrap() {
-                let (field, ty) = pt.field_of("h1").unwrap();
-                let id = pt.table.layout.get_id(row, 1) as u64;
-                let value = Value::decode(&ty, pt.table.layout.field(row, field));
-                got.push((pt.table.layout.get_id(row, 0) as u64, id, value));
-            }
-        });
-        let expect: Vec<(u64, u64, Value)> = (0..rows)
+        (id_col, pt)
+    }
+
+    /// `(pos, idT0, h1)` of every row `pt`'s runs hold, read through the
+    /// k-way merge FinalJoin uses: one seek per position of the id column.
+    fn merged_rows(
+        ctx: &mut ExecCtx<'_>,
+        id_col: &FlashTable,
+        pt: &ProjTable,
+    ) -> Vec<(u64, u64, Value)> {
+        let ram = ctx.ram();
+        let (field, ty) = pt.field_of("h1").unwrap();
+        ctx.lane
+            .with_flash(|dev| {
+                let mut merge = RunMerge::open(dev, &pt.runs, &pt.layout, &ram, PAGE)?;
+                let mut got = Vec::new();
+                for pos in 0..id_col.rows() as u32 {
+                    if let Some(run) = merge.seek(dev, pos)? {
+                        let row = merge.head(run)?;
+                        let id = pt.layout.get_id(row, 1) as u64;
+                        let value = Value::decode(&ty, pt.layout.field(row, field));
+                        got.push((pos as u64, id, value));
+                    }
+                }
+                Ok::<_, ExecError>(got)
+            })
+            .unwrap()
+    }
+
+    /// T0's ids passing `h2 < pad8(4)`, as `merged_rows` reads them.
+    fn expected_rows(rows: u64) -> Vec<(u64, u64, Value)> {
+        (0..rows)
             .filter(|id| id % 8 < 4)
             .map(|id| (id, id, pad8(id % 4)))
-            .collect();
-        assert_eq!(got, expect);
+            .collect()
+    }
+
+    /// With the dict cut to one buffer, MJoin over T0's 600 ids takes
+    /// exactly ⌈survivors / capacity⌉ passes, as an id-at-a-time fill does:
+    /// ids waiting on a re-check page hold their dict slot. It writes only
+    /// its pass runs.
+    #[test]
+    fn mjoin_passes_fill_the_dict_exactly() {
+        let mut db = testkit::tiny_db();
+        let mut ctx = ExecCtx::new(&mut db);
+        let rows = ctx.cat.rows[ctx.cat.schema.root()];
+        let free = ctx.lane.alloc().free_pages() - RowLayout::ids(1).pages_for(rows, PAGE);
+        let (id_col, pt) = multipass_mjoin(&mut ctx, 1);
+        // Each pass registers one run temp sized for the whole id column,
+        // and nothing merges them.
+        let capacity = PAGE / (4 + 10);
+        let passes = 300u64.div_ceil(capacity as u64);
+        assert_eq!(pt.runs.len() as u64, passes);
+        assert_eq!(
+            free - ctx.lane.alloc().free_pages(),
+            passes * pt.layout.pages_for(rows, PAGE)
+        );
+        assert_eq!(merged_rows(&mut ctx, &id_col, &pt), expected_rows(rows));
+    }
+
+    /// FinalJoin reads the runs in place while one reader per run fits the
+    /// arena's free buffers. When they do not, the fallback merges exactly
+    /// the excess + 1 shortest runs, and the merged stream reads the same.
+    #[test]
+    fn the_run_merge_fires_only_when_the_readers_exceed_the_arena() {
+        let mut db = testkit::tiny_db();
+        let mut ctx = ExecCtx::new(&mut db);
+        let t0 = ctx.cat.schema.root();
+        let rows = ctx.cat.rows[t0];
+        let (id_col, pt) = multipass_mjoin(&mut ctx, 1);
+        let runs = pt.runs.len();
+        assert!(runs >= 3, "{runs} runs");
+        let mut tables = vec![(t0, pt)];
+        let ram = ctx.ram();
+
+        // Exactly enough room: nothing is merged or written.
+        let fixed = ram.available() - runs;
+        let free = ctx.lane.alloc().free_pages();
+        fit_runs(&mut ctx, fixed, &mut tables).unwrap();
+        assert_eq!(tables[0].1.runs.len(), runs);
+        assert_eq!(ctx.lane.alloc().free_pages(), free);
+
+        // Two buffers short: the three shortest runs merge into one.
+        let shortest: u64 = {
+            let mut lens: Vec<u64> = tables[0].1.runs.iter().map(FlashTable::rows).collect();
+            lens.sort_unstable();
+            lens[..3].iter().sum()
+        };
+        fit_runs(&mut ctx, fixed + 2, &mut tables).unwrap();
+        let pt = &tables[0].1;
+        assert_eq!(pt.runs.len(), runs - 2);
+        assert_eq!(pt.runs.last().unwrap().rows(), shortest);
+        assert_eq!(
+            free - ctx.lane.alloc().free_pages(),
+            pt.layout.pages_for(shortest, PAGE)
+        );
+        assert_eq!(ram.in_use(), 0);
+        let pt = tables.pop().unwrap().1;
+        assert_eq!(merged_rows(&mut ctx, &id_col, &pt), expected_rows(rows));
     }
 
     /// A table's σ inputs on the paper's 32 × 2 KB arena, with `scans`
