@@ -7,8 +7,7 @@
 //! ```text
 //! perfbench [--smoke] [--out BENCH.json] [--scale F] [--scale2 F]
 //!           [--medical-scale F] [--iters N] [--threads N]
-//!           [--intra-threads N] [--padded]
-//!           [--read-ahead N] [--serve]
+//!           [--padded] [--read-ahead N] [--serve]
 //! perfbench --check BENCH.json
 //! perfbench --compare A.json B.json [--tolerance PCT] [--exact]
 //! ```
@@ -67,8 +66,7 @@ perfbench — wall-clock performance baseline emitting BENCH.json
 USAGE:
     perfbench [--smoke] [--out PATH] [--scale F] [--scale2 F]
               [--medical-scale F] [--iters N] [--threads N]
-              [--intra-threads N] [--padded]
-              [--read-ahead N] [--serve]
+              [--padded] [--read-ahead N] [--serve]
     perfbench --check PATH
     perfbench --compare PATH PATH [--tolerance PCT] [--exact]
 
@@ -88,10 +86,6 @@ OPTIONS:
                        wall_ns is timed under concurrent sweep load, so
                        only compare it between runs with equal --threads —
                        keep the committed baseline a serial run
-    --intra-threads N  worker lanes *inside* each query (operator-level
-                       fan-out: per-table MJoin passes, host merges).
-                       simulated_s/ops/bytes_io are bit-identical to the
-                       serial executor at any value — only wall_ns moves
     --padded           run the query sweeps with volume-padded Vis
                        shipments (power-of-two row buckets, the SECURITY.md
                        countermeasure); recorded in the document. The
@@ -123,8 +117,8 @@ OPTIONS:
                        may differ, e.g. committed full baseline vs smoke;
                        0 demands exactly-equal wall times)
     --exact            with --compare: additionally require bit-identical
-                       simulated_s/ops/bytes_io per scenario (the intra-
-                       parallel gate; wall_ns stays free)
+                       simulated_s/ops/bytes_io per scenario (the exact
+                       gate; wall_ns stays free)
     -h, --help         print this help and exit
 
 The scenario set is a pure function of the flags: two runs with the same
@@ -140,7 +134,6 @@ struct Opts {
     medical_scale: f64,
     iters: usize,
     threads: usize,
-    intra_threads: usize,
     padded: bool,
     read_ahead: usize,
     serve: bool,
@@ -175,7 +168,6 @@ fn parse_args() -> Opts {
         medical_scale: 0.0, // resolved after --smoke is known
         iters: 0,           // resolved after --smoke is known
         threads: 1,
-        intra_threads: 1,
         padded: false,
         read_ahead: 0,
         serve: false,
@@ -232,10 +224,6 @@ fn parse_args() -> Opts {
             }
             "--threads" => {
                 opts.threads = parse_count("--threads", &value_of(&args, i));
-                i += 2;
-            }
-            "--intra-threads" => {
-                opts.intra_threads = parse_count("--intra-threads", &value_of(&args, i));
                 i += 2;
             }
             "--padded" => {
@@ -326,7 +314,7 @@ fn run_compare(a: &str, b: &str, tolerance: Option<f64>, exact: bool) -> ! {
             Err(e) => fail(e),
         }
     }
-    // The intra-parallel gate: names + deterministic observations.
+    // The exact gate: names + deterministic observations.
     if exact {
         match compare_exact_sim(&da, &db) {
             Ok(n) => println!(
@@ -446,7 +434,6 @@ fn synthetic_scenarios(
                     &q,
                     strategy,
                     algo,
-                    tune.intra,
                     tune.padded,
                     tune.read_ahead,
                 ))
@@ -481,7 +468,6 @@ fn zipf_scenarios(
                     &q,
                     strategy,
                     ProjectAlgo::Project,
-                    tune.intra,
                     tune.padded,
                     tune.read_ahead,
                 ))
@@ -519,7 +505,6 @@ fn hicard_scenarios(
                     &q,
                     strategy,
                     ProjectAlgo::Project,
-                    tune.intra,
                     tune.padded,
                     tune.read_ahead,
                 ))
@@ -566,7 +551,6 @@ fn padded_scenarios(
                     &q,
                     strategy,
                     ProjectAlgo::Project,
-                    tune.intra,
                     padded,
                     tune.read_ahead,
                 ))
@@ -599,7 +583,6 @@ fn medical_scenarios(
                     &q,
                     strategy,
                     ProjectAlgo::Project,
-                    tune.intra,
                     tune.padded,
                     tune.read_ahead,
                 ))
@@ -1426,8 +1409,8 @@ fn micro_project_mjoin_multipass(warmup: usize, iters: usize, out: &mut Vec<Benc
 /// multi-chip array's bank gate. Four independent id-list jobs (write +
 /// full readback) run against a 4-chip device three ways: all through one
 /// chip slice (`serial`), pinned round-robin onto 2 chips (`x2`), and onto
-/// all 4 (`x4`) — the same per-chip slice carving `ExecCtx::run_lanes`
-/// performs, issued through forked per-chunk device handles. Every per-op
+/// all 4 (`x4`) — the per-chip slice carving serve's `LaneCarve` performs
+/// for parallel drains, issued through forked per-chunk device handles. Every per-op
 /// cost is placement-independent, so issue order cannot change any chip's
 /// busy time: the channel-makespan delta (busiest chip) is exactly the
 /// completion time of that many concurrently streaming channels, measured
@@ -1463,7 +1446,7 @@ fn micro_lanes(warmup: usize, iters: usize, out: &mut Vec<BenchEntry>) {
         out.push(measure(name, warmup, iters, || {
             let io_before = dev.stats();
             let busy_before: Vec<SimDuration> = (0..CHIPS).map(|c| dev.chip_elapsed(c)).collect();
-            // One slice per lane, lane j pinned to chip j (run_lanes's
+            // One slice per lane, lane j pinned to chip j (LaneCarve's
             // round-robin over eligible chips), each lane driving its own
             // forked handle — per-op, per-chip lock scopes, no whole-device
             // critical section.
@@ -1938,7 +1921,6 @@ fn print_improvements(entries: &[BenchEntry]) {
 #[derive(Clone, Copy)]
 struct Tuning {
     threads: usize,
-    intra: usize,
     padded: bool,
     read_ahead: usize,
 }
@@ -1957,14 +1939,12 @@ fn main() {
     let threads = opts.threads;
     let tune = Tuning {
         threads,
-        intra: opts.intra_threads,
         padded: opts.padded,
         read_ahead: opts.read_ahead,
     };
     eprintln!(
         "perfbench: mode {mode}, {iters} timed iterations per scenario \
-         (+{warmup} warmup), {threads} sweep thread(s), {} intra lane(s)",
-        tune.intra
+         (+{warmup} warmup), {threads} sweep thread(s)"
     );
 
     let mut entries: Vec<BenchEntry> = Vec::new();
@@ -2003,14 +1983,7 @@ fn main() {
         micro_serve(warmup, iters, &mut entries);
     }
 
-    let doc = bench_doc(
-        mode,
-        threads,
-        tune.intra,
-        tune.padded,
-        tune.read_ahead,
-        &entries,
-    );
+    let doc = bench_doc(mode, threads, tune.padded, tune.read_ahead, &entries);
     let summary = check_bench(&doc).unwrap_or_else(|e| {
         eprintln!("perfbench: generated document violates its own schema: {e}");
         std::process::exit(1);

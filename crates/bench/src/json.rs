@@ -318,9 +318,10 @@ pub fn check_bench(doc: &Json) -> Result<BenchSummary, String> {
         .and_then(Json::as_str)
         .filter(|m| *m == "full" || *m == "smoke")
         .ok_or("mode must be \"full\" or \"smoke\"")?;
-    // `threads` arrived with the parallel harness, `intra_threads` with the
-    // intra-query one; older documents (and the committed PR-2 baseline)
-    // predate them, so absence is accepted.
+    // `threads` arrived with the parallel harness; older documents (and
+    // the committed PR-2 baseline) predate it, so absence is accepted.
+    // `intra_threads` recorded the retired intra-query lane count: it stays
+    // optional so documents that carry it still validate.
     for field in ["threads", "intra_threads"] {
         if let Some(t) = doc.get(field) {
             let t = t.as_num().ok_or(format!("{field} must be a number"))?;
@@ -526,11 +527,11 @@ pub fn compare_micro_wall(a: &Json, b: &Json, tolerance_pct: f64) -> Result<usiz
     Ok(compared)
 }
 
-/// The intra-parallel gate: scenario names must match exactly (as in
+/// The exact gate: scenario names must match exactly (as in
 /// [`compare_scenarios`]) AND every entry's deterministic observations —
 /// `simulated_s`, `ops`, `bytes_io` — must be **bit-identical** between
-/// the two documents. Wall time is exempt (it is the one thing intra-query
-/// parallelism is allowed to change). Returns the entry count.
+/// the two documents. Wall time is exempt (it is the one thing a change
+/// that preserves behaviour is allowed to move). Returns the entry count.
 pub fn compare_exact_sim(a: &Json, b: &Json) -> Result<usize, String> {
     let n = compare_scenarios(a, b)?;
     let ea = entries_by_name(a);
@@ -541,8 +542,8 @@ pub fn compare_exact_sim(a: &Json, b: &Json) -> Result<usize, String> {
             let vy = y.get(field).and_then(Json::as_num).expect("checked");
             if vx != vy {
                 return Err(format!(
-                    "{name}: {field} diverges ({vx} vs {vy}) — intra-parallel \
-                     execution must not change simulated observations"
+                    "{name}: {field} diverges ({vx} vs {vy}) — the exact gate \
+                     allows no change to simulated observations"
                 ));
             }
         }

@@ -104,22 +104,19 @@ pub fn run_with(
     strategy: VisStrategy,
     algo: ProjectAlgo,
 ) -> ExecReport {
-    run_with_tuned(db, q, strategy, algo, 1, false, 0)
+    run_with_tuned(db, q, strategy, algo, false, 0)
 }
 
-/// [`run_with`] with explicit intra-query worker budget, volume-padding
-/// mode and vectored read-ahead window (the `perfbench --intra-threads` /
-/// `--padded` / `--read-ahead` path). Simulated numbers are bit-identical
-/// across `intra` and `read_ahead` values; `padded` inflates the channel
-/// cost (its overhead is exactly what the `*-padded/` scenarios quantify)
-/// without changing results.
-#[allow(clippy::too_many_arguments)]
+/// [`run_with`] with explicit volume-padding mode and vectored read-ahead
+/// window (the `perfbench --padded` / `--read-ahead` path). Simulated
+/// numbers are bit-identical across `read_ahead` values; `padded` inflates
+/// the channel cost (its overhead is exactly what the `*-padded/`
+/// scenarios quantify) without changing results.
 pub fn run_with_tuned(
     db: &mut Database,
     q: &SpjQuery,
     strategy: VisStrategy,
     algo: ProjectAlgo,
-    intra: usize,
     padded: bool,
     read_ahead: usize,
 ) -> ExecReport {
@@ -127,7 +124,6 @@ pub fn run_with_tuned(
         strategies: vec![],
         forced_strategy: Some(strategy),
         project: Some(algo),
-        intra_threads: intra,
         padded,
         read_ahead,
     };

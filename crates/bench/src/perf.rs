@@ -113,9 +113,8 @@ pub fn measure(
 }
 
 /// Assemble the BENCH.json document. `threads` records how many worker
-/// threads the query sweeps fanned across (1 = the serial harness),
-/// `intra_threads` how many lanes each query fanned its own operators
-/// across, and `padded` whether the query sweeps ran with volume-padded
+/// threads the query sweeps fanned across (1 = the serial harness), and
+/// `padded` whether the query sweeps ran with volume-padded
 /// shipments — the knobs whose A/B numbers the document exists to carry. (The
 /// dedicated `synthetic-padded/…` scenarios carry both pad modes in every
 /// document; `padded` records the mode of the *main* sweeps; `read_ahead`
@@ -123,7 +122,6 @@ pub fn measure(
 pub fn bench_doc(
     mode: &str,
     threads: usize,
-    intra_threads: usize,
     padded: bool,
     read_ahead: usize,
     entries: &[BenchEntry],
@@ -133,7 +131,6 @@ pub fn bench_doc(
         ("generator".into(), Json::Str("perfbench".into())),
         ("mode".into(), Json::Str(mode.into())),
         ("threads".into(), Json::Num(threads as f64)),
-        ("intra_threads".into(), Json::Num(intra_threads as f64)),
         ("padded".into(), Json::Bool(padded)),
         ("read_ahead".into(), Json::Num(read_ahead as f64)),
         (
@@ -218,7 +215,7 @@ mod tests {
                 },
             ])
             .collect();
-        let doc = bench_doc("smoke", 2, 2, false, 8, &entries);
+        let doc = bench_doc("smoke", 2, false, 8, &entries);
         let text = doc.render();
         let parsed = Json::parse(&text).unwrap();
         crate::json::check_bench(&parsed).unwrap();

@@ -42,10 +42,9 @@ impl Default for GhostDbConfig {
 }
 
 /// Per-query options: one builder,
-/// `QueryOptions::new().strategy(s).intra_threads(n).padded(true)`, that
-/// wraps [`ExecOptions`] directly — the same knob is spelled the same way
-/// at every layer (facade → session → executor), and invalid combinations
-/// (0 worker threads) are rejected before any execution state is touched.
+/// `QueryOptions::new().strategy(s).padded(true)`, that wraps
+/// [`ExecOptions`] directly — the same knob is spelled the same way at
+/// every layer (facade → session → executor).
 #[derive(Debug, Clone, Default)]
 pub struct QueryOptions {
     exec: ExecOptions,
@@ -76,13 +75,6 @@ impl QueryOptions {
         self
     }
 
-    /// Intra-query worker lanes (1 = serial; results and reports are
-    /// bit-identical at any value).
-    pub fn intra_threads(mut self, threads: usize) -> Self {
-        self.exec = self.exec.intra_threads(threads);
-        self
-    }
-
     /// Pad every visible shipment to a power-of-two row bucket (the volume
     /// side-channel countermeasure; see `SECURITY.md`). Results are
     /// unchanged; the padding bytes show up in the report's channel cost.
@@ -99,11 +91,6 @@ impl QueryOptions {
     pub fn read_ahead(mut self, window: usize) -> Self {
         self.exec = self.exec.read_ahead(window);
         self
-    }
-
-    /// Reject invalid combinations (0 threads) without executing anything.
-    pub fn validate(&self) -> Result<()> {
-        Ok(self.exec.validate()?)
     }
 }
 
@@ -333,8 +320,7 @@ impl GhostDb {
 
     /// Resolve facade options into executor options: table names become
     /// pinned [`VisDecision`]s, everything else passes through the wrapped
-    /// [`ExecOptions`] untouched, and the build is validated before any
-    /// execution state exists.
+    /// [`ExecOptions`] untouched.
     fn exec_options(&self, opts: &QueryOptions) -> Result<ExecOptions> {
         let db = self.db.as_ref().expect("finalized");
         let mut exec = opts.exec.clone();
@@ -344,7 +330,6 @@ impl GhostDb {
                 strategy: *s,
             });
         }
-        exec.validate()?;
         Ok(exec)
     }
 
@@ -649,20 +634,6 @@ mod tests {
     }
 
     #[test]
-    fn zero_threads_rejected_at_build_time() {
-        let opts = QueryOptions::new().intra_threads(0);
-        assert!(opts.validate().is_err(), "0-thread builds are invalid");
-        let mut db = patients_db();
-        let sealed = db.finalize().unwrap();
-        let err = sealed
-            .query_with("SELECT Patients.id FROM Patients", &opts)
-            .unwrap_err();
-        assert!(matches!(err, CoreError::Exec(_)));
-        // The rejection happened before execution: nothing was observed.
-        assert!(sealed.host_trace().unwrap().is_empty());
-    }
-
-    #[test]
     fn builder_chain_threads_through_to_execution() {
         let mut db = patients_db();
         let sealed = db.finalize().unwrap();
@@ -671,10 +642,7 @@ mod tests {
                    AND Doctors.specialty = 'Psychiatrist'";
         let (base, _) = sealed.query_with(sql, &QueryOptions::new()).unwrap();
         for s in [VisStrategy::Pre, VisStrategy::Post] {
-            let opts = QueryOptions::new()
-                .strategy(s)
-                .intra_threads(2)
-                .padded(true);
+            let opts = QueryOptions::new().strategy(s).padded(true);
             let (rs, report) = sealed.query_with(sql, &opts).unwrap();
             assert_eq!(rs, base, "knobs never change results");
             assert!(report.result_rows > 0);

@@ -2,7 +2,6 @@
 
 use crate::ctx::{ExecCtx, RunKnobs};
 use crate::database::Database;
-use crate::error::ExecError;
 use crate::optimizer;
 use crate::project::{self, ProjectAlgo};
 use crate::query::{analyze, SpjQuery};
@@ -13,7 +12,7 @@ use crate::Result;
 use ghostdb_storage::TableId;
 
 /// Execution options.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ExecOptions {
     /// Per-table pinned decisions (Mixed plans, §3.3); unlisted tables fall
     /// to `forced_strategy` or the optimizer.
@@ -23,9 +22,6 @@ pub struct ExecOptions {
     pub forced_strategy: Option<crate::strategy::VisStrategy>,
     /// Projection algorithm (default: the full Project algorithm).
     pub project: Option<ProjectAlgo>,
-    /// Intra-query worker lanes for operator fan-out (1 = serial; results
-    /// and per-operator attribution are bit-identical at any value).
-    pub intra_threads: usize,
     /// Pad every `Vis` shipment to a power-of-two row bucket, quantising
     /// the wire volume a snooper observes (results are unchanged; the
     /// filler bytes are charged to the channel, so reports carry the
@@ -38,19 +34,6 @@ pub struct ExecOptions {
     /// at any value — only the side-band channel clock
     /// (`FlashDevice::overlap_elapsed`) improves on multi-chip devices.
     pub read_ahead: usize,
-}
-
-impl Default for ExecOptions {
-    fn default() -> Self {
-        ExecOptions {
-            strategies: Vec::new(),
-            forced_strategy: None,
-            project: None,
-            intra_threads: 1,
-            padded: false,
-            read_ahead: 0,
-        }
-    }
 }
 
 impl ExecOptions {
@@ -85,12 +68,6 @@ impl ExecOptions {
         self
     }
 
-    /// Intra-query worker budget.
-    pub fn intra_threads(mut self, threads: usize) -> Self {
-        self.intra_threads = threads;
-        self
-    }
-
     /// Volume-padded `Vis` shipments (power-of-two row buckets).
     pub fn padded(mut self, padded: bool) -> Self {
         self.padded = padded;
@@ -101,16 +78,6 @@ impl ExecOptions {
     pub fn read_ahead(mut self, window: usize) -> Self {
         self.read_ahead = window;
         self
-    }
-
-    /// Reject invalid combinations before any execution state is touched.
-    /// Called by the executor, the facade and the server alike, so a bad
-    /// build fails identically everywhere.
-    pub fn validate(&self) -> Result<()> {
-        if self.intra_threads == 0 {
-            return Err(ExecError::Query("intra_threads must be ≥ 1".into()));
-        }
-        Ok(())
     }
 }
 
@@ -139,7 +106,6 @@ impl Executor {
         opts: &ExecOptions,
         prefetch: Option<&'e crate::ci_ops::CiPrefetch>,
     ) -> Result<(ResultSet, ExecReport)> {
-        opts.validate()?;
         db.begin_query();
         // The host-observable trace resets here — with the executor acting
         // as a session of one — not in `begin_query`: serve-mode sessions
@@ -166,7 +132,7 @@ impl Executor {
         // The query travels to the token in the clear (it is the one thing
         // an observer legitimately learns), and the token acknowledges.
         let untrusted = ctx.cat.untrusted;
-        let channel = ctx.channel()?;
+        let channel = ctx.channel();
         untrusted.submit_query(channel, &q.text);
         channel.send_to_untrusted("query-ack", &[1]);
 

@@ -45,7 +45,7 @@ pub mod strategy;
 pub mod testkit;
 
 pub use ci_ops::CiPrefetch;
-pub use ctx::{CatalogCtx, CostScope, DeviceLane, ExecCtx};
+pub use ctx::{CatalogCtx, DeviceLane, ExecCtx};
 pub use database::Database;
 pub use error::ExecError;
 pub use executor::{ExecOptions, Executor};

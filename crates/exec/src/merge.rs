@@ -313,7 +313,7 @@ pub fn merge_to_vec(ctx: &mut ExecCtx<'_>, groups: Vec<Vec<IdSource>>) -> Result
         .iter()
         .all(|g| g.iter().all(|s| matches!(s, IdSource::Host(_))))
     {
-        return merge_host_groups(&groups, ctx.knobs.intra);
+        return Ok(merge_host_groups(&groups));
     }
     merge_to_vec_streaming(ctx, groups)
 }
@@ -333,48 +333,23 @@ pub fn merge_to_vec_streaming(
     Ok(out)
 }
 
-/// Host ids below this total are unioned on the calling thread: the spawn
-/// cost of a worker pool dwarfs the merge itself.
-const HOST_FAN_OUT_MIN_IDS: u64 = 16_384;
-
 /// `∩i{∪j{...}}` over host-resident sources: per-group sorted unions, then
 /// galloping intersection across groups, smallest group first so the driver
 /// side of every intersection stays minimal.
-///
-/// The per-group unions — the inputs to the k-way intersection — are
-/// independent pure-CPU jobs, so with `intra > 1` and enough ids they fan
-/// across worker threads via [`crate::parallel::fan_out`]. The unions touch
-/// neither flash nor RAM arena, so results and (zero) simulated cost are
-/// trivially identical to the serial loop.
-fn merge_host_groups(groups: &[Vec<IdSource>], intra: usize) -> Result<Vec<Id>> {
-    let total_ids: u64 = groups
-        .iter()
-        .flat_map(|g| g.iter())
-        .map(|s| s.count())
-        .sum();
-    let mut unions: Vec<Vec<Id>> =
-        if intra > 1 && groups.len() > 1 && total_ids >= HOST_FAN_OUT_MIN_IDS {
-            crate::parallel::fan_out(
-                groups.len(),
-                intra,
-                || Ok(()),
-                |_, i| Ok(union_host_group(&groups[i])),
-            )?
-        } else {
-            groups.iter().map(|g| union_host_group(g)).collect()
-        };
+fn merge_host_groups(groups: &[Vec<IdSource>]) -> Vec<Id> {
+    let mut unions: Vec<Vec<Id>> = groups.iter().map(|g| union_host_group(g)).collect();
     unions.sort_by_key(|u| u.len());
     let mut iter = unions.into_iter();
     let Some(mut acc) = iter.next() else {
-        return Ok(Vec::new());
+        return Vec::new();
     };
     for u in iter {
         if acc.is_empty() {
-            return Ok(acc);
+            return acc;
         }
         acc = intersect_sorted(&acc, &u);
     }
-    Ok(acc)
+    acc
 }
 
 /// Sorted, duplicate-free union of one host-only group.
@@ -442,8 +417,7 @@ mod tests {
     }
 
     #[test]
-    fn host_fast_path_is_thread_count_invariant() {
-        // The fanned per-group unions must return exactly the serial ids.
+    fn host_fast_path_unions_then_intersects_wide_groups() {
         let groups = || -> Vec<Vec<IdSource>> {
             vec![
                 vec![
@@ -456,11 +430,12 @@ mod tests {
                 ))],
             ]
         };
-        let serial = merge_host_groups(&groups(), 1).unwrap();
+        let serial = merge_host_groups(&groups());
         assert!(!serial.is_empty());
-        for intra in [2usize, 4, 8] {
-            assert_eq!(merge_host_groups(&groups(), intra).unwrap(), serial);
-        }
+        let expect: Vec<Id> = (0..30_000)
+            .filter(|i| (i % 2 == 0 || i % 7 == 0) && i % 3 == 0)
+            .collect();
+        assert_eq!(serial, expect);
     }
 
     #[test]

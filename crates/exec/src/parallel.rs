@@ -49,10 +49,9 @@ const _: () = {
     send_sync::<ExecReport>();
     send_sync::<ExecError>();
     // The execution-context lanes: an `Rc` (or any non-Send state) slipping
-    // into the catalog, cost, or device lane breaks intra-query fan-out at
+    // into the catalog or device lane breaks parallel serve drains at
     // compile time, right here.
     send_sync::<crate::ctx::CatalogCtx<'static>>();
-    send_sync::<crate::ctx::CostScope>();
     send_sync::<ghostdb_flash::FlashDevice>();
     send::<crate::ctx::DeviceLane<'static>>();
 };

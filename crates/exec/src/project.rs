@@ -32,12 +32,10 @@
 //! request or wire byte depends on them. `Project-NoBF` keeps the dense
 //! range.
 //!
-//! The per-table σVH + MJoin passes are independent of each other (each
-//! touches only its own id column, its own hidden columns and its own
-//! shipments), which is why they are the projection's intra-query fan-out
-//! point: every shipment is prefetched on the root lane (the channel's cost
-//! model is a byte sum, so hoisting changes nothing), then each table runs
-//! on its own [`crate::ctx::DeviceLane`] via [`ExecCtx::run_lanes`].
+//! Every shipment the per-table σVH + MJoin passes need is fetched before
+//! the first pass, in table order (the channel's cost model is a byte sum,
+//! so hoisting changes nothing); the passes then run table by table below
+//! the channel.
 
 use crate::ctx::ExecCtx;
 use crate::error::ExecError;
@@ -214,8 +212,8 @@ impl RunMerge {
     }
 }
 
-/// Everything one table's σVH + MJoin pass needs, prefetched on the root
-/// lane so worker lanes never touch the channel.
+/// Everything one table's σVH + MJoin pass needs from the channel,
+/// prefetched before the first pass.
 struct TablePrep<'q> {
     tproj: &'q TableProjection,
     rechecks: Vec<&'q Predicate>,
@@ -261,7 +259,7 @@ pub fn execute(
         return brute_force(ctx, a, &sj, root_col, &participants, &id_cols);
     }
 
-    // Prefetch phase (root lane): every channel shipment the per-table
+    // Prefetch phase: every channel shipment the per-table
     // passes will need, in table order. The channel charges a byte sum, so
     // hoisting the shipments out of the per-table loop leaves `comm` and
     // `bytes_to_secure` exactly as the interleaved serial order did.
@@ -300,10 +298,8 @@ pub fn execute(
         });
     }
 
-    // Steps 2–3, one job per participating table, fanned across lanes when
-    // `--intra-threads` allows. Results land in table order either way, and
-    // per-operator attribution merges back bit-identically to serial.
-    let outs: Vec<ProjTable> = ctx.run_lanes(participants.len(), |ctx, i| {
+    // Steps 2–3, one job per participating table, in table order.
+    let job = |ctx: &mut ExecCtx<'_>, i: usize| -> Result<ProjTable> {
         let t = participants[i];
         let prep = &preps[i];
         let rows = ctx.cat.rows[t];
@@ -330,7 +326,10 @@ pub fn execute(
             sigma,
             prep.vis_values.as_ref(),
         )
-    })?;
+    };
+    let outs = (0..participants.len())
+        .map(|i| job(ctx, i))
+        .collect::<Result<Vec<_>>>()?;
     let proj_tables: Vec<(TableId, ProjTable)> = participants.iter().copied().zip(outs).collect();
 
     // Step 4: the final position-merge join.
@@ -1298,10 +1297,9 @@ fn brute_force(
     }
     // Pending filters whose tables shipped nothing above: predicate without
     // projections — prefetch those shipments too, so the scan below runs
-    // entirely below the channel. Eager shipment is what keeps serial and
-    // intra-parallel comm identical, and it charges Vis per *plan* rather
-    // than per consumed row: on an empty QEPSJ result the old lazy path
-    // skipped these requests, so comm there now includes shipments the
+    // entirely below the channel. Eager shipment charges Vis per *plan*
+    // rather than per consumed row: on an empty QEPSJ result a lazy path
+    // would skip these requests, so comm there includes shipments the
     // plan declares even though the scan never reads them.
     for t in sj.approx_vis.iter().chain(&sj.deferred_vis) {
         if !shipments.contains_key(t) {

@@ -76,10 +76,11 @@ impl OpKind {
     }
 }
 
-/// Execution report of one query. `PartialEq` compares every field
-/// bit-for-bit — the equivalence suites (`intra_equivalence`,
-/// `serve_equivalence`) rely on this to hold optimized schedules to the
-/// solo/serial observation.
+/// Execution report of one query, and the per-operator accumulator every
+/// `track` scope adds to. `PartialEq` compares every field bit-for-bit —
+/// the equivalence suites (`serve_equivalence`, `multichip_equivalence`)
+/// rely on this to hold optimized schedules to the solo/serial
+/// observation.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct ExecReport {
     op_ns: [u128; OpKind::ALL.len()],

@@ -34,14 +34,15 @@
 //! (`tests/serve_equivalence.rs`, at one and four chips).
 
 use crate::ci_ops::{CiPrefetch, PrefetchKey};
-use crate::ctx::{CatalogCtx, ExecCtx, LaneCarve, RunKnobs, WorkerLane};
+use crate::ctx::{CatalogCtx, DeviceLane, ExecCtx, RunKnobs};
 use crate::database::Database;
 use crate::error::ExecError;
 use crate::executor::{ExecOptions, Executor};
 use crate::query::{analyze, SpjQuery};
 use crate::report::ExecReport;
 use crate::result::ResultSet;
-use ghostdb_token::{Channel, TranscriptEntry};
+use ghostdb_flash::{FlashDevice, FlashStats, Segment, SegmentAllocator};
+use ghostdb_token::{Channel, RamArena, TranscriptEntry};
 use ghostdb_untrusted::{HostTrace, UntrustedHost};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Mutex;
@@ -118,7 +119,7 @@ pub enum ServeError {
     },
     /// Invalid server configuration.
     Config(String),
-    /// The query itself failed (admission validation or execution).
+    /// The query itself failed.
     Exec(ExecError),
 }
 
@@ -392,6 +393,135 @@ impl GhostDbServer {
     }
 }
 
+/// Smallest allocator slice `LaneCarve` hands a worker: a thinner one
+/// would run out of space on queries the undivided pool serves.
+const MIN_SLICE_PAGES: u64 = 64;
+
+/// The flash a parallel drain may write: allocator slices carved on
+/// GC-unpressured chips, plus the GC counters as they stood at the carve.
+///
+/// GC is the one scheduling-dependent cost in the FTL: interleaved worker
+/// writes land in thread-timing order, so a collection over them has
+/// timing-dependent victims and relocation counts. Two defences keep a
+/// parallel drain serial-equivalent. The headroom rule keeps an attempt
+/// from driving a chip to its watermark itself, and [`Self::gc_fired`]
+/// lets the drain discard any attempt a collection did overlap.
+#[derive(Debug)]
+struct LaneCarve {
+    segs: Vec<Segment>,
+    gc_before: FlashStats,
+}
+
+impl LaneCarve {
+    /// Carve `slices` allocator slices and build one `WorkerLane` over
+    /// each (in carve order), or decline with `Ok(None)`, leaving `alloc`
+    /// as it was.
+    ///
+    /// * **Eligibility.** A chip hosts slices only while at least 1/8 of
+    ///   its physical pages remain programmable before a collection could
+    ///   start (`gc_headroom_of(c) * 8 ≥` physical pages). A pressured
+    ///   chip stays readable; it just stops hosting slices. The attempt
+    ///   declines when no chip is eligible.
+    /// * **Placement.** Slice `j` goes to eligible chip `j mod n` and gets
+    ///   `free_in_range(chip) / (slices on chip + 1)` pages, keeping one
+    ///   share per chip for the token's own later allocations. The
+    ///   attempt declines if any slice would be under 64 pages.
+    /// * **Rollback.** A fragmented free list can refuse a carve the page
+    ///   count allowed: the partial carves are freed and the attempt
+    ///   declines.
+    ///
+    /// Placement is a pure function of the allocator state and `slices`,
+    /// never of worker scheduling.
+    fn try_carve(
+        dev: &mut FlashDevice,
+        alloc: &mut SegmentAllocator,
+        ram: &RamArena,
+        slices: usize,
+    ) -> crate::Result<Option<(LaneCarve, Vec<WorkerLane>)>> {
+        let (chip_pages, chip_physical) = (dev.chip_pages(), dev.geometry().physical_pages());
+        let eligible: Vec<u64> = (0..dev.chip_count() as u64)
+            .filter(|&c| dev.gc_headroom_of(c as usize) * 8 >= chip_physical)
+            .collect();
+        if eligible.is_empty() {
+            return Ok(None);
+        }
+        let on: Vec<u64> = (0..slices).map(|j| eligible[j % eligible.len()]).collect();
+        let range = |c: u64| (c * chip_pages, (c + 1) * chip_pages);
+        let pages: Vec<u64> = on
+            .iter()
+            .map(|&c| {
+                let (lo, hi) = range(c);
+                let sharing = on.iter().filter(|&&d| d == c).count() as u64;
+                alloc.free_in_range(lo, hi) / (sharing + 1)
+            })
+            .collect();
+        if pages.iter().any(|&p| p < MIN_SLICE_PAGES) {
+            return Ok(None);
+        }
+        let mut segs = Vec::with_capacity(slices);
+        for (&c, &p) in on.iter().zip(&pages) {
+            let (lo, hi) = range(c);
+            let Ok(seg) = alloc.alloc_in_range(p, lo, hi) else {
+                for seg in segs {
+                    alloc.free(seg, dev)?;
+                }
+                return Ok(None);
+            };
+            segs.push(seg);
+        }
+        let workers = segs
+            .iter()
+            .map(|seg| WorkerLane {
+                flash: dev.fork(),
+                arena: ram.fresh_like(),
+                alloc: SegmentAllocator::over(seg.start(), seg.pages()),
+            })
+            .collect();
+        let carve = LaneCarve {
+            segs,
+            gc_before: dev.stats(),
+        };
+        Ok(Some((carve, workers)))
+    }
+
+    /// Whether garbage collection ran on `dev` since the carve. A tainted
+    /// attempt's costs depend on scheduling: discard it and replay
+    /// serially.
+    fn gc_fired(&self, dev: &FlashDevice) -> bool {
+        let (now, was) = (dev.stats(), &self.gc_before);
+        now.blocks_erased != was.blocks_erased
+            || now.gc_pages_read != was.gc_pages_read
+            || now.gc_pages_written != was.gc_pages_written
+    }
+
+    /// Return every slice to `alloc`. Frees trim, so any page a worker
+    /// wrote (error-path stragglers included) leaves the logical image.
+    fn release(self, dev: &mut FlashDevice, alloc: &mut SegmentAllocator) -> crate::Result<()> {
+        for seg in self.segs {
+            alloc.free(seg, dev)?;
+        }
+        Ok(())
+    }
+}
+
+/// One job's resources for a parallel drain: a forked handle onto the
+/// shared chip array, a fresh arena (same geometry as the token's, so
+/// RAM-driven decisions match the serial loop exactly) and an allocator
+/// over one carved slice.
+#[derive(Debug)]
+struct WorkerLane {
+    flash: FlashDevice,
+    arena: RamArena,
+    alloc: SegmentAllocator,
+}
+
+impl WorkerLane {
+    /// A device lane over these resources.
+    fn device_lane(&mut self) -> DeviceLane<'_> {
+        DeviceLane::new(&mut self.flash, self.arena.clone(), &mut self.alloc)
+    }
+}
+
 /// Everything one parallel drain job produced. The job ran on a fresh
 /// arena, which starts where `Database::begin_query` leaves the token's,
 /// so its report's RAM peak already equals the serial loop's.
@@ -464,16 +594,13 @@ fn run_batch_parallel(
                 host,
             } = &mut *res;
             let item = &batch[i];
-            let outcome = (|| {
-                item.opts.validate()?;
-                let cat = CatalogCtx {
-                    untrusted: &*host,
-                    ..cat
-                };
-                let knobs = RunKnobs::of(&item.opts, bank);
-                let mut ctx = ExecCtx::assemble(cat, lane.device_lane(), Some(channel), knobs);
-                Executor::run_body(&mut ctx, &item.query, &item.opts)
-            })();
+            let cat = CatalogCtx {
+                untrusted: &*host,
+                ..cat
+            };
+            let knobs = RunKnobs::of(&item.opts, bank);
+            let mut ctx = ExecCtx::assemble(cat, lane.device_lane(), channel, knobs);
+            let outcome = Executor::run_body(&mut ctx, &item.query, &item.opts);
             Ok(JobDone {
                 outcome,
                 trace: res.host.trace(),
@@ -500,11 +627,9 @@ impl Session<'_> {
         self.id
     }
 
-    /// Admit a query. Options are validated at admission (a 0-thread
-    /// build is rejected here, before it queues). Returns the sequence
-    /// ticket; redeem it implicitly via [`Session::take`] after a drain.
+    /// Admit a query. Returns the sequence ticket; redeem it implicitly
+    /// via [`Session::take`] after a drain.
     pub fn submit(&self, q: &SpjQuery, opts: &ExecOptions) -> Result<u64, ServeError> {
-        opts.validate().map_err(ServeError::Exec)?;
         let mut st = self.server.state.lock().expect("server state");
         if st.pending.len() >= self.server.cfg.queue_depth {
             return Err(ServeError::QueueFull {
@@ -559,6 +684,7 @@ const _: () = {
 mod tests {
     use super::*;
     use crate::testkit;
+    use ghostdb_flash::FlashTiming;
 
     fn q(text: &str) -> SpjQuery {
         // Root-only projection on the tiny fixture (T0 is the root).
@@ -624,16 +750,113 @@ mod tests {
         }
     }
 
+    /// A `chips`-chip device of 288 logical (320 physical) pages per chip,
+    /// with a striped allocator and a small arena.
+    fn tiny_device(chips: usize) -> (FlashDevice, SegmentAllocator, RamArena) {
+        let geometry = ghostdb_flash::FlashGeometry {
+            page_size: 256,
+            pages_per_block: 8,
+            block_count: 40,
+            spare_blocks: 4,
+        };
+        let dev = FlashDevice::with_chips(geometry, FlashTiming::default(), chips);
+        let alloc = SegmentAllocator::with_chips(dev.logical_pages(), chips);
+        (dev, alloc, RamArena::new(256, 8))
+    }
+
+    /// Program every logical page of `chip`, leaving it under 1/8 GC
+    /// headroom (the allocator does not see these writes).
+    fn pressure(dev: &mut FlashDevice, chip: u64) {
+        let pages = dev.chip_pages();
+        for lpn in chip * pages..(chip + 1) * pages {
+            dev.write(lpn, &[1; 8]).unwrap();
+        }
+        assert!(dev.gc_headroom_of(chip as usize) * 8 < dev.geometry().physical_pages());
+    }
+
     #[test]
-    fn invalid_options_rejected_at_admission() {
-        let db = testkit::tiny_db();
-        let server = GhostDbServer::new(db, ServeConfig::default()).expect("server");
-        let s = server.session();
-        let query = q("bad-opts");
-        assert!(matches!(
-            s.submit(&query, &ExecOptions::new().intra_threads(0)),
-            Err(ServeError::Exec(_))
-        ));
-        assert_eq!(server.pending(), 0, "rejected submissions must not queue");
+    fn lane_carve_skips_gc_pressured_chips() {
+        let (mut dev, mut alloc, ram) = tiny_device(4);
+        pressure(&mut dev, 1);
+        let (carve, workers) = LaneCarve::try_carve(&mut dev, &mut alloc, &ram, 3)
+            .unwrap()
+            .expect("three chips are still eligible");
+        let chips: Vec<usize> = carve
+            .segs
+            .iter()
+            .map(|s| alloc.chip_of(s.start()))
+            .collect();
+        assert_eq!(chips, vec![0, 2, 3]);
+        for (w, seg) in workers.iter().zip(&carve.segs) {
+            assert_eq!(w.alloc.total_pages(), seg.pages());
+            assert_eq!(seg.pages(), dev.chip_pages() / 2);
+        }
+        carve.release(&mut dev, &mut alloc).unwrap();
+    }
+
+    #[test]
+    fn lane_carve_declines_when_every_chip_is_pressured() {
+        let (mut dev, mut alloc, ram) = tiny_device(2);
+        pressure(&mut dev, 0);
+        pressure(&mut dev, 1);
+        let before = format!("{alloc:?}");
+        assert!(LaneCarve::try_carve(&mut dev, &mut alloc, &ram, 2)
+            .unwrap()
+            .is_none());
+        assert_eq!(
+            format!("{alloc:?}"),
+            before,
+            "a declined carve carves nothing"
+        );
+    }
+
+    #[test]
+    fn lane_carve_rolls_back_a_refused_carve() {
+        // A 100-page hole, eight 10-page holes and an 18-page tail: 198
+        // free pages size each of two slices at 66. The first fits the
+        // 100-page hole; the second fits nowhere.
+        let (mut dev, mut alloc, ram) = tiny_device(1);
+        let big = alloc.alloc(100).unwrap();
+        let small: Vec<Segment> = (0..18).map(|_| alloc.alloc(10).unwrap()).collect();
+        alloc.free(big, &mut dev).unwrap();
+        for seg in small.into_iter().skip(1).step_by(2) {
+            alloc.free(seg, &mut dev).unwrap();
+        }
+        assert_eq!(alloc.free_pages(), 198);
+        let before = format!("{alloc:?}");
+        assert!(LaneCarve::try_carve(&mut dev, &mut alloc, &ram, 2)
+            .unwrap()
+            .is_none());
+        assert_eq!(format!("{alloc:?}"), before, "the partial carve leaked");
+    }
+
+    #[test]
+    fn released_slices_restore_the_free_pool() {
+        let (mut dev, mut alloc, ram) = tiny_device(4);
+        let before = (alloc.free_pages(), format!("{alloc:?}"));
+        let (carve, workers) = LaneCarve::try_carve(&mut dev, &mut alloc, &ram, 6)
+            .unwrap()
+            .expect("a fresh device hosts six slices");
+        assert_eq!(workers.len(), 6);
+        assert!(alloc.free_pages() < before.0);
+        assert!(!carve.gc_fired(&dev));
+        carve.release(&mut dev, &mut alloc).unwrap();
+        assert_eq!((alloc.free_pages(), format!("{alloc:?}")), before);
+    }
+
+    #[test]
+    fn lane_carve_reports_gc_during_the_attempt() {
+        let (mut dev, mut alloc, ram) = tiny_device(1);
+        let (carve, _workers) = LaneCarve::try_carve(&mut dev, &mut alloc, &ram, 2)
+            .unwrap()
+            .expect("a fresh device hosts two slices");
+        // Rewriting the whole logical space twice overflows the spares.
+        for _ in 0..2 {
+            for lpn in 0..dev.chip_pages() {
+                dev.write(lpn, &[2; 8]).unwrap();
+            }
+        }
+        assert!(carve.gc_fired(&dev));
+        carve.release(&mut dev, &mut alloc).unwrap();
     }
 }

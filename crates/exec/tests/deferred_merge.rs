@@ -4,8 +4,8 @@
 //! table first only when one reader per run would not fit the arena's free
 //! buffers. These tests take a wide visible range on `T1` at ×0.004, which
 //! MJoin cuts into several passes: results must equal the `reference`
-//! oracle under every projection algorithm, on one lane and on two, and
-//! with the arena cut so far that the run merge has to run.
+//! oracle under every projection algorithm, and with the arena cut so far
+//! that the run merge has to run.
 
 use ghostdb_datagen::{pad8, SyntheticDataset, SyntheticSpec};
 use ghostdb_exec::project::ProjectAlgo;
@@ -24,8 +24,7 @@ fn synthetic(scale: f64) -> (RefDb, Database) {
 /// `SELECT T0.id, T1.id, T1.v1, T1.h1, T2.id … WHERE T1.v1 < <share of
 /// |T1|>`: ghostbench `sql-mix`'s visible-only shape with a hidden
 /// projection, so every dict entry carries a visible and a hidden value.
-/// `T2.id` makes T2 a second participant, so two lanes fan the per-table
-/// passes out.
+/// `T2.id` makes T2 a second participant table.
 fn wide_range(oracle: &RefDb, db: &Database, share: f64) -> SpjQuery {
     let t0 = db.schema.root();
     let t1 = db.schema.table_id("T1").unwrap();
@@ -87,7 +86,7 @@ fn t1_ids(rows: &[Vec<Value>]) -> usize {
 }
 
 #[test]
-fn a_multipass_mjoin_matches_the_oracle_on_every_algorithm_and_lane_count() {
+fn a_multipass_mjoin_matches_the_oracle_on_every_algorithm() {
     let (oracle, mut db) = synthetic(0.004);
     let q = wide_range(&oracle, &db, 0.9);
     let expect = oracle_rows(&oracle, &q);
@@ -102,19 +101,9 @@ fn a_multipass_mjoin_matches_the_oracle_on_every_algorithm_and_lane_count() {
     assert_eq!(rows, expect, "Project diverges from the oracle");
     assert!(report.op(OpKind::MJoin).as_ns() > 0);
     assert!(report.op(OpKind::FinalJoin).as_ns() > 0);
-    let (rows, lanes) = run(&mut db, &q, &ExecOptions::new().intra_threads(2));
-    assert_eq!(rows, expect, "Project on two lanes diverges");
-    assert_eq!(lanes, report, "two lanes changed the report");
     for algo in [ProjectAlgo::ProjectNoBf, ProjectAlgo::BruteForce] {
-        let (rows, report) = run(&mut db, &q, &ExecOptions::new().project(algo));
+        let (rows, _) = run(&mut db, &q, &ExecOptions::new().project(algo));
         assert_eq!(rows, expect, "{} diverges", algo.name());
-        let (rows, lanes) = run(
-            &mut db,
-            &q,
-            &ExecOptions::new().project(algo).intra_threads(2),
-        );
-        assert_eq!(rows, expect, "{} on two lanes diverges", algo.name());
-        assert_eq!(lanes, report, "two lanes changed {}'s report", algo.name());
     }
 }
 

@@ -57,9 +57,10 @@ impl RamArena {
     }
 
     /// A fresh, empty arena with this arena's geometry (same buffer size
-    /// and capacity, zero in-use). Intra-query worker lanes draw from one
-    /// of these each so their RAM-driven decisions replay the serial
-    /// path's exactly; the parent merges their peaks back explicitly.
+    /// and capacity, zero in-use). Parallel serve jobs and the serve bank's
+    /// shared traversals each draw from one of these, so RAM-driven
+    /// decisions replay the serial path's exactly and no query's peak sees
+    /// another's buffers.
     pub fn fresh_like(&self) -> RamArena {
         RamArena::new(self.state.buf_size, self.state.capacity)
     }

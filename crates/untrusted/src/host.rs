@@ -73,10 +73,11 @@ pub struct UntrustedHost {
     /// Shared read-only after load: forks (worker-isolated executions)
     /// see the same store without copying it.
     store: Arc<VisibleStore>,
-    /// Interior mutability: the catalog lane hands out `&UntrustedHost`
-    /// shared across worker lanes, yet every host contact happens on the
-    /// root lane (workers get no channel), so the lock is uncontended and
-    /// the recorded order is the true serial host-observation order.
+    /// Interior mutability: the catalog lane hands out `&UntrustedHost`,
+    /// and a query contacts the host only through its one channel, one
+    /// request at a time (a parallel serve job runs against its own
+    /// fork), so the lock is uncontended and the recorded order is the
+    /// true serial host-observation order.
     trace: Mutex<HostTrace>,
 }
 

@@ -9,7 +9,7 @@
 //! (`tests/leakage.rs`, `tests/host_trace_determinism.rs`) asserts the
 //! GhostDB invariant directly on this trace: it must be a function of the
 //! query text and the visible data alone, never of hidden values, and it
-//! must be bit-identical across repeats and intra-query thread counts.
+//! must be bit-identical across repeats and across fresh databases.
 //!
 //! [`PadMode`] is the volume-channel countermeasure: in
 //! [`PadMode::PowerOfTwo`] every `Vis` shipment is padded to the next

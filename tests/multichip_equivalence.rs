@@ -1,12 +1,11 @@
 //! Multi-chip differential suite: sharding the token's flash across
-//! 2 or 4 chips (and fanning queries out over 2 or 4 worker lanes) is a
-//! pure wall-clock/makespan optimization. Every per-operation flash cost
-//! in the simulator is charged per page or per byte — never per physical
-//! placement — so a query over a chip-striped database must produce the
-//! same rows, the same `ExecReport` in every field, the same host trace
-//! and the same wire transcript as the single-chip serial executor, bit
-//! for bit. This file is the lock on that claim: 7 strategies × lanes
-//! {1,2,4} × chips {1,2,4}, all compared against the chips=1/lanes=1
+//! 2 or 4 chips is a pure makespan optimization. Every per-operation flash
+//! cost in the simulator is charged per page or per byte — never per
+//! physical placement — so a query over a chip-striped database must
+//! produce the same rows, the same `ExecReport` in every field, the same
+//! host trace and the same wire transcript as the single-chip executor,
+//! bit for bit. This file is the lock on that claim: 7 strategies × chips
+//! {1,2,4}, each on a fresh database, all compared against a chips=1
 //! baseline; plus a property test that per-operation ("chunked") flash
 //! delta accounting on forked handles sums to exactly the whole-scope
 //! device-wide delta.
@@ -27,12 +26,10 @@ const STRATEGIES: [VisStrategy; 7] = [
     VisStrategy::CrossPostSelect,
     VisStrategy::NoFilter,
 ];
-const LANES: [usize; 3] = [1, 2, 4];
 const CHIPS: [usize; 3] = [1, 2, 4];
 
-/// CI's `lanes-smoke` legs restrict the matrix to one cell via
-/// `MULTICHIP_CHIPS` / `MULTICHIP_LANES`; unset (the local default) runs
-/// the full cross product.
+/// CI legs restrict the chips axis to one value via `MULTICHIP_CHIPS`;
+/// unset (the local default) runs every value.
 fn axis(env: &str, all: &[usize]) -> Vec<usize> {
     match std::env::var(env) {
         Ok(v) => {
@@ -103,10 +100,10 @@ fn observe(db: &mut Database, q: &SpjQuery, opts: &ExecOptions) -> Observed {
     }
 }
 
-/// The full matrix. Baseline: chips=1, lanes=1 (the paper's device, the
-/// serial executor). Every other (chips, lanes) cell re-runs the whole
-/// strategy sweep on a freshly built chip-striped database and must match
-/// the baseline observation for its strategy in every observable.
+/// The full matrix. Baseline: chips=1 (the paper's device). Every chip
+/// count re-runs the whole strategy sweep on a freshly built chip-striped
+/// database and must match the baseline observation for its strategy in
+/// every observable.
 #[test]
 fn sharded_multichip_equals_single_chip_serial_bit_for_bit() {
     let ds = dataset();
@@ -115,29 +112,24 @@ fn sharded_multichip_equals_single_chip_serial_bit_for_bit() {
     let baseline: Vec<Observed> = STRATEGIES
         .iter()
         .map(|s| {
-            let opts = ExecOptions::new().strategy(*s).intra_threads(1);
+            let opts = ExecOptions::new().strategy(*s);
             observe(&mut base_db, &q, &opts)
         })
         .collect();
     for &chips in &axis("MULTICHIP_CHIPS", &CHIPS) {
-        for &lanes in &axis("MULTICHIP_LANES", &LANES) {
-            if chips == 1 && lanes == 1 {
-                continue;
-            }
-            let mut db = capture_db(&ds, chips);
-            assert_eq!(db.token.flash.chip_count(), chips);
-            for (s, want) in STRATEGIES.iter().zip(&baseline) {
-                let opts = ExecOptions::new().strategy(*s).intra_threads(lanes);
-                let got = observe(&mut db, &q, &opts);
-                let label = format!("{}/chips={chips}/lanes={lanes}", s.name());
-                assert_eq!(got.result, want.result, "{label}: results diverge");
-                assert_report_identical(&label, &want.report, &got.report);
-                assert_eq!(got.trace, want.trace, "{label}: host trace diverges");
-                assert_eq!(
-                    got.transcript, want.transcript,
-                    "{label}: wire transcript diverges"
-                );
-            }
+        let mut db = capture_db(&ds, chips);
+        assert_eq!(db.token.flash.chip_count(), chips);
+        for (s, want) in STRATEGIES.iter().zip(&baseline) {
+            let opts = ExecOptions::new().strategy(*s);
+            let got = observe(&mut db, &q, &opts);
+            let label = format!("{}/chips={chips}", s.name());
+            assert_eq!(got.result, want.result, "{label}: results diverge");
+            assert_report_identical(&label, &want.report, &got.report);
+            assert_eq!(got.trace, want.trace, "{label}: host trace diverges");
+            assert_eq!(
+                got.transcript, want.transcript,
+                "{label}: wire transcript diverges"
+            );
         }
     }
 }
