@@ -1409,8 +1409,8 @@ fn micro_project_mjoin_multipass(warmup: usize, iters: usize, out: &mut Vec<Benc
 /// multi-chip array's bank gate. Four independent id-list jobs (write +
 /// full readback) run against a 4-chip device three ways: all through one
 /// chip slice (`serial`), pinned round-robin onto 2 chips (`x2`), and onto
-/// all 4 (`x4`) — the per-chip slice carving serve's `LaneCarve` performs
-/// for parallel drains, issued through forked per-chunk device handles. Every per-op
+/// all 4 (`x4`), each lane a per-chip allocator slice driven through its
+/// own forked device handle. Every per-op
 /// cost is placement-independent, so issue order cannot change any chip's
 /// busy time: the channel-makespan delta (busiest chip) is exactly the
 /// completion time of that many concurrently streaming channels, measured
@@ -1446,10 +1446,9 @@ fn micro_lanes(warmup: usize, iters: usize, out: &mut Vec<BenchEntry>) {
         out.push(measure(name, warmup, iters, || {
             let io_before = dev.stats();
             let busy_before: Vec<SimDuration> = (0..CHIPS).map(|c| dev.chip_elapsed(c)).collect();
-            // One slice per lane, lane j pinned to chip j (LaneCarve's
-            // round-robin over eligible chips), each lane driving its own
-            // forked handle — per-op, per-chip lock scopes, no whole-device
-            // critical section.
+            // One slice per lane, lane j pinned to chip j, each lane driving
+            // its own forked handle — per-op, per-chip lock scopes, no
+            // whole-device critical section.
             let mut lane_rt: Vec<(FlashDevice, SegmentAllocator, Segment)> = (0..lanes)
                 .map(|j| {
                     let c = j as u64;

@@ -4,22 +4,21 @@
 //! lanes and the report they feed:
 //!
 //! * [`CatalogCtx`] — the shared **read-only** lane: schema, cardinalities,
-//!   hidden images, SKTs, climbing indexes and the untrusted PC. `Copy`, so
-//!   a serve job over a forked host reuses the rest at zero cost.
-//! * [`DeviceLane`] — the **device** lane: a flash handle (the token's own
-//!   for a solo query, a [`FlashDevice::fork`] for a serve job), a RAM
-//!   arena, a segment allocator and a temp registry. The lane mirrors every
-//!   flash counter delta it causes into a **lane-local** [`FlashStats`], so
-//!   concurrent serve jobs never read each other's deltas.
+//!   hidden images, SKTs, climbing indexes and the untrusted PC.
+//! * [`DeviceLane`] — the **device** lane: the token's flash handle, its
+//!   RAM arena, the segment allocator and a temp registry. The lane
+//!   mirrors every flash counter delta it causes into a **lane-local**
+//!   [`FlashStats`], which also takes the banked deltas a cross-query
+//!   prefetch hit is billed ([`DeviceLane::charge`]), so the query's I/O
+//!   reads as if it had run solo.
 //! * [`ExecReport`] — per-operator attribution: every `track` scope adds
 //!   the simulated time its flash I/O implies to its `OpKind` bucket, and
 //!   [`ExecCtx::finish_report`] fills in the channel and lane observations.
 //!
 //! [`ExecCtx`] recomposes the two lanes, the report, the query's channel
-//! and its `RunKnobs`; `ExecCtx::assemble` is the one place a context is
-//! built, whether over the token's own resources or a serve job's. In the
-//! paper one secure chip runs each query sequentially, and so does every
-//! context here: operators run one after another on the one lane.
+//! and its `RunKnobs` over the token's own resources. In the paper one
+//! secure chip runs each query sequentially, and so does every context
+//! here: operators run one after another on the one lane.
 
 use crate::database::Database;
 use crate::error::ExecError;
@@ -34,7 +33,7 @@ use ghostdb_untrusted::{PadMode, UntrustedHost, VisShipment};
 use std::collections::HashMap;
 
 /// The shared read-only catalog lane.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug)]
 pub struct CatalogCtx<'a> {
     /// Schema (catalog lifetime: references escape accessor calls).
     pub schema: &'a SchemaTree,
@@ -82,20 +81,17 @@ impl<'a> CatalogCtx<'a> {
 /// The device lane: flash handle + RAM arena + allocator + temp registry,
 /// with a lane-local mirror of the flash counters.
 ///
-/// The flash handle is exclusive to the lane ([`FlashDevice`] is itself a
-/// forkable handle over the shared chip array): a solo query borrows the
-/// token's own handle, a serve job owns a fork. All synchronisation
-/// happens *inside* the device, per chip and per page operation, so a
-/// lane never holds a device-wide lock across an operator scope — and the
-/// handle-local `snapshot`/`stats_since` the mirror is built on stays
-/// exact while concurrent serve jobs drive the same chips.
+/// The mirror is built on the handle-local `snapshot`/`stats_since` of the
+/// token's flash handle. It exists apart from the device's own counters
+/// because a cross-query prefetch hit bills a banked delta into it
+/// ([`Self::charge`]) that this query never issued on the device.
 #[derive(Debug)]
 pub struct DeviceLane<'a> {
     flash: &'a mut FlashDevice,
     ram: RamArena,
     alloc: &'a mut SegmentAllocator,
     temps: Vec<Segment>,
-    /// Flash I/O issued by THIS lane (concurrent lanes never show up here).
+    /// Flash I/O issued by (or charged to) this lane.
     io: FlashStats,
     timing: FlashTiming,
     page_size: usize,
@@ -103,7 +99,7 @@ pub struct DeviceLane<'a> {
 
 impl<'a> DeviceLane<'a> {
     /// Build a lane over its resources. `flash` is the lane's exclusive
-    /// handle: the token's own for a solo query, a fork for a serve job.
+    /// handle.
     pub fn new(flash: &'a mut FlashDevice, ram: RamArena, alloc: &'a mut SegmentAllocator) -> Self {
         let (timing, page_size) = (*flash.timing(), flash.page_size());
         DeviceLane {
@@ -168,8 +164,7 @@ impl<'a> DeviceLane<'a> {
         &self.timing
     }
 
-    /// The lane's segment allocator (the token's own for a solo query, a
-    /// carved slice for a serve job).
+    /// The lane's segment allocator.
     pub fn alloc(&mut self) -> &mut SegmentAllocator {
         &mut *self.alloc
     }
@@ -260,34 +255,19 @@ impl<'a> ExecCtx<'a> {
     /// Build a context over a database (the token's own resources).
     pub(crate) fn with_knobs(db: &'a mut Database, knobs: RunKnobs<'a>) -> Self {
         let token = &mut db.token;
-        let cat = CatalogCtx {
-            schema: &db.schema,
-            rows: &db.rows,
-            hidden: &db.hidden,
-            skts: &db.skts,
-            cis: &db.cis,
-            untrusted: &db.untrusted,
-        };
-        let lane = DeviceLane::new(&mut token.flash, token.ram.clone(), &mut db.alloc);
-        Self::assemble(cat, lane, &mut token.channel, knobs)
-    }
-
-    /// Build a context from its parts: a catalog (possibly over a forked
-    /// untrusted host), a device lane over any flash handle, arena and
-    /// allocator, a channel and the query's knobs. Every context is built
-    /// here.
-    pub(crate) fn assemble(
-        cat: CatalogCtx<'a>,
-        lane: DeviceLane<'a>,
-        channel: &'a mut Channel,
-        knobs: RunKnobs<'a>,
-    ) -> Self {
         ExecCtx {
-            cat,
-            lane,
+            cat: CatalogCtx {
+                schema: &db.schema,
+                rows: &db.rows,
+                hidden: &db.hidden,
+                skts: &db.skts,
+                cis: &db.cis,
+                untrusted: &db.untrusted,
+            },
+            lane: DeviceLane::new(&mut token.flash, token.ram.clone(), &mut db.alloc),
             cost: ExecReport::new(),
             knobs,
-            channel,
+            channel: &mut token.channel,
         }
     }
 
@@ -399,8 +379,8 @@ impl<'a> ExecCtx<'a> {
     }
 
     /// Finalise the report: the per-operator buckets, then channel and
-    /// lane observations. `io` is the lane's mirror, NOT the shared device
-    /// counters, so a concurrent serve job's I/O never leaks into it.
+    /// lane observations. `io` is the lane's mirror (its own I/O plus any
+    /// charged prefetch deltas), NOT the device counters.
     pub fn finish_report(&self) -> ExecReport {
         let mut report = self.cost.clone();
         report.comm = self.channel.elapsed();

@@ -113,20 +113,6 @@ impl Executor {
         // must not clobber what another session already observed.
         db.untrusted.reset_trace();
         let mut ctx = ExecCtx::with_knobs(db, RunKnobs::of(opts, prefetch));
-        Self::run_body(&mut ctx, q, opts)
-    }
-
-    /// The execution body, over an already-assembled context. Shared by
-    /// the solo path above (a context over the token's own resources after
-    /// a channel/trace reset) and serve-mode worker executions (a context
-    /// over per-query isolated resources — forked flash handle, fresh
-    /// arena and channel, forked host — which start in exactly the state a
-    /// reset leaves behind, so the two paths observe identical worlds).
-    pub(crate) fn run_body(
-        ctx: &mut ExecCtx<'_>,
-        q: &SpjQuery,
-        opts: &ExecOptions,
-    ) -> Result<(ResultSet, ExecReport)> {
         let a = analyze(ctx.cat.schema, q)?;
 
         // The query travels to the token in the clear (it is the one thing
@@ -137,7 +123,7 @@ impl Executor {
         channel.send_to_untrusted("query-ack", &[1]);
 
         // Strategy decisions: pinned tables first, optimizer for the rest.
-        let auto = optimizer::decide(ctx, &a)?;
+        let auto = optimizer::decide(&ctx, &a)?;
         let mut decisions: Vec<VisDecision> = Vec::new();
         for d in &auto {
             let pinned = opts.strategies.iter().find(|p| p.table == d.table);
@@ -159,9 +145,9 @@ impl Executor {
             .filter(|t| *t != root)
             .collect();
 
-        let sj = execute_sj(ctx, &a, &decisions, &proj_tables)?;
+        let sj = execute_sj(&mut ctx, &a, &decisions, &proj_tables)?;
         let algo = opts.project.unwrap_or(ProjectAlgo::Project);
-        let result = project::execute(ctx, &a, sj, algo)?;
+        let result = project::execute(&mut ctx, &a, sj, algo)?;
 
         ctx.free_temps()?;
         let mut report = ctx.finish_report();

@@ -48,12 +48,9 @@ const _: () = {
     send_sync::<ResultSet>();
     send_sync::<ExecReport>();
     send_sync::<ExecError>();
-    // The execution-context lanes: an `Rc` (or any non-Send state) slipping
-    // into the catalog or device lane breaks parallel serve drains at
-    // compile time, right here.
-    send_sync::<crate::ctx::CatalogCtx<'static>>();
+    // `GhostDbServer` owns the `Database` (and through it the flash
+    // device) and is shared across client threads.
     send_sync::<ghostdb_flash::FlashDevice>();
-    send::<crate::ctx::DeviceLane<'static>>();
 };
 
 /// Run `jobs` work items over `threads` scoped workers, each with private

@@ -16,7 +16,7 @@
 //! (Table 1) are placement-independent — a page read costs the same on
 //! any chip — which is what keeps multi-chip execution bit-identical to
 //! single-chip execution as long as GC (the one placement-dependent
-//! cost) stays out of the window; see `gc_headroom_of`.
+//! cost) does not run inside the compared window.
 
 use crate::error::FlashError;
 use crate::ftl::{check_in_page, Ftl};
@@ -319,11 +319,6 @@ impl ChipArray {
             .unwrap_or(SimDuration::ZERO)
     }
 
-    /// GC headroom of one chip (see [`Ftl::gc_headroom_pages`]).
-    pub fn gc_headroom_of(&self, chip: usize) -> u64 {
-        self.chips[chip].lock().unwrap().gc_headroom_pages()
-    }
-
     /// Largest per-chip wear spread (diagnostics).
     pub fn wear_spread(&self) -> u64 {
         (0..self.chips.len())
@@ -406,18 +401,5 @@ mod tests {
             arr.write(out, &[0]),
             Err(FlashError::BadAddress(lpn)) if lpn == out
         ));
-    }
-
-    #[test]
-    fn headroom_is_tracked_per_chip() {
-        let arr = tiny_array(2);
-        let fresh = arr.gc_headroom_of(0);
-        assert_eq!(arr.gc_headroom_of(1), fresh);
-        // Burn chip 1's headroom with fresh programs; chip 0 untouched.
-        for i in 0..arr.chip_pages() {
-            arr.write(arr.chip_pages() + i, &[2; 8]).unwrap();
-        }
-        assert_eq!(arr.gc_headroom_of(0), fresh);
-        assert!(arr.gc_headroom_of(1) < fresh);
     }
 }

@@ -12,7 +12,7 @@
 //! a device-wide one another lane is concurrently bumping.
 //!
 //! Device-wide ground truth ([`FlashDevice::stats`], `elapsed`) sums over
-//! chips and is what GC-taint detection reads; the handle-local view
+//! chips; the handle-local view
 //! ([`FlashDevice::snapshot`], `stats_since`, `elapsed_since`) is what
 //! per-operator cost attribution reads. With a single handle on a single
 //! chip the two views coincide, which is exactly the pre-multi-chip
@@ -267,13 +267,6 @@ impl FlashDevice {
     /// Largest per-chip wear spread (diagnostics).
     pub fn wear_spread(&self) -> u64 {
         self.array.wear_spread()
-    }
-
-    /// Physical page programs one chip can absorb before garbage
-    /// collection could first run there (see
-    /// [`crate::ftl::Ftl::gc_headroom_pages`]).
-    pub fn gc_headroom_of(&self, chip: usize) -> u64 {
-        self.array.gc_headroom_of(chip)
     }
 }
 

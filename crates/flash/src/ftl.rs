@@ -271,18 +271,6 @@ impl Ftl {
         Ok(())
     }
 
-    /// Physical page programs the device can absorb before garbage
-    /// collection could first run: pages left in the active block plus
-    /// every whole free block above the GC low-water margin. While a write
-    /// burst stays within this headroom, no GC fires during it — placement
-    /// stays a pure function of program order.
-    pub fn gc_headroom_pages(&self) -> u64 {
-        let ppb = self.geometry().pages_per_block;
-        let in_active = ppb - self.next_in_active.min(ppb);
-        let spare = self.free_blocks.len().saturating_sub(GC_LOW_WATER) as u64;
-        in_active + spare * ppb
-    }
-
     /// True if the logical page has a current physical image.
     pub fn is_mapped(&self, lpn: Lpn) -> bool {
         self.map
@@ -487,31 +475,6 @@ mod tests {
         for lpn in 0..ftl.geometry().logical_pages() {
             ftl.write(lpn, &[2; 8]).unwrap();
         }
-    }
-
-    #[test]
-    fn gc_headroom_bounds_gc_free_write_bursts() {
-        let mut ftl = tiny_ftl(); // 16 logical pages, 24 physical
-        let headroom = ftl.gc_headroom_pages();
-        // Fresh writes to distinct logical pages consume exactly one
-        // physical page each: a burst within the headroom never GCs.
-        assert!(headroom >= ftl.geometry().logical_pages());
-        for lpn in 0..ftl.geometry().logical_pages() {
-            ftl.write(lpn, &[1; 8]).unwrap();
-        }
-        assert_eq!(ftl.stats().blocks_erased, 0, "no GC within headroom");
-        assert_eq!(
-            ftl.gc_headroom_pages(),
-            headroom - ftl.geometry().logical_pages(),
-            "each fresh program consumes one headroom page"
-        );
-        // Overwrite churn past the headroom does trigger GC.
-        for round in 0..4 {
-            for lpn in 0..ftl.geometry().logical_pages() {
-                ftl.write(lpn, &[round; 8]).unwrap();
-            }
-        }
-        assert!(ftl.stats().blocks_erased > 0, "GC fires past the headroom");
     }
 
     #[test]

@@ -78,9 +78,8 @@ impl Channel {
     }
 
     /// A fresh channel with this channel's configuration (throughput and
-    /// capture mode) and no recorded traffic — equivalent to a `reset()`
-    /// copy. Worker-isolated executions record onto one of these so their
-    /// transcripts match what a solo run would have recorded after reset.
+    /// capture mode) and no recorded traffic: a scratch channel for a side
+    /// measurement that must leave this channel's transcript untouched.
     pub fn fresh_like(&self) -> Channel {
         let mut ch = Channel::new(self.throughput_bytes_per_sec);
         ch.set_capture(self.capture_payloads);

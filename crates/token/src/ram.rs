@@ -57,10 +57,8 @@ impl RamArena {
     }
 
     /// A fresh, empty arena with this arena's geometry (same buffer size
-    /// and capacity, zero in-use). Parallel serve jobs and the serve bank's
-    /// shared traversals each draw from one of these, so RAM-driven
-    /// decisions replay the serial path's exactly and no query's peak sees
-    /// another's buffers.
+    /// and capacity, zero in-use). The serve bank's shared traversals draw
+    /// from one of these, so no query's peak sees the bank's buffers.
     pub fn fresh_like(&self) -> RamArena {
         RamArena::new(self.state.buf_size, self.state.capacity)
     }

@@ -11,7 +11,7 @@ use crate::store::VisibleStore;
 use crate::trace::{HostOp, HostTrace, HostTraceEvent, PadMode};
 use ghostdb_storage::{CmpOp, Id, Predicate, Result, TableId, Value, ID_BYTES};
 use ghostdb_token::Channel;
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 /// What a `Vis(Q, T, π)` call delivered into the token.
 ///
@@ -70,14 +70,13 @@ fn fmt_preds(preds: &[Predicate]) -> String {
 /// host-observable request trace.
 #[derive(Debug)]
 pub struct UntrustedHost {
-    /// Shared read-only after load: forks (worker-isolated executions)
-    /// see the same store without copying it.
-    store: Arc<VisibleStore>,
+    /// Read-only after load.
+    store: VisibleStore,
     /// Interior mutability: the catalog lane hands out `&UntrustedHost`,
-    /// and a query contacts the host only through its one channel, one
-    /// request at a time (a parallel serve job runs against its own
-    /// fork), so the lock is uncontended and the recorded order is the
-    /// true serial host-observation order.
+    /// and queries run one at a time, each contacting the host only
+    /// through its one channel, one request at a time, so the lock is
+    /// uncontended and the recorded order is the true serial
+    /// host-observation order.
     trace: Mutex<HostTrace>,
 }
 
@@ -85,17 +84,7 @@ impl UntrustedHost {
     /// Host over a loaded visible store.
     pub fn new(store: VisibleStore) -> Self {
         UntrustedHost {
-            store: Arc::new(store),
-            trace: Mutex::new(HostTrace::new()),
-        }
-    }
-
-    /// A host over the same store with an empty trace — what one
-    /// worker-isolated query execution records onto. Equivalent to this
-    /// host after `reset_trace()`: the store is shared, the trace fresh.
-    pub fn fork(&self) -> UntrustedHost {
-        UntrustedHost {
-            store: Arc::clone(&self.store),
+            store,
             trace: Mutex::new(HostTrace::new()),
         }
     }
