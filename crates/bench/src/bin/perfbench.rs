@@ -1250,38 +1250,53 @@ fn micro_ci_multi(warmup: usize, iters: usize, out: &mut Vec<BenchEntry>) {
     }
 }
 
-/// SJoin stream throughput over the synthetic SKT.
+/// SJoin over 20 000 dense root ids of the synthetic SKT: `stream`
+/// projects `[T1, T12]` and reads the SKT (it records wall time only, as
+/// it always has); `fk-route`
+/// projects `[T1]`, a direct child, so it reads `T0.fk1` instead and
+/// records the simulated time and flash bytes of that read.
 fn micro_sjoin(scale: f64, warmup: usize, iters: usize, out: &mut Vec<BenchEntry>) {
     let (_, mut db) = build_synthetic(scale);
     let root = db.schema.root();
     let t1 = db.schema.table_id("T1").unwrap();
     let t12 = db.schema.table_id("T12").unwrap();
     let rows = db.rows[root].min(20_000);
-    out.push(measure("micro/sjoin/stream", warmup, iters, || {
-        let mut ctx = ExecCtx::new(&mut db);
-        let skt = ctx.skt(root).unwrap();
-        let mut next = 0 as Id;
-        let emitted = sjoin_stream(
-            &mut ctx,
-            skt,
-            &[t1, t12],
-            |_ctx| {
-                if (next as u64) < rows {
-                    let v = next;
-                    next += 1;
-                    Ok(Some(v))
+    for (name, targets, simulated) in [
+        ("stream", vec![t1, t12], false),
+        ("fk-route", vec![t1], true),
+    ] {
+        out.push(measure(
+            format!("micro/sjoin/{name}"),
+            warmup,
+            iters,
+            || {
+                let mut ctx = ExecCtx::new(&mut db);
+                let skt = ctx.skt(root).unwrap();
+                let mut ids = 0..rows as Id;
+                let snap = ctx.lane.io();
+                let emitted = sjoin_stream(
+                    &mut ctx,
+                    skt,
+                    &targets,
+                    |_ctx| Ok(ids.next()),
+                    |_ctx, _id, _targets| Ok(()),
+                )
+                .unwrap();
+                let io = ctx.lane.io() - snap;
+                let (simulated_s, bytes_io) = if simulated {
+                    (ctx.lane.elapsed_of(&io).as_secs(), io.bytes_to_ram)
                 } else {
-                    Ok(None)
+                    (0.0, 0)
+                };
+                RunStats {
+                    simulated_s,
+                    ops: emitted,
+                    bytes_io,
+                    channel: None,
                 }
             },
-            |_ctx, _id, _targets| Ok(()),
-        )
-        .unwrap();
-        RunStats {
-            ops: emitted,
-            ..Default::default()
-        }
-    }));
+        ));
+    }
 }
 
 /// The Merge reduction on a wide hidden range: a 10% range on the

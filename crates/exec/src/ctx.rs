@@ -27,7 +27,8 @@ use crate::report::{split_rw, ExecReport, OpKind};
 use crate::Result;
 use ghostdb_flash::{FlashDevice, FlashStats, FlashTiming, Segment, SegmentAllocator, SimDuration};
 use ghostdb_index::{ClimbingIndex, SubtreeKeyTable};
-use ghostdb_storage::{HiddenImage, Predicate, SchemaTree, TableId};
+use ghostdb_storage::row::RowLayout;
+use ghostdb_storage::{HiddenColumn, HiddenImage, Predicate, SchemaTree, TableId};
 use ghostdb_token::{Channel, RamArena};
 use ghostdb_untrusted::{PadMode, UntrustedHost, VisShipment};
 use std::collections::HashMap;
@@ -75,6 +76,33 @@ impl<'a> CatalogCtx<'a> {
         self.skts[t]
             .as_ref()
             .ok_or_else(|| ExecError::Query(format!("no SKT on table {}", self.schema.def(t).name)))
+    }
+
+    /// The hidden foreign-key column of `child`'s parent that references
+    /// `child`, found through the schema's `foreign_keys`: one 4-byte id
+    /// per parent row, the same ids the parent's SKT holds for `child`.
+    pub fn fk_column(&self, child: TableId) -> Result<&'a HiddenColumn> {
+        let name = &self.schema.def(child).name;
+        let (Some(parent), Some((def, fk))) =
+            (self.schema.parent(child), self.schema.fk_into(child))
+        else {
+            return Err(ExecError::Query(format!(
+                "no foreign key references {name}"
+            )));
+        };
+        let column = self.hidden[parent].column(&fk.column).map_err(|_| {
+            ExecError::Query(format!(
+                "foreign key {}.{} is not loaded",
+                def.name, fk.column
+            ))
+        })?;
+        if column.table().layout != RowLayout::ids(1) {
+            return Err(ExecError::Query(format!(
+                "foreign key {}.{} is not a 4-byte id column",
+                def.name, fk.column
+            )));
+        }
+        Ok(column)
     }
 }
 

@@ -21,13 +21,15 @@
 //! * without Cross: Pre wins up to [`PRE_POST_CUTOFF`] (Figure 10); Post
 //!   is used above only while the Bloom filter stays useful, otherwise the
 //!   selection is deferred to projection (the sV = 0.5 cutoff);
-//! * a hidden selection on the root thins the root stream that Post checks,
-//!   so the Pre/Post crossover then moves with its hidden selectivity,
-//!   which the optimizer may not see; the cutoff is
-//!   [`HIDDEN_ROOT_PRE_POST_CUTOFF`] instead, the crossover beside the
-//!   narrowest hidden root range (for a hidden selection in a sibling
-//!   subtree, the worst-regret crossover over hidden selectivities is
-//!   [`PRE_POST_CUTOFF`]);
+//! * a hidden selection moves the Pre/Post crossover with its hidden
+//!   selectivity, which the optimizer may not see. On the root it thins
+//!   the root stream that Post checks, and the cutoff is
+//!   [`HIDDEN_ROOT_PRE_POST_CUTOFF`], the crossover beside the narrowest
+//!   hidden root range. In a sibling subtree the cutoff is
+//!   [`SIBLING_PRE_POST_CUTOFF`], the worst-regret crossover over hidden
+//!   selectivities: there the thinned root stream gains little from
+//!   SJoin's foreign-key route, so Post's advantage comes later than in the
+//!   plain case;
 //! * a selection on the root needs no climbing-index probe, so Pre beats
 //!   Post at every sV there; it is deferred above [`ROOT_PRE_CUTOFF`];
 //! * with visible selections on several tables, the most selective one is
@@ -46,16 +48,23 @@ use ghostdb_bloom::worth_post_filtering;
 /// Cross-Pre vs the cheapest other strategy on a table with a hidden
 /// selection in its subtree (measured: 0.63 at ×0.002 and ×0.01).
 pub const CROSS_PRE_CUTOFF: f64 = 0.63;
-/// Pre vs Post on a non-root table without cross-filtering (measured: 0.08,
-/// and 0.10 as the worst-regret point beside a hidden sibling selection).
-pub const PRE_POST_CUTOFF: f64 = 0.09;
+/// Pre vs Post on a non-root table without cross-filtering or any hidden
+/// selection (measured: 0.020). SJoin's foreign-key route made Post's
+/// single-column SJoin cheap, which moved this from 0.08.
+pub const PRE_POST_CUTOFF: f64 = 0.02;
+/// Pre vs Post on a non-root table without cross-filtering beside a hidden
+/// selection in a sibling subtree: the worst-regret point over hidden
+/// selectivities 0.01–0.3 (measured: 0.10; the crossover itself is 0.03
+/// at sH 0.01, 0.13 at 0.03, 0.20 at 0.1 and 0.16 at 0.3).
+pub const SIBLING_PRE_POST_CUTOFF: f64 = 0.1;
 /// Pre vs Post on a non-root table without cross-filtering when the root
 /// carries a hidden selection: the crossover at hidden selectivity 0.01,
-/// the narrowest swept (measured: 0.03). Wider hidden root ranges move the
-/// crossover up (0.10 at 0.02, 0.13 at 0.03, 0.20 at 0.05–0.1, 0.13 at
-/// 0.3), so on them Post pays up to 1.6× Pre between here and there: the
-/// price of never paying Pre's regret on a narrow hidden range.
-pub const HIDDEN_ROOT_PRE_POST_CUTOFF: f64 = 0.03;
+/// the narrowest swept (measured: 0.016, down from 0.032 before SJoin's
+/// foreign-key route). Wider hidden root ranges move the crossover up
+/// (0.025 at 0.02–0.1, 0.020 at 0.3), so on them Post pays more than Pre
+/// between here and there: the price of never paying Pre's regret on a
+/// narrow hidden range.
+pub const HIDDEN_ROOT_PRE_POST_CUTOFF: f64 = 0.016;
 /// Pre vs NoFilter on the root table (measured: 0.81–0.93).
 pub const ROOT_PRE_CUTOFF: f64 = 0.9;
 /// With several visible tables, a table is deferred to projection when its
@@ -75,6 +84,8 @@ pub fn decide(ctx: &ExecCtx<'_>, a: &Analyzed) -> Result<Vec<VisDecision>> {
     let min_sv = svs.iter().map(|(_, sv)| *sv).fold(f64::INFINITY, f64::min);
     let pre_post_cutoff = if a.hid_sels.iter().any(|h| h.table == root) {
         HIDDEN_ROOT_PRE_POST_CUTOFF
+    } else if !a.hid_sels.is_empty() {
+        SIBLING_PRE_POST_CUTOFF
     } else {
         PRE_POST_CUTOFF
     };
@@ -140,9 +151,9 @@ mod tests {
     fn cutoffs_switch_strategies_at_their_boundaries() {
         let n1 = TINY_ROWS[1] as f64;
         // Without Cross: Pre up to PRE_POST_CUTOFF, Post past it.
-        assert!(10.0 / n1 <= PRE_POST_CUTOFF && 11.0 / n1 > PRE_POST_CUTOFF);
-        assert_eq!(decide_t1(10, false), VisStrategy::Pre);
-        assert_eq!(decide_t1(11, false), VisStrategy::Post);
+        assert!(2.0 / n1 <= PRE_POST_CUTOFF && 3.0 / n1 > PRE_POST_CUTOFF);
+        assert_eq!(decide_t1(2, false), VisStrategy::Pre);
+        assert_eq!(decide_t1(3, false), VisStrategy::Post);
         // With Cross: Cross-Pre up to CROSS_PRE_CUTOFF (75/120), then the
         // plain rules, whose Bloom filter is still useful at 76/120.
         assert!(75.0 / n1 <= CROSS_PRE_CUTOFF && 76.0 / n1 > CROSS_PRE_CUTOFF);
@@ -153,8 +164,8 @@ mod tests {
     #[test]
     fn a_hidden_root_selection_lowers_the_pre_post_cutoff() {
         // T1 carries `v1 < pad8(k)` beside a hidden selection on the root
-        // (T0.h1) or on a sibling subtree (T2.h1): only the root one moves
-        // the Pre/Post cutoff.
+        // (T0.h1) or on a sibling subtree (T2.h1): each has its own
+        // Pre/Post cutoff.
         let decide_with = |k: u64, hidden: &str| {
             let mut db = testkit::tiny_db();
             let t1 = db.schema.table_id("T1").unwrap();
@@ -168,12 +179,12 @@ mod tests {
             d.iter().find(|d| d.table == t1).unwrap().strategy
         };
         let n1 = TINY_ROWS[1] as f64;
-        assert!(3.0 / n1 <= HIDDEN_ROOT_PRE_POST_CUTOFF && 4.0 / n1 > HIDDEN_ROOT_PRE_POST_CUTOFF);
-        assert!(10.0 / n1 <= PRE_POST_CUTOFF && 11.0 / n1 > PRE_POST_CUTOFF);
-        assert_eq!(decide_with(3, "T0"), VisStrategy::Pre);
-        assert_eq!(decide_with(4, "T0"), VisStrategy::Post);
-        assert_eq!(decide_with(10, "T2"), VisStrategy::Pre);
-        assert_eq!(decide_with(11, "T2"), VisStrategy::Post);
+        assert!(1.0 / n1 <= HIDDEN_ROOT_PRE_POST_CUTOFF && 2.0 / n1 > HIDDEN_ROOT_PRE_POST_CUTOFF);
+        assert!(12.0 / n1 <= SIBLING_PRE_POST_CUTOFF && 13.0 / n1 > SIBLING_PRE_POST_CUTOFF);
+        assert_eq!(decide_with(1, "T0"), VisStrategy::Pre);
+        assert_eq!(decide_with(2, "T0"), VisStrategy::Post);
+        assert_eq!(decide_with(12, "T2"), VisStrategy::Pre);
+        assert_eq!(decide_with(13, "T2"), VisStrategy::Post);
     }
 
     /// Decisions for a query with visible selections on T1 (`k1` of 120
@@ -196,15 +207,15 @@ mod tests {
     fn less_selective_tables_are_deferred() {
         // T2 at 1/40 = 0.025 is the most selective; T1 ties it at 3/120 and
         // at 9/120 = 0.075 stays within DEFER_RATIO × 0.025: both keep
-        // their own Pre.
-        assert_eq!(decide_t1_t2(3, 1), (VisStrategy::Pre, VisStrategy::Pre));
-        assert_eq!(decide_t1_t2(9, 1), (VisStrategy::Pre, VisStrategy::Pre));
+        // their own filter (Post, being past PRE_POST_CUTOFF).
+        assert_eq!(decide_t1_t2(3, 1), (VisStrategy::Post, VisStrategy::Post));
+        assert_eq!(decide_t1_t2(9, 1), (VisStrategy::Post, VisStrategy::Post));
         // At 10/120 T1 is past the ratio: it is checked at projection.
         let (n1, n2) = (TINY_ROWS[1] as f64, TINY_ROWS[2] as f64);
         assert!(9.0 / n1 <= DEFER_RATIO / n2 && 10.0 / n1 > DEFER_RATIO / n2);
         assert_eq!(
             decide_t1_t2(10, 1),
-            (VisStrategy::NoFilter, VisStrategy::Pre)
+            (VisStrategy::NoFilter, VisStrategy::Post)
         );
         // The rule is symmetric: the most selective table is kept whichever
         // it is.

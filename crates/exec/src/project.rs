@@ -368,19 +368,20 @@ fn partition(
             // into columns. Attributed to Partition (part of Project).
             let cols: Vec<usize> = tables
                 .iter()
-                .map(|t| f.col_of(*t).expect("planner included the column"))
-                .collect();
+                .map(|t| {
+                    f.col_of(*t).ok_or_else(|| {
+                        crate::error::ExecError::Query("projection column missing in F'".into())
+                    })
+                })
+                .collect::<Result<_>>()?;
             let mut reader = f.table.reader(&ram, page_size)?;
             ctx.track_rw(OpKind::Partition, OpKind::Partition, |ctx| {
                 ctx.lane.with_flash(|dev| {
-                    let mut cell = vec![0u8; 4];
+                    // Each F' row is split in place, from the reader's page.
                     while let Some(row) = reader.next_row(dev)? {
-                        let row = row.to_vec();
-                        cell.copy_from_slice(&row[..4]);
-                        root_writer.push(dev, &cell)?;
+                        root_writer.push(dev, &row[..4])?;
                         for (w, c) in writers.iter_mut().zip(&cols) {
-                            cell.copy_from_slice(&row[c * 4..c * 4 + 4]);
-                            w.push(dev, &cell)?;
+                            w.push(dev, &row[c * 4..c * 4 + 4])?;
                         }
                     }
                     Ok(())

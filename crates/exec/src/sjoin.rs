@@ -6,8 +6,23 @@
 //! cheaper than the whole page), and emits `<idT, idTi, idTj …>` projected
 //! on π. It needs two buffers to scan its operands, one to hold the ids
 //! that fall on the current SKT page, and one to write the result (§3.4).
+//!
+//! **The foreign-key route.** When π holds exactly one SKT column and that
+//! table is a direct child of `T`, the same ids also sit in `T`'s hidden
+//! foreign-key column: 4 bytes per row where an SKT row holds every
+//! descendant's id (16 bytes for `SKT_T0`). SJoin then reads the ids in
+//! page groups, the ids of as many whole SKT pages as one page of ids holds
+//! (one fk-column page, 512 rows at 2 KB, wherever SKT pages nest in
+//! fk-column pages as in the synthetic schema). For each group it prices
+//! both reads with [`FlashTable::read_ns`], the rule [`PageCursor::flush`]
+//! bills by, and reads the cheaper source. The emitted rows are the same
+//! either way. Every other π reads the SKT exactly as before. The choice
+//! is made on the token from hidden-derived ids and `FlashTiming` alone,
+//! and only changes which token-internal pages are read (SECURITY.md
+//! claim 12).
 
 use crate::ctx::ExecCtx;
+use crate::error::ExecError;
 use crate::report::OpKind;
 use crate::Result;
 use ghostdb_index::SubtreeKeyTable;
@@ -15,7 +30,7 @@ use ghostdb_storage::row::RowLayout;
 use ghostdb_storage::table::FlashTableWriter;
 #[cfg(doc)]
 use ghostdb_storage::table::{page_spans, PageCursor};
-use ghostdb_storage::{FlashTable, Id, TableId};
+use ghostdb_storage::{FlashTable, HiddenColumn, Id, TableId, ID_BYTES};
 
 /// An SJoin output description: the materialised rows and their column
 /// tables (column 0 is always the owner id, i.e. the root id for SKT_T0).
@@ -34,16 +49,35 @@ impl SJoinTable {
     }
 }
 
+/// The owner's fk column that can stand in for the SKT: open when
+/// `targets` holds exactly one SKT column and its table is a direct child
+/// of the SKT owner.
+fn fk_route<'a>(
+    ctx: &ExecCtx<'a>,
+    skt: &SubtreeKeyTable,
+    targets: &[TableId],
+) -> Result<Option<&'a HiddenColumn>> {
+    let mut descendants = targets.iter().filter(|t| **t != skt.table);
+    match (descendants.next(), descendants.next()) {
+        (Some(&t), None) if ctx.cat.schema.parent(t) == Some(skt.table) => {
+            ctx.cat.fk_column(t).map(Some)
+        }
+        _ => Ok(None),
+    }
+}
+
 /// Streaming SJoin driver. The caller feeds ascending owner ids via
 /// `next_id` and receives projected rows via `sink` (id + projected target
-/// ids, in `targets` order). SKT read time is attributed to `SJoin`.
+/// ids, in `targets` order). Source read time is attributed to `SJoin`.
 ///
-/// Ids go through a [`PageCursor`]: they queue until the first one that
-/// falls on a later SKT page, the rows of the queued page are then read in
-/// the byte spans [`page_spans`] plans for them (one tracked flash access
-/// per page) and emitted. The ids of one page are held in one more
-/// secure-RAM buffer, charged here: an SKT row is at least one 4-byte id
-/// wide, so a page's ids fit in one page-sized buffer.
+/// Ids go through a [`PageCursor`]: they queue while they fall on one page
+/// of the source, whose rows are then read in the byte spans
+/// [`page_spans`] plans for them (one tracked flash access per page) and
+/// emitted. Ids are pulled one page group ahead: one SKT page, or on the
+/// foreign-key route (module docs) the SKT pages one page of ids covers.
+/// They are held in one more secure-RAM buffer, charged here: an id is 4
+/// bytes, so a group fits in one page-sized buffer. At most one source
+/// reader is open at a time, so SJoin holds 2 buffers on either route.
 pub fn sjoin_stream(
     ctx: &mut ExecCtx<'_>,
     skt: &SubtreeKeyTable,
@@ -51,47 +85,81 @@ pub fn sjoin_stream(
     mut next_id: impl FnMut(&mut ExecCtx<'_>) -> Result<Option<Id>>,
     mut sink: impl FnMut(&mut ExecCtx<'_>, Id, &[Id]) -> Result<()>,
 ) -> Result<u64> {
-    let col_idx: Vec<Option<usize>> = targets
+    let col_idx = targets
         .iter()
         .map(|t| {
             if *t == skt.table {
-                None // the owner id itself
-            } else {
-                Some(
-                    skt.column_of(*t)
-                        .expect("planner only projects SKT descendants"),
-                )
+                return Ok(None); // the owner id itself
             }
+            let c = skt.column_of(*t).ok_or_else(|| {
+                let name = |t: TableId| &ctx.cat.schema.def(t).name;
+                ExecError::Query(format!(
+                    "SJoin: {} is not a descendant of {}",
+                    name(*t),
+                    name(skt.table)
+                ))
+            })?;
+            Ok(Some(c))
         })
-        .collect();
+        .collect::<Result<Vec<_>>>()?;
+    let fk = fk_route(ctx, skt, targets)?;
+    // On the fk route the one SKT column is the fk column's only field.
+    let fk_idx: Vec<Option<usize>> = col_idx.iter().map(|c| c.map(|_| 0)).collect();
     let ram = ctx.ram();
     let page_size = ctx.page_size();
-    let mut cursor = skt.flash.cursor(&ram, page_size)?;
+    let timing = *ctx.lane.timing();
+    let skt_rpp = skt.flash.layout.rows_per_page(page_size) as u64;
+    let group_rows = match fk {
+        Some(_) => (page_size / ID_BYTES) as u64 / skt_rpp * skt_rpp,
+        None => skt_rpp,
+    };
+    // The open source reader, and whether it reads the fk column.
+    let mut source = Some((false, skt.flash.cursor(&ram, page_size)?));
     let _lookahead = ram.alloc()?;
-    let layout = skt.flash.layout.clone();
+    let mut group: Vec<u64> = Vec::new();
     let mut out_ids = vec![0 as Id; targets.len()];
     let mut emitted = 0u64;
     let mut next = next_id(ctx)?;
     while let Some(first) = next {
-        cursor.push(first as u64);
+        let end = (first as u64 / group_rows + 1) * group_rows;
+        group.clear();
+        group.push(first as u64);
         next = loop {
             match next_id(ctx)? {
-                Some(id) if !cursor.opens_page(id as u64) => cursor.push(id as u64),
+                Some(id) if (id as u64) < end => group.push(id as u64),
                 other => break other,
             }
         };
-        ctx.tracked(OpKind::SJoin, |dev| cursor.flush(dev, next.map(u64::from)))?;
-        for item in cursor.ready() {
-            let (row, skt_row) = item?;
-            let id = row as Id;
-            for (slot, col) in out_ids.iter_mut().zip(&col_idx) {
-                *slot = match col {
-                    None => id,
-                    Some(c) => layout.get_id(skt_row, *c),
-                };
+        let via_fk = fk.filter(|fk| {
+            fk.table().read_ns(&timing, page_size, &group)
+                < skt.flash.read_ns(&timing, page_size, &group)
+        });
+        let table = via_fk.map_or(&skt.flash, |fk| fk.table());
+        if source
+            .as_ref()
+            .is_some_and(|(on_fk, _)| *on_fk != via_fk.is_some())
+        {
+            source = None; // its buffer goes back before the other opens
+        }
+        let (_, cursor) = match source {
+            Some(ref mut open) => open,
+            None => source.insert((via_fk.is_some(), table.cursor(&ram, page_size)?)),
+        };
+        let cols = if via_fk.is_some() { &fk_idx } else { &col_idx };
+        for page in table.by_page(page_size, &group) {
+            for &row in page {
+                cursor.push(row);
             }
-            sink(ctx, id, &out_ids)?;
-            emitted += 1;
+            ctx.tracked(OpKind::SJoin, |dev| cursor.flush(dev, None))?;
+            for item in cursor.ready() {
+                let (row, bytes) = item?;
+                let id = row as Id;
+                for (slot, col) in out_ids.iter_mut().zip(cols) {
+                    *slot = col.map_or(id, |c| table.layout.get_id(bytes, c));
+                }
+                sink(ctx, id, &out_ids)?;
+                emitted += 1;
+            }
         }
     }
     Ok(emitted)
@@ -102,6 +170,8 @@ pub fn sjoin_stream(
 pub struct SJoinWriter {
     writer: FlashTableWriter,
     layout: RowLayout,
+    /// The row being assembled, reused for every push.
+    row: Vec<u8>,
     cols: Vec<TableId>,
 }
 
@@ -122,6 +192,7 @@ impl SJoinWriter {
         cols.extend_from_slice(targets);
         Ok(SJoinWriter {
             writer,
+            row: vec![0u8; layout.size()],
             layout,
             cols,
         })
@@ -129,12 +200,11 @@ impl SJoinWriter {
 
     /// Append one row (owner id + target ids).
     pub fn push(&mut self, ctx: &mut ExecCtx<'_>, id: Id, targets: &[Id]) -> Result<()> {
-        let mut row = vec![0u8; self.layout.size()];
-        self.layout.put_id(&mut row, 0, id);
+        self.layout.put_id(&mut self.row, 0, id);
         for (i, t) in targets.iter().enumerate() {
-            self.layout.put_id(&mut row, 1 + i, *t);
+            self.layout.put_id(&mut self.row, 1 + i, *t);
         }
-        ctx.tracked(OpKind::Store, |dev| Ok(self.writer.push(dev, &row)?))
+        ctx.tracked(OpKind::Store, |dev| Ok(self.writer.push(dev, &self.row)?))
     }
 
     /// Finish, registering the segment as a query temp.
@@ -184,27 +254,72 @@ mod tests {
         }
     }
 
-    #[test]
-    fn sjoin_ascending_reads_each_page_once() {
+    /// 600 dense ids through SJoin onto `targets`: the rows it emits and
+    /// the pages it reads.
+    fn dense_sjoin(targets: &[&str]) -> (Vec<(Id, Vec<Id>)>, u64) {
         let mut db = testkit::tiny_db();
         let t0 = db.schema.root();
-        let t1 = db.schema.table_id("T1").unwrap();
+        let targets: Vec<TableId> = targets
+            .iter()
+            .map(|t| db.schema.table_id(t).unwrap())
+            .collect();
         let mut ctx = ExecCtx::new(&mut db);
         let skt = ctx.skt(t0).unwrap();
-        // 600 rows × 16-byte rows = 128 rows/page → 5 pages.
-        let ids: Vec<Id> = (0..600).collect();
-        let mut feed = ids.into_iter();
+        let mut feed = 0..600;
+        let mut got = Vec::new();
         let before = ctx.lane.io();
         sjoin_stream(
             &mut ctx,
             skt,
-            &[t1],
+            &targets,
             |_ctx| Ok(feed.next()),
-            |_ctx, _id, _t| Ok(()),
+            |_ctx, id, t| {
+                got.push((id, t.to_vec()));
+                Ok(())
+            },
         )
         .unwrap();
-        let d = ctx.lane.io() - before;
-        assert_eq!(d.pages_read, 5);
+        (got, (ctx.lane.io() - before).pages_read)
+    }
+
+    #[test]
+    fn sjoin_ascending_reads_each_page_once() {
+        // T12 is a grandchild of T0, so SJoin stays on the SKT: 600 rows ×
+        // 16-byte rows = 128 rows/page → 5 pages.
+        let (got, pages) = dense_sjoin(&["T12"]);
+        assert_eq!(got.len(), 600);
+        assert_eq!(pages, 5);
+    }
+
+    #[test]
+    fn sjoin_fk_route_reads_the_fk_column_pages() {
+        // T1 is a direct child: the same ids sit in T0.fk1, 512 to a page,
+        // so 600 dense ids read its 2 pages instead of the SKT's 5, and
+        // emit what an SKT read of T1 emits.
+        let (got, pages) = dense_sjoin(&["T1"]);
+        assert_eq!(pages, 2);
+        let (skt, _) = dense_sjoin(&["T1", "T12"]);
+        let skt: Vec<(Id, Vec<Id>)> = skt.into_iter().map(|(id, t)| (id, vec![t[0]])).collect();
+        assert_eq!(got, skt);
+        assert!(got.iter().all(|(id, t)| t == &[id % 120]));
+    }
+
+    #[test]
+    fn sjoin_refuses_a_target_outside_the_skt() {
+        let mut db = testkit::tiny_db();
+        let t1 = db.schema.table_id("T1").unwrap();
+        let t0 = db.schema.root();
+        let mut ctx = ExecCtx::new(&mut db);
+        let skt = ctx.skt(t1).unwrap();
+        let err = sjoin_stream(
+            &mut ctx,
+            skt,
+            &[t0],
+            |_ctx| Ok(Some(0)),
+            |_ctx, _id, _t| Ok(()),
+        )
+        .unwrap_err();
+        assert!(matches!(err, ExecError::Query(_)), "{err}");
     }
 
     #[test]

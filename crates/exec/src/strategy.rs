@@ -392,22 +392,29 @@ pub fn execute_sj(
     }
     let skt = ctx.skt(root)?;
     let mut writer = SJoinWriter::create(ctx, root, &cols, upper)?;
-    let col_tables = cols.clone();
+    // Each filter with the target column it probes; root-table filters
+    // probe the owner id itself.
+    let probes = bloom_filters
+        .iter()
+        .map(|(t, bf)| {
+            if *t == root {
+                return Ok((None, bf));
+            }
+            let idx = cols
+                .iter()
+                .position(|c| c == t)
+                .ok_or_else(|| ExecError::Query("Bloom filter column missing in F'".into()))?;
+            Ok((Some(idx), bf))
+        })
+        .collect::<Result<Vec<_>>>()?;
     sjoin_stream(
         ctx,
         skt,
         &cols,
         |ctx| stream.next(ctx),
         |ctx, id, targets| {
-            for (t, bf) in &bloom_filters {
-                // Root-table filters probe the owner id itself.
-                let probe = if *t == root {
-                    id
-                } else {
-                    let idx = col_tables.iter().position(|c| c == t).expect("col present");
-                    targets[idx]
-                };
-                if !bf.contains(probe) {
+            for (idx, bf) in &probes {
+                if !bf.contains(idx.map_or(id, |i| targets[i])) {
                     return Ok(());
                 }
             }

@@ -8,7 +8,10 @@
 //!
 //! The `SJoin` operator semi-joins a sorted list of `T` ids against this
 //! table with a single ascending pass, projecting any subset of descendant
-//! id columns.
+//! id columns. The column of a direct child `C` holds the same ids as `T`'s
+//! hidden foreign-key column into `C` (both are built from one `FkData`
+//! array), so when `C` is the only column an SJoin needs, it reads that
+//! 4-byte column instead wherever it is cheaper than these wider rows.
 
 use ghostdb_storage::row::RowLayout;
 use ghostdb_storage::{FlashTable, Result, SchemaTree, StorageError, TableId};

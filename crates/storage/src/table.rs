@@ -219,6 +219,47 @@ impl FlashTable {
         })
     }
 
+    /// Simulated cost of reading the ascending `rows` page by page, as a
+    /// [`PageCursor`] flushed before each row that opens a page bills it:
+    /// each page's rows in the spans [`page_spans`] plans for them, at
+    /// [`FlashTiming::read_cost_ns`] per span. Pure: it reads no flash, so a
+    /// caller can price a read before choosing to issue it.
+    pub fn read_ns(&self, timing: &FlashTiming, page_size: usize, rows: &[u64]) -> u128 {
+        self.by_page(page_size, rows)
+            .flat_map(|page| spans(timing, self.row_bytes(page_size, page)))
+            .map(|s| timing.read_cost_ns(s.len()))
+            .sum()
+    }
+
+    /// The ascending `rows` cut into runs that each lie on one page.
+    pub fn by_page<'r>(
+        &self,
+        page_size: usize,
+        mut rows: &'r [u64],
+    ) -> impl Iterator<Item = &'r [u64]> + 'r {
+        let rpp = self.layout.rows_per_page(page_size) as u64;
+        std::iter::from_fn(move || {
+            let end = (rows.first()? / rpp + 1) * rpp;
+            let (page, rest) = rows.split_at(rows.partition_point(|r| *r < end));
+            rows = rest;
+            Some(page)
+        })
+    }
+
+    /// In-page byte ranges of `rows`, which lie on one page.
+    fn row_bytes<'r>(
+        &'r self,
+        page_size: usize,
+        rows: &'r [u64],
+    ) -> impl Iterator<Item = Range<usize>> + 'r {
+        let size = self.layout.size();
+        let rpp = self.layout.rows_per_page(page_size) as u64;
+        rows.iter().map(move |r| {
+            let off = (r % rpp) as usize * size;
+            off..off + size
+        })
+    }
+
     /// Open a page-by-page reader over ascending rows (one RAM buffer).
     pub fn cursor(&self, ram: &RamArena, page_size: usize) -> Result<PageCursor> {
         Ok(PageCursor {
@@ -401,21 +442,26 @@ pub fn page_spans(
     timing: &FlashTiming,
     intervals: impl IntoIterator<Item = Range<usize>>,
 ) -> Vec<Range<usize>> {
+    spans(timing, intervals).collect()
+}
+
+/// [`page_spans`], planned lazily.
+fn spans(
+    timing: &FlashTiming,
+    intervals: impl IntoIterator<Item = Range<usize>>,
+) -> impl Iterator<Item = Range<usize>> {
     let load_ns = timing.read_cost_ns(0);
-    let mut spans: Vec<Range<usize>> = Vec::new();
-    for iv in intervals {
-        match spans.last_mut() {
-            Some(last)
-                if (iv.start.saturating_sub(last.end) as u128)
-                    * (timing.transfer_ns_per_byte as u128)
-                    < load_ns =>
-            {
-                last.end = last.end.max(iv.end);
-            }
-            _ => spans.push(iv),
+    let per_byte = timing.transfer_ns_per_byte as u128;
+    let mut intervals = intervals.into_iter().peekable();
+    std::iter::from_fn(move || {
+        let mut span = intervals.next()?;
+        while let Some(iv) =
+            intervals.next_if(|iv| (iv.start.saturating_sub(span.end) as u128) * per_byte < load_ns)
+        {
+            span.end = span.end.max(iv.end);
         }
-    }
-    spans
+        Some(span)
+    })
 }
 
 /// Streaming reader over a row table, with ascending random skip support
@@ -504,12 +550,7 @@ impl FlashTableReader {
         };
         let page = self.page_of(first, last)?;
         self.pos = last;
-        let layout = &self.table.layout;
-        let size = layout.size();
-        let wanted = rows.iter().map(|r| {
-            let off = layout.locate(*r, self.page_size).1;
-            off..off + size
-        });
+        let wanted = self.table.row_bytes(self.page_size, rows);
         let spans = page_spans(dev.timing(), wanted.filter(|b| !self.holds(page, b)));
         self.fill(dev, page, spans)
     }
@@ -613,7 +654,8 @@ impl PageCursor {
     /// still be pushed (`None`: no more rows). If it falls on the queued
     /// page, that page is read from its first queued row to its end, so the
     /// rows still to come on it are already held and the page is loaded
-    /// once; otherwise only the spans its queued rows need are read.
+    /// once; otherwise only the spans its queued rows need are read, and
+    /// the flush bills exactly what [`FlashTable::read_ns`] prices for them.
     pub fn flush(&mut self, dev: &mut FlashDevice, next: Option<u64>) -> Result<bool> {
         self.ready.clear();
         let Some(&first) = self.queued.first() else {
@@ -831,7 +873,8 @@ mod tests {
     /// from sparse to dense, cut into random lookahead batches, the page
     /// cursor decodes what a full scan decodes and bills no page more than
     /// one whole-page read. Pushed through, each page is read in exactly
-    /// the spans planned for all its ids; flushed at each batch's end with
+    /// the spans planned for all its ids, at the price `read_ns` quotes;
+    /// flushed at each batch's end with
     /// the next batch's first id, each page is still loaded once.
     #[test]
     fn page_cursor_reads_hidden_columns_page_exactly() {
@@ -932,6 +975,8 @@ mod tests {
                     assert_eq!(d.pages_read, spans.len() as u64, "case {case}");
                     let bytes: usize = spans.iter().map(|s| s.len()).sum();
                     assert_eq!(d.bytes_to_ram, bytes as u64, "case {case}");
+                    let priced = col.table().read_ns(&timing, page_size, &wanted);
+                    assert_eq!(d.elapsed(&timing, page_size).as_ns(), priced, "case {case}");
                 }
             }
         }

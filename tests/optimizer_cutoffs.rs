@@ -7,6 +7,7 @@
 use ghostdb_datagen::{SyntheticDataset, SyntheticSpec};
 use ghostdb_exec::optimizer::{
     CROSS_PRE_CUTOFF, DEFER_RATIO, HIDDEN_ROOT_PRE_POST_CUTOFF, PRE_POST_CUTOFF, ROOT_PRE_CUTOFF,
+    SIBLING_PRE_POST_CUTOFF,
 };
 use ghostdb_exec::strategy::{VisDecision, VisStrategy};
 use ghostdb_exec::{Database, ExecOptions, Executor, SpjQuery};
@@ -73,7 +74,7 @@ fn pre_post_cutoff_is_the_measured_crossover() {
             .project(t1, "id")
             .project(t1, "v1")
     };
-    let measured = crossover(0.02, 0.2, |sv| {
+    let measured = crossover(0.005, 0.2, |sv| {
         let q = q(sv);
         (
             cost(&mut db, &q, &[(t1, Pre)]),
@@ -109,7 +110,7 @@ fn beside_hidden(
 fn minimax_pre_post_crossover(hidden: (&str, &str)) -> f64 {
     let (ds, mut db) = setup();
     let t1 = db.schema.table_id("T1").unwrap();
-    crossover(0.02, 0.2, |sv| {
+    crossover(0.005, 0.2, |sv| {
         let (mut pre_worst, mut post_worst) = (1.0f64, 1.0f64);
         for sh in [0.01, 0.03, 0.1, 0.3] {
             let q = beside_hidden(&ds, &db, hidden, sv, sh);
@@ -124,12 +125,12 @@ fn minimax_pre_post_crossover(hidden: (&str, &str)) -> f64 {
 
 #[test]
 fn hidden_root_pre_post_cutoff_is_the_narrowest_range_crossover() {
-    // Beside a hidden root selection the crossover climbs with sH (0.03 at
-    // sH = 0.01 up to 0.20 at 0.05–0.1). The cutoff sits at the narrowest
-    // swept sH, so a narrow hidden range never pays Pre's regret.
+    // Beside a hidden root selection the crossover moves with sH (0.016 at
+    // sH = 0.01, 0.025 at 0.02–0.1, 0.020 at 0.3). The cutoff sits at the
+    // narrowest swept sH, so a narrow hidden range never pays Pre's regret.
     let (ds, mut db) = setup();
     let t1 = db.schema.table_id("T1").unwrap();
-    let measured = crossover(0.02, 0.2, |sv| {
+    let measured = crossover(0.005, 0.2, |sv| {
         let q = beside_hidden(&ds, &db, ("T0", "h1"), sv, 0.01);
         (
             cost(&mut db, &q, &[(t1, Pre)]),
@@ -144,11 +145,12 @@ fn hidden_root_pre_post_cutoff_is_the_narrowest_range_crossover() {
 }
 
 #[test]
-fn a_hidden_sibling_selection_keeps_the_plain_pre_post_cutoff() {
+fn a_hidden_sibling_selection_has_its_own_pre_post_cutoff() {
     // With the hidden selection on T2 instead of the root, the minimax
-    // point coincides with the plain crossover: no cutoff of its own.
+    // point sits well above the plain crossover: a thinned root stream
+    // gains little from SJoin's foreign-key route, so Post pays later.
     let measured = minimax_pre_post_crossover(("T2", "h1"));
-    assert_within_one_step("PRE_POST_CUTOFF", PRE_POST_CUTOFF, measured);
+    assert_within_one_step("SIBLING_PRE_POST_CUTOFF", SIBLING_PRE_POST_CUTOFF, measured);
 }
 
 #[test]
