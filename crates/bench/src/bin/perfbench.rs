@@ -7,7 +7,7 @@
 //! ```text
 //! perfbench [--smoke] [--out BENCH.json] [--scale F] [--scale2 F]
 //!           [--medical-scale F] [--iters N] [--threads N]
-//!           [--padded] [--read-ahead N] [--serve]
+//!           [--padded] [--serve]
 //! perfbench --check BENCH.json
 //! perfbench --compare A.json B.json [--tolerance PCT] [--exact]
 //! ```
@@ -48,13 +48,10 @@ use ghostdb_exec::strategy::VisStrategy;
 use ghostdb_exec::{
     CiPrefetch, ExecCtx, ExecOptions, ExecReport, Executor, GhostDbServer, ServeConfig, SpjQuery,
 };
-use ghostdb_flash::{
-    FlashDevice, FlashGeometry, FlashTiming, Segment, SegmentAllocator, SimDuration,
-};
+use ghostdb_flash::{FlashDevice, FlashGeometry, FlashTiming, SegmentAllocator};
 use ghostdb_index::{ClimbingSpec, FkData, IndexBuilder, LevelSpec};
 use ghostdb_storage::idlist::write_id_list;
 use ghostdb_storage::schema::paper_synthetic_schema;
-use ghostdb_storage::IdListReader;
 use ghostdb_storage::{CmpOp, Id, Predicate};
 use ghostdb_token::RamArena;
 use std::sync::Arc;
@@ -66,7 +63,7 @@ perfbench — wall-clock performance baseline emitting BENCH.json
 USAGE:
     perfbench [--smoke] [--out PATH] [--scale F] [--scale2 F]
               [--medical-scale F] [--iters N] [--threads N]
-              [--padded] [--read-ahead N] [--serve]
+              [--padded] [--serve]
     perfbench --check PATH
     perfbench --compare PATH PATH [--tolerance PCT] [--exact]
 
@@ -91,14 +88,6 @@ OPTIONS:
                        countermeasure); recorded in the document. The
                        dedicated synthetic-padded/ exact-vs-pow2 pairs run
                        in every document regardless of this flag
-    --read-ahead N     run the query sweeps with an N-page vectored
-                       read-ahead window on B+-tree leaf scans and probe
-                       runs (0 = serial issue, the default).
-                       simulated_s/ops/bytes_io are bit-identical at any
-                       window — batching moves only the channel clock;
-                       recorded in the document. The dedicated
-                       micro/io/scan-vectored pair measures the win in
-                       every document regardless of this flag
     --serve            add the serve-mode family: a closed-loop load
                        generator driving a `GhostDbServer` (sessions ×
                        batching on/off, deterministic arrival order) whose
@@ -135,7 +124,6 @@ struct Opts {
     iters: usize,
     threads: usize,
     padded: bool,
-    read_ahead: usize,
     serve: bool,
     check: Option<String>,
     compare: Option<(String, String)>,
@@ -169,7 +157,6 @@ fn parse_args() -> Opts {
         iters: 0,           // resolved after --smoke is known
         threads: 1,
         padded: false,
-        read_ahead: 0,
         serve: false,
         check: None,
         compare: None,
@@ -229,13 +216,6 @@ fn parse_args() -> Opts {
             "--padded" => {
                 opts.padded = true;
                 i += 1;
-            }
-            "--read-ahead" => {
-                let raw = value_of(&args, i);
-                opts.read_ahead = raw.parse().unwrap_or_else(|_| {
-                    usage_error(&format!("bad --read-ahead {raw} (expected an integer ≥ 0)"))
-                });
-                i += 2;
             }
             "--serve" => {
                 opts.serve = true;
@@ -355,7 +335,6 @@ fn report_stats(report: &ExecReport) -> RunStats {
         simulated_s: report.total().as_secs(),
         ops: report.result_rows,
         bytes_io: report.io.bytes_to_ram + report.io.bytes_from_ram,
-        channel: None,
     }
 }
 
@@ -429,14 +408,7 @@ fn synthetic_scenarios(
             );
             eprintln!("perfbench: {name}");
             measure(name, warmup, iters, || {
-                report_stats(&run_with_tuned(
-                    db,
-                    &q,
-                    strategy,
-                    algo,
-                    tune.padded,
-                    tune.read_ahead,
-                ))
+                report_stats(&run_with_tuned(db, &q, strategy, algo, tune.padded))
             })
         },
     ));
@@ -469,7 +441,6 @@ fn zipf_scenarios(
                     strategy,
                     ProjectAlgo::Project,
                     tune.padded,
-                    tune.read_ahead,
                 ))
             })
         },
@@ -506,7 +477,6 @@ fn hicard_scenarios(
                     strategy,
                     ProjectAlgo::Project,
                     tune.padded,
-                    tune.read_ahead,
                 ))
             })
         },
@@ -552,7 +522,6 @@ fn padded_scenarios(
                     strategy,
                     ProjectAlgo::Project,
                     padded,
-                    tune.read_ahead,
                 ))
             })
         },
@@ -584,7 +553,6 @@ fn medical_scenarios(
                     strategy,
                     ProjectAlgo::Project,
                     tune.padded,
-                    tune.read_ahead,
                 ))
             })
         },
@@ -831,7 +799,6 @@ fn ingest_scenarios(warmup: usize, iters: usize, out: &mut Vec<BenchEntry>) {
                 simulated_s: flash.elapsed_since(&Default::default()).as_secs(),
                 ops: rows,
                 bytes_io: io.bytes_to_ram + io.bytes_from_ram,
-                channel: None,
             }
         });
         eprintln!(
@@ -857,97 +824,93 @@ fn ingest_scenarios(warmup: usize, iters: usize, out: &mut Vec<BenchEntry>) {
 fn gc_pressure_scenarios(warmup: usize, iters: usize, out: &mut Vec<BenchEntry>) {
     const CAL: usize = 256;
     const OPS: usize = 3000;
-    for chips in [1usize, 4] {
-        let name = format!("gc-pressure/c{chips}/mixed");
-        eprintln!("perfbench: {name}");
-        let mut lat: Vec<u128> = Vec::new();
-        let mut erased = 0u64;
-        let mut entry = {
-            let lat = &mut lat;
-            let erased = &mut erased;
-            measure(name.as_str(), warmup, iters, || {
-                // A fresh device per run keeps the counter deltas a pure
-                // function of the op sequence (no cross-iteration GC state).
-                let mut dev = FlashDevice::with_chips(
-                    FlashGeometry {
-                        page_size: 2048,
-                        pages_per_block: 32,
-                        block_count: 64,
-                        spare_blocks: 8,
-                    },
-                    FlashTiming::default(),
-                    chips,
-                );
-                let span = dev.logical_pages();
-                let page_size = dev.page_size();
-                let image = vec![0xA5u8; page_size];
-                for lpn in 0..span {
-                    dev.write(lpn, &image).expect("pre-fill");
-                }
-                // Deterministic mixed op stream: 2/3 full-page overwrites
-                // (steady GC pressure), 1/3 reads.
-                let mut seed = 0x2545F4914F6CDD1Du64;
-                let mut next = move || {
-                    seed ^= seed << 13;
-                    seed ^= seed >> 7;
-                    seed ^= seed << 17;
-                    seed
-                };
-                let mut buf = vec![0u8; 256];
-                let mut run_op = |dev: &mut FlashDevice, r: u64| {
-                    let lpn = (r >> 8) % span;
-                    if r.is_multiple_of(3) {
-                        dev.read(lpn, 0, &mut buf).expect("gc-pressure read");
-                    } else {
-                        let fill = vec![r as u8; page_size];
-                        dev.write(lpn, &fill).expect("gc-pressure write");
-                    }
-                };
-                // Calibrate the arrival schedule from an untimed burst.
-                let cal = Instant::now();
-                for _ in 0..CAL {
-                    run_op(&mut dev, next());
-                }
-                let gap = cal.elapsed() / CAL as u32;
-                // The measured window: open-loop arrivals at ≈ capacity.
-                let snap = dev.snapshot();
-                let t0 = Instant::now();
-                for i in 0..OPS {
-                    let due = t0 + gap * i as u32;
-                    let now = Instant::now();
-                    if due > now {
-                        std::thread::sleep(due - now);
-                    }
-                    run_op(&mut dev, next());
-                    let arrival = (gap * i as u32).as_nanos();
-                    lat.push(t0.elapsed().as_nanos().saturating_sub(arrival));
-                }
-                let io = dev.stats_since(&snap);
-                *erased = io.blocks_erased;
-                RunStats {
-                    simulated_s: dev.elapsed_since(&snap).as_secs(),
-                    ops: OPS as u64,
-                    bytes_io: io.bytes_to_ram + io.bytes_from_ram,
-                    channel: None,
-                }
-            })
-        };
-        if erased == 0 {
-            eprintln!(
-                "perfbench: {name}: no blocks erased during the measured window — \
-                 the device never reached GC pressure"
+    let name = "gc-pressure/c1/mixed";
+    eprintln!("perfbench: {name}");
+    let mut lat: Vec<u128> = Vec::new();
+    let mut erased = 0u64;
+    let mut entry = {
+        let lat = &mut lat;
+        let erased = &mut erased;
+        measure(name, warmup, iters, || {
+            // A fresh device per run keeps the counter deltas a pure
+            // function of the op sequence (no cross-iteration GC state).
+            let mut dev = FlashDevice::new(
+                FlashGeometry {
+                    page_size: 2048,
+                    pages_per_block: 32,
+                    block_count: 64,
+                    spare_blocks: 8,
+                },
+                FlashTiming::default(),
             );
-            std::process::exit(1);
-        }
-        let timed = &lat[warmup * OPS..];
-        entry.percentiles = Some((
-            percentile(timed, 0.5),
-            percentile(timed, 0.95),
-            percentile(timed, 0.99),
-        ));
-        eprintln!("perfbench: {name}: {erased} blocks erased under load");
-        out.push(entry);
+            let span = dev.logical_pages();
+            let page_size = dev.page_size();
+            let image = vec![0xA5u8; page_size];
+            for lpn in 0..span {
+                dev.write(lpn, &image).expect("pre-fill");
+            }
+            // Deterministic mixed op stream: 2/3 full-page overwrites
+            // (steady GC pressure), 1/3 reads.
+            let mut seed = 0x2545F4914F6CDD1Du64;
+            let mut next = move || {
+                seed ^= seed << 13;
+                seed ^= seed >> 7;
+                seed ^= seed << 17;
+                seed
+            };
+            let mut buf = vec![0u8; 256];
+            let mut run_op = |dev: &mut FlashDevice, r: u64| {
+                let lpn = (r >> 8) % span;
+                if r.is_multiple_of(3) {
+                    dev.read(lpn, 0, &mut buf).expect("gc-pressure read");
+                } else {
+                    let fill = vec![r as u8; page_size];
+                    dev.write(lpn, &fill).expect("gc-pressure write");
+                }
+            };
+            // Calibrate the arrival schedule from an untimed burst.
+            let cal = Instant::now();
+            for _ in 0..CAL {
+                run_op(&mut dev, next());
+            }
+            let gap = cal.elapsed() / CAL as u32;
+            // The measured window: open-loop arrivals at ≈ capacity.
+            let snap = dev.snapshot();
+            let t0 = Instant::now();
+            for i in 0..OPS {
+                let due = t0 + gap * i as u32;
+                let now = Instant::now();
+                if due > now {
+                    std::thread::sleep(due - now);
+                }
+                run_op(&mut dev, next());
+                let arrival = (gap * i as u32).as_nanos();
+                lat.push(t0.elapsed().as_nanos().saturating_sub(arrival));
+            }
+            let io = dev.stats_since(&snap);
+            *erased = io.blocks_erased;
+            RunStats {
+                simulated_s: dev.elapsed_since(&snap).as_secs(),
+                ops: OPS as u64,
+                bytes_io: io.bytes_to_ram + io.bytes_from_ram,
+            }
+        })
+    };
+    if erased == 0 {
+        eprintln!(
+            "perfbench: {name}: no blocks erased during the measured window — \
+             the device never reached GC pressure"
+        );
+        std::process::exit(1);
     }
+    let timed = &lat[warmup * OPS..];
+    entry.percentiles = Some((
+        percentile(timed, 0.5),
+        percentile(timed, 0.95),
+        percentile(timed, 0.99),
+    ));
+    eprintln!("perfbench: {name}: {erased} blocks erased under load");
+    out.push(entry);
 }
 
 fn micro_device() -> (FlashDevice, SegmentAllocator, RamArena) {
@@ -1292,7 +1255,6 @@ fn micro_sjoin(scale: f64, warmup: usize, iters: usize, out: &mut Vec<BenchEntry
                     simulated_s,
                     ops: emitted,
                     bytes_io,
-                    channel: None,
                 }
             },
         ));
@@ -1320,7 +1282,6 @@ fn micro_merge_reduce(scale: f64, warmup: usize, iters: usize, out: &mut Vec<Ben
             simulated_s: ctx.lane.elapsed_of(&io).as_secs(),
             ops: list.count,
             bytes_io: io.bytes_to_ram + io.bytes_from_ram,
-            channel: None,
         };
         ctx.free_temps().unwrap();
         stats
@@ -1420,316 +1381,6 @@ fn micro_project_mjoin_multipass(warmup: usize, iters: usize, out: &mut Vec<Benc
     ));
 }
 
-/// Disjoint-chip channel scaling on the sharded flash device — the
-/// multi-chip array's bank gate. Four independent id-list jobs (write +
-/// full readback) run against a 4-chip device three ways: all through one
-/// chip slice (`serial`), pinned round-robin onto 2 chips (`x2`), and onto
-/// all 4 (`x4`), each lane a per-chip allocator slice driven through its
-/// own forked device handle. Every per-op
-/// cost is placement-independent, so issue order cannot change any chip's
-/// busy time: the channel-makespan delta (busiest chip) is exactly the
-/// completion time of that many concurrently streaming channels, measured
-/// deterministically even on a single-core host. `simulated_s` carries the
-/// single-channel issue sum for `serial` and the makespan for `x2`/`x4`;
-/// the ≥1.7x / ≥3x scaling floors are asserted right here, so every
-/// perfbench run doubles as the lane-scaling smoke gate.
-fn micro_lanes(warmup: usize, iters: usize, out: &mut Vec<BenchEntry>) {
-    const CHIPS: usize = 4;
-    const JOBS: usize = 4;
-    const IDS_PER_JOB: u64 = 20_000;
-    let mut dev = FlashDevice::with_chips(
-        FlashGeometry::for_capacity(8 * 1024 * 1024),
-        FlashTiming::default(),
-        CHIPS,
-    );
-    let mut alloc = SegmentAllocator::with_chips(dev.logical_pages(), CHIPS);
-    let ram = RamArena::paper_default();
-    let chip_pages = dev.chip_pages();
-    let page_size = dev.page_size();
-    let mut ratios = [0.0f64; 3];
-    for (slot, (lanes, name)) in [
-        (1usize, "micro/lanes/serial"),
-        (2, "micro/lanes/x2"),
-        (4, "micro/lanes/x4"),
-    ]
-    .into_iter()
-    .enumerate()
-    {
-        let ratio = &mut ratios[slot];
-        let dev = &mut dev;
-        let alloc = &mut alloc;
-        out.push(measure(name, warmup, iters, || {
-            let io_before = dev.stats();
-            let busy_before: Vec<SimDuration> = (0..CHIPS).map(|c| dev.chip_elapsed(c)).collect();
-            // One slice per lane, lane j pinned to chip j, each lane driving
-            // its own forked handle — per-op, per-chip lock scopes, no
-            // whole-device critical section.
-            let mut lane_rt: Vec<(FlashDevice, SegmentAllocator, Segment)> = (0..lanes)
-                .map(|j| {
-                    let c = j as u64;
-                    let seg = alloc
-                        .alloc_in_range(chip_pages / 2, c * chip_pages, (c + 1) * chip_pages)
-                        .expect("lane slice");
-                    let slice = SegmentAllocator::over(seg.start(), seg.pages());
-                    (dev.fork(), slice, seg)
-                })
-                .collect();
-            let mut ops = 0u64;
-            for i in 0..JOBS {
-                let (fork, slice, _) = &mut lane_rt[i % lanes];
-                let ids: Vec<Id> = (0..IDS_PER_JOB)
-                    .map(|k| (i as u64 * 1_000_000 + k) as Id)
-                    .collect();
-                let list = write_id_list(fork, slice, &ram, &ids).expect("write id list");
-                let mut r = IdListReader::open(list, &ram, page_size).expect("open id list");
-                while r.next_id(fork).expect("read id").is_some() {
-                    ops += 1;
-                }
-            }
-            let deltas: Vec<u128> = (0..CHIPS)
-                .map(|c| dev.chip_elapsed(c).as_ns() - busy_before[c].as_ns())
-                .collect();
-            let sum: u128 = deltas.iter().sum();
-            let makespan: u128 = *deltas.iter().max().expect("chips > 0");
-            let io = dev.stats() - io_before;
-            // Return the slices (trim is metadata-only, so the busy window
-            // measured above is unaffected).
-            for (_, _, seg) in lane_rt {
-                alloc.free(seg, dev).expect("free lane slice");
-            }
-            *ratio = sum as f64 / makespan.max(1) as f64;
-            let sim_ns = if lanes == 1 { sum } else { makespan };
-            RunStats {
-                simulated_s: sim_ns as f64 / 1e9,
-                ops,
-                bytes_io: io.bytes_to_ram + io.bytes_from_ram,
-                channel: Some((sum as f64 / 1e9, makespan as f64 / 1e9)),
-            }
-        }));
-    }
-    eprintln!(
-        "perfbench: lane channel scaling — x2 {:.2}x, x4 {:.2}x \
-         (single-channel issue sum / busiest chip)",
-        ratios[1], ratios[2]
-    );
-    for (lanes, floor, got) in [(2usize, 1.7f64, ratios[1]), (4, 3.0, ratios[2])] {
-        if got < floor {
-            eprintln!(
-                "perfbench: micro/lanes/x{lanes}: channel makespan speedup {got:.2}x is \
-                 below the {floor}x floor — disjoint-chip lanes are not scaling"
-            );
-            std::process::exit(1);
-        }
-    }
-}
-
-/// The vectored-I/O pair: a climbing-index range scan over a B+-tree whose
-/// leaves stripe a 4-chip device (`alloc_striped` rotation), run with
-/// serial leaf issue vs an 8-page read-ahead window
-/// (`CiProbe::set_read_ahead` → `BTreeCursor` scan-chain prefetch).
-/// Counters are batch-invariant by construction — `bytes_io` equality is
-/// asserted right here — so `simulated_s` carries the issue sum for both
-/// entries while the `issue_s`/`makespan_s` pair records where they
-/// differ: the read-ahead run's batches stream up to 4 channels
-/// concurrently, and the ≥1.5x channel-time floor is asserted in-binary,
-/// so every perfbench run doubles as the vectored-I/O smoke gate.
-fn micro_io(warmup: usize, iters: usize, out: &mut Vec<BenchEntry>) {
-    const CHIPS: usize = 4;
-    const WINDOW: usize = 8;
-    let schema = paper_synthetic_schema(1, 1);
-    let mut dev = FlashDevice::with_chips(
-        FlashGeometry::for_capacity(64 * 1024 * 1024),
-        FlashTiming::default(),
-        CHIPS,
-    );
-    let mut alloc = SegmentAllocator::with_chips(dev.logical_pages(), CHIPS);
-    let ram = RamArena::paper_default();
-    let t0 = schema.table_id("T0").unwrap();
-    let t1 = schema.table_id("T1").unwrap();
-    let t2 = schema.table_id("T2").unwrap();
-    let t11 = schema.table_id("T11").unwrap();
-    let t12 = schema.table_id("T12").unwrap();
-    let (n0, n1) = (40_000u64, 20_000u64);
-    let mut rows = vec![0u64; schema.len()];
-    rows[t0] = n0;
-    rows[t1] = n1;
-    rows[t2] = 10;
-    rows[t11] = 5;
-    rows[t12] = 4;
-    let mut fks = FkData::default();
-    fks.insert(t0, t1, (0..n0).map(|i| (i / 2) as Id).collect());
-    fks.insert(t0, t2, (0..n0).map(|i| (i % 10) as Id).collect());
-    fks.insert(t1, t11, (0..n1).map(|i| (i % 5) as Id).collect());
-    fks.insert(t1, t12, (0..n1).map(|i| (i % 4) as Id).collect());
-    let keys: Vec<u64> = (0..n1).map(|r| r % 5000).collect();
-    let ci = IndexBuilder::new(schema, rows, fks)
-        .build_climbing(
-            &mut dev,
-            &mut alloc,
-            ClimbingSpec {
-                table: t1,
-                column: "h1",
-                keys: &keys,
-                levels: LevelSpec::FullClimb,
-                exact: true,
-            },
-        )
-        .unwrap();
-    let (lo, hi) = (0u64, 5000u64);
-    let mut chan = [(0.0f64, 0.0f64); 2];
-    let mut bytes = [0u64; 2];
-    for (slot, (window, name)) in [
-        (0usize, "micro/io/scan-vectored_serial"),
-        (WINDOW, "micro/io/scan-vectored_ra8"),
-    ]
-    .into_iter()
-    .enumerate()
-    {
-        let dev = &dev;
-        let slot_chan = &mut chan[slot];
-        let slot_bytes = &mut bytes[slot];
-        out.push(measure(name, warmup, iters, || {
-            // A fresh fork per run: zeroed local counters AND a zeroed
-            // overlap clock, so both clocks below are this run's alone.
-            let mut fork = dev.fork();
-            let snap = fork.snapshot();
-            let mut probe = ci.probe(&ram).unwrap();
-            probe.set_read_ahead(window);
-            let lists = probe.lookup_range(&mut fork, lo, hi, 0).unwrap();
-            let io = fork.stats_since(&snap);
-            let issue = fork.elapsed_since(&snap);
-            let makespan = fork.overlap_elapsed();
-            *slot_chan = (issue.as_secs(), makespan.as_secs());
-            *slot_bytes = io.bytes_to_ram + io.bytes_from_ram;
-            RunStats {
-                simulated_s: issue.as_secs(),
-                ops: lists.len() as u64,
-                bytes_io: *slot_bytes,
-                channel: Some(*slot_chan),
-            }
-        }));
-    }
-    if bytes[0] != bytes[1] {
-        eprintln!(
-            "perfbench: micro/io/scan-vectored: read-ahead moved {} flash bytes \
-             vs {} serial — batching must be counter-neutral",
-            bytes[1], bytes[0]
-        );
-        std::process::exit(1);
-    }
-    let speedup = chan[0].0 / chan[1].1.max(f64::MIN_POSITIVE);
-    eprintln!(
-        "perfbench: vectored scan channel speedup {speedup:.2}x \
-         (serial issue sum / read-ahead batch makespan, {CHIPS} chips)"
-    );
-    if speedup < 1.5 {
-        eprintln!(
-            "perfbench: micro/io/scan-vectored: channel speedup {speedup:.2}x is \
-             below the 1.5x floor — leaf read-ahead batches are not overlapping chips"
-        );
-        std::process::exit(1);
-    }
-}
-
-/// The vectored-write pair: the same 384-page program stream, round-robin
-/// across a 4-chip device, issued page-at-a-time (`FlashDevice::write`) vs
-/// in 8-page vectored batches (`FlashDevice::write_batch`). Counters are
-/// batch-invariant by construction — `bytes_io` equality is asserted right
-/// here — so `simulated_s` carries the issue sum for both entries while
-/// `issue_s`/`makespan_s` records the difference: each batch bins its
-/// programs per chip and the overlap clock advances by the busiest chip
-/// only, and the ≥1.5x channel-time floor is asserted in-binary, so every
-/// perfbench run doubles as the write-vectoring smoke gate. Fresh devices
-/// per run keep every observation a pure function of the write sequence.
-fn micro_write(warmup: usize, iters: usize, out: &mut Vec<BenchEntry>) {
-    use ghostdb_flash::PageWrite;
-    const CHIPS: usize = 4;
-    const BATCH: usize = 8;
-    const BATCHES: usize = 48;
-    let geometry = FlashGeometry {
-        page_size: 2048,
-        pages_per_block: 32,
-        block_count: 40,
-        spare_blocks: 8,
-    };
-    let mut chan = [(0.0f64, 0.0f64); 2];
-    let mut bytes = [0u64; 2];
-    for (slot, (vectored, name)) in [
-        (false, "micro/io/write-vectored_serial"),
-        (true, "micro/io/write-vectored_batched"),
-    ]
-    .into_iter()
-    .enumerate()
-    {
-        let slot_chan = &mut chan[slot];
-        let slot_bytes = &mut bytes[slot];
-        out.push(measure(name, warmup, iters, || {
-            let mut dev = FlashDevice::with_chips(geometry, FlashTiming::default(), CHIPS);
-            let chip_pages = dev.chip_pages();
-            let page_size = dev.page_size();
-            let snap = dev.snapshot();
-            let mut written = 0u64;
-            for w in 0..BATCHES {
-                // Page j of batch w lands on chip j % CHIPS: every batch
-                // spreads evenly, the overlap win is BATCH / (BATCH/CHIPS).
-                let images: Vec<Vec<u8>> = (0..BATCH)
-                    .map(|j| vec![(w * BATCH + j) as u8; page_size])
-                    .collect();
-                let lpns: Vec<u64> = (0..BATCH)
-                    .map(|j| {
-                        let i = (w * BATCH + j) as u64;
-                        (i % CHIPS as u64) * chip_pages + i / CHIPS as u64
-                    })
-                    .collect();
-                if vectored {
-                    let reqs: Vec<PageWrite> = lpns
-                        .iter()
-                        .zip(&images)
-                        .map(|(&lpn, image)| PageWrite { lpn, image })
-                        .collect();
-                    dev.write_batch(&reqs).expect("vectored write");
-                } else {
-                    for (&lpn, image) in lpns.iter().zip(&images) {
-                        dev.write(lpn, image).expect("serial write");
-                    }
-                }
-                written += BATCH as u64;
-            }
-            let io = dev.stats_since(&snap);
-            let issue = dev.elapsed_since(&snap);
-            let makespan = dev.overlap_elapsed();
-            *slot_chan = (issue.as_secs(), makespan.as_secs());
-            *slot_bytes = io.bytes_to_ram + io.bytes_from_ram;
-            RunStats {
-                simulated_s: issue.as_secs(),
-                ops: written,
-                bytes_io: *slot_bytes,
-                channel: Some(*slot_chan),
-            }
-        }));
-    }
-    if bytes[0] != bytes[1] {
-        eprintln!(
-            "perfbench: micro/io/write-vectored: batching moved {} flash bytes \
-             vs {} serial — write vectoring must be counter-neutral",
-            bytes[1], bytes[0]
-        );
-        std::process::exit(1);
-    }
-    let speedup = chan[0].0 / chan[1].1.max(f64::MIN_POSITIVE);
-    eprintln!(
-        "perfbench: vectored write channel speedup {speedup:.2}x \
-         (serial issue sum / batched makespan, {CHIPS} chips)"
-    );
-    if speedup < 1.5 {
-        eprintln!(
-            "perfbench: micro/io/write-vectored: channel speedup {speedup:.2}x is \
-             below the 1.5x floor — write batches are not overlapping chips"
-        );
-        std::process::exit(1);
-    }
-}
-
 /// Incremental maintenance on the write path: a deterministic stream of
 /// 96 inserts/deletes against a two-level maintained climbing index
 /// (host-side delta, base merged every 16 ops), in wall time and, via
@@ -1794,7 +1445,6 @@ fn micro_maint(warmup: usize, iters: usize, out: &mut Vec<BenchEntry>) {
                 simulated_s: dev.elapsed_since(&snap).as_secs(),
                 ops: UPDATES,
                 bytes_io: io.bytes_to_ram + io.bytes_from_ram,
-                channel: None,
             }
         },
     ));
@@ -1873,8 +1523,7 @@ fn micro_serve(warmup: usize, iters: usize, out: &mut Vec<BenchEntry>) {
         || {
             let snap = dev.snapshot();
             let mut bank = CiPrefetch::new();
-            bank.insert_traversal(&mut dev, &ram, &ci, lo, hi, 0)
-                .unwrap();
+            bank.insert_traversal(&mut dev, &ram, &ci, lo, hi).unwrap();
             let mut lists = 0u64;
             for i in 0..QUEUED {
                 let hit = bank.get(&ci, lo, hi).unwrap();
@@ -1915,10 +1564,6 @@ fn print_improvements(entries: &[BenchEntry]) {
             "micro/idlist/intersect_stream",
             "micro/idlist/intersect_gallop",
         ),
-        (
-            "micro/io/write-vectored_serial",
-            "micro/io/write-vectored_batched",
-        ),
     ] {
         if let (Some(a), Some(b)) = (wall(naive), wall(opt)) {
             println!(
@@ -1936,7 +1581,6 @@ fn print_improvements(entries: &[BenchEntry]) {
 struct Tuning {
     threads: usize,
     padded: bool,
-    read_ahead: usize,
 }
 
 fn main() {
@@ -1954,7 +1598,6 @@ fn main() {
     let tune = Tuning {
         threads,
         padded: opts.padded,
-        read_ahead: opts.read_ahead,
     };
     eprintln!(
         "perfbench: mode {mode}, {iters} timed iterations per scenario \
@@ -1989,15 +1632,12 @@ fn main() {
     micro_project_hidden_point(warmup, iters, &mut entries);
     micro_project_root_hidden_sparse(warmup, iters, &mut entries);
     micro_project_mjoin_multipass(warmup, iters, &mut entries);
-    micro_lanes(warmup, iters, &mut entries);
-    micro_io(warmup, iters, &mut entries);
-    micro_write(warmup, iters, &mut entries);
     micro_maint(warmup, iters, &mut entries);
     if opts.serve {
         micro_serve(warmup, iters, &mut entries);
     }
 
-    let doc = bench_doc(mode, threads, tune.padded, tune.read_ahead, &entries);
+    let doc = bench_doc(mode, threads, tune.padded, &entries);
     let summary = check_bench(&doc).unwrap_or_else(|e| {
         eprintln!("perfbench: generated document violates its own schema: {e}");
         std::process::exit(1);

@@ -336,14 +336,6 @@ pub fn check_bench(doc: &Json) -> Result<BenchSummary, String> {
             return Err("padded must be a boolean".into());
         }
     }
-    // `read_ahead` arrived with the vectored-I/O path; absent in older
-    // docs. 0 (serial issue) is a valid recorded value.
-    if let Some(r) = doc.get("read_ahead") {
-        let r = r.as_num().ok_or("read_ahead must be a number")?;
-        if r.fract() != 0.0 || r < 0.0 {
-            return Err(format!("read_ahead must be an integer ≥ 0, got {r}"));
-        }
-    }
     let entries = doc
         .get("entries")
         .and_then(Json::as_arr)
@@ -392,30 +384,6 @@ pub fn check_bench(doc: &Json) -> Result<BenchSummary, String> {
                     ));
                 }
                 prev = v;
-            }
-        }
-        // Channel-billing pair on vectored-I/O entries: both-or-neither,
-        // and the overlapped makespan can never exceed the serial issue
-        // sum (the batch clocks the busiest chip, singles clock the sum).
-        let chan = ["issue_s", "makespan_s"];
-        if chan.iter().any(|f| e.get(f).is_some()) {
-            let mut vals = [0.0f64; 2];
-            for (slot, field) in vals.iter_mut().zip(chan) {
-                let v = e
-                    .get(field)
-                    .and_then(Json::as_num)
-                    .ok_or(format!("entry {scenario:?}: missing numeric {field}"))?;
-                if !v.is_finite() || v < 0.0 {
-                    return Err(format!("entry {scenario:?}: {field} = {v} out of range"));
-                }
-                *slot = v;
-            }
-            if vals[1] > vals[0] {
-                return Err(format!(
-                    "entry {scenario:?}: makespan_s = {} exceeds issue_s = {} — \
-                     the overlapped clock cannot be slower than serial issue",
-                    vals[1], vals[0]
-                ));
             }
         }
     }

@@ -104,28 +104,25 @@ pub fn run_with(
     strategy: VisStrategy,
     algo: ProjectAlgo,
 ) -> ExecReport {
-    run_with_tuned(db, q, strategy, algo, false, 0)
+    run_with_tuned(db, q, strategy, algo, false)
 }
 
-/// [`run_with`] with explicit volume-padding mode and vectored read-ahead
-/// window (the `perfbench --padded` / `--read-ahead` path). Simulated
-/// numbers are bit-identical across `read_ahead` values; `padded` inflates
-/// the channel cost (its overhead is exactly what the `*-padded/`
-/// scenarios quantify) without changing results.
+/// [`run_with`] with an explicit volume-padding mode (the `perfbench
+/// --padded` path). `padded` inflates the channel cost (its overhead is
+/// exactly what the `*-padded/` scenarios quantify) without changing
+/// results.
 pub fn run_with_tuned(
     db: &mut Database,
     q: &SpjQuery,
     strategy: VisStrategy,
     algo: ProjectAlgo,
     padded: bool,
-    read_ahead: usize,
 ) -> ExecReport {
     let opts = ExecOptions {
         strategies: vec![],
         forced_strategy: Some(strategy),
         project: Some(algo),
         padded,
-        read_ahead,
     };
     let (_, report) = Executor::run(db, q, &opts).expect("query runs");
     report
@@ -400,8 +397,7 @@ mod tests {
         let pre = run_with(&mut db, &q, VisStrategy::CrossPre, ProjectAlgo::Project);
         let post = run_with(&mut db, &q, VisStrategy::CrossPost, ProjectAlgo::Project);
         assert!(pre.total().as_ns() > 0 && post.total().as_ns() > 0);
-        // At high selectivity (sV = 0.5) Cross-Post should not lose badly —
-        // and pre/post must agree on result cardinality at any sv.
+        // Pre and post must agree on result cardinality at any sv.
         assert_eq!(pre.result_rows, post.result_rows);
     }
 }

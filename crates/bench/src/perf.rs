@@ -24,12 +24,6 @@ pub struct BenchEntry {
     /// of interest is one query's submit→outcome latency under load, not
     /// the whole run), absent everywhere else.
     pub percentiles: Option<(u128, u128, u128)>,
-    /// Channel-billing pair `(issue_s, makespan_s)`: the serial issue sum
-    /// (`FlashStats::elapsed`, what counters bill) vs the
-    /// channel-overlapped clock (`FlashDevice::overlap_elapsed`, the
-    /// busiest chip per batch). Present on vectored-I/O scenarios where
-    /// the batch win is the point; `makespan_s ≤ issue_s` always.
-    pub channel: Option<(f64, f64)>,
 }
 
 impl BenchEntry {
@@ -46,10 +40,6 @@ impl BenchEntry {
             fields.push(("p50_ns".into(), Json::Num(p50 as f64)));
             fields.push(("p95_ns".into(), Json::Num(p95 as f64)));
             fields.push(("p99_ns".into(), Json::Num(p99 as f64)));
-        }
-        if let Some((issue_s, makespan_s)) = self.channel {
-            fields.push(("issue_s".into(), Json::Num(issue_s)));
-            fields.push(("makespan_s".into(), Json::Num(makespan_s)));
         }
         Json::Obj(fields)
     }
@@ -75,9 +65,6 @@ pub struct RunStats {
     pub ops: u64,
     /// Flash bytes moved.
     pub bytes_io: u64,
-    /// Channel-billing pair `(issue_s, makespan_s)` for vectored-I/O
-    /// scenarios; `None` elsewhere.
-    pub channel: Option<(f64, f64)>,
 }
 
 /// Run `f` `warmup` times untimed, then `iters` timed times, and build the
@@ -108,7 +95,6 @@ pub fn measure(
         ops: stats.ops,
         bytes_io: stats.bytes_io,
         percentiles: None,
-        channel: stats.channel,
     }
 }
 
@@ -117,22 +103,14 @@ pub fn measure(
 /// `padded` whether the query sweeps ran with volume-padded
 /// shipments — the knobs whose A/B numbers the document exists to carry. (The
 /// dedicated `synthetic-padded/…` scenarios carry both pad modes in every
-/// document; `padded` records the mode of the *main* sweeps; `read_ahead`
-/// the vectored read-ahead window they ran under, 0 = serial issue.)
-pub fn bench_doc(
-    mode: &str,
-    threads: usize,
-    padded: bool,
-    read_ahead: usize,
-    entries: &[BenchEntry],
-) -> Json {
+/// document; `padded` records the mode of the *main* sweeps.)
+pub fn bench_doc(mode: &str, threads: usize, padded: bool, entries: &[BenchEntry]) -> Json {
     Json::Obj(vec![
         ("schema_version".into(), Json::Num(1.0)),
         ("generator".into(), Json::Str("perfbench".into())),
         ("mode".into(), Json::Str(mode.into())),
         ("threads".into(), Json::Num(threads as f64)),
         ("padded".into(), Json::Bool(padded)),
-        ("read_ahead".into(), Json::Num(read_ahead as f64)),
         (
             "entries".into(),
             Json::Arr(entries.iter().map(BenchEntry::to_json).collect()),
@@ -153,7 +131,6 @@ mod tests {
                 simulated_s: 1.5,
                 ops: calls,
                 bytes_io: 7,
-                channel: None,
             }
         });
         assert_eq!(calls, 7, "2 warmup + 5 timed");
@@ -183,7 +160,6 @@ mod tests {
                 ops: 1,
                 bytes_io: 0,
                 percentiles: None,
-                channel: None,
             })
             .chain([
                 BenchEntry {
@@ -193,7 +169,6 @@ mod tests {
                     ops: 1,
                     bytes_io: 0,
                     percentiles: None,
-                    channel: None,
                 },
                 BenchEntry {
                     scenario: "serve/s1".into(),
@@ -202,20 +177,10 @@ mod tests {
                     ops: 1,
                     bytes_io: 0,
                     percentiles: Some((5, 8, 9)),
-                    channel: None,
-                },
-                BenchEntry {
-                    scenario: "micro/io/vec".into(),
-                    wall_ns: 10,
-                    simulated_s: 2.0,
-                    ops: 1,
-                    bytes_io: 64,
-                    percentiles: None,
-                    channel: Some((2.0, 0.6)),
                 },
             ])
             .collect();
-        let doc = bench_doc("smoke", 2, false, 8, &entries);
+        let doc = bench_doc("smoke", 2, false, &entries);
         let text = doc.render();
         let parsed = Json::parse(&text).unwrap();
         crate::json::check_bench(&parsed).unwrap();

@@ -82,16 +82,6 @@ impl QueryOptions {
         self.exec = self.exec.padded(padded);
         self
     }
-
-    /// Climbing-index read-ahead window in pages (`0` = serial). With
-    /// `W ≥ 2` index scans issue up to `W` leaf pages as one vectored flash
-    /// read; results, reports and the host-visible trace are bit-identical
-    /// at any value — only the channel-overlap clock improves on multi-chip
-    /// tokens.
-    pub fn read_ahead(mut self, window: usize) -> Self {
-        self.exec = self.exec.read_ahead(window);
-        self
-    }
 }
 
 /// A GhostDB instance: schema staging, the loaded database, and the two

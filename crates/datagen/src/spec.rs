@@ -82,18 +82,12 @@ impl SyntheticSpec {
     /// Token configuration sized for this dataset (§6.1 platform with
     /// enough flash for data + indexes + query temporaries).
     pub fn token_config(&self) -> TokenConfig {
-        self.token_config_chips(1)
-    }
-
-    /// [`Self::token_config`] with the same total flash capacity sharded
-    /// across `chips` identical chips on independent channels.
-    pub fn token_config_chips(&self, chips: usize) -> TokenConfig {
         let [t0, t1, t2, t11, t12] = self.cardinalities();
         let rows_total = t0 + t1 + t2 + t11 + t12;
         // Hidden image + SKTs + climbing indexes + temp headroom, ~64 bytes
         // per tuple of conservative margin.
         let bytes = rows_total * 64 + t0 * 96 + 64 * 1024 * 1024;
-        let mut config = TokenConfig::paper_platform_chips(bytes, chips);
+        let mut config = TokenConfig::paper_platform(bytes);
         config.channel_bytes_per_sec = self.channel_bytes_per_sec;
         config
     }

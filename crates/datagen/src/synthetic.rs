@@ -95,14 +95,6 @@ impl SyntheticDataset {
 
     /// Build the GhostDB database (loads the token + PC).
     pub fn build(&self) -> Result<Database> {
-        self.build_chips(1)
-    }
-
-    /// [`Self::build`] on a token whose flash is sharded across `chips`
-    /// identical chips on independent channels (same total capacity).
-    /// Per-operation flash costs are chip-count-independent, so queries
-    /// over any chip count are bit-identical (`tests/multichip_equivalence.rs`).
-    pub fn build_chips(&self, chips: usize) -> Result<Database> {
         let mut loads = Vec::new();
         for name in TABLES {
             let t = self.schema.table_id(name)?;
@@ -145,11 +137,7 @@ impl SyntheticDataset {
                 columns,
             });
         }
-        Database::assemble(
-            self.schema.clone(),
-            &self.spec.token_config_chips(chips),
-            loads,
-        )
+        Database::assemble(self.schema.clone(), &self.spec.token_config(), loads)
     }
 
     /// Mirror into the trusted reference oracle (small scales only: the

@@ -82,10 +82,6 @@ impl CiPrefetch {
     /// `ram` must be a scratch arena (`RamArena::fresh_like`), not the
     /// token's: the bank is built outside any query, so its buffers must
     /// not count toward any query's RAM peak.
-    /// `read_ahead` is the batch's leaf read-ahead window (pages; `0` =
-    /// serial). The counter delta banked — and so what every hit bills —
-    /// is identical at any window; only the shared traversal's channel
-    /// clock improves.
     pub fn insert_traversal(
         &mut self,
         dev: &mut FlashDevice,
@@ -93,10 +89,8 @@ impl CiPrefetch {
         ci: &ClimbingIndex,
         lo: u64,
         hi: u64,
-        read_ahead: usize,
     ) -> Result<()> {
         let mut probe = ci.probe(ram)?;
-        probe.set_read_ahead(read_ahead);
         let levels: Vec<usize> = (0..ci.levels.len()).collect();
         let before = dev.snapshot();
         let lists = probe.lookup_range_multi(dev, lo, hi, &levels)?;
@@ -155,7 +149,6 @@ pub fn select_sublists(
     ctx.track(OpKind::Ci, |ctx| {
         let ram = ctx.ram();
         let mut probe = ci.probe(&ram)?;
-        probe.set_read_ahead(ctx.knobs.read_ahead);
         let lists = ctx
             .lane
             .with_flash(|dev| probe.lookup_range(dev, lo, hi, level))?;
@@ -200,7 +193,6 @@ pub fn select_sublists_multi(
     ctx.track(OpKind::Ci, |ctx| {
         let ram = ctx.ram();
         let mut probe = ci.probe(&ram)?;
-        probe.set_read_ahead(ctx.knobs.read_ahead);
         let lists = ctx
             .lane
             .with_flash(|dev| probe.lookup_range_multi(dev, lo, hi, &levels))?;
@@ -262,7 +254,6 @@ pub fn probe_in(
     ctx.track(OpKind::Ci, |ctx| {
         let ram = ctx.ram();
         let mut probe = ci.probe(&ram)?;
-        probe.set_read_ahead(ctx.knobs.read_ahead);
         let lists = ctx
             .lane
             .with_flash(|dev| probe.lookup_eq_run(dev, &keys, level))?;

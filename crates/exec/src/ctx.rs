@@ -142,18 +142,14 @@ impl<'a> DeviceLane<'a> {
     }
 
     /// Run `f` against the flash device, mirroring the counter delta it
-    /// causes into the lane-local [`FlashStats`]. Chip locks are acquired
-    /// (and released) per page operation inside the device, never across
-    /// `f` as a whole.
+    /// causes into the lane-local [`FlashStats`].
     pub fn with_flash<T>(&mut self, f: impl FnOnce(&mut FlashDevice) -> T) -> T {
         self.with_flash_delta(f).0
     }
 
     /// [`Self::with_flash`], also returning the counter delta `f` caused —
     /// the hot-path variant per-operation attribution is built on (one
-    /// snapshot, no re-derivation from the monotone lane counter). The
-    /// delta diffs this handle's local counter, so it is exact even while
-    /// other handles drive the same chips.
+    /// snapshot, no re-derivation from the monotone lane counter).
     pub fn with_flash_delta<T>(
         &mut self,
         f: impl FnOnce(&mut FlashDevice) -> T,
@@ -230,10 +226,6 @@ pub(crate) struct RunKnobs<'a> {
     /// Pad every `Vis` shipment to a power-of-two row bucket (the volume
     /// side-channel countermeasure; see `SECURITY.md`).
     pub(crate) padded: bool,
-    /// Climbing-index read-ahead window in pages (`0` = serial). Forwarded
-    /// to every `CiProbe` this context opens; counters and results are
-    /// bit-identical at any value.
-    pub(crate) read_ahead: usize,
     /// Cross-query climbing-index prefetch (the serve-mode batch
     /// scheduler's shared traversals). `None` on solo executions; hits are
     /// billed as-if-solo via [`DeviceLane::charge`], so the report is
@@ -252,7 +244,6 @@ impl<'a> RunKnobs<'a> {
     pub(crate) fn of(opts: &ExecOptions, prefetch: Option<&'a crate::ci_ops::CiPrefetch>) -> Self {
         RunKnobs {
             padded: opts.padded,
-            read_ahead: opts.read_ahead,
             prefetch,
         }
     }

@@ -78,12 +78,7 @@ impl Database {
         loads: Vec<TableLoad>,
     ) -> Result<Database> {
         let mut token = SecureToken::new(config);
-        // Chip-striped allocation: on a multi-chip token, base segments
-        // rotate across chips so scans fan out over independent channels.
-        // Placement stays a pure function of the build's alloc sequence
-        // (chip = deterministic rotation), never of hidden data.
-        let mut alloc =
-            SegmentAllocator::with_chips(token.flash.logical_pages(), token.flash.chip_count());
+        let mut alloc = SegmentAllocator::new(token.flash.logical_pages());
         let mut store = VisibleStore::new(schema.len());
         let mut hidden: Vec<HiddenImage> =
             (0..schema.len()).map(|_| HiddenImage::default()).collect();

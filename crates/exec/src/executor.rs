@@ -27,13 +27,6 @@ pub struct ExecOptions {
     /// filler bytes are charged to the channel, so reports carry the
     /// padding overhead). See `SECURITY.md`.
     pub padded: bool,
-    /// Climbing-index read-ahead window (pages). `0` (the default) keeps
-    /// every traversal strictly serial; `W ≥ 2` lets range scans and
-    /// ascending probe runs issue up to `W` leaf pages as one vectored
-    /// flash read. Counters, results and the host trace are bit-identical
-    /// at any value — only the side-band channel clock
-    /// (`FlashDevice::overlap_elapsed`) improves on multi-chip devices.
-    pub read_ahead: usize,
 }
 
 impl ExecOptions {
@@ -71,12 +64,6 @@ impl ExecOptions {
     /// Volume-padded `Vis` shipments (power-of-two row buckets).
     pub fn padded(mut self, padded: bool) -> Self {
         self.padded = padded;
-        self
-    }
-
-    /// Climbing-index read-ahead window in pages (`0` = serial).
-    pub fn read_ahead(mut self, window: usize) -> Self {
-        self.read_ahead = window;
         self
     }
 }

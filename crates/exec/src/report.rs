@@ -78,9 +78,8 @@ impl OpKind {
 
 /// Execution report of one query, and the per-operator accumulator every
 /// `track` scope adds to. `PartialEq` compares every field bit-for-bit —
-/// the equivalence suites (`serve_equivalence`, `multichip_equivalence`)
-/// rely on this to hold optimized schedules to the solo/serial
-/// observation.
+/// `serve_equivalence` relies on this to hold batched schedules to the
+/// solo observation.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct ExecReport {
     op_ns: [u128; OpKind::ALL.len()],

@@ -28,7 +28,7 @@
 //! wire transcript are bit-identical to a plain `Executor::run` loop over
 //! the same arrival sequence at any batching and worker setting: batching
 //! and the analysis workers compress wall-clock work, never the simulated
-//! observations (`tests/serve_equivalence.rs`, at one and four chips).
+//! observations (`tests/serve_equivalence.rs`).
 
 use crate::ci_ops::{CiPrefetch, PrefetchKey};
 use crate::database::Database;
@@ -243,11 +243,11 @@ impl GhostDbServer {
     /// Execute every pending query in arrival order and deliver each
     /// outcome to its session. Returns the number of queries executed.
     ///
-    /// Per-query failures are delivered to their sessions like results;
+    /// Per-query failures are delivered to their sessions like results.
     /// `Err` here means the drain infrastructure itself failed (the
-    /// analysis fan-out or a banked traversal erroring), in which case no
-    /// outcome of the batch was delivered and all its queries were dropped
-    /// from the queue.
+    /// analysis fan-out or a banked traversal erroring) before any query
+    /// ran: every query taken from the queue then receives that same error
+    /// as its outcome, so no session waits on a query that was dropped.
     pub fn drain(&self) -> Result<usize, ServeError> {
         let mut guard = self.state.lock().expect("server state");
         let st = &mut *guard;
@@ -255,64 +255,16 @@ impl GhostDbServer {
         if batch.is_empty() {
             return Ok(0);
         }
-
-        // Phase 1 — analysis fan-out: extract each query's batchable
-        // probe keys (its hidden selections' index + key range) on the
-        // worker pool. Only text-derivable probes qualify; a query whose
-        // analysis fails contributes no keys and reports its error from
-        // execution below, identically to solo.
-        let schema = &st.db.schema;
-        let cis = &st.db.cis;
-        let keys_per_query: Vec<Vec<PrefetchKey>> = crate::parallel::fan_out(
-            batch.len(),
-            self.cfg.workers,
-            || Ok(()),
-            |_, i| {
-                let Ok(a) = analyze(schema, &batch[i].query) else {
-                    return Ok(Vec::new());
-                };
-                Ok(a.hid_sels
-                    .iter()
-                    .filter(|sel| cis.contains_key(&(sel.table, sel.pred.column.clone())))
-                    .map(|sel| {
-                        let (lo, hi) = sel.pred.key_range();
-                        (sel.table, sel.pred.column.clone(), lo, hi)
-                    })
-                    .collect())
-            },
-        )
-        .map_err(ServeError::Exec)?;
-
-        // Phase 2 — bank one shared traversal per key demanded ≥ 2 times,
-        // in sorted key order (deterministic), on a scratch arena so no
-        // query's RAM peak sees the bank's traversals.
-        let mut prefetch = CiPrefetch::new();
-        if self.cfg.batching {
-            let mut demand: BTreeMap<PrefetchKey, u64> = BTreeMap::new();
-            for key in keys_per_query.iter().flatten() {
-                *demand.entry(key.clone()).or_default() += 1;
-            }
-            let scratch = st.db.token.ram.fresh_like();
-            // Shared traversals ride the widest read-ahead window any query
-            // in the batch asked for: the banked counter delta (and so what
-            // every hit bills) is window-independent, only the shared
-            // traversal's channel clock improves.
-            let bank_window = batch.iter().map(|b| b.opts.read_ahead).max().unwrap_or(0);
-            for (key, n) in demand {
-                if n < 2 {
-                    continue;
+        let prefetch = match self.bank_traversals(st, &batch) {
+            Ok(prefetch) => prefetch,
+            Err(e) => {
+                for item in &batch {
+                    let failed = Err(ServeError::Exec(e.clone()));
+                    st.sessions[item.session].done.push_back((item.seq, failed));
                 }
-                let (table, column, lo, hi) = key;
-                let ci = cis
-                    .get(&(table, column))
-                    .expect("demanded keys come from the catalog");
-                prefetch
-                    .insert_traversal(&mut st.db.token.flash, &scratch, ci, lo, hi, bank_window)
-                    .map_err(ServeError::Exec)?;
-                st.stats.shared_keys += 1;
-                st.stats.saved_traversals += n - 1;
+                return Err(ServeError::Exec(e));
             }
-        }
+        };
 
         // Phase 3 — execute the batch on the token's own resources, in
         // arrival order, exactly as a client looping `Executor::run` would.
@@ -340,6 +292,65 @@ impl GhostDbServer {
             slot.done.push_back((item.seq, outcome));
         }
         Ok(executed)
+    }
+
+    /// Phases 1–2 of a drain: find the batch's shared climbing-index
+    /// probes and bank one traversal for each.
+    fn bank_traversals(
+        &self,
+        st: &mut ServerState,
+        batch: &[Queued],
+    ) -> Result<CiPrefetch, ExecError> {
+        // Phase 1 — analysis fan-out: extract each query's batchable
+        // probe keys (its hidden selections' index + key range) on the
+        // worker pool. Only text-derivable probes qualify; a query whose
+        // analysis fails contributes no keys and reports its error from
+        // execution below, identically to solo.
+        let schema = &st.db.schema;
+        let cis = &st.db.cis;
+        let keys_per_query: Vec<Vec<PrefetchKey>> = crate::parallel::fan_out(
+            batch.len(),
+            self.cfg.workers,
+            || Ok(()),
+            |_, i| {
+                let Ok(a) = analyze(schema, &batch[i].query) else {
+                    return Ok(Vec::new());
+                };
+                Ok(a.hid_sels
+                    .iter()
+                    .filter(|sel| cis.contains_key(&(sel.table, sel.pred.column.clone())))
+                    .map(|sel| {
+                        let (lo, hi) = sel.pred.key_range();
+                        (sel.table, sel.pred.column.clone(), lo, hi)
+                    })
+                    .collect())
+            },
+        )?;
+
+        // Phase 2 — bank one shared traversal per key demanded ≥ 2 times,
+        // in sorted key order (deterministic), on a scratch arena so no
+        // query's RAM peak sees the bank's traversals.
+        let mut prefetch = CiPrefetch::new();
+        if self.cfg.batching {
+            let mut demand: BTreeMap<PrefetchKey, u64> = BTreeMap::new();
+            for key in keys_per_query.iter().flatten() {
+                *demand.entry(key.clone()).or_default() += 1;
+            }
+            let scratch = st.db.token.ram.fresh_like();
+            for (key, n) in demand {
+                if n < 2 {
+                    continue;
+                }
+                let (table, column, lo, hi) = key;
+                let ci = cis
+                    .get(&(table, column))
+                    .expect("demanded keys come from the catalog");
+                prefetch.insert_traversal(&mut st.db.token.flash, &scratch, ci, lo, hi)?;
+                st.stats.shared_keys += 1;
+                st.stats.saved_traversals += n - 1;
+            }
+        }
+        Ok(prefetch)
     }
 
     /// Remove and return a specific completed query of a session.
@@ -389,10 +400,13 @@ impl Session<'_> {
     /// convenience path (other queued queries execute in the same drain).
     pub fn query(&self, q: &SpjQuery, opts: &ExecOptions) -> Result<QueryOutcome, ServeError> {
         let seq = self.submit(q, opts)?;
-        self.server.drain()?;
-        self.server
-            .take_seq(self.id, seq)
-            .expect("drained query must deliver an outcome")
+        // Take this query's outcome even when the drain failed: a failed
+        // drain delivers its error to every query it took, and leaving
+        // that copy behind would hand it to a later `take`.
+        let drained = self.server.drain();
+        let outcome = self.server.take_seq(self.id, seq);
+        drained?;
+        outcome.expect("drained query must deliver an outcome")
     }
 
     /// Pop this session's oldest undelivered outcome, if any.
@@ -422,6 +436,8 @@ const _: () = {
 mod tests {
     use super::*;
     use crate::testkit;
+    use ghostdb_storage::{CmpOp, Predicate};
+    use ghostdb_token::RamArena;
 
     fn q(text: &str) -> SpjQuery {
         // Root-only projection on the tiny fixture (T0 is the root).
@@ -460,6 +476,29 @@ mod tests {
             GhostDbServer::new(db, ServeConfig::new().workers(0)),
             Err(ServeError::Config(_))
         ));
+    }
+
+    #[test]
+    fn failed_bank_traversal_delivers_err_to_every_taken_query() {
+        let mut db = testkit::wide_key_db();
+        // One RAM buffer: fewer than the height of T1's `h1` B+-tree, so
+        // the shared traversal the batch banks for it runs out of RAM.
+        db.token.ram = RamArena::new(2048, 1);
+        let t1 = db.schema.table_id("T1").expect("T1");
+        let server = GhostDbServer::new(db, ServeConfig::new().batching(true)).expect("server");
+        let a = server.session();
+        let b = server.session();
+        let hidden = SpjQuery::new()
+            .pred(t1, Predicate::new("h1", CmpOp::Lt, testkit::pad8(60), None))
+            .project(0, "id");
+        a.submit(&hidden, &ExecOptions::auto()).expect("a admitted");
+        b.submit(&hidden, &ExecOptions::auto()).expect("b admitted");
+        assert!(server.drain().is_err(), "the bank traversal must fail");
+        assert_eq!(server.pending(), 0);
+        for s in [&a, &b] {
+            assert!(matches!(s.take(), Some(Err(ServeError::Exec(_)))));
+            assert!(s.take().is_none(), "exactly one outcome per query");
+        }
     }
 
     #[test]

@@ -168,20 +168,6 @@ impl UnionStream {
         if self.primed {
             return Ok(());
         }
-        // Fault the first page of every flash reader in with one vectored
-        // read: counters get the same per-reader deltas as the serial peeks
-        // below, but pages on different chips overlap on the channel clock.
-        {
-            let mut flash: Vec<&mut IdListReader> = self
-                .readers
-                .iter_mut()
-                .filter_map(|r| match r {
-                    SourceReader::Flash(r) => Some(r),
-                    _ => None,
-                })
-                .collect();
-            ghostdb_storage::prime_readers(dev, &mut flash)?;
-        }
         for (i, r) in self.readers.iter_mut().enumerate() {
             if let Some(v) = r.peek(dev)? {
                 self.heap.push((Reverse(v), i));

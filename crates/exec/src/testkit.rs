@@ -23,13 +23,18 @@ pub const TINY_ROWS: [u64; 5] = [600, 120, 40, 20, 16];
 /// * every table: `v1 = pad8(id)` (unique), `v2 = pad8(id % 10)`,
 ///   `h1 = pad8(id % 4)`, `h2 = pad8(id % 8)`; `h1`/`h2` are indexed.
 pub fn tiny_db() -> Database {
-    tiny_db_chips(1)
+    assemble_tiny(|r| pad8(r as u64 % 4))
 }
 
-/// [`tiny_db`] on a token whose flash is sharded across `chips` identical
-/// chips on independent channels (same total capacity; per-op costs are
-/// chip-count-independent, so queries are bit-identical at any count).
-pub fn tiny_db_chips(chips: usize) -> Database {
+/// [`tiny_db`], but `h1` is distinct per row, so T1's `h1` climbing index
+/// spans several B+-tree leaves ((2048-8)/44 = 46 entries per leaf at 3
+/// levels) and per-level rescans actually pay leaf I/O.
+pub fn wide_key_db() -> Database {
+    assemble_tiny(|r| pad8(r as u64))
+}
+
+/// The tiny instance with `h1` generated by `h1`.
+fn assemble_tiny(h1: fn(Id) -> Value) -> Database {
     let schema = paper_synthetic_schema(2, 2);
     let [n0, n1, n2, n11, n12] = TINY_ROWS;
     let table = |name: &str, rows: u64, fks: Vec<(String, Vec<Id>)>| TableLoad {
@@ -51,7 +56,7 @@ pub fn tiny_db_chips(chips: usize) -> Database {
             },
             ColumnLoad {
                 name: "h1".into(),
-                gen: Box::new(|r| pad8(r as u64 % 4)),
+                gen: Box::new(h1),
                 index: true,
                 exact: Some(true),
             },
@@ -86,7 +91,7 @@ pub fn tiny_db_chips(chips: usize) -> Database {
     ];
     Database::assemble(
         schema,
-        &TokenConfig::paper_platform_chips(16 * 1024 * 1024, chips),
+        &TokenConfig::paper_platform(16 * 1024 * 1024),
         loads,
     )
     .expect("tiny db assembles")

@@ -29,7 +29,7 @@ use ghostdb_exec::ci_ops::{naive_select_sublists_multi, select_sublists_multi};
 use ghostdb_exec::project::ProjectAlgo;
 use ghostdb_exec::source::IdSource;
 use ghostdb_exec::strategy::VisStrategy;
-use ghostdb_exec::testkit::{pad8, tiny_db};
+use ghostdb_exec::testkit::{pad8, tiny_db, wide_key_db};
 use ghostdb_exec::{Database, ExecCtx, ExecOptions, ExecReport, Executor, OpKind, SpjQuery};
 use ghostdb_flash::{FlashDevice, FlashGeometry, FlashStats, FlashTiming, SegmentAllocator};
 use ghostdb_index::{ClimbingSpec, FkData, IndexBuilder, LevelSpec};
@@ -396,75 +396,6 @@ proptest! {
             assert_report_identical(&tag, &want_rep, &rep);
         }
     }
-}
-
-/// Like `testkit::tiny_db`, but `h1` on T1 is distinct per row, so its
-/// climbing index spans several B+-tree leaves ((2048-8)/44 = 46 entries
-/// per leaf at 3 levels) and per-level rescans actually pay leaf I/O.
-fn wide_key_db() -> Database {
-    use ghostdb_exec::database::{ColumnLoad, TableLoad};
-    use ghostdb_storage::schema::paper_synthetic_schema;
-    use ghostdb_token::TokenConfig;
-    let schema = paper_synthetic_schema(2, 2);
-    let [n0, n1, n2, n11, n12] = [600u64, 120, 40, 20, 16];
-    let table = |name: &str, rows: u64, fks: Vec<(String, Vec<Id>)>| TableLoad {
-        table: name.into(),
-        rows,
-        fks,
-        columns: vec![
-            ColumnLoad {
-                name: "v1".into(),
-                gen: Box::new(|r| pad8(r as u64)),
-                index: false,
-                exact: None,
-            },
-            ColumnLoad {
-                name: "v2".into(),
-                gen: Box::new(|r| pad8(r as u64 % 10)),
-                index: false,
-                exact: None,
-            },
-            ColumnLoad {
-                name: "h1".into(),
-                gen: Box::new(|r| pad8(r as u64)), // distinct per row
-                index: true,
-                exact: Some(true),
-            },
-            ColumnLoad {
-                name: "h2".into(),
-                gen: Box::new(|r| pad8(r as u64 % 8)),
-                index: true,
-                exact: Some(true),
-            },
-        ],
-    };
-    let loads = vec![
-        table(
-            "T0",
-            n0,
-            vec![
-                ("fk1".into(), (0..n0).map(|i| (i % n1) as Id).collect()),
-                ("fk2".into(), (0..n0).map(|i| (i % n2) as Id).collect()),
-            ],
-        ),
-        table(
-            "T1",
-            n1,
-            vec![
-                ("fk11".into(), (0..n1).map(|i| (i % n11) as Id).collect()),
-                ("fk12".into(), (0..n1).map(|i| (i % n12) as Id).collect()),
-            ],
-        ),
-        table("T2", n2, vec![]),
-        table("T11", n11, vec![]),
-        table("T12", n12, vec![]),
-    ];
-    Database::assemble(
-        schema,
-        &TokenConfig::paper_platform(16 * 1024 * 1024),
-        loads,
-    )
-    .expect("wide-key db assembles")
 }
 
 /// The headline number, pinned as a test: on the Cross-Post shape (cross

@@ -86,6 +86,12 @@ impl FreeBlockPool {
         self.is_free[block as usize] = true;
     }
 
+    #[allow(
+        clippy::expect_used,
+        reason = "invariant: every occupied slot's position sits in the bucket \
+                  of the erase count stored beside it, and a bucket is dropped \
+                  only once empty, so the lookup cannot miss"
+    )]
     fn bucket_remove(&mut self, count: u64, pos: usize) {
         let bucket = self.by_count.get_mut(&count).expect("bucket exists");
         bucket.remove(&pos);
@@ -113,8 +119,7 @@ impl FreeBlockPool {
     /// Take the least-erased free block; ties go to the smallest slot index
     /// (= the first minimum a linear `min_by_key` scan would find).
     pub fn take_least_erased(&mut self) -> Option<u64> {
-        let (_, positions) = self.by_count.iter().next()?;
-        let pos = *positions.iter().next().expect("bucket non-empty");
+        let pos = self.by_count.values().find_map(|p| p.first().copied())?;
         Some(self.swap_remove(pos))
     }
 }

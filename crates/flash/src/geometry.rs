@@ -24,9 +24,8 @@ pub struct FlashGeometry {
 impl FlashGeometry {
     /// Geometry sized to hold `logical_bytes` of user data with default page
     /// and block parameters, over-provisioned with one spare block per 12
-    /// logical blocks (~8.3%), floored at 4 spare blocks so tiny modules —
-    /// including the per-chip slices of a small multi-chip split — still
-    /// give GC room to breathe.
+    /// logical blocks (~8.3%), floored at 4 spare blocks so tiny modules
+    /// still give GC room to breathe.
     pub fn for_capacity(logical_bytes: u64) -> Self {
         let page_size = 2048usize;
         let pages_per_block = 64u64;

@@ -17,11 +17,8 @@
 //!   programmed when free, erased a block at a time);
 //! * [`ftl::Ftl`] — a Flash Translation Layer performing out-of-place
 //!   updates, greedy garbage collection and erase-count wear levelling;
-//! * [`chip::ChipArray`] — a bank of independent chips (one FTL + GC state
-//!   each) behind per-chip locks, sharing one flat logical address space;
 //! * [`device::FlashDevice`] — the logical-page API the storage engine
-//!   uses: a forkable handle over the chip array with exact handle-local
-//!   I/O accounting;
+//!   uses: one module behind one FTL, with exact I/O accounting;
 //! * [`segment::SegmentAllocator`] — contiguous logical-page segments for
 //!   tables, indexes and temporaries;
 //! * [`stats::FlashStats`] — the I/O counters and the derived simulated time.
@@ -31,7 +28,8 @@
 //! transfer), which reproduces the paper's observed write/read ratio of
 //! roughly 2.5× (full-page read) to 12× (single-word read).
 
-pub mod chip;
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod device;
 pub mod error;
 pub mod ftl;
@@ -41,12 +39,11 @@ pub mod segment;
 pub mod stats;
 pub mod timing;
 
-pub use chip::{ChipArray, PageReq, PageWrite};
 pub use device::FlashDevice;
 pub use error::FlashError;
 pub use ftl::FreeBlockPool;
 pub use geometry::FlashGeometry;
-pub use segment::{Segment, SegmentAllocator, StripedSegment};
+pub use segment::{Segment, SegmentAllocator};
 pub use stats::{FlashSnapshot, FlashStats, SimDuration};
 pub use timing::FlashTiming;
 

@@ -113,7 +113,7 @@ impl ClimbingIndex {
     /// every per-level ID area. Used when a maintained index supersedes
     /// its base with a freshly rebuilt one.
     pub fn release(self, dev: &mut FlashDevice, alloc: &mut SegmentAllocator) -> Result<()> {
-        alloc.free_striped(self.tree.segment(), dev)?;
+        alloc.free(self.tree.segment(), dev)?;
         for area in self.areas {
             alloc.free(area, dev)?;
         }
@@ -141,14 +141,6 @@ pub struct CiProbe<'a> {
 }
 
 impl CiProbe<'_> {
-    /// Set the B+-tree read-ahead window (pages; `0` = serial). With `W ≥ 2`
-    /// range scans and ascending probe runs issue up to `W` leaf pages as
-    /// one vectored flash read — same pages, same counters, same results;
-    /// only the side-band channel clock improves on multi-chip devices.
-    pub fn set_read_ahead(&mut self, window: usize) {
-        self.cursor.set_read_ahead(window);
-    }
-
     fn check_level(&self, level: usize) -> Result<()> {
         if level >= self.index.levels.len() {
             return Err(StorageError::Corrupt(format!(
@@ -193,17 +185,13 @@ impl CiProbe<'_> {
             "lookup_eq_run requires ascending keys"
         );
         let mut out = Vec::with_capacity(keys.len());
-        for (i, &key) in keys.iter().enumerate() {
+        for &key in keys {
             if self
                 .cursor
                 .lookup_ascending_into(dev, key, &mut self.payload)?
             {
                 out.push(self.index.decode_level(&self.payload, level));
             }
-            // With read-ahead on, route the upcoming keys through the
-            // cached parent and fault their leaves in as one vectored
-            // read. A no-op at window 0 or while prefetched pages remain.
-            self.cursor.prefetch_probe_window(dev, &keys[i + 1..])?;
         }
         Ok(out)
     }

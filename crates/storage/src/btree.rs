@@ -24,9 +24,8 @@
 
 use crate::error::StorageError;
 use crate::Result;
-use ghostdb_flash::{FlashDevice, PageReq, SegmentAllocator, StripedSegment};
+use ghostdb_flash::{FlashDevice, Segment, SegmentAllocator};
 use ghostdb_token::{RamArena, RamBuffer};
-use std::collections::VecDeque;
 
 const HEADER: usize = 8;
 const KIND_LEAF: u8 = 0;
@@ -37,10 +36,7 @@ const INTERNAL_ENTRY: usize = 12;
 /// An immutable, bulk-loaded B+-tree on flash.
 #[derive(Debug, Clone)]
 pub struct BTree {
-    /// Chip-striped placement: consecutive tree pages rotate across
-    /// chips, so a read-ahead window of neighbouring leaves overlaps
-    /// across channels. Single-chip devices get the plain contiguous run.
-    segment: StripedSegment,
+    segment: Segment,
     /// Number of levels (0 for an empty tree; 1 = single leaf).
     height: u8,
     /// Page index (within the segment) of the root node.
@@ -101,7 +97,7 @@ impl BTree {
         }
         let n = entries.len() as u64;
         let pages = Self::pages_needed(n, page_size, payload_size);
-        let segment = alloc.alloc_striped(pages)?;
+        let segment = alloc.alloc(pages)?;
         if n == 0 {
             // Single empty leaf.
             let mut image = vec![0u8; HEADER];
@@ -206,8 +202,8 @@ impl BTree {
 
     /// Backing segment (so owners can free a superseded tree when an
     /// index rebuilds itself out of place).
-    pub fn segment(&self) -> &StripedSegment {
-        &self.segment
+    pub fn segment(&self) -> Segment {
+        self.segment
     }
 
     /// Open a cursor (pins one RAM buffer per level — the §3.4 budget).
@@ -222,9 +218,6 @@ impl BTree {
             pages: vec![None; self.height as usize],
             leaf_page: None,
             leaf_pos: 0,
-            read_ahead: 0,
-            window: VecDeque::new(),
-            spare: Vec::new(),
         })
     }
 }
@@ -241,156 +234,18 @@ pub struct BTreeCursor {
     leaf_page: Option<u64>,
     /// Next entry index within the leaf.
     leaf_pos: usize,
-    /// Read-ahead window width in leaf pages (0/1 = off): upcoming leaf
-    /// pages whose addresses are already known from the cached parent are
-    /// fetched in one vectored batch instead of one read per leaf.
-    read_ahead: usize,
-    /// Prefetched leaf images `(page, image)` in consumption order. These
-    /// model the per-chip NAND data registers a vectored read parks pages
-    /// in — deliberately NOT `RamArena` buffers, so the token's RAM
-    /// accounting (`peak_ram_buffers`) is identical with the window on or
-    /// off, exactly as the counters are.
-    window: VecDeque<(u64, Vec<u8>)>,
-    /// Retired window buffers, reused by the next refill.
-    spare: Vec<Vec<u8>>,
 }
 
 impl BTreeCursor {
-    /// Set the read-ahead window width (0/1 = off, the default). Every
-    /// prefetched page is provably one the serial cursor would read, so
-    /// the counters, results and access pattern are identical at any
-    /// width — only the channel-overlap clock improves.
-    pub fn set_read_ahead(&mut self, window: usize) {
-        self.read_ahead = window;
-    }
-
     fn load(&mut self, dev: &mut FlashDevice, level: usize, page: u64) -> Result<()> {
         if self.pages[level] == Some(page) {
             return Ok(());
-        }
-        if level == 0 {
-            if let Some(at) = self.window.iter().position(|(p, _)| *p == page) {
-                // The window is built strictly from pages the serial
-                // cursor reads in order, so the hit is always the front.
-                debug_assert_eq!(at, 0, "window consumed out of order");
-                for _ in 0..at {
-                    let (_, buf) = self.window.pop_front().expect("checked");
-                    self.spare.push(buf);
-                }
-                let (_, buf) = self.window.pop_front().expect("checked");
-                let page_size = self.tree.page_size;
-                self.bufs[0][..page_size].copy_from_slice(&buf[..page_size]);
-                self.spare.push(buf);
-                self.pages[0] = Some(page);
-                return Ok(());
-            }
         }
         let lpn = self.tree.segment.lpn(page)?;
         let page_size = self.tree.page_size;
         dev.read(lpn, 0, &mut self.bufs[level][..page_size])?;
         self.pages[level] = Some(page);
         Ok(())
-    }
-
-    /// Issue one vectored batch for `pages` and park the images in the
-    /// window. Counters are bit-identical to reading each page singly
-    /// (`FlashDevice::read_batch_into` contract); only the overlap clock
-    /// sees the batch.
-    fn issue_window(&mut self, dev: &mut FlashDevice, pages: &[u64]) -> Result<()> {
-        let page_size = self.tree.page_size;
-        let mut reqs = Vec::with_capacity(pages.len());
-        let mut bufs: Vec<Vec<u8>> = Vec::with_capacity(pages.len());
-        for &page in pages {
-            reqs.push(PageReq::full_page(self.tree.segment.lpn(page)?, page_size));
-            let mut buf = self.spare.pop().unwrap_or_default();
-            buf.resize(page_size, 0);
-            bufs.push(buf);
-        }
-        {
-            let mut outs: Vec<&mut [u8]> = bufs.iter_mut().map(|b| &mut b[..]).collect();
-            dev.read_batch_into(&reqs, &mut outs)?;
-        }
-        for (&page, buf) in pages.iter().zip(bufs) {
-            self.window.push_back((page, buf));
-        }
-        Ok(())
-    }
-
-    /// Refill the window for a range scan about to move to leaf `next`
-    /// with upper bound `hi`: batch `next` together with the following
-    /// sibling leaves the scan is certain to visit. Certainty comes from
-    /// the cached parent (`bufs[1]`): sibling `j` is visited iff sibling
-    /// `j-1`'s max key is ≤ `hi` (then no entry of `j-1` stops the scan
-    /// and the leaf chain continues into `j`). A leaf outside the cached
-    /// parent stalls the window — prefetching it would require internal
-    /// pages the serial cursor never re-reads.
-    fn prefetch_scan_chain(&mut self, dev: &mut FlashDevice, next: u64, hi: u64) -> Result<()> {
-        if self.read_ahead < 2 || (self.tree.height as usize) < 2 {
-            return Ok(());
-        }
-        if self.window.iter().any(|(p, _)| *p == next) || self.pages[1].is_none() {
-            return Ok(());
-        }
-        debug_assert_eq!(self.node_kind(1), KIND_INTERNAL);
-        let count = self.node_count(1);
-        let Some(pos) = (0..count).position(|i| self.internal_entry(1, i).1 as u64 == next) else {
-            return Ok(());
-        };
-        let mut pages = vec![next];
-        for j in pos + 1..count {
-            if pages.len() >= self.read_ahead || self.internal_entry(1, j - 1).0 > hi {
-                break;
-            }
-            pages.push(self.internal_entry(1, j).1 as u64);
-        }
-        self.issue_window(dev, &pages)
-    }
-
-    /// Refill the window for an ascending probe run: route each of the
-    /// `upcoming` probe keys (ascending) through the cached parent exactly
-    /// as `seek` would, and batch the distinct leaves they land on. Keys
-    /// past the parent's key space stop the window — their descents leave
-    /// the cached parent. Every batched leaf is one the serial probe run
-    /// reads (first key routed to it triggers the read; later keys hit the
-    /// leaf cache), so counters and access pattern are unchanged.
-    pub fn prefetch_probe_window(&mut self, dev: &mut FlashDevice, upcoming: &[u64]) -> Result<()> {
-        if self.read_ahead < 2 || (self.tree.height as usize) < 2 {
-            return Ok(());
-        }
-        if !self.window.is_empty() || self.pages[1].is_none() {
-            return Ok(());
-        }
-        debug_assert_eq!(self.node_kind(1), KIND_INTERNAL);
-        let count = self.node_count(1);
-        let parent_max = self.internal_entry(1, count - 1).0;
-        let mut pages: Vec<u64> = Vec::new();
-        for &key in upcoming {
-            if key > parent_max {
-                break;
-            }
-            let mut lo = 0usize;
-            let mut hi = count;
-            while lo < hi {
-                let mid = (lo + hi) / 2;
-                if self.internal_entry(1, mid).0 < key {
-                    lo = mid + 1;
-                } else {
-                    hi = mid;
-                }
-            }
-            let child = self.internal_entry(1, lo.min(count - 1)).1 as u64;
-            if self.pages[0] == Some(child) || pages.last() == Some(&child) {
-                continue;
-            }
-            pages.push(child);
-            if pages.len() >= self.read_ahead {
-                break;
-            }
-        }
-        if pages.is_empty() {
-            return Ok(());
-        }
-        self.issue_window(dev, &pages)
     }
 
     fn node_kind(&self, level: usize) -> u8 {
@@ -609,9 +464,6 @@ impl BTreeCursor {
             }
             match self.leaf_next() {
                 Some(next) => {
-                    // About to cross into the next leaf: batch it together
-                    // with the siblings the scan is certain to visit.
-                    self.prefetch_scan_chain(dev, next, hi)?;
                     page = next;
                     self.leaf_page = Some(next);
                     self.leaf_pos = 0;
@@ -875,125 +727,6 @@ mod tests {
         .unwrap();
         assert_eq!(n, 6);
         assert_eq!(dev.stats_since(&snap).pages_read, 0);
-    }
-
-    fn setup_chips(chips: usize) -> (FlashDevice, SegmentAllocator, RamArena) {
-        let dev = FlashDevice::with_chips(
-            FlashGeometry::for_capacity(16 * 1024 * 1024),
-            FlashTiming::default(),
-            chips,
-        );
-        let alloc = SegmentAllocator::with_chips(dev.logical_pages(), chips);
-        let ram = RamArena::paper_default();
-        (dev, alloc, ram)
-    }
-
-    #[test]
-    fn read_ahead_scan_is_bit_identical_and_never_reads_extra_pages() {
-        let (mut dev, mut alloc, ram) = setup_chips(4);
-        let tree = build(&mut dev, &mut alloc, 30_000, 2);
-        assert!(tree.height() >= 2);
-        for (lo, hi) in [
-            (0u64, 59_998u64), // everything
-            (100, 104),        // inside one leaf
-            (2_000, 9_000),    // several leaves
-            (59_000, 70_000),  // runs past the last key
-            (9, 2),            // inverted
-        ] {
-            let mut serial_cur = tree.cursor(&ram).unwrap();
-            let snap = dev.snapshot();
-            let mut serial = Vec::new();
-            serial_cur
-                .scan_range(&mut dev, lo, hi, |k, p| {
-                    serial.push((k, p.to_vec()));
-                    Ok(())
-                })
-                .unwrap();
-            let serial_delta = dev.stats_since(&snap);
-            let mut ra_cur = tree.cursor(&ram).unwrap();
-            ra_cur.set_read_ahead(8);
-            let snap = dev.snapshot();
-            let mut vectored = Vec::new();
-            ra_cur
-                .scan_range(&mut dev, lo, hi, |k, p| {
-                    vectored.push((k, p.to_vec()));
-                    Ok(())
-                })
-                .unwrap();
-            let ra_delta = dev.stats_since(&snap);
-            assert_eq!(vectored, serial, "range [{lo}, {hi}]: results diverge");
-            // The satellite claim: read-ahead never reads a page the
-            // serial cursor wouldn't — counters identical, not just close.
-            assert_eq!(ra_delta, serial_delta, "range [{lo}, {hi}]: I/O diverges");
-            assert!(
-                ra_cur.window.is_empty(),
-                "range [{lo}, {hi}]: window leftovers"
-            );
-        }
-    }
-
-    #[test]
-    fn read_ahead_scan_overlaps_channels_on_striped_trees() {
-        let (mut dev, mut alloc, ram) = setup_chips(4);
-        let tree = build(&mut dev, &mut alloc, 30_000, 1);
-        // Leaves rotate across all four chips.
-        let mut serial_cur = tree.cursor(&ram).unwrap();
-        let mut serial_dev = dev.fork();
-        serial_cur
-            .scan_range(&mut serial_dev, 0, 29_999, |_, _| Ok(()))
-            .unwrap();
-        let mut ra_cur = tree.cursor(&ram).unwrap();
-        ra_cur.set_read_ahead(8);
-        let mut ra_dev = dev.fork();
-        ra_cur
-            .scan_range(&mut ra_dev, 0, 29_999, |_, _| Ok(()))
-            .unwrap();
-        assert_eq!(
-            ra_dev.snapshot(),
-            serial_dev.snapshot(),
-            "counters must not move"
-        );
-        let serial_clock = serial_dev.overlap_elapsed().as_ns();
-        let ra_clock = ra_dev.overlap_elapsed().as_ns();
-        assert!(
-            ra_clock * 2 < serial_clock,
-            "windowed scan should overlap ≥2x: {ra_clock} vs {serial_clock}"
-        );
-    }
-
-    #[test]
-    fn read_ahead_probe_run_is_bit_identical() {
-        let (mut dev, mut alloc, ram) = setup_chips(4);
-        let tree = build(&mut dev, &mut alloc, 30_000, 3);
-        let keys: Vec<u64> = (0..90_000).step_by(11).collect(); // hits and misses
-        let mut serial_cur = tree.cursor(&ram).unwrap();
-        let mut payload = vec![0u8; 4];
-        let snap = dev.snapshot();
-        let mut serial = Vec::new();
-        for &k in &keys {
-            let hit = serial_cur
-                .lookup_ascending_into(&mut dev, k, &mut payload)
-                .unwrap();
-            serial.push(hit.then(|| payload.clone()));
-        }
-        let serial_delta = dev.stats_since(&snap);
-        let mut ra_cur = tree.cursor(&ram).unwrap();
-        ra_cur.set_read_ahead(8);
-        let snap = dev.snapshot();
-        let mut vectored = Vec::new();
-        for (i, &k) in keys.iter().enumerate() {
-            let hit = ra_cur
-                .lookup_ascending_into(&mut dev, k, &mut payload)
-                .unwrap();
-            vectored.push(hit.then(|| payload.clone()));
-            ra_cur
-                .prefetch_probe_window(&mut dev, &keys[i + 1..])
-                .unwrap();
-        }
-        let ra_delta = dev.stats_since(&snap);
-        assert_eq!(vectored, serial);
-        assert_eq!(ra_delta, serial_delta, "probe-run I/O diverges");
-        assert!(ra_cur.window.is_empty(), "probe window leftovers");
     }
 
     #[test]

@@ -9,7 +9,7 @@
 
 use crate::error::StorageError;
 use crate::{Id, Result, ID_BYTES};
-use ghostdb_flash::{FlashDevice, PageReq, Segment, SegmentAllocator};
+use ghostdb_flash::{FlashDevice, Segment, SegmentAllocator};
 use ghostdb_token::{RamArena, RamBuffer};
 
 /// A sorted run of IDs somewhere on flash.
@@ -219,65 +219,6 @@ impl IdListReader {
     }
 }
 
-/// Prime a group of readers with one vectored flash read.
-///
-/// Each reader that has neither a lookahead nor its next page buffered
-/// contributes one [`PageReq`] computed **exactly** as its own `load_id`
-/// would; the requests are issued as a single [`FlashDevice::read_batch_into`]
-/// so reads landing on different chips overlap on the channel clock. The
-/// handle-local counters receive the summed per-request delta, so the I/O
-/// accounting is bit-identical to each reader faulting its page in serially —
-/// only the side-band overlap clock differs. With fewer than two pages to
-/// fetch this is a no-op (nothing to overlap; the readers fault in lazily as
-/// before).
-pub fn prime_readers(dev: &mut FlashDevice, readers: &mut [&mut IdListReader]) -> Result<()> {
-    // (reader index, page, in-page offset, bytes wanted) per pending fetch.
-    let mut pending: Vec<(usize, u64, usize, usize)> = Vec::new();
-    let mut reqs: Vec<PageReq> = Vec::new();
-    for (i, r) in readers.iter().enumerate() {
-        if r.lookahead.is_some() || r.pos >= r.list.count {
-            continue;
-        }
-        let byte = r.list.byte_offset + r.pos * ID_BYTES as u64;
-        let page = byte / r.page_size as u64;
-        if r.buffered_page == Some(page) {
-            continue;
-        }
-        let off = (byte % r.page_size as u64) as usize;
-        let run_end = r.list.byte_offset + r.list.bytes();
-        let page_end = (page + 1) * r.page_size as u64;
-        let want = (run_end.min(page_end) - byte) as usize;
-        let lpn = r.list.segment.lpn(page)?;
-        pending.push((i, page, off, want));
-        reqs.push(PageReq {
-            lpn,
-            offset: off,
-            len: want,
-        });
-    }
-    if reqs.len() < 2 {
-        return Ok(());
-    }
-    {
-        // Disjoint mutable buffer slices, in `pending` order (ascending i).
-        let mut outs: Vec<&mut [u8]> = Vec::with_capacity(pending.len());
-        let mut rest: &mut [&mut IdListReader] = readers;
-        let mut consumed = 0usize;
-        for &(i, _, off, want) in &pending {
-            let (_, tail) = std::mem::take(&mut rest).split_at_mut(i - consumed);
-            let (head, tail) = tail.split_first_mut().expect("index in range");
-            outs.push(&mut head.buf[off..off + want]);
-            rest = tail;
-            consumed = i + 1;
-        }
-        dev.read_batch_into(&reqs, &mut outs)?;
-    }
-    for &(i, page, _, _) in &pending {
-        readers[i].buffered_page = Some(page);
-    }
-    Ok(())
-}
-
 /// First index in `hay[from..]` whose value is ≥ `needle`, found by
 /// galloping (exponential probe then binary search). Cost is
 /// `O(log distance)` instead of `O(distance)`, which is what makes skewed
@@ -450,76 +391,6 @@ mod tests {
         let d = dev.stats_since(&snap);
         assert_eq!(d.pages_read, 2);
         assert_eq!(d.bytes_to_ram, 4000);
-    }
-
-    #[test]
-    fn prime_readers_matches_serial_peeks_on_counters_and_values() {
-        let dev = FlashDevice::with_chips(
-            FlashGeometry::for_capacity(4 * 1024 * 1024),
-            FlashTiming::default(),
-            4,
-        );
-        let mut build = dev.fork();
-        let mut alloc = SegmentAllocator::with_chips(dev.logical_pages(), 4);
-        let ram = RamArena::paper_default();
-        let lists: Vec<IdList> = (0..5u32)
-            .map(|k| {
-                let ids: Vec<Id> = (0..700).map(|i| i * 2 + k).collect();
-                write_id_list(&mut build, &mut alloc, &ram, &ids).unwrap()
-            })
-            .collect();
-
-        // Serial reference: peek each reader one by one.
-        let mut serial_dev = dev.fork();
-        let mut serial: Vec<IdListReader> = lists
-            .iter()
-            .map(|l| IdListReader::open(*l, &ram, dev.page_size()).unwrap())
-            .collect();
-        let serial_snap = serial_dev.snapshot();
-        let serial_peeks: Vec<Option<Id>> = serial
-            .iter_mut()
-            .map(|r| r.peek(&mut serial_dev).unwrap())
-            .collect();
-        let serial_delta = serial_dev.stats_since(&serial_snap);
-
-        // Batched: prime all readers at once, then peek (no further I/O).
-        let mut batch_dev = dev.fork();
-        let mut batch: Vec<IdListReader> = lists
-            .iter()
-            .map(|l| IdListReader::open(*l, &ram, dev.page_size()).unwrap())
-            .collect();
-        let batch_snap = batch_dev.snapshot();
-        {
-            let mut refs: Vec<&mut IdListReader> = batch.iter_mut().collect();
-            prime_readers(&mut batch_dev, &mut refs).unwrap();
-        }
-        let primed_delta = batch_dev.stats_since(&batch_snap);
-        let batch_peeks: Vec<Option<Id>> = batch
-            .iter_mut()
-            .map(|r| r.peek(&mut batch_dev).unwrap())
-            .collect();
-        let batch_delta = batch_dev.stats_since(&batch_snap);
-
-        assert_eq!(batch_peeks, serial_peeks);
-        // Priming already did all the I/O, and exactly the serial amount.
-        assert_eq!(primed_delta, batch_delta);
-        assert_eq!(batch_delta, serial_delta);
-
-        // Priming again is free (pages buffered), as is priming readers that
-        // hold a lookahead.
-        {
-            let mut refs: Vec<&mut IdListReader> = batch.iter_mut().collect();
-            prime_readers(&mut batch_dev, &mut refs).unwrap();
-        }
-        assert_eq!(batch_dev.stats_since(&batch_snap), batch_delta);
-
-        // Full drains still agree after mixed priming.
-        for (s, b) in serial.into_iter().zip(batch) {
-            assert_eq!(
-                b.drain(&mut batch_dev).unwrap(),
-                s.drain(&mut serial_dev).unwrap()
-            );
-        }
     }
 
     #[test]

@@ -31,7 +31,7 @@ pub mod table;
 pub mod value;
 
 pub use error::StorageError;
-pub use idlist::{prime_readers, IdList, IdListReader, IdListWriter};
+pub use idlist::{IdList, IdListReader, IdListWriter};
 pub use pred::{CmpOp, Predicate};
 pub use schema::{Column, ForeignKey, SchemaTree, TableDef, TableId, Visibility};
 pub use table::{FlashTable, HiddenColumn, HiddenImage};

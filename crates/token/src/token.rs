@@ -20,15 +20,11 @@ pub struct TokenConfig {
     pub channel_bytes_per_sec: u64,
     /// Capture channel payloads in the transcript (leak-audit mode).
     pub capture_channel: bool,
-    /// Number of flash chips (independent channels); `geometry` describes
-    /// one chip. Per-page I/O costs are chip-independent, so execution is
-    /// bit-identical across chip counts (the differential suites pin this).
-    pub chips: usize,
 }
 
 impl TokenConfig {
     /// The §6.1 experimental platform: 64 KB RAM, 2 KB pages, USB full
-    /// speed, flash sized by `flash_bytes` on a single chip.
+    /// speed, flash sized by `flash_bytes`.
     pub fn paper_platform(flash_bytes: u64) -> Self {
         TokenConfig {
             ram_bytes: 65_536,
@@ -37,17 +33,7 @@ impl TokenConfig {
             timing: FlashTiming::default(),
             channel_bytes_per_sec: 1_500_000,
             capture_channel: false,
-            chips: 1,
         }
-    }
-
-    /// The paper platform with `flash_bytes` of total capacity sharded
-    /// across `chips` identical flash chips on independent channels.
-    pub fn paper_platform_chips(flash_bytes: u64, chips: usize) -> Self {
-        assert!(chips >= 1, "need at least one chip");
-        let mut cfg = TokenConfig::paper_platform(flash_bytes.div_ceil(chips as u64));
-        cfg.chips = chips;
-        cfg
     }
 }
 
@@ -76,7 +62,7 @@ impl SecureToken {
         let mut channel = Channel::new(config.channel_bytes_per_sec);
         channel.set_capture(config.capture_channel);
         SecureToken {
-            flash: FlashDevice::with_chips(config.geometry, config.timing, config.chips.max(1)),
+            flash: FlashDevice::new(config.geometry, config.timing),
             ram: RamArena::with_total_bytes(config.ram_bytes, config.buf_size),
             channel,
         }
@@ -106,20 +92,6 @@ mod tests {
         assert_eq!(token.ram.capacity(), 32);
         assert_eq!(token.flash.page_size(), 2048);
         assert_eq!(token.channel.throughput(), 1_500_000);
-    }
-
-    #[test]
-    fn chips_shard_total_capacity() {
-        let cfg = TokenConfig::paper_platform_chips(16 * 1024 * 1024, 4);
-        let token = SecureToken::new(&cfg);
-        assert_eq!(token.flash.chip_count(), 4);
-        assert!(token.flash.logical_pages() * 2048 >= 16 * 1024 * 1024);
-        // One chip: same geometry as the plain platform, bit for bit.
-        let one = TokenConfig::paper_platform_chips(16 * 1024 * 1024, 1);
-        assert_eq!(
-            one.geometry,
-            TokenConfig::paper_platform(16 * 1024 * 1024).geometry
-        );
     }
 
     #[test]

@@ -6,9 +6,6 @@
 //! the test) is the independent ground truth; the maintained index, a
 //! fresh `build_from_state` rebuild, and the model must agree three ways
 //! at each step.
-//!
-//! CI's `write-smoke` legs pin a chip count via `MULTICHIP_CHIPS`; unset
-//! (the local default) runs on one chip.
 
 use ghostdb_flash::{FlashDevice, FlashGeometry, FlashTiming, SegmentAllocator};
 use ghostdb_index::{
@@ -27,13 +24,6 @@ const KEYS: u64 = 12;
 /// maintenance layer never consults a schema).
 const LEVELS: [usize; 2] = [1, 0];
 
-fn chips() -> usize {
-    std::env::var("MULTICHIP_CHIPS")
-        .ok()
-        .map(|v| v.parse().expect("MULTICHIP_CHIPS must be a number"))
-        .unwrap_or(1)
-}
-
 /// RAM buffers must match the device's page size (the probe pins
 /// page-sized buffers per B+-tree level).
 fn ram() -> RamArena {
@@ -47,7 +37,7 @@ fn device() -> FlashDevice {
         block_count: 64,
         spare_blocks: 8,
     };
-    FlashDevice::with_chips(geometry, FlashTiming::default(), chips())
+    FlashDevice::new(geometry, FlashTiming::default())
 }
 
 /// Independent ground truth: per level, live `id → key`.

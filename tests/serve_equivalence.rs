@@ -34,11 +34,7 @@ fn dataset() -> SyntheticDataset {
 }
 
 fn capture_db(ds: &SyntheticDataset) -> Database {
-    capture_db_chips(ds, 1)
-}
-
-fn capture_db_chips(ds: &SyntheticDataset, chips: usize) -> Database {
-    let mut db = ds.build_chips(chips).expect("build");
+    let mut db = ds.build().expect("build");
     db.token.channel.set_capture(true);
     db
 }
@@ -188,42 +184,40 @@ fn serve_batched_equals_solo_across_matrix() {
     }
 }
 
-/// A drain on one chip and on four, at one analysis worker and at four,
-/// delivers outcomes bit-identical to the solo `Executor::run` loop —
-/// results, every `ExecReport` field, host trace and wire transcript.
+/// A drain at one analysis worker and at four delivers outcomes
+/// bit-identical to the solo `Executor::run` loop — results, every
+/// `ExecReport` field, host trace and wire transcript.
 #[test]
-fn multi_chip_drain_matches_solo() {
+fn drain_matches_solo_at_one_and_four_workers() {
     let ds = dataset();
-    for chips in [1, 4] {
-        let mut solo_db = capture_db_chips(&ds, chips);
-        for strategy in [
-            VisStrategy::Pre,
-            VisStrategy::CrossPost,
-            VisStrategy::NoFilter,
-        ] {
-            let opts = ExecOptions::new().strategy(strategy);
-            let queries = workload(&ds, 8, &format!("workers {}", strategy.name()));
-            let solo: Vec<SoloRef> = queries
-                .iter()
-                .map(|q| run_solo(&mut solo_db, q, &opts))
-                .collect();
-            let w1 = GhostDbServer::new(
-                capture_db_chips(&ds, chips),
-                ServeConfig::new().queue_depth(8).workers(1),
-            )
-            .expect("1-worker server");
-            let w4 = GhostDbServer::new(
-                capture_db_chips(&ds, chips),
-                ServeConfig::new().queue_depth(8).workers(4),
-            )
-            .expect("4-worker server");
-            let outs_1 = serve_round(&w1, &queries, &opts, 2);
-            let outs_4 = serve_round(&w4, &queries, &opts, 2);
-            for (i, solo_ref) in solo.iter().enumerate() {
-                let label = format!("chips {chips} {}", strategy.name());
-                assert_outcome_matches(&outs_1[i], solo_ref, &format!("{label} w1 #{i}"));
-                assert_outcome_matches(&outs_4[i], solo_ref, &format!("{label} w4 #{i}"));
-            }
+    let mut solo_db = capture_db(&ds);
+    for strategy in [
+        VisStrategy::Pre,
+        VisStrategy::CrossPost,
+        VisStrategy::NoFilter,
+    ] {
+        let opts = ExecOptions::new().strategy(strategy);
+        let queries = workload(&ds, 8, &format!("workers {}", strategy.name()));
+        let solo: Vec<SoloRef> = queries
+            .iter()
+            .map(|q| run_solo(&mut solo_db, q, &opts))
+            .collect();
+        let w1 = GhostDbServer::new(
+            capture_db(&ds),
+            ServeConfig::new().queue_depth(8).workers(1),
+        )
+        .expect("1-worker server");
+        let w4 = GhostDbServer::new(
+            capture_db(&ds),
+            ServeConfig::new().queue_depth(8).workers(4),
+        )
+        .expect("4-worker server");
+        let outs_1 = serve_round(&w1, &queries, &opts, 2);
+        let outs_4 = serve_round(&w4, &queries, &opts, 2);
+        for (i, solo_ref) in solo.iter().enumerate() {
+            let label = strategy.name();
+            assert_outcome_matches(&outs_1[i], solo_ref, &format!("{label} w1 #{i}"));
+            assert_outcome_matches(&outs_4[i], solo_ref, &format!("{label} w4 #{i}"));
         }
     }
 }
