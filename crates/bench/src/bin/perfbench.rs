@@ -6,8 +6,7 @@
 //!
 //! ```text
 //! perfbench [--smoke] [--out BENCH.json] [--scale F] [--scale2 F]
-//!           [--medical-scale F] [--iters N] [--threads N]
-//!           [--padded] [--serve]
+//!           [--medical-scale F] [--iters N] [--padded] [--serve]
 //! perfbench --check BENCH.json
 //! perfbench --compare A.json B.json [--tolerance PCT] [--exact]
 //! ```
@@ -16,17 +15,8 @@
 //! times ride along from the Table 1 cost model (deterministic). The
 //! microbenches measure each optimised operator against its naive
 //! reference implementation, so the harness output itself carries the
-//! before/after evidence for every hot-path change.
-//!
-//! `--threads N` fans the query sweeps across N worker threads (each with
-//! its own private database — `ghostdb_exec::parallel::fan_out`), cutting
-//! total harness wall-clock on multi-core machines. The scenario list is
-//! byte-identical to the serial harness (`--compare` proves it) and
-//! `simulated_s`/`ops`/`bytes_io` stay bit-identical, but per-point
-//! `wall_ns` is timed while sibling points contend for memory bandwidth
-//! and cache — compare wall numbers only between runs with the same
-//! `--threads` (the emitted document records it). The committed baseline
-//! is always a serial (`threads = 1`) run. Microbenches stay serial.
+//! before/after evidence for every hot-path change. Every scenario runs on
+//! the calling thread, one after another.
 
 use ghostdb_bench::json::{
     check_bench, compare_exact_sim, compare_micro_wall, compare_scenarios, Json,
@@ -40,7 +30,6 @@ use ghostdb_bloom::BloomFilter;
 use ghostdb_datagen::pad8;
 use ghostdb_exec::ci_ops::select_sublists;
 use ghostdb_exec::merge::{merge_to_list, merge_to_vec, merge_to_vec_streaming};
-use ghostdb_exec::parallel::fan_out;
 use ghostdb_exec::project::ProjectAlgo;
 use ghostdb_exec::sjoin::sjoin_stream;
 use ghostdb_exec::source::{IdSource, NaiveUnionStream, UnionStream};
@@ -62,8 +51,7 @@ perfbench — wall-clock performance baseline emitting BENCH.json
 
 USAGE:
     perfbench [--smoke] [--out PATH] [--scale F] [--scale2 F]
-              [--medical-scale F] [--iters N] [--threads N]
-              [--padded] [--serve]
+              [--medical-scale F] [--iters N] [--padded] [--serve]
     perfbench --check PATH
     perfbench --compare PATH PATH [--tolerance PCT] [--exact]
 
@@ -77,12 +65,6 @@ OPTIONS:
                        (default 0.05, T0 = 500 000)
     --medical-scale F  medical dataset scale (default 0.2; smoke 0.01)
     --iters N          timed iterations per scenario (default 5; smoke 3)
-    --threads N        worker threads for the query sweeps (default 1 =
-                       serial; each worker owns a private database).
-                       simulated_s/ops/bytes_io keep their serial values;
-                       wall_ns is timed under concurrent sweep load, so
-                       only compare it between runs with equal --threads —
-                       keep the committed baseline a serial run
     --padded           run the query sweeps with volume-padded Vis
                        shipments (power-of-two row buckets, the SECURITY.md
                        countermeasure); recorded in the document. The
@@ -95,11 +77,10 @@ OPTIONS:
                        submit→outcome latencies, an open-loop (timed
                        arrival schedule) pair whose percentiles are
                        arrival→outcome — coordinated-omission-free — plus
-                       the micro/serve/batch-vs-solo isolation pair. Always
-                       serial (the server is the concurrency)
+                       the micro/serve/batch-vs-solo isolation pair
     --check PATH       validate an existing BENCH.json and exit
     --compare A B      validate two BENCH.json files and fail if their
-                       scenario names drift (parallel vs serial harness)
+                       scenario names drift (e.g. before vs after a change)
     --tolerance PCT    with --compare: judge the common micro/* wall times
                        instead of the name matrix, failing on regressions
                        beyond PCT percent (the CI perf gate; query names
@@ -122,7 +103,6 @@ struct Opts {
     scale2: f64,
     medical_scale: f64,
     iters: usize,
-    threads: usize,
     padded: bool,
     serve: bool,
     check: Option<String>,
@@ -155,7 +135,6 @@ fn parse_args() -> Opts {
         scale2: 0.05,
         medical_scale: 0.0, // resolved after --smoke is known
         iters: 0,           // resolved after --smoke is known
-        threads: 1,
         padded: false,
         serve: false,
         check: None,
@@ -207,10 +186,6 @@ fn parse_args() -> Opts {
             "--iters" => {
                 opts.iters = parse_count("--iters", &value_of(&args, i));
                 iters_set = true;
-                i += 2;
-            }
-            "--threads" => {
-                opts.threads = parse_count("--threads", &value_of(&args, i));
                 i += 2;
             }
             "--padded" => {
@@ -338,22 +313,16 @@ fn report_stats(report: &ExecReport) -> RunStats {
     }
 }
 
-/// Fan sweep points across `threads` workers, each owning its private
-/// database, in deterministic point order. `threads == 1` is the plain
-/// serial loop (one database, no spawn), so the serial harness is
-/// bit-for-bit the pre-parallel one.
-fn sweep<S: Send>(
+/// Run sweep points in order against one database built by `build`.
+fn sweep<S>(
     label: &str,
     points: usize,
-    threads: usize,
-    build: impl Fn() -> S + Sync,
-    run_point: impl Fn(&mut S, usize) -> BenchEntry + Sync,
+    build: impl FnOnce() -> S,
+    run_point: impl Fn(&mut S, usize) -> BenchEntry,
 ) -> Vec<BenchEntry> {
-    eprintln!("perfbench: {label}: {points} points on {threads} thread(s)");
-    fan_out(points, threads, || Ok(build()), |s, i| Ok(run_point(s, i))).unwrap_or_else(|e| {
-        eprintln!("perfbench: {label} sweep failed: {e}");
-        std::process::exit(1);
-    })
+    eprintln!("perfbench: {label}: {points} points");
+    let mut state = build();
+    (0..points).map(|i| run_point(&mut state, i)).collect()
 }
 
 /// Visible selectivities the synthetic matrix sweeps for the `Project`
@@ -372,7 +341,7 @@ fn synthetic_scenarios(
     scale: f64,
     warmup: usize,
     iters: usize,
-    tune: Tuning,
+    padded: bool,
     out: &mut Vec<BenchEntry>,
 ) {
     let strategies = [
@@ -396,7 +365,6 @@ fn synthetic_scenarios(
     out.extend(sweep(
         &format!("synthetic x{scale}"),
         points.len(),
-        tune.threads,
         || build_synthetic(scale),
         |(ds, db), i| {
             let (sv, strategy, algo) = points[i];
@@ -408,7 +376,7 @@ fn synthetic_scenarios(
             );
             eprintln!("perfbench: {name}");
             measure(name, warmup, iters, || {
-                report_stats(&run_with_tuned(db, &q, strategy, algo, tune.padded))
+                report_stats(&run_with_tuned(db, &q, strategy, algo, padded))
             })
         },
     ));
@@ -420,14 +388,13 @@ fn zipf_scenarios(
     scale: f64,
     warmup: usize,
     iters: usize,
-    tune: Tuning,
+    padded: bool,
     out: &mut Vec<BenchEntry>,
 ) {
     let points = [VisStrategy::CrossPre, VisStrategy::CrossPost];
     out.extend(sweep(
         &format!("synthetic-zipf x{scale}"),
         points.len(),
-        tune.threads,
         || build_synthetic_zipf(scale),
         |(ds, db), i| {
             let strategy = points[i];
@@ -440,7 +407,7 @@ fn zipf_scenarios(
                     &q,
                     strategy,
                     ProjectAlgo::Project,
-                    tune.padded,
+                    padded,
                 ))
             })
         },
@@ -456,14 +423,13 @@ fn hicard_scenarios(
     scale: f64,
     warmup: usize,
     iters: usize,
-    tune: Tuning,
+    padded: bool,
     out: &mut Vec<BenchEntry>,
 ) {
     let points = [VisStrategy::CrossPre, VisStrategy::CrossPost];
     out.extend(sweep(
         &format!("synthetic-hicard x{scale}"),
         points.len(),
-        tune.threads,
         || build_synthetic(scale),
         |(ds, db), i| {
             let strategy = points[i];
@@ -476,7 +442,7 @@ fn hicard_scenarios(
                     &q,
                     strategy,
                     ProjectAlgo::Project,
-                    tune.padded,
+                    padded,
                 ))
             })
         },
@@ -487,14 +453,8 @@ fn hicard_scenarios(
 /// once with exact-volume Vis shipments and once with the power-of-two
 /// padded mode (the SECURITY.md wire-volume countermeasure), so every
 /// BENCH.json carries the padding overhead regardless of `--padded`. The
-/// pad mode is set per point here, independent of `tune.padded`.
-fn padded_scenarios(
-    scale: f64,
-    warmup: usize,
-    iters: usize,
-    tune: Tuning,
-    out: &mut Vec<BenchEntry>,
-) {
+/// pad mode is set per point here, independent of `--padded`.
+fn padded_scenarios(scale: f64, warmup: usize, iters: usize, out: &mut Vec<BenchEntry>) {
     let points = [
         (VisStrategy::CrossPre, false),
         (VisStrategy::CrossPre, true),
@@ -504,7 +464,6 @@ fn padded_scenarios(
     out.extend(sweep(
         &format!("synthetic-padded x{scale}"),
         points.len(),
-        tune.threads,
         || build_synthetic(scale),
         |(ds, db), i| {
             let (strategy, padded) = points[i];
@@ -532,14 +491,13 @@ fn medical_scenarios(
     scale: f64,
     warmup: usize,
     iters: usize,
-    tune: Tuning,
+    padded: bool,
     out: &mut Vec<BenchEntry>,
 ) {
     let points = [VisStrategy::CrossPre, VisStrategy::CrossPost];
     out.extend(sweep(
         &format!("medical x{scale}"),
         points.len(),
-        tune.threads,
         || build_medical(scale),
         |(ds, db), i| {
             let strategy = points[i];
@@ -552,7 +510,7 @@ fn medical_scenarios(
                     &q,
                     strategy,
                     ProjectAlgo::Project,
-                    tune.padded,
+                    padded,
                 ))
             })
         },
@@ -1386,7 +1344,7 @@ fn micro_project_mjoin_multipass(warmup: usize, iters: usize, out: &mut Vec<Benc
 /// (host-side delta, base merged every 16 ops), in wall time and, via
 /// `bytes_io`/`simulated_s`, in flash traffic.
 fn micro_maint(warmup: usize, iters: usize, out: &mut Vec<BenchEntry>) {
-    use ghostdb_index::MaintainedIndex;
+    use ghostdb_index::{MaintainedIndex, MaintainedSpec};
     const UPDATES: u64 = 96;
     out.push(measure(
         "micro/maint/update-tombstone",
@@ -1407,17 +1365,16 @@ fn micro_maint(warmup: usize, iters: usize, out: &mut Vec<BenchEntry>) {
                 (0..768u64).map(|i| i % 96).collect::<Vec<_>>(),
                 (0..384u64).map(|i| i % 96).collect::<Vec<_>>(),
             ];
-            let mut mi = MaintainedIndex::build(
-                &mut dev,
-                &mut alloc,
-                1,
-                "k",
-                vec![1, 0],
-                true,
-                &initial,
-                16,
-            )
-            .expect("maintained index builds");
+            let spec = MaintainedSpec {
+                table: 1,
+                column: "k",
+                levels: &[1, 0],
+                exact: true,
+                initial: &initial,
+                merge_threshold: 16,
+            };
+            let mut mi = MaintainedIndex::build(&mut dev, &mut alloc, spec)
+                .expect("maintained index builds");
             let snap = dev.snapshot();
             let mut seed = 0x9E3779B97F4A7C15u64;
             let mut next = move || {
@@ -1576,13 +1533,6 @@ fn print_improvements(entries: &[BenchEntry]) {
     }
 }
 
-/// The execution knobs every query sweep threads through.
-#[derive(Clone, Copy)]
-struct Tuning {
-    threads: usize,
-    padded: bool,
-}
-
 fn main() {
     let opts = parse_args();
     if let Some((a, b)) = &opts.compare {
@@ -1594,25 +1544,21 @@ fn main() {
     let mode = if opts.smoke { "smoke" } else { "full" };
     let warmup = 1usize;
     let iters = opts.iters;
-    let threads = opts.threads;
-    let tune = Tuning {
-        threads,
-        padded: opts.padded,
-    };
+    let padded = opts.padded;
     eprintln!(
         "perfbench: mode {mode}, {iters} timed iterations per scenario \
-         (+{warmup} warmup), {threads} sweep thread(s)"
+         (+{warmup} warmup)"
     );
 
     let mut entries: Vec<BenchEntry> = Vec::new();
-    synthetic_scenarios(opts.scale, warmup, iters, tune, &mut entries);
+    synthetic_scenarios(opts.scale, warmup, iters, padded, &mut entries);
     if !opts.smoke {
-        synthetic_scenarios(opts.scale2, warmup, iters, tune, &mut entries);
+        synthetic_scenarios(opts.scale2, warmup, iters, padded, &mut entries);
     }
-    zipf_scenarios(opts.scale, warmup, iters, tune, &mut entries);
-    hicard_scenarios(opts.scale, warmup, iters, tune, &mut entries);
-    padded_scenarios(opts.scale, warmup, iters, tune, &mut entries);
-    medical_scenarios(opts.medical_scale, warmup, iters, tune, &mut entries);
+    zipf_scenarios(opts.scale, warmup, iters, padded, &mut entries);
+    hicard_scenarios(opts.scale, warmup, iters, padded, &mut entries);
+    padded_scenarios(opts.scale, warmup, iters, &mut entries);
+    medical_scenarios(opts.medical_scale, warmup, iters, padded, &mut entries);
     eprintln!("perfbench: write-path scenarios...");
     ingest_scenarios(warmup, iters, &mut entries);
     gc_pressure_scenarios(warmup, iters, &mut entries);
@@ -1637,7 +1583,7 @@ fn main() {
         micro_serve(warmup, iters, &mut entries);
     }
 
-    let doc = bench_doc(mode, threads, tune.padded, &entries);
+    let doc = bench_doc(mode, padded, &entries);
     let summary = check_bench(&doc).unwrap_or_else(|e| {
         eprintln!("perfbench: generated document violates its own schema: {e}");
         std::process::exit(1);
@@ -1650,12 +1596,5 @@ fn main() {
         "wrote {} — {} entries ({} query scenarios, {} microbenches)",
         opts.out, summary.entries, summary.scenarios, summary.micro
     );
-    if threads > 1 {
-        eprintln!(
-            "perfbench: note: sweep points were timed concurrently ({threads} threads); \
-             wall_ns is only comparable to other --threads {threads} runs — do not commit \
-             this file as the serial baseline"
-        );
-    }
     print_improvements(&entries);
 }

@@ -1,9 +1,9 @@
 //! Shared flag handling for the crate's binaries (`repro`, `perfbench`):
 //! usage errors exit 2, numeric flags must be finite and strictly positive
 //! (zero/negative scales used to slip through and silently produce
-//! degenerate datasets), count flags (`--iters`, `--threads`) must be
-//! integers ≥ 1. The `try_*` functions hold the validation policy and are
-//! unit-tested; the exiting wrappers route failures through [`usage_error`].
+//! degenerate datasets), count flags (`--iters`) must be integers ≥ 1.
+//! The `try_*` functions hold the validation policy and are unit-tested;
+//! the exiting wrappers route failures through [`usage_error`].
 
 /// Print `msg` plus the binary's usage text and exit 2.
 pub fn usage_error(msg: &str, usage: &str) -> ! {
@@ -44,7 +44,7 @@ pub fn parse_nonnegative(flag: &str, raw: &str, usage: &str) -> f64 {
     try_parse_nonnegative(flag, raw).unwrap_or_else(|msg| usage_error(&msg, usage))
 }
 
-/// Validate a count flag value (`--iters`, `--threads`): an integer ≥ 1.
+/// Validate a count flag value (`--iters`): an integer ≥ 1.
 /// Zero, negatives, fractions and non-numbers are all rejected.
 pub fn try_parse_count(flag: &str, raw: &str) -> Result<usize, String> {
     let v: u64 = raw
@@ -82,18 +82,18 @@ mod tests {
     }
 
     #[test]
-    fn threads_flag_accepts_integers_from_one() {
-        assert_eq!(try_parse_count("--threads", "1"), Ok(1));
-        assert_eq!(try_parse_count("--threads", "2"), Ok(2));
-        assert_eq!(try_parse_count("--threads", "64"), Ok(64));
+    fn iters_flag_accepts_integers_from_one() {
+        assert_eq!(try_parse_count("--iters", "1"), Ok(1));
+        assert_eq!(try_parse_count("--iters", "2"), Ok(2));
+        assert_eq!(try_parse_count("--iters", "64"), Ok(64));
     }
 
     #[test]
-    fn threads_flag_rejects_zero_fractions_and_garbage() {
+    fn iters_flag_rejects_zero_fractions_and_garbage() {
         for bad in ["0", "-2", "1.5", "2.0", "two", "", " 4", "+0"] {
-            let err = try_parse_count("--threads", bad)
-                .expect_err(&format!("--threads {bad:?} must be rejected"));
-            assert!(err.contains("--threads"), "message names the flag: {err}");
+            let err = try_parse_count("--iters", bad)
+                .expect_err(&format!("--iters {bad:?} must be rejected"));
+            assert!(err.contains("--iters"), "message names the flag: {err}");
         }
     }
 

@@ -318,10 +318,10 @@ pub fn check_bench(doc: &Json) -> Result<BenchSummary, String> {
         .and_then(Json::as_str)
         .filter(|m| *m == "full" || *m == "smoke")
         .ok_or("mode must be \"full\" or \"smoke\"")?;
-    // `threads` arrived with the parallel harness; older documents (and
-    // the committed PR-2 baseline) predate it, so absence is accepted.
-    // `intra_threads` recorded the retired intra-query lane count: it stays
-    // optional so documents that carry it still validate.
+    // `threads` recorded the retired parallel harness's sweep width and
+    // `intra_threads` the retired intra-query lane count. Neither is
+    // emitted any more; both stay optional so documents that carry them
+    // (the committed baseline among them) still validate.
     for field in ["threads", "intra_threads"] {
         if let Some(t) = doc.get(field) {
             let t = t.as_num().ok_or(format!("{field} must be a number"))?;
@@ -404,9 +404,9 @@ pub fn check_bench(doc: &Json) -> Result<BenchSummary, String> {
 /// Compare two BENCH.json documents for harness drift: both must pass
 /// [`check_bench`] and carry the **same scenario names in the same order**
 /// (values are allowed to differ — wall time always does). This is what
-/// keeps the parallel (`--threads N`) and serial sweeps emitting the same
-/// matrix: CI diffs a `--smoke --threads 2` run against a serial `--smoke`
-/// run and fails on any divergence. Returns the shared entry count.
+/// keeps a change from silently dropping or reordering scenarios: CI reruns
+/// `--smoke` and diffs it against the first run, with `--exact` also
+/// holding the simulated numbers fixed. Returns the shared entry count.
 pub fn compare_scenarios(a: &Json, b: &Json) -> Result<usize, String> {
     check_bench(a).map_err(|e| format!("first document: {e}"))?;
     check_bench(b).map_err(|e| format!("second document: {e}"))?;

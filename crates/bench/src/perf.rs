@@ -98,18 +98,15 @@ pub fn measure(
     }
 }
 
-/// Assemble the BENCH.json document. `threads` records how many worker
-/// threads the query sweeps fanned across (1 = the serial harness), and
-/// `padded` whether the query sweeps ran with volume-padded
-/// shipments — the knobs whose A/B numbers the document exists to carry. (The
-/// dedicated `synthetic-padded/…` scenarios carry both pad modes in every
-/// document; `padded` records the mode of the *main* sweeps.)
-pub fn bench_doc(mode: &str, threads: usize, padded: bool, entries: &[BenchEntry]) -> Json {
+/// Assemble the BENCH.json document. `padded` records whether the query
+/// sweeps ran with volume-padded shipments. (The dedicated
+/// `synthetic-padded/…` scenarios carry both pad modes in every document;
+/// `padded` records the mode of the *main* sweeps.)
+pub fn bench_doc(mode: &str, padded: bool, entries: &[BenchEntry]) -> Json {
     Json::Obj(vec![
         ("schema_version".into(), Json::Num(1.0)),
         ("generator".into(), Json::Str("perfbench".into())),
         ("mode".into(), Json::Str(mode.into())),
-        ("threads".into(), Json::Num(threads as f64)),
         ("padded".into(), Json::Bool(padded)),
         (
             "entries".into(),
@@ -180,7 +177,7 @@ mod tests {
                 },
             ])
             .collect();
-        let doc = bench_doc("smoke", 2, false, &entries);
+        let doc = bench_doc("smoke", false, &entries);
         let text = doc.render();
         let parsed = Json::parse(&text).unwrap();
         crate::json::check_bench(&parsed).unwrap();

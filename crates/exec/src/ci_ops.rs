@@ -90,6 +90,7 @@ impl CiPrefetch {
         lo: u64,
         hi: u64,
     ) -> Result<()> {
+        ram.check_page_fit(dev.page_size())?;
         let mut probe = ci.probe(ram)?;
         let levels: Vec<usize> = (0..ci.levels.len()).collect();
         let before = dev.snapshot();

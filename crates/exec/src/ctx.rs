@@ -7,7 +7,7 @@
 //!   hidden images, SKTs, climbing indexes and the untrusted PC.
 //! * [`DeviceLane`] — the **device** lane: the token's flash handle, its
 //!   RAM arena, the segment allocator and a temp registry. The lane
-//!   mirrors every flash counter delta it causes into a **lane-local**
+//!   mirrors every flash counter delta it causes into its own
 //!   [`FlashStats`], which also takes the banked deltas a cross-query
 //!   prefetch hit is billed ([`DeviceLane::charge`]), so the query's I/O
 //!   reads as if it had run solo.
@@ -107,12 +107,12 @@ impl<'a> CatalogCtx<'a> {
 }
 
 /// The device lane: flash handle + RAM arena + allocator + temp registry,
-/// with a lane-local mirror of the flash counters.
+/// with a mirror of the flash counters.
 ///
-/// The mirror is built on the handle-local `snapshot`/`stats_since` of the
-/// token's flash handle. It exists apart from the device's own counters
-/// because a cross-query prefetch hit bills a banked delta into it
-/// ([`Self::charge`]) that this query never issued on the device.
+/// The mirror is built on the device's `snapshot`/`stats_since`. It exists
+/// apart from the device's own counters only for [`Self::charge`]: a
+/// cross-query prefetch hit bills into it a banked delta that this query
+/// never issued on the device.
 #[derive(Debug)]
 pub struct DeviceLane<'a> {
     flash: &'a mut FlashDevice,
@@ -142,7 +142,7 @@ impl<'a> DeviceLane<'a> {
     }
 
     /// Run `f` against the flash device, mirroring the counter delta it
-    /// causes into the lane-local [`FlashStats`].
+    /// causes into the lane's [`FlashStats`].
     pub fn with_flash<T>(&mut self, f: impl FnOnce(&mut FlashDevice) -> T) -> T {
         self.with_flash_delta(f).0
     }
@@ -341,8 +341,8 @@ impl<'a> ExecCtx<'a> {
     }
 
     /// Run `f` attributing all flash time **this lane** causes to `op`.
-    /// The delta comes from the lane-local counter mirror, never from the
-    /// (possibly shared) device counters.
+    /// The delta comes from the lane's counter mirror, so charged prefetch
+    /// deltas count as well as the I/O issued on the device.
     pub fn track<T>(&mut self, op: OpKind, f: impl FnOnce(&mut Self) -> Result<T>) -> Result<T> {
         let before = self.lane.io();
         let out = f(self);

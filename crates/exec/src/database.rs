@@ -77,7 +77,7 @@ impl Database {
         config: &TokenConfig,
         loads: Vec<TableLoad>,
     ) -> Result<Database> {
-        let mut token = SecureToken::new(config);
+        let mut token = SecureToken::new(config)?;
         let mut alloc = SegmentAllocator::new(token.flash.logical_pages());
         let mut store = VisibleStore::new(schema.len());
         let mut hidden: Vec<HiddenImage> =

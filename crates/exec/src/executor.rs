@@ -93,6 +93,10 @@ impl Executor {
         opts: &ExecOptions,
         prefetch: Option<&'e crate::ci_ops::CiPrefetch>,
     ) -> Result<(ResultSet, ExecReport)> {
+        // Every page reader loads a whole page into one RAM buffer; an
+        // arena swapped in after the token was built is checked here,
+        // once per query, rather than on every read.
+        db.token.ram.check_page_fit(db.token.flash.page_size())?;
         db.begin_query();
         // The host-observable trace resets here — with the executor acting
         // as a session of one — not in `begin_query`: serve-mode sessions

@@ -32,7 +32,6 @@ pub mod error;
 pub mod executor;
 pub mod merge;
 pub mod optimizer;
-pub mod parallel;
 pub mod project;
 pub mod query;
 pub mod report;
@@ -49,7 +48,6 @@ pub use ctx::{CatalogCtx, DeviceLane, ExecCtx};
 pub use database::Database;
 pub use error::ExecError;
 pub use executor::{ExecOptions, Executor};
-pub use parallel::run_many;
 pub use project::ProjectAlgo;
 pub use query::SpjQuery;
 pub use report::{ExecReport, OpKind};

@@ -8,9 +8,9 @@
 //! in a bounded admission queue ([`ServeError::QueueFull`] past its depth)
 //! and execute when the queue drains. A drain has three phases:
 //!
-//! 1. **Analysis.** A [`crate::parallel::fan_out`] worker pool extracts
-//!    each queued query's climbing-index probe keys (`(table, column, lo,
-//!    hi)`, pure functions of public query text and catalog).
+//! 1. **Analysis.** A serial pass over the batch extracts each queued
+//!    query's climbing-index probe keys (`(table, column, lo, hi)`, pure
+//!    functions of public query text and catalog).
 //! 2. **Shared traversals.** Every key demanded by ≥ 2 queued probes gets
 //!    ONE all-levels traversal, banked with its flash-counter delta in a
 //!    [`CiPrefetch`]; each probe hit demultiplexes its own level slices
@@ -26,9 +26,9 @@
 //! queue lock at submission and traversal keys are banked in sorted
 //! order. Per-query results, every `ExecReport` field, host trace and
 //! wire transcript are bit-identical to a plain `Executor::run` loop over
-//! the same arrival sequence at any batching and worker setting: batching
-//! and the analysis workers compress wall-clock work, never the simulated
-//! observations (`tests/serve_equivalence.rs`).
+//! the same arrival sequence with batching on or off: batching compresses
+//! wall-clock work, never the simulated observations
+//! (`tests/serve_equivalence.rs`).
 
 use crate::ci_ops::{CiPrefetch, PrefetchKey};
 use crate::database::Database;
@@ -37,6 +37,7 @@ use crate::executor::{ExecOptions, Executor};
 use crate::query::{analyze, SpjQuery};
 use crate::report::ExecReport;
 use crate::result::ResultSet;
+use ghostdb_index::ClimbingIndex;
 use ghostdb_token::TranscriptEntry;
 use ghostdb_untrusted::HostTrace;
 use std::collections::{BTreeMap, VecDeque};
@@ -48,9 +49,6 @@ pub struct ServeConfig {
     /// Maximum queries queued but not yet executed; submissions past it
     /// are rejected with [`ServeError::QueueFull`].
     pub queue_depth: usize,
-    /// Worker threads of a drain's analysis fan-out (probe-key
-    /// extraction). Execution is always the serial loop.
-    pub workers: usize,
     /// Enable the cross-query batch scheduler. Off = every query runs
     /// exactly as solo; on = shared traversals, identical observations.
     pub batching: bool,
@@ -60,7 +58,6 @@ impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
             queue_depth: 16,
-            workers: 4,
             batching: true,
         }
     }
@@ -78,9 +75,9 @@ impl ServeConfig {
         self
     }
 
-    /// Drain analysis worker-pool width.
-    pub fn workers(mut self, workers: usize) -> Self {
-        self.workers = workers;
+    /// No-op: a drain runs on the calling thread. Kept so callers that
+    /// still set a worker count build unchanged.
+    pub fn workers(self, _workers: usize) -> Self {
         self
     }
 
@@ -94,9 +91,6 @@ impl ServeConfig {
     pub fn validate(&self) -> Result<(), ServeError> {
         if self.queue_depth == 0 {
             return Err(ServeError::Config("queue_depth must be ≥ 1".into()));
-        }
-        if self.workers == 0 {
-            return Err(ServeError::Config("workers must be ≥ 1".into()));
         }
         Ok(())
     }
@@ -244,10 +238,10 @@ impl GhostDbServer {
     /// outcome to its session. Returns the number of queries executed.
     ///
     /// Per-query failures are delivered to their sessions like results.
-    /// `Err` here means the drain infrastructure itself failed (the
-    /// analysis fan-out or a banked traversal erroring) before any query
-    /// ran: every query taken from the queue then receives that same error
-    /// as its outcome, so no session waits on a query that was dropped.
+    /// `Err` here means the drain infrastructure itself failed (a banked
+    /// traversal erroring) before any query ran: every query taken from the
+    /// queue then receives that same error as its outcome, so no session
+    /// waits on a query that was dropped.
     pub fn drain(&self) -> Result<usize, ServeError> {
         let mut guard = self.state.lock().expect("server state");
         let st = &mut *guard;
@@ -301,54 +295,41 @@ impl GhostDbServer {
         st: &mut ServerState,
         batch: &[Queued],
     ) -> Result<CiPrefetch, ExecError> {
-        // Phase 1 — analysis fan-out: extract each query's batchable
-        // probe keys (its hidden selections' index + key range) on the
-        // worker pool. Only text-derivable probes qualify; a query whose
-        // analysis fails contributes no keys and reports its error from
-        // execution below, identically to solo.
-        let schema = &st.db.schema;
+        let mut prefetch = CiPrefetch::new();
+        if !self.cfg.batching {
+            return Ok(prefetch);
+        }
+        // Phase 1 — analysis: count each query's batchable probe keys (its
+        // hidden selections' index + key range). Only text-derivable probes
+        // qualify; a query whose analysis fails contributes no keys and
+        // reports its error from execution below, identically to solo.
         let cis = &st.db.cis;
-        let keys_per_query: Vec<Vec<PrefetchKey>> = crate::parallel::fan_out(
-            batch.len(),
-            self.cfg.workers,
-            || Ok(()),
-            |_, i| {
-                let Ok(a) = analyze(schema, &batch[i].query) else {
-                    return Ok(Vec::new());
+        let mut demand: BTreeMap<PrefetchKey, (&ClimbingIndex, u64)> = BTreeMap::new();
+        for item in batch {
+            let Ok(a) = analyze(&st.db.schema, &item.query) else {
+                continue;
+            };
+            for sel in &a.hid_sels {
+                let Some(ci) = cis.get(&(sel.table, sel.pred.column.clone())) else {
+                    continue;
                 };
-                Ok(a.hid_sels
-                    .iter()
-                    .filter(|sel| cis.contains_key(&(sel.table, sel.pred.column.clone())))
-                    .map(|sel| {
-                        let (lo, hi) = sel.pred.key_range();
-                        (sel.table, sel.pred.column.clone(), lo, hi)
-                    })
-                    .collect())
-            },
-        )?;
+                let (lo, hi) = sel.pred.key_range();
+                let key = (sel.table, sel.pred.column.clone(), lo, hi);
+                demand.entry(key).or_insert((ci, 0)).1 += 1;
+            }
+        }
 
         // Phase 2 — bank one shared traversal per key demanded ≥ 2 times,
         // in sorted key order (deterministic), on a scratch arena so no
         // query's RAM peak sees the bank's traversals.
-        let mut prefetch = CiPrefetch::new();
-        if self.cfg.batching {
-            let mut demand: BTreeMap<PrefetchKey, u64> = BTreeMap::new();
-            for key in keys_per_query.iter().flatten() {
-                *demand.entry(key.clone()).or_default() += 1;
+        let scratch = st.db.token.ram.fresh_like();
+        for ((_, _, lo, hi), (ci, n)) in demand {
+            if n < 2 {
+                continue;
             }
-            let scratch = st.db.token.ram.fresh_like();
-            for (key, n) in demand {
-                if n < 2 {
-                    continue;
-                }
-                let (table, column, lo, hi) = key;
-                let ci = cis
-                    .get(&(table, column))
-                    .expect("demanded keys come from the catalog");
-                prefetch.insert_traversal(&mut st.db.token.flash, &scratch, ci, lo, hi)?;
-                st.stats.shared_keys += 1;
-                st.stats.saved_traversals += n - 1;
-            }
+            prefetch.insert_traversal(&mut st.db.token.flash, &scratch, ci, lo, hi)?;
+            st.stats.shared_keys += 1;
+            st.stats.saved_traversals += n - 1;
         }
         Ok(prefetch)
     }
@@ -471,11 +452,6 @@ mod tests {
             GhostDbServer::new(db, ServeConfig::new().queue_depth(0)),
             Err(ServeError::Config(_))
         ));
-        let db = testkit::tiny_db();
-        assert!(matches!(
-            GhostDbServer::new(db, ServeConfig::new().workers(0)),
-            Err(ServeError::Config(_))
-        ));
     }
 
     #[test]
@@ -499,6 +475,26 @@ mod tests {
             assert!(matches!(s.take(), Some(Err(ServeError::Exec(_)))));
             assert!(s.take().is_none(), "exactly one outcome per query");
         }
+    }
+
+    #[test]
+    fn bank_rejects_buffers_smaller_than_a_page() {
+        let mut db = testkit::tiny_db();
+        db.token.ram = RamArena::new(512, 32);
+        let t1 = db.schema.table_id("T1").expect("T1");
+        let server = GhostDbServer::new(db, ServeConfig::new()).expect("server");
+        let s = server.session();
+        let hidden = SpjQuery::new()
+            .pred(t1, Predicate::new("h1", CmpOp::Lt, testkit::pad8(2), None))
+            .project(0, "id");
+        s.submit(&hidden, &ExecOptions::auto()).expect("admitted");
+        s.submit(&hidden, &ExecOptions::auto()).expect("admitted");
+        assert!(matches!(
+            server.drain(),
+            Err(ServeError::Exec(ExecError::Token(
+                ghostdb_token::TokenError::BufferTooSmall { .. }
+            )))
+        ));
     }
 
     #[test]

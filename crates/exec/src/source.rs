@@ -16,8 +16,8 @@ use std::sync::Arc;
 
 /// Shared-ownership sorted id list. Every shared id/row payload in the
 /// execution data plane routes through this alias so the pointer type is a
-/// one-line swap; `Arc` keeps the whole operator tree `Send + Sync`, which
-/// is what lets [`crate::parallel::run_many`] fan plans across threads.
+/// one-line swap; `Arc` keeps the whole operator tree `Send + Sync`, so a
+/// `Database` (and the server that owns it) can move between threads.
 pub type SharedIds = Arc<Vec<Id>>;
 
 /// A sorted stream of tuple IDs.

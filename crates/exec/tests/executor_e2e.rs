@@ -7,9 +7,9 @@ use ghostdb_exec::project::ProjectAlgo;
 use ghostdb_exec::query::SpjQuery;
 use ghostdb_exec::strategy::VisStrategy;
 use ghostdb_exec::testkit::{pad8, tiny_db, tiny_truth, TINY_ROWS};
-use ghostdb_exec::{ExecOptions, Executor, ResultSet};
+use ghostdb_exec::{ExecError, ExecOptions, Executor, ResultSet};
 use ghostdb_storage::{CmpOp, Predicate, Value};
-use ghostdb_token::Direction;
+use ghostdb_token::{Direction, RamArena, SecureToken, TokenConfig, TokenError};
 
 /// The paper's query Q (§6.4) on the tiny database: visible selection on
 /// T1, hidden selection on T12, joins up to T0, projecting
@@ -318,4 +318,40 @@ fn strategies_not_applicable_error_cleanly() {
         err,
         ghostdb_exec::ExecError::StrategyNotApplicable(_)
     ));
+}
+
+/// RAM buffers smaller than a flash page cannot hold the pages every reader
+/// loads. Building such a token fails, and so does a query after a smaller
+/// arena is swapped in: a typed error, not a panic on the first page read.
+#[test]
+fn buffers_smaller_than_a_page_are_rejected() {
+    let mut config = TokenConfig::paper_platform(16 * 1024 * 1024);
+    config.buf_size = 512;
+    assert!(matches!(
+        SecureToken::new(&config),
+        Err(TokenError::BufferTooSmall {
+            buf_size: 512,
+            page_size: 2048
+        })
+    ));
+
+    let mut db = tiny_db();
+    db.token.ram = RamArena::new(512, 32);
+    let t0 = db.schema.root();
+    let t1 = db.schema.table_id("T1").unwrap();
+    let mut q = SpjQuery::new()
+        .pred(t1, Predicate::new("h1", CmpOp::Lt, pad8(2), None))
+        .project(t0, "id");
+    q.text = "SELECT T0.id FROM T0, T1 WHERE T0.fk1 = T1.id AND T1.h1 < '00000002'".into();
+    let err = Executor::run(&mut db, &q, &ExecOptions::auto()).unwrap_err();
+    assert!(
+        matches!(
+            err,
+            ExecError::Token(TokenError::BufferTooSmall {
+                buf_size: 512,
+                page_size: 2048
+            })
+        ),
+        "{err}"
+    );
 }

@@ -122,8 +122,8 @@ impl ClimbingIndex {
 
     fn decode_level(&self, payload: &[u8], level: usize) -> IdList {
         let at = level * LEVEL_DESC_BYTES;
-        let offset = u64::from_le_bytes(payload[at..at + 8].try_into().unwrap());
-        let count = u32::from_le_bytes(payload[at + 8..at + 12].try_into().unwrap());
+        let offset = u64::from_le_bytes(std::array::from_fn(|i| payload[at + i]));
+        let count = u32::from_le_bytes(std::array::from_fn(|i| payload[at + 8 + i]));
         IdList {
             segment: self.areas[level],
             byte_offset: offset,

@@ -20,6 +20,8 @@
 //!   Figure 7 (FullIndex, BasicIndex, StarIndex, JoinIndex) and their exact
 //!   storage-size model, cross-validated against physically built instances.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod builder;
 pub mod climbing;
 pub mod maintain;
@@ -29,6 +31,6 @@ pub mod skt;
 
 pub use builder::{ClimbingSpec, FkData, IndexBuilder};
 pub use climbing::{CiProbe, ClimbingIndex, LevelSpec};
-pub use maintain::{build_from_state, LevelState, MaintainedIndex, MaintainedSkt};
+pub use maintain::{build_from_state, LevelState, MaintainedIndex, MaintainedSkt, MaintainedSpec};
 pub use schemes::IndexScheme;
 pub use skt::SubtreeKeyTable;

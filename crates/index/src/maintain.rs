@@ -105,6 +105,24 @@ pub fn build_from_state(
     ))
 }
 
+/// What [`MaintainedIndex::build`] bulk-loads.
+#[derive(Debug, Clone, Copy)]
+pub struct MaintainedSpec<'a> {
+    /// Indexed table.
+    pub table: TableId,
+    /// Indexed column name.
+    pub column: &'a str,
+    /// Target tables, innermost first.
+    pub levels: &'a [TableId],
+    /// Whether the key encoding is injective for this column's data.
+    pub exact: bool,
+    /// `initial[l]` holds level `l`'s keys, one per row, ids assigned
+    /// `0..n` in order (the bulk-load contract).
+    pub initial: &'a [Vec<u64>],
+    /// The base absorbs buffered updates every `merge_threshold` ops.
+    pub merge_threshold: usize,
+}
+
 /// A climbing index that absorbs inserts and deletes.
 #[derive(Debug)]
 pub struct MaintainedIndex {
@@ -128,20 +146,20 @@ pub struct MaintainedIndex {
 }
 
 impl MaintainedIndex {
-    /// Bulk-build the initial index. `initial[l]` holds level `l`'s keys,
-    /// one per row, ids assigned `0..n` in order (the bulk-load contract).
-    /// The base absorbs buffered updates every `merge_threshold` ops.
-    #[allow(clippy::too_many_arguments)]
+    /// Bulk-build the initial index described by `spec`.
     pub fn build(
         dev: &mut FlashDevice,
         alloc: &mut SegmentAllocator,
-        table: TableId,
-        column: &str,
-        levels: Vec<TableId>,
-        exact: bool,
-        initial: &[Vec<u64>],
-        merge_threshold: usize,
+        spec: MaintainedSpec<'_>,
     ) -> Result<MaintainedIndex> {
+        let MaintainedSpec {
+            table,
+            column,
+            levels,
+            exact,
+            initial,
+            merge_threshold,
+        } = spec;
         assert_eq!(levels.len(), initial.len(), "one key vector per level");
         assert!(merge_threshold >= 1, "merge threshold must be positive");
         let state: Vec<LevelState> = initial
@@ -154,14 +172,14 @@ impl MaintainedIndex {
             })
             .collect();
         let next_id = initial.iter().map(|keys| keys.len() as Id).collect();
-        let base = build_from_state(dev, alloc, table, column, &levels, exact, &state)?;
+        let base = build_from_state(dev, alloc, table, column, levels, exact, &state)?;
         let n = levels.len();
         Ok(MaintainedIndex {
             merge_threshold,
             exact,
             column: column.to_string(),
             table,
-            levels,
+            levels: levels.to_vec(),
             state,
             next_id,
             base,

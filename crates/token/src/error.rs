@@ -16,6 +16,14 @@ pub enum TokenError {
         /// Total buffers in the arena.
         capacity: usize,
     },
+    /// A RAM buffer is smaller than a flash page, so a page read cannot
+    /// land in one buffer.
+    BufferTooSmall {
+        /// Buffer size in bytes.
+        buf_size: usize,
+        /// Flash page size in bytes.
+        page_size: usize,
+    },
     /// Flash error propagated from the device.
     Flash(ghostdb_flash::FlashError),
 }
@@ -30,6 +38,13 @@ impl fmt::Display for TokenError {
             } => write!(
                 f,
                 "secure RAM exhausted: requested {requested} buffers, {available}/{capacity} available"
+            ),
+            TokenError::BufferTooSmall {
+                buf_size,
+                page_size,
+            } => write!(
+                f,
+                "RAM buffer of {buf_size} bytes cannot hold a {page_size}-byte flash page"
             ),
             TokenError::Flash(e) => write!(f, "flash: {e}"),
         }

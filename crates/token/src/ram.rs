@@ -14,6 +14,17 @@ use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
+/// Reject a buffer size that cannot hold one flash page.
+pub(crate) fn check_page_fit(buf_size: usize, page_size: usize) -> Result<()> {
+    if buf_size < page_size {
+        return Err(TokenError::BufferTooSmall {
+            buf_size,
+            page_size,
+        });
+    }
+    Ok(())
+}
+
 #[derive(Debug)]
 struct ArenaState {
     buf_size: usize,
@@ -66,6 +77,12 @@ impl RamArena {
     /// Buffer size in bytes (the Flash I/O unit).
     pub fn buf_size(&self) -> usize {
         self.state.buf_size
+    }
+
+    /// Check that one buffer holds a whole flash page of `page_size` bytes:
+    /// every page reader loads a page into a single buffer.
+    pub fn check_page_fit(&self, page_size: usize) -> Result<()> {
+        check_page_fit(self.state.buf_size, page_size)
     }
 
     /// Total buffers in the pool.

@@ -1,7 +1,8 @@
 //! The assembled secure token: flash device + RAM arena + channel.
 
 use crate::channel::Channel;
-use crate::ram::RamArena;
+use crate::ram::{check_page_fit, RamArena};
+use crate::Result;
 use ghostdb_flash::{FlashDevice, FlashGeometry, FlashTiming, SimDuration};
 use serde::{Deserialize, Serialize};
 
@@ -57,20 +58,18 @@ pub struct SecureToken {
 }
 
 impl SecureToken {
-    /// Build a token from a configuration.
-    pub fn new(config: &TokenConfig) -> Self {
+    /// Build a token from a configuration. Fails with
+    /// [`TokenError::BufferTooSmall`](crate::TokenError::BufferTooSmall)
+    /// when a RAM buffer cannot hold one flash page.
+    pub fn new(config: &TokenConfig) -> Result<Self> {
+        check_page_fit(config.buf_size, config.geometry.page_size)?;
         let mut channel = Channel::new(config.channel_bytes_per_sec);
         channel.set_capture(config.capture_channel);
-        SecureToken {
+        Ok(SecureToken {
             flash: FlashDevice::new(config.geometry, config.timing),
             ram: RamArena::with_total_bytes(config.ram_bytes, config.buf_size),
             channel,
-        }
-    }
-
-    /// Token matching the paper platform with flash sized by `flash_bytes`.
-    pub fn paper_platform(flash_bytes: u64) -> Self {
-        SecureToken::new(&TokenConfig::paper_platform(flash_bytes))
+        })
     }
 
     /// Total simulated time: flash I/O plus wire time. The secure chip's CPU
@@ -85,9 +84,13 @@ impl SecureToken {
 mod tests {
     use super::*;
 
+    fn paper_platform(flash_bytes: u64) -> SecureToken {
+        SecureToken::new(&TokenConfig::paper_platform(flash_bytes)).unwrap()
+    }
+
     #[test]
     fn paper_platform_shape() {
-        let token = SecureToken::paper_platform(16 * 1024 * 1024);
+        let token = paper_platform(16 * 1024 * 1024);
         assert_eq!(token.ram.total_bytes(), 65_536);
         assert_eq!(token.ram.capacity(), 32);
         assert_eq!(token.flash.page_size(), 2048);
@@ -96,7 +99,7 @@ mod tests {
 
     #[test]
     fn elapsed_combines_flash_and_channel() {
-        let mut token = SecureToken::paper_platform(1024 * 1024);
+        let mut token = paper_platform(1024 * 1024);
         token.flash.write(0, &[1u8; 64]).unwrap();
         token.channel.send_to_secure("ids", &[0u8; 1500]);
         let flash = token.flash.elapsed();

@@ -11,7 +11,7 @@ use crate::store::VisibleStore;
 use crate::trace::{HostOp, HostTrace, HostTraceEvent, PadMode};
 use ghostdb_storage::{CmpOp, Id, Predicate, Result, TableId, Value, ID_BYTES};
 use ghostdb_token::Channel;
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// What a `Vis(Q, T, π)` call delivered into the token.
 ///
@@ -96,16 +96,22 @@ impl UntrustedHost {
 
     /// Snapshot of the host-observable trace recorded so far.
     pub fn trace(&self) -> HostTrace {
-        self.trace.lock().expect("host trace lock").clone()
+        self.trace_lock().clone()
     }
 
     /// Clear the trace (start of a new query).
     pub fn reset_trace(&self) {
-        self.trace.lock().expect("host trace lock").clear();
+        self.trace_lock().clear();
     }
 
     fn record(&self, ev: HostTraceEvent) {
-        self.trace.lock().expect("host trace lock").record(ev);
+        self.trace_lock().record(ev);
+    }
+
+    /// The trace is plain data, valid after any panic that poisoned its
+    /// lock, so a poisoned lock is recovered rather than propagated.
+    fn trace_lock(&self) -> MutexGuard<'_, HostTrace> {
+        self.trace.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Receive the query (PC → token metadata transfer; this is the *only*

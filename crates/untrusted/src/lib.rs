@@ -20,6 +20,8 @@
 //! countermeasure (see `SECURITY.md` at the repo root for the contract
 //! these two enforce).
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod host;
 pub mod store;
 pub mod trace;

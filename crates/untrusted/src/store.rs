@@ -41,9 +41,8 @@ impl VisibleColumn {
 
     /// Build from explicit values (tests, small loads).
     pub fn from_values(name: &str, ty: ColumnType, values: &[Value]) -> Result<Self> {
-        let mut it = values.iter();
-        VisibleColumn::from_gen(name, ty, values.len() as u64, |_| {
-            it.next().expect("length checked").clone()
+        VisibleColumn::from_gen(name, ty, values.len() as u64, |r| {
+            values[r as usize].clone()
         })
     }
 

@@ -9,7 +9,7 @@
 
 use ghostdb_flash::{FlashDevice, FlashGeometry, FlashTiming, SegmentAllocator};
 use ghostdb_index::{
-    build_from_state, ClimbingIndex, IndexBuilder, MaintainedIndex, MaintainedSkt,
+    build_from_state, ClimbingIndex, IndexBuilder, MaintainedIndex, MaintainedSkt, MaintainedSpec,
 };
 use ghostdb_storage::schema::paper_synthetic_schema;
 use ghostdb_storage::{Id, IdListReader};
@@ -38,6 +38,18 @@ fn device() -> FlashDevice {
         spare_blocks: 8,
     };
     FlashDevice::new(geometry, FlashTiming::default())
+}
+
+/// The suite's index over [`LEVELS`], keyed on column `k`.
+fn spec(initial: &[Vec<u64>], merge_threshold: usize) -> MaintainedSpec<'_> {
+    MaintainedSpec {
+        table: LEVELS[0],
+        column: "k",
+        levels: &LEVELS,
+        exact: true,
+        initial,
+        merge_threshold,
+    }
 }
 
 /// Independent ground truth: per level, live `id → key`.
@@ -219,10 +231,8 @@ proptest! {
         let mut dev = device();
         let mut alloc = SegmentAllocator::new(dev.logical_pages());
         let ram = ram();
-        let mut mi = MaintainedIndex::build(
-            &mut dev, &mut alloc, LEVELS[0], "k", LEVELS.to_vec(), true,
-            &initial, threshold,
-        ).expect("build");
+        let mut mi = MaintainedIndex::build(&mut dev, &mut alloc, spec(&initial, threshold))
+            .expect("build");
         let mut model: Model = initial
             .iter()
             .map(|keys| keys.iter().enumerate().map(|(i, k)| (i as Id, *k)).collect())
@@ -259,10 +269,8 @@ proptest! {
             let mut alloc = SegmentAllocator::new(dev.logical_pages());
             let ram = ram();
             let initial = vec![vec![1, 5, 5, 9], vec![2, 5]];
-            let mut mi = MaintainedIndex::build(
-                &mut dev, &mut alloc, LEVELS[0], "k", LEVELS.to_vec(), true,
-                &initial, threshold,
-            ).expect("build");
+            let mut mi = MaintainedIndex::build(&mut dev, &mut alloc, spec(&initial, threshold))
+                .expect("build");
             let mut model: Model = initial
                 .iter()
                 .map(|keys| keys.iter().enumerate().map(|(i, k)| (i as Id, *k)).collect())
