@@ -35,7 +35,7 @@ use ghostdb_exec::sjoin::sjoin_stream;
 use ghostdb_exec::source::{IdSource, NaiveUnionStream, UnionStream};
 use ghostdb_exec::strategy::VisStrategy;
 use ghostdb_exec::{
-    CiPrefetch, ExecCtx, ExecOptions, ExecReport, Executor, GhostDbServer, ServeConfig, SpjQuery,
+    ExecCtx, ExecOptions, ExecReport, Executor, GhostDbServer, ServeConfig, SpjQuery,
 };
 use ghostdb_flash::{FlashDevice, FlashGeometry, FlashTiming, SegmentAllocator};
 use ghostdb_index::{ClimbingSpec, FkData, IndexBuilder, LevelSpec};
@@ -71,13 +71,12 @@ OPTIONS:
                        dedicated synthetic-padded/ exact-vs-pow2 pairs run
                        in every document regardless of this flag
     --serve            add the serve-mode family: a closed-loop load
-                       generator driving a `GhostDbServer` (sessions ×
-                       batching on/off, deterministic arrival order) whose
+                       generator driving a `GhostDbServer` (1 and 4
+                       sessions, deterministic arrival order) whose
                        `serve/…` entries carry per-query p50/p95/p99
-                       submit→outcome latencies, an open-loop (timed
-                       arrival schedule) pair whose percentiles are
-                       arrival→outcome — coordinated-omission-free — plus
-                       the micro/serve/batch-vs-solo isolation pair
+                       submit→outcome latencies, plus an open-loop (timed
+                       arrival schedule) entry whose percentiles are
+                       arrival→outcome — coordinated-omission-free
     --check PATH       validate an existing BENCH.json and exit
     --compare A B      validate two BENCH.json files and fail if their
                        scenario names drift (e.g. before vs after a change)
@@ -519,96 +518,78 @@ fn medical_scenarios(
 
 /// The serve-mode family: a closed-loop load generator driving a
 /// [`GhostDbServer`] over the synthetic dataset. Every query carries the
-/// same hidden probe (`T12.h2` at the paper's sH), so concurrently queued
-/// queries share one climbing-index traversal when batching is on; the
-/// visible selectivity cycles so result shapes vary. The matrix is
-/// sessions {1, 4} × batching {on, off}; arrival order is deterministic
-/// (round-robin across sessions, waves of `queue_depth`). `wall_ns` is the
-/// median whole-run time as everywhere else; the `serve/…` entries
-/// additionally record per-query submit→outcome latency percentiles —
-/// the numbers a closed-loop client actually feels under load.
-/// Batching must not change `simulated_s`/`ops`/`bytes_io` (the as-if-solo
-/// billing contract, `tests/serve_equivalence.rs`), so those stay under
-/// the `--compare --exact` gate like every other scenario.
+/// same hidden probe (`T12.h2` at the paper's sH) and the visible
+/// selectivity cycles so result shapes vary. The matrix is sessions
+/// {1, 4}; arrival order is deterministic (round-robin across sessions,
+/// waves of `queue_depth`). `wall_ns` is the median whole-run time as
+/// everywhere else; the `serve/…` entries additionally record per-query
+/// submit→outcome latency percentiles — the numbers a closed-loop client
+/// actually feels under load. A served query runs exactly as solo
+/// (`tests/serve_equivalence.rs`), so `simulated_s`/`ops`/`bytes_io` stay
+/// under the `--compare --exact` gate like every other scenario.
 fn serve_scenarios(scale: f64, warmup: usize, iters: usize, out: &mut Vec<BenchEntry>) {
     const DEPTH: usize = 8;
     const WAVES: usize = 3;
     const SESSIONS: [usize; 2] = [1, 4];
     for n_sessions in SESSIONS {
-        for batching in [true, false] {
-            let (ds, db) = build_synthetic(scale);
-            let queries: Vec<_> = (0..DEPTH * WAVES)
-                .map(|i| query_q(&ds, &db, [0.001, 0.01, 0.1][i % 3], false))
-                .collect();
-            let opts = ExecOptions::new().strategy(VisStrategy::CrossPost);
-            let server =
-                GhostDbServer::new(db, ServeConfig::new().queue_depth(DEPTH).batching(batching))
-                    .unwrap_or_else(|e| {
-                        eprintln!("perfbench: serve server build failed: {e}");
-                        std::process::exit(1);
-                    });
-            let sessions: Vec<_> = (0..n_sessions).map(|_| server.session()).collect();
-            let name = format!(
-                "serve/x{scale}/s{n_sessions}/{}",
-                if batching { "batch" } else { "nobatch" }
-            );
-            eprintln!("perfbench: {name}");
-            let mut lat: Vec<u128> = Vec::new();
-            let mut entry = measure(name.as_str(), warmup, iters, || {
-                let mut stats = RunStats::default();
-                for wave in queries.chunks(DEPTH) {
-                    let mut submitted: Vec<Instant> = Vec::with_capacity(wave.len());
-                    for (i, q) in wave.iter().enumerate() {
-                        submitted.push(Instant::now());
-                        sessions[i % n_sessions]
-                            .submit(q, &opts)
-                            .unwrap_or_else(|e| {
-                                eprintln!("perfbench: {name}: admission failed: {e}");
-                                std::process::exit(1);
-                            });
-                    }
-                    server.drain().unwrap_or_else(|e| {
-                        eprintln!("perfbench: {name}: drain failed: {e}");
-                        std::process::exit(1);
-                    });
-                    let done = Instant::now();
-                    for t in submitted {
-                        lat.push(done.duration_since(t).as_nanos());
-                    }
-                    for s in &sessions {
-                        while let Some(o) = s.take() {
-                            let o = o.unwrap_or_else(|e| {
-                                eprintln!("perfbench: {name}: served query failed: {e}");
-                                std::process::exit(1);
-                            });
-                            stats.simulated_s += o.report.total().as_secs();
-                            stats.ops += o.report.result_rows;
-                            stats.bytes_io += o.report.io.bytes_to_ram + o.report.io.bytes_from_ram;
-                        }
+        let (ds, db) = build_synthetic(scale);
+        let queries: Vec<_> = (0..DEPTH * WAVES)
+            .map(|i| query_q(&ds, &db, [0.001, 0.01, 0.1][i % 3], false))
+            .collect();
+        let opts = ExecOptions::new().strategy(VisStrategy::CrossPost);
+        let server =
+            GhostDbServer::new(db, ServeConfig::new().queue_depth(DEPTH)).unwrap_or_else(|e| {
+                eprintln!("perfbench: serve server build failed: {e}");
+                std::process::exit(1);
+            });
+        let sessions: Vec<_> = (0..n_sessions).map(|_| server.session()).collect();
+        let name = format!("serve/x{scale}/s{n_sessions}");
+        eprintln!("perfbench: {name}");
+        let mut lat: Vec<u128> = Vec::new();
+        let mut entry = measure(name.as_str(), warmup, iters, || {
+            let mut stats = RunStats::default();
+            for wave in queries.chunks(DEPTH) {
+                let mut submitted: Vec<Instant> = Vec::with_capacity(wave.len());
+                for (i, q) in wave.iter().enumerate() {
+                    submitted.push(Instant::now());
+                    sessions[i % n_sessions]
+                        .submit(q, &opts)
+                        .unwrap_or_else(|e| {
+                            eprintln!("perfbench: {name}: admission failed: {e}");
+                            std::process::exit(1);
+                        });
+                }
+                server.drain().unwrap_or_else(|e| {
+                    eprintln!("perfbench: {name}: drain failed: {e}");
+                    std::process::exit(1);
+                });
+                let done = Instant::now();
+                for t in submitted {
+                    lat.push(done.duration_since(t).as_nanos());
+                }
+                for s in &sessions {
+                    while let Some(o) = s.take() {
+                        let o = o.unwrap_or_else(|e| {
+                            eprintln!("perfbench: {name}: served query failed: {e}");
+                            std::process::exit(1);
+                        });
+                        stats.simulated_s += o.report.total().as_secs();
+                        stats.ops += o.report.result_rows;
+                        stats.bytes_io += o.report.io.bytes_to_ram + o.report.io.bytes_from_ram;
                     }
                 }
-                stats
-            });
-            // Percentiles over the timed iterations only (each run pushes
-            // one sample per query, warmup first).
-            let timed = &lat[warmup * queries.len()..];
-            entry.percentiles = Some((
-                percentile(timed, 0.5),
-                percentile(timed, 0.95),
-                percentile(timed, 0.99),
-            ));
-            out.push(entry);
-            let saved = server.batch_stats().saved_traversals;
-            if batching && saved == 0 {
-                eprintln!("perfbench: {name}: the batch scheduler never engaged");
-                std::process::exit(1);
             }
-            if !batching && saved != 0 {
-                eprintln!("perfbench: {name}: batching disabled yet traversals were shared");
-                std::process::exit(1);
-            }
-            eprintln!("perfbench: {name}: {saved} traversals saved");
-        }
+            stats
+        });
+        // Percentiles over the timed iterations only (each run pushes
+        // one sample per query, warmup first).
+        let timed = &lat[warmup * queries.len()..];
+        entry.percentiles = Some((
+            percentile(timed, 0.5),
+            percentile(timed, 0.95),
+            percentile(timed, 0.99),
+        ));
+        out.push(entry);
     }
 }
 
@@ -621,91 +602,85 @@ fn serve_scenarios(scale: f64, warmup: usize, iters: usize, out: &mut Vec<BenchE
 /// The inter-arrival gap is calibrated once per point from an untimed
 /// closed-loop wave (per-query service time at full depth), so offered
 /// load sits at ≈ capacity and queue build-up is visible in the tail.
-/// Entries are `serve/x{scale}/open/{batch,nobatch}`; their percentiles
-/// are arrival→outcome. Simulated observations stay deterministic and
-/// schedule-independent (the as-if-solo billing contract), so these
-/// entries sit under `--compare --exact` like every other scenario.
+/// The entry is `serve/x{scale}/open`; its percentiles are
+/// arrival→outcome. Simulated observations stay deterministic and
+/// schedule-independent (a served query runs exactly as solo), so it sits
+/// under `--compare --exact` like every other scenario.
 fn serve_open_scenarios(scale: f64, warmup: usize, iters: usize, out: &mut Vec<BenchEntry>) {
     const DEPTH: usize = 8;
     const WAVES: usize = 3;
-    for batching in [true, false] {
-        let (ds, db) = build_synthetic(scale);
-        let queries: Vec<_> = (0..DEPTH * WAVES)
-            .map(|i| query_q(&ds, &db, [0.001, 0.01, 0.1][i % 3], false))
-            .collect();
-        let opts = ExecOptions::new().strategy(VisStrategy::CrossPost);
-        let server =
-            GhostDbServer::new(db, ServeConfig::new().queue_depth(DEPTH).batching(batching))
-                .unwrap_or_else(|e| {
-                    eprintln!("perfbench: serve-open server build failed: {e}");
-                    std::process::exit(1);
-                });
-        let session = server.session();
-        let name = format!(
-            "serve/x{scale}/open/{}",
-            if batching { "batch" } else { "nobatch" }
-        );
-        eprintln!("perfbench: {name}");
-        let fail = |what: &str, e: String| -> ! {
-            eprintln!("perfbench: {name}: {what}: {e}");
+    let (ds, db) = build_synthetic(scale);
+    let queries: Vec<_> = (0..DEPTH * WAVES)
+        .map(|i| query_q(&ds, &db, [0.001, 0.01, 0.1][i % 3], false))
+        .collect();
+    let opts = ExecOptions::new().strategy(VisStrategy::CrossPost);
+    let server =
+        GhostDbServer::new(db, ServeConfig::new().queue_depth(DEPTH)).unwrap_or_else(|e| {
+            eprintln!("perfbench: serve-open server build failed: {e}");
             std::process::exit(1);
-        };
-        // Calibrate the arrival schedule: one untimed closed-loop wave
-        // gives the per-query service time at full depth.
-        let cal = Instant::now();
-        for q in &queries[..DEPTH] {
-            session
-                .submit(q, &opts)
-                .unwrap_or_else(|e| fail("calibration admission failed", e.to_string()));
-        }
-        server
-            .drain()
-            .unwrap_or_else(|e| fail("calibration drain failed", e.to_string()));
-        let gap = cal.elapsed() / DEPTH as u32;
-        while let Some(o) = session.take() {
-            o.unwrap_or_else(|e| fail("calibration query failed", e.to_string()));
-        }
-        let mut lat: Vec<u128> = Vec::new();
-        let mut entry = measure(name.as_str(), warmup, iters, || {
-            let mut stats = RunStats::default();
-            let t0 = Instant::now();
-            for (w, wave) in queries.chunks(DEPTH).enumerate() {
-                for (i, q) in wave.iter().enumerate() {
-                    // Hold the submission to its scheduled arrival.
-                    let due = t0 + gap * (w * DEPTH + i) as u32;
-                    let now = Instant::now();
-                    if due > now {
-                        std::thread::sleep(due - now);
-                    }
-                    session
-                        .submit(q, &opts)
-                        .unwrap_or_else(|e| fail("admission failed", e.to_string()));
-                }
-                server
-                    .drain()
-                    .unwrap_or_else(|e| fail("drain failed", e.to_string()));
-                let done = t0.elapsed().as_nanos();
-                for i in 0..wave.len() {
-                    let arrival = (gap * (w * DEPTH + i) as u32).as_nanos();
-                    lat.push(done.saturating_sub(arrival));
-                }
-                while let Some(o) = session.take() {
-                    let o = o.unwrap_or_else(|e| fail("served query failed", e.to_string()));
-                    stats.simulated_s += o.report.total().as_secs();
-                    stats.ops += o.report.result_rows;
-                    stats.bytes_io += o.report.io.bytes_to_ram + o.report.io.bytes_from_ram;
-                }
-            }
-            stats
         });
-        let timed = &lat[warmup * queries.len()..];
-        entry.percentiles = Some((
-            percentile(timed, 0.5),
-            percentile(timed, 0.95),
-            percentile(timed, 0.99),
-        ));
-        out.push(entry);
+    let session = server.session();
+    let name = format!("serve/x{scale}/open");
+    eprintln!("perfbench: {name}");
+    let fail = |what: &str, e: String| -> ! {
+        eprintln!("perfbench: {name}: {what}: {e}");
+        std::process::exit(1);
+    };
+    // Calibrate the arrival schedule: one untimed closed-loop wave
+    // gives the per-query service time at full depth.
+    let cal = Instant::now();
+    for q in &queries[..DEPTH] {
+        session
+            .submit(q, &opts)
+            .unwrap_or_else(|e| fail("calibration admission failed", e.to_string()));
     }
+    server
+        .drain()
+        .unwrap_or_else(|e| fail("calibration drain failed", e.to_string()));
+    let gap = cal.elapsed() / DEPTH as u32;
+    while let Some(o) = session.take() {
+        o.unwrap_or_else(|e| fail("calibration query failed", e.to_string()));
+    }
+    let mut lat: Vec<u128> = Vec::new();
+    let mut entry = measure(name.as_str(), warmup, iters, || {
+        let mut stats = RunStats::default();
+        let t0 = Instant::now();
+        for (w, wave) in queries.chunks(DEPTH).enumerate() {
+            for (i, q) in wave.iter().enumerate() {
+                // Hold the submission to its scheduled arrival.
+                let due = t0 + gap * (w * DEPTH + i) as u32;
+                let now = Instant::now();
+                if due > now {
+                    std::thread::sleep(due - now);
+                }
+                session
+                    .submit(q, &opts)
+                    .unwrap_or_else(|e| fail("admission failed", e.to_string()));
+            }
+            server
+                .drain()
+                .unwrap_or_else(|e| fail("drain failed", e.to_string()));
+            let done = t0.elapsed().as_nanos();
+            for i in 0..wave.len() {
+                let arrival = (gap * (w * DEPTH + i) as u32).as_nanos();
+                lat.push(done.saturating_sub(arrival));
+            }
+            while let Some(o) = session.take() {
+                let o = o.unwrap_or_else(|e| fail("served query failed", e.to_string()));
+                stats.simulated_s += o.report.total().as_secs();
+                stats.ops += o.report.result_rows;
+                stats.bytes_io += o.report.io.bytes_to_ram + o.report.io.bytes_from_ram;
+            }
+        }
+        stats
+    });
+    let timed = &lat[warmup * queries.len()..];
+    entry.percentiles = Some((
+        percentile(timed, 0.5),
+        percentile(timed, 0.95),
+        percentile(timed, 0.99),
+    ));
+    out.push(entry);
 }
 
 /// Bulk ingest through the `GhostDb` facade: stage rows pre-finalize, then
@@ -1407,95 +1382,6 @@ fn micro_maint(warmup: usize, iters: usize, out: &mut Vec<BenchEntry>) {
     ));
 }
 
-/// The batch scheduler's traversal sharing in isolation: 8 queued queries
-/// probing the same climbing-index range, run as 8 independent traversals
-/// (what the unbatched server does) vs one banked all-levels traversal
-/// (`CiPrefetch::insert_traversal`) demultiplexed to all 8 (what the batch
-/// scheduler does). Identical sublist counts, ~8x fewer leaf reads —
-/// `bytes_io` carries the flash-byte ratio into BENCH.json alongside the
-/// wall win.
-fn micro_serve(warmup: usize, iters: usize, out: &mut Vec<BenchEntry>) {
-    let schema = paper_synthetic_schema(1, 1);
-    let (mut dev, mut alloc, ram) = micro_device();
-    let t0 = schema.table_id("T0").unwrap();
-    let t1 = schema.table_id("T1").unwrap();
-    let t2 = schema.table_id("T2").unwrap();
-    let t11 = schema.table_id("T11").unwrap();
-    let t12 = schema.table_id("T12").unwrap();
-    let (n0, n1) = (40_000u64, 20_000u64);
-    let mut rows = vec![0u64; schema.len()];
-    rows[t0] = n0;
-    rows[t1] = n1;
-    rows[t2] = 10;
-    rows[t11] = 5;
-    rows[t12] = 4;
-    let mut fks = FkData::default();
-    fks.insert(t0, t1, (0..n0).map(|i| (i / 2) as Id).collect());
-    fks.insert(t0, t2, (0..n0).map(|i| (i % 10) as Id).collect());
-    fks.insert(t1, t11, (0..n1).map(|i| (i % 5) as Id).collect());
-    fks.insert(t1, t12, (0..n1).map(|i| (i % 4) as Id).collect());
-    let keys: Vec<u64> = (0..n1).map(|r| r % 5000).collect();
-    let ci = IndexBuilder::new(schema, rows, fks)
-        .build_climbing(
-            &mut dev,
-            &mut alloc,
-            ClimbingSpec {
-                table: t1,
-                column: "h1",
-                keys: &keys,
-                levels: LevelSpec::FullClimb,
-                exact: true,
-            },
-        )
-        .unwrap();
-    let n_levels = ci.levels.len();
-    const QUEUED: usize = 8;
-    let (lo, hi) = (0u64, 5000u64);
-    out.push(measure(
-        "micro/serve/batch-vs-solo_solo",
-        warmup,
-        iters,
-        || {
-            let snap = dev.snapshot();
-            let mut lists = 0u64;
-            for i in 0..QUEUED {
-                let mut probe = ci.probe(&ram).unwrap();
-                lists += probe
-                    .lookup_range(&mut dev, lo, hi, i % n_levels)
-                    .unwrap()
-                    .len() as u64;
-            }
-            let io = dev.stats_since(&snap);
-            RunStats {
-                ops: lists,
-                bytes_io: io.bytes_to_ram + io.bytes_from_ram,
-                ..Default::default()
-            }
-        },
-    ));
-    out.push(measure(
-        "micro/serve/batch-vs-solo_batched",
-        warmup,
-        iters,
-        || {
-            let snap = dev.snapshot();
-            let mut bank = CiPrefetch::new();
-            bank.insert_traversal(&mut dev, &ram, &ci, lo, hi).unwrap();
-            let mut lists = 0u64;
-            for i in 0..QUEUED {
-                let hit = bank.get(&ci, lo, hi).unwrap();
-                lists += hit.level(i % n_levels).len() as u64;
-            }
-            let io = dev.stats_since(&snap);
-            RunStats {
-                ops: lists,
-                bytes_io: io.bytes_to_ram + io.bytes_from_ram,
-                ..Default::default()
-            }
-        },
-    ));
-}
-
 /// Print the naive-vs-optimised pairs: the measured improvement every
 /// operator optimisation banks, straight from the harness output.
 fn print_improvements(entries: &[BenchEntry]) {
@@ -1513,10 +1399,6 @@ fn print_improvements(entries: &[BenchEntry]) {
         ("micro/ci/probe_scalar", "micro/ci/probe_run"),
         ("micro/ci/multi-2lvl_naive", "micro/ci/multi-2lvl_single"),
         ("micro/ci/multi-4lvl_naive", "micro/ci/multi-4lvl_single"),
-        (
-            "micro/serve/batch-vs-solo_solo",
-            "micro/serve/batch-vs-solo_batched",
-        ),
         (
             "micro/idlist/intersect_stream",
             "micro/idlist/intersect_gallop",
@@ -1579,9 +1461,6 @@ fn main() {
     micro_project_root_hidden_sparse(warmup, iters, &mut entries);
     micro_project_mjoin_multipass(warmup, iters, &mut entries);
     micro_maint(warmup, iters, &mut entries);
-    if opts.serve {
-        micro_serve(warmup, iters, &mut entries);
-    }
 
     let doc = bench_doc(mode, padded, &entries);
     let summary = check_bench(&doc).unwrap_or_else(|e| {

@@ -199,8 +199,8 @@ impl GhostDb {
     }
 
     /// Finalize and hand the assembled database to an in-process
-    /// [`GhostDbServer`] (admission queue, sessions, cross-query batch
-    /// scheduler — see `ghostdb_exec::serve`). Consumes the facade: the
+    /// [`GhostDbServer`] (admission queue and sessions — see
+    /// `ghostdb_exec::serve`). Consumes the facade: the
     /// server owns the one immutable catalog from here on.
     pub fn into_server(mut self, cfg: ServeConfig) -> Result<GhostDbServer> {
         self.finalize_inner()?;

@@ -11,103 +11,8 @@ use crate::error::ExecError;
 use crate::report::OpKind;
 use crate::source::IdSource;
 use crate::Result;
-use ghostdb_flash::{FlashDevice, FlashStats};
 use ghostdb_index::ClimbingIndex;
-use ghostdb_storage::{Id, IdList, Predicate, TableId};
-use ghostdb_token::RamArena;
-use std::collections::HashMap;
-
-/// Key of one shared climbing-index traversal: the probed index identity
-/// plus the key range derived from the predicate. A pure function of
-/// public query text and the catalog — never of host-returned data — so
-/// grouping queries by this key reveals nothing the queries themselves
-/// don't (see `SECURITY.md`).
-pub type PrefetchKey = (TableId, String, u64, u64);
-
-/// One banked traversal: every level's sublists decoded from a single
-/// `CiProbe::lookup_range_multi` pass, plus the flash-counter delta that
-/// pass cost. By the level-independence property the differential suite
-/// pins down (`ci_multi_equivalence`), that delta equals what a solo
-/// query's own traversal over the same range would charge regardless of
-/// which level subset it asks for — which is what lets a hit bill the
-/// served query as-if-solo, bit for bit.
-#[derive(Debug)]
-pub struct PrefetchEntry {
-    levels: Vec<Vec<IdList>>,
-    io: FlashStats,
-}
-
-impl PrefetchEntry {
-    /// The banked sublists of one level.
-    pub fn level(&self, level: usize) -> &[IdList] {
-        &self.levels[level]
-    }
-
-    /// Flash cost of the banked traversal (what each hit charges).
-    pub fn io(&self) -> FlashStats {
-        self.io
-    }
-}
-
-/// Cross-query climbing-index prefetch: the serve-mode batch scheduler's
-/// bank of shared traversals. Built once per admission batch (one
-/// `lookup_range_multi` over **all** levels per key demanded by ≥ 2
-/// queued probes), then handed read-only to every execution in the batch
-/// via `ExecCtx::prefetch`. Entries are never consumed: a query probing
-/// the same key twice hits twice and is charged twice, exactly as its
-/// solo execution would re-traverse.
-#[derive(Debug, Default)]
-pub struct CiPrefetch {
-    entries: HashMap<PrefetchKey, PrefetchEntry>,
-}
-
-impl CiPrefetch {
-    /// Empty bank.
-    pub fn new() -> Self {
-        CiPrefetch::default()
-    }
-
-    /// Number of banked traversals.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when nothing was banked (the scheduler then skips the
-    /// prefetch plumbing entirely).
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Run and bank one shared traversal over **all** of `ci`'s levels.
-    /// `ram` must be a scratch arena (`RamArena::fresh_like`), not the
-    /// token's: the bank is built outside any query, so its buffers must
-    /// not count toward any query's RAM peak.
-    pub fn insert_traversal(
-        &mut self,
-        dev: &mut FlashDevice,
-        ram: &RamArena,
-        ci: &ClimbingIndex,
-        lo: u64,
-        hi: u64,
-    ) -> Result<()> {
-        ram.check_page_fit(dev.page_size())?;
-        let mut probe = ci.probe(ram)?;
-        let levels: Vec<usize> = (0..ci.levels.len()).collect();
-        let before = dev.snapshot();
-        let lists = probe.lookup_range_multi(dev, lo, hi, &levels)?;
-        let io = dev.stats_since(&before);
-        self.entries.insert(
-            (ci.table, ci.column.clone(), lo, hi),
-            PrefetchEntry { levels: lists, io },
-        );
-        Ok(())
-    }
-
-    /// The banked traversal for `(ci, [lo, hi])`, if any.
-    pub fn get(&self, ci: &ClimbingIndex, lo: u64, hi: u64) -> Option<&PrefetchEntry> {
-        self.entries.get(&(ci.table, ci.column.clone(), lo, hi))
-    }
-}
+use ghostdb_storage::{Id, Predicate, TableId};
 
 /// Resolve the level index of `target` in `ci`, erroring with context.
 pub fn level_of(ctx: &ExecCtx<'_>, ci: &ClimbingIndex, target: TableId) -> Result<usize> {
@@ -131,22 +36,6 @@ pub fn select_sublists(
 ) -> Result<Vec<IdSource>> {
     let level = level_of(ctx, ci, target)?;
     let (lo, hi) = pred.key_range();
-    if let Some(hit) = ctx.knobs.prefetch.and_then(|p| p.get(ci, lo, hi)) {
-        return ctx.track(OpKind::Ci, |ctx| {
-            // Reproduce the solo probe's RAM pin (it counts toward the
-            // query's RAM peak) and bill the banked traversal's flash
-            // delta, so reports match solo execution bit for bit.
-            let ram = ctx.ram();
-            let _probe = ci.probe(&ram)?;
-            ctx.lane.charge(hit.io());
-            Ok(hit
-                .level(level)
-                .iter()
-                .copied()
-                .map(IdSource::Flash)
-                .collect())
-        });
-    }
     ctx.track(OpKind::Ci, |ctx| {
         let ram = ctx.ram();
         let mut probe = ci.probe(&ram)?;
@@ -180,17 +69,6 @@ pub fn select_sublists_multi(
         .map(|t| level_of(ctx, ci, *t))
         .collect::<Result<_>>()?;
     let (lo, hi) = pred.key_range();
-    if let Some(hit) = ctx.knobs.prefetch.and_then(|p| p.get(ci, lo, hi)) {
-        return ctx.track(OpKind::Ci, |ctx| {
-            let ram = ctx.ram();
-            let _probe = ci.probe(&ram)?;
-            ctx.lane.charge(hit.io());
-            Ok(levels
-                .iter()
-                .map(|&l| hit.level(l).iter().copied().map(IdSource::Flash).collect())
-                .collect())
-        });
-    }
     ctx.track(OpKind::Ci, |ctx| {
         let ram = ctx.ram();
         let mut probe = ci.probe(&ram)?;
@@ -264,28 +142,4 @@ pub fn probe_in(
             .map(IdSource::Flash)
             .collect())
     })
-}
-
-/// Estimated selectivity of a hidden predicate from index statistics
-/// (distinct-count uniformity assumption; used by the optimizer).
-pub fn estimate_selectivity(ci: &ClimbingIndex, pred: &Predicate) -> f64 {
-    let distinct = ci.distinct().max(1) as f64;
-    match pred.op {
-        ghostdb_storage::CmpOp::Eq => 1.0 / distinct,
-        _ => {
-            // Range selectivity from the key range: assume keys spread
-            // uniformly — good enough to pick a strategy.
-            let (lo, hi) = pred.key_range();
-            if hi <= lo {
-                return 0.0;
-            }
-            // Normalise against the full u64 span only when unbounded;
-            // otherwise this is a heuristic third.
-            if lo == 0 || hi == u64::MAX {
-                0.33
-            } else {
-                0.5
-            }
-        }
-    }
 }

@@ -6,26 +6,26 @@
 //! * [`CatalogCtx`] — the shared **read-only** lane: schema, cardinalities,
 //!   hidden images, SKTs, climbing indexes and the untrusted PC.
 //! * [`DeviceLane`] — the **device** lane: the token's flash handle, its
-//!   RAM arena, the segment allocator and a temp registry. The lane
-//!   mirrors every flash counter delta it causes into its own
-//!   [`FlashStats`], which also takes the banked deltas a cross-query
-//!   prefetch hit is billed ([`DeviceLane::charge`]), so the query's I/O
-//!   reads as if it had run solo.
+//!   RAM arena, the segment allocator and a temp registry. The lane holds
+//!   the only `&mut FlashDevice` while a query runs, so the query's I/O is
+//!   the device's counters since the snapshot the lane took when it was
+//!   built ([`DeviceLane::io`]).
 //! * [`ExecReport`] — per-operator attribution: every `track` scope adds
 //!   the simulated time its flash I/O implies to its `OpKind` bucket, and
 //!   [`ExecCtx::finish_report`] fills in the channel and lane observations.
 //!
 //! [`ExecCtx`] recomposes the two lanes, the report, the query's channel
-//! and its `RunKnobs` over the token's own resources. In the paper one
+//! and its padding mode over the token's own resources. In the paper one
 //! secure chip runs each query sequentially, and so does every context
 //! here: operators run one after another on the one lane.
 
 use crate::database::Database;
 use crate::error::ExecError;
-use crate::executor::ExecOptions;
 use crate::report::{split_rw, ExecReport, OpKind};
 use crate::Result;
-use ghostdb_flash::{FlashDevice, FlashStats, FlashTiming, Segment, SegmentAllocator, SimDuration};
+use ghostdb_flash::{
+    FlashDevice, FlashSnapshot, FlashStats, FlashTiming, Segment, SegmentAllocator, SimDuration,
+};
 use ghostdb_index::{ClimbingIndex, SubtreeKeyTable};
 use ghostdb_storage::row::RowLayout;
 use ghostdb_storage::{HiddenColumn, HiddenImage, Predicate, SchemaTree, TableId};
@@ -106,21 +106,15 @@ impl<'a> CatalogCtx<'a> {
     }
 }
 
-/// The device lane: flash handle + RAM arena + allocator + temp registry,
-/// with a mirror of the flash counters.
-///
-/// The mirror is built on the device's `snapshot`/`stats_since`. It exists
-/// apart from the device's own counters only for [`Self::charge`]: a
-/// cross-query prefetch hit bills into it a banked delta that this query
-/// never issued on the device.
+/// The device lane: flash handle + RAM arena + allocator + temp registry.
 #[derive(Debug)]
 pub struct DeviceLane<'a> {
     flash: &'a mut FlashDevice,
     ram: RamArena,
     alloc: &'a mut SegmentAllocator,
     temps: Vec<Segment>,
-    /// Flash I/O issued by (or charged to) this lane.
-    io: FlashStats,
+    /// The device counters when the lane was built.
+    start: FlashSnapshot,
     timing: FlashTiming,
     page_size: usize,
 }
@@ -130,47 +124,41 @@ impl<'a> DeviceLane<'a> {
     /// handle.
     pub fn new(flash: &'a mut FlashDevice, ram: RamArena, alloc: &'a mut SegmentAllocator) -> Self {
         let (timing, page_size) = (*flash.timing(), flash.page_size());
+        let start = flash.snapshot();
         DeviceLane {
             flash,
             ram,
             alloc,
             temps: Vec::new(),
-            io: FlashStats::default(),
+            start,
             timing,
             page_size,
         }
     }
 
-    /// Run `f` against the flash device, mirroring the counter delta it
-    /// causes into the lane's [`FlashStats`].
+    /// Run `f` against the flash device.
     pub fn with_flash<T>(&mut self, f: impl FnOnce(&mut FlashDevice) -> T) -> T {
-        self.with_flash_delta(f).0
+        f(self.flash)
     }
 
     /// [`Self::with_flash`], also returning the counter delta `f` caused —
-    /// the hot-path variant per-operation attribution is built on (one
-    /// snapshot, no re-derivation from the monotone lane counter).
+    /// the hot-path variant per-operation attribution is built on.
     pub fn with_flash_delta<T>(
         &mut self,
         f: impl FnOnce(&mut FlashDevice) -> T,
     ) -> (T, FlashStats) {
         let start = self.flash.snapshot();
         let out = f(self.flash);
-        let d = self.flash.stats_since(&start);
-        self.io += d;
-        (out, d)
+        (out, self.flash.stats_since(&start))
     }
 
     /// Run `f` with both the device and this lane's allocator (bulk loads
-    /// that allocate and write in one step), mirroring the counter delta.
+    /// that allocate and write in one step).
     pub fn with_flash_alloc<T>(
         &mut self,
         f: impl FnOnce(&mut FlashDevice, &mut SegmentAllocator) -> T,
     ) -> T {
-        let start = self.flash.snapshot();
-        let out = f(self.flash, self.alloc);
-        self.io += self.flash.stats_since(&start);
-        out
+        f(self.flash, self.alloc)
     }
 
     /// The RAM arena (cheap clone of the shared handle).
@@ -193,20 +181,10 @@ impl<'a> DeviceLane<'a> {
         &mut *self.alloc
     }
 
-    /// Flash I/O issued by this lane so far (monotone).
+    /// Flash I/O issued by this lane so far (monotone): the device's
+    /// counters since the lane was built.
     pub fn io(&self) -> FlashStats {
-        self.io
-    }
-
-    /// Charge a pre-measured counter delta to this lane, exactly as if the
-    /// lane had issued the operations itself. This is how a cross-query
-    /// prefetch hit (`ci_ops::CiPrefetch`) bills the served query the same
-    /// flash cost its own traversal would have caused: the delta was
-    /// snapshotted when the shared traversal ran, and charging it here
-    /// makes `track` scopes and `finish_report` indistinguishable from the
-    /// solo execution.
-    pub fn charge(&mut self, d: FlashStats) {
-        self.io += d;
+        self.flash.stats_since(&self.start)
     }
 
     /// Simulated time implied by a counter delta under this lane's model.
@@ -220,35 +198,6 @@ impl<'a> DeviceLane<'a> {
     }
 }
 
-/// How one query runs: the execution knobs its context carries.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct RunKnobs<'a> {
-    /// Pad every `Vis` shipment to a power-of-two row bucket (the volume
-    /// side-channel countermeasure; see `SECURITY.md`).
-    pub(crate) padded: bool,
-    /// Cross-query climbing-index prefetch (the serve-mode batch
-    /// scheduler's shared traversals). `None` on solo executions; hits are
-    /// billed as-if-solo via [`DeviceLane::charge`], so the report is
-    /// bit-identical either way.
-    pub(crate) prefetch: Option<&'a crate::ci_ops::CiPrefetch>,
-}
-
-impl Default for RunKnobs<'_> {
-    fn default() -> Self {
-        RunKnobs::of(&ExecOptions::default(), None)
-    }
-}
-
-impl<'a> RunKnobs<'a> {
-    /// The knobs `opts` asks for, plus an optional prefetch bank.
-    pub(crate) fn of(opts: &ExecOptions, prefetch: Option<&'a crate::ci_ops::CiPrefetch>) -> Self {
-        RunKnobs {
-            padded: opts.padded,
-            prefetch,
-        }
-    }
-}
-
 /// Execution state threaded through every operator: the two lanes, the
 /// report they feed and the query's channel to the PC.
 pub struct ExecCtx<'a> {
@@ -259,20 +208,16 @@ pub struct ExecCtx<'a> {
     /// Per-operator attribution so far (channel and lane observations are
     /// filled in by [`Self::finish_report`]).
     pub cost: ExecReport,
-    /// The query's execution knobs.
-    pub(crate) knobs: RunKnobs<'a>,
+    /// Pad every `Vis` shipment to a power-of-two row bucket (the volume
+    /// side-channel countermeasure; see `SECURITY.md`).
+    pub(crate) padded: bool,
     channel: &'a mut Channel,
 }
 
 impl<'a> ExecCtx<'a> {
-    /// Build a context over a database (the token's own resources) with
-    /// default knobs.
+    /// Build an unpadded context over a database (the token's own
+    /// resources).
     pub fn new(db: &'a mut Database) -> Self {
-        Self::with_knobs(db, RunKnobs::default())
-    }
-
-    /// Build a context over a database (the token's own resources).
-    pub(crate) fn with_knobs(db: &'a mut Database, knobs: RunKnobs<'a>) -> Self {
         let token = &mut db.token;
         ExecCtx {
             cat: CatalogCtx {
@@ -285,7 +230,7 @@ impl<'a> ExecCtx<'a> {
             },
             lane: DeviceLane::new(&mut token.flash, token.ram.clone(), &mut db.alloc),
             cost: ExecReport::new(),
-            knobs,
+            padded: false,
             channel: &mut token.channel,
         }
     }
@@ -331,7 +276,7 @@ impl<'a> ExecCtx<'a> {
     ) -> Result<VisShipment> {
         let name = self.cat.schema.def(t).name.clone();
         let untrusted = self.cat.untrusted;
-        let pad = if self.knobs.padded {
+        let pad = if self.padded {
             PadMode::PowerOfTwo
         } else {
             PadMode::Exact
@@ -341,8 +286,6 @@ impl<'a> ExecCtx<'a> {
     }
 
     /// Run `f` attributing all flash time **this lane** causes to `op`.
-    /// The delta comes from the lane's counter mirror, so charged prefetch
-    /// deltas count as well as the I/O issued on the device.
     pub fn track<T>(&mut self, op: OpKind, f: impl FnOnce(&mut Self) -> Result<T>) -> Result<T> {
         let before = self.lane.io();
         let out = f(self);
@@ -385,7 +328,7 @@ impl<'a> ExecCtx<'a> {
         self.lane.add_temp(seg);
     }
 
-    /// Free all temps (called by the executor at the end of the query).
+    /// Free all temps (called by the executor on every exit of the query).
     /// Trimming is metadata-only so it does not perturb measured time.
     pub fn free_temps(&mut self) -> Result<()> {
         let temps = std::mem::take(&mut self.lane.temps);
@@ -398,8 +341,8 @@ impl<'a> ExecCtx<'a> {
     }
 
     /// Finalise the report: the per-operator buckets, then channel and
-    /// lane observations. `io` is the lane's mirror (its own I/O plus any
-    /// charged prefetch deltas), NOT the device counters.
+    /// lane observations. `io` is the device's I/O since the context was
+    /// built.
     pub fn finish_report(&self) -> ExecReport {
         let mut report = self.cost.clone();
         report.comm = self.channel.elapsed();

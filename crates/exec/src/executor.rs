@@ -1,6 +1,6 @@
 //! The executor: assembles the Figure 6 global QEP and runs it.
 
-use crate::ctx::{ExecCtx, RunKnobs};
+use crate::ctx::ExecCtx;
 use crate::database::Database;
 use crate::optimizer;
 use crate::project::{self, ProjectAlgo};
@@ -73,25 +73,13 @@ pub struct Executor;
 
 impl Executor {
     /// Run a query and return its result with the execution report.
+    ///
+    /// The query's flash temps are freed on every exit once its context
+    /// exists, so a failed query leaves the allocator as it found it.
     pub fn run(
         db: &mut Database,
         q: &SpjQuery,
         opts: &ExecOptions,
-    ) -> Result<(ResultSet, ExecReport)> {
-        Self::run_prefetched(db, q, opts, None)
-    }
-
-    /// [`Executor::run`] with an optional cross-query prefetch bank (the
-    /// serve-mode batch scheduler's shared climbing-index traversals).
-    /// With `None` this *is* solo execution; with a bank, probe hits are
-    /// billed as-if-solo (`DeviceLane::charge`), so results, every
-    /// `ExecReport` field and the host transcript are bit-identical either
-    /// way (`tests/serve_equivalence.rs`).
-    pub fn run_prefetched<'e>(
-        db: &'e mut Database,
-        q: &SpjQuery,
-        opts: &ExecOptions,
-        prefetch: Option<&'e crate::ci_ops::CiPrefetch>,
     ) -> Result<(ResultSet, ExecReport)> {
         // Every page reader loads a whole page into one RAM buffer; an
         // arena swapped in after the token was built is checked here,
@@ -103,7 +91,20 @@ impl Executor {
         // snapshot their traces per query, so one session's next query
         // must not clobber what another session already observed.
         db.untrusted.reset_trace();
-        let mut ctx = ExecCtx::with_knobs(db, RunKnobs::of(opts, prefetch));
+        let mut ctx = ExecCtx::new(db);
+        ctx.padded = opts.padded;
+        let out = Self::execute(&mut ctx, q, opts);
+        // The query's own error wins over a failure to free its temps.
+        let freed = ctx.free_temps();
+        let result = out?;
+        freed?;
+        let mut report = ctx.finish_report();
+        report.result_rows = result.rows.len() as u64;
+        Ok((result, report))
+    }
+
+    /// The query proper, on a built context: the Figure 6 global QEP.
+    fn execute(ctx: &mut ExecCtx<'_>, q: &SpjQuery, opts: &ExecOptions) -> Result<ResultSet> {
         let a = analyze(ctx.cat.schema, q)?;
 
         // The query travels to the token in the clear (it is the one thing
@@ -114,7 +115,7 @@ impl Executor {
         channel.send_to_untrusted("query-ack", &[1]);
 
         // Strategy decisions: pinned tables first, optimizer for the rest.
-        let auto = optimizer::decide(&ctx, &a)?;
+        let auto = optimizer::decide(ctx, &a)?;
         let mut decisions: Vec<VisDecision> = Vec::new();
         for d in &auto {
             let pinned = opts.strategies.iter().find(|p| p.table == d.table);
@@ -136,13 +137,8 @@ impl Executor {
             .filter(|t| *t != root)
             .collect();
 
-        let sj = execute_sj(&mut ctx, &a, &decisions, &proj_tables)?;
+        let sj = execute_sj(ctx, &a, &decisions, &proj_tables)?;
         let algo = opts.project.unwrap_or(ProjectAlgo::Project);
-        let result = project::execute(&mut ctx, &a, sj, algo)?;
-
-        ctx.free_temps()?;
-        let mut report = ctx.finish_report();
-        report.result_rows = result.rows.len() as u64;
-        Ok((result, report))
+        project::execute(ctx, &a, sj, algo)
     }
 }

@@ -43,7 +43,6 @@ pub mod strategy;
 #[doc(hidden)]
 pub mod testkit;
 
-pub use ci_ops::CiPrefetch;
 pub use ctx::{CatalogCtx, DeviceLane, ExecCtx};
 pub use database::Database;
 pub use error::ExecError;

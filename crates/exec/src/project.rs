@@ -354,13 +354,13 @@ fn partition(
     };
     let mut root_writer =
         FlashTableWriter::create(ctx.lane.alloc(), &ram, layout.clone(), upper, page_size)?;
-    let mut writers: Vec<FlashTableWriter> = tables
-        .iter()
-        .map(|_| {
-            FlashTableWriter::create(ctx.lane.alloc(), &ram, layout.clone(), upper, page_size)
-                .map_err(crate::error::ExecError::from)
-        })
-        .collect::<Result<_>>()?;
+    ctx.add_temp(root_writer.segment());
+    let mut writers: Vec<FlashTableWriter> = Vec::with_capacity(tables.len());
+    for _ in tables {
+        let w = FlashTableWriter::create(ctx.lane.alloc(), &ram, layout.clone(), upper, page_size)?;
+        ctx.add_temp(w.segment());
+        writers.push(w);
+    }
 
     match root_ids {
         RootIds::Table(f) => {
@@ -463,12 +463,9 @@ fn partition(
     }
 
     let root_col = ctx.lane.with_flash(|dev| root_writer.finish(dev))?;
-    ctx.add_temp(root_col.segment());
     let mut id_cols = Vec::with_capacity(writers.len());
     for w in writers {
-        let t = ctx.lane.with_flash(|dev| w.finish(dev))?;
-        ctx.add_temp(t.segment());
-        id_cols.push(t);
+        id_cols.push(ctx.lane.with_flash(|dev| w.finish(dev))?);
     }
     Ok((root_col, id_cols))
 }
@@ -946,6 +943,7 @@ fn mjoin(
             id_col.rows(),
             page_size,
         )?;
+        ctx.add_temp(writer.segment());
         ctx.track(OpKind::MJoin, |ctx| {
             ctx.lane.with_flash(|dev| {
                 let mut pos = 0u32;
@@ -962,7 +960,6 @@ fn mjoin(
             })
         })?;
         let run = ctx.lane.with_flash(|dev| writer.finish(dev))?;
-        ctx.add_temp(run.segment());
         runs.push(run);
         if dict.len() < dict_capacity {
             break;
@@ -1033,6 +1030,7 @@ fn merge_runs_level(ctx: &mut ExecCtx<'_>, runs: Vec<FlashTable>) -> Result<Flas
     let page_size = ctx.page_size();
     let mut writer =
         FlashTableWriter::create(ctx.lane.alloc(), &ram, layout.clone(), total, page_size)?;
+    ctx.add_temp(writer.segment());
     ctx.track(OpKind::MJoin, |ctx| {
         ctx.lane.with_flash(|dev| {
             let mut merge = RunMerge::open(dev, &runs, &layout, &ram, page_size)?;
@@ -1043,9 +1041,7 @@ fn merge_runs_level(ctx: &mut ExecCtx<'_>, runs: Vec<FlashTable>) -> Result<Flas
             Ok(())
         })
     })?;
-    let out = ctx.lane.with_flash(|dev| writer.finish(dev))?;
-    ctx.add_temp(out.segment());
-    Ok(out)
+    Ok(ctx.lane.with_flash(|dev| writer.finish(dev))?)
 }
 
 /// Figure 5, line 7: merge every per-table projection stream (and the root

@@ -1,46 +1,29 @@
-//! The in-process GhostDB server: sessions, admission control and the
-//! cross-query batch scheduler.
+//! The in-process GhostDB server: sessions and admission control.
 //!
 //! The paper's token serves one client; this module is the skeleton for
 //! serving many. A [`GhostDbServer`] owns the finalized [`Database`] (one
 //! immutable catalog every execution borrows) and hands out [`Session`]
 //! handles whose methods all take `&self` on the server: submissions land
 //! in a bounded admission queue ([`ServeError::QueueFull`] past its depth)
-//! and execute when the queue drains. A drain has three phases:
-//!
-//! 1. **Analysis.** A serial pass over the batch extracts each queued
-//!    query's climbing-index probe keys (`(table, column, lo, hi)`, pure
-//!    functions of public query text and catalog).
-//! 2. **Shared traversals.** Every key demanded by ≥ 2 queued probes gets
-//!    ONE all-levels traversal, banked with its flash-counter delta in a
-//!    [`CiPrefetch`]; each probe hit demultiplexes its own level slices
-//!    and is billed the banked delta as-if-solo (`DeviceLane::charge`).
-//!    `probe_in` eq-runs are NOT batched: their probe lists derive from
-//!    host-shipped visible ids, so grouping them across queries would
-//!    perturb the per-query host transcript.
-//! 3. **Execution.** The queries run one after another, in arrival
-//!    order, on the token's own resources (`Executor::run_prefetched`),
-//!    as the paper's one secure chip runs one query at a time.
+//! and execute when the queue drains. A drain runs the queued queries one
+//! after another, in arrival order, with [`Executor::run`] on the token's
+//! own resources, as the paper's one secure chip runs one query at a time.
 //!
 //! Scheduling is deterministic: sequence numbers are assigned under the
-//! queue lock at submission and traversal keys are banked in sorted
-//! order. Per-query results, every `ExecReport` field, host trace and
-//! wire transcript are bit-identical to a plain `Executor::run` loop over
-//! the same arrival sequence with batching on or off: batching compresses
-//! wall-clock work, never the simulated observations
+//! queue lock at submission. Per-query results, every `ExecReport` field,
+//! host trace and wire transcript are bit-identical to a plain
+//! `Executor::run` loop over the same arrival sequence
 //! (`tests/serve_equivalence.rs`).
 
-use crate::ci_ops::{CiPrefetch, PrefetchKey};
 use crate::database::Database;
 use crate::error::ExecError;
 use crate::executor::{ExecOptions, Executor};
-use crate::query::{analyze, SpjQuery};
+use crate::query::SpjQuery;
 use crate::report::ExecReport;
 use crate::result::ResultSet;
-use ghostdb_index::ClimbingIndex;
 use ghostdb_token::TranscriptEntry;
 use ghostdb_untrusted::HostTrace;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Mutex;
 
 /// Server construction knobs.
@@ -49,17 +32,11 @@ pub struct ServeConfig {
     /// Maximum queries queued but not yet executed; submissions past it
     /// are rejected with [`ServeError::QueueFull`].
     pub queue_depth: usize,
-    /// Enable the cross-query batch scheduler. Off = every query runs
-    /// exactly as solo; on = shared traversals, identical observations.
-    pub batching: bool,
 }
 
 impl Default for ServeConfig {
     fn default() -> Self {
-        ServeConfig {
-            queue_depth: 16,
-            batching: true,
-        }
+        ServeConfig { queue_depth: 16 }
     }
 }
 
@@ -81,9 +58,10 @@ impl ServeConfig {
         self
     }
 
-    /// Toggle the cross-query batch scheduler.
-    pub fn batching(mut self, on: bool) -> Self {
-        self.batching = on;
+    /// No-op: every drain runs its queries one after another, each
+    /// exactly as solo. Kept so callers that still toggle batching build
+    /// unchanged.
+    pub fn batching(self, _on: bool) -> Self {
         self
     }
 
@@ -145,17 +123,16 @@ pub struct QueryOutcome {
     pub transcript: Vec<TranscriptEntry>,
 }
 
-/// Batch-scheduler observability counters (cumulative across drains).
+/// Drain observability counters (cumulative across drains).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BatchStats {
     /// Drains that executed at least one query.
     pub batches: u64,
     /// Queries executed.
     pub queries: u64,
-    /// Traversal keys banked (demanded by ≥ 2 queued probes).
-    pub shared_keys: u64,
-    /// Lower bound on traversals saved: for a key demanded `n` times,
-    /// `n - 1` (hits beyond the analyzed demand save more).
+    /// Always 0: no drain shares work between queries. Kept for
+    /// ghostbench's `serve.shared_probe_share` until the next benchmark
+    /// change.
     pub saved_traversals: u64,
     /// Always 0: every drain executes serially. Kept for ghostbench's
     /// `serve.parallel_drain_share` until the next benchmark change.
@@ -229,7 +206,7 @@ impl GhostDbServer {
         self.state.lock().expect("server state").pending.len()
     }
 
-    /// Cumulative batch-scheduler counters.
+    /// Cumulative drain counters.
     pub fn batch_stats(&self) -> BatchStats {
         self.state.lock().expect("server state").stats
     }
@@ -237,11 +214,9 @@ impl GhostDbServer {
     /// Execute every pending query in arrival order and deliver each
     /// outcome to its session. Returns the number of queries executed.
     ///
-    /// Per-query failures are delivered to their sessions like results.
-    /// `Err` here means the drain infrastructure itself failed (a banked
-    /// traversal erroring) before any query ran: every query taken from the
-    /// queue then receives that same error as its outcome, so no session
-    /// waits on a query that was dropped.
+    /// Per-query failures are delivered to their sessions like results;
+    /// the drain itself never fails. It keeps its `Result` so callers
+    /// written against a fallible drain build unchanged.
     pub fn drain(&self) -> Result<usize, ServeError> {
         let mut guard = self.state.lock().expect("server state");
         let st = &mut *guard;
@@ -249,29 +224,11 @@ impl GhostDbServer {
         if batch.is_empty() {
             return Ok(0);
         }
-        let prefetch = match self.bank_traversals(st, &batch) {
-            Ok(prefetch) => prefetch,
-            Err(e) => {
-                for item in &batch {
-                    let failed = Err(ServeError::Exec(e.clone()));
-                    st.sessions[item.session].done.push_back((item.seq, failed));
-                }
-                return Err(ServeError::Exec(e));
-            }
-        };
-
-        // Phase 3 — execute the batch on the token's own resources, in
-        // arrival order, exactly as a client looping `Executor::run` would.
-        let bank = if prefetch.is_empty() {
-            None
-        } else {
-            Some(&prefetch)
-        };
         st.stats.batches += 1;
         st.stats.queries += batch.len() as u64;
         let executed = batch.len();
         for item in batch {
-            let outcome = Executor::run_prefetched(&mut st.db, &item.query, &item.opts, bank)
+            let outcome = Executor::run(&mut st.db, &item.query, &item.opts)
                 .map(|(result, report)| QueryOutcome {
                     result,
                     report,
@@ -286,52 +243,6 @@ impl GhostDbServer {
             slot.done.push_back((item.seq, outcome));
         }
         Ok(executed)
-    }
-
-    /// Phases 1–2 of a drain: find the batch's shared climbing-index
-    /// probes and bank one traversal for each.
-    fn bank_traversals(
-        &self,
-        st: &mut ServerState,
-        batch: &[Queued],
-    ) -> Result<CiPrefetch, ExecError> {
-        let mut prefetch = CiPrefetch::new();
-        if !self.cfg.batching {
-            return Ok(prefetch);
-        }
-        // Phase 1 — analysis: count each query's batchable probe keys (its
-        // hidden selections' index + key range). Only text-derivable probes
-        // qualify; a query whose analysis fails contributes no keys and
-        // reports its error from execution below, identically to solo.
-        let cis = &st.db.cis;
-        let mut demand: BTreeMap<PrefetchKey, (&ClimbingIndex, u64)> = BTreeMap::new();
-        for item in batch {
-            let Ok(a) = analyze(&st.db.schema, &item.query) else {
-                continue;
-            };
-            for sel in &a.hid_sels {
-                let Some(ci) = cis.get(&(sel.table, sel.pred.column.clone())) else {
-                    continue;
-                };
-                let (lo, hi) = sel.pred.key_range();
-                let key = (sel.table, sel.pred.column.clone(), lo, hi);
-                demand.entry(key).or_insert((ci, 0)).1 += 1;
-            }
-        }
-
-        // Phase 2 — bank one shared traversal per key demanded ≥ 2 times,
-        // in sorted key order (deterministic), on a scratch arena so no
-        // query's RAM peak sees the bank's traversals.
-        let scratch = st.db.token.ram.fresh_like();
-        for ((_, _, lo, hi), (ci, n)) in demand {
-            if n < 2 {
-                continue;
-            }
-            prefetch.insert_traversal(&mut st.db.token.flash, &scratch, ci, lo, hi)?;
-            st.stats.shared_keys += 1;
-            st.stats.saved_traversals += n - 1;
-        }
-        Ok(prefetch)
     }
 
     /// Remove and return a specific completed query of a session.
@@ -381,13 +292,10 @@ impl Session<'_> {
     /// convenience path (other queued queries execute in the same drain).
     pub fn query(&self, q: &SpjQuery, opts: &ExecOptions) -> Result<QueryOutcome, ServeError> {
         let seq = self.submit(q, opts)?;
-        // Take this query's outcome even when the drain failed: a failed
-        // drain delivers its error to every query it took, and leaving
-        // that copy behind would hand it to a later `take`.
-        let drained = self.server.drain();
-        let outcome = self.server.take_seq(self.id, seq);
-        drained?;
-        outcome.expect("drained query must deliver an outcome")
+        self.server.drain()?;
+        self.server
+            .take_seq(self.id, seq)
+            .expect("drained query must deliver an outcome")
     }
 
     /// Pop this session's oldest undelivered outcome, if any.
@@ -455,46 +363,32 @@ mod tests {
     }
 
     #[test]
-    fn failed_bank_traversal_delivers_err_to_every_taken_query() {
-        let mut db = testkit::wide_key_db();
-        // One RAM buffer: fewer than the height of T1's `h1` B+-tree, so
-        // the shared traversal the batch banks for it runs out of RAM.
-        db.token.ram = RamArena::new(2048, 1);
-        let t1 = db.schema.table_id("T1").expect("T1");
-        let server = GhostDbServer::new(db, ServeConfig::new().batching(true)).expect("server");
-        let a = server.session();
-        let b = server.session();
-        let hidden = SpjQuery::new()
-            .pred(t1, Predicate::new("h1", CmpOp::Lt, testkit::pad8(60), None))
-            .project(0, "id");
-        a.submit(&hidden, &ExecOptions::auto()).expect("a admitted");
-        b.submit(&hidden, &ExecOptions::auto()).expect("b admitted");
-        assert!(server.drain().is_err(), "the bank traversal must fail");
-        assert_eq!(server.pending(), 0);
-        for s in [&a, &b] {
-            assert!(matches!(s.take(), Some(Err(ServeError::Exec(_)))));
-            assert!(s.take().is_none(), "exactly one outcome per query");
-        }
-    }
-
-    #[test]
-    fn bank_rejects_buffers_smaller_than_a_page() {
+    fn buffers_smaller_than_a_page_fail_each_taken_query() {
         let mut db = testkit::tiny_db();
         db.token.ram = RamArena::new(512, 32);
         let t1 = db.schema.table_id("T1").expect("T1");
         let server = GhostDbServer::new(db, ServeConfig::new()).expect("server");
-        let s = server.session();
+        let a = server.session();
+        let b = server.session();
         let hidden = SpjQuery::new()
             .pred(t1, Predicate::new("h1", CmpOp::Lt, testkit::pad8(2), None))
             .project(0, "id");
-        s.submit(&hidden, &ExecOptions::auto()).expect("admitted");
-        s.submit(&hidden, &ExecOptions::auto()).expect("admitted");
-        assert!(matches!(
-            server.drain(),
-            Err(ServeError::Exec(ExecError::Token(
-                ghostdb_token::TokenError::BufferTooSmall { .. }
-            )))
-        ));
+        a.submit(&hidden, &ExecOptions::auto()).expect("admitted");
+        b.submit(&hidden, &ExecOptions::auto()).expect("admitted");
+        a.submit(&hidden, &ExecOptions::auto()).expect("admitted");
+        assert_eq!(server.drain().expect("drain"), 3);
+        assert_eq!(server.pending(), 0);
+        for (s, n) in [(&a, 2), (&b, 1)] {
+            for _ in 0..n {
+                assert!(matches!(
+                    s.take(),
+                    Some(Err(ServeError::Exec(ExecError::Token(
+                        ghostdb_token::TokenError::BufferTooSmall { .. }
+                    ))))
+                ));
+            }
+            assert!(s.take().is_none(), "exactly one outcome per query");
+        }
     }
 
     #[test]

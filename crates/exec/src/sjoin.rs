@@ -176,7 +176,8 @@ pub struct SJoinWriter {
 }
 
 impl SJoinWriter {
-    /// Create a writer for up to `max_rows` rows over `owner` + `targets`.
+    /// Create a writer for up to `max_rows` rows over `owner` + `targets`,
+    /// registering its segment as a query temp.
     pub fn create(
         ctx: &mut ExecCtx<'_>,
         owner: TableId,
@@ -188,6 +189,7 @@ impl SJoinWriter {
         let page_size = ctx.page_size();
         let writer =
             FlashTableWriter::create(ctx.lane.alloc(), &ram, layout.clone(), max_rows, page_size)?;
+        ctx.add_temp(writer.segment());
         let mut cols = vec![owner];
         cols.extend_from_slice(targets);
         Ok(SJoinWriter {
@@ -207,11 +209,10 @@ impl SJoinWriter {
         ctx.tracked(OpKind::Store, |dev| Ok(self.writer.push(dev, &self.row)?))
     }
 
-    /// Finish, registering the segment as a query temp.
+    /// Finish the table (its segment is a query temp from `create` on).
     pub fn finish(self, ctx: &mut ExecCtx<'_>) -> Result<SJoinTable> {
         let writer = self.writer;
         let table = ctx.tracked(OpKind::Store, move |dev| writer.finish(dev))?;
-        ctx.add_temp(table.segment());
         Ok(SJoinTable {
             table,
             cols: self.cols,

@@ -355,3 +355,60 @@ fn buffers_smaller_than_a_page_are_rejected() {
         "{err}"
     );
 }
+
+/// A query that fails after its operators allocated flash temps frees
+/// them all the same: at every arena size too small for the plan, the
+/// allocator ends where it started, and the next query on a restored
+/// arena matches the same query on a fresh database.
+#[test]
+fn failed_query_frees_its_temps() {
+    let mut db = tiny_db();
+    let t0 = db.schema.root();
+    let t1 = db.schema.table_id("T1").unwrap();
+    let mut q = SpjQuery::new()
+        .pred(t1, Predicate::new("h1", CmpOp::Lt, pad8(6), None))
+        .project(t0, "id")
+        .project(t1, "h1");
+    q.text = "SELECT T0.id, T1.h1 FROM T0, T1 WHERE T0.fk1 = T1.id AND T1.h1 < '00000006'".into();
+    let free = db.alloc.free_pages();
+    let ram = db.token.ram.clone();
+    let page_size = db.token.flash.page_size();
+    let mut failures = 0;
+    for buffers in 1..=ram.capacity() {
+        db.token.ram = RamArena::new(page_size, buffers);
+        for strategy in [
+            VisStrategy::Pre,
+            VisStrategy::CrossPre,
+            VisStrategy::Post,
+            VisStrategy::CrossPost,
+            VisStrategy::PostSelect,
+            VisStrategy::CrossPostSelect,
+            VisStrategy::NoFilter,
+        ] {
+            let opts = ExecOptions::new().strategy(strategy);
+            if let Err(err) = Executor::run(&mut db, &q, &opts) {
+                assert!(
+                    err.to_string().contains("secure RAM exhausted"),
+                    "{} at {buffers} buffers: {err}",
+                    strategy.name()
+                );
+                failures += 1;
+            }
+            assert_eq!(
+                db.alloc.free_pages(),
+                free,
+                "{} at {buffers} buffers leaked flash temps",
+                strategy.name()
+            );
+        }
+    }
+    assert!(failures > 0, "no arena was small enough to fail the plan");
+
+    db.token.ram = ram;
+    let (rs, report) = Executor::run(&mut db, &q, &ExecOptions::auto()).expect("query runs");
+    let (fresh_rs, fresh_report) =
+        Executor::run(&mut tiny_db(), &q, &ExecOptions::auto()).expect("query runs");
+    assert_eq!(rs, fresh_rs);
+    assert_eq!(report, fresh_report);
+    assert_eq!(db.alloc.free_pages(), free);
+}

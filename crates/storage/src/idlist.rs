@@ -67,10 +67,13 @@ impl IdListWriter {
             page_size,
             "RAM buffer must equal the flash I/O unit"
         );
+        // The buffer first: a segment allocated before a failed buffer
+        // would be lost to the caller.
+        let buf = ram.alloc()?;
         let segment = alloc.alloc_bytes((max_ids * ID_BYTES as u64).max(1), page_size)?;
         Ok(IdListWriter {
             segment,
-            buf: ram.alloc()?,
+            buf,
             in_buf: 0,
             next_page: 0,
             count: 0,
@@ -319,6 +322,16 @@ mod tests {
         let alloc = SegmentAllocator::new(dev.logical_pages());
         let ram = RamArena::paper_default();
         (dev, alloc, ram)
+    }
+
+    #[test]
+    fn writer_without_a_buffer_allocates_no_segment() {
+        let (dev, mut alloc, _) = setup();
+        let ram = RamArena::new(dev.page_size(), 1);
+        let _held = ram.alloc().unwrap();
+        let free = alloc.free_pages();
+        assert!(IdListWriter::create(&mut alloc, &ram, 1000, dev.page_size()).is_err());
+        assert_eq!(alloc.free_pages(), free);
     }
 
     #[test]

@@ -380,12 +380,15 @@ impl FlashTableWriter {
         max_rows: u64,
         page_size: usize,
     ) -> Result<Self> {
+        // The buffer first: a segment allocated before a failed buffer
+        // would be lost to the caller.
+        let buf = ram.alloc()?;
         let pages = layout.pages_for(max_rows, page_size);
         let segment = alloc.alloc(pages)?;
         Ok(FlashTableWriter {
             layout,
             segment,
-            buf: ram.alloc()?,
+            buf,
             in_page: 0,
             next_page: 0,
             rows: 0,
@@ -416,6 +419,11 @@ impl FlashTableWriter {
         self.next_page += 1;
         self.in_page = 0;
         Ok(())
+    }
+
+    /// The segment backing this writer (for freeing temporaries).
+    pub fn segment(&self) -> Segment {
+        self.segment
     }
 
     /// Finish and return the table.
@@ -697,6 +705,17 @@ mod tests {
         let alloc = SegmentAllocator::new(dev.logical_pages());
         let ram = RamArena::paper_default();
         (dev, alloc, ram)
+    }
+
+    #[test]
+    fn writer_without_a_buffer_allocates_no_segment() {
+        let (dev, mut alloc, _) = setup();
+        let ram = RamArena::new(dev.page_size(), 1);
+        let _held = ram.alloc().unwrap();
+        let free = alloc.free_pages();
+        let layout = RowLayout::ids(1);
+        assert!(FlashTableWriter::create(&mut alloc, &ram, layout, 1000, dev.page_size()).is_err());
+        assert_eq!(alloc.free_pages(), free);
     }
 
     #[test]

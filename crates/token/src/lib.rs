@@ -17,6 +17,8 @@
 //! [`token::SecureToken`] bundles RAM + channel + the flash device from
 //! `ghostdb-flash` into the execution environment all operators run against.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod channel;
 pub mod error;
 pub mod ram;

@@ -67,13 +67,6 @@ impl RamArena {
         RamArena::new(buf_size, (total_bytes / buf_size).max(1))
     }
 
-    /// A fresh, empty arena with this arena's geometry (same buffer size
-    /// and capacity, zero in-use). The serve bank's shared traversals draw
-    /// from one of these, so no query's peak sees the bank's buffers.
-    pub fn fresh_like(&self) -> RamArena {
-        RamArena::new(self.state.buf_size, self.state.capacity)
-    }
-
     /// Buffer size in bytes (the Flash I/O unit).
     pub fn buf_size(&self) -> usize {
         self.state.buf_size

@@ -1,11 +1,10 @@
-//! Serve-mode equivalence: the cross-query batch scheduler is a pure
-//! wall-clock optimization. For every filtering strategy, queue depth and
-//! session count, each query served through a batching [`GhostDbServer`]
-//! must produce the same rows, the same `ExecReport` in every field, the
-//! same host trace and the same per-query wire transcript as (a) the same
-//! server with batching disabled and (b) a plain `Executor::run` loop
-//! executing the identical arrival sequence. `SECURITY.md` names this file
-//! as the enforcement of the claim that batching is token-side only.
+//! Serve-mode equivalence: serving is invisible. For every filtering
+//! strategy, queue depth and session count, each query served through a
+//! [`GhostDbServer`] must produce the same rows, the same `ExecReport` in
+//! every field, the same host trace and the same per-query wire transcript
+//! as a plain `Executor::run` loop executing the identical arrival
+//! sequence. `SECURITY.md` names this file as the enforcement of that
+//! claim.
 
 use ghostdb_datagen::{SyntheticDataset, SyntheticSpec};
 use ghostdb_exec::strategy::VisStrategy;
@@ -39,9 +38,9 @@ fn capture_db(ds: &SyntheticDataset) -> Database {
     db
 }
 
-/// `n` queries; most share the hidden probe `T12.h2 @ 0.1` (the batchable
-/// key), every fourth uses `0.2` instead so each batch also carries a
-/// minority key, and the visible selectivity cycles so result shapes vary.
+/// `n` queries; most share the hidden probe `T12.h2 @ 0.1`, every fourth
+/// uses `0.2` instead so each drain also carries a minority key, and the
+/// visible selectivity cycles so result shapes vary.
 fn workload(ds: &SyntheticDataset, n: usize, label: &str) -> Vec<SpjQuery> {
     let t0 = ds.schema.root();
     let t1 = ds.schema.table_id("T1").expect("T1");
@@ -126,29 +125,18 @@ fn serve_round(
 }
 
 /// The full matrix: 7 strategies × queue depths {1,4,16} × sessions
-/// {1,2,4}; batched server ≡ unbatched server ≡ solo loop, query by query,
-/// field by field. One database per server (reused across the matrix) and
-/// one solo database replaying the identical global execution sequence, so
-/// all three histories stay aligned.
+/// {1,2,4}; served ≡ solo loop, query by query, field by field. One
+/// database per server (reused across the matrix) and one solo database
+/// replaying the identical global execution sequence, so both histories
+/// stay aligned.
 #[test]
-fn serve_batched_equals_solo_across_matrix() {
+fn serve_equals_solo_across_matrix() {
     let ds = dataset();
     let mut solo_db = capture_db(&ds);
-    let batched: Vec<GhostDbServer> = DEPTHS
+    let servers: Vec<GhostDbServer> = DEPTHS
         .iter()
         .map(|&d| {
-            GhostDbServer::new(capture_db(&ds), ServeConfig::new().queue_depth(d))
-                .expect("batched server")
-        })
-        .collect();
-    let unbatched: Vec<GhostDbServer> = DEPTHS
-        .iter()
-        .map(|&d| {
-            GhostDbServer::new(
-                capture_db(&ds),
-                ServeConfig::new().queue_depth(d).batching(false),
-            )
-            .expect("unbatched server")
+            GhostDbServer::new(capture_db(&ds), ServeConfig::new().queue_depth(d)).expect("server")
         })
         .collect();
 
@@ -162,22 +150,9 @@ fn serve_batched_equals_solo_across_matrix() {
                     .iter()
                     .map(|q| run_solo(&mut solo_db, q, &opts))
                     .collect();
-                let saved_before = batched[di].batch_stats().saved_traversals;
-                let outs_b = serve_round(&batched[di], &queries, &opts, n_sessions);
-                let outs_u = serve_round(&unbatched[di], &queries, &opts, n_sessions);
+                let outs = serve_round(&servers[di], &queries, &opts, n_sessions);
                 for (i, solo_ref) in solo.iter().enumerate() {
-                    assert_outcome_matches(&outs_b[i], solo_ref, &format!("{label} batched #{i}"));
-                    assert_outcome_matches(
-                        &outs_u[i],
-                        solo_ref,
-                        &format!("{label} unbatched #{i}"),
-                    );
-                }
-                if depth >= 4 {
-                    assert!(
-                        batched[di].batch_stats().saved_traversals > saved_before,
-                        "{label}: the batch scheduler never engaged — equivalence is vacuous"
-                    );
+                    assert_outcome_matches(&outs[i], solo_ref, &format!("{label} #{i}"));
                 }
             }
         }
@@ -234,42 +209,6 @@ fn serve_outcomes_deterministic_across_runs() {
         assert_eq!(
             a.transcript, b.transcript,
             "#{i}: transcripts drift across runs"
-        );
-    }
-}
-
-/// The SECURITY.md leakage claim, explicitly: enabling the batch scheduler
-/// changes NOTHING a wire snooper or the untrusted PC can see — every
-/// per-query transcript entry (tag, byte count, payload) and every host
-/// trace event is identical with batching on and off, even while the
-/// scheduler demonstrably shares traversals.
-#[test]
-fn batching_leaves_per_query_wire_transcripts_unchanged() {
-    let ds = dataset();
-    let opts = ExecOptions::new().strategy(VisStrategy::CrossPre);
-    let queries = workload(&ds, 12, "leakage");
-    let on = GhostDbServer::new(capture_db(&ds), ServeConfig::new().queue_depth(12))
-        .expect("batching on");
-    let off = GhostDbServer::new(
-        capture_db(&ds),
-        ServeConfig::new().queue_depth(12).batching(false),
-    )
-    .expect("batching off");
-    let outs_on = serve_round(&on, &queries, &opts, 3);
-    let outs_off = serve_round(&off, &queries, &opts, 3);
-    assert!(
-        on.batch_stats().saved_traversals > 0,
-        "scheduler must actually have shared traversals"
-    );
-    assert_eq!(off.batch_stats().saved_traversals, 0);
-    for (i, (a, b)) in outs_on.iter().zip(&outs_off).enumerate() {
-        assert_eq!(
-            a.transcript, b.transcript,
-            "query #{i}: batching altered the wire transcript"
-        );
-        assert_eq!(
-            a.trace, b.trace,
-            "query #{i}: batching altered the host trace"
         );
     }
 }
