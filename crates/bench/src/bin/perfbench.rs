@@ -1314,74 +1314,6 @@ fn micro_project_mjoin_multipass(warmup: usize, iters: usize, out: &mut Vec<Benc
     ));
 }
 
-/// Incremental maintenance on the write path: a deterministic stream of
-/// 96 inserts/deletes against a two-level maintained climbing index
-/// (host-side delta, base merged every 16 ops), in wall time and, via
-/// `bytes_io`/`simulated_s`, in flash traffic.
-fn micro_maint(warmup: usize, iters: usize, out: &mut Vec<BenchEntry>) {
-    use ghostdb_index::{MaintainedIndex, MaintainedSpec};
-    const UPDATES: u64 = 96;
-    out.push(measure(
-        "micro/maint/update-tombstone",
-        warmup,
-        iters,
-        || {
-            let mut dev = FlashDevice::new(
-                FlashGeometry {
-                    page_size: 2048,
-                    pages_per_block: 32,
-                    block_count: 64,
-                    spare_blocks: 8,
-                },
-                FlashTiming::default(),
-            );
-            let mut alloc = SegmentAllocator::new(dev.logical_pages());
-            let initial = vec![
-                (0..768u64).map(|i| i % 96).collect::<Vec<_>>(),
-                (0..384u64).map(|i| i % 96).collect::<Vec<_>>(),
-            ];
-            let spec = MaintainedSpec {
-                table: 1,
-                column: "k",
-                levels: &[1, 0],
-                exact: true,
-                initial: &initial,
-                merge_threshold: 16,
-            };
-            let mut mi = MaintainedIndex::build(&mut dev, &mut alloc, spec)
-                .expect("maintained index builds");
-            let snap = dev.snapshot();
-            let mut seed = 0x9E3779B97F4A7C15u64;
-            let mut next = move || {
-                seed ^= seed << 13;
-                seed ^= seed >> 7;
-                seed ^= seed << 17;
-                seed
-            };
-            for _ in 0..UPDATES {
-                let r = next();
-                let level = (r as usize >> 3) % 2;
-                if r % 4 != 0 {
-                    mi.insert(&mut dev, &mut alloc, level, (r >> 8) % 96)
-                        .expect("insert");
-                } else {
-                    // Ids are dense from the bulk load, so a random draw
-                    // below the live count lands on a mostly-live id.
-                    let id = ((r >> 8) % 800) as Id;
-                    mi.delete(&mut dev, &mut alloc, level, id).expect("delete");
-                }
-            }
-            mi.flush(&mut dev, &mut alloc).expect("flush");
-            let io = dev.stats_since(&snap);
-            RunStats {
-                simulated_s: dev.elapsed_since(&snap).as_secs(),
-                ops: UPDATES,
-                bytes_io: io.bytes_to_ram + io.bytes_from_ram,
-            }
-        },
-    ));
-}
-
 /// Print the naive-vs-optimised pairs: the measured improvement every
 /// operator optimisation banks, straight from the harness output.
 fn print_improvements(entries: &[BenchEntry]) {
@@ -1460,7 +1392,6 @@ fn main() {
     micro_project_hidden_point(warmup, iters, &mut entries);
     micro_project_root_hidden_sparse(warmup, iters, &mut entries);
     micro_project_mjoin_multipass(warmup, iters, &mut entries);
-    micro_maint(warmup, iters, &mut entries);
 
     let doc = bench_doc(mode, padded, &entries);
     let summary = check_bench(&doc).unwrap_or_else(|e| {

@@ -10,11 +10,11 @@ use ghostdb_exec::project::ProjectAlgo;
 use ghostdb_exec::query::analyze;
 use ghostdb_exec::strategy::{VisDecision, VisStrategy};
 use ghostdb_exec::{
-    optimizer, ExecCtx, ExecOptions, ExecReport, Executor, GhostDbServer, HostTrace, ResultSet,
-    ServeConfig, SpjQuery,
+    optimizer, ExecCtx, ExecError, ExecOptions, ExecReport, Executor, GhostDbServer, HostTrace,
+    ResultSet, ServeConfig, SpjQuery,
 };
 use ghostdb_storage::schema::{Column, SchemaTree, TableDef, Visibility};
-use ghostdb_storage::{Id, Value};
+use ghostdb_storage::{ColumnType, Id, Value};
 use ghostdb_token::TokenConfig;
 use std::sync::{Arc, Mutex};
 
@@ -156,7 +156,9 @@ impl GhostDb {
     }
 
     /// Stage rows for a table. Values follow the declared column order
-    /// (excluding the implicit `id`); foreign-key cells are integers.
+    /// (excluding the implicit `id`); foreign-key cells are integers. A
+    /// cell wider than its column (a string longer than `CHAR(n)`, an int
+    /// outside its width's signed range) rejects the whole call.
     pub fn insert_rows(&mut self, table: &str, rows: Vec<Vec<Value>>) -> Result<()> {
         if self.db.is_some() {
             return Err(CoreError::Semantic(
@@ -168,7 +170,7 @@ impl GhostDb {
             .iter()
             .find(|d| d.name == table)
             .ok_or_else(|| CoreError::Semantic(format!("unknown table {table}")))?;
-        for row in &rows {
+        for (r, row) in rows.iter().enumerate() {
             if row.len() != def.columns.len() {
                 return Err(CoreError::Semantic(format!(
                     "{} expects {} values per row, got {}",
@@ -176,6 +178,14 @@ impl GhostDb {
                     def.columns.len(),
                     row.len()
                 )));
+            }
+            for (col, cell) in def.columns.iter().zip(row) {
+                if !fits(&col.ty, cell) {
+                    return Err(CoreError::Semantic(format!(
+                        "{table}.{} of row {r}: {cell:?} does not fit {:?}",
+                        col.name, col.ty
+                    )));
+                }
             }
         }
         match self.staged.iter_mut().find(|(n, _)| n == table) {
@@ -229,8 +239,10 @@ impl GhostDb {
                 if def.is_fk(&col.name) {
                     let arr: Vec<Id> = rows
                         .iter()
-                        .map(|r| match &r[ci] {
-                            Value::Int(v) => Ok(*v as Id),
+                        .enumerate()
+                        .map(|(r, cells)| match &cells[ci] {
+                            Value::Int(v) => Id::try_from(*v)
+                                .map_err(|_| self.dangling_fk(def, &col.name, r, *v)),
                             other => Err(CoreError::Semantic(format!(
                                 "foreign key {}.{} must be an integer, got {other:?}",
                                 def.name, col.name
@@ -260,6 +272,32 @@ impl GhostDb {
         config.capture_channel = self.config.capture_channel;
         self.db = Some(Database::assemble(schema, &config, loads)?);
         Ok(())
+    }
+
+    /// The error for a foreign-key cell that no id can hold (negative or
+    /// past `Id::MAX`); `Database::assemble` reports the ids past the
+    /// referenced table's end.
+    fn dangling_fk(&self, def: &TableDef, column: &str, row: usize, value: i64) -> CoreError {
+        let references = def
+            .foreign_keys
+            .iter()
+            .find(|f| f.column == column)
+            .map(|f| f.references.clone())
+            .unwrap_or_default();
+        let rows = self
+            .staged
+            .iter()
+            .find(|(n, _)| *n == references)
+            .map_or(0, |(_, r)| r.len() as u64);
+        ExecError::DanglingForeignKey {
+            table: def.name.clone(),
+            column: column.to_string(),
+            row: row as u64,
+            value,
+            references,
+            rows,
+        }
+        .into()
     }
 
     fn translate(&self, stmt: &SelectStmt) -> Result<SpjQuery> {
@@ -464,6 +502,23 @@ const _: () = {
     assert_send_sync::<SealedGhostDb<'_>>();
 };
 
+/// Whether `cell` is stored in `ty` without being cut: `Value::encode`
+/// truncates a string to `CHAR(n)` and an int to its byte width, while the
+/// climbing index keys the uncut value, so a cut cell would project one
+/// value and match another. Type mismatches are left to the loader.
+fn fits(ty: &ColumnType, cell: &Value) -> bool {
+    match (ty, cell) {
+        (ColumnType::Char { width }, Value::Str(s)) => s.len() <= usize::from(*width),
+        (ColumnType::Int { width }, Value::Int(v)) => {
+            // Survives keeping the low `width` bytes and sign-extending
+            // them, as `Value::decode` reads them back.
+            let unused = 64 - 8 * u32::from(*width);
+            (*v << unused) >> unused == *v
+        }
+        _ => true,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -655,5 +710,106 @@ mod tests {
         let out = session.query(&q, &ExecOptions::auto()).unwrap();
         assert_eq!(out.result.rows.len(), 20, "one row per root tuple");
         assert!(!out.transcript.is_empty());
+    }
+
+    /// A one-row `P` and a one-row `V` whose `V.pid` cell is `pid`.
+    fn one_parent_db(pid: i64) -> GhostDb {
+        let mut db = GhostDb::new(GhostDbConfig::default());
+        db.execute("CREATE TABLE P (id INT, x INT HIDDEN)").unwrap();
+        db.execute("CREATE TABLE V (id INT, pid INT HIDDEN REFERENCES P)")
+            .unwrap();
+        db.insert_rows("P", vec![vec![Value::Int(10)]]).unwrap();
+        db.insert_rows("V", vec![vec![Value::Int(pid)]]).unwrap();
+        db
+    }
+
+    #[test]
+    fn dangling_foreign_keys_are_typed_errors() {
+        let dangling = |row, value| ExecError::DanglingForeignKey {
+            table: "V".into(),
+            column: "pid".into(),
+            row,
+            value,
+            references: "P".into(),
+            rows: 1,
+        };
+        for pid in [7, -1] {
+            let err = one_parent_db(pid).finalize().err().expect("dangling fk");
+            assert_eq!(err, CoreError::Exec(dangling(0, pid)), "{err}");
+        }
+        // Loads that bypass the facade (`ghostdb-datagen`) hit the same check.
+        let schema = SchemaTree::new(vec![
+            TableDef::new("V").with_fk("pid", "P"),
+            TableDef::new("P"),
+        ])
+        .unwrap();
+        let load = |table: &str, rows, fks| TableLoad {
+            table: table.into(),
+            rows,
+            fks,
+            columns: Vec::new(),
+        };
+        let loads = vec![
+            load("V", 2, vec![("pid".to_string(), vec![0, 7])]),
+            load("P", 1, Vec::new()),
+        ];
+        let err = Database::assemble(schema, &GhostDbConfig::default().token, loads).unwrap_err();
+        assert_eq!(err, dangling(1, 7), "{err}");
+        // A corrected load on a fresh instance goes through.
+        let mut db = one_parent_db(0);
+        let rs = db
+            .finalize()
+            .unwrap()
+            .query("SELECT V.id, P.x FROM V, P WHERE V.pid = P.id")
+            .unwrap();
+        assert_eq!(rs.rows, vec![vec![Value::Int(0), Value::Int(10)]]);
+    }
+
+    #[test]
+    fn cells_wider_than_their_column_are_rejected() {
+        let mut db = GhostDb::new(GhostDbConfig::default());
+        db.execute("CREATE TABLE W (id INT, h INT HIDDEN, v INT, a INT(2), s CHAR(4) HIDDEN)")
+            .unwrap();
+        let row = |h: i64, v: i64, a: i64, s: &str| {
+            vec![
+                Value::Int(h),
+                Value::Int(v),
+                Value::Int(a),
+                Value::Str(s.into()),
+            ]
+        };
+        // The widths' edges fit.
+        let edges = vec![
+            row(i32::MAX.into(), i32::MIN.into(), 32767, "abcd"),
+            row(1, 1, -32768, ""),
+        ];
+        db.insert_rows("W", edges).unwrap();
+        for (bad, column) in [
+            (row(5_000_000_000, 2, 2, "ab"), "h"),
+            (row(2, 5_000_000_000, 2, "ab"), "v"),
+            (row(2, 2, 32768, "ab"), "a"),
+            (row(2, 2, 2, "abcdefghij"), "s"),
+        ] {
+            let err = db
+                .insert_rows("W", vec![row(2, 2, 2, "ab"), bad])
+                .unwrap_err();
+            let CoreError::Semantic(msg) = &err else {
+                panic!("{err}")
+            };
+            assert!(msg.contains(&format!("W.{column} of row 1")), "{msg}");
+        }
+        // Nothing from the rejected calls was staged, and the hidden and
+        // visible sides agree on what was.
+        let sealed = db.finalize().unwrap();
+        let ids = |sql: &str| -> Vec<Vec<Value>> { sealed.query(sql).unwrap().rows };
+        assert_eq!(ids("SELECT W.id FROM W").len(), 2);
+        for sql in [
+            "SELECT W.id FROM W WHERE W.h = 2147483647",
+            "SELECT W.id FROM W WHERE W.v = -2147483648",
+            "SELECT W.id FROM W WHERE W.a = 32767",
+            "SELECT W.id FROM W WHERE W.s = 'abcd'",
+        ] {
+            assert_eq!(ids(sql), vec![vec![Value::Int(0)]], "{sql}");
+        }
     }
 }

@@ -67,30 +67,6 @@ pub fn build_bloom(
     }))
 }
 
-/// Build a Bloom filter from an ID iterator already streaming through the
-/// token (e.g. a pipelined merge); the caller attributes the producer's I/O.
-pub fn build_bloom_from_iter(
-    ctx: &mut ExecCtx<'_>,
-    n_estimate: u64,
-    budget_bytes: usize,
-    mut next: impl FnMut(&mut ExecCtx<'_>) -> Result<Option<Id>>,
-) -> Result<Option<BloomHandle>> {
-    let Some(cal) = calibrate(n_estimate, budget_bytes) else {
-        return Ok(None);
-    };
-    let buf_size = ctx.ram().buf_size();
-    let buffers = cal.bytes.div_ceil(buf_size).max(1);
-    let region = ctx.ram().alloc_region(buffers)?;
-    let mut filter = BloomFilter::new(region, cal.m_bits, cal.k);
-    while let Some(id) = next(ctx)? {
-        filter.insert(id as u64);
-    }
-    Ok(Some(BloomHandle {
-        filter,
-        calibration: cal,
-    }))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -86,6 +86,9 @@ impl Database {
         let mut fk_data = FkData::default();
         // (table, column, keys, exact) for climbing-index builds.
         let mut pending_cis: Vec<(TableId, String, Vec<u64>, bool)> = Vec::new();
+        // (table, fk column, referenced table, ids), checked once every
+        // table's cardinality is known.
+        let mut fk_refs: Vec<(TableId, &str, TableId, &[Id])> = Vec::new();
 
         for load in &loads {
             let t = schema.table_id(&load.table)?;
@@ -165,9 +168,24 @@ impl Database {
                     |r| Value::Int(ids[r as usize] as i64),
                 )?);
                 fk_data.insert(t, child, ids.clone());
+                fk_refs.push((t, fk_col, child, ids));
             }
             store.set_table(t, vis_table);
             hidden[t] = image;
+        }
+        // The index builders below address the referenced table's arrays
+        // by these ids.
+        for (t, column, child, ids) in fk_refs {
+            if let Some(row) = ids.iter().position(|id| u64::from(*id) >= rows[child]) {
+                return Err(ExecError::DanglingForeignKey {
+                    table: schema.def(t).name.clone(),
+                    column: column.to_string(),
+                    row: row as u64,
+                    value: i64::from(ids[row]),
+                    references: schema.def(child).name.clone(),
+                    rows: rows[child],
+                });
+            }
         }
 
         // Index construction.

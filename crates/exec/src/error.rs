@@ -24,6 +24,21 @@ pub enum ExecError {
     /// Strategy not applicable (e.g. Cross filtering with no hidden
     /// predicate on the table or its descendants).
     StrategyNotApplicable(String),
+    /// A foreign-key cell names no row of the table it references.
+    DanglingForeignKey {
+        /// Table holding the foreign key.
+        table: String,
+        /// Foreign-key column.
+        column: String,
+        /// Row of the offending cell.
+        row: u64,
+        /// The cell's value.
+        value: i64,
+        /// Referenced table.
+        references: String,
+        /// Rows of the referenced table.
+        rows: u64,
+    },
 }
 
 impl fmt::Display for ExecError {
@@ -37,6 +52,18 @@ impl fmt::Display for ExecError {
                 write!(f, "no climbing index on {table}.{column}")
             }
             ExecError::StrategyNotApplicable(msg) => write!(f, "strategy not applicable: {msg}"),
+            ExecError::DanglingForeignKey {
+                table,
+                column,
+                row,
+                value,
+                references,
+                rows,
+            } => write!(
+                f,
+                "foreign key {table}.{column} of row {row} is {value}, \
+                 which names no row of {references} ({rows} rows)"
+            ),
         }
     }
 }

@@ -73,17 +73,6 @@ impl VisStrategy {
             VisStrategy::CrossPre | VisStrategy::CrossPost | VisStrategy::CrossPostSelect
         )
     }
-
-    /// True for strategies that filter behind the SJoin.
-    pub fn is_post(&self) -> bool {
-        matches!(
-            self,
-            VisStrategy::Post
-                | VisStrategy::CrossPost
-                | VisStrategy::PostSelect
-                | VisStrategy::CrossPostSelect
-        )
-    }
 }
 
 /// Per-visible-table strategy decision.
@@ -121,14 +110,6 @@ pub struct SjOutcome {
     /// Hidden predicates needing exact re-checks at projection time
     /// (non-injective index keys).
     pub recheck: Vec<(TableId, Predicate)>,
-}
-
-impl SjOutcome {
-    /// True when the root set may contain rows that must still be filtered
-    /// out during projection.
-    pub fn needs_projection_filtering(&self) -> bool {
-        !self.approx_vis.is_empty() || !self.deferred_vis.is_empty() || !self.recheck.is_empty()
-    }
 }
 
 struct PostPlan {

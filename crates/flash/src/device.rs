@@ -30,11 +30,6 @@ impl FlashDevice {
         }
     }
 
-    /// Device with default geometry (256 MB) and paper timing.
-    pub fn default_key() -> Self {
-        FlashDevice::new(FlashGeometry::default(), FlashTiming::default())
-    }
-
     /// Geometry of the module.
     pub fn geometry(&self) -> &FlashGeometry {
         self.ftl.geometry()
@@ -68,11 +63,6 @@ impl FlashDevice {
     /// Write a full logical page (short images are zero-padded).
     pub fn write(&mut self, lpn: Lpn, image: &[u8]) -> Result<()> {
         self.ftl.write(lpn, image)
-    }
-
-    /// Read-modify-write of a byte range within one logical page.
-    pub fn write_at(&mut self, lpn: Lpn, offset: usize, data: &[u8]) -> Result<()> {
-        self.ftl.write_at(lpn, offset, data)
     }
 
     /// Release a logical page (metadata only).

@@ -238,34 +238,6 @@ impl Ftl {
         Ok(())
     }
 
-    /// Read-modify-write of a byte range inside a logical page: loads the old
-    /// image (if any), overlays `data`, and programs a fresh page.
-    pub fn write_at(&mut self, lpn: Lpn, offset: usize, data: &[u8]) -> Result<()> {
-        self.check_lpn(lpn)?;
-        let page_size = self.geometry().page_size;
-        check_in_page(offset, data.len(), page_size)?;
-        // Allocate first: GC may run inside, use the scratch buffer, and
-        // relocate the page we are about to read — the map stays correct.
-        let ppn = self.allocate_page()?;
-        let mut image = std::mem::take(&mut self.scratch);
-        if let Some(old) = self.map[lpn as usize] {
-            self.nand.read(old, 0, &mut image);
-            self.stats.pages_read += 1;
-            self.stats.bytes_to_ram += page_size as u64;
-        } else {
-            image.fill(0);
-        }
-        image[offset..offset + data.len()].copy_from_slice(data);
-        self.nand.program(ppn, lpn, &image);
-        self.scratch = image;
-        if let Some(old) = self.map[lpn as usize].replace(ppn) {
-            self.nand.invalidate(old);
-        }
-        self.stats.pages_written += 1;
-        self.stats.bytes_from_ram += page_size as u64;
-        Ok(())
-    }
-
     /// Drop the mapping of a logical page (used when segments are freed).
     /// Pure metadata: no array I/O is charged.
     pub fn trim(&mut self, lpn: Lpn) -> Result<()> {
@@ -423,18 +395,6 @@ mod tests {
     }
 
     #[test]
-    fn write_at_does_read_modify_write() {
-        let mut ftl = tiny_ftl();
-        ftl.write(1, &[1u8; 128]).unwrap();
-        ftl.write_at(1, 4, &[9, 9]).unwrap();
-        let mut buf = [0u8; 8];
-        ftl.read(1, 0, &mut buf).unwrap();
-        assert_eq!(buf, [1, 1, 1, 1, 9, 9, 1, 1]);
-        // RMW charged a full-page read.
-        assert_eq!(ftl.stats().bytes_to_ram, 128 + 8);
-    }
-
-    #[test]
     fn sustained_overwrites_trigger_gc_and_stay_consistent() {
         let mut ftl = tiny_ftl(); // 16 logical pages, 24 physical
         for round in 0u8..40 {
@@ -513,18 +473,10 @@ mod tests {
                 ),
                 "read at offset {offset}"
             );
-            assert!(
-                matches!(
-                    ftl.write_at(0, offset, &[1; 16]),
-                    Err(FlashError::OutOfPage { .. })
-                ),
-                "write_at at offset {offset}"
-            );
         }
         // Exact-boundary accesses still work.
         let page = ftl.geometry().page_size;
         ftl.read(0, page - 1, &mut buf[..1]).unwrap();
-        ftl.write_at(0, page - 1, &[9]).unwrap();
         // One past the end is rejected without overflow.
         assert!(matches!(
             ftl.read(0, page, &mut buf[..1]),

@@ -1,6 +1,6 @@
 //! Property tests: the FTL must behave like a plain logical page store under
-//! arbitrary interleavings of writes, partial writes, trims and reads, with
-//! garbage collection and wear levelling running underneath.
+//! arbitrary interleavings of writes (short images included), trims and
+//! reads, with garbage collection and wear levelling running underneath.
 
 use ghostdb_flash::{FlashDevice, FlashGeometry, FlashTiming, FreeBlockPool};
 use proptest::prelude::*;
@@ -9,7 +9,6 @@ use std::collections::HashMap;
 #[derive(Debug, Clone)]
 enum Op {
     Write { lpn: u64, byte: u8, len: usize },
-    WriteAt { lpn: u64, offset: usize, byte: u8 },
     Trim { lpn: u64 },
     Read { lpn: u64 },
 }
@@ -21,8 +20,6 @@ fn op_strategy(logical_pages: u64, page_size: usize) -> impl Strategy<Value = Op
             byte,
             len
         }),
-        (0..logical_pages, 0..page_size - 8, any::<u8>())
-            .prop_map(|(lpn, offset, byte)| Op::WriteAt { lpn, offset, byte }),
         (0..logical_pages).prop_map(|lpn| Op::Trim { lpn }),
         (0..logical_pages).prop_map(|lpn| Op::Read { lpn }),
     ]
@@ -51,11 +48,6 @@ proptest! {
                     let mut page = vec![0u8; 256];
                     page[..len].copy_from_slice(&image);
                     model.insert(lpn, page);
-                }
-                Op::WriteAt { lpn, offset, byte } => {
-                    dev.write_at(lpn, offset, &[byte; 8]).unwrap();
-                    let page = model.entry(lpn).or_insert_with(|| vec![0u8; 256]);
-                    page[offset..offset + 8].fill(byte);
                 }
                 Op::Trim { lpn } => {
                     dev.trim(lpn).unwrap();

@@ -13,7 +13,7 @@
 //! back to back in key order — so a range scan touches each area
 //! sequentially).
 
-use ghostdb_flash::{FlashDevice, Segment, SegmentAllocator};
+use ghostdb_flash::{FlashDevice, Segment};
 use ghostdb_storage::btree::{BTree, BTreeCursor};
 use ghostdb_storage::{IdList, Result, StorageError, TableId};
 use ghostdb_token::RamArena;
@@ -107,17 +107,6 @@ impl ClimbingIndex {
             cursor: self.tree.cursor(ram)?,
             payload: vec![0u8; self.tree.payload_size()],
         })
-    }
-
-    /// Free the index's entire flash footprint — the B+-tree pages and
-    /// every per-level ID area. Used when a maintained index supersedes
-    /// its base with a freshly rebuilt one.
-    pub fn release(self, dev: &mut FlashDevice, alloc: &mut SegmentAllocator) -> Result<()> {
-        alloc.free(self.tree.segment(), dev)?;
-        for area in self.areas {
-            alloc.free(area, dev)?;
-        }
-        Ok(())
     }
 
     fn decode_level(&self, payload: &[u8], level: usize) -> IdList {

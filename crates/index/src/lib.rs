@@ -24,13 +24,11 @@
 
 pub mod builder;
 pub mod climbing;
-pub mod maintain;
 pub mod schemes;
 pub mod size_model;
 pub mod skt;
 
 pub use builder::{ClimbingSpec, FkData, IndexBuilder};
 pub use climbing::{CiProbe, ClimbingIndex, LevelSpec};
-pub use maintain::{build_from_state, LevelState, MaintainedIndex, MaintainedSkt, MaintainedSpec};
 pub use schemes::IndexScheme;
 pub use skt::SubtreeKeyTable;

@@ -137,14 +137,6 @@ pub fn scheme_index_bytes(scheme: IndexScheme, input: &SizeModelInput<'_>) -> u6
     total
 }
 
-/// One Figure 7 data point: scheme → MB of index overhead.
-pub fn figure7_point(input: &SizeModelInput<'_>) -> Vec<(IndexScheme, f64)> {
-    IndexScheme::all()
-        .into_iter()
-        .map(|s| (s, scheme_index_bytes(s, input) as f64 / 1e6))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -156,44 +156,6 @@ impl FlashTable {
         self.segment
     }
 
-    /// Rows the backing segment can hold (append headroom).
-    pub fn capacity(&self, page_size: usize) -> u64 {
-        self.segment.pages() * self.layout.rows_per_page(page_size) as u64
-    }
-
-    /// Overwrite row `row` in place. At the FTL this is a read-modify-write
-    /// of the row's page (out of place physically, in place logically).
-    pub fn write_row(&mut self, dev: &mut FlashDevice, row: u64, data: &[u8]) -> Result<()> {
-        if row >= self.rows {
-            return Err(StorageError::RowOutOfRange {
-                row,
-                rows: self.rows,
-            });
-        }
-        debug_assert_eq!(data.len(), self.layout.size());
-        let (page, off) = self.layout.locate(row, dev.page_size());
-        dev.write_at(self.segment.lpn(page)?, off, data)?;
-        Ok(())
-    }
-
-    /// Append one row into the segment's remaining capacity. Fails with
-    /// `RowOutOfRange` when the segment is full — the caller decides
-    /// whether to rebuild into a larger segment.
-    pub fn append_row(&mut self, dev: &mut FlashDevice, data: &[u8]) -> Result<()> {
-        let cap = self.capacity(dev.page_size());
-        if self.rows >= cap {
-            return Err(StorageError::RowOutOfRange {
-                row: self.rows,
-                rows: cap,
-            });
-        }
-        debug_assert_eq!(data.len(), self.layout.size());
-        let (page, off) = self.layout.locate(self.rows, dev.page_size());
-        dev.write_at(self.segment.lpn(page)?, off, data)?;
-        self.rows += 1;
-        Ok(())
-    }
-
     /// Random access: read row `row` into `out` (one page load, row bytes).
     pub fn read_row(&self, dev: &mut FlashDevice, row: u64, out: &mut [u8]) -> Result<()> {
         if row >= self.rows {
@@ -278,26 +240,11 @@ impl FlashTable {
         alloc: &mut SegmentAllocator,
         layout: RowLayout,
         n_rows: u64,
-        fill: impl FnMut(u64, &mut [u8]),
-    ) -> Result<FlashTable> {
-        FlashTable::bulk_load_with_capacity(dev, alloc, layout, n_rows, n_rows, fill)
-    }
-
-    /// Like [`FlashTable::bulk_load_with`], but sizes the backing segment
-    /// for `capacity_rows ≥ n_rows`, leaving headroom for
-    /// [`FlashTable::append_row`].
-    pub fn bulk_load_with_capacity(
-        dev: &mut FlashDevice,
-        alloc: &mut SegmentAllocator,
-        layout: RowLayout,
-        n_rows: u64,
-        capacity_rows: u64,
         mut fill: impl FnMut(u64, &mut [u8]),
     ) -> Result<FlashTable> {
-        assert!(capacity_rows >= n_rows, "capacity below initial rows");
         let page_size = dev.page_size();
         let rpp = layout.rows_per_page(page_size) as u64;
-        let pages = layout.pages_for(capacity_rows, page_size);
+        let pages = layout.pages_for(n_rows, page_size);
         let segment = alloc.alloc(pages)?;
         let size = layout.size();
         let mut image = vec![0u8; page_size];

@@ -30,14 +30,6 @@ pub struct VisShipment {
     pub columns: Vec<(String, Vec<Value>)>,
 }
 
-impl VisShipment {
-    /// Wire size in bytes: 4 bytes per id plus the fixed column widths.
-    pub fn wire_bytes(&self, widths: &[usize]) -> u64 {
-        let per_row: usize = ID_BYTES + widths.iter().sum::<usize>();
-        self.ids.len() as u64 * per_row as u64
-    }
-}
-
 /// Canonical request-shape string for a predicate conjunction, as the host
 /// sees it (values included: the query is public, §3.3).
 fn fmt_preds(preds: &[Predicate]) -> String {
