@@ -5,34 +5,33 @@
 //! perf PR is judged against.
 //!
 //! ```text
-//! perfbench [--smoke] [--out BENCH.json] [--scale F] [--scale2 F]
-//!           [--medical-scale F] [--iters N] [--padded] [--serve]
+//! perfbench [--smoke] [--out BENCH.json]
 //! perfbench --check BENCH.json
 //! perfbench --compare A.json B.json [--tolerance PCT] [--exact]
 //! ```
 //!
-//! Timing is `std::time::Instant` with warmup + median-of-N; simulated
-//! times ride along from the Table 1 cost model (deterministic). The
-//! microbenches measure each optimised operator against its naive
-//! reference implementation, so the harness output itself carries the
-//! before/after evidence for every hot-path change. Every scenario runs on
-//! the calling thread, one after another.
+//! Each mode runs one fixed matrix: full at synthetic x0.01 + x0.05 and
+//! medical x0.2 with 5 timed iterations, smoke at synthetic x0.002 and
+//! medical x0.01 with 3. Timing is `std::time::Instant` with warmup +
+//! median-of-N; simulated times ride along from the Table 1 cost model
+//! (deterministic). Every scenario runs on the calling thread, one after
+//! another.
 
 use ghostdb_bench::json::{
     check_bench, compare_exact_sim, compare_micro_wall, compare_scenarios, Json,
 };
 use ghostdb_bench::perf::{bench_doc, measure, percentile, BenchEntry, RunStats};
 use ghostdb_bench::{
-    build_medical, build_synthetic, build_synthetic_zipf, medical_q, query_q, run_with_tuned,
+    build_medical, build_synthetic, build_synthetic_zipf, medical_q, query_q, run_with,
+    run_with_tuned,
 };
-use ghostdb_bloom::hash::hash_i;
 use ghostdb_bloom::BloomFilter;
 use ghostdb_datagen::pad8;
 use ghostdb_exec::ci_ops::select_sublists;
-use ghostdb_exec::merge::{merge_to_list, merge_to_vec, merge_to_vec_streaming};
+use ghostdb_exec::merge::{merge_to_list, merge_to_vec};
 use ghostdb_exec::project::ProjectAlgo;
 use ghostdb_exec::sjoin::sjoin_stream;
-use ghostdb_exec::source::{IdSource, NaiveUnionStream, UnionStream};
+use ghostdb_exec::source::{IdSource, UnionStream};
 use ghostdb_exec::strategy::VisStrategy;
 use ghostdb_exec::{
     ExecCtx, ExecOptions, ExecReport, Executor, GhostDbServer, ServeConfig, SpjQuery,
@@ -50,33 +49,16 @@ const USAGE: &str = "\
 perfbench — wall-clock performance baseline emitting BENCH.json
 
 USAGE:
-    perfbench [--smoke] [--out PATH] [--scale F] [--scale2 F]
-              [--medical-scale F] [--iters N] [--padded] [--serve]
+    perfbench [--smoke] [--out PATH]
     perfbench --check PATH
     perfbench --compare PATH PATH [--tolerance PCT] [--exact]
 
 OPTIONS:
-    --smoke            reduced matrix (one synthetic scale, fewer
-                       iterations) targeting < 60 s — the CI configuration
+    --smoke            reduced matrix (synthetic x0.002, medical x0.01,
+                       3 timed iterations) targeting < 60 s — the CI
+                       configuration. The full matrix runs synthetic x0.01
+                       and x0.05, medical x0.2, 5 timed iterations
     --out PATH         where to write BENCH.json (default BENCH.json)
-    --scale F          first synthetic scale (default 0.01, T0 = 100 000;
-                       smoke 0.002)
-    --scale2 F         second synthetic scale, full mode only
-                       (default 0.05, T0 = 500 000)
-    --medical-scale F  medical dataset scale (default 0.2; smoke 0.01)
-    --iters N          timed iterations per scenario (default 5; smoke 3)
-    --padded           run the query sweeps with volume-padded Vis
-                       shipments (power-of-two row buckets, the SECURITY.md
-                       countermeasure); recorded in the document. The
-                       dedicated synthetic-padded/ exact-vs-pow2 pairs run
-                       in every document regardless of this flag
-    --serve            add the serve-mode family: a closed-loop load
-                       generator driving a `GhostDbServer` (1 and 4
-                       sessions, deterministic arrival order) whose
-                       `serve/…` entries carry per-query p50/p95/p99
-                       submit→outcome latencies, plus an open-loop (timed
-                       arrival schedule) entry whose percentiles are
-                       arrival→outcome — coordinated-omission-free
     --check PATH       validate an existing BENCH.json and exit
     --compare A B      validate two BENCH.json files and fail if their
                        scenario names drift (e.g. before vs after a change)
@@ -90,20 +72,14 @@ OPTIONS:
                        gate; wall_ns stays free)
     -h, --help         print this help and exit
 
-The scenario set is a pure function of the flags: two runs with the same
-flags emit the same scenarios in the same order (fixed dataset seeds, fixed
-matrix). Wall times are medians over the timed iterations; simulated times
-come from the Table 1 cost model and are bit-identical across runs.";
+The scenario set is a pure function of the mode: two runs of one mode emit
+the same scenarios in the same order (fixed dataset seeds, fixed matrix).
+Wall times are medians over the timed iterations; simulated times come
+from the Table 1 cost model and are bit-identical across runs.";
 
 struct Opts {
     smoke: bool,
     out: String,
-    scale: f64,
-    scale2: f64,
-    medical_scale: f64,
-    iters: usize,
-    padded: bool,
-    serve: bool,
     check: Option<String>,
     compare: Option<(String, String)>,
     tolerance: Option<f64>,
@@ -114,14 +90,6 @@ fn usage_error(msg: &str) -> ! {
     ghostdb_bench::cli::usage_error(msg, USAGE)
 }
 
-fn parse_positive(flag: &str, raw: &str) -> f64 {
-    ghostdb_bench::cli::parse_positive(flag, raw, USAGE)
-}
-
-fn parse_count(flag: &str, raw: &str) -> usize {
-    ghostdb_bench::cli::parse_count(flag, raw, USAGE)
-}
-
 fn parse_nonnegative(flag: &str, raw: &str) -> f64 {
     ghostdb_bench::cli::parse_nonnegative(flag, raw, USAGE)
 }
@@ -130,21 +98,11 @@ fn parse_args() -> Opts {
     let mut opts = Opts {
         smoke: false,
         out: "BENCH.json".into(),
-        scale: 0.0, // resolved after --smoke is known
-        scale2: 0.05,
-        medical_scale: 0.0, // resolved after --smoke is known
-        iters: 0,           // resolved after --smoke is known
-        padded: false,
-        serve: false,
         check: None,
         compare: None,
         tolerance: None,
         exact: false,
     };
-    let mut scale_set = false;
-    let mut scale2_set = false;
-    let mut medical_set = false;
-    let mut iters_set = false;
     let args: Vec<String> = std::env::args().collect();
     let value_of = |args: &[String], i: usize| -> String {
         match args.get(i + 1) {
@@ -166,34 +124,6 @@ fn parse_args() -> Opts {
             "--out" => {
                 opts.out = value_of(&args, i);
                 i += 2;
-            }
-            "--scale" => {
-                opts.scale = parse_positive("--scale", &value_of(&args, i));
-                scale_set = true;
-                i += 2;
-            }
-            "--scale2" => {
-                opts.scale2 = parse_positive("--scale2", &value_of(&args, i));
-                scale2_set = true;
-                i += 2;
-            }
-            "--medical-scale" => {
-                opts.medical_scale = parse_positive("--medical-scale", &value_of(&args, i));
-                medical_set = true;
-                i += 2;
-            }
-            "--iters" => {
-                opts.iters = parse_count("--iters", &value_of(&args, i));
-                iters_set = true;
-                i += 2;
-            }
-            "--padded" => {
-                opts.padded = true;
-                i += 1;
-            }
-            "--serve" => {
-                opts.serve = true;
-                i += 1;
             }
             "--tolerance" => {
                 opts.tolerance = Some(parse_nonnegative("--tolerance", &value_of(&args, i)));
@@ -218,24 +148,6 @@ fn parse_args() -> Opts {
             }
             other => usage_error(&format!("unknown argument {other}")),
         }
-    }
-    if !scale_set {
-        opts.scale = if opts.smoke { 0.002 } else { 0.01 };
-    }
-    if !medical_set {
-        opts.medical_scale = if opts.smoke { 0.01 } else { 0.2 };
-    }
-    if !iters_set {
-        opts.iters = if opts.smoke { 3 } else { 5 };
-    }
-    // Degenerate matrices fail fast instead of after minutes of benching:
-    // equal scales would emit duplicate scenario names (rejected by the
-    // schema), and --scale2 is silently dead weight under --smoke.
-    if opts.smoke && scale2_set {
-        usage_error("--scale2 has no effect with --smoke (one synthetic scale)");
-    }
-    if !opts.smoke && opts.scale == opts.scale2 {
-        usage_error("--scale and --scale2 must differ (duplicate scenarios)");
     }
     if (opts.tolerance.is_some() || opts.exact) && opts.compare.is_none() {
         usage_error("--tolerance/--exact only apply to --compare");
@@ -336,13 +248,7 @@ const SV_MID: f64 = 0.01;
 /// The synthetic query matrix at one scale: full `VisStrategy` sweep under
 /// `Project` across the sV anchors, plus the full sweep under `BruteForce`
 /// at the middle anchor.
-fn synthetic_scenarios(
-    scale: f64,
-    warmup: usize,
-    iters: usize,
-    padded: bool,
-    out: &mut Vec<BenchEntry>,
-) {
+fn synthetic_scenarios(scale: f64, warmup: usize, iters: usize, out: &mut Vec<BenchEntry>) {
     let strategies = [
         VisStrategy::Pre,
         VisStrategy::CrossPre,
@@ -375,7 +281,7 @@ fn synthetic_scenarios(
             );
             eprintln!("perfbench: {name}");
             measure(name, warmup, iters, || {
-                report_stats(&run_with_tuned(db, &q, strategy, algo, padded))
+                report_stats(&run_with(db, &q, strategy, algo))
             })
         },
     ));
@@ -383,13 +289,7 @@ fn synthetic_scenarios(
 
 /// The Zipf-skewed synthetic variant: heavy-headed value distributions at
 /// the primary scale, Cross strategies under `Project` (§6.4's Q shape).
-fn zipf_scenarios(
-    scale: f64,
-    warmup: usize,
-    iters: usize,
-    padded: bool,
-    out: &mut Vec<BenchEntry>,
-) {
+fn zipf_scenarios(scale: f64, warmup: usize, iters: usize, out: &mut Vec<BenchEntry>) {
     let points = [VisStrategy::CrossPre, VisStrategy::CrossPost];
     out.extend(sweep(
         &format!("synthetic-zipf x{scale}"),
@@ -401,13 +301,7 @@ fn zipf_scenarios(
             let name = format!("synthetic-zipf/x{scale}/{}", strategy.name());
             eprintln!("perfbench: {name}");
             measure(name, warmup, iters, || {
-                report_stats(&run_with_tuned(
-                    db,
-                    &q,
-                    strategy,
-                    ProjectAlgo::Project,
-                    padded,
-                ))
+                report_stats(&run_with(db, &q, strategy, ProjectAlgo::Project))
             })
         },
     ));
@@ -418,13 +312,7 @@ fn zipf_scenarios(
 /// leaves and the CI scan is a visible share of the query. This is where
 /// the single-traversal multi-level read path shows up end to end, not
 /// just in the `micro/ci/multi-*` isolation pair.
-fn hicard_scenarios(
-    scale: f64,
-    warmup: usize,
-    iters: usize,
-    padded: bool,
-    out: &mut Vec<BenchEntry>,
-) {
+fn hicard_scenarios(scale: f64, warmup: usize, iters: usize, out: &mut Vec<BenchEntry>) {
     let points = [VisStrategy::CrossPre, VisStrategy::CrossPost];
     out.extend(sweep(
         &format!("synthetic-hicard x{scale}"),
@@ -436,13 +324,7 @@ fn hicard_scenarios(
             let name = format!("synthetic-hicard/x{scale}/{}", strategy.name());
             eprintln!("perfbench: {name}");
             measure(name, warmup, iters, || {
-                report_stats(&run_with_tuned(
-                    db,
-                    &q,
-                    strategy,
-                    ProjectAlgo::Project,
-                    padded,
-                ))
+                report_stats(&run_with(db, &q, strategy, ProjectAlgo::Project))
             })
         },
     ));
@@ -451,8 +333,8 @@ fn hicard_scenarios(
 /// Exact-vs-pow2 padding A/B pairs: the same Cross query at sV = 0.1 run
 /// once with exact-volume Vis shipments and once with the power-of-two
 /// padded mode (the SECURITY.md wire-volume countermeasure), so every
-/// BENCH.json carries the padding overhead regardless of `--padded`. The
-/// pad mode is set per point here, independent of `--padded`.
+/// BENCH.json carries the padding overhead. Every other sweep ships exact
+/// volumes.
 fn padded_scenarios(scale: f64, warmup: usize, iters: usize, out: &mut Vec<BenchEntry>) {
     let points = [
         (VisStrategy::CrossPre, false),
@@ -486,13 +368,7 @@ fn padded_scenarios(scale: f64, warmup: usize, iters: usize, out: &mut Vec<Bench
     ));
 }
 
-fn medical_scenarios(
-    scale: f64,
-    warmup: usize,
-    iters: usize,
-    padded: bool,
-    out: &mut Vec<BenchEntry>,
-) {
+fn medical_scenarios(scale: f64, warmup: usize, iters: usize, out: &mut Vec<BenchEntry>) {
     let points = [VisStrategy::CrossPre, VisStrategy::CrossPost];
     out.extend(sweep(
         &format!("medical x{scale}"),
@@ -504,13 +380,7 @@ fn medical_scenarios(
             let name = format!("medical/x{scale}/{}", strategy.name());
             eprintln!("perfbench: {name}");
             measure(name, warmup, iters, || {
-                report_stats(&run_with_tuned(
-                    db,
-                    &q,
-                    strategy,
-                    ProjectAlgo::Project,
-                    padded,
-                ))
+                report_stats(&run_with(db, &q, strategy, ProjectAlgo::Project))
             })
         },
     ));
@@ -855,7 +725,7 @@ fn micro_device() -> (FlashDevice, SegmentAllocator, RamArena) {
     (dev, alloc, RamArena::paper_default())
 }
 
-/// k-way union: naive scan-per-element vs binary heap, over 16 flash lists.
+/// k-way heap union over 16 flash lists.
 fn micro_union(warmup: usize, iters: usize, out: &mut Vec<BenchEntry>) {
     let (mut dev, mut alloc, ram) = micro_device();
     let sources: Vec<IdSource> = (0..16u32)
@@ -864,17 +734,6 @@ fn micro_union(warmup: usize, iters: usize, out: &mut Vec<BenchEntry>) {
             IdSource::Flash(write_id_list(&mut dev, &mut alloc, &ram, &ids).unwrap())
         })
         .collect();
-    out.push(measure("micro/merge/union16_naive", warmup, iters, || {
-        let mut u = NaiveUnionStream::open(&sources, &ram, dev.page_size()).unwrap();
-        let mut n = 0u64;
-        while u.next(&mut dev).unwrap().is_some() {
-            n += 1;
-        }
-        RunStats {
-            ops: n,
-            ..Default::default()
-        }
-    }));
     out.push(measure("micro/merge/union16_heap", warmup, iters, || {
         let mut u = UnionStream::open(&sources, &ram, dev.page_size()).unwrap();
         let mut n = 0u64;
@@ -888,7 +747,7 @@ fn micro_union(warmup: usize, iters: usize, out: &mut Vec<BenchEntry>) {
     }));
 }
 
-/// Host-resident CNF merge: streaming machinery vs galloping fast path.
+/// Host-resident CNF merge: the galloping fast path.
 fn micro_intersect(warmup: usize, iters: usize, out: &mut Vec<BenchEntry>) {
     let mut db = ghostdb_exec::testkit::tiny_db();
     let a: Arc<Vec<Id>> = Arc::new((0..200_000u32).map(|i| i * 2).collect());
@@ -899,19 +758,6 @@ fn micro_intersect(warmup: usize, iters: usize, out: &mut Vec<BenchEntry>) {
             vec![IdSource::Host(b.clone())],
         ]
     };
-    out.push(measure(
-        "micro/idlist/intersect_stream",
-        warmup,
-        iters,
-        || {
-            let mut ctx = ExecCtx::new(&mut db);
-            let ids = merge_to_vec_streaming(&mut ctx, groups(&a, &b)).unwrap();
-            RunStats {
-                ops: ids.len() as u64,
-                ..Default::default()
-            }
-        },
-    ));
     out.push(measure(
         "micro/idlist/intersect_gallop",
         warmup,
@@ -927,26 +773,12 @@ fn micro_intersect(warmup: usize, iters: usize, out: &mut Vec<BenchEntry>) {
     ));
 }
 
-/// Bloom build + probe: per-index rehashing vs single-pair double hashing.
+/// Bloom build + probe with single-pair double hashing.
 fn micro_bloom(warmup: usize, iters: usize, out: &mut Vec<BenchEntry>) {
     let n = 100_000u64;
     let m_bits = 8 * n;
     let k = 4u32;
     let bytes = (m_bits as usize).div_ceil(8);
-    out.push(measure("micro/bloom/build_naive", warmup, iters, || {
-        let mut bits = vec![0u8; bytes];
-        for key in 0..n {
-            for i in 0..k {
-                let bit = hash_i(key, i) % m_bits;
-                bits[(bit / 8) as usize] |= 1u8 << (bit % 8);
-            }
-        }
-        std::hint::black_box(&bits);
-        RunStats {
-            ops: n,
-            ..Default::default()
-        }
-    }));
     out.push(measure("micro/bloom/build_dh", warmup, iters, || {
         let mut bf = BloomFilter::new(vec![0u8; bytes], m_bits, k);
         for key in 0..n {
@@ -960,30 +792,10 @@ fn micro_bloom(warmup: usize, iters: usize, out: &mut Vec<BenchEntry>) {
     }));
 
     let mut bf = BloomFilter::new(vec![0u8; bytes], m_bits, k);
-    let mut naive_bits = vec![0u8; bytes];
     for key in (0..2 * n).step_by(2) {
         bf.insert(key);
-        for i in 0..k {
-            let bit = hash_i(key, i) % m_bits;
-            naive_bits[(bit / 8) as usize] |= 1u8 << (bit % 8);
-        }
     }
     let probes: Vec<u64> = (0..2 * n).collect();
-    let mut naive_scratch: Vec<u64> = Vec::new();
-    out.push(measure("micro/bloom/probe_naive", warmup, iters, || {
-        naive_scratch.clear();
-        naive_scratch.extend(probes.iter().copied().filter(|&key| {
-            (0..k).all(|i| {
-                let bit = hash_i(key, i) % m_bits;
-                naive_bits[(bit / 8) as usize] & (1u8 << (bit % 8)) != 0
-            })
-        }));
-        std::hint::black_box(naive_scratch.len());
-        RunStats {
-            ops: probes.len() as u64,
-            ..Default::default()
-        }
-    }));
     let mut scratch: Vec<u64> = Vec::new();
     out.push(measure("micro/bloom/probe_dh", warmup, iters, || {
         bf.retain_into(&probes, &mut scratch);
@@ -995,8 +807,8 @@ fn micro_bloom(warmup: usize, iters: usize, out: &mut Vec<BenchEntry>) {
     }));
 }
 
-/// Climbing-index equality probes: per-id descents vs the batched
-/// ascending run sharing the cached leaf.
+/// Climbing-index equality probes: one batched ascending run sharing the
+/// cached leaf.
 fn micro_ci_probe(warmup: usize, iters: usize, out: &mut Vec<BenchEntry>) {
     let schema = paper_synthetic_schema(1, 1);
     let (mut dev, mut alloc, ram) = micro_device();
@@ -1033,19 +845,6 @@ fn micro_ci_probe(warmup: usize, iters: usize, out: &mut Vec<BenchEntry>) {
         )
         .unwrap();
     let probes: Vec<u64> = (0..2000u64).map(|i| i * 2).collect();
-    out.push(measure("micro/ci/probe_scalar", warmup, iters, || {
-        let mut probe = ci.probe(&ram).unwrap();
-        let mut found = 0u64;
-        for &key in &probes {
-            if probe.lookup_eq(&mut dev, key, 1).unwrap().is_some() {
-                found += 1;
-            }
-        }
-        RunStats {
-            ops: found,
-            ..Default::default()
-        }
-    }));
     out.push(measure("micro/ci/probe_run", warmup, iters, || {
         let mut probe = ci.probe(&ram).unwrap();
         let lists = probe.lookup_eq_run(&mut dev, &probes, 1).unwrap();
@@ -1056,12 +855,11 @@ fn micro_ci_probe(warmup: usize, iters: usize, out: &mut Vec<BenchEntry>) {
     }));
 }
 
-/// Multi-level climbing-index range scans: the naive per-level traversal
-/// vs the single traversal decoding every requested level per leaf entry
-/// (the Cross-Post "redundant lookup" fix). A 4-deep chain schema
-/// `C0 ← C1 ← C2 ← C3` gives the index 4 levels (48-byte payloads, 36 leaf
-/// entries per 2 KiB page), so the full-domain scan walks ~330 leaves —
-/// the naive path re-reads them once per extra level.
+/// Multi-level climbing-index range scans: the single traversal decoding
+/// every requested level per leaf entry (the Cross-Post "redundant lookup"
+/// fix). A 4-deep chain schema `C0 ← C1 ← C2 ← C3` gives the index 4
+/// levels (48-byte payloads, 36 leaf entries per 2 KiB page), so the
+/// full-domain scan walks ~330 leaves once, however many levels decode.
 fn micro_ci_multi(warmup: usize, iters: usize, out: &mut Vec<BenchEntry>) {
     use ghostdb_storage::schema::{Column, SchemaTree, TableDef};
     use ghostdb_storage::ColumnType;
@@ -1100,33 +898,9 @@ fn micro_ci_multi(warmup: usize, iters: usize, out: &mut Vec<BenchEntry>) {
         .expect("chain index builds");
     assert_eq!(ci.levels.len(), 4);
     let (lo, hi) = (0u64, 12_000u64);
-    // Unlike the host-side micros, these record `bytes_io` too: the
-    // naive-vs-single flash-byte ratio (≈ levels requested) is the
-    // Cross-Post CI cost reduction, carried straight into BENCH.json.
+    // Unlike the host-side micros, these record `bytes_io` too: the flash
+    // bytes of one traversal, whatever the number of levels requested.
     for (tag, levels) in [("2lvl", vec![0usize, 3]), ("4lvl", vec![0, 1, 2, 3])] {
-        let naive_levels = levels.clone();
-        out.push(measure(
-            format!("micro/ci/multi-{tag}_naive"),
-            warmup,
-            iters,
-            || {
-                let mut probe = ci.probe(&ram).unwrap();
-                let snap = dev.snapshot();
-                let mut lists = 0u64;
-                for &level in &naive_levels {
-                    lists += probe
-                        .naive_lookup_range(&mut dev, lo, hi, level)
-                        .unwrap()
-                        .len() as u64;
-                }
-                let io = dev.stats_since(&snap);
-                RunStats {
-                    ops: lists,
-                    bytes_io: io.bytes_to_ram + io.bytes_from_ram,
-                    ..Default::default()
-                }
-            },
-        ));
         out.push(measure(
             format!("micro/ci/multi-{tag}_single"),
             warmup,
@@ -1314,39 +1088,6 @@ fn micro_project_mjoin_multipass(warmup: usize, iters: usize, out: &mut Vec<Benc
     ));
 }
 
-/// Print the naive-vs-optimised pairs: the measured improvement every
-/// operator optimisation banks, straight from the harness output.
-fn print_improvements(entries: &[BenchEntry]) {
-    let wall = |name: &str| -> Option<u128> {
-        entries
-            .iter()
-            .find(|e| e.scenario == name)
-            .map(|e| e.wall_ns)
-    };
-    println!("\noperator improvements (median wall time, naive → optimised):");
-    for (naive, opt) in [
-        ("micro/merge/union16_naive", "micro/merge/union16_heap"),
-        ("micro/bloom/build_naive", "micro/bloom/build_dh"),
-        ("micro/bloom/probe_naive", "micro/bloom/probe_dh"),
-        ("micro/ci/probe_scalar", "micro/ci/probe_run"),
-        ("micro/ci/multi-2lvl_naive", "micro/ci/multi-2lvl_single"),
-        ("micro/ci/multi-4lvl_naive", "micro/ci/multi-4lvl_single"),
-        (
-            "micro/idlist/intersect_stream",
-            "micro/idlist/intersect_gallop",
-        ),
-    ] {
-        if let (Some(a), Some(b)) = (wall(naive), wall(opt)) {
-            println!(
-                "  {naive:<34} {:>12} ns  →  {:>12} ns  ({:.2}x)",
-                a,
-                b,
-                a as f64 / b.max(1) as f64
-            );
-        }
-    }
-}
-
 fn main() {
     let opts = parse_args();
     if let Some((a, b)) = &opts.compare {
@@ -1355,31 +1096,31 @@ fn main() {
     if let Some(path) = &opts.check {
         run_check(path);
     }
-    let mode = if opts.smoke { "smoke" } else { "full" };
+    let (mode, scale, medical_scale, iters) = if opts.smoke {
+        ("smoke", 0.002, 0.01, 3)
+    } else {
+        ("full", 0.01, 0.2, 5)
+    };
     let warmup = 1usize;
-    let iters = opts.iters;
-    let padded = opts.padded;
     eprintln!(
         "perfbench: mode {mode}, {iters} timed iterations per scenario \
          (+{warmup} warmup)"
     );
 
     let mut entries: Vec<BenchEntry> = Vec::new();
-    synthetic_scenarios(opts.scale, warmup, iters, padded, &mut entries);
+    synthetic_scenarios(scale, warmup, iters, &mut entries);
     if !opts.smoke {
-        synthetic_scenarios(opts.scale2, warmup, iters, padded, &mut entries);
+        synthetic_scenarios(0.05, warmup, iters, &mut entries);
     }
-    zipf_scenarios(opts.scale, warmup, iters, padded, &mut entries);
-    hicard_scenarios(opts.scale, warmup, iters, padded, &mut entries);
-    padded_scenarios(opts.scale, warmup, iters, &mut entries);
-    medical_scenarios(opts.medical_scale, warmup, iters, padded, &mut entries);
+    zipf_scenarios(scale, warmup, iters, &mut entries);
+    hicard_scenarios(scale, warmup, iters, &mut entries);
+    padded_scenarios(scale, warmup, iters, &mut entries);
+    medical_scenarios(medical_scale, warmup, iters, &mut entries);
     eprintln!("perfbench: write-path scenarios...");
     ingest_scenarios(warmup, iters, &mut entries);
     gc_pressure_scenarios(warmup, iters, &mut entries);
-    if opts.serve {
-        serve_scenarios(opts.scale, warmup, iters, &mut entries);
-        serve_open_scenarios(opts.scale, warmup, iters, &mut entries);
-    }
+    serve_scenarios(scale, warmup, iters, &mut entries);
+    serve_open_scenarios(scale, warmup, iters, &mut entries);
 
     eprintln!("perfbench: operator microbenches...");
     micro_union(warmup, iters, &mut entries);
@@ -1387,13 +1128,13 @@ fn main() {
     micro_bloom(warmup, iters, &mut entries);
     micro_ci_probe(warmup, iters, &mut entries);
     micro_ci_multi(warmup, iters, &mut entries);
-    micro_sjoin(opts.scale, warmup, iters, &mut entries);
-    micro_merge_reduce(opts.scale, warmup, iters, &mut entries);
+    micro_sjoin(scale, warmup, iters, &mut entries);
+    micro_merge_reduce(scale, warmup, iters, &mut entries);
     micro_project_hidden_point(warmup, iters, &mut entries);
     micro_project_root_hidden_sparse(warmup, iters, &mut entries);
     micro_project_mjoin_multipass(warmup, iters, &mut entries);
 
-    let doc = bench_doc(mode, padded, &entries);
+    let doc = bench_doc(mode, &entries);
     let summary = check_bench(&doc).unwrap_or_else(|e| {
         eprintln!("perfbench: generated document violates its own schema: {e}");
         std::process::exit(1);
@@ -1406,5 +1147,4 @@ fn main() {
         "wrote {} — {} entries ({} query scenarios, {} microbenches)",
         opts.out, summary.entries, summary.scenarios, summary.micro
     );
-    print_improvements(&entries);
 }

@@ -1,7 +1,7 @@
 //! Shared flag handling for the crate's binaries (`repro`, `perfbench`):
 //! usage errors exit 2, numeric flags must be finite and strictly positive
 //! (zero/negative scales used to slip through and silently produce
-//! degenerate datasets), count flags (`--iters`) must be integers ≥ 1.
+//! degenerate datasets).
 //! The `try_*` functions hold the validation policy and are unit-tested;
 //! the exiting wrappers route failures through [`usage_error`].
 
@@ -44,23 +44,6 @@ pub fn parse_nonnegative(flag: &str, raw: &str, usage: &str) -> f64 {
     try_parse_nonnegative(flag, raw).unwrap_or_else(|msg| usage_error(&msg, usage))
 }
 
-/// Validate a count flag value (`--iters`): an integer ≥ 1.
-/// Zero, negatives, fractions and non-numbers are all rejected.
-pub fn try_parse_count(flag: &str, raw: &str) -> Result<usize, String> {
-    let v: u64 = raw
-        .parse()
-        .map_err(|_| format!("bad {flag} (expected a positive integer)"))?;
-    if v == 0 {
-        return Err(format!("{flag} must be ≥ 1, got {raw}"));
-    }
-    Ok(v as usize)
-}
-
-/// Parse a count flag value (an integer ≥ 1).
-pub fn parse_count(flag: &str, raw: &str, usage: &str) -> usize {
-    try_parse_count(flag, raw).unwrap_or_else(|msg| usage_error(&msg, usage))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -82,22 +65,6 @@ mod tests {
     }
 
     #[test]
-    fn iters_flag_accepts_integers_from_one() {
-        assert_eq!(try_parse_count("--iters", "1"), Ok(1));
-        assert_eq!(try_parse_count("--iters", "2"), Ok(2));
-        assert_eq!(try_parse_count("--iters", "64"), Ok(64));
-    }
-
-    #[test]
-    fn iters_flag_rejects_zero_fractions_and_garbage() {
-        for bad in ["0", "-2", "1.5", "2.0", "two", "", " 4", "+0"] {
-            let err = try_parse_count("--iters", bad)
-                .expect_err(&format!("--iters {bad:?} must be rejected"));
-            assert!(err.contains("--iters"), "message names the flag: {err}");
-        }
-    }
-
-    #[test]
     fn tolerance_flag_accepts_zero_and_positive() {
         assert_eq!(try_parse_nonnegative("--tolerance", "0"), Ok(0.0));
         assert_eq!(try_parse_nonnegative("--tolerance", "150"), Ok(150.0));
@@ -107,12 +74,5 @@ mod tests {
                 .expect_err(&format!("--tolerance {bad:?} must be rejected"));
             assert!(err.contains("--tolerance"), "message names the flag: {err}");
         }
-    }
-
-    #[test]
-    fn iters_flag_shares_the_count_policy() {
-        assert_eq!(try_parse_count("--iters", "3"), Ok(3));
-        assert!(try_parse_count("--iters", "0").is_err());
-        assert!(try_parse_count("--iters", "2.5").is_err());
     }
 }

@@ -318,24 +318,6 @@ pub fn check_bench(doc: &Json) -> Result<BenchSummary, String> {
         .and_then(Json::as_str)
         .filter(|m| *m == "full" || *m == "smoke")
         .ok_or("mode must be \"full\" or \"smoke\"")?;
-    // `threads` recorded the retired parallel harness's sweep width and
-    // `intra_threads` the retired intra-query lane count. Neither is
-    // emitted any more; both stay optional so documents that carry them
-    // (the committed baseline among them) still validate.
-    for field in ["threads", "intra_threads"] {
-        if let Some(t) = doc.get(field) {
-            let t = t.as_num().ok_or(format!("{field} must be a number"))?;
-            if t.fract() != 0.0 || t < 1.0 {
-                return Err(format!("{field} must be an integer ≥ 1, got {t}"));
-            }
-        }
-    }
-    // `padded` arrived with the volume-padding mode; absent in older docs.
-    if let Some(p) = doc.get("padded") {
-        if !matches!(p, Json::Bool(_)) {
-            return Err("padded must be a boolean".into());
-        }
-    }
     let entries = doc
         .get("entries")
         .and_then(Json::as_arr)
@@ -606,29 +588,6 @@ mod tests {
         assert!(check_bench(&bad).is_err());
     }
 
-    #[test]
-    fn checker_validates_optional_threads() {
-        let names: Vec<String> = (0..12)
-            .map(|i| format!("q{i}"))
-            .chain(std::iter::once("micro/x".into()))
-            .collect();
-        let with_threads = |t: Json| {
-            let Json::Obj(mut fields) = doc(&names) else {
-                unreachable!()
-            };
-            fields.push(("threads".into(), t));
-            Json::Obj(fields)
-        };
-        // Absent (the committed PR-2 baseline) and sane values pass.
-        assert!(check_bench(&doc(&names)).is_ok());
-        assert!(check_bench(&with_threads(Json::Num(1.0))).is_ok());
-        assert!(check_bench(&with_threads(Json::Num(8.0))).is_ok());
-        // Zero, fractions and non-numbers fail.
-        assert!(check_bench(&with_threads(Json::Num(0.0))).is_err());
-        assert!(check_bench(&with_threads(Json::Num(2.5))).is_err());
-        assert!(check_bench(&with_threads(Json::Str("2".into()))).is_err());
-    }
-
     fn with_entry_field(mut d: Json, idx: usize, field: usize, v: Json) -> Json {
         if let Json::Obj(fields) = &mut d {
             if let Json::Arr(entries) = &mut fields[2].1 {
@@ -693,28 +652,6 @@ mod tests {
         let mut renamed = names.clone();
         renamed[0] = "other".into();
         assert!(compare_exact_sim(&base, &doc(&renamed)).is_err());
-    }
-
-    #[test]
-    fn checker_validates_optional_intra_threads_and_padded() {
-        let names: Vec<String> = (0..12)
-            .map(|i| format!("q{i}"))
-            .chain(std::iter::once("micro/x".into()))
-            .collect();
-        let with_field = |k: &str, v: Json| {
-            let Json::Obj(mut fields) = doc(&names) else {
-                unreachable!()
-            };
-            fields.push((k.into(), v));
-            Json::Obj(fields)
-        };
-        assert!(check_bench(&with_field("intra_threads", Json::Num(2.0))).is_ok());
-        assert!(check_bench(&with_field("intra_threads", Json::Num(0.0))).is_err());
-        assert!(check_bench(&with_field("intra_threads", Json::Num(1.5))).is_err());
-        assert!(check_bench(&with_field("padded", Json::Bool(true))).is_ok());
-        assert!(check_bench(&with_field("padded", Json::Bool(false))).is_ok());
-        assert!(check_bench(&with_field("padded", Json::Num(1.0))).is_err());
-        assert!(check_bench(&with_field("padded", Json::Str("yes".into()))).is_err());
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! evaluation (§6). Each `figure*` function returns printable series; the
 //! `repro` binary drives them. Execution times are **simulated times** from
 //! the I/O-accurate cost model (exactly how the paper measured), so results
-//! are deterministic; Criterion benches cover host-side wall time of the
-//! operators separately.
+//! are deterministic; the `perfbench` binary records host-side wall time
+//! of the queries and operators in `BENCH.json`.
 
 pub mod cli;
 pub mod json;
@@ -107,10 +107,9 @@ pub fn run_with(
     run_with_tuned(db, q, strategy, algo, false)
 }
 
-/// [`run_with`] with an explicit volume-padding mode (the `perfbench
-/// --padded` path). `padded` inflates the channel cost (its overhead is
-/// exactly what the `*-padded/` scenarios quantify) without changing
-/// results.
+/// [`run_with`] with an explicit volume-padding mode. `padded` inflates the
+/// channel cost (its overhead is exactly what perfbench's
+/// `synthetic-padded/` scenarios quantify) without changing results.
 pub fn run_with_tuned(
     db: &mut Database,
     q: &SpjQuery,

@@ -98,16 +98,12 @@ pub fn measure(
     }
 }
 
-/// Assemble the BENCH.json document. `padded` records whether the query
-/// sweeps ran with volume-padded shipments. (The dedicated
-/// `synthetic-padded/…` scenarios carry both pad modes in every document;
-/// `padded` records the mode of the *main* sweeps.)
-pub fn bench_doc(mode: &str, padded: bool, entries: &[BenchEntry]) -> Json {
+/// Assemble the BENCH.json document.
+pub fn bench_doc(mode: &str, entries: &[BenchEntry]) -> Json {
     Json::Obj(vec![
         ("schema_version".into(), Json::Num(1.0)),
         ("generator".into(), Json::Str("perfbench".into())),
         ("mode".into(), Json::Str(mode.into())),
-        ("padded".into(), Json::Bool(padded)),
         (
             "entries".into(),
             Json::Arr(entries.iter().map(BenchEntry::to_json).collect()),
@@ -177,7 +173,7 @@ mod tests {
                 },
             ])
             .collect();
-        let doc = bench_doc("smoke", false, &entries);
+        let doc = bench_doc("smoke", &entries);
         let text = doc.render();
         let parsed = Json::parse(&text).unwrap();
         crate::json::check_bench(&parsed).unwrap();

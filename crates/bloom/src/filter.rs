@@ -96,8 +96,8 @@ impl<S: AsRef<[u8]> + AsMut<[u8]>> BloomFilter<S> {
     /// `out` is a reusable scratch buffer (cleared on entry) so repeated
     /// batch probes amortise the allocation. The executor's query paths
     /// stream ids one at a time through [`contains`](Self::contains); this
-    /// entry point serves host-side batch probing (`perfbench` measures it
-    /// against the per-index-rehash baseline).
+    /// entry point serves host-side batch probing (`perfbench`'s
+    /// `micro/bloom/probe_dh` measures it).
     pub fn retain_into(&self, keys: &[u64], out: &mut Vec<u64>) {
         out.clear();
         out.extend(keys.iter().copied().filter(|k| self.contains(*k)));

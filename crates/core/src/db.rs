@@ -25,10 +25,6 @@ pub struct GhostDbConfig {
     pub token: TokenConfig,
     /// Capture channel payloads in the transcript (leak-audit demos).
     pub capture_channel: bool,
-    /// Build climbing indexes on every hidden non-key column at load time
-    /// (the paper's fully indexed model). Disable to index selectively via
-    /// the lower-level API.
-    pub index_hidden: bool,
 }
 
 impl Default for GhostDbConfig {
@@ -36,7 +32,6 @@ impl Default for GhostDbConfig {
         GhostDbConfig {
             token: TokenConfig::paper_platform(64 * 1024 * 1024),
             capture_channel: false,
-            index_hidden: true,
         }
     }
 }
@@ -256,7 +251,7 @@ impl GhostDb {
                     columns.push(ColumnLoad {
                         name: col.name.clone(),
                         gen: Box::new(move |r| rows[r as usize][ci_copy].clone()),
-                        index: self.config.index_hidden && col.visibility == Visibility::Hidden,
+                        index: col.visibility == Visibility::Hidden,
                         exact: None, // verified by the loader
                     });
                 }
@@ -268,9 +263,9 @@ impl GhostDb {
                 columns,
             });
         }
-        let mut config = self.config.token.clone();
-        config.capture_channel = self.config.capture_channel;
-        self.db = Some(Database::assemble(schema, &config, loads)?);
+        let mut db = Database::assemble(schema, &self.config.token, loads)?;
+        db.token.channel.set_capture(self.config.capture_channel);
+        self.db = Some(db);
         Ok(())
     }
 
@@ -810,6 +805,30 @@ mod tests {
             "SELECT W.id FROM W WHERE W.s = 'abcd'",
         ] {
             assert_eq!(ids(sql), vec![vec![Value::Int(0)]], "{sql}");
+        }
+    }
+
+    #[test]
+    fn float4_hidden_and_visible_columns_agree() {
+        // 0.1 is not an f32: both columns store 0.10000000149011612, so a
+        // comparison against the literal 0.1 must see that value on both
+        // sides, not the f64 the row was loaded with.
+        let mut db = GhostDb::new(GhostDbConfig::default());
+        db.execute("CREATE TABLE F (id INT, v FLOAT, h FLOAT HIDDEN)")
+            .unwrap();
+        db.insert_rows("F", vec![vec![Value::Float(0.1), Value::Float(0.1)]])
+            .unwrap();
+        let sealed = db.finalize().unwrap();
+        let rows = |sql: &str| sealed.query(sql).unwrap().rows.len();
+        let stored = f64::from(0.1f32);
+        assert_eq!(
+            sealed.query("SELECT F.v, F.h FROM F").unwrap().rows,
+            vec![vec![Value::Float(stored), Value::Float(stored)]]
+        );
+        for (op, want) in [("=", 0), ("<=", 0), (">", 1)] {
+            let v = rows(&format!("SELECT F.id FROM F WHERE F.v {op} 0.1"));
+            let h = rows(&format!("SELECT F.id FROM F WHERE F.h {op} 0.1"));
+            assert_eq!((v, h), (want, want), "F.v/F.h {op} 0.1");
         }
     }
 }

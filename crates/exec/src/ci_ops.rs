@@ -55,9 +55,8 @@ pub fn select_sublists(
 /// decode from its payload, so the flash pages charged to `OpKind::Ci`
 /// equal those of *one* per-level scan, independent of `targets.len()`.
 ///
-/// [`naive_select_sublists_multi`] keeps the per-level reference path; the
-/// differential suite (`ci_multi_equivalence`) and the `micro/ci/multi-*`
-/// perfbench pair hold the two to identical sublists.
+/// The differential suite (`ci_multi_equivalence`) holds it to the
+/// per-level reference path: identical sublists, never more I/O.
 pub fn select_sublists_multi(
     ctx: &mut ExecCtx<'_>,
     ci: &ClimbingIndex,
@@ -79,38 +78,6 @@ pub fn select_sublists_multi(
             .into_iter()
             .map(|level| level.into_iter().map(IdSource::Flash).collect())
             .collect())
-    })
-}
-
-/// Per-level reference for [`select_sublists_multi`]: one full
-/// `CiProbe::naive_lookup_range` traversal per target level on a shared
-/// probe — the pre-batching behaviour verbatim (mirroring the
-/// `NaiveUnionStream` pattern). Same sublists; re-reads the range's leaf
-/// pages and re-copies every payload once per level, so it is the honest
-/// baseline the single-traversal path is judged against.
-pub fn naive_select_sublists_multi(
-    ctx: &mut ExecCtx<'_>,
-    ci: &ClimbingIndex,
-    pred: &Predicate,
-    targets: &[TableId],
-) -> Result<Vec<Vec<IdSource>>> {
-    let levels: Vec<usize> = targets
-        .iter()
-        .map(|t| level_of(ctx, ci, *t))
-        .collect::<Result<_>>()?;
-    let (lo, hi) = pred.key_range();
-    ctx.track(OpKind::Ci, |ctx| {
-        let ram = ctx.ram();
-        let mut probe = ci.probe(&ram)?;
-        let mut out: Vec<Vec<IdSource>> = vec![Vec::new(); targets.len()];
-        ctx.lane.with_flash(|dev| -> Result<()> {
-            for (i, level) in levels.iter().enumerate() {
-                let lists = probe.naive_lookup_range(dev, lo, hi, *level)?;
-                out[i] = lists.into_iter().map(IdSource::Flash).collect();
-            }
-            Ok(())
-        })?;
-        Ok(out)
     })
 }
 

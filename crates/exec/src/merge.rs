@@ -319,12 +319,9 @@ pub fn merge_to_vec(ctx: &mut ExecCtx<'_>, groups: Vec<Vec<IdSource>>) -> Result
 }
 
 /// The streaming evaluation of [`merge_to_vec`] (always correct, charges
-/// I/O for flash sources). Public within the crate so equivalence tests
-/// and `perfbench` can pit the host fast path against it.
-pub fn merge_to_vec_streaming(
-    ctx: &mut ExecCtx<'_>,
-    groups: Vec<Vec<IdSource>>,
-) -> Result<Vec<Id>> {
+/// I/O for flash sources); the equivalence tests below pit the host fast
+/// path against it.
+fn merge_to_vec_streaming(ctx: &mut ExecCtx<'_>, groups: Vec<Vec<IdSource>>) -> Result<Vec<Id>> {
     let mut stream = open_merge(ctx, groups, 0)?;
     let mut out = Vec::new();
     while let Some(id) = stream.next(ctx)? {

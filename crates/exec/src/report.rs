@@ -141,17 +141,6 @@ impl ExecReport {
             ("Project", project),
         ]
     }
-
-    /// Fold another report into this one (used by sweeps).
-    pub fn merge_from(&mut self, other: &ExecReport) {
-        for (a, b) in self.op_ns.iter_mut().zip(&other.op_ns) {
-            *a += b;
-        }
-        self.comm += other.comm;
-        self.bytes_to_secure += other.bytes_to_secure;
-        self.result_rows += other.result_rows;
-        self.peak_ram_buffers = self.peak_ram_buffers.max(other.peak_ram_buffers);
-    }
 }
 
 /// Split a flash-stats delta into its read-side and write-side simulated
@@ -222,17 +211,5 @@ mod tests {
         let (r, w) = split_rw(&d, &t, 2048);
         assert_eq!(r + w, d.elapsed(&t, 2048));
         assert_eq!(r.as_ns(), 2 * 25_000 + 1000 * 50);
-    }
-
-    #[test]
-    fn merge_from_accumulates() {
-        let mut a = ExecReport::new();
-        a.add(OpKind::Ci, SimDuration::from_us(1));
-        let mut b = ExecReport::new();
-        b.add(OpKind::Ci, SimDuration::from_us(2));
-        b.result_rows = 7;
-        a.merge_from(&b);
-        assert_eq!(a.op(OpKind::Ci), SimDuration::from_us(3));
-        assert_eq!(a.result_rows, 7);
     }
 }

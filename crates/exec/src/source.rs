@@ -241,56 +241,6 @@ impl UnionStream {
     }
 }
 
-/// The scan-per-element union the heap version replaced, kept as the
-/// reference implementation: equivalence tests assert both produce
-/// byte-identical streams, and `perfbench` measures the heap's win against
-/// it. Not used on any query path.
-#[derive(Debug)]
-pub struct NaiveUnionStream {
-    readers: Vec<SourceReader>,
-}
-
-impl NaiveUnionStream {
-    /// Union over open readers.
-    pub fn new(readers: Vec<SourceReader>) -> Self {
-        NaiveUnionStream { readers }
-    }
-
-    /// Open readers for all sources of a group.
-    pub fn open(sources: &[IdSource], ram: &RamArena, page_size: usize) -> Result<Self> {
-        let readers = sources
-            .iter()
-            .map(|s| SourceReader::open(s, ram, page_size))
-            .collect::<Result<Vec<_>>>()?;
-        Ok(NaiveUnionStream { readers })
-    }
-
-    /// Next ID of the union: scan all readers for the minimum, then consume
-    /// it from every reader holding it.
-    pub fn next(&mut self, dev: &mut FlashDevice) -> Result<Option<Id>> {
-        let mut min: Option<Id> = None;
-        for r in self.readers.iter_mut() {
-            if let Some(v) = r.peek(dev)? {
-                min = Some(match min {
-                    Some(m) => m.min(v),
-                    None => v,
-                });
-            }
-        }
-        let Some(m) = min else { return Ok(None) };
-        for r in self.readers.iter_mut() {
-            while let Some(v) = r.peek(dev)? {
-                if v == m {
-                    r.next(dev)?;
-                } else {
-                    break;
-                }
-            }
-        }
-        Ok(Some(m))
-    }
-}
-
 /// Intersection across groups of unions: yields IDs present in *every*
 /// group (the `∩i{∪j{...}}` of the paper's `Merge`).
 #[derive(Debug)]
@@ -348,6 +298,49 @@ mod tests {
         );
         let alloc = SegmentAllocator::new(dev.logical_pages());
         (dev, alloc, RamArena::paper_default())
+    }
+
+    /// The scan-per-element union the heap version replaced, kept as the
+    /// reference the equivalence tests below hold [`UnionStream`] to.
+    #[derive(Debug)]
+    struct NaiveUnionStream {
+        readers: Vec<SourceReader>,
+    }
+
+    impl NaiveUnionStream {
+        /// Open readers for all sources of a group.
+        fn open(sources: &[IdSource], ram: &RamArena, page_size: usize) -> Result<Self> {
+            let readers = sources
+                .iter()
+                .map(|s| SourceReader::open(s, ram, page_size))
+                .collect::<Result<Vec<_>>>()?;
+            Ok(NaiveUnionStream { readers })
+        }
+
+        /// Next ID of the union: scan all readers for the minimum, then consume
+        /// it from every reader holding it.
+        fn next(&mut self, dev: &mut FlashDevice) -> Result<Option<Id>> {
+            let mut min: Option<Id> = None;
+            for r in self.readers.iter_mut() {
+                if let Some(v) = r.peek(dev)? {
+                    min = Some(match min {
+                        Some(m) => m.min(v),
+                        None => v,
+                    });
+                }
+            }
+            let Some(m) = min else { return Ok(None) };
+            for r in self.readers.iter_mut() {
+                while let Some(v) = r.peek(dev)? {
+                    if v == m {
+                        r.next(dev)?;
+                    } else {
+                        break;
+                    }
+                }
+            }
+            Ok(Some(m))
+        }
     }
 
     fn drain_union(mut u: UnionStream, dev: &mut FlashDevice) -> Vec<Id> {

@@ -25,16 +25,16 @@
 //! Deepen with `PROPTEST_CASES=1024 cargo test --release …` (the CI
 //! `proptest-deep` leg).
 
-use ghostdb_exec::ci_ops::{naive_select_sublists_multi, select_sublists_multi};
+use ghostdb_exec::ci_ops::{level_of, select_sublists_multi};
 use ghostdb_exec::project::ProjectAlgo;
 use ghostdb_exec::source::IdSource;
 use ghostdb_exec::strategy::VisStrategy;
 use ghostdb_exec::testkit::{pad8, tiny_db, wide_key_db};
 use ghostdb_exec::{Database, ExecCtx, ExecOptions, ExecReport, Executor, OpKind, SpjQuery};
 use ghostdb_flash::{FlashDevice, FlashGeometry, FlashStats, FlashTiming, SegmentAllocator};
-use ghostdb_index::{ClimbingSpec, FkData, IndexBuilder, LevelSpec};
+use ghostdb_index::{ClimbingIndex, ClimbingSpec, FkData, IndexBuilder, LevelSpec};
 use ghostdb_storage::schema::{Column, SchemaTree, TableDef};
-use ghostdb_storage::{CmpOp, ColumnType, Id, IdListReader, Predicate};
+use ghostdb_storage::{CmpOp, ColumnType, Id, IdListReader, Predicate, TableId};
 use ghostdb_token::RamArena;
 use proptest::prelude::*;
 
@@ -70,7 +70,7 @@ fn chain_schema() -> SchemaTree {
 struct ChainCase {
     dev: FlashDevice,
     ram: RamArena,
-    ci: ghostdb_index::ClimbingIndex,
+    ci: ClimbingIndex,
 }
 
 /// Build a climbing index with `depth` levels over random data: the table
@@ -213,6 +213,37 @@ proptest! {
 // ---------------------------------------------------------------------------
 // Operator level: select_sublists_multi ≡ naive_select_sublists_multi
 // ---------------------------------------------------------------------------
+
+/// Per-level reference for `select_sublists_multi`: one full
+/// `CiProbe::naive_lookup_range` traversal per target level on a shared
+/// probe — the pre-batching behaviour verbatim. Same sublists; re-reads
+/// the range's leaf pages and re-copies every payload once per level, so
+/// it is the honest baseline the single-traversal path is judged against.
+fn naive_select_sublists_multi(
+    ctx: &mut ExecCtx<'_>,
+    ci: &ClimbingIndex,
+    pred: &Predicate,
+    targets: &[TableId],
+) -> ghostdb_exec::Result<Vec<Vec<IdSource>>> {
+    let levels: Vec<usize> = targets
+        .iter()
+        .map(|t| level_of(ctx, ci, *t))
+        .collect::<ghostdb_exec::Result<_>>()?;
+    let (lo, hi) = pred.key_range();
+    ctx.track(OpKind::Ci, |ctx| {
+        let ram = ctx.ram();
+        let mut probe = ci.probe(&ram)?;
+        let mut out: Vec<Vec<IdSource>> = vec![Vec::new(); targets.len()];
+        ctx.lane.with_flash(|dev| -> ghostdb_exec::Result<()> {
+            for (i, level) in levels.iter().enumerate() {
+                let lists = probe.naive_lookup_range(dev, lo, hi, *level)?;
+                out[i] = lists.into_iter().map(IdSource::Flash).collect();
+            }
+            Ok(())
+        })?;
+        Ok(out)
+    })
+}
 
 /// Decode every flash sublist to concrete ids (charged outside any tracked
 /// scope, after attribution has been snapshotted).

@@ -35,11 +35,6 @@ impl Segment {
         }
         Ok(self.start + i)
     }
-
-    /// Capacity in bytes for a device with the given page size.
-    pub fn byte_capacity(&self, page_size: usize) -> u64 {
-        self.pages * page_size as u64
-    }
 }
 
 /// First-fit allocator over the logical address space with free-run
@@ -195,7 +190,6 @@ mod tests {
         let mut alloc = SegmentAllocator::new(dev.logical_pages());
         let s = alloc.alloc_bytes(257, dev.page_size()).unwrap();
         assert_eq!(s.pages(), 2);
-        assert_eq!(s.byte_capacity(dev.page_size()), 512);
     }
 
     #[test]

@@ -212,10 +212,10 @@ impl CiProbe<'_> {
     /// Reference implementation of [`lookup_range`](Self::lookup_range):
     /// a full root-to-leaf [`BTreeCursor::seek`] followed by per-entry
     /// [`BTreeCursor::next_into`] payload copies — the pre-batching read
-    /// path, kept verbatim (mirroring `NaiveUnionStream`) so the
-    /// single-traversal scan is always judged against what it replaced,
-    /// by the differential suite and the `micro/ci/multi-*` perfbench
-    /// pair alike. Same sublists, same pages read; only the per-entry
+    /// path, kept verbatim so the single-traversal scan is always judged
+    /// against what it replaced: this module's tests and the exec crate's
+    /// differential suite (`ci_multi_equivalence`) use it as their
+    /// reference. Same sublists, same pages read; only the per-entry
     /// copies and the repeated descents differ.
     pub fn naive_lookup_range(
         &mut self,

@@ -143,11 +143,6 @@ impl Channel {
         SimDuration::from_ns(ns)
     }
 
-    /// Simulated wire time for a hypothetical `bytes` transfer.
-    pub fn cost_of(&self, bytes: u64) -> SimDuration {
-        SimDuration::from_ns(bytes as u128 * 1_000_000_000 / self.throughput_bytes_per_sec as u128)
-    }
-
     /// The full observed transcript.
     pub fn transcript(&self) -> &[TranscriptEntry] {
         &self.transcript
@@ -205,9 +200,10 @@ mod tests {
 
     #[test]
     fn usb_full_speed_rate() {
-        let ch = Channel::usb_full_speed();
+        let mut ch = Channel::usb_full_speed();
         assert_eq!(ch.throughput(), 1_500_000);
         // 1.5 MB takes one second.
-        assert!((ch.cost_of(1_500_000).as_secs() - 1.0).abs() < 1e-9);
+        ch.send_to_secure("x", &vec![0; 1_500_000]);
+        assert!((ch.elapsed().as_secs() - 1.0).abs() < 1e-9);
     }
 }

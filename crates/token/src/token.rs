@@ -19,8 +19,6 @@ pub struct TokenConfig {
     pub timing: FlashTiming,
     /// Channel throughput in bytes/second (USB full speed default).
     pub channel_bytes_per_sec: u64,
-    /// Capture channel payloads in the transcript (leak-audit mode).
-    pub capture_channel: bool,
 }
 
 impl TokenConfig {
@@ -33,7 +31,6 @@ impl TokenConfig {
             geometry: FlashGeometry::for_capacity(flash_bytes),
             timing: FlashTiming::default(),
             channel_bytes_per_sec: 1_500_000,
-            capture_channel: false,
         }
     }
 }
@@ -63,12 +60,10 @@ impl SecureToken {
     /// when a RAM buffer cannot hold one flash page.
     pub fn new(config: &TokenConfig) -> Result<Self> {
         check_page_fit(config.buf_size, config.geometry.page_size)?;
-        let mut channel = Channel::new(config.channel_bytes_per_sec);
-        channel.set_capture(config.capture_channel);
         Ok(SecureToken {
             flash: FlashDevice::new(config.geometry, config.timing),
             ram: RamArena::with_total_bytes(config.ram_bytes, config.buf_size),
-            channel,
+            channel: Channel::new(config.channel_bytes_per_sec),
         })
     }
 

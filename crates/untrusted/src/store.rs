@@ -39,13 +39,6 @@ impl VisibleColumn {
         })
     }
 
-    /// Build from explicit values (tests, small loads).
-    pub fn from_values(name: &str, ty: ColumnType, values: &[Value]) -> Result<Self> {
-        VisibleColumn::from_gen(name, ty, values.len() as u64, |r| {
-            values[r as usize].clone()
-        })
-    }
-
     /// Number of rows.
     pub fn rows(&self) -> u64 {
         self.rows
@@ -233,8 +226,9 @@ mod tests {
 
     #[test]
     fn encoded_storage_roundtrips_values() {
-        let col = VisibleColumn::from_values("v", ColumnType::char(6), &[Value::Str("abc".into())])
-            .unwrap();
+        let col =
+            VisibleColumn::from_gen("v", ColumnType::char(6), 1, |_| Value::Str("abc".into()))
+                .unwrap();
         assert_eq!(col.value(0), Value::Str("abc".into()));
         assert_eq!(col.raw(0), &[b'a', b'b', b'c', 0, 0, 0]);
     }

@@ -1,8 +1,8 @@
 //! The security argument, demonstrated and enforced: a wire snooper's (and
 //! the untrusted PC's) view of a GhostDB session is a **function of the
 //! query and the visible data alone** — it does not depend on hidden
-//! values at all. With `--padded`-style volume padding on, even the exact
-//! visible-selection volume is quantised to a power-of-two bucket.
+//! values at all. With volume padding on (`QueryOptions::padded`), even the
+//! exact visible-selection volume is quantised to a power-of-two bucket.
 //!
 //! We build two databases whose *visible* partitions are identical but
 //! whose *hidden* values differ completely, run the same query on both,

@@ -1,6 +1,10 @@
 //! Property tests: random miniature databases × random SPJ queries ×
-//! random strategies must always (a) match the trusted oracle, (b) respect
-//! the secure-RAM budget, (c) keep the channel transcript clean.
+//! random strategies, projection algorithms and pad modes must always
+//! (a) match the trusted oracle, (b) respect the secure-RAM budget, (c)
+//! keep the channel transcript clean. Padded runs ship every visible id
+//! list in a power-of-two row bucket (the SECURITY.md volume
+//! countermeasure), so this is the check that padding changes no result
+//! under any strategy.
 
 use ghostdb_datagen::{pad8, SyntheticDataset, SyntheticSpec};
 use ghostdb_exec::project::ProjectAlgo;
@@ -18,6 +22,7 @@ struct QSpec {
     project_h1: bool,
     strategy: usize,
     algo: usize,
+    padded: bool,
 }
 
 fn qspec() -> impl Strategy<Value = QSpec> {
@@ -28,15 +33,17 @@ fn qspec() -> impl Strategy<Value = QSpec> {
         any::<bool>(),
         0usize..7,
         0usize..3,
+        any::<bool>(),
     )
         .prop_map(
-            |(vis_t1_sel, hid_t12_sel, hid_t0_sel, project_h1, strategy, algo)| QSpec {
+            |(vis_t1_sel, hid_t12_sel, hid_t0_sel, project_h1, strategy, algo, padded)| QSpec {
                 vis_t1_sel,
                 hid_t12_sel,
                 hid_t0_sel,
                 project_h1,
                 strategy,
                 algo,
+                padded,
             },
         )
 }
@@ -106,6 +113,7 @@ proptest! {
         let opts = ExecOptions {
             forced_strategy: Some(STRATEGIES[spec.strategy]),
             project: Some(ALGOS[spec.algo]),
+            padded: spec.padded,
             ..Default::default()
         };
         let run = Executor::run(&mut db, &q, &opts);
