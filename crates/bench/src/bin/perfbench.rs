@@ -764,7 +764,7 @@ fn micro_intersect(warmup: usize, iters: usize, out: &mut Vec<BenchEntry>) {
         iters,
         || {
             let mut ctx = ExecCtx::new(&mut db);
-            let ids = merge_to_vec(&mut ctx, groups(&a, &b)).unwrap();
+            let ids = merge_to_vec(&mut ctx, groups(&a, &b), 600_000).unwrap();
             RunStats {
                 ops: ids.len() as u64,
                 ..Default::default()
@@ -983,7 +983,8 @@ fn micro_merge_reduce(scale: f64, warmup: usize, iters: usize, out: &mut Vec<Ben
         let sublists = select_sublists(&mut ctx, ci, &pred, t1).unwrap();
         assert!(sublists.len() > ctx.ram().capacity(), "range must reduce");
         let snap = ctx.lane.io();
-        let list = merge_to_list(&mut ctx, vec![sublists]).unwrap();
+        let domain = ctx.cat.rows[t1];
+        let list = merge_to_list(&mut ctx, vec![sublists], domain).unwrap();
         let io = ctx.lane.io() - snap;
         let stats = RunStats {
             simulated_s: ctx.lane.elapsed_of(&io).as_secs(),

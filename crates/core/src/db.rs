@@ -500,7 +500,9 @@ const _: () = {
 /// Whether `cell` is stored in `ty` without being cut: `Value::encode`
 /// truncates a string to `CHAR(n)` and an int to its byte width, while the
 /// climbing index keys the uncut value, so a cut cell would project one
-/// value and match another. Type mismatches are left to the loader.
+/// value and match another. A NaN float has no place in the order every
+/// predicate compares by, so it fits no column. Type mismatches are left
+/// to the loader.
 fn fits(ty: &ColumnType, cell: &Value) -> bool {
     match (ty, cell) {
         (ColumnType::Char { width }, Value::Str(s)) => s.len() <= usize::from(*width),
@@ -510,6 +512,7 @@ fn fits(ty: &ColumnType, cell: &Value) -> bool {
             let unused = 64 - 8 * u32::from(*width);
             (*v << unused) >> unused == *v
         }
+        (_, Value::Float(v)) => !v.is_nan(),
         _ => true,
     }
 }
@@ -627,6 +630,32 @@ mod tests {
             .unwrap();
         assert!(plan.contains("hidden selection on Patients.bodymassindex"));
         assert!(plan.contains("visible selection on Doctors"));
+    }
+
+    #[test]
+    fn nan_float_cell_does_not_fit() {
+        let mut db = GhostDb::new(GhostDbConfig::default());
+        db.execute("CREATE TABLE W (id INT, weight FLOAT)").unwrap();
+        let err = db
+            .insert_rows(
+                "W",
+                vec![vec![Value::Float(1.5)], vec![Value::Float(f64::NAN)]],
+            )
+            .unwrap_err();
+        assert!(
+            matches!(&err, CoreError::Semantic(m) if m.contains("does not fit")),
+            "{err}"
+        );
+        // The rejected batch stages nothing; a clean one loads and a
+        // visible predicate on the column compares every cell.
+        db.insert_rows("W", vec![vec![Value::Float(1.5)], vec![Value::Float(0.5)]])
+            .unwrap();
+        let rs = db
+            .finalize()
+            .unwrap()
+            .query("SELECT W.id FROM W WHERE W.weight > 1.0")
+            .unwrap();
+        assert_eq!(rs.rows, vec![vec![Value::Int(0)]]);
     }
 
     #[test]

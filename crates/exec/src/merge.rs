@@ -4,26 +4,41 @@
 //! (sub)lists by a single synchronized scan — **provided the RAM can hold
 //! one buffer per open sublist plus one output buffer**. When climbing-index
 //! lookups deliver more sublists than buffers (range predicates, `∈`-probes
-//! from visible selections), a **reduction phase** first materialises some
-//! sublists of a group into temporaries until the remainder fits — the
-//! paper's "alternative 1". It runs in two steps:
+//! from visible selections), a **reduction** takes one of two ways:
 //!
-//! 1. **Pack**: external-sort run formation over sublists that sit next
-//!    to each other on flash. A climbing-index level stores its sublists
-//!    back to back in key order, so a range of W keys yields W sublists
-//!    that often share pages (one 4-byte id each on a unique-valued hidden
-//!    attribute). The pack step orders a group's flash sublists by
-//!    position, cuts them into consecutive chunks whose ids fit in a
+//! 1. **Pack** (the paper's "alternative 1", as external-sort run
+//!    formation): a climbing-index level stores its sublists back to back
+//!    in key order, so a range of W keys yields W sublists that often share
+//!    pages. The pack step orders a group's flash sublists by position,
+//!    cuts them into consecutive chunks whose ids fit in a
 //!    [`ghostdb_token::RamRegion`], loads each chunk page by page (one read
 //!    per [`page_spans`] span instead of one page load per sublist), sorts
 //!    the ids in the region and writes them as one temp (the writer drops
-//!    duplicates). Groups with the most flash sublists pack first.
-//! 2. **Union**: whatever still exceeds the budget — sublists too large or
-//!    too scattered to pack — goes through the k-way union, smallest
-//!    sublists first (their linear cost makes them the best candidates).
+//!    duplicates). Groups with the most flash sublists pack first, until
+//!    the rest fits the synchronized scan. Where pack alone cannot reduce
+//!    enough (it leaves more chunks than buffers), the **union step**
+//!    finishes: it k-way unions the smallest flash sublists of the widest
+//!    group into one temp at a time, as many passes as it takes.
+//! 2. **Bitmap windows**: the ids of a level lie in the public domain
+//!    `0..|T|`, so the token evaluates the whole CNF by address, `W` ids at
+//!    a time. The first group sets bits in an accumulator bitmap; every
+//!    later group sets bits in a second bitmap that is then ANDed into the
+//!    accumulator. Flash sublists are read page-span exact in position
+//!    order through one stage buffer, host lists and ranges set their bits
+//!    from RAM, and duplicates collapse by construction. The stream emits
+//!    each window's set bits in order, then builds the next window. It
+//!    writes no temp, but every window re-reads every flash sublist.
 //!
-//! Both steps bill every byte to `Merge` through the flash device, and
-//! both are token-internal: neither changes rows, host requests or channel
+//! Where pack alone reduces enough, the reduction prices both ways from the
+//! sublist descriptors, the RAM budget and the public domain size before
+//! any I/O, and takes the cheaper one: pack costs one read of its chunks,
+//! the temp programs and the temp re-reads; bitmap costs one read of every
+//! flash sublist per window. Where it does not, pack and the union step
+//! run, since their passes grow with the log of the sublist count while
+//! the windows grow with `|T|`; bitmap is the way out only where more
+//! groups hold flash sublists than there are buffers, which no union can
+//! fix. Every path bills every byte to `Merge` through the flash device,
+//! and all are token-internal: none changes rows, host requests or channel
 //! traffic.
 
 use crate::ctx::ExecCtx;
@@ -31,23 +46,32 @@ use crate::error::ExecError;
 use crate::report::OpKind;
 use crate::source::{IdSource, IntersectStream, SourceReader, UnionStream};
 use crate::Result;
-use ghostdb_flash::Segment;
+use ghostdb_flash::{FlashDevice, FlashTiming, Segment};
 use ghostdb_storage::idlist::{intersect_sorted, union_sorted};
 use ghostdb_storage::table::page_spans;
 use ghostdb_storage::{Id, IdList, IdListWriter, ID_BYTES};
-use ghostdb_token::TokenError;
+use ghostdb_token::{RamArena, RamBuffer, RamRegion, TokenError};
+use std::cmp::Reverse;
 use std::ops::Range;
 
-/// An opened, RAM-fitting merge: an intersection of per-group unions, plus
-/// the temp segments produced by reduction (freed when the query ends).
+/// An opened merge: a synchronized scan over sources that fit the RAM, or
+/// bitmap windows over the level's id domain.
 pub struct MergeStream {
-    intersect: IntersectStream,
+    eval: Evaluation,
+}
+
+enum Evaluation {
+    Scan(IntersectStream),
+    Windows(Windows),
 }
 
 impl MergeStream {
     /// Pull the next ID, attributing its I/O to `Merge`.
     pub fn next(&mut self, ctx: &mut ExecCtx<'_>) -> Result<Option<Id>> {
-        ctx.tracked(OpKind::Merge, |dev| self.intersect.next(dev))
+        ctx.tracked(OpKind::Merge, |dev| match &mut self.eval {
+            Evaluation::Scan(s) => s.next(dev),
+            Evaluation::Windows(w) => w.next(dev),
+        })
     }
 }
 
@@ -65,6 +89,217 @@ fn group_flash(g: &[IdSource]) -> usize {
     g.iter().map(|s| s.buffers_needed()).sum()
 }
 
+/// The flash sublists of one group, in position order.
+fn flash_lists(g: &[IdSource]) -> Vec<IdList> {
+    let mut lists: Vec<IdList> = g
+        .iter()
+        .filter_map(|s| match s {
+            IdSource::Flash(l) => Some(*l),
+            _ => None,
+        })
+        .collect();
+    lists.sort_by_key(|l| (l.segment.start(), l.byte_offset));
+    lists
+}
+
+/// How a merge is evaluated.
+enum Reduction {
+    /// Pack as planned (nothing, when the sources fit), the union step for
+    /// what pack leaves, then the synchronized scan.
+    Scan(PackPlan),
+    /// Bitmap windows of this many buffers per bitmap.
+    Windows(usize),
+}
+
+/// Choose the reduction for `groups` when they do not fit in the
+/// `available - reserve` free buffers. Where pack alone reduces enough, the
+/// cheaper of pack and bitmap windows over the id domain `0..domain`,
+/// bitmap on a tie. Where it does not, pack and then the union step, which
+/// finishes whenever every group can shrink to one flash source; bitmap
+/// windows where even that cannot fit.
+fn reduce(
+    ctx: &ExecCtx<'_>,
+    groups: &[Vec<IdSource>],
+    reserve: usize,
+    domain: u64,
+) -> Result<Reduction> {
+    let ram = ctx.ram();
+    let budget = ram.available().saturating_sub(reserve);
+    if flash_sources(groups) <= budget {
+        return Ok(Reduction::Scan(PackPlan {
+            packs: Vec::new(),
+            fits: true,
+        }));
+    }
+    // Two readers and a writer, or a bitmap and a stage buffer, are the
+    // least that can make progress.
+    if budget < 2 || ram.available() < 3 {
+        return Err(ExecError::Token(TokenError::OutOfRam {
+            requested: 3,
+            available: ram.available(),
+            capacity: ram.capacity(),
+        }));
+    }
+    let (timing, page_size) = (ctx.lane.timing(), ctx.page_size());
+    let plan = plan_pack(groups, ram.available(), reserve, page_size);
+    let windows = window_buffers(groups.len(), budget);
+    if !plan.fits {
+        let spillable = groups.iter().filter(|g| group_flash(g) > 0).count() <= budget;
+        return match (spillable, windows) {
+            (true, _) => Ok(Reduction::Scan(plan)),
+            (false, Some(buffers)) => Ok(Reduction::Windows(buffers)),
+            (false, None) => Err(ExecError::Token(TokenError::OutOfRam {
+                requested: flash_sources(groups) + reserve,
+                available: ram.available(),
+                capacity: ram.capacity(),
+            })),
+        };
+    }
+    let Some(buffers) = windows else {
+        return Ok(Reduction::Scan(plan));
+    };
+    let pack = pack_ns(groups, &plan, timing, page_size);
+    let width = window_width(buffers, page_size);
+    let bitmap = windows_ns(groups, domain.div_ceil(width), timing, page_size);
+    Ok(if pack < bitmap {
+        Reduction::Scan(plan)
+    } else {
+        Reduction::Windows(buffers)
+    })
+}
+
+/// Simulated ns of reading `list` through one reader, as the synchronized
+/// scan does: one load per page it touches, and every byte.
+fn reader_ns(list: &IdList, timing: &FlashTiming, page_size: usize) -> u128 {
+    if list.count == 0 {
+        return 0;
+    }
+    let ps = page_size as u64;
+    let pages = (list.byte_offset + list.bytes() - 1) / ps - list.byte_offset / ps + 1;
+    pages as u128 * timing.read_cost_ns(0)
+        + list.bytes() as u128 * timing.transfer_ns_per_byte as u128
+}
+
+/// Simulated ns of [`load_pieces`] over `lists` (in position order).
+fn span_read_ns(lists: &[IdList], timing: &FlashTiming, page_size: usize) -> u128 {
+    pages(lists, page_size)
+        .flat_map(|(_, _, pieces)| page_spans(timing, pieces))
+        .map(|span| timing.read_cost_ns(span.len()))
+        .sum()
+}
+
+/// The pack step's plan: for each group it packs (widest first), the
+/// group's flash sublists in position order and the lengths of the
+/// consecutive chunks they are cut into (a chunk of one sublist stays a
+/// source of its own). `fits` when the packed groups fit the budget.
+struct PackPlan {
+    packs: Vec<(usize, Vec<IdList>, Vec<usize>)>,
+    fits: bool,
+}
+
+/// Plan the pack step: while the groups exceed `available - reserve`
+/// buffers, cut the group with the most flash sublists into chunks whose
+/// ids fit the free RAM less one buffer (which stages each page and then
+/// writes the temp).
+fn plan_pack(
+    groups: &[Vec<IdSource>],
+    available: usize,
+    reserve: usize,
+    page_size: usize,
+) -> PackPlan {
+    let budget = available.saturating_sub(reserve);
+    let region_ids = ((available - 1) * page_size / ID_BYTES) as u64;
+    let mut need = flash_sources(groups);
+    let mut order: Vec<usize> = (0..groups.len()).collect();
+    order.sort_by_key(|&i| Reverse(group_flash(&groups[i])));
+    let mut packs = Vec::new();
+    for gi in order {
+        if need <= budget || group_flash(&groups[gi]) < 2 {
+            break;
+        }
+        let lists = flash_lists(&groups[gi]);
+        let mut chunks = Vec::new();
+        let mut rest = &lists[..];
+        while !rest.is_empty() {
+            let mut n = 0;
+            let mut ids = 0u64;
+            while n < rest.len() && ids + rest[n].count <= region_ids {
+                ids += rest[n].count;
+                n += 1;
+            }
+            let n = n.max(1);
+            chunks.push(n);
+            rest = &rest[n..];
+        }
+        need -= lists.len() - chunks.len();
+        packs.push((gi, lists, chunks));
+    }
+    PackPlan {
+        packs,
+        fits: need <= budget,
+    }
+}
+
+/// Simulated `Merge` ns of the pack path: reading every chunk, writing and
+/// re-reading its temp, and reading every other flash sublist in the
+/// synchronized scan. Exact when the chunks hold no duplicate ids and the
+/// scan runs to the end.
+fn pack_ns(
+    groups: &[Vec<IdSource>],
+    plan: &PackPlan,
+    timing: &FlashTiming,
+    page_size: usize,
+) -> u128 {
+    let mut ns = 0;
+    for (gi, g) in groups.iter().enumerate() {
+        let Some((_, lists, chunks)) = plan.packs.iter().find(|(p, _, _)| *p == gi) else {
+            ns += flash_lists(g)
+                .iter()
+                .map(|l| reader_ns(l, timing, page_size))
+                .sum::<u128>();
+            continue;
+        };
+        let mut rest = &lists[..];
+        for &n in chunks {
+            let (chunk, tail) = rest.split_at(n);
+            rest = tail;
+            if n == 1 {
+                ns += reader_ns(&chunk[0], timing, page_size);
+                continue;
+            }
+            let bytes = chunk.iter().map(|l| l.bytes()).sum::<u64>();
+            let pages = bytes.div_ceil(page_size as u64) as u128;
+            ns += span_read_ns(chunk, timing, page_size)
+                + pages * (timing.write_cost_ns(page_size) + timing.read_cost_ns(0))
+                + bytes as u128 * timing.transfer_ns_per_byte as u128;
+        }
+    }
+    ns
+}
+
+/// Run a pack plan: each planned chunk of two or more sublists becomes one
+/// sorted temp.
+fn pack(ctx: &mut ExecCtx<'_>, groups: &mut [Vec<IdSource>], plan: PackPlan) -> Result<()> {
+    for (gi, lists, chunks) in plan.packs {
+        let mut rebuilt: Vec<IdSource> = std::mem::take(&mut groups[gi])
+            .into_iter()
+            .filter(|s| s.buffers_needed() == 0)
+            .collect();
+        let mut rest = &lists[..];
+        for n in chunks {
+            let (chunk, tail) = rest.split_at(n);
+            rest = tail;
+            let list = match chunk {
+                [one] => *one,
+                _ => ctx.track(OpKind::Merge, |ctx| pack_chunk(ctx, chunk))?,
+            };
+            rebuilt.push(IdSource::Flash(list));
+        }
+        groups[gi] = rebuilt;
+    }
+    Ok(())
+}
+
 /// The group the union step reduces next: the one with the most flash
 /// sublists, among those with ≥ 2 (unioning a single sublist with nothing
 /// just copies it); `None` when no group qualifies.
@@ -74,41 +309,26 @@ fn pick_spill_group(groups: &[Vec<IdSource>]) -> Option<usize> {
         .max_by_key(|i| group_flash(&groups[*i]))
 }
 
-/// Reduction phase: pack, then union the smallest flash sublists of
-/// oversized groups into single temp lists, until one buffer per remaining
-/// sublist fits in `available - reserve` buffers. Reduction I/O (reads
-/// *and* temp writes) is Merge cost, matching the paper's accounting of its
+/// The union step, for what pack leaves: union the smallest flash sublists
+/// of the widest group into single temp lists, until one buffer per
+/// remaining sublist fits in `available - reserve` buffers. Its reads and
+/// temp writes are Merge cost, matching the paper's accounting of its
 /// multi-pass nature.
-fn reduce(ctx: &mut ExecCtx<'_>, groups: &mut [Vec<IdSource>], reserve: usize) -> Result<()> {
-    pack(ctx, groups, reserve)?;
-    loop {
-        let avail = ctx.ram().available().saturating_sub(reserve);
-        if flash_sources(groups) <= avail {
-            return Ok(());
-        }
-        // At least two readers + one writer are needed to make progress.
-        if avail < 2 || ctx.ram().available() < 3 {
-            return Err(ExecError::Token(TokenError::OutOfRam {
-                requested: 3,
-                available: ctx.ram().available(),
-                capacity: ctx.ram().capacity(),
-            }));
-        }
+fn union_step(ctx: &mut ExecCtx<'_>, groups: &mut [Vec<IdSource>], reserve: usize) -> Result<()> {
+    while flash_sources(groups) > ctx.ram().available().saturating_sub(reserve) {
         let Some(gi) = pick_spill_group(groups) else {
-            // Every oversized group holds a single (irreducible) sublist:
-            // reduction cannot shrink the buffer need any further.
+            // Every oversized group holds a single (irreducible) sublist.
             return Err(ExecError::Token(TokenError::OutOfRam {
                 requested: flash_sources(groups) + reserve,
                 available: ctx.ram().available(),
                 capacity: ctx.ram().capacity(),
             }));
         };
-        // Partition: flash sublists (candidates) vs free sources.
         let group = std::mem::take(&mut groups[gi]);
         let (mut flash, other): (Vec<IdSource>, Vec<IdSource>) =
             group.into_iter().partition(|s| s.buffers_needed() > 0);
-        // Smallest-first; merge as many as the arena allows at once
-        // (readers k + 1 writer ≤ available).
+        // Smallest first; as many as the arena allows at once (k readers
+        // and one writer).
         flash.sort_by_key(|s| s.count());
         let k = flash.len().min(ctx.ram().available() - 1);
         let batch: Vec<IdSource> = flash.drain(..k).collect();
@@ -118,123 +338,7 @@ fn reduce(ctx: &mut ExecCtx<'_>, groups: &mut [Vec<IdSource>], reserve: usize) -
         rebuilt.extend(flash);
         groups[gi] = rebuilt;
     }
-}
-
-/// The pack step of the reduction phase: while the groups exceed the
-/// budget, pack the group with the most flash sublists next. It runs only
-/// where the union step could make progress too, so the union step's
-/// `OutOfRam` errors fire exactly as they would without it.
-fn pack(ctx: &mut ExecCtx<'_>, groups: &mut [Vec<IdSource>], reserve: usize) -> Result<()> {
-    let mut order: Vec<usize> = (0..groups.len()).collect();
-    order.sort_by_key(|&i| std::cmp::Reverse(group_flash(&groups[i])));
-    for gi in order {
-        let avail = ctx.ram().available().saturating_sub(reserve);
-        let fits = flash_sources(groups) <= avail;
-        if fits || group_flash(&groups[gi]) < 2 || avail < 2 || ctx.ram().available() < 3 {
-            return Ok(());
-        }
-        let group = std::mem::take(&mut groups[gi]);
-        groups[gi] = pack_group(ctx, group)?;
-    }
     Ok(())
-}
-
-/// Pack one group's flash sublists in position order: consecutive chunks
-/// that fit in the free RAM (less one buffer, which stages each page and
-/// then writes the temp) become one sorted temp each. A sublist that fits
-/// no chunk with a neighbour stays a source of its own.
-fn pack_group(ctx: &mut ExecCtx<'_>, group: Vec<IdSource>) -> Result<Vec<IdSource>> {
-    let (flash, mut rebuilt): (Vec<IdSource>, Vec<IdSource>) =
-        group.into_iter().partition(|s| s.buffers_needed() > 0);
-    let mut lists: Vec<IdList> = flash
-        .into_iter()
-        .map(|s| match s {
-            IdSource::Flash(l) => l,
-            _ => unreachable!("partitioned on buffers_needed"),
-        })
-        .collect();
-    lists.sort_by_key(|l| (l.segment.start(), l.byte_offset));
-    let region_ids = ((ctx.ram().available() - 1) * ctx.page_size() / ID_BYTES) as u64;
-    let mut rest = &lists[..];
-    while let Some(first) = rest.first() {
-        let mut n = 0;
-        let mut ids = 0u64;
-        while n < rest.len() && ids + rest[n].count <= region_ids {
-            ids += rest[n].count;
-            n += 1;
-        }
-        if n < 2 {
-            rebuilt.push(IdSource::Flash(*first));
-            rest = &rest[1..];
-            continue;
-        }
-        let (chunk, tail) = rest.split_at(n);
-        let packed = ctx.track(OpKind::Merge, |ctx| pack_chunk(ctx, chunk, ids))?;
-        rebuilt.push(IdSource::Flash(packed));
-        rest = tail;
-    }
-    Ok(rebuilt)
-}
-
-/// The in-page byte pieces of `lists` (sorted by position), as
-/// `(segment, page, in-page bytes)` in read order.
-fn pieces(
-    lists: &[IdList],
-    page_size: usize,
-) -> impl Iterator<Item = (Segment, u64, Range<usize>)> + '_ {
-    let ps = page_size as u64;
-    lists.iter().filter(|l| l.count > 0).flat_map(move |l| {
-        let (start, end) = (l.byte_offset, l.byte_offset + l.bytes());
-        (start / ps..end.div_ceil(ps)).map(move |p| {
-            let lo = start.max(p * ps) - p * ps;
-            let hi = end.min((p + 1) * ps) - p * ps;
-            (l.segment, p, lo as usize..hi as usize)
-        })
-    })
-}
-
-/// Load the `ids` ids of `chunk` into one RAM region, page by page, then
-/// sort them there and write them as a fresh temp list.
-fn pack_chunk(ctx: &mut ExecCtx<'_>, chunk: &[IdList], ids: u64) -> Result<IdList> {
-    let page_size = ctx.page_size();
-    let ram = ctx.ram();
-    let bytes = ids as usize * ID_BYTES;
-    let mut region = ram.alloc_region(bytes.div_ceil(page_size))?;
-    let mut fill = 0usize;
-    {
-        let mut stage = ram.alloc()?;
-        let mut page_pieces: Vec<Range<usize>> = Vec::new();
-        let mut all = pieces(chunk, page_size).peekable();
-        while let Some((seg, page, first)) = all.next() {
-            page_pieces.clear();
-            page_pieces.push(first);
-            while let Some((_, _, r)) = all.next_if(|(s, p, _)| *s == seg && *p == page) {
-                page_pieces.push(r);
-            }
-            let lpn = seg.lpn(page)?;
-            ctx.lane.with_flash(|dev| {
-                for span in page_spans(dev.timing(), page_pieces.iter().cloned()) {
-                    dev.read(lpn, span.start, &mut stage[span])?;
-                }
-                Ok::<(), ExecError>(())
-            })?;
-            for r in &page_pieces {
-                region[fill..fill + r.len()].copy_from_slice(&stage[r.clone()]);
-                fill += r.len();
-            }
-        }
-    }
-    let (cells, _) = region[..fill].as_chunks_mut::<ID_BYTES>();
-    cells.sort_unstable_by_key(|c| Id::from_le_bytes(*c));
-    let mut writer = IdListWriter::create(ctx.lane.alloc(), &ram, ids, page_size)?;
-    ctx.add_temp(writer.segment());
-    ctx.lane.with_flash(|dev| {
-        // The writer collapses the duplicates the sort brought together.
-        for c in cells.iter() {
-            writer.push(dev, Id::from_le_bytes(*c))?;
-        }
-        Ok(writer.finish(dev)?)
-    })
 }
 
 /// Union a batch of sources into a fresh temp list.
@@ -257,36 +361,340 @@ fn union_to_temp(ctx: &mut ExecCtx<'_>, batch: &[IdSource]) -> Result<IdList> {
     })
 }
 
-/// Open a merge over CNF groups, reserving `reserve` RAM buffers for the
-/// downstream consumer (pipelining budget, §3.4). Runs the reduction phase
-/// if needed.
+/// The in-page byte pieces of `lists` (sorted by position), as
+/// `(segment, page, in-page bytes)` in read order.
+fn pieces(
+    lists: &[IdList],
+    page_size: usize,
+) -> impl Iterator<Item = (Segment, u64, Range<usize>)> + '_ {
+    let ps = page_size as u64;
+    lists.iter().filter(|l| l.count > 0).flat_map(move |l| {
+        let (start, end) = (l.byte_offset, l.byte_offset + l.bytes());
+        (start / ps..end.div_ceil(ps)).map(move |p| {
+            let lo = start.max(p * ps) - p * ps;
+            let hi = end.min((p + 1) * ps) - p * ps;
+            (l.segment, p, lo as usize..hi as usize)
+        })
+    })
+}
+
+/// The pages `lists` (sorted by position) touch, in read order, each with
+/// its in-page pieces.
+fn pages(
+    lists: &[IdList],
+    page_size: usize,
+) -> impl Iterator<Item = (Segment, u64, Vec<Range<usize>>)> + '_ {
+    let mut all = pieces(lists, page_size).peekable();
+    std::iter::from_fn(move || {
+        let (seg, page, first) = all.next()?;
+        let mut page_pieces = vec![first];
+        while let Some((_, _, r)) = all.next_if(|(s, p, _)| *s == seg && *p == page) {
+            page_pieces.push(r);
+        }
+        Some((seg, page, page_pieces))
+    })
+}
+
+/// Read `lists` (sorted by position) page by page through `stage`, one
+/// read per [`page_spans`] span, and hand each piece's bytes to `f` in
+/// position order.
+fn load_pieces(
+    dev: &mut FlashDevice,
+    lists: &[IdList],
+    stage: &mut [u8],
+    page_size: usize,
+    mut f: impl FnMut(&[u8]) -> Result<()>,
+) -> Result<()> {
+    for (seg, page, page_pieces) in pages(lists, page_size) {
+        let lpn = seg.lpn(page)?;
+        for span in page_spans(dev.timing(), page_pieces.iter().cloned()) {
+            dev.read(lpn, span.start, &mut stage[span])?;
+        }
+        for r in page_pieces {
+            f(&stage[r])?;
+        }
+    }
+    Ok(())
+}
+
+/// Load the ids of `chunk` into one RAM region, page by page, then sort
+/// them there and write them as a fresh temp list.
+fn pack_chunk(ctx: &mut ExecCtx<'_>, chunk: &[IdList]) -> Result<IdList> {
+    let ids: u64 = chunk.iter().map(|l| l.count).sum();
+    let page_size = ctx.page_size();
+    let ram = ctx.ram();
+    let mut region = ram.alloc_region((ids as usize * ID_BYTES).div_ceil(page_size))?;
+    let mut fill = 0usize;
+    {
+        let mut stage = ram.alloc()?;
+        ctx.lane.with_flash(|dev| {
+            load_pieces(dev, chunk, &mut stage, page_size, |bytes| {
+                region[fill..fill + bytes.len()].copy_from_slice(bytes);
+                fill += bytes.len();
+                Ok(())
+            })
+        })?;
+    }
+    let (cells, _) = region[..fill].as_chunks_mut::<ID_BYTES>();
+    cells.sort_unstable_by_key(|c| Id::from_le_bytes(*c));
+    let mut writer = IdListWriter::create(ctx.lane.alloc(), &ram, ids, page_size)?;
+    ctx.add_temp(writer.segment());
+    ctx.lane.with_flash(|dev| {
+        // The writer collapses the duplicates the sort brought together.
+        for c in cells.iter() {
+            writer.push(dev, Id::from_le_bytes(*c))?;
+        }
+        Ok(writer.finish(dev)?)
+    })
+}
+
+/// Buffers per bitmap for `groups` groups in `budget` free buffers, one of
+/// which stages flash pages: two bitmaps (accumulator and scratch) for two
+/// groups or more, one for a single group. `None` when they do not fit.
+fn window_buffers(groups: usize, budget: usize) -> Option<usize> {
+    let bitmaps = if groups > 1 { 2 } else { 1 };
+    let buffers = budget.checked_sub(1)? / bitmaps;
+    (buffers > 0).then_some(buffers)
+}
+
+/// Ids one window covers: one bit each in a bitmap of `buffers` pages.
+fn window_width(buffers: usize, page_size: usize) -> u64 {
+    (buffers * page_size * 8) as u64
+}
+
+/// Simulated `Merge` ns of `windows` bitmap windows: every window reads
+/// every group's flash sublists page-span exact.
+fn windows_ns(
+    groups: &[Vec<IdSource>],
+    windows: u64,
+    timing: &FlashTiming,
+    page_size: usize,
+) -> u128 {
+    let once: u128 = groups
+        .iter()
+        .map(|g| span_read_ns(&flash_lists(g), timing, page_size))
+        .sum();
+    windows as u128 * once
+}
+
+/// One group as the windows read it: its flash sublists in position order
+/// and its RAM-resident sources.
+struct WindowGroup {
+    flash: Vec<IdList>,
+    other: Vec<IdSource>,
+}
+
+/// Bitmap-window evaluation of `∩i{∪j}` over the id domain `0..domain`.
+struct Windows {
+    groups: Vec<WindowGroup>,
+    domain: u64,
+    width: u64,
+    acc: RamRegion,
+    /// The second bitmap later groups set before the AND (two groups or
+    /// more).
+    scratch: Option<RamRegion>,
+    stage: RamBuffer,
+    page_size: usize,
+    /// First id of the current window.
+    start: u64,
+    /// Whether the current window's bitmap is built.
+    built: bool,
+    /// Next bit of the current window to look at.
+    bit: u64,
+}
+
+/// An id outside the merge's domain: the bitmap has no bit for it.
+fn outside(id: u64, domain: u64) -> ExecError {
+    ExecError::Query(format!("id {id} outside the merge domain 0..{domain}"))
+}
+
+impl Windows {
+    fn open(
+        ram: &RamArena,
+        groups: Vec<Vec<IdSource>>,
+        buffers: usize,
+        domain: u64,
+        page_size: usize,
+    ) -> Result<Self> {
+        for s in groups.iter().flatten() {
+            let last = match s {
+                IdSource::Host(ids) => ids.last().map(|&id| id as u64),
+                IdSource::Range { start, end } if start < end => Some(*end as u64 - 1),
+                _ => None,
+            };
+            if let Some(id) = last.filter(|&id| id >= domain) {
+                return Err(outside(id, domain));
+            }
+        }
+        let scratch = if groups.len() > 1 {
+            Some(ram.alloc_region(buffers)?)
+        } else {
+            None
+        };
+        Ok(Windows {
+            groups: groups
+                .into_iter()
+                .map(|g| WindowGroup {
+                    flash: flash_lists(&g),
+                    other: g.into_iter().filter(|s| s.buffers_needed() == 0).collect(),
+                })
+                .collect(),
+            domain,
+            width: window_width(buffers, page_size),
+            acc: ram.alloc_region(buffers)?,
+            scratch,
+            stage: ram.alloc()?,
+            page_size,
+            start: 0,
+            built: false,
+            bit: 0,
+        })
+    }
+
+    /// Next id: the next set bit of the current window, building windows
+    /// until one has a bit left or the domain ends.
+    fn next(&mut self, dev: &mut FlashDevice) -> Result<Option<Id>> {
+        while self.start < self.domain {
+            let len = self.width.min(self.domain - self.start);
+            if !self.built {
+                self.build(dev, len)?;
+                self.built = true;
+                self.bit = 0;
+            }
+            if let Some(b) = next_set_bit(&self.acc, self.bit, len) {
+                self.bit = b + 1;
+                return Ok(Some((self.start + b) as Id));
+            }
+            self.start += self.width;
+            self.built = false;
+        }
+        Ok(None)
+    }
+
+    /// Build the accumulator of the window of `len` ids at `self.start`.
+    fn build(&mut self, dev: &mut FlashDevice, len: u64) -> Result<()> {
+        let used = len.div_ceil(8) as usize;
+        let window = self.start..self.start + len;
+        for (i, g) in self.groups.iter().enumerate() {
+            let bits = match &mut self.scratch {
+                Some(scratch) if i > 0 => &mut scratch[..used],
+                _ => &mut self.acc[..used],
+            };
+            bits.fill(0);
+            for s in &g.other {
+                match s {
+                    IdSource::Host(ids) => {
+                        let from = ids.partition_point(|&id| (id as u64) < window.start);
+                        let to = ids.partition_point(|&id| (id as u64) < window.end);
+                        for &id in &ids[from..to] {
+                            set_bit(bits, id as u64 - window.start);
+                        }
+                    }
+                    IdSource::Range { start, end } => {
+                        let lo = (*start as u64).max(window.start);
+                        let hi = (*end as u64).min(window.end);
+                        for id in lo..hi {
+                            set_bit(bits, id - window.start);
+                        }
+                    }
+                    IdSource::Flash(_) => unreachable!("flash sources are read below"),
+                }
+            }
+            let domain = self.domain;
+            load_pieces(dev, &g.flash, &mut self.stage, self.page_size, |bytes| {
+                for c in bytes.as_chunks::<ID_BYTES>().0 {
+                    let id = Id::from_le_bytes(*c) as u64;
+                    if id >= domain {
+                        return Err(outside(id, domain));
+                    }
+                    if window.contains(&id) {
+                        set_bit(bits, id - window.start);
+                    }
+                }
+                Ok(())
+            })?;
+            if let (Some(scratch), true) = (&self.scratch, i > 0) {
+                for (a, s) in self.acc[..used].iter_mut().zip(&scratch[..used]) {
+                    *a &= s;
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
+fn set_bit(bits: &mut [u8], i: u64) {
+    bits[(i / 8) as usize] |= 1 << (i % 8);
+}
+
+/// The first set bit of `bits` at or after `from` and below `len`.
+fn next_set_bit(bits: &[u8], from: u64, len: u64) -> Option<u64> {
+    let mut i = from;
+    while i < len {
+        let rest = bits[(i / 8) as usize] >> (i % 8);
+        if rest != 0 {
+            let b = i + rest.trailing_zeros() as u64;
+            return (b < len).then_some(b);
+        }
+        i = (i / 8 + 1) * 8;
+    }
+    None
+}
+
+/// Open a merge over CNF groups whose ids lie in `0..domain` (the level's
+/// public row count), reserving `reserve` RAM buffers for the downstream
+/// consumer (pipelining budget, §3.4). Runs the reduction if needed.
 pub fn open_merge(
     ctx: &mut ExecCtx<'_>,
-    mut groups: Vec<Vec<IdSource>>,
+    groups: Vec<Vec<IdSource>>,
     reserve: usize,
+    domain: u64,
 ) -> Result<MergeStream> {
-    reduce(ctx, &mut groups, reserve)?;
+    let reduction = reduce(ctx, &groups, reserve, domain)?;
+    open_reduced(ctx, groups, reduction, reserve, domain)
+}
+
+/// Open the merge `reduction` chose.
+fn open_reduced(
+    ctx: &mut ExecCtx<'_>,
+    mut groups: Vec<Vec<IdSource>>,
+    reduction: Reduction,
+    reserve: usize,
+    domain: u64,
+) -> Result<MergeStream> {
     let ram = ctx.ram();
     let page_size = ctx.page_size();
-    let unions = groups
-        .iter()
-        .map(|g| UnionStream::open(g, &ram, page_size))
-        .collect::<Result<Vec<_>>>()?;
-    Ok(MergeStream {
-        intersect: IntersectStream::new(unions),
-    })
+    let eval = match reduction {
+        Reduction::Windows(buffers) => {
+            Evaluation::Windows(Windows::open(&ram, groups, buffers, domain, page_size)?)
+        }
+        Reduction::Scan(plan) => {
+            pack(ctx, &mut groups, plan)?;
+            union_step(ctx, &mut groups, reserve)?;
+            let unions = groups
+                .iter()
+                .map(|g| UnionStream::open(g, &ram, page_size))
+                .collect::<Result<Vec<_>>>()?;
+            Evaluation::Scan(IntersectStream::new(unions))
+        }
+    };
+    Ok(MergeStream { eval })
 }
 
 /// Merge to a materialised sorted ID list on flash. Read side is Merge,
 /// output writes are Store.
-pub fn merge_to_list(ctx: &mut ExecCtx<'_>, groups: Vec<Vec<IdSource>>) -> Result<IdList> {
+pub fn merge_to_list(
+    ctx: &mut ExecCtx<'_>,
+    groups: Vec<Vec<IdSource>>,
+    domain: u64,
+) -> Result<IdList> {
     let max_ids: u64 = groups
         .iter()
         .map(|g| g.iter().map(|s| s.count()).sum::<u64>())
         .min()
         .unwrap_or(0);
     // One output buffer reserved for the writer.
-    let mut stream = open_merge(ctx, groups, 1)?;
+    let mut stream = open_merge(ctx, groups, 1, domain)?;
     let page_size = ctx.page_size();
     let ram = ctx.ram();
     let mut writer = IdListWriter::create(ctx.lane.alloc(), &ram, max_ids, page_size)?;
@@ -308,21 +716,34 @@ pub fn merge_to_list(ctx: &mut ExecCtx<'_>, groups: Vec<Vec<IdSource>>) -> Resul
 /// same (zero) simulated cost, far fewer host cycles. `Range` sources stay
 /// on the streaming path: it walks them in O(1) memory, while the set
 /// operations would materialise them.
-pub fn merge_to_vec(ctx: &mut ExecCtx<'_>, groups: Vec<Vec<IdSource>>) -> Result<Vec<Id>> {
+pub fn merge_to_vec(
+    ctx: &mut ExecCtx<'_>,
+    groups: Vec<Vec<IdSource>>,
+    domain: u64,
+) -> Result<Vec<Id>> {
     if groups
         .iter()
         .all(|g| g.iter().all(|s| matches!(s, IdSource::Host(_))))
     {
         return Ok(merge_host_groups(&groups));
     }
-    merge_to_vec_streaming(ctx, groups)
+    merge_to_vec_streaming(ctx, groups, domain)
 }
 
 /// The streaming evaluation of [`merge_to_vec`] (always correct, charges
 /// I/O for flash sources); the equivalence tests below pit the host fast
 /// path against it.
-fn merge_to_vec_streaming(ctx: &mut ExecCtx<'_>, groups: Vec<Vec<IdSource>>) -> Result<Vec<Id>> {
-    let mut stream = open_merge(ctx, groups, 0)?;
+fn merge_to_vec_streaming(
+    ctx: &mut ExecCtx<'_>,
+    groups: Vec<Vec<IdSource>>,
+    domain: u64,
+) -> Result<Vec<Id>> {
+    let stream = open_merge(ctx, groups, 0, domain)?;
+    drain(ctx, stream)
+}
+
+/// Every id of `stream`.
+fn drain(ctx: &mut ExecCtx<'_>, mut stream: MergeStream) -> Result<Vec<Id>> {
     let mut out = Vec::new();
     while let Some(id) = stream.next(ctx)? {
         out.push(id);
@@ -406,8 +827,8 @@ mod tests {
         };
         for dup in [false, true] {
             let mut ctx = crate::ExecCtx::new(&mut db);
-            let fast = merge_to_vec(&mut ctx, groups(dup)).unwrap();
-            let streamed = merge_to_vec_streaming(&mut ctx, groups(dup)).unwrap();
+            let fast = merge_to_vec(&mut ctx, groups(dup), 600).unwrap();
+            let streamed = merge_to_vec_streaming(&mut ctx, groups(dup), 600).unwrap();
             assert_eq!(fast, streamed);
             assert!(!fast.is_empty());
         }
@@ -525,11 +946,13 @@ mod tests {
         assert_eq!(reader_pages(&lists, ctx.page_size()), 1000);
         let mut groups = vec![lists.into_iter().map(IdSource::Flash).collect::<Vec<_>>()];
         let snap = ctx.lane.io();
-        reduce(&mut ctx, &mut groups, 0).unwrap();
+        let plan = plan_pack(&groups, ctx.ram().available(), 0, ctx.page_size());
+        assert!(plan.fits);
+        pack(&mut ctx, &mut groups, plan).unwrap();
         let io = ctx.lane.io() - snap;
         assert_eq!(io.pages_read, 2);
         assert!(flash_sources(&groups) <= ctx.ram().available());
-        let got = merge_to_vec_streaming(&mut ctx, groups).unwrap();
+        let got = merge_to_vec_streaming(&mut ctx, groups, 1000).unwrap();
         assert_eq!(got, (0..1000).collect::<Vec<Id>>());
         ctx.free_temps().unwrap();
     }
@@ -611,7 +1034,8 @@ mod tests {
             let snap = ctx.lane.io();
             let mut packed = groups.clone();
             let avail = ram.available();
-            pack(&mut ctx, &mut packed, 0).unwrap();
+            let plan = plan_pack(&packed, avail, 0, page_size);
+            pack(&mut ctx, &mut packed, plan).unwrap();
             let io = ctx.lane.io() - snap;
             packed_cases += (flash_sources(&packed) < flash_sources(&groups)) as u32;
             assert!(
@@ -620,7 +1044,7 @@ mod tests {
                 io.pages_read
             );
             assert_eq!(ram.available(), avail, "case {case}: pack leaked RAM");
-            let got = merge_to_vec_streaming(&mut ctx, packed).unwrap();
+            let got = merge_to_vec_streaming(&mut ctx, packed, 2000).unwrap();
             assert_eq!(got, expected.into_iter().collect::<Vec<_>>(), "case {case}");
             assert!(ram.peak() <= ram.capacity(), "case {case}");
             drop(held);
@@ -647,7 +1071,7 @@ mod tests {
         // Fewer than two buffers left after the reserve: no progress.
         let held = ram.alloc_region(ram.capacity() - 4).unwrap();
         let snap = ctx.lane.io();
-        let err = reduce(&mut ctx, &mut wide(), 3).unwrap_err();
+        let err = reduce(&ctx, &wide(), 3, 40).err().unwrap();
         assert_eq!(
             err,
             ExecError::Token(TokenError::OutOfRam {
@@ -658,18 +1082,137 @@ mod tests {
         );
         assert_eq!(ctx.lane.io() - snap, Default::default());
         drop(held);
-        // One irreducible sublist per group, more groups than buffers.
-        let mut singles: Vec<Vec<IdSource>> =
-            lists.iter().map(|l| vec![IdSource::Flash(*l)]).collect();
-        let err = reduce(&mut ctx, &mut singles, 1).unwrap_err();
-        assert_eq!(
-            err,
-            ExecError::Token(TokenError::OutOfRam {
-                requested: 41,
-                available: ram.capacity(),
-                capacity: ram.capacity(),
-            })
+        // One irreducible sublist per group, more groups than buffers:
+        // pack cannot reduce them, the bitmap windows merge them.
+        let singles: Vec<Vec<IdSource>> = lists.iter().map(|l| vec![IdSource::Flash(*l)]).collect();
+        let oracle: BTreeSet<Id> = ids
+            .iter()
+            .map(|g| g.iter().copied().collect::<BTreeSet<Id>>())
+            .reduce(|a, b| a.intersection(&b).copied().collect())
+            .unwrap();
+        let got = merge_to_vec_streaming(&mut ctx, singles, 40).unwrap();
+        assert_eq!(got, oracle.into_iter().collect::<Vec<_>>());
+        assert!(ram.peak() <= ram.capacity());
+        ctx.free_temps().unwrap();
+    }
+
+    #[test]
+    fn what_pack_cannot_reduce_the_union_step_finishes() {
+        // Ten sublists of 2000 ids in one group, four free buffers: every
+        // sublist outgrows the three-page pack region, so pack leaves ten
+        // sources for four buffers and the union step spills them.
+        let domain = 100_000u64;
+        let mut db = testkit::tiny_db();
+        let mut ctx = crate::ExecCtx::new(&mut db);
+        let ram = ctx.ram();
+        let ids: Vec<Vec<Id>> = (0..10u32)
+            .map(|k| (0..2000).map(|i| i * 43 + k * 5).collect())
+            .collect();
+        let lists = lay_out(&mut ctx, &ids, &[0; 10]);
+        let group = vec![lists
+            .iter()
+            .copied()
+            .map(IdSource::Flash)
+            .collect::<Vec<_>>()];
+        let held = ram.alloc_region(ram.capacity() - 4).unwrap();
+        let plan = plan_pack(&group, ram.available(), 0, ctx.page_size());
+        assert!(!plan.fits);
+        assert!(matches!(
+            reduce(&ctx, &group, 0, domain),
+            Ok(Reduction::Scan(_))
+        ));
+        let snap = ctx.lane.io();
+        let got = merge_to_vec_streaming(&mut ctx, group, domain).unwrap();
+        let oracle: BTreeSet<Id> = ids.iter().flatten().copied().collect();
+        assert_eq!(got, oracle.into_iter().collect::<Vec<_>>());
+        assert!(
+            (ctx.lane.io() - snap).pages_written > 0,
+            "the union step spills"
         );
+        assert!(ram.peak() <= ram.capacity());
+        drop(held);
+        ctx.free_temps().unwrap();
+    }
+
+    #[test]
+    fn reduce_prices_exactly_what_each_path_bills() {
+        // Two groups over 0..100_000: 1500 one-id sublists back to back and
+        // a few longer ones beside a host list, both ending at the last id,
+        // so the scan reads every sublist to the end and no chunk holds a
+        // duplicate: each path's bill is exactly its price.
+        let domain = 100_000u64;
+        let mut db = testkit::tiny_db();
+        let mut ctx = crate::ExecCtx::new(&mut db);
+        let ram = ctx.ram();
+        let (timing, page_size) = (*ctx.lane.timing(), ctx.page_size());
+        let last = domain as Id - 1;
+        let mut ids: Vec<Vec<Id>> = (0..1499).map(|i| vec![i * 61 + 7]).collect();
+        ids.push(vec![last]);
+        ids.extend((0..6u32).map(|k| (0..900).map(|i| i * 97 + k * 13).collect::<Vec<Id>>()));
+        ids.last_mut().unwrap().push(last);
+        let gaps: Vec<usize> = (0..ids.len()).map(|i| (i % 7) * ID_BYTES).collect();
+        let lists = lay_out(&mut ctx, &ids, &gaps);
+        let groups = vec![
+            lists[..1500]
+                .iter()
+                .copied()
+                .map(IdSource::Flash)
+                .collect::<Vec<_>>(),
+            lists[1500..]
+                .iter()
+                .copied()
+                .map(IdSource::Flash)
+                .chain([IdSource::Host(Arc::new(vec![5, 68, 90_000]))])
+                .collect(),
+        ];
+        let oracle: Vec<Id> = {
+            let a: BTreeSet<Id> = ids[..1500].iter().flatten().copied().collect();
+            let b: BTreeSet<Id> = ids[1500..]
+                .iter()
+                .flatten()
+                .copied()
+                .chain([5, 68, 90_000])
+                .collect();
+            a.intersection(&b).copied().collect()
+        };
+        // Six free buffers: pack fits, and bitmap windows take two
+        // bitmaps of two buffers, 32 768 ids each, so four windows.
+        let held = ram.alloc_region(ram.capacity() - 6).unwrap();
+        let plan = plan_pack(&groups, ram.available(), 0, page_size);
+        assert!(plan.fits);
+        let pack_price = pack_ns(&groups, &plan, &timing, page_size);
+        let buffers = window_buffers(groups.len(), ram.available()).unwrap();
+        assert_eq!(domain.div_ceil(window_width(buffers, page_size)), 4);
+        let windows_price = windows_ns(&groups, 4, &timing, page_size);
+        let mut wrote = Vec::new();
+        for (reduction, priced) in [
+            (Reduction::Scan(plan), pack_price),
+            (Reduction::Windows(buffers), windows_price),
+        ] {
+            let (before, snap) = (ctx.cost.op(OpKind::Merge).as_ns(), ctx.lane.io());
+            let stream = open_reduced(&mut ctx, groups.clone(), reduction, 0, domain).unwrap();
+            assert_eq!(drain(&mut ctx, stream).unwrap(), oracle);
+            assert_eq!(ctx.cost.op(OpKind::Merge).as_ns() - before, priced);
+            wrote.push((ctx.lane.io() - snap).pages_written);
+            assert!(ram.peak() <= ram.capacity());
+        }
+        assert!(wrote[0] > 0, "pack writes temps");
+        assert_eq!(wrote[1], 0, "bitmap windows write nothing");
+        drop(held);
+        ctx.free_temps().unwrap();
+    }
+
+    #[test]
+    fn an_id_outside_the_domain_is_an_error_on_the_bitmap_path() {
+        // 40 one-id groups take the bitmap path; the last id has no bit.
+        let mut db = testkit::tiny_db();
+        let mut ctx = crate::ExecCtx::new(&mut db);
+        let ids: Vec<Vec<Id>> = (0..40).map(|i| vec![i]).collect();
+        let lists = lay_out(&mut ctx, &ids, &[0; 40]);
+        let singles = lists.iter().map(|l| vec![IdSource::Flash(*l)]).collect();
+        let err = merge_to_vec_streaming(&mut ctx, singles, 39).unwrap_err();
+        assert_eq!(err, outside(39, 39));
+        assert_eq!(ctx.ram().in_use(), 0);
         ctx.free_temps().unwrap();
     }
 
@@ -688,8 +1231,8 @@ mod tests {
             ]
         };
         let mut ctx = crate::ExecCtx::new(&mut db);
-        let a = merge_to_vec(&mut ctx, groups()).unwrap();
-        let b = merge_to_vec_streaming(&mut ctx, groups()).unwrap();
+        let a = merge_to_vec(&mut ctx, groups(), 600).unwrap();
+        let b = merge_to_vec_streaming(&mut ctx, groups(), 600).unwrap();
         assert_eq!(a, b);
         assert!(!a.is_empty());
     }
@@ -698,11 +1241,17 @@ mod tests {
     fn empty_groups_and_empty_group_edge_cases() {
         let mut db = testkit::tiny_db();
         let mut ctx = crate::ExecCtx::new(&mut db);
-        assert_eq!(merge_to_vec(&mut ctx, vec![]).unwrap(), Vec::<Id>::new());
+        assert_eq!(
+            merge_to_vec(&mut ctx, vec![], 600).unwrap(),
+            Vec::<Id>::new()
+        );
         let groups = vec![
             vec![IdSource::Host(Arc::new(vec![1, 2, 3]))],
             vec![IdSource::Host(Arc::new(Vec::new()))],
         ];
-        assert_eq!(merge_to_vec(&mut ctx, groups).unwrap(), Vec::<Id>::new());
+        assert_eq!(
+            merge_to_vec(&mut ctx, groups, 600).unwrap(),
+            Vec::<Id>::new()
+        );
     }
 }

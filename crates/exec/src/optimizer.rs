@@ -49,28 +49,32 @@ use ghostdb_bloom::worth_post_filtering;
 /// selection in its subtree (measured: 0.63 at ×0.002 and ×0.01).
 pub const CROSS_PRE_CUTOFF: f64 = 0.63;
 /// Pre vs Post on a non-root table without cross-filtering or any hidden
-/// selection (measured: 0.020). SJoin's foreign-key route made Post's
-/// single-column SJoin cheap, which moved this from 0.08.
-pub const PRE_POST_CUTOFF: f64 = 0.02;
+/// selection (measured: 0.032 at ×0.002, 0.025 at ×0.01). SJoin's
+/// foreign-key route made Post's single-column SJoin cheap, which moved
+/// this from 0.08 to 0.020; bitmap-window Merge reductions made Pre's
+/// wide `∈`-probe merge cheaper, which moved it back up.
+pub const PRE_POST_CUTOFF: f64 = 0.03;
 /// Pre vs Post on a non-root table without cross-filtering beside a hidden
 /// selection in a sibling subtree: the worst-regret point over hidden
-/// selectivities 0.01–0.3 (measured: 0.10; the crossover itself is 0.03
-/// at sH 0.01, 0.13 at 0.03, 0.20 at 0.1 and 0.16 at 0.3).
-pub const SIBLING_PRE_POST_CUTOFF: f64 = 0.1;
+/// selectivities 0.01–0.3 (measured: 0.16; the crossover itself is 0.05
+/// at sH 0.01, 0.13 at 0.02, 0.25 at 0.03 and 0.3, and past 0.4 at 0.1).
+pub const SIBLING_PRE_POST_CUTOFF: f64 = 0.16;
 /// Pre vs Post on a non-root table without cross-filtering when the root
 /// carries a hidden selection: the crossover at hidden selectivity 0.01,
 /// the narrowest swept (measured: 0.016, down from 0.032 before SJoin's
-/// foreign-key route). Wider hidden root ranges move the crossover up
-/// (0.025 at 0.02–0.1, 0.020 at 0.3), so on them Post pays more than Pre
-/// between here and there: the price of never paying Pre's regret on a
-/// narrow hidden range.
+/// foreign-key route; 0.020 since bitmap-window Merge reductions, one grid
+/// step up). Wider hidden root ranges move the crossover up (0.025–0.032
+/// at 0.02–0.1, 0.020 at 0.3), so on them Post pays more than Pre between
+/// here and there: the price of never paying Pre's regret on a narrow
+/// hidden range.
 pub const HIDDEN_ROOT_PRE_POST_CUTOFF: f64 = 0.016;
 /// Pre vs NoFilter on the root table (measured: 0.81–0.93).
 pub const ROOT_PRE_CUTOFF: f64 = 0.9;
 /// With several visible tables, a table is deferred to projection when its
-/// sV exceeds this multiple of the most selective table's (measured: 3.17
-/// at ×0.002, 5.0 at ×0.01, with the most selective sV at 0.01).
-pub const DEFER_RATIO: f64 = 3.17;
+/// sV exceeds this multiple of the most selective table's (measured: 4.0
+/// at ×0.002, 8.0 at ×0.01, with the most selective sV at 0.01; 3.17 and
+/// 5.0 before bitmap-window Merge reductions made filtering cheaper).
+pub const DEFER_RATIO: f64 = 4.0;
 
 /// Decide a strategy for every table carrying visible predicates.
 pub fn decide(ctx: &ExecCtx<'_>, a: &Analyzed) -> Result<Vec<VisDecision>> {
@@ -151,9 +155,9 @@ mod tests {
     fn cutoffs_switch_strategies_at_their_boundaries() {
         let n1 = TINY_ROWS[1] as f64;
         // Without Cross: Pre up to PRE_POST_CUTOFF, Post past it.
-        assert!(2.0 / n1 <= PRE_POST_CUTOFF && 3.0 / n1 > PRE_POST_CUTOFF);
-        assert_eq!(decide_t1(2, false), VisStrategy::Pre);
-        assert_eq!(decide_t1(3, false), VisStrategy::Post);
+        assert!(3.0 / n1 <= PRE_POST_CUTOFF && 4.0 / n1 > PRE_POST_CUTOFF);
+        assert_eq!(decide_t1(3, false), VisStrategy::Pre);
+        assert_eq!(decide_t1(4, false), VisStrategy::Post);
         // With Cross: Cross-Pre up to CROSS_PRE_CUTOFF (75/120), then the
         // plain rules, whose Bloom filter is still useful at 76/120.
         assert!(75.0 / n1 <= CROSS_PRE_CUTOFF && 76.0 / n1 > CROSS_PRE_CUTOFF);
@@ -180,11 +184,11 @@ mod tests {
         };
         let n1 = TINY_ROWS[1] as f64;
         assert!(1.0 / n1 <= HIDDEN_ROOT_PRE_POST_CUTOFF && 2.0 / n1 > HIDDEN_ROOT_PRE_POST_CUTOFF);
-        assert!(12.0 / n1 <= SIBLING_PRE_POST_CUTOFF && 13.0 / n1 > SIBLING_PRE_POST_CUTOFF);
+        assert!(19.0 / n1 <= SIBLING_PRE_POST_CUTOFF && 20.0 / n1 > SIBLING_PRE_POST_CUTOFF);
         assert_eq!(decide_with(1, "T0"), VisStrategy::Pre);
         assert_eq!(decide_with(2, "T0"), VisStrategy::Post);
-        assert_eq!(decide_with(12, "T2"), VisStrategy::Pre);
-        assert_eq!(decide_with(13, "T2"), VisStrategy::Post);
+        assert_eq!(decide_with(19, "T2"), VisStrategy::Pre);
+        assert_eq!(decide_with(20, "T2"), VisStrategy::Post);
     }
 
     /// Decisions for a query with visible selections on T1 (`k1` of 120
@@ -206,16 +210,16 @@ mod tests {
     #[test]
     fn less_selective_tables_are_deferred() {
         // T2 at 1/40 = 0.025 is the most selective; T1 ties it at 3/120 and
-        // at 9/120 = 0.075 stays within DEFER_RATIO × 0.025: both keep
-        // their own filter (Post, being past PRE_POST_CUTOFF).
-        assert_eq!(decide_t1_t2(3, 1), (VisStrategy::Post, VisStrategy::Post));
-        assert_eq!(decide_t1_t2(9, 1), (VisStrategy::Post, VisStrategy::Post));
-        // At 10/120 T1 is past the ratio: it is checked at projection.
+        // at 12/120 = 0.1 stays within DEFER_RATIO × 0.025: both keep
+        // their own filter (Pre up to PRE_POST_CUTOFF, Post past it).
+        assert_eq!(decide_t1_t2(3, 1), (VisStrategy::Pre, VisStrategy::Pre));
+        assert_eq!(decide_t1_t2(12, 1), (VisStrategy::Post, VisStrategy::Pre));
+        // At 13/120 T1 is past the ratio: it is checked at projection.
         let (n1, n2) = (TINY_ROWS[1] as f64, TINY_ROWS[2] as f64);
-        assert!(9.0 / n1 <= DEFER_RATIO / n2 && 10.0 / n1 > DEFER_RATIO / n2);
+        assert!(12.0 / n1 <= DEFER_RATIO / n2 && 13.0 / n1 > DEFER_RATIO / n2);
         assert_eq!(
-            decide_t1_t2(10, 1),
-            (VisStrategy::NoFilter, VisStrategy::Post)
+            decide_t1_t2(13, 1),
+            (VisStrategy::NoFilter, VisStrategy::Pre)
         );
         // The rule is symmetric: the most selective table is kept whichever
         // it is.

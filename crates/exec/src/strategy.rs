@@ -198,7 +198,7 @@ pub fn execute_sj(
                     root_prefetch.insert(*i, root_subs);
                 }
             }
-            Some(Arc::new(merge_to_vec(ctx, lgroups)?))
+            Some(Arc::new(merge_to_vec(ctx, lgroups, ctx.cat.rows[*t])?))
         } else {
             None
         };
@@ -266,7 +266,7 @@ pub fn execute_sj(
         let root_ids = if groups.is_empty() {
             RootIds::All
         } else {
-            RootIds::List(merge_to_list(ctx, groups)?)
+            RootIds::List(merge_to_list(ctx, groups, ctx.cat.rows[root])?)
         };
         return Ok(SjOutcome {
             root: root_ids,
@@ -343,7 +343,7 @@ pub fn execute_sj(
         .map(|g| g.iter().map(|s| s.count()).sum::<u64>())
         .min()
         .unwrap_or(0);
-    let mut stream = open_merge(ctx, groups, 4)?;
+    let mut stream = open_merge(ctx, groups, 4, ctx.cat.rows[root])?;
     if cols.is_empty() {
         // Root-only plan (single-table schema or all filters on the root):
         // no SKT is involved, probe the owner ids directly.
