@@ -34,7 +34,7 @@ use ghostdb_exec::sjoin::sjoin_stream;
 use ghostdb_exec::source::{IdSource, UnionStream};
 use ghostdb_exec::strategy::VisStrategy;
 use ghostdb_exec::{
-    ExecCtx, ExecOptions, ExecReport, Executor, GhostDbServer, ServeConfig, SpjQuery,
+    ExecCtx, ExecError, ExecOptions, ExecReport, Executor, GhostDbServer, ServeConfig, SpjQuery,
 };
 use ghostdb_flash::{FlashDevice, FlashGeometry, FlashTiming, SegmentAllocator};
 use ghostdb_index::{ClimbingSpec, FkData, IndexBuilder, LevelSpec};
@@ -224,6 +224,12 @@ fn report_stats(report: &ExecReport) -> RunStats {
     }
 }
 
+/// [`report_stats`] of a scenario query, which must run: a failure is a
+/// perfbench bug, not a point to skip.
+fn ran(report: Result<ExecReport, ExecError>) -> RunStats {
+    report_stats(&report.expect("perfbench query runs"))
+}
+
 /// Run sweep points in order against one database built by `build`.
 fn sweep<S>(
     label: &str,
@@ -281,7 +287,7 @@ fn synthetic_scenarios(scale: f64, warmup: usize, iters: usize, out: &mut Vec<Be
             );
             eprintln!("perfbench: {name}");
             measure(name, warmup, iters, || {
-                report_stats(&run_with(db, &q, strategy, algo))
+                ran(run_with(db, &q, strategy, algo))
             })
         },
     ));
@@ -301,7 +307,7 @@ fn zipf_scenarios(scale: f64, warmup: usize, iters: usize, out: &mut Vec<BenchEn
             let name = format!("synthetic-zipf/x{scale}/{}", strategy.name());
             eprintln!("perfbench: {name}");
             measure(name, warmup, iters, || {
-                report_stats(&run_with(db, &q, strategy, ProjectAlgo::Project))
+                ran(run_with(db, &q, strategy, ProjectAlgo::Project))
             })
         },
     ));
@@ -324,7 +330,7 @@ fn hicard_scenarios(scale: f64, warmup: usize, iters: usize, out: &mut Vec<Bench
             let name = format!("synthetic-hicard/x{scale}/{}", strategy.name());
             eprintln!("perfbench: {name}");
             measure(name, warmup, iters, || {
-                report_stats(&run_with(db, &q, strategy, ProjectAlgo::Project))
+                ran(run_with(db, &q, strategy, ProjectAlgo::Project))
             })
         },
     ));
@@ -356,7 +362,7 @@ fn padded_scenarios(scale: f64, warmup: usize, iters: usize, out: &mut Vec<Bench
             );
             eprintln!("perfbench: {name}");
             measure(name, warmup, iters, || {
-                report_stats(&run_with_tuned(
+                ran(run_with_tuned(
                     db,
                     &q,
                     strategy,
@@ -380,7 +386,7 @@ fn medical_scenarios(scale: f64, warmup: usize, iters: usize, out: &mut Vec<Benc
             let name = format!("medical/x{scale}/{}", strategy.name());
             eprintln!("perfbench: {name}");
             measure(name, warmup, iters, || {
-                report_stats(&run_with(db, &q, strategy, ProjectAlgo::Project))
+                ran(run_with(db, &q, strategy, ProjectAlgo::Project))
             })
         },
     ));

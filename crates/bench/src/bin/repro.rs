@@ -10,7 +10,6 @@
 //! the Table 1 cost model — deterministic across runs.
 
 use ghostdb_bench::*;
-use ghostdb_exec::strategy::VisStrategy;
 
 const USAGE: &str = "\
 repro — regenerate the GhostDB paper evaluation (§6)
@@ -26,7 +25,9 @@ OPTIONS:
     -h, --help         print this help and exit
 
 Reported times are simulated times from the Table 1 cost model and are
-deterministic across runs.";
+deterministic across runs. A query that fails prints `failed` in its cell
+and its error under the table; the other points still run, and repro then
+exits with status 1.";
 
 const FIGURES: [&str; 12] = [
     "all", "7", "8", "9", "10", "11", "12", "13", "14", "15", "16", "table1",
@@ -83,7 +84,8 @@ fn parse_args() -> (f64, f64, String) {
     (scale, med_scale, figure)
 }
 
-fn print_sweep(title: &str, xlabel: &str, points: &[SweepPoint]) {
+/// Print one sweep; returns how many of its queries failed.
+fn print_sweep(title: &str, xlabel: &str, points: &[SweepPoint]) -> usize {
     println!("\n== {title} ==");
     let names: Vec<&str> = points[0].series.iter().map(|(n, _)| n.as_str()).collect();
     print!("{xlabel:>10}");
@@ -91,16 +93,56 @@ fn print_sweep(title: &str, xlabel: &str, points: &[SweepPoint]) {
         print!(" {n:>20}");
     }
     println!();
+    let mut failures = Vec::new();
     for p in points {
         print!("{:>10.3}", p.x);
-        for (_, v) in &p.series {
+        for (name, v) in &p.series {
             match v {
-                Some(secs) => print!(" {:>19.3}s", secs),
-                None => print!(" {:>20}", "-"),
+                Ok(secs) => print!(" {:>19.3}s", secs),
+                Err(e) => {
+                    print!(" {:>20}", "failed");
+                    failures.push(format!("{xlabel} = {}, {name}: {e}", p.x));
+                }
             }
         }
         println!();
     }
+    print_failures(&failures)
+}
+
+/// Print one decomposition; returns how many of its queries failed.
+fn print_decomposition(title: &str, rows: &[(String, Measured<Buckets>)]) -> usize {
+    println!("\n== {title} ==");
+    println!(
+        "{:>8} {:>10} {:>10} {:>10} {:>10} {:>10}",
+        "config", "Merge", "Sjoin", "Store", "Project", "total"
+    );
+    let mut failures = Vec::new();
+    for (label, buckets) in rows {
+        match buckets {
+            Ok(b) => {
+                let total: f64 = b.iter().map(|(_, v)| v).sum();
+                println!(
+                    "{label:>8} {:>10.3} {:>10.3} {:>10.3} {:>10.3} {total:>10.3}",
+                    b[0].1, b[1].1, b[2].1, b[3].1
+                );
+            }
+            Err(e) => {
+                println!("{label:>8} {:>10}", "failed");
+                failures.push(format!("{label}: {e}"));
+            }
+        }
+    }
+    print_failures(&failures)
+}
+
+/// A failed query prints as its point and error under the table; the
+/// figure's other points still run, and `repro` exits non-zero at the end.
+fn print_failures(failures: &[String]) -> usize {
+    for f in failures {
+        println!("  failed: {f}");
+    }
+    failures.len()
 }
 
 fn want(figure: &str, name: &str) -> bool {
@@ -139,147 +181,32 @@ fn main() {
         }
     }
 
-    let needs_synth = ["8", "9", "10", "11", "12", "13", "14", "15", "table1"]
-        .iter()
-        .any(|f| want(&figure, f));
-    if needs_synth {
-        eprintln!("building synthetic dataset (scale {scale})...");
-        let (ds, mut db) = build_synthetic(scale);
-
-        if want(&figure, "table1") {
-            println!("\n== Table 1: performance parameters of the simulated USB key ==");
-            for (k, v) in table1(&db) {
-                println!("  {k:<58} {v}");
-            }
+    // Each figure runs on a database of its own (see `run_figure`).
+    let mut failed = 0;
+    for name in QUERY_FIGURES.iter().filter(|f| want(&figure, f)) {
+        if *name == "16" {
+            eprintln!("building medical dataset (scale {med_scale}) for figure 16...");
+        } else {
+            eprintln!("building synthetic dataset (scale {scale}) for figure {name}...");
         }
-        if want(&figure, "8") {
-            let pts = figure_filtering(
-                &ds,
-                &mut db,
-                &[
-                    VisStrategy::Pre,
-                    VisStrategy::CrossPre,
-                    VisStrategy::Post,
-                    VisStrategy::CrossPost,
-                ],
-            );
-            print_sweep("Figure 8: Filtering vs Cross-Filtering", "sV", &pts);
-        }
-        if want(&figure, "9") {
-            let pts = figure_filtering(
-                &ds,
-                &mut db,
-                &[VisStrategy::CrossPre, VisStrategy::CrossPost],
-            );
-            print_sweep("Figure 9: Cross-Pre vs Cross-Post", "sV", &pts);
-        }
-        if want(&figure, "10") {
-            let pts = figure_filtering(
-                &ds,
-                &mut db,
-                &[VisStrategy::Pre, VisStrategy::Post, VisStrategy::NoFilter],
-            );
-            print_sweep("Figure 10: Pre vs Post-Filtering (no Cross)", "sV", &pts);
-        }
-        if want(&figure, "11") {
-            let pts = figure_filtering(
-                &ds,
-                &mut db,
-                &[
-                    VisStrategy::Post,
-                    VisStrategy::PostSelect,
-                    VisStrategy::CrossPost,
-                    VisStrategy::CrossPostSelect,
-                ],
-            );
-            print_sweep("Figure 11: Post-Filtering alternatives", "sV", &pts);
-        }
-        if want(&figure, "12") {
-            let pts = figure_projection(&ds, &mut db, VisStrategy::CrossPre);
-            print_sweep(
-                "Figure 12: Projection under Cross-Pre-Filtering",
-                "sV",
-                &pts,
-            );
-        }
-        if want(&figure, "13") {
-            let pts = figure_projection(&ds, &mut db, VisStrategy::CrossPost);
-            print_sweep(
-                "Figure 13: Projection under Cross-Post-Filtering",
-                "sV",
-                &pts,
-            );
-        }
-        if want(&figure, "14") {
-            let pts = figure_throughput(&ds, &mut db);
-            print_sweep(
-                "Figure 14: Impact of communication throughput (Cross-Pre, sV=0.01)",
-                "MB/s",
-                &pts,
-            );
-        }
-        if want(&figure, "15") {
-            println!("\n== Figure 15: cost decomposition, synthetic dataset (seconds, comm. excluded) ==");
-            let mut queries = Vec::new();
-            for sv in [0.01, 0.05, 0.2] {
-                queries.push(query_q(&ds, &db, sv, false));
-            }
-            let mut mk_query = {
-                let queries = queries.clone();
-                move |sv: f64| {
-                    let idx = if sv == 0.01 {
-                        0
-                    } else if sv == 0.05 {
-                        1
-                    } else {
-                        2
-                    };
-                    queries[idx].clone()
+        failed += match run_figure(name, scale, med_scale) {
+            Figure::Sweep {
+                title,
+                xlabel,
+                points,
+            } => print_sweep(&title, xlabel, &points),
+            Figure::Decomposition { title, rows } => print_decomposition(&title, &rows),
+            Figure::Table { title, rows } => {
+                println!("\n== {title} ==");
+                for (k, v) in rows {
+                    println!("  {k:<58} {v}");
                 }
-            };
-            let rows = figure_decomposition(&mut mk_query, &mut db);
-            print_decomposition(&rows);
-        }
-    }
-
-    if want(&figure, "16") {
-        eprintln!("building medical dataset (scale {med_scale})...");
-        let (mds, mut mdb) = build_medical(med_scale);
-        println!(
-            "\n== Figure 16: cost decomposition, medical dataset (seconds, comm. excluded) =="
-        );
-        let mut queries = Vec::new();
-        for sv in [0.01, 0.05, 0.2] {
-            queries.push(medical_q(&mds, &mdb, sv));
-        }
-        let mut mk_query = {
-            let queries = queries.clone();
-            move |sv: f64| {
-                let idx = if sv == 0.01 {
-                    0
-                } else if sv == 0.05 {
-                    1
-                } else {
-                    2
-                };
-                queries[idx].clone()
+                0
             }
         };
-        let rows = figure_decomposition(&mut mk_query, &mut mdb);
-        print_decomposition(&rows);
     }
-}
-
-fn print_decomposition(rows: &[(String, [(String, f64); 4])]) {
-    println!(
-        "{:>8} {:>10} {:>10} {:>10} {:>10} {:>10}",
-        "config", "Merge", "Sjoin", "Store", "Project", "total"
-    );
-    for (label, buckets) in rows {
-        let total: f64 = buckets.iter().map(|(_, v)| v).sum();
-        println!(
-            "{label:>8} {:>10.3} {:>10.3} {:>10.3} {:>10.3} {total:>10.3}",
-            buckets[0].1, buckets[1].1, buckets[2].1, buckets[3].1
-        );
+    if failed > 0 {
+        eprintln!("repro: {failed} queries failed");
+        std::process::exit(1);
     }
 }

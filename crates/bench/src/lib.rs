@@ -14,7 +14,7 @@ pub mod perf;
 use ghostdb_datagen::{MedicalDataset, SyntheticDataset, SyntheticSpec};
 use ghostdb_exec::project::ProjectAlgo;
 use ghostdb_exec::strategy::VisStrategy;
-use ghostdb_exec::{Database, ExecOptions, ExecReport, Executor, SpjQuery};
+use ghostdb_exec::{Database, ExecError, ExecOptions, ExecReport, Executor, SpjQuery};
 use ghostdb_index::size_model::{db_raw_bytes, scheme_index_bytes, SizeModelInput};
 use ghostdb_index::IndexScheme;
 use ghostdb_storage::schema::paper_synthetic_schema;
@@ -25,14 +25,150 @@ pub const SV_SWEEP: [f64; 8] = [0.001, 0.005, 0.01, 0.05, 0.1, 0.2, 0.5, 1.0];
 /// The paper's fixed hidden selectivity (§6.4).
 pub const SH: f64 = 0.1;
 
+/// One query's outcome in a figure: its value, or the error the query
+/// failed with, so one failed point does not stop the figure.
+pub type Measured<T> = std::result::Result<T, String>;
+
 /// One measured point: per-series simulated seconds.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SweepPoint {
     /// x value (selectivity or throughput).
     pub x: f64,
-    /// (series name, simulated seconds) — `None` when the configuration is
-    /// not executed (e.g. Post-Filter past its Bloom cutoff).
-    pub series: Vec<(String, Option<f64>)>,
+    /// (series name, simulated seconds or the query's error).
+    pub series: Vec<(String, Measured<f64>)>,
+}
+
+/// Per-operator simulated seconds of one Figure 15/16 configuration:
+/// (bucket name, seconds) for Merge, SJoin, Store and Project.
+pub type Buckets = [(String, f64); 4];
+
+/// One table or figure of the evaluation, ready to print.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Figure {
+    /// Simulated seconds per series along an x axis (Figures 8–14).
+    Sweep {
+        /// Heading.
+        title: String,
+        /// x-axis label.
+        xlabel: &'static str,
+        /// The measured points.
+        points: Vec<SweepPoint>,
+    },
+    /// Per-operator buckets per configuration (Figures 15–16).
+    Decomposition {
+        /// Heading.
+        title: String,
+        /// (configuration label, its buckets or the query's error).
+        rows: Vec<(String, Measured<Buckets>)>,
+    },
+    /// Parameter list (Table 1).
+    Table {
+        /// Heading.
+        title: String,
+        /// (parameter, value).
+        rows: Vec<(String, String)>,
+    },
+}
+
+/// The figures [`run_figure`] produces, in `repro`'s order.
+pub const QUERY_FIGURES: [&str; 10] =
+    ["table1", "8", "9", "10", "11", "12", "13", "14", "15", "16"];
+
+/// Run one figure of [`QUERY_FIGURES`] on a freshly built database, the
+/// synthetic one at `scale` or, for Figure 16, the medical one at
+/// `medical_scale`. Queries write temps and move the flash device's
+/// garbage-collection state, so a database shared across figures would
+/// make each figure's numbers depend on the figures run before it.
+///
+/// # Panics
+///
+/// On a name outside [`QUERY_FIGURES`].
+pub fn run_figure(name: &str, scale: f64, medical_scale: f64) -> Figure {
+    assert!(QUERY_FIGURES.contains(&name), "no figure named {name}");
+    if name == "16" {
+        let (mds, mut mdb) = build_medical(medical_scale);
+        return Figure::Decomposition {
+            title: "Figure 16: cost decomposition, medical dataset (seconds, comm. excluded)"
+                .into(),
+            rows: figure_decomposition(&mut |db, sv| medical_q(&mds, db, sv), &mut mdb),
+        };
+    }
+    let (ds, mut db) = build_synthetic(scale);
+    let db = &mut db;
+    let sweep = |title: &str, xlabel, points| Figure::Sweep {
+        title: title.into(),
+        xlabel,
+        points,
+    };
+    match name {
+        "table1" => Figure::Table {
+            title: "Table 1: performance parameters of the simulated USB key".into(),
+            rows: table1(db),
+        },
+        "8" => sweep(
+            "Figure 8: Filtering vs Cross-Filtering",
+            "sV",
+            figure_filtering(
+                &ds,
+                db,
+                &[
+                    VisStrategy::Pre,
+                    VisStrategy::CrossPre,
+                    VisStrategy::Post,
+                    VisStrategy::CrossPost,
+                ],
+            ),
+        ),
+        "9" => sweep(
+            "Figure 9: Cross-Pre vs Cross-Post",
+            "sV",
+            figure_filtering(&ds, db, &[VisStrategy::CrossPre, VisStrategy::CrossPost]),
+        ),
+        "10" => sweep(
+            "Figure 10: Pre vs Post-Filtering (no Cross)",
+            "sV",
+            figure_filtering(
+                &ds,
+                db,
+                &[VisStrategy::Pre, VisStrategy::Post, VisStrategy::NoFilter],
+            ),
+        ),
+        "11" => sweep(
+            "Figure 11: Post-Filtering alternatives",
+            "sV",
+            figure_filtering(
+                &ds,
+                db,
+                &[
+                    VisStrategy::Post,
+                    VisStrategy::PostSelect,
+                    VisStrategy::CrossPost,
+                    VisStrategy::CrossPostSelect,
+                ],
+            ),
+        ),
+        "12" => sweep(
+            "Figure 12: Projection under Cross-Pre-Filtering",
+            "sV",
+            figure_projection(&ds, db, VisStrategy::CrossPre),
+        ),
+        "13" => sweep(
+            "Figure 13: Projection under Cross-Post-Filtering",
+            "sV",
+            figure_projection(&ds, db, VisStrategy::CrossPost),
+        ),
+        "14" => sweep(
+            "Figure 14: Impact of communication throughput (Cross-Pre, sV=0.01)",
+            "MB/s",
+            figure_throughput(&ds, db),
+        ),
+        // "15", the one name left.
+        _ => Figure::Decomposition {
+            title: "Figure 15: cost decomposition, synthetic dataset (seconds, comm. excluded)"
+                .into(),
+            rows: figure_decomposition(&mut |db, sv| query_q(&ds, db, sv, false), db),
+        },
+    }
 }
 
 /// Build the shared synthetic evaluation database.
@@ -95,15 +231,13 @@ pub fn query_q_hicard(ds: &SyntheticDataset, db: &Database, sv: f64, sh: f64) ->
     q
 }
 
-/// Run a query under a forced strategy; `None` when the strategy is not
-/// executable for this configuration (Figure 10's Post cutoff surfaces as
-/// the executor deferring the selection — detected via the report).
+/// Run a query under a forced strategy and projection algorithm.
 pub fn run_with(
     db: &mut Database,
     q: &SpjQuery,
     strategy: VisStrategy,
     algo: ProjectAlgo,
-) -> ExecReport {
+) -> Result<ExecReport, ExecError> {
     run_with_tuned(db, q, strategy, algo, false)
 }
 
@@ -116,15 +250,21 @@ pub fn run_with_tuned(
     strategy: VisStrategy,
     algo: ProjectAlgo,
     padded: bool,
-) -> ExecReport {
+) -> Result<ExecReport, ExecError> {
     let opts = ExecOptions {
         strategies: vec![],
         forced_strategy: Some(strategy),
         project: Some(algo),
         padded,
     };
-    let (_, report) = Executor::run(db, q, &opts).expect("query runs");
+    Executor::run(db, q, &opts).map(|(_, report)| report)
+}
+
+/// A query's simulated seconds, or its error as text.
+fn seconds(report: Result<ExecReport, ExecError>) -> Measured<f64> {
     report
+        .map(|r| r.total().as_secs())
+        .map_err(|e| e.to_string())
 }
 
 /// Figure 8 + 9 + 10 + 11: total simulated time vs sV per strategy.
@@ -141,7 +281,7 @@ pub fn figure_filtering(
                 .iter()
                 .map(|s| {
                     let report = run_with(db, &q, *s, ProjectAlgo::Project);
-                    (s.name().to_string(), Some(report.total().as_secs()))
+                    (s.name().to_string(), seconds(report))
                 })
                 .collect();
             SweepPoint { x: *sv, series }
@@ -168,7 +308,7 @@ pub fn figure_projection(
                 .iter()
                 .map(|a| {
                     let report = run_with(db, &q, strategy, *a);
-                    (a.name().to_string(), Some(report.total().as_secs()))
+                    (a.name().to_string(), seconds(report))
                 })
                 .collect();
             SweepPoint { x: *sv, series }
@@ -199,7 +339,7 @@ pub fn figure_throughput(ds: &SyntheticDataset, db: &mut Database) -> Vec<SweepP
                     }
                     q.text = format!("Q-project{k}");
                     let report = run_with(db, &q, VisStrategy::CrossPre, ProjectAlgo::Project);
-                    (format!("Project{k}"), Some(report.total().as_secs()))
+                    (format!("Project{k}"), seconds(report))
                 })
                 .collect();
             SweepPoint { x: *mbps, series }
@@ -212,27 +352,24 @@ pub fn figure_throughput(ds: &SyntheticDataset, db: &mut Database) -> Vec<SweepP
 /// Figures 15–16: per-operator decomposition for PRE/POST at
 /// sV ∈ {0.01, 0.05, 0.2} (communication excluded, as in the paper).
 pub fn figure_decomposition(
-    mk_query: &mut dyn FnMut(f64) -> SpjQuery,
+    mk_query: &mut dyn FnMut(&Database, f64) -> SpjQuery,
     db: &mut Database,
-) -> Vec<(String, [(String, f64); 4])> {
+) -> Vec<(String, Measured<Buckets>)> {
     let mut out = Vec::new();
     for (label, sv) in [("1", 0.01), ("5", 0.05), ("20", 0.2)] {
         for (tag, strategy) in [
             ("PRE", VisStrategy::CrossPre),
             ("POST", VisStrategy::CrossPost),
         ] {
-            let q = mk_query(sv);
-            let report = run_with(db, &q, strategy, ProjectAlgo::Project);
-            let buckets = report.fig15_buckets();
-            out.push((
-                format!("{tag}{label}"),
-                [
-                    (buckets[0].0.to_string(), buckets[0].1.as_secs()),
-                    (buckets[1].0.to_string(), buckets[1].1.as_secs()),
-                    (buckets[2].0.to_string(), buckets[2].1.as_secs()),
-                    (buckets[3].0.to_string(), buckets[3].1.as_secs()),
-                ],
-            ));
+            let q = mk_query(db, sv);
+            let buckets = run_with(db, &q, strategy, ProjectAlgo::Project)
+                .map(|report| {
+                    report
+                        .fig15_buckets()
+                        .map(|(name, t)| (name.to_string(), t.as_secs()))
+                })
+                .map_err(|e| e.to_string());
+            out.push((format!("{tag}{label}"), buckets));
         }
     }
     out
@@ -393,10 +530,80 @@ mod tests {
     fn tiny_sweep_produces_sane_shapes() {
         let (ds, mut db) = build_synthetic(0.0005); // T0 = 5000
         let q = query_q(&ds, &db, 0.01, false);
-        let pre = run_with(&mut db, &q, VisStrategy::CrossPre, ProjectAlgo::Project);
-        let post = run_with(&mut db, &q, VisStrategy::CrossPost, ProjectAlgo::Project);
+        let pre = run_with(&mut db, &q, VisStrategy::CrossPre, ProjectAlgo::Project).unwrap();
+        let post = run_with(&mut db, &q, VisStrategy::CrossPost, ProjectAlgo::Project).unwrap();
         assert!(pre.total().as_ns() > 0 && post.total().as_ns() > 0);
         // Pre and post must agree on result cardinality at any sv.
         assert_eq!(pre.result_rows, post.result_rows);
+    }
+
+    /// A figure's numbers do not depend on the figures run before it:
+    /// each runs on a database of its own.
+    #[test]
+    fn a_figure_reads_the_same_alone_and_after_another() {
+        let scale = 0.0005;
+        let alone = run_figure("11", scale, 0.01);
+        run_figure("10", scale, 0.01);
+        assert_eq!(run_figure("11", scale, 0.01), alone);
+        let Figure::Sweep { points, .. } = alone else {
+            panic!("figure 11 is a sweep");
+        };
+        assert_eq!(points.len(), SV_SWEEP.len());
+        assert!(points
+            .iter()
+            .all(|p| p.series.iter().all(|(_, v)| v.is_ok())));
+    }
+
+    /// Every sweep query gives back the flash pages its temps took, so a
+    /// long sweep cannot run out of logical space through leaked temps.
+    #[test]
+    fn sweep_points_free_their_temps() {
+        let (ds, mut db) = build_synthetic(0.0005);
+        for sv in SV_SWEEP {
+            let q = query_q(&ds, &db, sv, true);
+            for strategy in [
+                VisStrategy::Pre,
+                VisStrategy::CrossPre,
+                VisStrategy::Post,
+                VisStrategy::CrossPost,
+                VisStrategy::PostSelect,
+                VisStrategy::CrossPostSelect,
+                VisStrategy::NoFilter,
+            ] {
+                for algo in [ProjectAlgo::Project, ProjectAlgo::BruteForce] {
+                    let free = db.alloc.free_pages();
+                    run_with(&mut db, &q, strategy, algo).unwrap();
+                    assert_eq!(
+                        db.alloc.free_pages(),
+                        free,
+                        "sV {sv}, {} / {} kept temp pages",
+                        strategy.name(),
+                        algo.name()
+                    );
+                }
+            }
+        }
+    }
+
+    /// A query that fails becomes its point's error, and the sweep runs
+    /// the rest: with 6 RAM buffers some of Figure 10's queries run out of
+    /// secure RAM and the others complete.
+    #[test]
+    fn a_failed_point_is_reported_and_the_sweep_goes_on() {
+        let (ds, mut db) = build_synthetic(0.0005);
+        db.token.ram = ghostdb_token::RamArena::new(db.token.flash.page_size(), 6);
+        let strategies = [VisStrategy::Pre, VisStrategy::Post, VisStrategy::NoFilter];
+        let points = figure_filtering(&ds, &mut db, &strategies);
+        assert_eq!(points.len(), SV_SWEEP.len());
+        let cells: Vec<&Measured<f64>> = points
+            .iter()
+            .flat_map(|p| p.series.iter().map(|(_, v)| v))
+            .collect();
+        assert_eq!(cells.len(), SV_SWEEP.len() * strategies.len());
+        let failed: Vec<&String> = cells.iter().filter_map(|v| v.as_ref().err()).collect();
+        assert!(!failed.is_empty() && failed.len() < cells.len());
+        for e in failed {
+            assert!(e.contains("secure RAM exhausted"), "{e}");
+        }
     }
 }

@@ -35,7 +35,8 @@
 //! Every shipment the per-table σVH + MJoin passes need is fetched before
 //! the first pass, in table order (the channel's cost model is a byte sum,
 //! so hoisting changes nothing); the passes then run table by table below
-//! the channel.
+//! the channel. A table ships once: with a visible projection, its
+//! ids+values shipment also gives σVH its ids.
 
 use crate::ctx::ExecCtx;
 use crate::error::ExecError;
@@ -220,7 +221,8 @@ struct TablePrep<'q> {
     /// Ids satisfying the table's visible predicates (`None` when the table
     /// has no visible side at all → dense range).
     sigma_ids: Option<SharedIds>,
-    /// Visible values for MJoin (second shipment, values included).
+    /// Visible values for MJoin (the ids+values shipment of a table with a
+    /// visible projection, whose ids are also `sigma_ids`).
     vis_values: Option<ghostdb_untrusted::VisShipment>,
 }
 
@@ -279,16 +281,15 @@ pub fn execute(
             .map(|(_, p)| p)
             .collect();
         let vis_preds = a.vis_preds_of(*t);
-        let has_vis_side = !vis_preds.is_empty() || !tproj.vis.is_empty();
-        let sigma_ids: Option<SharedIds> = if has_vis_side {
-            Some(Arc::new(ctx.vis(*t, vis_preds, &[])?.ids))
-        } else {
-            None
-        };
         let vis_values = if tproj.vis.is_empty() {
             None
         } else {
             Some(ctx.vis(*t, vis_preds, &tproj.vis)?)
+        };
+        let sigma_ids: Option<SharedIds> = match &vis_values {
+            Some(s) => Some(Arc::new(s.ids.clone())),
+            None if !vis_preds.is_empty() => Some(Arc::new(ctx.vis(*t, vis_preds, &[])?.ids)),
+            None => None,
         };
         preps.push(TablePrep {
             tproj,

@@ -7,6 +7,7 @@
 //! power-of-two row bucket ([`PadMode::PowerOfTwo`]) to quantise the
 //! volume a wire snooper measures.
 
+use crate::codec::{self, IdCodec};
 use crate::store::VisibleStore;
 use crate::trace::{HostOp, HostTrace, HostTraceEvent, PadMode};
 use ghostdb_storage::{CmpOp, Id, Predicate, Result, TableId, Value, ID_BYTES};
@@ -24,7 +25,8 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 pub struct VisShipment {
     /// Table the shipment is about.
     pub table: TableId,
-    /// Sorted ids satisfying the visible predicates.
+    /// Sorted ids satisfying the visible predicates (in exact mode, as
+    /// the token decoded them from the wire).
     pub ids: Vec<Id>,
     /// Projected visible columns (parallel to `ids`), in request order.
     pub columns: Vec<(String, Vec<Value>)>,
@@ -161,13 +163,19 @@ impl UntrustedHost {
     }
 
     /// `Vis(Q, T, π)`: evaluate all visible predicates of `Q` on `T`, ship
-    /// the sorted id list plus the values of the `π` columns, padded to
-    /// `pad`'s row bucket with zero filler.
+    /// the sorted id list plus the values of the `π` columns.
+    ///
+    /// In [`PadMode::Exact`] the id block goes out in the smallest
+    /// [`IdCodec`] over the public domain `0..|T|`, and the token decodes
+    /// the shipment's ids from the bytes that crossed the wire. A padded
+    /// shipment keeps raw 4-byte ids and every block is zero-filled to
+    /// `pad`'s row bucket, so two same-bucket selections ship the same
+    /// bytes. Projected values are fixed-width in both modes.
     ///
     /// The transfer is recorded on the channel with a tag naming the table,
     /// projection and (when padding) the bucket, so the transcript is
     /// self-describing; the select/project requests land in the
-    /// [`HostTrace`] with their post-padding wire volumes.
+    /// [`HostTrace`] with their wire volumes.
     pub fn vis_with(
         &self,
         channel: &mut Channel,
@@ -179,14 +187,27 @@ impl UntrustedHost {
     ) -> Result<VisShipment> {
         let ids = self.store.select(table, preds)?;
         let rows = self.store.project(table, &ids, projection)?;
+        let vis_table = self.store.table(table);
         let bucket = pad.bucket(ids.len());
         let filler_rows = bucket - ids.len();
+        // Serialise for the wire: the id block, then column values at
+        // fixed widths, each block zero-filled to the pad bucket.
+        let mut payload = Vec::new();
+        if pad == PadMode::Exact {
+            IdCodec::choose(&ids, vis_table.rows).encode(&ids, vis_table.rows, &mut payload);
+        } else {
+            payload.reserve(bucket * ID_BYTES);
+            for id in &ids {
+                payload.extend_from_slice(&id.to_le_bytes());
+            }
+            payload.resize(bucket * ID_BYTES, 0);
+        }
         self.record(HostTraceEvent {
             op: HostOp::Select,
             table: Some(table),
             shape: fmt_preds(preds),
             request_bytes: 0,
-            response_bytes: (bucket * ID_BYTES) as u64,
+            response_bytes: payload.len() as u64,
             items: ids.len() as u64,
         });
         let mut columns: Vec<(String, Vec<Value>)> = projection
@@ -198,14 +219,6 @@ impl UntrustedHost {
                 slot.1.push(v);
             }
         }
-        // Serialise for the wire: ids then column values, fixed widths,
-        // each block zero-filled to the pad bucket.
-        let vis_table = self.store.table(table);
-        let mut payload = Vec::with_capacity(bucket * ID_BYTES);
-        for id in &ids {
-            payload.extend_from_slice(&id.to_le_bytes());
-        }
-        payload.resize(bucket * ID_BYTES, 0);
         let mut widths_sum = 0usize;
         for (name, values) in &columns {
             let ty = vis_table.column(name)?.ty;
@@ -236,6 +249,13 @@ impl UntrustedHost {
             tag.push_str(&format!(".pad{bucket}"));
         }
         channel.send_to_secure(&tag, &payload);
+        // The token's side of the wire: an exact shipment's ids are what
+        // it decodes from the payload. Padded filler is indistinguishable
+        // from id 0, so a padded shipment's ids are the selection itself.
+        let ids = match pad {
+            PadMode::Exact => codec::decode(&payload, vis_table.rows)?.0,
+            PadMode::PowerOfTwo => ids,
+        };
         Ok(VisShipment {
             table,
             ids,
@@ -282,8 +302,10 @@ mod tests {
             .unwrap();
         assert_eq!(shipment.ids, (0..10).collect::<Vec<u32>>());
         assert_eq!(shipment.columns[0].1.len(), 10);
-        // 10 rows × (4 id + 10 char) = 140 bytes on the wire.
-        assert_eq!(ch.bytes_to_secure(), 140);
+        // Ids 0..10 of 100 go out as varint gaps: tag + count + 10 one-byte
+        // gaps = 12 bytes (4-byte ids would take 40, a bitmap 1 + 13). Then
+        // 10 × 10 char values: 112 bytes on the wire.
+        assert_eq!(ch.bytes_to_secure(), 112);
         assert_eq!(ch.transcript().len(), 1);
         assert!(ch.transcript()[0].tag.contains("Vis(T1)"));
         // The host saw one select and one project, volumes matching the wire.
@@ -292,7 +314,8 @@ mod tests {
         assert_eq!(trace.events()[0].op, HostOp::Select);
         assert_eq!(trace.events()[0].items, 10);
         assert_eq!(trace.events()[1].op, HostOp::Project);
-        assert_eq!(trace.response_bytes(), 140);
+        assert_eq!(trace.events()[0].response_bytes, 12);
+        assert_eq!(trace.response_bytes(), 112);
     }
 
     #[test]
@@ -300,8 +323,10 @@ mod tests {
         let h = host();
         let mut ch = Channel::usb_full_speed();
         let shipment = h.vis(&mut ch, 0, "T1", &[], &[]).unwrap();
-        assert_eq!(shipment.ids.len(), 100);
-        assert_eq!(ch.bytes_to_secure(), 400);
+        assert_eq!(shipment.ids, (0..100).collect::<Vec<u32>>());
+        // Every id of 100: a bitmap, tag + ⌈100/8⌉ = 14 bytes (4-byte ids
+        // would take 400).
+        assert_eq!(ch.bytes_to_secure(), 14);
         assert_eq!(h.trace().events()[0].shape, "*");
     }
 
@@ -350,6 +375,27 @@ mod tests {
         let trace = h.trace();
         assert_eq!(trace.response_bytes(), 224);
         assert_eq!(trace.events()[0].items, 10, "true count stays in the trace");
+    }
+
+    #[test]
+    fn exact_ids_are_decoded_from_the_wire() {
+        let h = host();
+        let mut ch = Channel::usb_full_speed();
+        ch.set_capture(true);
+        let preds = [Predicate::new("id", CmpOp::Ge, Value::Int(90), None)];
+        let shipment = h
+            .vis(&mut ch, 0, "T1", &preds, &["v1".to_string()])
+            .unwrap();
+        let payload = ch.transcript()[0].payload.as_deref().unwrap();
+        let (ids, id_bytes) = codec::decode(payload, 100).unwrap();
+        assert_eq!(ids, shipment.ids);
+        assert_eq!(ids, (90..100).collect::<Vec<u32>>());
+        assert_eq!(id_bytes as u64, h.trace().events()[0].response_bytes);
+        assert_eq!(payload.len(), id_bytes + 10 * 10, "values stay fixed-width");
+        // An empty exact selection ships only its header: tag + count 0.
+        let none = [Predicate::eq("v1", Value::Str("nope".into()))];
+        assert!(h.vis(&mut ch, 0, "T1", &none, &[]).unwrap().ids.is_empty());
+        assert_eq!(ch.transcript()[1].bytes, 2);
     }
 
     #[test]

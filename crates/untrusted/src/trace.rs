@@ -58,8 +58,9 @@ pub struct HostTraceEvent {
     /// Bytes of the request itself (the query text for `submit-query`;
     /// zero for store operations, which are implied by the public query).
     pub request_bytes: u64,
-    /// Bytes the response contributed to the wire, **after padding** — this
-    /// is the volume a snooper measures.
+    /// Bytes the response contributed to the wire, **as sent**: the
+    /// encoded id block in exact mode, the padded bucket in padded mode.
+    /// This is the volume a snooper measures.
     pub response_bytes: u64,
     /// Logical items in the response before padding (ids selected, rows
     /// projected, the exact count). The host knows this number regardless
@@ -104,7 +105,7 @@ impl HostTrace {
         self.events.clear();
     }
 
-    /// Total response volume on the wire (post-padding).
+    /// Total response volume on the wire (as sent).
     pub fn response_bytes(&self) -> u64 {
         self.events.iter().map(|e| e.response_bytes).sum()
     }
@@ -131,8 +132,9 @@ impl std::fmt::Display for HostTrace {
 /// Wire-volume padding policy for `Vis` shipments.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PadMode {
-    /// Ship exactly the selected rows (the paper's baseline: the row count
-    /// of every visible selection is observable on the wire).
+    /// Ship exactly the selected rows, the ids in their smallest
+    /// [`IdCodec`](crate::IdCodec): the wire volume is a function of the
+    /// visible ids and the public `|T|`.
     #[default]
     Exact,
     /// Pad every shipment to the next power-of-two row bucket with zero

@@ -8,6 +8,7 @@
 
 use ghostdb_core::{GhostDb, GhostDbConfig, HostOp, QueryOptions, Strategy};
 use ghostdb_storage::Value;
+use ghostdb_untrusted::IdCodec;
 
 /// Two-world builder: identical visible partitions, hidden values shifted
 /// by `hidden_offset` (different balances, different owners).
@@ -168,37 +169,44 @@ fn hidden_selectivity_invisible() {
     }
 }
 
-/// SECURITY.md claim 3: padding quantises the visible-volume channel. Two
+/// SECURITY.md claim 7: padding quantises the visible-volume channel. Two
 /// visible selections of different true cardinality that fall in the same
-/// power-of-two bucket ship the same number of wire bytes when padded —
-/// and different byte counts when exact.
+/// power-of-two bucket ship the same number of wire bytes when padded.
+/// In exact mode each shipment's volume is its id block's encoded size, a
+/// function of the visible ids and the public `|T|` alone: on 64 rows both
+/// selections are one 8-byte bitmap and ship the same bytes, while on 1024
+/// rows both go out as varint gaps and their volumes differ.
 #[test]
 fn padding_quantises_visible_volume() {
-    // branch 'A': 9 rows, branch 'B': 13 rows — both bucket to 16.
-    let mut db = GhostDb::new(GhostDbConfig {
-        capture_channel: true,
-        ..Default::default()
-    });
-    db.execute("CREATE TABLE T (id INT, branch CHAR(4), secret INT HIDDEN)")
-        .expect("DDL");
-    db.insert_rows(
-        "T",
-        (0..64)
-            .map(|i| {
-                let b = if i < 9 {
-                    "A"
-                } else if i < 22 {
-                    "B"
-                } else {
-                    "C"
-                };
-                vec![Value::Str(b.into()), Value::Int(i)]
-            })
-            .collect(),
-    )
-    .expect("load");
+    // branch 'A': rows 0..9, branch 'B': rows 9..22 — both bucket to 16.
+    let branch_db = |rows: i64| {
+        let mut db = GhostDb::new(GhostDbConfig {
+            capture_channel: true,
+            ..Default::default()
+        });
+        db.execute("CREATE TABLE T (id INT, branch CHAR(4), secret INT HIDDEN)")
+            .expect("DDL");
+        db.insert_rows(
+            "T",
+            (0..rows)
+                .map(|i| {
+                    let b = if i < 9 {
+                        "A"
+                    } else if i < 22 {
+                        "B"
+                    } else {
+                        "C"
+                    };
+                    vec![Value::Str(b.into()), Value::Int(i)]
+                })
+                .collect(),
+        )
+        .expect("load");
+        db
+    };
 
-    let vis_bytes = |db: &mut GhostDb, branch: &str, padded: bool| -> u64 {
+    // The wire volume of every visible shipment of the query.
+    let vis_bytes = |db: &mut GhostDb, branch: &str, padded: bool| -> Vec<u64> {
         // Pin the strategy so the shipment shape is identical across
         // the two selections; only the volume may differ.
         let opts = QueryOptions::new()
@@ -215,18 +223,50 @@ fn padding_quantises_visible_volume() {
             .iter()
             .filter(|e| matches!(e.op, HostOp::Select | HostOp::Project))
             .map(|e| e.response_bytes)
-            .sum()
+            .collect()
+    };
+    // What the codec makes of a selection: one Select per shipment, no
+    // visible projection.
+    let codec_bytes = |ids: std::ops::Range<u32>, rows: u64, shipments: usize| {
+        let ids: Vec<u32> = ids.collect();
+        let len = IdCodec::choose(&ids, rows).encoded_len(&ids, rows) as u64;
+        vec![len; shipments]
     };
 
+    let mut db = branch_db(64);
     let exact_a = vis_bytes(&mut db, "A", false);
     let exact_b = vis_bytes(&mut db, "B", false);
-    assert_ne!(
+    assert!(!exact_a.is_empty(), "the query ships visible ids");
+    assert_eq!(exact_a, codec_bytes(0..9, 64, exact_a.len()));
+    assert_eq!(exact_b, codec_bytes(9..22, 64, exact_b.len()));
+    assert_eq!(
+        exact_a,
+        vec![1 + 64 / 8; exact_a.len()],
+        "9 ids of 64 ship as one bitmap: tag + 8 bytes"
+    );
+    assert_eq!(
         exact_a, exact_b,
-        "exact mode leaks the visible cardinality difference (9 vs 13 rows)"
+        "a bitmap's volume is a function of |T| alone (9 vs 13 rows)"
     );
 
-    let padded_a = vis_bytes(&mut db, "A", true);
-    let padded_b = vis_bytes(&mut db, "B", true);
+    let mut wide = branch_db(1024);
+    let varint_a = vis_bytes(&mut wide, "A", false);
+    let varint_b = vis_bytes(&mut wide, "B", false);
+    assert_eq!(varint_a, codec_bytes(0..9, 1024, varint_a.len()));
+    assert_eq!(varint_b, codec_bytes(9..22, 1024, varint_b.len()));
+    assert_eq!(
+        varint_a,
+        vec![1 + 1 + 9; varint_a.len()],
+        "9 ids of 1024 ship as varint gaps: tag + count + one byte per gap"
+    );
+    assert_ne!(
+        varint_a, varint_b,
+        "exact mode's varint volume leaks the visible cardinality difference (9 vs 13 rows)"
+    );
+
+    let exact_a: u64 = exact_a.iter().sum();
+    let padded_a: u64 = vis_bytes(&mut db, "A", true).iter().sum();
+    let padded_b: u64 = vis_bytes(&mut db, "B", true).iter().sum();
     assert_eq!(
         padded_a, padded_b,
         "padded mode ships the same bucket for both selections"
