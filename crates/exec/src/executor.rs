@@ -9,7 +9,6 @@ use crate::report::ExecReport;
 use crate::result::ResultSet;
 use crate::strategy::{execute_sj, VisDecision};
 use crate::Result;
-use ghostdb_storage::TableId;
 
 /// Execution options.
 #[derive(Debug, Clone, Default)]
@@ -129,15 +128,7 @@ impl Executor {
             decisions.push(chosen);
         }
 
-        let root = ctx.cat.schema.root();
-        let proj_tables: Vec<TableId> = a
-            .projections
-            .iter()
-            .map(|(t, _)| *t)
-            .filter(|t| *t != root)
-            .collect();
-
-        let sj = execute_sj(ctx, &a, &decisions, &proj_tables)?;
+        let sj = execute_sj(ctx, &a, &decisions)?;
         let algo = opts.project.unwrap_or(ProjectAlgo::Project);
         project::execute(ctx, &a, sj, algo)
     }

@@ -30,8 +30,10 @@
 //!   selectivities: there the thinned root stream gains little from
 //!   SJoin's foreign-key route, so Post's advantage comes later than in the
 //!   plain case;
-//! * a selection on the root needs no climbing-index probe, so Pre beats
-//!   Post at every sV there; it is deferred above [`ROOT_PRE_CUTOFF`];
+//! * a selection on the root needs no climbing-index probe, so Pre wins
+//!   there up to [`ROOT_PRE_POST_CUTOFF`]. Above it Post wins while its
+//!   Bloom filter stays useful; past that Pre wins again, and the
+//!   selection is deferred above [`ROOT_PRE_CUTOFF`];
 //! * with visible selections on several tables, the most selective one is
 //!   filtered and every other one whose sV exceeds [`DEFER_RATIO`] times
 //!   that is deferred to projection: its probes would cost more than
@@ -46,34 +48,48 @@ use crate::Result;
 use ghostdb_bloom::worth_post_filtering;
 
 /// Cross-Pre vs the cheapest other strategy on a table with a hidden
-/// selection in its subtree (measured: 0.63 at ×0.002 and ×0.01).
-pub const CROSS_PRE_CUTOFF: f64 = 0.63;
+/// selection in its subtree (measured: 0.50 at ×0.002 and ×0.01; 0.63 →
+/// 0.50 once post plans stopped reading F' back into columns).
+pub const CROSS_PRE_CUTOFF: f64 = 0.5;
 /// Pre vs Post on a non-root table without cross-filtering or any hidden
-/// selection (measured: 0.032 at ×0.002, 0.025 at ×0.01). SJoin's
-/// foreign-key route made Post's single-column SJoin cheap, which moved
-/// this from 0.08 to 0.020; bitmap-window Merge reductions made Pre's
-/// wide `∈`-probe merge cheaper, which moved it back up.
-pub const PRE_POST_CUTOFF: f64 = 0.03;
+/// selection (measured: 0.016 at ×0.002, 0.013 at ×0.01). SJoin's foreign-key
+/// route made Post's single-column SJoin cheap, which moved this from 0.08
+/// to 0.020; bitmap-window Merge reductions made Pre's wide `∈`-probe
+/// merge cheaper, which moved it back up to 0.03. Post plans writing the
+/// QEPSJ result as the columns projection reads, with no partition pass,
+/// moved it 0.03 → 0.016 (0.032 → 0.016 at ×0.002, 0.025 → 0.013 at
+/// ×0.01).
+pub const PRE_POST_CUTOFF: f64 = 0.016;
 /// Pre vs Post on a non-root table without cross-filtering beside a hidden
 /// selection in a sibling subtree: the worst-regret point over hidden
-/// selectivities 0.01–0.3 (measured: 0.16; the crossover itself is 0.05
-/// at sH 0.01, 0.13 at 0.02, 0.25 at 0.03 and 0.3, and past 0.4 at 0.1).
-pub const SIBLING_PRE_POST_CUTOFF: f64 = 0.16;
+/// selectivities 0.01–0.3 (measured: 0.13 at ×0.002, 0.16 at ×0.01;
+/// 0.16 → 0.13 at ×0.002 once post plans stopped reading F' back into
+/// columns. The crossover itself is 0.04 at sH 0.01, 0.25 at 0.03 and
+/// 0.1, and 0.16 at 0.3).
+pub const SIBLING_PRE_POST_CUTOFF: f64 = 0.13;
 /// Pre vs Post on a non-root table without cross-filtering when the root
 /// carries a hidden selection: the crossover at hidden selectivity 0.01,
 /// the narrowest swept (measured: 0.016, down from 0.032 before SJoin's
 /// foreign-key route; 0.020 since bitmap-window Merge reductions, one grid
-/// step up). Wider hidden root ranges move the crossover up (0.025–0.032
-/// at 0.02–0.1, 0.020 at 0.3), so on them Post pays more than Pre between
+/// step up, and 0.020 → 0.016 once post plans stopped reading F' back into
+/// columns). Wider hidden root ranges move the crossover up (0.025 at
+/// 0.02–0.1, 0.020 at 0.3), so on them Post pays more than Pre between
 /// here and there: the price of never paying Pre's regret on a narrow
 /// hidden range.
 pub const HIDDEN_ROOT_PRE_POST_CUTOFF: f64 = 0.016;
+/// Pre vs Post on the root table (measured: 0.16 at ×0.002 and ×0.01).
+/// Post never beat Pre on the root while post-filter plans wrote F' as rows
+/// and projection read them back into per-table columns; with SJoin writing
+/// the columns directly it wins from here until its Bloom filter stops
+/// being useful (sV ≈ 0.7).
+pub const ROOT_PRE_POST_CUTOFF: f64 = 0.16;
 /// Pre vs NoFilter on the root table (measured: 0.81–0.93).
 pub const ROOT_PRE_CUTOFF: f64 = 0.9;
 /// With several visible tables, a table is deferred to projection when its
 /// sV exceeds this multiple of the most selective table's (measured: 4.0
-/// at ×0.002, 8.0 at ×0.01, with the most selective sV at 0.01; 3.17 and
-/// 5.0 before bitmap-window Merge reductions made filtering cheaper).
+/// at ×0.002, 10.1 at ×0.01, with the most selective sV at 0.01; 3.17 and
+/// 5.0 before bitmap-window Merge reductions made filtering cheaper; 8.0 at
+/// ×0.01 while projection shipped a filtered table's ids a second time).
 pub const DEFER_RATIO: f64 = 4.0;
 
 /// Decide a strategy for every table carrying visible predicates.
@@ -93,13 +109,16 @@ pub fn decide(ctx: &ExecCtx<'_>, a: &Analyzed) -> Result<Vec<VisDecision>> {
     } else {
         PRE_POST_CUTOFF
     };
+    let worth_post = |matching, sv| worth_post_filtering(matching, sv, ctx.ram().total_bytes() / 2);
     let mut out = Vec::with_capacity(svs.len());
     for ((t, _), (matching, sv)) in a.vis_preds.iter().zip(svs) {
         let cross_applicable = *t != root && !a.hidden_in_subtree(ctx.cat.schema, *t).is_empty();
         let strategy = if sv > DEFER_RATIO * min_sv {
             VisStrategy::NoFilter
         } else if *t == root {
-            if sv <= ROOT_PRE_CUTOFF {
+            if sv > ROOT_PRE_POST_CUTOFF && worth_post(matching, sv) {
+                VisStrategy::Post
+            } else if sv <= ROOT_PRE_CUTOFF {
                 VisStrategy::Pre
             } else {
                 VisStrategy::NoFilter
@@ -108,7 +127,7 @@ pub fn decide(ctx: &ExecCtx<'_>, a: &Analyzed) -> Result<Vec<VisDecision>> {
             VisStrategy::CrossPre
         } else if sv <= pre_post_cutoff {
             VisStrategy::Pre
-        } else if worth_post_filtering(matching, sv, ctx.ram().total_bytes() / 2) {
+        } else if worth_post(matching, sv) {
             VisStrategy::Post
         } else {
             VisStrategy::NoFilter
@@ -155,14 +174,14 @@ mod tests {
     fn cutoffs_switch_strategies_at_their_boundaries() {
         let n1 = TINY_ROWS[1] as f64;
         // Without Cross: Pre up to PRE_POST_CUTOFF, Post past it.
-        assert!(3.0 / n1 <= PRE_POST_CUTOFF && 4.0 / n1 > PRE_POST_CUTOFF);
-        assert_eq!(decide_t1(3, false), VisStrategy::Pre);
-        assert_eq!(decide_t1(4, false), VisStrategy::Post);
-        // With Cross: Cross-Pre up to CROSS_PRE_CUTOFF (75/120), then the
-        // plain rules, whose Bloom filter is still useful at 76/120.
-        assert!(75.0 / n1 <= CROSS_PRE_CUTOFF && 76.0 / n1 > CROSS_PRE_CUTOFF);
-        assert_eq!(decide_t1(75, true), VisStrategy::CrossPre);
-        assert_eq!(decide_t1(76, true), VisStrategy::Post);
+        assert!(1.0 / n1 <= PRE_POST_CUTOFF && 2.0 / n1 > PRE_POST_CUTOFF);
+        assert_eq!(decide_t1(1, false), VisStrategy::Pre);
+        assert_eq!(decide_t1(2, false), VisStrategy::Post);
+        // With Cross: Cross-Pre up to CROSS_PRE_CUTOFF (60/120), then the
+        // plain rules, whose Bloom filter is still useful at 61/120.
+        assert!(60.0 / n1 <= CROSS_PRE_CUTOFF && 61.0 / n1 > CROSS_PRE_CUTOFF);
+        assert_eq!(decide_t1(60, true), VisStrategy::CrossPre);
+        assert_eq!(decide_t1(61, true), VisStrategy::Post);
     }
 
     #[test]
@@ -184,11 +203,11 @@ mod tests {
         };
         let n1 = TINY_ROWS[1] as f64;
         assert!(1.0 / n1 <= HIDDEN_ROOT_PRE_POST_CUTOFF && 2.0 / n1 > HIDDEN_ROOT_PRE_POST_CUTOFF);
-        assert!(19.0 / n1 <= SIBLING_PRE_POST_CUTOFF && 20.0 / n1 > SIBLING_PRE_POST_CUTOFF);
+        assert!(15.0 / n1 <= SIBLING_PRE_POST_CUTOFF && 16.0 / n1 > SIBLING_PRE_POST_CUTOFF);
         assert_eq!(decide_with(1, "T0"), VisStrategy::Pre);
         assert_eq!(decide_with(2, "T0"), VisStrategy::Post);
-        assert_eq!(decide_with(19, "T2"), VisStrategy::Pre);
-        assert_eq!(decide_with(20, "T2"), VisStrategy::Post);
+        assert_eq!(decide_with(15, "T2"), VisStrategy::Pre);
+        assert_eq!(decide_with(16, "T2"), VisStrategy::Post);
     }
 
     /// Decisions for a query with visible selections on T1 (`k1` of 120
@@ -211,18 +230,18 @@ mod tests {
     fn less_selective_tables_are_deferred() {
         // T2 at 1/40 = 0.025 is the most selective; T1 ties it at 3/120 and
         // at 12/120 = 0.1 stays within DEFER_RATIO × 0.025: both keep
-        // their own filter (Pre up to PRE_POST_CUTOFF, Post past it).
-        assert_eq!(decide_t1_t2(3, 1), (VisStrategy::Pre, VisStrategy::Pre));
-        assert_eq!(decide_t1_t2(12, 1), (VisStrategy::Post, VisStrategy::Pre));
+        // their own filter (Post, both being past PRE_POST_CUTOFF).
+        assert_eq!(decide_t1_t2(3, 1), (VisStrategy::Post, VisStrategy::Post));
+        assert_eq!(decide_t1_t2(12, 1), (VisStrategy::Post, VisStrategy::Post));
         // At 13/120 T1 is past the ratio: it is checked at projection.
         let (n1, n2) = (TINY_ROWS[1] as f64, TINY_ROWS[2] as f64);
         assert!(12.0 / n1 <= DEFER_RATIO / n2 && 13.0 / n1 > DEFER_RATIO / n2);
         assert_eq!(
             decide_t1_t2(13, 1),
-            (VisStrategy::NoFilter, VisStrategy::Pre)
+            (VisStrategy::NoFilter, VisStrategy::Post)
         );
         // The rule is symmetric: the most selective table is kept whichever
-        // it is.
+        // it is (T1 at 1/120, under PRE_POST_CUTOFF).
         assert_eq!(
             decide_t1_t2(1, 2),
             (VisStrategy::Pre, VisStrategy::NoFilter)
@@ -230,7 +249,7 @@ mod tests {
     }
 
     #[test]
-    fn root_selections_stay_pre_up_to_the_root_cutoff() {
+    fn root_selections_switch_at_the_root_cutoffs() {
         let mut db = testkit::tiny_db();
         let t0 = db.schema.root();
         let n0 = TINY_ROWS[0];
@@ -240,8 +259,15 @@ mod tests {
             let ctx = crate::ExecCtx::new(db);
             decide(&ctx, &a).unwrap()[0].strategy
         };
-        // Well past the non-root Pre/Post cutoff, the root stays on Pre.
-        assert_eq!(decide_t0(&mut db, n0 / 2), VisStrategy::Pre);
+        // Pre up to ROOT_PRE_POST_CUTOFF (96/600), Post past it while the
+        // Bloom filter is useful.
+        let n = n0 as f64;
+        assert!(96.0 / n <= ROOT_PRE_POST_CUTOFF && 97.0 / n > ROOT_PRE_POST_CUTOFF);
+        assert_eq!(decide_t0(&mut db, 96), VisStrategy::Pre);
+        assert_eq!(decide_t0(&mut db, 97), VisStrategy::Post);
+        assert_eq!(decide_t0(&mut db, n0 / 2), VisStrategy::Post);
+        // A filter passing 90% of the root stream prunes too little: Pre
+        // again, up to ROOT_PRE_CUTOFF.
         let at = (ROOT_PRE_CUTOFF * n0 as f64) as u64;
         assert_eq!(decide_t0(&mut db, at), VisStrategy::Pre);
         assert_eq!(decide_t0(&mut db, at + 1), VisStrategy::NoFilter);
@@ -261,8 +287,8 @@ mod tests {
     fn cross_needs_a_subtree_hidden_selection() {
         // Same low selectivity: without a hidden selection below T1 the
         // cross strategies are not applicable and plain Pre wins.
-        assert_eq!(decide_t1(2, true), VisStrategy::CrossPre);
-        assert_eq!(decide_t1(2, false), VisStrategy::Pre);
+        assert_eq!(decide_t1(1, true), VisStrategy::CrossPre);
+        assert_eq!(decide_t1(1, false), VisStrategy::Pre);
     }
 
     #[test]

@@ -4,12 +4,16 @@
 //! Distinctive constraints (§4): the PC ships many values that will not
 //! survive the query (it must not learn which); post-filter strategies left
 //! Bloom false positives in the QEPSJ result; and RAM is still 64 KB. The
-//! algorithm therefore works **table by table**: partition the QEPSJ result
-//! into per-table ID columns, shrink the visible stream with a Bloom filter
-//! (`σVH`), build complete tuples in RAM-bounded `MJoin` passes, and let the
-//! final position-merge join drop every row a table failed to confirm —
+//! algorithm therefore works **table by table** over the QEPSJ result's
+//! per-table ID columns, shrinks the visible stream with a Bloom filter
+//! (`σVH`), builds complete tuples in RAM-bounded `MJoin` passes, and lets
+//! the final position-merge join drop every row a table failed to confirm —
 //! which simultaneously kills Bloom false positives and deferred visible
 //! selections, and runs the exact re-checks for non-injective index keys.
+//!
+//! The ID columns (Figure 5, line 1) come straight from SJoin, as footnote 7
+//! allows: every plan's select-join phase ends by writing them
+//! (`SjOutcome::f`), so no pass reads the QEPSJ result back to split it.
 //!
 //! Each MJoin pass writes one `<pos, tuple>` run, and FinalJoin reads a
 //! table's runs in place as a k-way merge by position (`RunMerge`): the
@@ -35,17 +39,18 @@
 //! Every shipment the per-table σVH + MJoin passes need is fetched before
 //! the first pass, in table order (the channel's cost model is a byte sum,
 //! so hoisting changes nothing); the passes then run table by table below
-//! the channel. A table ships once: with a visible projection, its
-//! ids+values shipment also gives σVH its ids.
+//! the channel. A table's visible ids are shipped at most once per query
+//! outside its values: with a visible projection, its ids+values shipment
+//! also gives σVH its ids, and without one the ids the select-join phase
+//! shipped are reused (`SjOutcome::shipped`).
 
 use crate::ctx::ExecCtx;
 use crate::error::ExecError;
 use crate::query::{Analyzed, TableProjection};
 use crate::report::OpKind;
 use crate::result::ResultSet;
-use crate::sjoin::sjoin_stream;
 use crate::source::{IdSource, SharedIds, SourceReader};
-use crate::strategy::{RootIds, SjOutcome};
+use crate::strategy::SjOutcome;
 use crate::Result;
 use ghostdb_bloom::calibrate::{self, calibrate};
 use ghostdb_bloom::filter::theoretical_fp;
@@ -54,10 +59,11 @@ use ghostdb_flash::{FlashDevice, FlashTiming};
 use ghostdb_storage::row::RowLayout;
 use ghostdb_storage::table::{FlashTableReader, FlashTableWriter, PageCursor};
 use ghostdb_storage::{
-    ColumnType, FlashTable, HiddenColumn, HiddenImage, Id, IdListReader, IdListWriter, Predicate,
-    TableId, Value, ID_BYTES,
+    ColumnType, FlashTable, HiddenColumn, HiddenImage, Id, IdListWriter, Predicate, TableId, Value,
+    ID_BYTES,
 };
 use ghostdb_token::RamArena;
+use ghostdb_untrusted::VisShipment;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -223,7 +229,22 @@ struct TablePrep<'q> {
     sigma_ids: Option<SharedIds>,
     /// Visible values for MJoin (the ids+values shipment of a table with a
     /// visible projection, whose ids are also `sigma_ids`).
-    vis_values: Option<ghostdb_untrusted::VisShipment>,
+    vis_values: Option<VisShipment>,
+}
+
+/// `t`'s visible ids under `preds`, all of its visible predicates: the
+/// select-join phase's shipment when it made one, a new ids-only shipment
+/// otherwise.
+fn vis_ids(
+    ctx: &mut ExecCtx<'_>,
+    sj: &SjOutcome,
+    t: TableId,
+    preds: &[Predicate],
+) -> Result<SharedIds> {
+    match sj.shipped.iter().find(|(s, _)| *s == t) {
+        Some((_, ids)) => Ok(ids.clone()),
+        None => Ok(Arc::new(ctx.vis(t, preds, &[])?.ids)),
+    }
 }
 
 /// Execute projection and deliver the final result set.
@@ -233,32 +254,21 @@ pub fn execute(
     sj: SjOutcome,
     algo: ProjectAlgo,
 ) -> Result<ResultSet> {
-    let root = ctx.cat.schema.root();
-
-    // Participation set: tables with projections, pending visible
-    // filtering, or exact re-checks.
-    let mut participants: Vec<TableId> = Vec::new();
-    for (t, _) in &a.projections {
-        if *t != root && !participants.contains(t) {
-            participants.push(*t);
-        }
-    }
-    for t in sj.approx_vis.iter().chain(&sj.deferred_vis) {
-        if *t != root && !participants.contains(t) {
-            participants.push(*t);
-        }
-    }
-    for (t, _) in &sj.recheck {
-        if *t != root && !participants.contains(t) {
-            participants.push(*t);
-        }
-    }
-
-    // Step 1: per-table ID columns in root order.
-    let (root_col, id_cols) = partition(ctx, &sj.root, &participants)?;
+    // Step 1 (Figure 5, line 1): the per-table ID columns in root order,
+    // as the select-join phase wrote them.
+    let participants = &sj.participants;
+    let root_col = sj.f.columns[0].clone();
+    let id_cols = participants
+        .iter()
+        .map(|t| {
+            sj.f.column(*t)
+                .cloned()
+                .ok_or_else(|| ExecError::Query("projection column missing in F'".into()))
+        })
+        .collect::<Result<Vec<_>>>()?;
 
     if algo == ProjectAlgo::BruteForce {
-        return brute_force(ctx, a, &sj, root_col, &participants, &id_cols);
+        return brute_force(ctx, a, &sj, root_col, participants, &id_cols);
     }
 
     // Prefetch phase: every channel shipment the per-table
@@ -267,7 +277,7 @@ pub fn execute(
     // `bytes_to_secure` exactly as the interleaved serial order did.
     let empty = TableProjection::default();
     let mut preps: Vec<TablePrep<'_>> = Vec::with_capacity(participants.len());
-    for t in &participants {
+    for t in participants {
         let tproj = a
             .projections
             .iter()
@@ -288,7 +298,7 @@ pub fn execute(
         };
         let sigma_ids: Option<SharedIds> = match &vis_values {
             Some(s) => Some(Arc::new(s.ids.clone())),
-            None if !vis_preds.is_empty() => Some(Arc::new(ctx.vis(*t, vis_preds, &[])?.ids)),
+            None if !vis_preds.is_empty() => Some(vis_ids(ctx, &sj, *t, vis_preds)?),
             None => None,
         };
         preps.push(TablePrep {
@@ -335,140 +345,6 @@ pub fn execute(
 
     // Step 4: the final position-merge join.
     final_join(ctx, a, &sj, root_col, proj_tables)
-}
-
-/// Figure 5, line 1: vertically partition the QEPSJ result into one ID
-/// column per participating table (plus the root column), in root order.
-fn partition(
-    ctx: &mut ExecCtx<'_>,
-    root_ids: &RootIds,
-    tables: &[TableId],
-) -> Result<(FlashTable, Vec<FlashTable>)> {
-    let root = ctx.cat.schema.root();
-    let layout = RowLayout::ids(1);
-    let ram = ctx.ram();
-    let page_size = ctx.page_size();
-    let upper = match root_ids {
-        RootIds::All => ctx.cat.rows[root],
-        RootIds::List(l) => l.count,
-        RootIds::Table(t) => t.table.rows(),
-    };
-    let mut root_writer =
-        FlashTableWriter::create(ctx.lane.alloc(), &ram, layout.clone(), upper, page_size)?;
-    ctx.add_temp(root_writer.segment());
-    let mut writers: Vec<FlashTableWriter> = Vec::with_capacity(tables.len());
-    for _ in tables {
-        let w = FlashTableWriter::create(ctx.lane.alloc(), &ram, layout.clone(), upper, page_size)?;
-        ctx.add_temp(w.segment());
-        writers.push(w);
-    }
-
-    match root_ids {
-        RootIds::Table(f) => {
-            // The SJoin already ran (footnote 7): one scan of F' splits it
-            // into columns. Attributed to Partition (part of Project).
-            let cols: Vec<usize> = tables
-                .iter()
-                .map(|t| {
-                    f.col_of(*t).ok_or_else(|| {
-                        crate::error::ExecError::Query("projection column missing in F'".into())
-                    })
-                })
-                .collect::<Result<_>>()?;
-            let mut reader = f.table.reader(&ram, page_size)?;
-            ctx.track_rw(OpKind::Partition, OpKind::Partition, |ctx| {
-                ctx.lane.with_flash(|dev| {
-                    // Each F' row is split in place, from the reader's page.
-                    while let Some(row) = reader.next_row(dev)? {
-                        root_writer.push(dev, &row[..4])?;
-                        for (w, c) in writers.iter_mut().zip(&cols) {
-                            w.push(dev, &row[c * 4..c * 4 + 4])?;
-                        }
-                    }
-                    Ok(())
-                })
-            })?;
-        }
-        RootIds::List(list) => {
-            // SJoin from the root-id list (reads → SJoin, writes → Store:
-            // this is the SJoin whose cost dominates Figures 15–16 for
-            // pre-filter plans).
-            let mut feed = IdListReader::open(*list, &ram, page_size)?;
-            if tables.is_empty() {
-                ctx.track_rw(OpKind::SJoin, OpKind::Store, |ctx| {
-                    ctx.lane.with_flash(|dev| {
-                        while let Some(id) = feed.next_id(dev)? {
-                            root_writer.push(dev, &id.to_le_bytes())?;
-                        }
-                        Ok(())
-                    })
-                })?;
-            } else {
-                let skt = ctx.skt(root)?;
-                sjoin_stream(
-                    ctx,
-                    skt,
-                    tables,
-                    |ctx| ctx.tracked(OpKind::SJoin, |dev| Ok(feed.next_id(dev)?)),
-                    |ctx, id, targets| {
-                        ctx.tracked(OpKind::Store, |dev| {
-                            root_writer.push(dev, &id.to_le_bytes())?;
-                            for (w, tid) in writers.iter_mut().zip(targets) {
-                                w.push(dev, &tid.to_le_bytes())?;
-                            }
-                            Ok(())
-                        })
-                    },
-                )?;
-            }
-        }
-        RootIds::All => {
-            let rows = ctx.cat.rows[root];
-            if tables.is_empty() {
-                ctx.track_rw(OpKind::SJoin, OpKind::Store, |ctx| {
-                    ctx.lane.with_flash(|dev| {
-                        for id in 0..rows {
-                            root_writer.push(dev, &(id as Id).to_le_bytes())?;
-                        }
-                        Ok(())
-                    })
-                })?;
-            } else {
-                let skt = ctx.skt(root)?;
-                let mut next = 0 as Id;
-                sjoin_stream(
-                    ctx,
-                    skt,
-                    tables,
-                    |_ctx| {
-                        if (next as u64) < rows {
-                            let v = next;
-                            next += 1;
-                            Ok(Some(v))
-                        } else {
-                            Ok(None)
-                        }
-                    },
-                    |ctx, id, targets| {
-                        ctx.tracked(OpKind::Store, |dev| {
-                            root_writer.push(dev, &id.to_le_bytes())?;
-                            for (w, tid) in writers.iter_mut().zip(targets) {
-                                w.push(dev, &tid.to_le_bytes())?;
-                            }
-                            Ok(())
-                        })
-                    },
-                )?;
-            }
-        }
-    }
-
-    let root_col = ctx.lane.with_flash(|dev| root_writer.finish(dev))?;
-    let mut id_cols = Vec::with_capacity(writers.len());
-    for w in writers {
-        id_cols.push(ctx.lane.with_flash(|dev| w.finish(dev))?);
-    }
-    Ok((root_col, id_cols))
 }
 
 /// What a table's σVH Bloom filter is probed with.
@@ -803,7 +679,7 @@ fn mjoin(
     rechecks: &[&Predicate],
     id_col: &FlashTable,
     sigma: IdSource,
-    vis_values: Option<&ghostdb_untrusted::VisShipment>,
+    vis_values: Option<&VisShipment>,
 ) -> Result<ProjTable> {
     let def = ctx.cat.schema.def(t);
     let vis: Vec<(String, ColumnType)> = tproj
@@ -1076,14 +952,19 @@ fn final_join(
         .unwrap_or(&empty);
     let root_vis_preds = a.vis_preds_of(root);
     let root_filter_pending = sj.approx_vis.contains(&root) || sj.deferred_vis.contains(&root);
-    let root_shipment = if !root_proj.vis.is_empty() || root_filter_pending {
+    let root_shipment = if !root_proj.vis.is_empty() {
         Some(ctx.vis(root, root_vis_preds, &root_proj.vis)?)
     } else {
         None
     };
-    let root_vis_map: Option<HashMap<Id, usize>> = root_shipment
-        .as_ref()
-        .map(|s| s.ids.iter().enumerate().map(|(i, id)| (*id, i)).collect());
+    let index = |ids: &[Id]| -> HashMap<Id, usize> {
+        ids.iter().enumerate().map(|(i, id)| (*id, i)).collect()
+    };
+    let root_vis_map = match &root_shipment {
+        Some(s) => Some(index(&s.ids)),
+        None if root_filter_pending => Some(index(&vis_ids(ctx, sj, root, root_vis_preds)?)),
+        None => None,
+    };
 
     // Survivors wait in one charged buffer for their root re-checks and
     // root hidden projections: root id, then each table's current row.
@@ -1258,6 +1139,15 @@ fn final_join(
     Ok(ResultSet { columns, rows })
 }
 
+/// A shipment of `ids` with no projected column.
+fn ids_only(table: TableId, ids: SharedIds) -> VisShipment {
+    VisShipment {
+        table,
+        ids: ids.to_vec(),
+        columns: Vec::new(),
+    }
+}
+
 /// Figure 12's Brute-Force baseline: load the QEPSJ result into RAM chunk
 /// by chunk and random-access every projected attribute.
 fn brute_force(
@@ -1272,10 +1162,12 @@ fn brute_force(
     let ram = ctx.ram();
     let page_size = ctx.page_size();
 
-    // Ship ids+values for every table with a visible side (one shipment).
+    // Ship ids+values for every table with a visible projection and the
+    // ids of every table with a pending visible filter before the scan, so
+    // that it runs entirely below the channel. A plan's shipments are
+    // charged even where an empty QEPSJ result never reads them.
     let empty = TableProjection::default();
-    let mut shipments: HashMap<TableId, (ghostdb_untrusted::VisShipment, HashMap<Id, usize>)> =
-        HashMap::new();
+    let mut shipments: HashMap<TableId, (VisShipment, HashMap<Id, usize>)> = HashMap::new();
     let mut all_tables: Vec<TableId> = participants.to_vec();
     all_tables.push(root);
     for t in &all_tables {
@@ -1286,26 +1178,15 @@ fn brute_force(
             .map(|(_, p)| p)
             .unwrap_or(&empty);
         let preds = a.vis_preds_of(*t);
-        let pending = sj.approx_vis.contains(t) || sj.deferred_vis.contains(t);
-        if !tproj.vis.is_empty() || (pending && !preds.is_empty()) {
-            let s = ctx.vis(*t, preds, &tproj.vis)?;
-            let map = s.ids.iter().enumerate().map(|(i, id)| (*id, i)).collect();
-            shipments.insert(*t, (s, map));
-        }
-    }
-    // Pending filters whose tables shipped nothing above: predicate without
-    // projections — prefetch those shipments too, so the scan below runs
-    // entirely below the channel. Eager shipment charges Vis per *plan*
-    // rather than per consumed row: on an empty QEPSJ result a lazy path
-    // would skip these requests, so comm there includes shipments the
-    // plan declares even though the scan never reads them.
-    for t in sj.approx_vis.iter().chain(&sj.deferred_vis) {
-        if !shipments.contains_key(t) {
-            let preds = a.vis_preds_of(*t);
-            let s = ctx.vis(*t, preds, &[])?;
-            let map = s.ids.iter().enumerate().map(|(i, id)| (*id, i)).collect();
-            shipments.insert(*t, (s, map));
-        }
+        let s = if !tproj.vis.is_empty() {
+            ctx.vis(*t, preds, &tproj.vis)?
+        } else if sj.approx_vis.contains(t) || sj.deferred_vis.contains(t) {
+            ids_only(*t, vis_ids(ctx, sj, *t, preds)?)
+        } else {
+            continue;
+        };
+        let map = s.ids.iter().enumerate().map(|(i, id)| (*id, i)).collect();
+        shipments.insert(*t, (s, map));
     }
 
     let mut root_reader = root_col.reader(&ram, page_size)?;

@@ -5,7 +5,13 @@
 //! and only the byte spans its needed rows occupy are read when that is
 //! cheaper than the whole page), and emits `<idT, idTi, idTj …>` projected
 //! on π. It needs two buffers to scan its operands, one to hold the ids
-//! that fall on the current SKT page, and one to write the result (§3.4).
+//! that fall on the current SKT page, and one per column it writes (§3.4).
+//!
+//! **The QEPSJ result is columnar.** Projection starts from one id column
+//! per table (§4, Figure 5 line 1), and footnote 7 lets SJoin emit those
+//! columns directly: every plan's SJoin writes through [`SJoinWriter`], one
+//! 4-byte id column per table, root first, row `i` of each being position
+//! `i` of the result.
 //!
 //! **The foreign-key route.** When π holds exactly one SKT column and that
 //! table is a direct child of `T`, the same ids also sit in `T`'s hidden
@@ -32,20 +38,21 @@ use ghostdb_storage::table::FlashTableWriter;
 use ghostdb_storage::table::{page_spans, PageCursor};
 use ghostdb_storage::{FlashTable, HiddenColumn, Id, TableId, ID_BYTES};
 
-/// An SJoin output description: the materialised rows and their column
-/// tables (column 0 is always the owner id, i.e. the root id for SKT_T0).
+/// The QEPSJ result F': one id column per table, root first. Row `i` of
+/// every column is position `i` of F'.
 #[derive(Debug, Clone)]
 pub struct SJoinTable {
-    /// Materialised rows.
-    pub table: FlashTable,
-    /// Table of each column (column 0 = SKT owner).
-    pub cols: Vec<TableId>,
+    /// The id columns, parallel to `tables`.
+    pub columns: Vec<FlashTable>,
+    /// Table of each column (column 0 = the SKT owner, the root).
+    pub tables: Vec<TableId>,
 }
 
 impl SJoinTable {
-    /// Column index of `t`.
-    pub fn col_of(&self, t: TableId) -> Option<usize> {
-        self.cols.iter().position(|c| *c == t)
+    /// The id column of `t`.
+    pub fn column(&self, t: TableId) -> Option<&FlashTable> {
+        let i = self.tables.iter().position(|c| *c == t)?;
+        Some(&self.columns[i])
     }
 }
 
@@ -165,59 +172,96 @@ pub fn sjoin_stream(
     Ok(emitted)
 }
 
-/// A writer materialising `<owner_id, targets…>` rows; writes attributed to
-/// `Store`.
+/// A writer of F' columns, one [`FlashTableWriter`] (one RAM buffer) per
+/// column; writes attributed to `Store`.
 pub struct SJoinWriter {
-    writer: FlashTableWriter,
-    layout: RowLayout,
-    /// The row being assembled, reused for every push.
-    row: Vec<u8>,
-    cols: Vec<TableId>,
+    writers: Vec<FlashTableWriter>,
+    tables: Vec<TableId>,
 }
 
 impl SJoinWriter {
     /// Create a writer for up to `max_rows` rows over `owner` + `targets`,
-    /// registering its segment as a query temp.
+    /// registering each column's segment as a query temp.
     pub fn create(
         ctx: &mut ExecCtx<'_>,
         owner: TableId,
         targets: &[TableId],
         max_rows: u64,
     ) -> Result<Self> {
-        let layout = RowLayout::ids(1 + targets.len());
-        let ram = ctx.ram();
-        let page_size = ctx.page_size();
-        let writer =
-            FlashTableWriter::create(ctx.lane.alloc(), &ram, layout.clone(), max_rows, page_size)?;
-        ctx.add_temp(writer.segment());
-        let mut cols = vec![owner];
-        cols.extend_from_slice(targets);
-        Ok(SJoinWriter {
-            writer,
-            row: vec![0u8; layout.size()],
-            layout,
-            cols,
-        })
+        let mut tables = vec![owner];
+        tables.extend_from_slice(targets);
+        let writers = (tables.iter())
+            .map(|_| id_column(ctx, max_rows))
+            .collect::<Result<_>>()?;
+        Ok(SJoinWriter { writers, tables })
     }
 
-    /// Append one row (owner id + target ids).
+    /// Append one row: the owner id, then one id per target.
     pub fn push(&mut self, ctx: &mut ExecCtx<'_>, id: Id, targets: &[Id]) -> Result<()> {
-        self.layout.put_id(&mut self.row, 0, id);
-        for (i, t) in targets.iter().enumerate() {
-            self.layout.put_id(&mut self.row, 1 + i, *t);
-        }
-        ctx.tracked(OpKind::Store, |dev| Ok(self.writer.push(dev, &self.row)?))
-    }
-
-    /// Finish the table (its segment is a query temp from `create` on).
-    pub fn finish(self, ctx: &mut ExecCtx<'_>) -> Result<SJoinTable> {
-        let writer = self.writer;
-        let table = ctx.tracked(OpKind::Store, move |dev| writer.finish(dev))?;
-        Ok(SJoinTable {
-            table,
-            cols: self.cols,
+        let row = std::iter::once(&id).chain(targets);
+        ctx.tracked(OpKind::Store, |dev| {
+            for (w, id) in self.writers.iter_mut().zip(row) {
+                w.push(dev, &id.to_le_bytes())?;
+            }
+            Ok(())
         })
     }
+
+    /// SJoin the ascending owner ids `next_id` yields onto the targets and
+    /// append the rows `keep` passes. With no target no SKT is read: the
+    /// owner ids are the only column.
+    pub fn sjoin(
+        &mut self,
+        ctx: &mut ExecCtx<'_>,
+        mut next_id: impl FnMut(&mut ExecCtx<'_>) -> Result<Option<Id>>,
+        mut keep: impl FnMut(Id, &[Id]) -> bool,
+    ) -> Result<()> {
+        let targets = self.tables[1..].to_vec();
+        if targets.is_empty() {
+            while let Some(id) = next_id(ctx)? {
+                if keep(id, &[]) {
+                    self.push(ctx, id, &[])?;
+                }
+            }
+            return Ok(());
+        }
+        let skt = ctx.skt(self.tables[0])?;
+        sjoin_stream(ctx, skt, &targets, next_id, |ctx, id, t| {
+            if keep(id, t) {
+                self.push(ctx, id, t)?;
+            }
+            Ok(())
+        })
+        .map(drop)
+    }
+
+    /// Write each column's last page and return F' (see [`finish_columns`]).
+    pub fn finish(self, ctx: &mut ExecCtx<'_>) -> Result<SJoinTable> {
+        Ok(SJoinTable {
+            columns: finish_columns(ctx, self.writers)?,
+            tables: self.tables,
+        })
+    }
+}
+
+/// A writer of an id column of F' of up to `rows` rows (one RAM buffer),
+/// its segment registered as a query temp.
+pub(crate) fn id_column(ctx: &mut ExecCtx<'_>, rows: u64) -> Result<FlashTableWriter> {
+    let (ram, page_size) = (ctx.ram(), ctx.page_size());
+    let w = FlashTableWriter::create(ctx.lane.alloc(), &ram, RowLayout::ids(1), rows, page_size)?;
+    ctx.add_temp(w.segment());
+    Ok(w)
+}
+
+/// Write the last page of each id column of F'. The last pages are billed
+/// to no operator: only the device's totals hold them.
+pub(crate) fn finish_columns(
+    ctx: &mut ExecCtx<'_>,
+    writers: Vec<FlashTableWriter>,
+) -> Result<Vec<FlashTable>> {
+    (writers.into_iter())
+        .map(|w| Ok(ctx.lane.with_flash(|dev| w.finish(dev))?))
+        .collect()
 }
 
 #[cfg(test)]
@@ -324,18 +368,43 @@ mod tests {
     }
 
     #[test]
-    fn sjoin_writer_materialises_rows() {
+    fn sjoin_writer_materialises_columns() {
         let mut db = testkit::tiny_db();
         let t0 = db.schema.root();
         let t1 = db.schema.table_id("T1").unwrap();
         let mut ctx = ExecCtx::new(&mut db);
-        let mut w = SJoinWriter::create(&mut ctx, t0, &[t1], 10).unwrap();
-        w.push(&mut ctx, 5, &[50]).unwrap();
-        w.push(&mut ctx, 6, &[60]).unwrap();
+        // Two full pages and one row per column: the full pages are
+        // written by `push`, inside its `Store` scope.
+        let page_size = ctx.page_size();
+        let per_page = (page_size / ID_BYTES) as Id;
+        let rows = 2 * per_page + 1;
+        let mut w = SJoinWriter::create(&mut ctx, t0, &[t1], rows as u64).unwrap();
+        for id in 0..rows {
+            w.push(&mut ctx, id, &[10 * id]).unwrap();
+        }
+        let program_ns = ctx
+            .lane
+            .with_flash(|dev| dev.timing().write_cost_ns(page_size));
+        assert_eq!(ctx.cost.op(OpKind::Store).as_ns(), 2 * 2 * program_ns);
         let out = w.finish(&mut ctx).unwrap();
-        assert_eq!(out.table.rows(), 2);
-        assert_eq!(out.col_of(t1), Some(1));
-        assert_eq!(out.col_of(t0), Some(0));
-        assert!(ctx.cost.op(OpKind::Store).as_ns() > 0);
+        assert_eq!(out.tables, vec![t0, t1]);
+        let ram = ctx.ram();
+        let mut read = |t: TableId| -> Vec<Id> {
+            let column = out.column(t).unwrap();
+            assert_eq!(column.layout, RowLayout::ids(1));
+            let mut reader = column.reader(&ram, page_size).unwrap();
+            ctx.lane.with_flash(|dev| {
+                let mut ids = Vec::new();
+                while let Some(row) = reader.next_row(dev).unwrap() {
+                    ids.push(Id::from_le_bytes(row.try_into().unwrap()));
+                }
+                ids
+            })
+        };
+        assert_eq!(read(t0), (0..rows).collect::<Vec<_>>());
+        assert_eq!(read(t1), (0..rows).map(|id| 10 * id).collect::<Vec<_>>());
+        // Three pages per column; `finish` writes the last ones unbilled.
+        assert_eq!(ctx.lane.io().pages_written, 2 * 3);
+        assert_eq!(ctx.cost.op(OpKind::Store).as_ns(), 2 * 2 * program_ns);
     }
 }

@@ -18,6 +18,15 @@
 //! * **NoFilter** — defer the visible selection entirely to projection time
 //!   (also the automatic fallback when a Bloom filter would saturate,
 //!   reproducing the Figure 10 cutoff at sV = 0.5).
+//!
+//! Every plan ends with F' written as the id columns projection reads (see
+//! [`crate::sjoin`]). Post-Select filters those columns: in one pass over
+//! F' when its exact id sets fit in RAM, otherwise in one pass over the
+//! filtered table's column per RAM chunk of a set, each writing the
+//! positions it keeps; `Merge` combines the passes' lists, and a gather
+//! copies the survivors out of the kept columns through [`PageCursor`]s.
+//! Whether the sets fit, and the chunk count, are hidden-derived and change
+//! only token-internal flash I/O (SECURITY.md claims 12–13).
 
 use crate::bloom_ops::{build_bloom, BloomHandle};
 use crate::ci_ops::{probe_in, select_sublists, select_sublists_multi};
@@ -26,11 +35,14 @@ use crate::error::ExecError;
 use crate::merge::{merge_to_list, merge_to_vec, open_merge};
 use crate::query::Analyzed;
 use crate::report::OpKind;
-use crate::sjoin::{sjoin_stream, SJoinTable, SJoinWriter};
-use crate::source::{IdSource, SharedIds};
+use crate::sjoin::{finish_columns, id_column, SJoinTable, SJoinWriter};
+use crate::source::{IdSource, SharedIds, SourceReader};
 use crate::Result;
 use ghostdb_bloom::calibrate;
-use ghostdb_storage::{Id, IdList, Predicate, TableId};
+use ghostdb_flash::FlashDevice;
+#[cfg(doc)]
+use ghostdb_storage::table::PageCursor;
+use ghostdb_storage::{FlashTable, Id, IdList, IdListReader, IdListWriter, Predicate, TableId};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
@@ -84,23 +96,16 @@ pub struct VisDecision {
     pub strategy: VisStrategy,
 }
 
-/// The select-join result.
-#[derive(Debug)]
-pub enum RootIds {
-    /// No selection at all: every root tuple qualifies.
-    All,
-    /// Sorted, duplicate-free root ids (pre-filter outcomes; exact up to
-    /// deferred/approximate components listed in the outcome).
-    List(IdList),
-    /// Materialised `<idT0, idTi …>` rows (post-filter outcomes).
-    Table(SJoinTable),
-}
-
 /// Outcome of QEPSJ, handed to the projection phase.
 #[derive(Debug)]
 pub struct SjOutcome {
-    /// The surviving root tuples.
-    pub root: RootIds,
+    /// The QEPSJ result F': the root id column and an id column for every
+    /// participant, whatever the plan (footnote 7).
+    pub f: SJoinTable,
+    /// The non-root tables projection works on, in order: projected
+    /// tables, then tables whose visible selection is approximate or
+    /// deferred, then tables with a re-check.
+    pub participants: Vec<TableId>,
     /// Visible tables filtered approximately (Bloom): projection must
     /// discard false positives with the exact visible id set.
     pub approx_vis: Vec<TableId>,
@@ -110,7 +115,13 @@ pub struct SjOutcome {
     /// Hidden predicates needing exact re-checks at projection time
     /// (non-injective index keys).
     pub recheck: Vec<(TableId, Predicate)>,
+    /// The visible ids shipped per table, under all of the table's visible
+    /// predicates: projection reuses them instead of shipping them again.
+    pub shipped: Vec<(TableId, SharedIds)>,
 }
+
+/// The ascending root ids SJoin reads, from whichever source the plan has.
+type RootFeed = Box<dyn FnMut(&mut ExecCtx<'_>) -> Result<Option<Id>>>;
 
 struct PostPlan {
     table: TableId,
@@ -119,14 +130,37 @@ struct PostPlan {
     ids: SharedIds,
 }
 
+/// The non-root tables projection needs an id column of, in its order
+/// (see [`SjOutcome::participants`]).
+fn participants(
+    a: &Analyzed,
+    root: TableId,
+    approx_vis: &[TableId],
+    deferred_vis: &[TableId],
+    recheck: &[(TableId, Predicate)],
+) -> Vec<TableId> {
+    let mut out = Vec::new();
+    for t in a
+        .projections
+        .iter()
+        .map(|(t, _)| *t)
+        .chain(approx_vis.iter().chain(deferred_vis).copied())
+        .chain(recheck.iter().map(|(t, _)| *t))
+    {
+        if t != root && !out.contains(&t) {
+            out.push(t);
+        }
+    }
+    out
+}
+
 /// Execute the select-join part of the plan under the given per-table
-/// strategies. `proj_tables` lists tables the projection phase will need id
-/// columns for (they are folded into the SJoin projection, footnote 7).
+/// strategies, ending with F' written as the id columns projection reads
+/// (footnote 7).
 pub fn execute_sj(
     ctx: &mut ExecCtx<'_>,
     a: &Analyzed,
     decisions: &[VisDecision],
-    proj_tables: &[TableId],
 ) -> Result<SjOutcome> {
     let schema = ctx.cat.schema;
     let root = schema.root();
@@ -140,6 +174,7 @@ pub fn execute_sj(
     let mut post_plans: Vec<PostPlan> = Vec::new();
     let mut approx_vis = Vec::new();
     let mut deferred_vis = Vec::new();
+    let mut shipped = Vec::new();
 
     // Visible selections, per decision.
     for (t, preds) in &a.vis_preds {
@@ -159,6 +194,7 @@ pub fn execute_sj(
         // Ship the sorted visible id list (ids only at this stage).
         let shipment = ctx.vis(*t, preds, &[])?;
         let vis_ids: SharedIds = Arc::new(shipment.ids);
+        shipped.push((*t, vis_ids.clone()));
 
         // Cross-intersection with subtree hidden selections.
         let cross_ids: Option<SharedIds> = if strategy.is_cross() {
@@ -192,9 +228,15 @@ pub fn execute_sj(
                     // level is needed here.
                     lgroups.push(select_sublists(ctx, ci, &sel.pred, *t)?);
                 } else {
-                    let mut both = select_sublists_multi(ctx, ci, &sel.pred, &[*t, root])?;
-                    let root_subs = both.pop().expect("two requested levels");
-                    lgroups.push(both.pop().expect("two requested levels"));
+                    let levels = select_sublists_multi(ctx, ci, &sel.pred, &[*t, root])?;
+                    let [cross_subs, root_subs]: [Vec<IdSource>; 2] =
+                        levels.try_into().map_err(|got: Vec<_>| {
+                            ExecError::Query(format!(
+                                "climbing index returned {} levels, 2 requested",
+                                got.len()
+                            ))
+                        })?;
+                    lgroups.push(cross_subs);
                     root_prefetch.insert(*i, root_subs);
                 }
             }
@@ -262,19 +304,15 @@ pub fn execute_sj(
         .map(|h| (h.table, h.pred.clone()))
         .collect();
 
-    if post_plans.is_empty() {
-        let root_ids = if groups.is_empty() {
-            RootIds::All
-        } else {
-            RootIds::List(merge_to_list(ctx, groups, ctx.cat.rows[root])?)
-        };
-        return Ok(SjOutcome {
-            root: root_ids,
-            approx_vis,
-            deferred_vis,
-            recheck,
-        });
-    }
+    let pre = post_plans.is_empty();
+    // Columns of F' besides the root: the participants and every post
+    // table. A post table is a column whether its Bloom filter is built or
+    // its selection deferred, so the set is known before the filters take
+    // their RAM.
+    let post_tables: Vec<TableId> = post_plans.iter().map(|p| p.table).collect();
+    let cols = participants(a, root, &post_tables, &deferred_vis, &recheck);
+    // SJoin's two scan buffers and id lookahead, one writer buffer a column.
+    let sjoin_reserve = 3 + 1 + cols.len();
 
     // Post side: Bloom filters (or exact RAM filters) probed behind SJoin.
     let mut bloom_filters: Vec<(TableId, BloomHandle)> = Vec::new();
@@ -282,9 +320,9 @@ pub fn execute_sj(
     for plan in post_plans {
         match plan.strategy {
             VisStrategy::Post | VisStrategy::CrossPost => {
-                // Leave merge + SJoin room: the SJoin reserve below and a
-                // little merge headroom; everything else may go to the BF.
-                let reserve = 7usize.min(ctx.ram().capacity() / 2);
+                // Leave merge + SJoin room: the SJoin reserve and a little
+                // merge headroom; everything else may go to the BF.
+                let reserve = (sjoin_reserve + 3).min(ctx.ram().capacity() / 2);
                 let budget = (ctx.ram().available().saturating_sub(reserve)) * ctx.ram().buf_size();
                 let n = plan.ids.len() as u64;
                 let useful = calibrate(n, budget)
@@ -303,7 +341,7 @@ pub fn execute_sj(
                 }
                 let sources = vec![IdSource::Host(plan.ids.clone())];
                 let bf = build_bloom(ctx, OpKind::Bloom, n, &sources, budget)?
-                    .expect("calibrate() succeeded above");
+                    .ok_or_else(|| ExecError::Query(format!("no Bloom filter of {n} ids fits")))?;
                 approx_vis.push(plan.table);
                 bloom_filters.push((plan.table, bf));
             }
@@ -314,65 +352,41 @@ pub fn execute_sj(
         }
     }
 
-    // Column set of F': root + post/filter tables + projection tables.
-    let mut cols: Vec<TableId> = Vec::new();
-    for t in bloom_filters
-        .iter()
-        .map(|(t, _)| *t)
-        .chain(exact_filters.iter().map(|(t, _)| *t))
-        .chain(proj_tables.iter().copied())
-        .chain(recheck.iter().map(|(t, _)| *t))
-        .chain(deferred_vis.iter().copied())
-    {
-        if t != root && !cols.contains(&t) {
-            cols.push(t);
-        }
-    }
-
-    // Merge → SJoin → ProbeBF, pipelined (reduction guarantees the merge
-    // fits beside the already-allocated Bloom RAM; SJoin needs 2 scan
-    // buffers, 1 for its id lookahead and 1 writer buffer → reserve 4).
-    if groups.is_empty() {
-        groups.push(vec![IdSource::Range {
-            start: 0,
-            end: ctx.cat.rows[root] as Id,
-        }]);
-    }
-    let upper: u64 = groups
-        .iter()
-        .map(|g| g.iter().map(|s| s.count()).sum::<u64>())
-        .min()
-        .unwrap_or(0);
-    let mut stream = open_merge(ctx, groups, 4, ctx.cat.rows[root])?;
-    if cols.is_empty() {
-        // Root-only plan (single-table schema or all filters on the root):
-        // no SKT is involved, probe the owner ids directly.
-        let mut writer = SJoinWriter::create(ctx, root, &cols, upper)?;
-        'ids: while let Some(id) = stream.next(ctx)? {
-            for (_, bf) in &bloom_filters {
-                if !bf.contains(id) {
-                    continue 'ids;
-                }
+    // Pre side: the merged root ids (all of them with no selection), then
+    // SJoin (the SJoin whose cost dominates Figures 15–16 for pre-filter
+    // plans). Post side: Merge → SJoin → ProbeBF, pipelined: reduction fits
+    // the merge beside the Bloom RAM and the SJoin reserve.
+    let rows = ctx.cat.rows[root];
+    let mut writer;
+    let mut next_id: RootFeed;
+    if pre {
+        let source = if groups.is_empty() {
+            IdSource::Range {
+                start: 0,
+                end: rows as Id,
             }
-            writer.push(ctx, id, &[])?;
+        } else {
+            IdSource::Flash(merge_to_list(ctx, groups, rows)?)
+        };
+        writer = SJoinWriter::create(ctx, root, &cols, source.count())?;
+        let mut feed = SourceReader::open(&source, &ctx.ram(), ctx.page_size())?;
+        next_id = Box::new(move |ctx| ctx.tracked(OpKind::SJoin, |dev| feed.next(dev)));
+    } else {
+        if groups.is_empty() {
+            groups.push(vec![IdSource::Range {
+                start: 0,
+                end: rows as Id,
+            }]);
         }
-        // The exhausted merge's readers go back to the arena before the
-        // post-select passes size their RAM chunks.
-        drop(stream);
-        drop(bloom_filters);
-        let mut table = writer.finish(ctx)?;
-        for (t, ids) in exact_filters {
-            table = post_select_pass(ctx, table, t, &ids)?;
-        }
-        return Ok(SjOutcome {
-            root: RootIds::Table(table),
-            approx_vis,
-            deferred_vis,
-            recheck,
-        });
+        let upper: u64 = groups
+            .iter()
+            .map(|g| g.iter().map(|s| s.count()).sum::<u64>())
+            .min()
+            .unwrap_or(0);
+        let mut stream = open_merge(ctx, groups, sjoin_reserve, rows)?;
+        writer = SJoinWriter::create(ctx, root, &cols, upper)?;
+        next_id = Box::new(move |ctx| stream.next(ctx));
     }
-    let skt = ctx.skt(root)?;
-    let mut writer = SJoinWriter::create(ctx, root, &cols, upper)?;
     // Each filter with the target column it probes; root-table filters
     // probe the owner id itself.
     let probes = bloom_filters
@@ -388,142 +402,211 @@ pub fn execute_sj(
             Ok((Some(idx), bf))
         })
         .collect::<Result<Vec<_>>>()?;
-    sjoin_stream(
-        ctx,
-        skt,
-        &cols,
-        |ctx| stream.next(ctx),
-        |ctx, id, targets| {
-            for (idx, bf) in &probes {
-                if !bf.contains(idx.map_or(id, |i| targets[i])) {
-                    return Ok(());
-                }
-            }
-            writer.push(ctx, id, targets)
-        },
-    )?;
-    drop(stream);
+    writer.sjoin(ctx, &mut next_id, |id, targets| {
+        probes
+            .iter()
+            .all(|(idx, bf)| bf.contains(idx.map_or(id, |i| targets[i])))
+    })?;
+    // The exhausted id feed's readers and the filters go back to the arena
+    // before the post-select passes size their RAM chunks.
+    drop(next_id);
+    drop(probes);
     drop(bloom_filters);
     let mut table = writer.finish(ctx)?;
 
-    // Exact post-selects (Figure 11): RAM-chunked passes over F'.
-    for (t, ids) in exact_filters {
-        table = post_select_pass(ctx, table, t, &ids)?;
+    // Exact post-selects (Figure 11) over F'. A column only a post-select
+    // needed is not copied.
+    let participants = participants(a, root, &approx_vis, &deferred_vis, &recheck);
+    if !exact_filters.is_empty() {
+        let keep = |t: &TableId| *t == root || participants.contains(t);
+        table = post_select(ctx, &table, &exact_filters, keep)?;
     }
 
     Ok(SjOutcome {
-        root: RootIds::Table(table),
+        f: table,
+        participants,
         approx_vis,
         deferred_vis,
         recheck,
+        shipped,
     })
 }
 
-/// Post-Select: filter F' against an exact id set, loading the set into RAM
-/// chunk by chunk and re-scanning F' per chunk (the multi-pass behaviour
-/// that makes Figure 11's Post-Select curve expensive at low selectivity).
-fn post_select_pass(
+/// Post-Select: filter F' against exact id sets, keeping the columns
+/// `keep` names. When every set fits in RAM beside a reader per column of
+/// F' and a writer per kept column, one pass over F' copies the rows whose
+/// ids every set holds. Otherwise each set is loaded into RAM chunk
+/// by chunk, and each chunk is one pass over its table's column of F' that
+/// writes the positions it keeps (the multi-pass behaviour that makes
+/// Figure 11's Post-Select curve expensive at low selectivity). `Merge`
+/// unions each filter's position lists and intersects the filters',
+/// reducing when the lists outnumber the free buffers; one gather then
+/// copies the survivors out of the kept columns, reading the survivors'
+/// positions once whenever the free buffers hold a cursor and a writer per
+/// column.
+fn post_select(
     ctx: &mut ExecCtx<'_>,
-    table: SJoinTable,
-    t: TableId,
-    ids: &[Id],
+    f: &SJoinTable,
+    filters: &[(TableId, SharedIds)],
+    keep: impl Fn(&TableId) -> bool,
 ) -> Result<SJoinTable> {
-    let col = table
-        .col_of(t)
-        .ok_or_else(|| ExecError::Query("post-select column missing in F'".into()))?;
-    // RAM chunk: leave 3 buffers for the scan + writer.
-    let chunk_ids = ((ctx.ram().available().saturating_sub(3)) * ctx.ram().buf_size() / 4).max(1);
-    let n_chunks = (ids.len() as u64).div_ceil(chunk_ids as u64).max(1);
+    // Each set with the index of its column in F'.
+    let sets = (filters.iter())
+        .map(|(t, ids)| {
+            let at = f.tables.iter().position(|u| u == t);
+            let at = at.ok_or_else(|| ExecError::Query("post-select column missing in F'".into()));
+            Ok((at?, ids))
+        })
+        .collect::<Result<Vec<_>>>()?;
+    let kept: Vec<usize> = (0..f.tables.len())
+        .filter(|&i| keep(&f.tables[i]))
+        .collect();
+    let tables = kept.iter().map(|&i| f.tables[i]).collect();
+    let rows = f.columns[0].rows();
+    let set_buffers: usize = (sets.iter())
+        .map(|(_, ids)| (ids.len() * 4).div_ceil(ctx.ram().buf_size()).max(1))
+        .sum();
+    // A column of F' is kept or filtered (or both): the one pass reads all.
+    if set_buffers + f.columns.len() + kept.len() <= ctx.ram().available() {
+        let _region = ctx.ram().alloc_region(set_buffers)?;
+        let sets: Vec<_> = (sets.iter())
+            .map(|(at, ids)| (*at, ids.iter().copied().collect()))
+            .collect();
+        let mut writers = (kept.iter())
+            .map(|_| id_column(ctx, rows))
+            .collect::<Result<Vec<_>>>()?;
+        scan_pass(ctx, &f.columns, &sets, |dev, _, row| {
+            for (w, &i) in writers.iter_mut().zip(&kept) {
+                w.push(dev, &row[i].to_le_bytes())?;
+            }
+            Ok(())
+        })?;
+        let columns = finish_columns(ctx, writers)?;
+        return Ok(SJoinTable { columns, tables });
+    }
+    let mut groups = Vec::with_capacity(sets.len());
+    for (at, ids) in &sets {
+        groups.push(select_positions(ctx, &f.columns[*at], ids)?);
+    }
+    let survivors = if groups.len() == 1 && groups[0].len() == 1 {
+        groups[0][0]
+    } else {
+        let groups = groups
+            .into_iter()
+            .map(|g| g.into_iter().map(IdSource::Flash).collect())
+            .collect();
+        merge_to_list(ctx, groups, rows)?
+    };
+    // A cursor and a writer a column, beside the positions reader.
+    let per_pass = (ctx.ram().available().saturating_sub(1) / 2).max(1);
+    let columns: Vec<&FlashTable> = kept.iter().map(|&i| &f.columns[i]).collect();
+    let mut out = SJoinTable {
+        columns: Vec::with_capacity(columns.len()),
+        tables,
+    };
+    for group in columns.chunks(per_pass) {
+        out.columns.extend(gather(ctx, group, survivors)?);
+    }
+    Ok(out)
+}
 
-    // Each pass scans F' fully and emits survivors of its chunk; since a row
-    // matches exactly one chunk (chunks partition the id set), passes append
-    // disjoint row sets. Rows must end sorted by root id: passes emit in F'
-    // order, so we merge the per-pass runs at the end.
-    let mut runs: Vec<SJoinTable> = Vec::new();
-    for c in 0..n_chunks {
-        let lo = (c * chunk_ids as u64) as usize;
-        let hi = ((c + 1) * chunk_ids as u64).min(ids.len() as u64) as usize;
-        let chunk: HashSet<Id> = ids[lo..hi].iter().copied().collect();
+/// One filter's passes: for each RAM chunk of `ids`, the positions of
+/// `column` whose id the chunk holds, as a sorted list on flash. Chunks
+/// partition the id set, so the lists are disjoint. An empty set keeps
+/// no position and needs no pass.
+fn select_positions(ctx: &mut ExecCtx<'_>, column: &FlashTable, ids: &[Id]) -> Result<Vec<IdList>> {
+    if ids.is_empty() {
+        return Ok(vec![IdList::empty()]);
+    }
+    // RAM chunk: leave 3 buffers for the column reader and the list writer.
+    let chunk_ids = ((ctx.ram().available().saturating_sub(3)) * ctx.ram().buf_size() / 4).max(1);
+    let mut lists = Vec::new();
+    for chunk in ids.chunks(chunk_ids) {
         // Hold the chunk in a RAM region (honest accounting of "loads in
         // RAM the IDs resulting from the Visible selection").
-        let buffers_needed = (((hi - lo) * 4).div_ceil(ctx.ram().buf_size())).max(1);
+        let buffers_needed = ((chunk.len() * 4).div_ceil(ctx.ram().buf_size())).max(1);
         let _region = ctx
             .ram()
             .alloc_region(buffers_needed.min(ctx.ram().available().saturating_sub(3).max(1)))?;
-        let ram = ctx.ram();
-        let page_size = ctx.page_size();
-        let mut reader = table.table.reader(&ram, page_size)?;
-        let mut writer =
-            SJoinWriter::create(ctx, table.cols[0], &table.cols[1..], table.table.rows())?;
-        loop {
-            // One attributed scope per row: read + decode + chunk probe.
-            let next = ctx.tracked(OpKind::SJoin, |dev| -> Result<_> {
-                let row = reader.next_row(dev)?;
-                let Some(row) = row else { return Ok(None) };
-                let layout = &table.table.layout;
-                let owner = layout.get_id(row, 0);
-                let mut targets = Vec::with_capacity(table.cols.len() - 1);
-                for i in 1..table.cols.len() {
-                    targets.push(layout.get_id(row, i));
-                }
-                // Column 0 is the owner id: a root-table filter probes it.
-                let keep = chunk.contains(&layout.get_id(row, col));
-                Ok(Some((owner, targets, keep)))
-            })?;
-            let Some((owner, targets, keep)) = next else {
-                break;
-            };
-            if keep {
-                writer.push(ctx, owner, &targets)?;
-            }
-        }
-        runs.push(writer.finish(ctx)?);
+        let chunk = [(0, chunk.iter().copied().collect())];
+        let (ram, page_size) = (ctx.ram(), ctx.page_size());
+        let mut writer = IdListWriter::create(ctx.lane.alloc(), &ram, column.rows(), page_size)?;
+        ctx.add_temp(writer.segment());
+        scan_pass(ctx, std::slice::from_ref(column), &chunk, |dev, pos, _| {
+            Ok(writer.push(dev, pos)?)
+        })?;
+        lists.push(ctx.tracked(OpKind::Store, |dev| writer.finish(dev))?);
     }
-    if runs.len() == 1 {
-        return Ok(runs.into_iter().next().expect("one run"));
-    }
-    merge_sjoin_runs(ctx, runs)
+    Ok(lists)
 }
 
-/// K-way merge of SJoin run tables by root id (column 0).
-fn merge_sjoin_runs(ctx: &mut ExecCtx<'_>, runs: Vec<SJoinTable>) -> Result<SJoinTable> {
-    let cols = runs[0].cols.clone();
-    let total: u64 = runs.iter().map(|r| r.table.rows()).sum();
-    let ram = ctx.ram();
-    let page_size = ctx.page_size();
-    let mut readers = runs
-        .iter()
-        .map(|r| {
-            r.table
-                .reader(&ram, page_size)
-                .map_err(crate::error::ExecError::from)
-        })
-        .collect::<Result<Vec<_>>>()?;
-    // Heads are row numbers, read in place from each run's reader.
-    let mut heads: Vec<Option<u64>> = Vec::new();
-    for r in readers.iter_mut() {
-        heads.push(ctx.tracked(OpKind::SJoin, |dev| r.advance(dev))?);
-    }
-    let mut writer = SJoinWriter::create(ctx, cols[0], &cols[1..], total)?;
-    let layout = runs[0].table.layout.clone();
-    let mut targets: Vec<Id> = vec![0; cols.len() - 1];
-    loop {
-        let mut best: Option<(usize, Id)> = None;
-        for (i, (r, head)) in readers.iter().zip(&heads).enumerate() {
-            if let Some(row) = head {
-                let key = layout.get_id(r.loaded_row(*row)?, 0);
-                if best.is_none_or(|(_, b)| key < b) {
-                    best = Some((i, key));
+/// One pass over F': read `columns` in step and hand `emit` the position
+/// and ids of each row whose id in column `at` is in `set`, for every
+/// `(at, set)` of `sets`. Reads are billed to `SJoin`, `emit`'s writes to
+/// `Store`.
+fn scan_pass(
+    ctx: &mut ExecCtx<'_>,
+    columns: &[FlashTable],
+    sets: &[(usize, HashSet<Id>)],
+    mut emit: impl FnMut(&mut FlashDevice, Id, &[Id]) -> Result<()>,
+) -> Result<()> {
+    let (ram, page_size) = (ctx.ram(), ctx.page_size());
+    let mut readers = (columns.iter())
+        .map(|c| c.reader(&ram, page_size))
+        .collect::<std::result::Result<Vec<_>, _>>()?;
+    let mut row = vec![0; columns.len()];
+    ctx.track_rw(OpKind::SJoin, OpKind::Store, |ctx| {
+        ctx.lane.with_flash(|dev| {
+            for pos in 0.. {
+                for ((reader, column), id) in readers.iter_mut().zip(columns).zip(&mut row) {
+                    match reader.next_row(dev)? {
+                        Some(bytes) => *id = column.layout.get_id(bytes, 0),
+                        None => return Ok(()),
+                    }
+                }
+                if sets.iter().all(|(at, set)| set.contains(&row[*at])) {
+                    emit(dev, pos, &row)?;
                 }
             }
-        }
-        let Some((b, owner)) = best else { break };
-        let row = readers[b].loaded_row(heads[b].expect("best head"))?;
-        for (i, t) in targets.iter_mut().enumerate() {
-            *t = layout.get_id(row, 1 + i);
-        }
-        writer.push(ctx, owner, &targets)?;
-        heads[b] = ctx.tracked(OpKind::SJoin, |dev| readers[b].advance(dev))?;
+            Ok(())
+        })
+    })
+}
+
+/// Copy the rows of each of `columns` at the ascending `positions` into a
+/// new id column, in one read of `positions`: each column is read page by
+/// page through its own [`PageCursor`].
+fn gather(
+    ctx: &mut ExecCtx<'_>,
+    columns: &[&FlashTable],
+    positions: IdList,
+) -> Result<Vec<FlashTable>> {
+    let (ram, page_size) = (ctx.ram(), ctx.page_size());
+    let mut feed = IdListReader::open(positions, &ram, page_size)?;
+    let mut copies = Vec::with_capacity(columns.len());
+    for column in columns {
+        copies.push((
+            column.cursor(&ram, page_size)?,
+            id_column(ctx, positions.count)?,
+        ));
     }
-    writer.finish(ctx)
+    ctx.track_rw(OpKind::SJoin, OpKind::Store, |ctx| {
+        ctx.lane.with_flash(|dev| {
+            let mut next = feed.next_id(dev)?;
+            while let Some(pos) = next {
+                next = feed.next_id(dev)?;
+                for (cursor, writer) in &mut copies {
+                    cursor.push(pos as u64);
+                    if next.is_none_or(|n| cursor.opens_page(n as u64)) {
+                        cursor.flush(dev, next.map(u64::from))?;
+                        for item in cursor.ready() {
+                            writer.push(dev, item?.1)?;
+                        }
+                    }
+                }
+            }
+            Ok(())
+        })
+    })?;
+    finish_columns(ctx, copies.into_iter().map(|(_, writer)| writer).collect())
 }

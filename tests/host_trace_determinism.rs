@@ -11,7 +11,7 @@ use ghostdb_datagen::{SyntheticDataset, SyntheticSpec};
 use ghostdb_exec::project::ProjectAlgo;
 use ghostdb_exec::strategy::VisStrategy;
 use ghostdb_exec::{
-    Database, ExecOptions, Executor, GhostDbServer, HostTrace, ServeConfig, SpjQuery,
+    Database, ExecOptions, Executor, GhostDbServer, HostOp, HostTrace, ServeConfig, SpjQuery,
 };
 
 const STRATEGIES: [VisStrategy; 7] = [
@@ -176,4 +176,39 @@ fn host_trace_survives_a_second_session() {
         solo_a,
         "session B's query clobbered session A's captured trace"
     );
+}
+
+/// Each visible selection crosses the channel once per query: projection
+/// reuses the ids the select-join phase shipped for the same table and
+/// predicates, under every strategy, padded or not.
+#[test]
+fn each_visible_selection_is_shipped_once() {
+    let ds = dataset();
+    let t0 = ds.schema.root();
+    let t1 = ds.schema.table_id("T1").expect("T1");
+    let mut q = SpjQuery::new()
+        .pred(t1, ds.selectivity_pred("T1", "v1", 0.05))
+        .pred(t1, ds.selectivity_pred("T1", "h1", 0.3))
+        .project(t0, "id")
+        .project(t1, "id");
+    q.text = "host-trace-one-select".into();
+    let mut db = ds.build().expect("build");
+    for strategy in STRATEGIES {
+        for padded in [false, true] {
+            let opts = ExecOptions::new().strategy(strategy).padded(padded);
+            let trace = run_trace(&mut db, &q, &opts);
+            let selects: Vec<_> = trace
+                .events()
+                .iter()
+                .filter(|e| e.op == HostOp::Select)
+                .map(|e| (e.table, e.shape.clone()))
+                .collect();
+            let label = format!("{}/padded={padded}", strategy.name());
+            assert!(!selects.is_empty(), "{label}: T1 is never shipped");
+            for s in &selects {
+                let n = selects.iter().filter(|o| *o == s).count();
+                assert_eq!(n, 1, "{label}: {s:?} shipped {n} times");
+            }
+        }
+    }
 }

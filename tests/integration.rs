@@ -4,9 +4,10 @@
 use ghostdb_datagen::{SyntheticDataset, SyntheticSpec};
 use ghostdb_exec::project::ProjectAlgo;
 use ghostdb_exec::strategy::VisStrategy;
-use ghostdb_exec::{ExecOptions, Executor, SpjQuery};
+use ghostdb_exec::{ExecOptions, Executor, OpKind, SpjQuery};
 use ghostdb_reference::RefQuery;
 use ghostdb_storage::{CmpOp, Predicate};
+use ghostdb_token::RamArena;
 
 fn dataset() -> SyntheticDataset {
     let mut spec = SyntheticSpec::small(); // T0 = 2000
@@ -35,6 +36,9 @@ fn check(
         report.peak_ram_buffers <= db.token.ram.capacity(),
         "{label}: RAM budget exceeded"
     );
+    // Every SJoin writes the QEPSJ result as the id columns projection
+    // reads: no plan re-partitions it.
+    assert_eq!(report.op(OpKind::Partition).as_ns(), 0, "{label}");
 }
 
 #[test]
@@ -70,6 +74,7 @@ fn paper_query_q_all_strategies_match_oracle() {
             VisStrategy::Post,
             VisStrategy::CrossPost,
             VisStrategy::PostSelect,
+            VisStrategy::CrossPostSelect,
             VisStrategy::NoFilter,
         ] {
             check(
@@ -283,5 +288,40 @@ fn post_select_on_a_root_selection_matches_oracle_and_keeps_the_handle() {
         // The handle is still usable: the same query under the optimizer.
         let (rs, _) = sealed.query_with(&sql, &QueryOptions::new()).unwrap();
         assert_eq!(rs.rows, expect, "{sql} (second query)");
+    }
+}
+
+/// A Post-Select whose exact id set takes more RAM chunks than the arena
+/// has free buffers: `Merge` reduces the chunks' position lists to fit, the
+/// gather copies the two kept columns one at a time (four buffers) or
+/// together (six), and the rows match the oracle.
+#[test]
+fn post_select_with_more_chunks_than_buffers_matches_oracle() {
+    let ds = SyntheticDataset::generate(SyntheticSpec::paper(0.002));
+    let mut db = ds.build().expect("build");
+    let t0 = db.schema.root();
+    let t1 = db.schema.table_id("T1").unwrap();
+    // Half of 20,000 root ids: in an arena of four buffers one holds a
+    // chunk of 512 ids, so the set takes 20 chunks; in one of six, three
+    // hold a chunk of 1,536 ids, so it takes 7.
+    let vis = ds.selectivity_pred("T0", "v1", 0.5);
+    let mut q = SpjQuery::new()
+        .pred(t0, vis.clone())
+        .project(t0, "id")
+        .project(t1, "id");
+    q.text = "wide post-select".into();
+    let expect = ds
+        .ref_db()
+        .run(&RefQuery {
+            predicates: vec![(t0, vis)],
+            projections: q.projections.clone(),
+        })
+        .expect("oracle");
+    for buffers in [4, 6] {
+        db.token.ram = RamArena::new(db.token.flash.page_size(), buffers);
+        let opts = ExecOptions::new().strategy(VisStrategy::PostSelect);
+        let (rs, report) = Executor::run(&mut db, &q, &opts).expect("Post-Select runs");
+        assert_eq!(rs.rows, expect, "{buffers} buffers");
+        assert!(report.peak_ram_buffers <= buffers, "{buffers} buffers");
     }
 }

@@ -7,7 +7,7 @@
 use ghostdb_datagen::{SyntheticDataset, SyntheticSpec};
 use ghostdb_exec::optimizer::{
     CROSS_PRE_CUTOFF, DEFER_RATIO, HIDDEN_ROOT_PRE_POST_CUTOFF, PRE_POST_CUTOFF, ROOT_PRE_CUTOFF,
-    SIBLING_PRE_POST_CUTOFF,
+    ROOT_PRE_POST_CUTOFF, SIBLING_PRE_POST_CUTOFF,
 };
 use ghostdb_exec::strategy::{VisDecision, VisStrategy};
 use ghostdb_exec::{Database, ExecOptions, Executor, SpjQuery};
@@ -183,20 +183,23 @@ fn cross_pre_cutoff_is_the_measured_crossover() {
     assert_within_one_step("CROSS_PRE_CUTOFF", CROSS_PRE_CUTOFF, measured);
 }
 
+/// A visible selection on the root at `sv`, projecting a hidden T1 column.
+fn root_query(ds: &SyntheticDataset, db: &Database, sv: f64) -> SpjQuery {
+    let (t0, t1) = (db.schema.root(), db.schema.table_id("T1").unwrap());
+    SpjQuery::new()
+        .pred(t0, ds.selectivity_pred("T0", "v1", sv))
+        .project(t0, "id")
+        .project(t1, "h1")
+}
+
 #[test]
 fn root_pre_cutoff_is_the_measured_crossover() {
-    // A visible selection on the root projecting a hidden T1 column; Post
-    // never beats Pre there, NoFilter eventually does.
+    // Pre against NoFilter on the root. Past ROOT_PRE_POST_CUTOFF Post
+    // beats Pre while its Bloom filter is useful, as at sV = 0.5.
     let (ds, mut db) = setup();
-    let (t0, t1) = (db.schema.root(), db.schema.table_id("T1").unwrap());
-    let q = |sv: f64| {
-        SpjQuery::new()
-            .pred(t0, ds.selectivity_pred("T0", "v1", sv))
-            .project(t0, "id")
-            .project(t1, "h1")
-    };
+    let t0 = db.schema.root();
     let measured = crossover(0.25, 1.0, |sv| {
-        let q = q(sv);
+        let q = root_query(&ds, &db, sv);
         (
             cost(&mut db, &q, &[(t0, Pre)]),
             cost(&mut db, &q, &[(t0, NoFilter)]),
@@ -204,12 +207,27 @@ fn root_pre_cutoff_is_the_measured_crossover() {
     });
     assert_within_one_step("ROOT_PRE_CUTOFF", ROOT_PRE_CUTOFF, measured);
     let sv = 0.5;
-    let pre = cost(&mut db, &q(sv), &[(t0, Pre)]);
-    let post = cost(&mut db, &q(sv), &[(t0, Post)]);
+    let q = root_query(&ds, &db, sv);
+    let pre = cost(&mut db, &q, &[(t0, Pre)]);
+    let post = cost(&mut db, &q, &[(t0, Post)]);
     assert!(
-        pre < post,
-        "root Pre {pre} ns vs Post {post} ns at sV = {sv}"
+        post < pre,
+        "root Post {post} ns vs Pre {pre} ns at sV = {sv}"
     );
+}
+
+#[test]
+fn root_pre_post_cutoff_is_the_measured_crossover() {
+    let (ds, mut db) = setup();
+    let t0 = db.schema.root();
+    let measured = crossover(0.005, 1.0, |sv| {
+        let q = root_query(&ds, &db, sv);
+        (
+            cost(&mut db, &q, &[(t0, Pre)]),
+            cost(&mut db, &q, &[(t0, Post)]),
+        )
+    });
+    assert_within_one_step("ROOT_PRE_POST_CUTOFF", ROOT_PRE_POST_CUTOFF, measured);
 }
 
 #[test]
