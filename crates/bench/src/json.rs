@@ -383,40 +383,6 @@ pub fn check_bench(doc: &Json) -> Result<BenchSummary, String> {
     })
 }
 
-/// Compare two BENCH.json documents for harness drift: both must pass
-/// [`check_bench`] and carry the **same scenario names in the same order**
-/// (values are allowed to differ — wall time always does). This is what
-/// keeps a change from silently dropping or reordering scenarios: CI reruns
-/// `--smoke` and diffs it against the first run, with `--exact` also
-/// holding the simulated numbers fixed. Returns the shared entry count.
-pub fn compare_scenarios(a: &Json, b: &Json) -> Result<usize, String> {
-    check_bench(a).map_err(|e| format!("first document: {e}"))?;
-    check_bench(b).map_err(|e| format!("second document: {e}"))?;
-    let names = |doc: &Json| -> Vec<String> {
-        doc.get("entries")
-            .and_then(Json::as_arr)
-            .expect("checked above")
-            .iter()
-            .map(|e| {
-                e.get("scenario")
-                    .and_then(Json::as_str)
-                    .expect("checked above")
-                    .to_string()
-            })
-            .collect()
-    };
-    let (na, nb) = (names(a), names(b));
-    if na.len() != nb.len() {
-        return Err(format!("entry counts differ: {} vs {}", na.len(), nb.len()));
-    }
-    for (i, (x, y)) in na.iter().zip(&nb).enumerate() {
-        if x != y {
-            return Err(format!("entry {i} differs: {x:?} vs {y:?}"));
-        }
-    }
-    Ok(na.len())
-}
-
 fn entries_by_name(doc: &Json) -> Vec<(&str, &Json)> {
     doc.get("entries")
         .and_then(Json::as_arr)
@@ -477,28 +443,41 @@ pub fn compare_micro_wall(a: &Json, b: &Json, tolerance_pct: f64) -> Result<usiz
     Ok(compared)
 }
 
-/// The exact gate: scenario names must match exactly (as in
-/// [`compare_scenarios`]) AND every entry's deterministic observations —
-/// `simulated_s`, `ops`, `bytes_io` — must be **bit-identical** between
-/// the two documents. Wall time is exempt (it is the one thing a change
-/// that preserves behaviour is allowed to move). Returns the entry count.
-pub fn compare_exact_sim(a: &Json, b: &Json) -> Result<usize, String> {
-    let n = compare_scenarios(a, b)?;
-    let ea = entries_by_name(a);
-    let eb = entries_by_name(b);
-    for ((name, x), (_, y)) in ea.iter().zip(&eb) {
+/// The exact gate: both documents pass [`check_bench`], carry the same
+/// scenario names in the same order, and every entry's deterministic
+/// observations (`simulated_s`, `ops`, `bytes_io`) are **bit-identical**.
+/// Wall time and latency percentiles are free: they are what a change that
+/// keeps behaviour is allowed to move. Every divergence is reported, not
+/// just the first. Returns the entry count.
+pub fn compare_exact(a: &Json, b: &Json) -> Result<usize, String> {
+    check_bench(a).map_err(|e| format!("first document: {e}"))?;
+    check_bench(b).map_err(|e| format!("second document: {e}"))?;
+    let (ea, eb) = (entries_by_name(a), entries_by_name(b));
+    let mut diverging: Vec<String> = Vec::new();
+    if ea.len() != eb.len() {
+        diverging.push(format!("entry counts differ: {} vs {}", ea.len(), eb.len()));
+    }
+    for (i, ((na, x), (nb, y))) in ea.iter().zip(&eb).enumerate() {
+        if na != nb {
+            diverging.push(format!("entry {i}: scenario {na:?} vs {nb:?}"));
+            continue;
+        }
         for field in ["simulated_s", "ops", "bytes_io"] {
             let vx = x.get(field).and_then(Json::as_num).expect("checked");
             let vy = y.get(field).and_then(Json::as_num).expect("checked");
             if vx != vy {
-                return Err(format!(
-                    "{name}: {field} diverges ({vx} vs {vy}) — the exact gate \
-                     allows no change to simulated observations"
-                ));
+                diverging.push(format!("{na}: {field} {vx} vs {vy}"));
             }
         }
     }
-    Ok(n)
+    if !diverging.is_empty() {
+        return Err(format!(
+            "{} divergence(s):\n  {}",
+            diverging.len(),
+            diverging.join("\n  ")
+        ));
+    }
+    Ok(ea.len())
 }
 
 #[cfg(test)]
@@ -632,26 +611,37 @@ mod tests {
     }
 
     #[test]
-    fn exact_sim_gate_requires_identical_observations() {
+    fn exact_gate_requires_identical_names_and_observations() {
         let names: Vec<String> = (0..12)
             .map(|i| format!("q{i}"))
             .chain(std::iter::once("micro/x".into()))
             .collect();
         let base = doc(&names);
-        assert_eq!(compare_exact_sim(&base, &base), Ok(13));
+        assert_eq!(compare_exact(&base, &base), Ok(13));
         // Wall time may move freely...
         let wall_moved = with_entry_field(base.clone(), 3, 1, Json::Num(9_999_999.0));
-        assert_eq!(compare_exact_sim(&base, &wall_moved), Ok(13));
-        // ...but simulated_s (field 2), ops (3) and bytes_io (4) may not.
+        assert_eq!(compare_exact(&base, &wall_moved), Ok(13));
+        // ...but simulated_s (field 2), ops (3) and bytes_io (4) may not,
+        // and every divergence is reported.
         for field in [2usize, 3, 4] {
             let drift = with_entry_field(base.clone(), 5, field, Json::Num(123_456.0));
-            let err = compare_exact_sim(&base, &drift).unwrap_err();
-            assert!(err.contains("q5"), "{err}");
+            let drift = with_entry_field(drift, 7, field, Json::Num(123_456.0));
+            let err = compare_exact(&base, &drift).unwrap_err();
+            assert!(err.starts_with("2 divergence(s)"), "{err}");
+            assert!(err.contains("q5:") && err.contains("q7:"), "{err}");
         }
-        // Name drift still fails first.
+        // A renamed scenario is drift.
         let mut renamed = names.clone();
-        renamed[0] = "other".into();
-        assert!(compare_exact_sim(&base, &doc(&renamed)).is_err());
+        renamed[3] = "q3-renamed".into();
+        let err = compare_exact(&base, &doc(&renamed)).unwrap_err();
+        assert!(err.contains("entry 3"), "{err}");
+        // An extra scenario is drift.
+        let mut longer = names.clone();
+        longer.push("q12".into());
+        let err = compare_exact(&base, &doc(&longer)).unwrap_err();
+        assert!(err.contains("entry counts differ"), "{err}");
+        // An invalid document never compares clean.
+        assert!(compare_exact(&base, &Json::Obj(vec![])).is_err());
     }
 
     #[test]
@@ -702,39 +692,5 @@ mod tests {
         }
         let err = check_bench(&bad_micro).unwrap_err();
         assert!(err.contains("p95_ns"), "{err}");
-    }
-
-    #[test]
-    fn compare_accepts_same_names_and_rejects_drift() {
-        let names: Vec<String> = (0..12)
-            .map(|i| format!("q{i}"))
-            .chain(std::iter::once("micro/x".into()))
-            .collect();
-        assert_eq!(compare_scenarios(&doc(&names), &doc(&names)), Ok(13));
-
-        // Different wall times still compare equal (names-only diff).
-        let mut slower = doc(&names);
-        if let Json::Obj(fields) = &mut slower {
-            if let Json::Arr(entries) = &mut fields[2].1 {
-                if let Json::Obj(e) = &mut entries[0] {
-                    e[1].1 = Json::Num(999_999.0);
-                }
-            }
-        }
-        assert_eq!(compare_scenarios(&doc(&names), &slower), Ok(13));
-
-        // A renamed scenario is drift.
-        let mut renamed = names.clone();
-        renamed[3] = "q3-renamed".into();
-        assert!(compare_scenarios(&doc(&names), &doc(&renamed)).is_err());
-
-        // An extra scenario is drift (count mismatch between valid docs).
-        let mut longer = names.clone();
-        longer.push("q12".into());
-        let err = compare_scenarios(&doc(&names), &doc(&longer)).unwrap_err();
-        assert!(err.contains("entry counts differ"), "{err}");
-
-        // An invalid document never compares clean.
-        assert!(compare_scenarios(&doc(&names), &Json::Obj(vec![])).is_err());
     }
 }

@@ -9,6 +9,7 @@
 
 pub mod cli;
 pub mod json;
+pub mod matrix;
 pub mod perf;
 
 use ghostdb_datagen::{MedicalDataset, SyntheticDataset, SyntheticSpec};
@@ -238,25 +239,7 @@ pub fn run_with(
     strategy: VisStrategy,
     algo: ProjectAlgo,
 ) -> Result<ExecReport, ExecError> {
-    run_with_tuned(db, q, strategy, algo, false)
-}
-
-/// [`run_with`] with an explicit volume-padding mode. `padded` inflates the
-/// channel cost (its overhead is exactly what perfbench's
-/// `synthetic-padded/` scenarios quantify) without changing results.
-pub fn run_with_tuned(
-    db: &mut Database,
-    q: &SpjQuery,
-    strategy: VisStrategy,
-    algo: ProjectAlgo,
-    padded: bool,
-) -> Result<ExecReport, ExecError> {
-    let opts = ExecOptions {
-        strategies: vec![],
-        forced_strategy: Some(strategy),
-        project: Some(algo),
-        padded,
-    };
+    let opts = ExecOptions::new().strategy(strategy).project(algo);
     Executor::run(db, q, &opts).map(|(_, report)| report)
 }
 

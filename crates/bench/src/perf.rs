@@ -3,6 +3,7 @@
 //! deterministic; wall time is what these helpers pin down.
 
 use crate::json::Json;
+use crate::matrix::Run;
 use std::time::Instant;
 
 /// One BENCH.json entry.
@@ -19,10 +20,10 @@ pub struct BenchEntry {
     pub ops: u64,
     /// Flash bytes moved through the data register (read + write side).
     pub bytes_io: u64,
-    /// Closed-loop per-query latency percentiles in nanoseconds, as
-    /// `(p50, p95, p99)` — present on `serve/…` scenarios (where the unit
-    /// of interest is one query's submit→outcome latency under load, not
-    /// the whole run), absent everywhere else.
+    /// Per-operation latency percentiles in nanoseconds, as
+    /// `(p50, p95, p99)` — present on the `serve/…` and `gc-pressure/…`
+    /// scenarios (where the unit of interest is one operation's latency
+    /// under load, not the whole run), absent everywhere else.
     pub percentiles: Option<(u128, u128, u128)>,
 }
 
@@ -56,45 +57,43 @@ pub fn percentile(samples: &[u128], q: f64) -> u128 {
     sorted[rank - 1]
 }
 
-/// Non-timing observations one run reports back.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RunStats {
-    /// Simulated seconds.
-    pub simulated_s: f64,
-    /// Logical operations.
-    pub ops: u64,
-    /// Flash bytes moved.
-    pub bytes_io: u64,
-}
-
 /// Run `f` `warmup` times untimed, then `iters` timed times, and build the
 /// entry from the **median** wall time (robust to scheduler noise) and the
-/// last run's stats (runs are deterministic, so any run's stats serve).
+/// last run's observations (runs are deterministic, so any run's serve).
+/// Latency percentiles come from the samples of the timed runs alone.
 pub fn measure(
     scenario: impl Into<String>,
     warmup: usize,
     iters: usize,
-    mut f: impl FnMut() -> RunStats,
+    mut f: impl FnMut() -> Run,
 ) -> BenchEntry {
     assert!(iters >= 1, "need at least one timed iteration");
     for _ in 0..warmup {
         f();
     }
     let mut times: Vec<u128> = Vec::with_capacity(iters);
-    let mut stats = RunStats::default();
+    let mut latencies: Vec<u128> = Vec::new();
+    let mut last = Run::default();
     for _ in 0..iters {
         let t0 = Instant::now();
-        stats = f();
+        last = f();
         times.push(t0.elapsed().as_nanos());
+        latencies.extend(&last.latencies);
     }
     times.sort_unstable();
     BenchEntry {
         scenario: scenario.into(),
         wall_ns: times[times.len() / 2],
-        simulated_s: stats.simulated_s,
-        ops: stats.ops,
-        bytes_io: stats.bytes_io,
-        percentiles: None,
+        simulated_s: last.simulated_s(),
+        ops: last.ops,
+        bytes_io: last.bytes_io,
+        percentiles: (!latencies.is_empty()).then(|| {
+            (
+                percentile(&latencies, 0.5),
+                percentile(&latencies, 0.95),
+                percentile(&latencies, 0.99),
+            )
+        }),
     }
 }
 
@@ -120,16 +119,19 @@ mod tests {
         let mut calls = 0u64;
         let e = measure("x", 2, 5, || {
             calls += 1;
-            RunStats {
-                simulated_s: 1.5,
+            Run {
+                simulated: ghostdb_flash::SimDuration::from_ns(1_500_000_000),
                 ops: calls,
                 bytes_io: 7,
+                latencies: vec![calls as u128],
+                ..Run::default()
             }
         });
         assert_eq!(calls, 7, "2 warmup + 5 timed");
         assert_eq!(e.ops, 7, "stats come from the last timed run");
         assert_eq!(e.simulated_s, 1.5);
         assert_eq!(e.bytes_io, 7);
+        assert_eq!(e.percentiles, Some((5, 7, 7)), "timed samples 3..=7 only");
     }
 
     #[test]

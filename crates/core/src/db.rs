@@ -658,6 +658,40 @@ mod tests {
         assert_eq!(rs.rows, vec![vec![Value::Int(0)]]);
     }
 
+    /// A NaN literal compares with nothing, so it is a typed error on a
+    /// visible and on a hidden column alike, and so is a `Between` built
+    /// without its upper bound; the database stays usable after each.
+    #[test]
+    fn nan_and_unbounded_literals_are_query_errors() {
+        use ghostdb_storage::{CmpOp, Predicate};
+        let mut db = GhostDb::new(GhostDbConfig::default());
+        db.execute("CREATE TABLE M (id INT, f FLOAT, hf FLOAT HIDDEN)")
+            .unwrap();
+        db.insert_rows(
+            "M",
+            (0..50)
+                .map(|i| vec![Value::Float(i as f64), Value::Float(i as f64)])
+                .collect(),
+        )
+        .unwrap();
+        db.finalize().unwrap();
+        let db = db.database_mut().unwrap();
+        let m = db.schema.root();
+        let nan = |col| Predicate::new(col, CmpOp::Lt, Value::Float(f64::NAN), None);
+        let mut open = Predicate::new("hf", CmpOp::Gt, Value::Float(1.0), None);
+        open.op = CmpOp::Between;
+        for (label, pred) in [("f", nan("f")), ("hf", nan("hf")), ("open", open)] {
+            let q = SpjQuery::new().pred(m, pred).project(m, "id");
+            let err = Executor::run(db, &q, &ExecOptions::new()).unwrap_err();
+            assert!(matches!(err, ExecError::Query(_)), "{label}: {err}");
+        }
+        let q = SpjQuery::new()
+            .pred(m, Predicate::new("hf", CmpOp::Lt, Value::Float(3.0), None))
+            .project(m, "id");
+        let (rs, _) = Executor::run(db, &q, &ExecOptions::new()).unwrap();
+        assert_eq!(rs.rows.len(), 3, "the database stays usable");
+    }
+
     #[test]
     fn schema_freezes_after_load() {
         let mut db = patients_db();

@@ -27,23 +27,15 @@ pub fn level_of(ctx: &ExecCtx<'_>, ci: &ClimbingIndex, target: TableId) -> Resul
 }
 
 /// `CI(I, attribute θ value, target)`: one sorted sublist per matching
-/// entry.
+/// entry ([`select_sublists_multi`] with one target).
 pub fn select_sublists(
     ctx: &mut ExecCtx<'_>,
     ci: &ClimbingIndex,
     pred: &Predicate,
     target: TableId,
 ) -> Result<Vec<IdSource>> {
-    let level = level_of(ctx, ci, target)?;
-    let (lo, hi) = pred.key_range();
-    ctx.track(OpKind::Ci, |ctx| {
-        let ram = ctx.ram();
-        let mut probe = ci.probe(&ram)?;
-        let lists = ctx
-            .lane
-            .with_flash(|dev| probe.lookup_range(dev, lo, hi, level))?;
-        Ok(lists.into_iter().map(IdSource::Flash).collect())
-    })
+    let mut levels = select_sublists_multi(ctx, ci, pred, &[target])?;
+    Ok(levels.pop().unwrap_or_default())
 }
 
 /// `CI(I, attribute θ value, {targets})`: sublists for several levels from

@@ -4,7 +4,7 @@
 
 use crate::error::ExecError;
 use crate::Result;
-use ghostdb_storage::{Predicate, SchemaTree, TableId, Visibility};
+use ghostdb_storage::{CmpOp, Predicate, SchemaTree, TableId, Visibility};
 
 /// A Select-Project-Join query over the tree schema.
 ///
@@ -205,10 +205,24 @@ pub fn analyze(schema: &SchemaTree, q: &SpjQuery) -> Result<Analyzed> {
 /// Type-check and coerce a predicate's literals to the column type, so
 /// exact evaluation and order-key ranges agree with the stored encoding
 /// (e.g. `bodymassindex > 25` coerces the integer literal to a float).
+/// A NaN literal is rejected: it has no place in the order every predicate
+/// compares by, as a NaN cell fits no column. So is a `Between` without
+/// its upper bound (the fields are public, so `Predicate::new`'s check can
+/// be bypassed).
 fn coerce(table: &str, col: &ghostdb_storage::Column, p: &Predicate) -> Result<Predicate> {
+    if p.op == CmpOp::Between && p.value2.is_none() {
+        return Err(ExecError::Query(format!(
+            "BETWEEN on {table}.{} needs an upper bound",
+            col.name
+        )));
+    }
     let fix = |v: &ghostdb_storage::Value| -> Result<ghostdb_storage::Value> {
         use ghostdb_storage::{ColumnType, Value};
         match (&col.ty, v) {
+            (_, Value::Float(f)) if f.is_nan() => Err(ExecError::Query(format!(
+                "NaN compares with no value of {table}.{}",
+                col.name
+            ))),
             (ColumnType::Int { .. }, Value::Int(_)) => Ok(v.clone()),
             (ColumnType::Float { .. }, Value::Float(_)) => Ok(v.clone()),
             (ColumnType::Float { .. }, Value::Int(i)) => Ok(Value::Float(*i as f64)),

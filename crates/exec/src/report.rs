@@ -116,11 +116,21 @@ impl ExecReport {
 
     /// Total flash time (all operators, communication excluded) — the
     /// quantity decomposed in Figures 15–16.
+    ///
+    /// This is the flash time operators *billed*, which can fall short of
+    /// what `io` adds up to (`io.elapsed(timing, page_size)`): the last
+    /// page of a QEPSJ id column, of an MJoin run and of a merged run is
+    /// programmed outside any operator's scope and billed to none. At
+    /// ×0.002 the gap is 0 to 2.42 ms per query (five unbilled 302.4 µs
+    /// last-page programs on a Cross-Pre plan at sV 0.01). The simulated
+    /// pins (`tests/sim_pins.rs`) record it per query as `unbilled_ns`.
     pub fn flash_total(&self) -> SimDuration {
         SimDuration::from_ns(self.op_ns.iter().sum())
     }
 
     /// Total execution time including communication (Figures 8–14).
+    /// Like [`flash_total`](Self::flash_total), it leaves out the flash
+    /// time no operator billed.
     pub fn total(&self) -> SimDuration {
         self.flash_total() + self.comm
     }

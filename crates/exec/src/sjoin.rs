@@ -235,7 +235,7 @@ impl SJoinWriter {
         .map(drop)
     }
 
-    /// Write each column's last page and return F' (see [`finish_columns`]).
+    /// Write each column's last page and return F' (see `finish_columns`).
     pub fn finish(self, ctx: &mut ExecCtx<'_>) -> Result<SJoinTable> {
         Ok(SJoinTable {
             columns: finish_columns(ctx, self.writers)?,

@@ -18,6 +18,9 @@ pub struct Segment {
 }
 
 impl Segment {
+    /// The segment of no pages (what `alloc(0)` returns).
+    pub const EMPTY: Segment = Segment { start: 0, pages: 0 };
+
     /// First logical page.
     pub fn start(&self) -> Lpn {
         self.start
@@ -71,7 +74,7 @@ impl SegmentAllocator {
     /// Allocate a contiguous run of `pages` logical pages, first fit.
     pub fn alloc(&mut self, pages: u64) -> Result<Segment> {
         if pages == 0 {
-            return Ok(Segment { start: 0, pages: 0 });
+            return Ok(Segment::EMPTY);
         }
         let slot = self
             .free

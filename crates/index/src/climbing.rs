@@ -140,28 +140,11 @@ impl CiProbe<'_> {
         Ok(())
     }
 
-    /// Equality probe: the sorted ID sublist of `level` for `key`, or `None`
-    /// when the key is absent.
-    pub fn lookup_eq(
-        &mut self,
-        dev: &mut FlashDevice,
-        key: u64,
-        level: usize,
-    ) -> Result<Option<IdList>> {
-        self.check_level(level)?;
-        self.cursor.seek(dev, key)?;
-        match self.cursor.next_into(dev, &mut self.payload)? {
-            Some(k) if k == key => Ok(Some(self.index.decode_level(&self.payload, level))),
-            _ => Ok(None),
-        }
-    }
-
     /// Batched equality probes over an **ascending** key run: one sublist
-    /// per present key, in input order. Equivalent to calling
-    /// [`lookup_eq`](Self::lookup_eq) per key, but the ascending order lets
-    /// the cursor resolve runs of keys inside the currently-buffered leaf
-    /// with an in-place binary search — no per-key root-to-leaf descent —
-    /// which is the hot path of Pre-Filter probe lists (§3.3).
+    /// per present key, in input order. The ascending order lets the
+    /// cursor resolve runs of keys inside the currently-buffered leaf with
+    /// an in-place binary search — no per-key root-to-leaf descent — which
+    /// is the hot path of Pre-Filter probe lists (§3.3).
     pub fn lookup_eq_run(
         &mut self,
         dev: &mut FlashDevice,
@@ -185,32 +168,9 @@ impl CiProbe<'_> {
         Ok(out)
     }
 
-    /// Range probe over keys in `[lo, hi]` (inclusive): one sorted sublist
-    /// per matching entry — the `{Li}` collections the paper's plans feed to
-    /// `Merge`. An inverted range (`lo > hi`) yields no sublists.
-    ///
-    /// Backed by the same single [`BTreeCursor::scan_range`] traversal as
-    /// [`lookup_range_multi`](Self::lookup_range_multi) (with one level),
-    /// so the two paths cannot diverge in results or pages read.
-    pub fn lookup_range(
-        &mut self,
-        dev: &mut FlashDevice,
-        lo: u64,
-        hi: u64,
-        level: usize,
-    ) -> Result<Vec<IdList>> {
-        self.check_level(level)?;
-        let index = self.index;
-        let mut out = Vec::with_capacity(self.range_capacity_hint(lo, hi));
-        self.cursor.scan_range(dev, lo, hi, |_key, payload| {
-            out.push(index.decode_level(payload, level));
-            Ok(())
-        })?;
-        Ok(out)
-    }
-
-    /// Reference implementation of [`lookup_range`](Self::lookup_range):
-    /// a full root-to-leaf [`BTreeCursor::seek`] followed by per-entry
+    /// Reference implementation of one level of
+    /// [`lookup_range_multi`](Self::lookup_range_multi): a full
+    /// root-to-leaf [`BTreeCursor::seek`] followed by per-entry
     /// [`BTreeCursor::next_into`] payload copies — the pre-batching read
     /// path, kept verbatim so the single-traversal scan is always judged
     /// against what it replaced: this module's tests and the exec crate's
@@ -236,11 +196,11 @@ impl CiProbe<'_> {
         Ok(out)
     }
 
-    /// Range probe decoding **several levels from one traversal**: for keys
-    /// in `[lo, hi]`, `out[i]` holds one sorted sublist per matching entry
-    /// for `levels[i]` — exactly what per-level
-    /// [`lookup_range`](Self::lookup_range) calls would return, but every
-    /// qualifying leaf entry is visited once and all requested levels are
+    /// Range probe over keys in `[lo, hi]` (inclusive), decoding **several
+    /// levels from one traversal**: `out[i]` holds one sorted sublist per
+    /// matching entry for `levels[i]` — the `{Li}` collections the paper's
+    /// plans feed to `Merge`; an inverted range (`lo > hi`) yields none.
+    /// Every qualifying leaf entry is visited once and all requested levels are
     /// decoded from its payload (each leaf payload carries a descriptor per
     /// level), so the B+-tree pages are read once instead of once per
     /// level. This is the paper's remark that the "redundant lookup" of
@@ -293,6 +253,30 @@ mod tests {
     use ghostdb_flash::{FlashDevice, FlashGeometry, FlashTiming, SegmentAllocator};
     use ghostdb_storage::schema::paper_synthetic_schema;
     use ghostdb_storage::IdListReader;
+
+    /// One equality probe: the sublist of `level` for `key`, if present.
+    fn eq(
+        probe: &mut CiProbe<'_>,
+        dev: &mut FlashDevice,
+        key: u64,
+        level: usize,
+    ) -> Result<Option<IdList>> {
+        Ok(probe.lookup_eq_run(dev, &[key], level)?.pop())
+    }
+
+    /// One level of a range probe.
+    fn range(
+        probe: &mut CiProbe<'_>,
+        dev: &mut FlashDevice,
+        lo: u64,
+        hi: u64,
+        level: usize,
+    ) -> Result<Vec<IdList>> {
+        Ok(probe
+            .lookup_range_multi(dev, lo, hi, &[level])?
+            .pop()
+            .unwrap_or_default())
+    }
 
     fn setup() -> (FlashDevice, SegmentAllocator, RamArena) {
         let dev = FlashDevice::new(
@@ -355,14 +339,14 @@ mod tests {
         assert_eq!(ci.distinct(), 2);
         let mut probe = ci.probe(&ram).unwrap();
         // key 0 selects T12 ids {0, 2}.
-        let self_list = probe.lookup_eq(&mut dev, 0, 0).unwrap().unwrap();
+        let self_list = eq(&mut probe, &mut dev, 0, 0).unwrap().unwrap();
         let ids = IdListReader::open(self_list, &ram, dev.page_size())
             .unwrap()
             .drain(&mut dev)
             .unwrap();
         assert_eq!(ids, vec![0, 2]);
         // Climb to T1: T1 rows with fk12 ∈ {0,2} = ids where id%4 ∈ {0,2}.
-        let t1_list = probe.lookup_eq(&mut dev, 0, 1).unwrap().unwrap();
+        let t1_list = eq(&mut probe, &mut dev, 0, 1).unwrap().unwrap();
         let ids = IdListReader::open(t1_list, &ram, dev.page_size())
             .unwrap()
             .drain(&mut dev)
@@ -370,7 +354,7 @@ mod tests {
         let expect: Vec<u32> = (0..20).filter(|i| i % 4 == 0 || i % 4 == 2).collect();
         assert_eq!(ids, expect);
         // Climb to T0: T0 rows whose T1 parent (id/2) is in the T1 list.
-        let t0_list = probe.lookup_eq(&mut dev, 0, 2).unwrap().unwrap();
+        let t0_list = eq(&mut probe, &mut dev, 0, 2).unwrap().unwrap();
         let ids = IdListReader::open(t0_list, &ram, dev.page_size())
             .unwrap()
             .drain(&mut dev)
@@ -402,7 +386,7 @@ mod tests {
             )
             .unwrap();
         let mut probe = ci.probe(&ram).unwrap();
-        let lists = probe.lookup_range(&mut dev, 3, 6, 0).unwrap();
+        let lists = range(&mut probe, &mut dev, 3, 6, 0).unwrap();
         assert_eq!(lists.len(), 4, "keys 3,4,5,6");
         let all: Vec<Vec<u32>> = lists
             .into_iter()
@@ -444,7 +428,7 @@ mod tests {
             let snap = dev.snapshot();
             let mut expect = Vec::new();
             for &k in &probes {
-                if let Some(l) = scalar.lookup_eq(&mut dev, k, level).unwrap() {
+                if let Some(l) = eq(&mut scalar, &mut dev, k, level).unwrap() {
                     expect.push(l);
                 }
             }
@@ -496,7 +480,7 @@ mod tests {
             for (i, &level) in levels.iter().enumerate() {
                 let mut probe = ci.probe(&ram).unwrap();
                 let snap = dev.snapshot();
-                let single = probe.lookup_range(&mut dev, lo, hi, level).unwrap();
+                let single = range(&mut probe, &mut dev, lo, hi, level).unwrap();
                 single_io_max = single_io_max.max(dev.stats_since(&snap).pages_read);
                 assert_eq!(multi[i], single, "range [{lo},{hi}] level {level}");
             }
@@ -533,7 +517,7 @@ mod tests {
             for level in 0..ci.levels.len() {
                 let mut fast = ci.probe(&ram).unwrap();
                 let snap = dev.snapshot();
-                let got = fast.lookup_range(&mut dev, lo, hi, level).unwrap();
+                let got = range(&mut fast, &mut dev, lo, hi, level).unwrap();
                 let fast_io = dev.stats_since(&snap);
                 drop(fast);
                 let mut naive = ci.probe(&ram).unwrap();
@@ -577,11 +561,11 @@ mod tests {
             .unwrap();
         let mut probe = ci.probe(&ram).unwrap();
         // Empty range between two present keys.
-        assert!(probe.lookup_range(&mut dev, 11, 19, 0).unwrap().is_empty());
+        assert!(range(&mut probe, &mut dev, 11, 19, 0).unwrap().is_empty());
         // Empty range past the last key.
-        assert!(probe.lookup_range(&mut dev, 91, 999, 0).unwrap().is_empty());
+        assert!(range(&mut probe, &mut dev, 91, 999, 0).unwrap().is_empty());
         // Inverted bounds are rejected cleanly: no error, no sublists.
-        assert!(probe.lookup_range(&mut dev, 30, 10, 0).unwrap().is_empty());
+        assert!(range(&mut probe, &mut dev, 30, 10, 0).unwrap().is_empty());
         let multi = probe.lookup_range_multi(&mut dev, 30, 10, &[0, 1]).unwrap();
         assert_eq!(multi.len(), 2);
         assert!(multi.iter().all(Vec::is_empty));
@@ -609,12 +593,12 @@ mod tests {
             .unwrap();
         let max = ci.levels.len() - 1; // the root level
         let mut probe = ci.probe(&ram).unwrap();
-        let lists = probe.lookup_range(&mut dev, 0, 3, max).unwrap();
+        let lists = range(&mut probe, &mut dev, 0, 3, max).unwrap();
         assert_eq!(lists.len(), 4);
         // Every T0 row joins some T12 row, so the root sublists cover T0.
         assert_eq!(lists.iter().map(|l| l.count).sum::<u64>(), 40);
         // One past the top level errors on both paths, before any I/O.
-        assert!(probe.lookup_range(&mut dev, 0, 3, max + 1).is_err());
+        assert!(range(&mut probe, &mut dev, 0, 3, max + 1).is_err());
         assert!(probe
             .lookup_range_multi(&mut dev, 0, 3, &[0, max + 1])
             .is_err());
@@ -680,7 +664,7 @@ mod tests {
             let mut scalar = ci.probe(&ram).unwrap();
             let mut expect = Vec::new();
             for &k in &probes {
-                expect.push(scalar.lookup_eq(&mut dev, k, level).unwrap().unwrap());
+                expect.push(eq(&mut scalar, &mut dev, k, level).unwrap().unwrap());
             }
             drop(scalar);
             let mut batched = ci.probe(&ram).unwrap();
@@ -711,8 +695,8 @@ mod tests {
             .unwrap();
         assert_eq!(ci.levels.len(), 2); // T2, T0
         let mut probe = ci.probe(&ram).unwrap();
-        assert!(probe.lookup_eq(&mut dev, 5, 0).unwrap().is_none());
-        assert!(probe.lookup_eq(&mut dev, 0, 5).is_err());
+        assert!(eq(&mut probe, &mut dev, 5, 0).unwrap().is_none());
+        assert!(eq(&mut probe, &mut dev, 0, 5).is_err());
     }
 
     #[test]
@@ -738,7 +722,7 @@ mod tests {
         assert_eq!(ci.levels.len(), 1); // T0 only
         let mut probe = ci.probe(&ram).unwrap();
         // T1 id 7 → T0 ids {14, 15} (fk1 = id/2).
-        let list = probe.lookup_eq(&mut dev, 7, 0).unwrap().unwrap();
+        let list = eq(&mut probe, &mut dev, 7, 0).unwrap().unwrap();
         let ids = IdListReader::open(list, &ram, dev.page_size())
             .unwrap()
             .drain(&mut dev)

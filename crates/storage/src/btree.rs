@@ -23,7 +23,7 @@
 //! ```
 
 use crate::error::StorageError;
-use crate::Result;
+use crate::{bytes_at, Result};
 use ghostdb_flash::{FlashDevice, Segment, SegmentAllocator};
 use ghostdb_token::{RamArena, RamBuffer};
 
@@ -138,7 +138,8 @@ impl BTree {
             }
             let used = HEADER + chunk.len() * entry_size;
             dev.write(segment.lpn(page_no)?, &image[..used])?;
-            level_index.push((chunk.last().expect("non-empty chunk").0, page_no as u32));
+            // `chunks` never yields an empty chunk.
+            level_index.push((chunk[chunk.len() - 1].0, page_no as u32));
             page_no += 1;
         }
 
@@ -158,7 +159,7 @@ impl BTree {
                 }
                 let used = HEADER + chunk.len() * INTERNAL_ENTRY;
                 dev.write(segment.lpn(page_no)?, &image[..used])?;
-                upper.push((chunk.last().expect("non-empty").0, page_no as u32));
+                upper.push((chunk[chunk.len() - 1].0, page_no as u32));
                 page_no += 1;
             }
             level_index = upper;
@@ -253,17 +254,17 @@ impl BTreeCursor {
     }
 
     fn node_count(&self, level: usize) -> usize {
-        u16::from_le_bytes(self.bufs[level][1..3].try_into().unwrap()) as usize
+        u16::from_le_bytes(bytes_at(&self.bufs[level], 1)) as usize
     }
 
     fn leaf_next(&self) -> Option<u64> {
-        let next = u32::from_le_bytes(self.bufs[0][4..8].try_into().unwrap());
+        let next = u32::from_le_bytes(bytes_at(&self.bufs[0], 4));
         (next != NO_LEAF).then_some(next as u64)
     }
 
     fn leaf_key(&self, i: usize) -> u64 {
         let at = HEADER + i * (8 + self.tree.payload_size);
-        u64::from_le_bytes(self.bufs[0][at..at + 8].try_into().unwrap())
+        u64::from_le_bytes(bytes_at(&self.bufs[0], at))
     }
 
     fn leaf_payload(&self, i: usize) -> &[u8] {
@@ -291,8 +292,8 @@ impl BTreeCursor {
 
     fn internal_entry(&self, level: usize, i: usize) -> (u64, u32) {
         let at = HEADER + i * INTERNAL_ENTRY;
-        let key = u64::from_le_bytes(self.bufs[level][at..at + 8].try_into().unwrap());
-        let child = u32::from_le_bytes(self.bufs[level][at + 8..at + 12].try_into().unwrap());
+        let key = u64::from_le_bytes(bytes_at(&self.bufs[level], at));
+        let child = u32::from_le_bytes(bytes_at(&self.bufs[level], at + 8));
         (key, child)
     }
 

@@ -8,7 +8,7 @@
 //! exactly the bytes they pull through the data register.
 
 use crate::error::StorageError;
-use crate::{Id, Result, ID_BYTES};
+use crate::{bytes_at, Id, Result, ID_BYTES};
 use ghostdb_flash::{FlashDevice, Segment, SegmentAllocator};
 use ghostdb_token::{RamArena, RamBuffer};
 
@@ -27,7 +27,7 @@ impl IdList {
     /// An empty list (reads nothing).
     pub fn empty() -> Self {
         IdList {
-            segment: SegmentAllocator::new(1).alloc(0).expect("zero alloc"),
+            segment: Segment::EMPTY,
             byte_offset: 0,
             count: 0,
         }
@@ -185,9 +185,7 @@ impl IdListReader {
             dev.read(lpn, off, &mut self.buf[off..off + want])?;
             self.buffered_page = Some(page);
         }
-        Ok(Id::from_le_bytes(
-            self.buf[off..off + ID_BYTES].try_into().expect("4 bytes"),
-        ))
+        Ok(Id::from_le_bytes(bytes_at(&self.buf, off)))
     }
 
     /// Next ID, or `None` at the end.

@@ -21,6 +21,8 @@
 //! the I/O counters and the simulated clock reflect precisely what the
 //! GhostDB hardware would do.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod btree;
 pub mod error;
 pub mod idlist;
@@ -45,3 +47,12 @@ pub type Id = u32;
 
 /// Width in bytes of an encoded [`Id`] on flash and on the wire.
 pub const ID_BYTES: usize = 4;
+
+/// The `N` bytes of `buf` at `at`, as an array: the fixed-width field
+/// reads of the page and record codecs. Like slice indexing, it panics if
+/// they run past `buf`.
+pub(crate) fn bytes_at<const N: usize>(buf: &[u8], at: usize) -> [u8; N] {
+    let mut out = [0u8; N];
+    out.copy_from_slice(&buf[at..at + N]);
+    out
+}

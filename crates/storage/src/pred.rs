@@ -58,6 +58,11 @@ impl Predicate {
     }
 
     /// Exact evaluation against a decoded value.
+    #[allow(
+        clippy::expect_used,
+        reason = "invariant: a `Between` has its upper bound, since \
+                  `Predicate::new` asserts it and `analyze` rejects one without"
+    )]
     pub fn matches(&self, v: &Value) -> bool {
         let ord = v.cmp_value(&self.value);
         match self.op {
@@ -78,6 +83,11 @@ impl Predicate {
     /// Exact for injective key encodings (ints, floats, strings up to 8
     /// significant bytes); for longer strings the range is a superset and
     /// the executor re-checks exact values at projection time.
+    #[allow(
+        clippy::expect_used,
+        reason = "invariant: a `Between` has its upper bound, since \
+                  `Predicate::new` asserts it and `analyze` rejects one without"
+    )]
     pub fn key_range(&self) -> (u64, u64) {
         let k = self.value.order_key();
         match self.op {

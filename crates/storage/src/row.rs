@@ -4,6 +4,8 @@
 //! offset of any field are pure arithmetic (no directories, no slots) and
 //! rows never span pages — a row's page holds `page_size / row_size` rows.
 
+use crate::bytes_at;
+
 /// Layout of a fixed-width record: field widths and cumulative offsets.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RowLayout {
@@ -67,7 +69,8 @@ impl RowLayout {
 
     /// Read field `i` as a little-endian u32 (ID columns).
     pub fn get_id(&self, row: &[u8], i: usize) -> u32 {
-        u32::from_le_bytes(self.field(row, i).try_into().expect("4-byte field"))
+        debug_assert_eq!(self.widths[i], 4, "field {i} is not an id column");
+        u32::from_le_bytes(bytes_at(row, self.offsets[i]))
     }
 
     /// Write field `i` as a little-endian u32 (ID columns).

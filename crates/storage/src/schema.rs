@@ -337,6 +337,10 @@ impl SchemaTree {
 /// referencing `T1` and `T2`; `T1` referencing `T11` and `T12`. Each table
 /// gets `n_visible` visible and `n_hidden` hidden 10-byte attributes named
 /// `v1..` and `h1..`.
+#[allow(
+    clippy::expect_used,
+    reason = "invariant: a fixed five-table tree, valid by construction"
+)]
 pub fn paper_synthetic_schema(n_visible: usize, n_hidden: usize) -> SchemaTree {
     let attr = |def: TableDef, n_visible: usize, n_hidden: usize| -> TableDef {
         let mut def = def;

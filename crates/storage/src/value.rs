@@ -7,7 +7,7 @@
 //! of climbing indexes.
 
 use crate::error::StorageError;
-use crate::Result;
+use crate::{bytes_at, Result};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -131,11 +131,9 @@ impl Value {
                 Value::Int(i64::from_le_bytes(buf))
             }
             ColumnType::Float { width: 4 } => {
-                Value::Float(f32::from_le_bytes(bytes[..4].try_into().unwrap()) as f64)
+                Value::Float(f32::from_le_bytes(bytes_at(bytes, 0)) as f64)
             }
-            ColumnType::Float { .. } => {
-                Value::Float(f64::from_le_bytes(bytes[..8].try_into().unwrap()))
-            }
+            ColumnType::Float { .. } => Value::Float(f64::from_le_bytes(bytes_at(bytes, 0))),
             ColumnType::Char { width } => {
                 let w = *width as usize;
                 let end = bytes[..w].iter().position(|b| *b == 0).unwrap_or(w);
@@ -173,7 +171,14 @@ impl Value {
     }
 
     /// Total-order comparison used by predicate evaluation. Panics on
-    /// cross-type comparisons — the planner type-checks predicates first.
+    /// cross-type comparisons and on NaN: the planner type-checks
+    /// predicates and rejects NaN literals first, and staging rejects NaN
+    /// cells.
+    #[allow(
+        clippy::expect_used,
+        reason = "invariant: no NaN reaches a comparison, since staging's \
+                  `fits` rejects NaN cells and `analyze` rejects NaN literals"
+    )]
     pub fn cmp_value(&self, other: &Value) -> std::cmp::Ordering {
         match (self, other) {
             (Value::Int(a), Value::Int(b)) => a.cmp(b),

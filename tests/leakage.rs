@@ -169,6 +169,47 @@ fn hidden_selectivity_invisible() {
     }
 }
 
+/// SECURITY.md known leak 1: the token's busy time. Claim 3's wide/narrow
+/// pair looks the same on the wire and to the host, but the token works
+/// longer on the wider hidden selection, and a host that times the gap
+/// between the query and its ack measures that. This case documents the
+/// leak in exact mode: a change that closes it must flip the last
+/// assertion on purpose.
+#[test]
+fn busy_time_reveals_hidden_selectivity() {
+    let q_wide = "SELECT Accounts.owner FROM Accounts \
+                  WHERE Accounts.branch = 'BR03' AND Accounts.balance > 1300";
+    let q_narrow = "SELECT Accounts.owner FROM Accounts \
+                    WHERE Accounts.branch = 'BR03' AND Accounts.balance > 9999";
+    let mut db = world(0);
+    let mut observe = |q: &str| {
+        let (rows, report) = db
+            .finalize()
+            .expect("finalize")
+            .query_with(q, &QueryOptions::new())
+            .expect("query");
+        let wire: Vec<(String, u64)> = transcript(&db)
+            .into_iter()
+            .map(|(tag, bytes, _)| (tag, bytes))
+            .collect();
+        (
+            rows.rows.len(),
+            report.total(),
+            wire,
+            db.host_trace().unwrap(),
+        )
+    };
+    let (rows_wide, busy_wide, wire_wide, trace_wide) = observe(q_wide);
+    let (rows_narrow, busy_narrow, wire_narrow, trace_narrow) = observe(q_narrow);
+    assert_ne!(rows_wide, rows_narrow, "the hidden selectivities differ");
+    assert_eq!(wire_wide, wire_narrow, "claim 3: same tagged wire volumes");
+    assert_eq!(trace_wide, trace_narrow, "claim 3: same host trace");
+    assert_ne!(
+        busy_wide, busy_narrow,
+        "known leak 1: the token's busy time still tracks hidden selectivity"
+    );
+}
+
 /// SECURITY.md claim 7: padding quantises the visible-volume channel. Two
 /// visible selections of different true cardinality that fall in the same
 /// power-of-two bucket ship the same number of wire bytes when padded.
