@@ -52,14 +52,15 @@ use ghostdb_bloom::worth_post_filtering;
 /// 0.50 once post plans stopped reading F' back into columns).
 pub const CROSS_PRE_CUTOFF: f64 = 0.5;
 /// Pre vs Post on a non-root table without cross-filtering or any hidden
-/// selection (measured: 0.016 at ×0.002, 0.013 at ×0.01). SJoin's foreign-key
+/// selection (measured: 0.010 at ×0.002, 0.0126 at ×0.01). SJoin's foreign-key
 /// route made Post's single-column SJoin cheap, which moved this from 0.08
 /// to 0.020; bitmap-window Merge reductions made Pre's wide `∈`-probe
 /// merge cheaper, which moved it back up to 0.03. Post plans writing the
 /// QEPSJ result as the columns projection reads, with no partition pass,
 /// moved it 0.03 → 0.016 (0.032 → 0.016 at ×0.002, 0.025 → 0.013 at
-/// ×0.01).
-pub const PRE_POST_CUTOFF: f64 = 0.016;
+/// ×0.01). Narrow id cells in projection temporaries, which save most on
+/// Post's larger QEPSJ result, moved it 0.016 → 0.010.
+pub const PRE_POST_CUTOFF: f64 = 0.010;
 /// Pre vs Post on a non-root table without cross-filtering beside a hidden
 /// selection in a sibling subtree: the worst-regret point over hidden
 /// selectivities 0.01–0.3 (measured: 0.13 at ×0.002, 0.16 at ×0.01;
@@ -77,12 +78,13 @@ pub const SIBLING_PRE_POST_CUTOFF: f64 = 0.13;
 /// here and there: the price of never paying Pre's regret on a narrow
 /// hidden range.
 pub const HIDDEN_ROOT_PRE_POST_CUTOFF: f64 = 0.016;
-/// Pre vs Post on the root table (measured: 0.16 at ×0.002 and ×0.01).
-/// Post never beat Pre on the root while post-filter plans wrote F' as rows
-/// and projection read them back into per-table columns; with SJoin writing
-/// the columns directly it wins from here until its Bloom filter stops
-/// being useful (sV ≈ 0.7).
-pub const ROOT_PRE_POST_CUTOFF: f64 = 0.16;
+/// Pre vs Post on the root table (measured: 0.127 at ×0.002 and ×0.01;
+/// 0.16 before narrow id cells in projection temporaries). Post never beat
+/// Pre on the root while post-filter plans wrote F' as rows and projection
+/// read them back into per-table columns; with SJoin writing the columns
+/// directly it wins from here until its Bloom filter stops being useful
+/// (sV ≈ 0.7).
+pub const ROOT_PRE_POST_CUTOFF: f64 = 0.13;
 /// Pre vs NoFilter on the root table (measured: 0.81–0.93).
 pub const ROOT_PRE_CUTOFF: f64 = 0.9;
 /// With several visible tables, a table is deferred to projection when its
@@ -259,12 +261,12 @@ mod tests {
             let ctx = crate::ExecCtx::new(db);
             decide(&ctx, &a).unwrap()[0].strategy
         };
-        // Pre up to ROOT_PRE_POST_CUTOFF (96/600), Post past it while the
+        // Pre up to ROOT_PRE_POST_CUTOFF (78/600), Post past it while the
         // Bloom filter is useful.
         let n = n0 as f64;
-        assert!(96.0 / n <= ROOT_PRE_POST_CUTOFF && 97.0 / n > ROOT_PRE_POST_CUTOFF);
-        assert_eq!(decide_t0(&mut db, 96), VisStrategy::Pre);
-        assert_eq!(decide_t0(&mut db, 97), VisStrategy::Post);
+        assert!(78.0 / n <= ROOT_PRE_POST_CUTOFF && 79.0 / n > ROOT_PRE_POST_CUTOFF);
+        assert_eq!(decide_t0(&mut db, 78), VisStrategy::Pre);
+        assert_eq!(decide_t0(&mut db, 79), VisStrategy::Post);
         assert_eq!(decide_t0(&mut db, n0 / 2), VisStrategy::Post);
         // A filter passing 90% of the root stream prunes too little: Pre
         // again, up to ROOT_PRE_CUTOFF.

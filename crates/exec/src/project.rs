@@ -15,6 +15,12 @@
 //! allows: every plan's select-join phase ends by writing them
 //! (`SjOutcome::f`), so no pass reads the QEPSJ result back to split it.
 //!
+//! Every id cell a projection temporary holds is as narrow as its table's
+//! public row count allows ([`id_width`]): a table's column of F' and the
+//! `idTi` of its MJoin runs take `id_width(|Ti|)` bytes, a run's `pos` and
+//! FinalJoin's held root id take `id_width(|T0|)`. Readers take each width
+//! from the temporary's layout.
+//!
 //! Each MJoin pass writes one `<pos, tuple>` run, and FinalJoin reads a
 //! table's runs in place as a k-way merge by position (`RunMerge`): the
 //! last level of the external merge is folded into its consumer, so no
@@ -56,7 +62,7 @@ use ghostdb_bloom::calibrate::{self, calibrate};
 use ghostdb_bloom::filter::theoretical_fp;
 use ghostdb_bloom::BloomFilter;
 use ghostdb_flash::{FlashDevice, FlashTiming};
-use ghostdb_storage::row::RowLayout;
+use ghostdb_storage::row::{id_width, RowLayout};
 use ghostdb_storage::table::{FlashTableReader, FlashTableWriter, PageCursor};
 use ghostdb_storage::{
     ColumnType, FlashTable, HiddenColumn, HiddenImage, Id, IdListWriter, Predicate, TableId, Value,
@@ -103,8 +109,14 @@ struct ProjTable {
 }
 
 impl ProjTable {
-    fn layout(vis: &[(String, ColumnType)], hid: &[(String, ColumnType)]) -> RowLayout {
-        let mut widths = vec![4usize, 4usize]; // pos, idTi
+    /// The run row `<pos, idTi, values…>`: `pos` and `idTi` in the id
+    /// widths of the root's and the table's row counts, `rows`.
+    fn layout(
+        rows: [u64; 2],
+        vis: &[(String, ColumnType)],
+        hid: &[(String, ColumnType)],
+    ) -> RowLayout {
+        let mut widths = rows.map(id_width).to_vec();
         widths.extend(vis.iter().map(|(_, ty)| ty.width()));
         widths.extend(hid.iter().map(|(_, ty)| ty.width()));
         RowLayout::new(&widths)
@@ -121,12 +133,23 @@ impl ProjTable {
     }
 }
 
-/// The id in a row's first cell (an id column's only one).
-fn id_cell(row: &[u8]) -> Result<Id> {
-    row.get(..ID_BYTES)
-        .and_then(|cell| cell.try_into().ok())
-        .map(Id::from_le_bytes)
-        .ok_or_else(|| ExecError::Query(format!("a {}-byte row has no id cell", row.len())))
+/// The type of `t`'s column `name`, which analysis resolved.
+fn column_type(ctx: &ExecCtx<'_>, t: TableId, name: &str) -> Result<ColumnType> {
+    let def = ctx.cat.schema.def(t);
+    (def.column(name).map(|c| c.ty))
+        .ok_or_else(|| ExecError::Query(format!("{}.{name} is not a column", def.name)))
+}
+
+/// `names` of `t`'s columns, each with its type.
+fn typed(ctx: &ExecCtx<'_>, t: TableId, names: &[String]) -> Result<Vec<(String, ColumnType)>> {
+    (names.iter())
+        .map(|c| Ok((c.clone(), column_type(ctx, t, c)?)))
+        .collect()
+}
+
+/// A projection input that analysis and planning guarantee, found missing.
+fn unplanned(what: impl std::fmt::Display) -> ExecError {
+    ExecError::Query(format!("projection: {what} is missing"))
 }
 
 /// A table's MJoin runs read as one stream in position order: a k-way
@@ -317,12 +340,13 @@ pub fn execute(
         // σVH: the visible ids filtered against this table's QEPSJ column.
         // A table with no visible side probes the dense range instead, when
         // that is cheaper than MJoin over the whole table.
+        let sparse = prep.sigma_ids.is_none()
+            && algo == ProjectAlgo::Project
+            && sparse_sigma_pays(ctx, t, prep, id_cols[i].rows())?;
         let sigma: IdSource = match (&prep.sigma_ids, algo) {
             (Some(ids), ProjectAlgo::Project) => sigma_vh(ctx, &id_cols[i], Probe::Shipment(ids))?,
             (Some(ids), _) => IdSource::Host(ids.clone()),
-            (None, ProjectAlgo::Project) if sparse_sigma_pays(ctx, t, prep, id_cols[i].rows()) => {
-                sigma_vh(ctx, &id_cols[i], Probe::Dense(rows as Id))?
-            }
+            (None, _) if sparse => sigma_vh(ctx, &id_cols[i], Probe::Dense(rows as Id))?,
             (None, _) => IdSource::Range {
                 start: 0,
                 end: rows as Id,
@@ -389,7 +413,7 @@ fn sigma_vh(ctx: &mut ExecCtx<'_>, id_col: &FlashTable, probe: Probe<'_>) -> Res
     ctx.track(OpKind::ProjBloom, |ctx| {
         ctx.lane.with_flash(|dev| {
             while let Some(row) = reader.next_row(dev)? {
-                bf.insert(id_cell(row)? as u64);
+                bf.insert(id_col.layout.get_id(row, 0) as u64);
             }
             Ok(())
         })
@@ -422,16 +446,13 @@ fn sigma_vh(ctx: &mut ExecCtx<'_>, id_col: &FlashTable, probe: Probe<'_>) -> Res
 /// id column ([`Probe::Dense`]) rather than run MJoin over the dense range.
 /// Reads the id column's length, a hidden cardinality, so the choice and
 /// everything it changes stay below the channel.
-fn sparse_sigma_pays(ctx: &ExecCtx<'_>, t: TableId, prep: &TablePrep<'_>, n: u64) -> bool {
-    let def = ctx.cat.schema.def(t);
-    let width = |c: &str| def.column(c).expect("analyzed").ty.width();
-    let widths: Vec<usize> = prep
-        .tproj
-        .hid
-        .iter()
+fn sparse_sigma_pays(ctx: &ExecCtx<'_>, t: TableId, prep: &TablePrep<'_>, n: u64) -> Result<bool> {
+    let width = |c: &str| column_type(ctx, t, c).map(|ty| ty.width());
+    let widths = (prep.tproj.hid.iter())
         .map(|c| width(c))
         .chain(prep.rechecks.iter().map(|p| width(&p.column)))
-        .collect();
+        .collect::<Result<Vec<usize>>>()?;
+    let id_bytes = id_width(ctx.cat.rows[t]);
     let ram = ctx.ram();
     // What MJoin's dict keeps after its scans, its two buffers (§4) and,
     // for the sparse arm, the σ reader.
@@ -439,14 +460,16 @@ fn sparse_sigma_pays(ctx: &ExecCtx<'_>, t: TableId, prep: &TablePrep<'_>, n: u64
     let shape = SigmaShape {
         n,
         rows: ctx.cat.rows[t],
-        entry_bytes: 4 + widths[..prep.tproj.hid.len()].iter().sum::<usize>(),
+        id_bytes,
+        pos_bytes: id_width(ctx.cat.rows[ctx.cat.schema.root()]),
+        entry_bytes: id_bytes + widths[..prep.tproj.hid.len()].iter().sum::<usize>(),
         widths,
         dict_bytes: dict_buffers * ram.buf_size(),
         buf_size: ram.buf_size(),
         filter_bits: ram.available().saturating_sub(3) as u64 * ram.buf_size() as u64 * 8,
     };
-    shape.sparse_ns(ctx.lane.timing(), ctx.page_size())
-        < shape.dense_ns(ctx.lane.timing(), ctx.page_size())
+    Ok(shape.sparse_ns(ctx.lane.timing(), ctx.page_size())
+        < shape.dense_ns(ctx.lane.timing(), ctx.page_size()))
 }
 
 /// The inputs of the sparse-σ cost rule: the flash time each σ arm costs
@@ -461,6 +484,10 @@ struct SigmaShape {
     n: u64,
     /// |Ti|.
     rows: u64,
+    /// Bytes of an `idTi` cell: of the id column and of a dict entry.
+    id_bytes: usize,
+    /// Bytes of a run row's `pos` cell.
+    pos_bytes: usize,
     /// Widths of the hidden columns MJoin scans: projections, then
     /// re-checks.
     widths: Vec<usize>,
@@ -515,8 +542,9 @@ impl SigmaShape {
 
     /// One sequential read of the id column.
     fn sweep_ns(&self, t: &FlashTiming, page_size: usize) -> u128 {
-        (self.n * ID_BYTES as u64).div_ceil(page_size as u64) as u128 * t.read_cost_ns(0)
-            + self.n as u128 * ID_BYTES as u128 * t.transfer_ns_per_byte as u128
+        let bytes = self.n * self.id_bytes as u64;
+        bytes.div_ceil(page_size as u64) as u128 * t.read_cost_ns(0)
+            + bytes as u128 * t.transfer_ns_per_byte as u128
     }
 
     /// MJoin's passes over `entries` σ ids with `dict_bytes` of dict: one
@@ -536,7 +564,7 @@ impl SigmaShape {
         let passes = entries.div_ceil(capacity).max(1);
         let mut ns = passes as u128 * self.sweep_ns(t, page_size);
         if passes > 1 {
-            let run_bytes = self.n * (self.entry_bytes + 4) as u64;
+            let run_bytes = self.n * (self.entry_bytes + self.pos_bytes) as u64;
             let run_pages = run_bytes.div_ceil(page_size as u64) as u128;
             ns += run_pages * (t.read_cost_ns(0) + t.write_cost_ns(page_size))
                 + run_bytes as u128 * t.transfer_ns_per_byte as u128;
@@ -669,9 +697,7 @@ fn missing(id: Id) -> ExecError {
 /// more buffer, so a smaller dict) or the dense range. A σ id that is a
 /// Bloom false positive enters the dict and matches no position. Each
 /// re-check and projected column is read page by page through a
-/// [`PageCursor`], in the spans the page's wanted ids need. Its `expect`s
-/// state what analysis guarantees: every projected column is in the
-/// table's schema.
+/// [`PageCursor`], in the spans the page's wanted ids need.
 fn mjoin(
     ctx: &mut ExecCtx<'_>,
     t: TableId,
@@ -681,19 +707,12 @@ fn mjoin(
     sigma: IdSource,
     vis_values: Option<&VisShipment>,
 ) -> Result<ProjTable> {
-    let def = ctx.cat.schema.def(t);
-    let vis: Vec<(String, ColumnType)> = tproj
-        .vis
-        .iter()
-        .map(|c| (c.clone(), def.column(c).expect("analyzed").ty))
-        .collect();
-    let hid: Vec<(String, ColumnType)> = tproj
-        .hid
-        .iter()
-        .map(|c| (c.clone(), def.column(c).expect("analyzed").ty))
-        .collect();
-    let layout = ProjTable::layout(&vis, &hid);
-    let entry_bytes = layout.size() - 4; // dict entries exclude pos
+    let vis = typed(ctx, t, &tproj.vis)?;
+    let hid = typed(ctx, t, &tproj.hid)?;
+    let root = ctx.cat.schema.root();
+    let layout = ProjTable::layout([ctx.cat.rows[root], ctx.cat.rows[t]], &vis, &hid);
+    // A dict entry is its run row but for `pos`, which the sweep fills.
+    let entry_bytes = layout.size() - layout.width(0);
 
     // Page cursors over the re-check columns and the projected hidden
     // columns, one buffer each.
@@ -728,14 +747,8 @@ fn mjoin(
     let vis_map: Option<HashMap<Id, usize>> =
         vis_values.map(|s| s.ids.iter().enumerate().map(|(i, id)| (*id, i)).collect());
     // Where each projected hidden value sits in a dict entry.
-    let vis_bytes: usize = vis.iter().map(|(_, ty)| ty.width()).sum();
-    let hid_at: Vec<usize> = hid
-        .iter()
-        .scan(4 + vis_bytes, |at, (_, ty)| {
-            let here = *at;
-            *at += ty.width();
-            Some(here)
-        })
+    let hid_at: Vec<usize> = (0..hid.len())
+        .map(|j| layout.offset(2 + vis.len() + j))
         .collect();
 
     let mut sigma_reader = SourceReader::open(&sigma, &ram, page_size)?;
@@ -756,15 +769,13 @@ fn mjoin(
                                  ids: Vec<Id>|
                  -> Result<()> {
                     for &id in &ids {
-                        let mut entry = vec![0u8; entry_bytes];
-                        entry[..4].copy_from_slice(&id.to_le_bytes());
+                        let mut entry = vec![0u8; layout.size()];
+                        layout.put_id(&mut entry, 1, id)?;
                         if let (Some(map), Some(shipment)) = (&vis_map, vis_values) {
                             let idx = map.get(&id).copied().ok_or_else(|| missing(id))?;
-                            let mut at = 4;
                             for (c, (_, ty)) in vis.iter().enumerate() {
-                                let w = ty.width();
-                                shipment.columns[c].1[idx].encode(ty, &mut entry[at..at + w])?;
-                                at += w;
+                                let cell = layout.field_mut(&mut entry, 2 + c);
+                                shipment.columns[c].1[idx].encode(ty, cell)?;
                             }
                         }
                         dict.insert(id, entry);
@@ -811,7 +822,7 @@ fn mjoin(
         if dict.is_empty() {
             break;
         }
-        // Sweep the id column, emitting <pos, entry> for dict hits.
+        // Sweep the id column, emitting each dict hit's row at its `pos`.
         let mut col_reader = id_col.reader(&ram, page_size)?;
         let mut writer = FlashTableWriter::create(
             ctx.lane.alloc(),
@@ -824,12 +835,10 @@ fn mjoin(
         ctx.track(OpKind::MJoin, |ctx| {
             ctx.lane.with_flash(|dev| {
                 let mut pos = 0u32;
-                let mut row = vec![0u8; layout.size()];
                 while let Some(cell) = col_reader.next_row(dev)? {
-                    if let Some(entry) = dict.get(&id_cell(cell)?) {
-                        row[..4].copy_from_slice(&pos.to_le_bytes());
-                        row[4..].copy_from_slice(entry);
-                        writer.push(dev, &row)?;
+                    if let Some(row) = dict.get_mut(&id_col.layout.get_id(cell, 0)) {
+                        layout.put_id(row, 0, pos)?;
+                        writer.push(dev, row)?;
                     }
                     pos += 1;
                 }
@@ -927,10 +936,6 @@ fn merge_runs_level(ctx: &mut ExecCtx<'_>, runs: Vec<FlashTable>) -> Result<Flas
 /// its MJoin runs, read in place. Survivors wait in one charged buffer,
 /// and each flush of it reads the root re-check and root hidden projection
 /// columns page by page, in the spans the held root ids need.
-///
-/// The `expect`s below state what analysis and planning guarantee: every
-/// output column was analysed and projected by its table or the root, and
-/// every non-root output table participates.
 fn final_join(
     ctx: &mut ExecCtx<'_>,
     a: &Analyzed,
@@ -968,10 +973,13 @@ fn final_join(
 
     // Survivors wait in one charged buffer for their root re-checks and
     // root hidden projections: root id, then each table's current row.
-    let entry_bytes = 4 + proj_tables
-        .iter()
-        .map(|(_, pt)| pt.layout.size())
-        .sum::<usize>();
+    let root_layout = root_col.layout.clone();
+    let held_layout = RowLayout::new(
+        &std::iter::once(root_layout.size())
+            .chain(proj_tables.iter().map(|(_, pt)| pt.layout.size()))
+            .collect::<Vec<_>>(),
+    );
+    let entry_bytes = held_layout.size();
     let held_buffers = entry_bytes.div_ceil(ram.buf_size());
     let root_rechecks: Vec<&Predicate> = sj
         .recheck
@@ -1021,10 +1029,9 @@ fn final_join(
             // FinalJoin will meet (`None` at the end), so a page it shares
             // is loaded only once.
             let mut flush = |dev: &mut FlashDevice, entries: &[u8], next: Option<Id>| {
-                let ids = entries
-                    .chunks(entry_bytes)
-                    .map(id_cell)
-                    .collect::<Result<Vec<_>>>()?;
+                let ids = (entries.chunks(entry_bytes))
+                    .map(|e| held_layout.get_id(e, 0))
+                    .collect();
                 let ids = recheck_chain(dev, &mut rechecks, ids, true, next)?;
                 let mut hidden: Vec<Vec<Value>> = Vec::with_capacity(hid_cursors.len());
                 for (column, cursor) in hid_cursors.iter_mut() {
@@ -1040,25 +1047,19 @@ fn final_join(
                 let mut unread = entries.chunks(entry_bytes);
                 for (k, &root_id) in ids.iter().enumerate() {
                     let entry = unread
-                        .find(|e| id_cell(e).is_ok_and(|id| id == root_id))
+                        .find(|e| held_layout.get_id(e, 0) == root_id)
                         .ok_or_else(|| {
                             ExecError::Query(format!("root id {root_id} left the held buffer"))
                         })?;
                     let root_idx = root_vis_map.as_ref().and_then(|m| m.get(&root_id).copied());
-                    let mut table_rows = Vec::with_capacity(proj_tables.len());
-                    let mut at = 4;
-                    for (_, pt) in &proj_tables {
-                        let size = pt.layout.size();
-                        table_rows.push(&entry[at..at + size]);
-                        at += size;
-                    }
                     let mut out_row = Vec::with_capacity(a.output.len());
                     for (t, cname) in &a.output {
                         if *t == root {
                             if cname == "id" {
                                 out_row.push(Value::Int(root_id as i64));
                             } else if let Some(i) = root_proj.vis.iter().position(|c| c == cname) {
-                                let shipment = root_shipment.as_ref().expect("vis projected");
+                                let shipment = (root_shipment.as_ref())
+                                    .ok_or_else(|| unplanned("the root's visible shipment"))?;
                                 let idx = root_idx.ok_or_else(|| {
                                     ExecError::Query(format!(
                                         "root id {root_id} missing from visible shipment"
@@ -1066,23 +1067,22 @@ fn final_join(
                                 })?;
                                 out_row.push(shipment.columns[i].1[idx].clone());
                             } else {
-                                let c = hid_cursors
-                                    .iter()
+                                let c = (hid_cursors.iter())
                                     .position(|(column, _)| column.name == *cname)
-                                    .expect("analyzed hidden projection");
+                                    .ok_or_else(|| unplanned(format!("root column {cname}")))?;
                                 out_row.push(hidden[c][k].clone());
                             }
                         } else {
-                            let i = proj_tables
-                                .iter()
+                            let i = (proj_tables.iter())
                                 .position(|(tt, _)| tt == t)
-                                .expect("participating table");
+                                .ok_or_else(|| unplanned(format!("table {t}'s projection")))?;
                             let pt = &proj_tables[i].1;
-                            let row = table_rows[i];
+                            let row = held_layout.field(entry, 1 + i);
                             if cname == "id" {
                                 out_row.push(Value::Int(pt.layout.get_id(row, 1) as i64));
                             } else {
-                                let (field, ty) = pt.field_of(cname).expect("analyzed projection");
+                                let (field, ty) = (pt.field_of(cname))
+                                    .ok_or_else(|| unplanned(format!("column {cname}")))?;
                                 out_row.push(Value::decode(&ty, pt.layout.field(row, field)));
                             }
                         }
@@ -1091,7 +1091,8 @@ fn final_join(
                 }
                 Ok::<_, ExecError>(())
             };
-            let mut next_root = root_reader.next_row(dev)?.map(id_cell).transpose()?;
+            let root_id_of = |row: &[u8]| root_layout.get_id(row, 0);
+            let mut next_root = root_reader.next_row(dev)?.map(root_id_of);
             let mut n_held = 0usize;
             let mut pos = 0u32;
             while let Some(root_id) = next_root {
@@ -1115,16 +1116,15 @@ fn final_join(
                             .is_some_and(|m| !m.contains_key(&root_id)));
                 if keep {
                     let entry = &mut held[n_held * entry_bytes..(n_held + 1) * entry_bytes];
-                    entry[..4].copy_from_slice(&root_id.to_le_bytes());
-                    let mut at = 4;
-                    for (stream, run) in streams.iter().zip(&confirming) {
-                        let row = stream.head(*run)?;
-                        entry[at..at + row.len()].copy_from_slice(row);
-                        at += row.len();
+                    held_layout.put_id(entry, 0, root_id)?;
+                    for (i, (stream, run)) in streams.iter().zip(&confirming).enumerate() {
+                        held_layout
+                            .field_mut(entry, 1 + i)
+                            .copy_from_slice(stream.head(*run)?);
                     }
                     n_held += 1;
                 }
-                next_root = root_reader.next_row(dev)?.map(id_cell).transpose()?;
+                next_root = root_reader.next_row(dev)?.map(root_id_of);
                 pos += 1;
                 if n_held == capacity || (next_root.is_none() && n_held > 0) {
                     let entries = &held[..n_held * entry_bytes];
@@ -1218,20 +1218,21 @@ fn brute_force(
     ctx.track(OpKind::BruteForce, |ctx| {
         ctx.lane.with_flash(|dev| {
             while let Some(cell) = root_reader.next_row(dev)? {
-                let root_id = id_cell(cell)?;
+                let root_id = root_col.layout.get_id(cell, 0);
                 let mut ids: HashMap<TableId, Id> = HashMap::new();
                 ids.insert(root, root_id);
-                for (t, r) in participants.iter().zip(col_readers.iter_mut()) {
+                for ((t, r), col) in participants.iter().zip(col_readers.iter_mut()).zip(id_cols) {
                     let cell = r
                         .next_row(dev)?
                         .ok_or_else(|| ExecError::Query("column underrun".into()))?;
-                    ids.insert(*t, id_cell(cell)?);
+                    ids.insert(*t, col.layout.get_id(cell, 0));
                 }
                 // Filters: pending visible selections + exact re-checks, all
                 // by random access.
                 let mut keep = true;
                 for t in sj.approx_vis.iter().chain(&sj.deferred_vis) {
-                    let (_, map) = shipments.get(t).expect("prefetched above");
+                    let (_, map) = (shipments.get(t))
+                        .ok_or_else(|| unplanned(format!("table {t}'s visible ids")))?;
                     if !map.contains_key(&ids[t]) {
                         keep = false;
                     }
@@ -1256,19 +1257,18 @@ fn brute_force(
                         continue;
                     }
                     let def = schema.def(*t);
-                    let col = def.column(cname).expect("analyzed");
+                    let col = (def.column(cname))
+                        .ok_or_else(|| unplanned(format!("column {}.{cname}", def.name)))?;
                     match col.visibility {
                         ghostdb_storage::Visibility::Visible => {
-                            let (shipment, map) =
-                                shipments.get(t).expect("visible projection shipped");
+                            let (shipment, map) = (shipments.get(t))
+                                .ok_or_else(|| unplanned(format!("{}'s shipment", def.name)))?;
                             let idx = *map.get(&id).ok_or_else(|| {
                                 ExecError::Query(format!("id {id} missing from shipment"))
                             })?;
-                            let c = shipment
-                                .columns
-                                .iter()
+                            let c = (shipment.columns.iter())
                                 .position(|(n, _)| n == cname)
-                                .expect("projected column shipped");
+                                .ok_or_else(|| unplanned(format!("shipped {cname}")))?;
                             out_row.push(shipment.columns[c].1[idx].clone());
                         }
                         ghostdb_storage::Visibility::Hidden => {
@@ -1297,30 +1297,31 @@ mod tests {
     const PAGE: usize = 2048;
 
     /// T0's id column and MJoin over all 600 of its ids, re-checking
-    /// `h2 < pad8(4)` (half the ids pass) and projecting `h1`, with the
-    /// arena cut so the dict gets `dict_buffers` buffers.
+    /// `h2 < pad8(4)` (half the ids pass) and projecting `h1` and `h2`,
+    /// with the arena cut so the dict gets `dict_buffers` buffers.
     fn multipass_mjoin(ctx: &mut ExecCtx<'_>, dict_buffers: usize) -> (FlashTable, ProjTable) {
         let t0 = ctx.cat.schema.root();
         let rows = ctx.cat.rows[t0];
+        let layout = RowLayout::id_cells(&[rows]);
         let id_col = ctx
             .lane
             .with_flash_alloc(|dev, alloc| {
-                FlashTable::bulk_load_with(dev, alloc, RowLayout::ids(1), rows, |r, cell| {
-                    cell.copy_from_slice(&(r as Id).to_le_bytes())
+                FlashTable::bulk_load_with(dev, alloc, layout.clone(), rows, |r, cell| {
+                    layout.put_id(cell, 0, r as Id).unwrap()
                 })
             })
             .unwrap();
         let tproj = TableProjection {
-            hid: vec!["h1".into()],
+            hid: vec!["h1".into(), "h2".into()],
             ..TableProjection::default()
         };
         // `h2 = pad8(id % 8)`: half the ids pass.
         let recheck = Predicate::new("h2", CmpOp::Lt, pad8(4), None);
         let ram = ctx.ram();
-        // Leave the two cursors, the sweep's reader and writer, and the
+        // Leave the three cursors, the sweep's reader and writer, and the
         // dict.
         let hold = ram
-            .alloc_region(ram.available() - 4 - dict_buffers)
+            .alloc_region(ram.available() - 5 - dict_buffers)
             .unwrap();
         let sigma = IdSource::Range {
             start: 0,
@@ -1374,11 +1375,15 @@ mod tests {
         let mut db = testkit::tiny_db();
         let mut ctx = ExecCtx::new(&mut db);
         let rows = ctx.cat.rows[ctx.cat.schema.root()];
-        let free = ctx.lane.alloc().free_pages() - RowLayout::ids(1).pages_for(rows, PAGE);
+        let id_layout = RowLayout::id_cells(&[rows]);
+        let free = ctx.lane.alloc().free_pages() - id_layout.pages_for(rows, PAGE);
         let (id_col, pt) = multipass_mjoin(&mut ctx, 1);
+        // |T0| = 600: `pos` and `idT0` take 2 bytes each, so a run row is
+        // `<2, 2, 10, 10>` and a dict entry 22 bytes.
+        assert_eq!(pt.layout, RowLayout::new(&[2, 2, 10, 10]));
         // Each pass registers one run temp sized for the whole id column,
         // and nothing merges them.
-        let capacity = PAGE / (4 + 10);
+        let capacity = PAGE / (2 + 10 + 10);
         let passes = 300u64.div_ceil(capacity as u64);
         assert_eq!(pt.runs.len() as u64, passes);
         assert_eq!(
@@ -1435,8 +1440,10 @@ mod tests {
         SigmaShape {
             n,
             rows,
+            id_bytes: id_width(rows),
+            pos_bytes: 4,
             widths: vec![10; scans],
-            entry_bytes: 4 + 10 * projected,
+            entry_bytes: id_width(rows) + 10 * projected,
             dict_bytes: (32 - scans - 2) * PAGE,
             buf_size: PAGE,
             filter_bits: 29 * PAGE as u64 * 8,

@@ -14,6 +14,10 @@
 //! host trace and wire transcript are bit-identical to a plain
 //! `Executor::run` loop over the same arrival sequence
 //! (`tests/serve_equivalence.rs`).
+//!
+//! A query that panics does not take the server down: the drain catches
+//! the unwind and delivers it as that query's [`ServeError::Panicked`]
+//! outcome, and every later call still finds the server state usable.
 
 use crate::database::Database;
 use crate::error::ExecError;
@@ -24,7 +28,8 @@ use crate::result::ResultSet;
 use ghostdb_token::TranscriptEntry;
 use ghostdb_untrusted::HostTrace;
 use std::collections::VecDeque;
-use std::sync::Mutex;
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Server construction knobs.
 #[derive(Debug, Clone)]
@@ -86,6 +91,8 @@ pub enum ServeError {
     Config(String),
     /// The query itself failed.
     Exec(ExecError),
+    /// The query panicked; the message is the panic's payload.
+    Panicked(String),
 }
 
 impl std::fmt::Display for ServeError {
@@ -96,6 +103,7 @@ impl std::fmt::Display for ServeError {
             }
             ServeError::Config(msg) => write!(f, "invalid serve config: {msg}"),
             ServeError::Exec(e) => write!(f, "query failed: {e}"),
+            ServeError::Panicked(msg) => write!(f, "query panicked: {msg}"),
         }
     }
 }
@@ -192,10 +200,19 @@ impl GhostDbServer {
         &self.cfg
     }
 
+    /// Lock the server state. A drain runs each query under
+    /// `catch_unwind`, so no query's panic poisons the lock. Every other
+    /// update under it (a queue push or drain, a counter, a session's
+    /// outcome deque) leaves the state valid at each step, so a poisoned
+    /// guard is taken as it is.
+    fn state(&self) -> MutexGuard<'_, ServerState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Open a new session. Sessions are cheap handles; everything they do
     /// takes `&self` on the server.
     pub fn session(&self) -> Session<'_> {
-        let mut st = self.state.lock().expect("server state");
+        let mut st = self.state();
         let id = st.sessions.len();
         st.sessions.push(SessionSlot::default());
         Session { server: self, id }
@@ -203,22 +220,32 @@ impl GhostDbServer {
 
     /// Queries admitted but not yet executed.
     pub fn pending(&self) -> usize {
-        self.state.lock().expect("server state").pending.len()
+        self.state().pending.len()
     }
 
     /// Cumulative drain counters.
     pub fn batch_stats(&self) -> BatchStats {
-        self.state.lock().expect("server state").stats
+        self.state().stats
     }
 
     /// Execute every pending query in arrival order and deliver each
     /// outcome to its session. Returns the number of queries executed.
     ///
-    /// Per-query failures are delivered to their sessions like results;
-    /// the drain itself never fails. It keeps its `Result` so callers
-    /// written against a fallible drain build unchanged.
+    /// Per-query failures, panics included, are delivered to their
+    /// sessions like results; the drain itself never fails. It keeps its
+    /// `Result` so callers written against a fallible drain build
+    /// unchanged.
     pub fn drain(&self) -> Result<usize, ServeError> {
-        let mut guard = self.state.lock().expect("server state");
+        self.drain_with(execute)
+    }
+
+    /// [`Self::drain`] with `run` executing each query, under
+    /// `catch_unwind`: a panic becomes that query's outcome.
+    fn drain_with(
+        &self,
+        run: impl Fn(&mut Database, &Queued) -> Result<QueryOutcome, ServeError>,
+    ) -> Result<usize, ServeError> {
+        let mut guard = self.state();
         let st = &mut *guard;
         let batch: Vec<Queued> = st.pending.drain(..).collect();
         if batch.is_empty() {
@@ -228,14 +255,9 @@ impl GhostDbServer {
         st.stats.queries += batch.len() as u64;
         let executed = batch.len();
         for item in batch {
-            let outcome = Executor::run(&mut st.db, &item.query, &item.opts)
-                .map(|(result, report)| QueryOutcome {
-                    result,
-                    report,
-                    trace: st.db.untrusted.trace(),
-                    transcript: st.db.token.channel.transcript().to_vec(),
-                })
-                .map_err(ServeError::Exec);
+            let db = &mut st.db;
+            let outcome = panic::catch_unwind(AssertUnwindSafe(|| run(db, &item)))
+                .unwrap_or_else(|payload| Err(ServeError::Panicked(panic_message(&*payload))));
             let slot = &mut st.sessions[item.session];
             if let Ok(out) = &outcome {
                 slot.last_trace = Some(out.trace.clone());
@@ -247,7 +269,7 @@ impl GhostDbServer {
 
     /// Remove and return a specific completed query of a session.
     fn take_seq(&self, session: usize, seq: u64) -> Option<Result<QueryOutcome, ServeError>> {
-        let mut st = self.state.lock().expect("server state");
+        let mut st = self.state();
         let slot = &mut st.sessions[session];
         let at = slot.done.iter().position(|(s, _)| *s == seq)?;
         slot.done.remove(at).map(|(_, outcome)| outcome)
@@ -271,7 +293,7 @@ impl Session<'_> {
     /// Admit a query. Returns the sequence ticket; redeem it implicitly
     /// via [`Session::take`] after a drain.
     pub fn submit(&self, q: &SpjQuery, opts: &ExecOptions) -> Result<u64, ServeError> {
-        let mut st = self.server.state.lock().expect("server state");
+        let mut st = self.server.state();
         if st.pending.len() >= self.server.cfg.queue_depth {
             return Err(ServeError::QueueFull {
                 depth: self.server.cfg.queue_depth,
@@ -300,7 +322,7 @@ impl Session<'_> {
 
     /// Pop this session's oldest undelivered outcome, if any.
     pub fn take(&self) -> Option<Result<QueryOutcome, ServeError>> {
-        let mut st = self.server.state.lock().expect("server state");
+        let mut st = self.server.state();
         st.sessions[self.id].done.pop_front().map(|(_, o)| o)
     }
 
@@ -308,9 +330,26 @@ impl Session<'_> {
     /// session-local (another session's traffic can never clobber it) and
     /// retained across [`Session::take`] delivery.
     pub fn host_trace(&self) -> Option<HostTrace> {
-        let st = self.server.state.lock().expect("server state");
-        st.sessions[self.id].last_trace.clone()
+        self.server.state().sessions[self.id].last_trace.clone()
     }
+}
+
+/// Run one admitted query on `db` and capture what it produced.
+fn execute(db: &mut Database, item: &Queued) -> Result<QueryOutcome, ServeError> {
+    let (result, report) = Executor::run(db, &item.query, &item.opts)?;
+    Ok(QueryOutcome {
+        result,
+        report,
+        trace: db.untrusted.trace(),
+        transcript: db.token.channel.transcript().to_vec(),
+    })
+}
+
+/// The text of a panic's payload (`panic!`'s message), or a placeholder.
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    (payload.downcast_ref::<&str>().map(|s| s.to_string()))
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "a non-string payload".into())
 }
 
 // The server is the unit shared across client threads: the compiler must
@@ -389,6 +428,43 @@ mod tests {
             }
             assert!(s.take().is_none(), "exactly one outcome per query");
         }
+    }
+
+    #[test]
+    fn a_panicking_query_is_its_own_error_and_the_server_keeps_serving() {
+        let db = testkit::tiny_db();
+        let server = GhostDbServer::new(db, ServeConfig::default()).expect("server");
+        let a = server.session();
+        let b = server.session();
+        a.submit(&q("panics"), &ExecOptions::auto()).expect("a1");
+        b.submit(&q("runs"), &ExecOptions::auto()).expect("b1");
+        let drained = server.drain_with(|db, item| {
+            if item.query.text == "panics" {
+                panic!("injected fault");
+            }
+            execute(db, item)
+        });
+        assert_eq!(drained.expect("drain"), 2);
+        match a.take() {
+            Some(Err(ServeError::Panicked(msg))) => assert_eq!(msg, "injected fault"),
+            other => panic!("expected the panic as a's outcome, got {other:?}"),
+        }
+        assert!(b.take().expect("b has an outcome").is_ok());
+        // The state is not poisoned: every call still answers.
+        assert_eq!(server.pending(), 0);
+        assert_eq!(
+            server.batch_stats(),
+            BatchStats {
+                batches: 1,
+                queries: 2,
+                ..BatchStats::default()
+            }
+        );
+        a.submit(&q("after"), &ExecOptions::auto()).expect("a2");
+        assert_eq!(server.pending(), 1);
+        assert_eq!(server.drain().expect("drain"), 1);
+        assert!(a.take().expect("a has an outcome").is_ok());
+        assert_eq!(server.batch_stats().queries, 3);
     }
 
     #[test]

@@ -10,8 +10,10 @@
 //! **The QEPSJ result is columnar.** Projection starts from one id column
 //! per table (§4, Figure 5 line 1), and footnote 7 lets SJoin emit those
 //! columns directly: every plan's SJoin writes through [`SJoinWriter`], one
-//! 4-byte id column per table, root first, row `i` of each being position
-//! `i` of the result.
+//! id column per table, root first, row `i` of each being position `i` of
+//! the result. Each column's cells are [`id_width`]`(|T|)` bytes: the
+//! fewest that hold every id of its table, a function of the table's public
+//! row count only.
 //!
 //! **The foreign-key route.** When π holds exactly one SKT column and that
 //! table is a direct child of `T`, the same ids also sit in `T`'s hidden
@@ -32,6 +34,8 @@ use crate::error::ExecError;
 use crate::report::OpKind;
 use crate::Result;
 use ghostdb_index::SubtreeKeyTable;
+#[cfg(doc)]
+use ghostdb_storage::row::id_width;
 use ghostdb_storage::row::RowLayout;
 use ghostdb_storage::table::FlashTableWriter;
 #[cfg(doc)]
@@ -191,7 +195,7 @@ impl SJoinWriter {
         let mut tables = vec![owner];
         tables.extend_from_slice(targets);
         let writers = (tables.iter())
-            .map(|_| id_column(ctx, max_rows))
+            .map(|t| id_column(ctx, RowLayout::id_cells(&[ctx.cat.rows[*t]]), max_rows))
             .collect::<Result<_>>()?;
         Ok(SJoinWriter { writers, tables })
     }
@@ -201,7 +205,7 @@ impl SJoinWriter {
         let row = std::iter::once(&id).chain(targets);
         ctx.tracked(OpKind::Store, |dev| {
             for (w, id) in self.writers.iter_mut().zip(row) {
-                w.push(dev, &id.to_le_bytes())?;
+                w.push_id(dev, *id)?;
             }
             Ok(())
         })
@@ -244,11 +248,15 @@ impl SJoinWriter {
     }
 }
 
-/// A writer of an id column of F' of up to `rows` rows (one RAM buffer),
-/// its segment registered as a query temp.
-pub(crate) fn id_column(ctx: &mut ExecCtx<'_>, rows: u64) -> Result<FlashTableWriter> {
+/// A writer of an id column of F' in `layout` of up to `rows` rows (one
+/// RAM buffer), its segment registered as a query temp.
+pub(crate) fn id_column(
+    ctx: &mut ExecCtx<'_>,
+    layout: RowLayout,
+    rows: u64,
+) -> Result<FlashTableWriter> {
     let (ram, page_size) = (ctx.ram(), ctx.page_size());
-    let w = FlashTableWriter::create(ctx.lane.alloc(), &ram, RowLayout::ids(1), rows, page_size)?;
+    let w = FlashTableWriter::create(ctx.lane.alloc(), &ram, layout, rows, page_size)?;
     ctx.add_temp(w.segment());
     Ok(w)
 }
@@ -373,38 +381,56 @@ mod tests {
         let t0 = db.schema.root();
         let t1 = db.schema.table_id("T1").unwrap();
         let mut ctx = ExecCtx::new(&mut db);
-        // Two full pages and one row per column: the full pages are
-        // written by `push`, inside its `Store` scope.
+        // |T0| = 600 takes 2-byte cells and |T1| = 120 one-byte cells.
+        // Two full pages of T0's column and one of T1's, plus one row:
+        // the full pages are written by `push`, inside its `Store` scope.
         let page_size = ctx.page_size();
-        let per_page = (page_size / ID_BYTES) as Id;
-        let rows = 2 * per_page + 1;
+        let rows = (page_size / 2) as Id * 2 + 1;
         let mut w = SJoinWriter::create(&mut ctx, t0, &[t1], rows as u64).unwrap();
         for id in 0..rows {
-            w.push(&mut ctx, id, &[10 * id]).unwrap();
+            w.push(&mut ctx, id % 600, &[id % 120]).unwrap();
         }
         let program_ns = ctx
             .lane
             .with_flash(|dev| dev.timing().write_cost_ns(page_size));
-        assert_eq!(ctx.cost.op(OpKind::Store).as_ns(), 2 * 2 * program_ns);
+        assert_eq!(ctx.cost.op(OpKind::Store).as_ns(), 3 * program_ns);
         let out = w.finish(&mut ctx).unwrap();
         assert_eq!(out.tables, vec![t0, t1]);
         let ram = ctx.ram();
+        assert_eq!(out.column(t0).unwrap().layout, RowLayout::new(&[2]));
+        assert_eq!(out.column(t1).unwrap().layout, RowLayout::new(&[1]));
         let mut read = |t: TableId| -> Vec<Id> {
             let column = out.column(t).unwrap();
-            assert_eq!(column.layout, RowLayout::ids(1));
             let mut reader = column.reader(&ram, page_size).unwrap();
             ctx.lane.with_flash(|dev| {
                 let mut ids = Vec::new();
                 while let Some(row) = reader.next_row(dev).unwrap() {
-                    ids.push(Id::from_le_bytes(row.try_into().unwrap()));
+                    ids.push(column.layout.get_id(row, 0));
                 }
                 ids
             })
         };
-        assert_eq!(read(t0), (0..rows).collect::<Vec<_>>());
-        assert_eq!(read(t1), (0..rows).map(|id| 10 * id).collect::<Vec<_>>());
-        // Three pages per column; `finish` writes the last ones unbilled.
-        assert_eq!(ctx.lane.io().pages_written, 2 * 3);
-        assert_eq!(ctx.cost.op(OpKind::Store).as_ns(), 2 * 2 * program_ns);
+        assert_eq!(read(t0), (0..rows).map(|id| id % 600).collect::<Vec<_>>());
+        assert_eq!(read(t1), (0..rows).map(|id| id % 120).collect::<Vec<_>>());
+        // 3 + 2 pages; `finish` writes each column's last one unbilled.
+        assert_eq!(ctx.lane.io().pages_written, 5);
+        assert_eq!(ctx.cost.op(OpKind::Store).as_ns(), 3 * program_ns);
+    }
+
+    #[test]
+    fn an_id_beyond_its_table_is_an_error_not_a_truncation() {
+        let mut db = testkit::tiny_db();
+        let t0 = db.schema.root();
+        let t1 = db.schema.table_id("T1").unwrap();
+        let mut ctx = ExecCtx::new(&mut db);
+        let mut w = SJoinWriter::create(&mut ctx, t0, &[t1], 1).unwrap();
+        let err = w.push(&mut ctx, 0, &[256]).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                ExecError::Storage(ghostdb_storage::StorageError::IdTooWide { id: 256, width: 1 })
+            ),
+            "{err}"
+        );
     }
 }

@@ -473,11 +473,11 @@ fn post_select(
             .map(|(at, ids)| (*at, ids.iter().copied().collect()))
             .collect();
         let mut writers = (kept.iter())
-            .map(|_| id_column(ctx, rows))
+            .map(|&i| id_column(ctx, f.columns[i].layout.clone(), rows))
             .collect::<Result<Vec<_>>>()?;
         scan_pass(ctx, &f.columns, &sets, |dev, _, row| {
             for (w, &i) in writers.iter_mut().zip(&kept) {
-                w.push(dev, &row[i].to_le_bytes())?;
+                w.push_id(dev, row[i])?;
             }
             Ok(())
         })?;
@@ -574,8 +574,8 @@ fn scan_pass(
 }
 
 /// Copy the rows of each of `columns` at the ascending `positions` into a
-/// new id column, in one read of `positions`: each column is read page by
-/// page through its own [`PageCursor`].
+/// new id column of the same layout, in one read of `positions`: each
+/// column is read page by page through its own [`PageCursor`].
 fn gather(
     ctx: &mut ExecCtx<'_>,
     columns: &[&FlashTable],
@@ -587,7 +587,7 @@ fn gather(
     for column in columns {
         copies.push((
             column.cursor(&ram, page_size)?,
-            id_column(ctx, positions.count)?,
+            id_column(ctx, column.layout.clone(), positions.count)?,
         ));
     }
     ctx.track_rw(OpKind::SJoin, OpKind::Store, |ctx| {

@@ -140,7 +140,9 @@ impl IndexBuilder {
         let fill_layout = layout.clone();
         let flash = FlashTable::bulk_load_with(dev, alloc, layout, self.rows[t], |r, out| {
             for (c, m) in maps.iter().enumerate() {
-                fill_layout.put_id(out, c, m[r as usize]);
+                fill_layout
+                    .field_mut(out, c)
+                    .copy_from_slice(&m[r as usize].to_le_bytes());
             }
         })?;
         SubtreeKeyTable::new(&self.schema, t, flash)

@@ -25,6 +25,13 @@ pub enum StorageError {
         /// Table cardinality.
         rows: u64,
     },
+    /// An id that does not fit its id cell's width.
+    IdTooWide {
+        /// The id.
+        id: u32,
+        /// The cell's width in bytes.
+        width: usize,
+    },
     /// Unknown table or column name.
     Unknown(String),
     /// Corrupt or inconsistent on-flash structure (bulk-load order
@@ -43,6 +50,9 @@ impl fmt::Display for StorageError {
             }
             StorageError::RowOutOfRange { row, rows } => {
                 write!(f, "row {row} out of range (table has {rows} rows)")
+            }
+            StorageError::IdTooWide { id, width } => {
+                write!(f, "id {id} does not fit a {width}-byte id cell")
             }
             StorageError::Unknown(name) => write!(f, "unknown object: {name}"),
             StorageError::Corrupt(msg) => write!(f, "corrupt structure: {msg}"),

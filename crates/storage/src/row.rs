@@ -3,8 +3,20 @@
 //! All GhostDB on-flash structures use fixed-width records so the page and
 //! offset of any field are pure arithmetic (no directories, no slots) and
 //! rows never span pages — a row's page holds `page_size / row_size` rows.
+//!
+//! An id field is 1–4 bytes wide. Base data (SKT rows, hidden foreign-key
+//! columns) keeps 4-byte ids; a query temporary sizes each id cell by its
+//! table's public row count ([`id_width`]), so the width never depends on
+//! hidden data.
 
-use crate::bytes_at;
+use crate::{Id, Result, StorageError, ID_BYTES};
+
+/// Bytes an id cell of a table of `rows` rows needs: the least `w` in
+/// 1..=4 such that every id of `0..rows` is below 2^(8w).
+pub fn id_width(rows: u64) -> usize {
+    let bits = (u64::BITS - rows.saturating_sub(1).leading_zeros()) as usize;
+    bits.div_ceil(8).clamp(1, ID_BYTES)
+}
 
 /// Layout of a fixed-width record: field widths and cumulative offsets.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -32,9 +44,16 @@ impl RowLayout {
         }
     }
 
-    /// Layout of `n` fixed-width ID columns (SKT rows, operator outputs).
+    /// Layout of `n` 4-byte id columns (SKT rows, foreign-key columns).
     pub fn ids(n: usize) -> Self {
-        RowLayout::new(&vec![crate::ID_BYTES; n])
+        RowLayout::new(&vec![ID_BYTES; n])
+    }
+
+    /// Layout of one id column per table of `rows[i]` rows, each cell
+    /// [`id_width`]`(rows[i])` bytes (query temporaries).
+    pub fn id_cells(rows: &[u64]) -> Self {
+        let widths: Vec<usize> = rows.iter().map(|r| id_width(*r)).collect();
+        RowLayout::new(&widths)
     }
 
     /// Record size in bytes.
@@ -67,15 +86,26 @@ impl RowLayout {
         &mut row[self.offsets[i]..self.offsets[i] + self.widths[i]]
     }
 
-    /// Read field `i` as a little-endian u32 (ID columns).
-    pub fn get_id(&self, row: &[u8], i: usize) -> u32 {
-        debug_assert_eq!(self.widths[i], 4, "field {i} is not an id column");
-        u32::from_le_bytes(bytes_at(row, self.offsets[i]))
+    /// Read id field `i`: its 1–4 bytes, little-endian.
+    pub fn get_id(&self, row: &[u8], i: usize) -> Id {
+        debug_assert!(self.widths[i] <= ID_BYTES, "field {i} is not an id column");
+        let mut cell = [0u8; ID_BYTES];
+        cell[..self.widths[i]].copy_from_slice(self.field(row, i));
+        Id::from_le_bytes(cell)
     }
 
-    /// Write field `i` as a little-endian u32 (ID columns).
-    pub fn put_id(&self, row: &mut [u8], i: usize, id: u32) {
-        self.field_mut(row, i).copy_from_slice(&id.to_le_bytes());
+    /// Write id field `i` little-endian in its width. An id the width
+    /// cannot hold is [`StorageError::IdTooWide`], never truncated.
+    pub fn put_id(&self, row: &mut [u8], i: usize, id: Id) -> Result<()> {
+        let width = self.widths[i];
+        let bytes = id.to_le_bytes();
+        match bytes.get(..width) {
+            Some(cell) if bytes[width..].iter().all(|b| *b == 0) => {
+                self.field_mut(row, i).copy_from_slice(cell);
+                Ok(())
+            }
+            _ => Err(StorageError::IdTooWide { id, width }),
+        }
     }
 
     /// Records that fit in one page (records never span pages).
@@ -115,11 +145,25 @@ mod tests {
     fn field_views() {
         let l = RowLayout::new(&[4, 4]);
         let mut row = vec![0u8; 8];
-        l.put_id(&mut row, 0, 0xdeadbeef);
-        l.put_id(&mut row, 1, 7);
+        l.put_id(&mut row, 0, 0xdeadbeef).unwrap();
+        l.put_id(&mut row, 1, 7).unwrap();
         assert_eq!(l.get_id(&row, 0), 0xdeadbeef);
         assert_eq!(l.get_id(&row, 1), 7);
         assert_eq!(l.field(&row, 1), &7u32.to_le_bytes());
+    }
+
+    #[test]
+    fn id_cells_take_their_tables_widths() {
+        let l = RowLayout::id_cells(&[200_000, 20_000, 256]);
+        assert_eq!((l.width(0), l.width(1), l.width(2)), (3, 2, 1));
+        assert_eq!(l.size(), 6);
+        let mut row = vec![0u8; 6];
+        l.put_id(&mut row, 0, 199_999).unwrap();
+        l.put_id(&mut row, 1, 19_999).unwrap();
+        l.put_id(&mut row, 2, 255).unwrap();
+        assert_eq!(l.get_id(&row, 0), 199_999);
+        assert_eq!(l.get_id(&row, 1), 19_999);
+        assert_eq!(l.get_id(&row, 2), 255);
     }
 
     #[test]

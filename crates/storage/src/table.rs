@@ -11,7 +11,7 @@
 use crate::error::StorageError;
 use crate::row::RowLayout;
 use crate::value::{ColumnType, Value};
-use crate::{Id, Result};
+use crate::{Id, Result, ID_BYTES};
 use ghostdb_flash::{FlashDevice, FlashTiming, Segment, SegmentAllocator};
 use ghostdb_token::{RamArena, RamBuffer};
 use std::ops::Range;
@@ -357,6 +357,14 @@ impl FlashTableWriter {
         Ok(())
     }
 
+    /// Append a row of one id field, in that field's width.
+    pub fn push_id(&mut self, dev: &mut FlashDevice, id: Id) -> Result<()> {
+        let mut cell = [0u8; ID_BYTES];
+        let width = self.layout.size().min(ID_BYTES);
+        self.layout.put_id(&mut cell[..width], 0, id)?;
+        self.push(dev, &cell[..width])
+    }
+
     fn flush(&mut self, dev: &mut FlashDevice) -> Result<()> {
         if self.in_page == 0 {
             return Ok(());
@@ -698,9 +706,9 @@ mod tests {
                 .unwrap();
         for i in 0..1000u32 {
             let mut row = vec![0u8; layout.size()];
-            layout.put_id(&mut row, 0, i);
-            layout.put_id(&mut row, 1, i * 2);
-            layout.put_id(&mut row, 2, i * 3);
+            layout.put_id(&mut row, 0, i).unwrap();
+            layout.put_id(&mut row, 1, i * 2).unwrap();
+            layout.put_id(&mut row, 2, i * 3).unwrap();
             w.push(&mut dev, &row).unwrap();
         }
         let table = w.finish(&mut dev).unwrap();
@@ -721,8 +729,8 @@ mod tests {
         let rows: Vec<Vec<u8>> = (0..500u32)
             .map(|i| {
                 let mut row = vec![0u8; 8];
-                layout.put_id(&mut row, 0, i);
-                layout.put_id(&mut row, 1, 1000 + i);
+                layout.put_id(&mut row, 0, i).unwrap();
+                layout.put_id(&mut row, 1, 1000 + i).unwrap();
                 row
             })
             .collect();
