@@ -31,6 +31,7 @@ use ghostdb_flash::{
 };
 use ghostdb_index::{ClimbingIndex, ClimbingSpec, FkData, IndexBuilder, LevelSpec};
 use ghostdb_storage::idlist::write_id_list;
+use ghostdb_storage::row::id_width;
 use ghostdb_storage::schema::paper_synthetic_schema;
 use ghostdb_storage::{CmpOp, Id, Predicate, TableId};
 use ghostdb_token::RamArena;
@@ -608,10 +609,12 @@ fn micro_index(
 fn micro_union() -> Family {
     Family::new(vec!["micro/merge/union16_heap".into()], || {
         let (mut dev, mut alloc, ram) = micro_device();
+        // Ids of the domain 0..20_016, in its width.
+        let width = id_width(5 * 4000 + 16);
         let sources: Vec<IdSource> = (0..16u32)
             .map(|k| {
                 let ids: Vec<Id> = (0..4000u32).map(|i| i * (k % 5 + 1) + k).collect();
-                IdSource::Flash(write_id_list(&mut dev, &mut alloc, &ram, &ids).unwrap())
+                IdSource::Flash(write_id_list(&mut dev, &mut alloc, &ram, width, &ids).unwrap())
             })
             .collect();
         Box::new(move |_| {

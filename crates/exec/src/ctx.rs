@@ -27,6 +27,8 @@ use ghostdb_flash::{
     FlashDevice, FlashSnapshot, FlashStats, FlashTiming, Segment, SegmentAllocator, SimDuration,
 };
 use ghostdb_index::{ClimbingIndex, SubtreeKeyTable};
+#[cfg(doc)]
+use ghostdb_storage::row::id_width;
 use ghostdb_storage::row::RowLayout;
 use ghostdb_storage::{HiddenColumn, HiddenImage, Predicate, SchemaTree, TableId};
 use ghostdb_token::{Channel, RamArena};
@@ -79,8 +81,9 @@ impl<'a> CatalogCtx<'a> {
     }
 
     /// The hidden foreign-key column of `child`'s parent that references
-    /// `child`, found through the schema's `foreign_keys`: one 4-byte id
-    /// per parent row, the same ids the parent's SKT holds for `child`.
+    /// `child`, found through the schema's `foreign_keys`: one
+    /// [`id_width`]`(|child|)`-byte id per parent row, the same ids, at the
+    /// same width, that the parent's SKT holds for `child`.
     pub fn fk_column(&self, child: TableId) -> Result<&'a HiddenColumn> {
         let name = &self.schema.def(child).name;
         let (Some(parent), Some((def, fk))) =
@@ -96,9 +99,9 @@ impl<'a> CatalogCtx<'a> {
                 def.name, fk.column
             ))
         })?;
-        if column.table().layout != RowLayout::ids(1) {
+        if column.table().layout != RowLayout::id_cells(&[self.rows[child]]) {
             return Err(ExecError::Query(format!(
-                "foreign key {}.{} is not a 4-byte id column",
+                "foreign key {}.{} is not an id column of {name}'s width",
                 def.name, fk.column
             )));
         }
@@ -195,6 +198,20 @@ impl<'a> DeviceLane<'a> {
     /// Register a temp segment to free when the query finishes.
     pub fn add_temp(&mut self, seg: Segment) {
         self.temps.push(seg);
+    }
+}
+
+impl Drop for DeviceLane<'_> {
+    /// The drop guard of the temp registry: a query that unwinds past
+    /// [`ExecCtx::free_temps`] (a panic) still returns its temp segments to
+    /// the allocator here. On every other exit the executor has freed them,
+    /// with its errors reported, and nothing is left.
+    fn drop(&mut self) {
+        for seg in std::mem::take(&mut self.temps) {
+            // Nothing can report a failure from a drop: a segment that does
+            // not free stays allocated, as it would without the guard.
+            let _ = self.alloc.free(seg, self.flash);
+        }
     }
 }
 
@@ -372,6 +389,7 @@ mod tests {
                     ctx.lane.alloc(),
                     &ram,
                     100,
+                    1,
                     page_size,
                 )?)
             })

@@ -82,17 +82,18 @@ impl Database {
         let mut store = VisibleStore::new(schema.len());
         let mut hidden: Vec<HiddenImage> =
             (0..schema.len()).map(|_| HiddenImage::default()).collect();
+        // Every table's cardinality first: a foreign-key column's cells take
+        // the width of its referenced table's row count.
         let mut rows = vec![0u64; schema.len()];
+        for load in &loads {
+            rows[schema.table_id(&load.table)?] = load.rows;
+        }
         let mut fk_data = FkData::default();
         // (table, column, keys, exact) for climbing-index builds.
         let mut pending_cis: Vec<(TableId, String, Vec<u64>, bool)> = Vec::new();
-        // (table, fk column, referenced table, ids), checked once every
-        // table's cardinality is known.
-        let mut fk_refs: Vec<(TableId, &str, TableId, &[Id])> = Vec::new();
 
         for load in &loads {
             let t = schema.table_id(&load.table)?;
-            rows[t] = load.rows;
             let def = schema.def(t).clone();
             let mut vis_table = VisibleTable {
                 columns: Vec::new(),
@@ -156,36 +157,32 @@ impl Database {
                         ExecError::Query(format!("{}.{} is not a foreign key", def.name, fk_col))
                     })?;
                 let child = schema.table_id(&fk.references)?;
+                // The index builders below address the referenced table's
+                // arrays by these ids.
+                if let Some(row) = ids.iter().position(|id| u64::from(*id) >= rows[child]) {
+                    return Err(ExecError::DanglingForeignKey {
+                        table: def.name.clone(),
+                        column: fk_col.to_string(),
+                        row: row as u64,
+                        value: i64::from(ids[row]),
+                        references: schema.def(child).name.clone(),
+                        rows: rows[child],
+                    });
+                }
                 // Foreign keys are hidden columns: store them in the image
                 // (they are raw data, counted in DBSize) and register for
                 // index builds.
-                image.columns.push(HiddenColumn::bulk_load_with(
+                image.columns.push(HiddenColumn::bulk_load_ids(
                     &mut token.flash,
                     &mut alloc,
                     fk_col,
-                    ColumnType::int(),
-                    load.rows,
-                    |r| Value::Int(ids[r as usize] as i64),
+                    rows[child],
+                    ids,
                 )?);
                 fk_data.insert(t, child, ids.clone());
-                fk_refs.push((t, fk_col, child, ids));
             }
             store.set_table(t, vis_table);
             hidden[t] = image;
-        }
-        // The index builders below address the referenced table's arrays
-        // by these ids.
-        for (t, column, child, ids) in fk_refs {
-            if let Some(row) = ids.iter().position(|id| u64::from(*id) >= rows[child]) {
-                return Err(ExecError::DanglingForeignKey {
-                    table: schema.def(t).name.clone(),
-                    column: column.to_string(),
-                    row: row as u64,
-                    value: i64::from(ids[row]),
-                    references: schema.def(child).name.clone(),
-                    rows: rows[child],
-                });
-            }
         }
 
         // Index construction.

@@ -24,6 +24,8 @@
 //! (Figures 8–16) and an automatic, selectivity-driven strategy picker in
 //! [`optimizer`] (the cost-based optimizer the paper lists as future work).
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod bloom_ops;
 pub mod ci_ops;
 pub mod ctx;

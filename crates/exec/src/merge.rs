@@ -47,9 +47,11 @@ use crate::report::OpKind;
 use crate::source::{IdSource, IntersectStream, SourceReader, UnionStream};
 use crate::Result;
 use ghostdb_flash::{FlashDevice, FlashTiming, Segment};
+use ghostdb_storage::idlist::slots_per_page;
 use ghostdb_storage::idlist::{intersect_sorted, union_sorted};
+use ghostdb_storage::row::{get_id_cell, id_width};
 use ghostdb_storage::table::page_spans;
-use ghostdb_storage::{Id, IdList, IdListWriter, ID_BYTES};
+use ghostdb_storage::{Id, IdList, IdListWriter};
 use ghostdb_token::{RamArena, RamBuffer, RamRegion, TokenError};
 use std::cmp::Reverse;
 use std::ops::Range;
@@ -98,7 +100,7 @@ fn flash_lists(g: &[IdSource]) -> Vec<IdList> {
             _ => None,
         })
         .collect();
-    lists.sort_by_key(|l| (l.segment.start(), l.byte_offset));
+    lists.sort_by_key(|l| (l.segment.start(), l.start));
     lists
 }
 
@@ -174,16 +176,15 @@ fn reader_ns(list: &IdList, timing: &FlashTiming, page_size: usize) -> u128 {
     if list.count == 0 {
         return 0;
     }
-    let ps = page_size as u64;
-    let pages = (list.byte_offset + list.bytes() - 1) / ps - list.byte_offset / ps + 1;
-    pages as u128 * timing.read_cost_ns(0)
+    let pages = list.pages(page_size);
+    (pages.end - pages.start) as u128 * timing.read_cost_ns(0)
         + list.bytes() as u128 * timing.transfer_ns_per_byte as u128
 }
 
 /// Simulated ns of [`load_pieces`] over `lists` (in position order).
 fn span_read_ns(lists: &[IdList], timing: &FlashTiming, page_size: usize) -> u128 {
     pages(lists, page_size)
-        .flat_map(|(_, _, pieces)| page_spans(timing, pieces))
+        .flat_map(|(.., pieces)| page_spans(timing, pieces))
         .map(|span| timing.read_cost_ns(span.len()))
         .sum()
 }
@@ -199,8 +200,8 @@ struct PackPlan {
 
 /// Plan the pack step: while the groups exceed `available - reserve`
 /// buffers, cut the group with the most flash sublists into chunks whose
-/// ids fit the free RAM less one buffer (which stages each page and then
-/// writes the temp).
+/// ids, at their width, fit the free RAM less one buffer (which stages each
+/// page and then writes the temp).
 fn plan_pack(
     groups: &[Vec<IdSource>],
     available: usize,
@@ -208,7 +209,7 @@ fn plan_pack(
     page_size: usize,
 ) -> PackPlan {
     let budget = available.saturating_sub(reserve);
-    let region_ids = ((available - 1) * page_size / ID_BYTES) as u64;
+    let region_bytes = ((available - 1) * page_size) as u64;
     let mut need = flash_sources(groups);
     let mut order: Vec<usize> = (0..groups.len()).collect();
     order.sort_by_key(|&i| Reverse(group_flash(&groups[i])));
@@ -222,9 +223,9 @@ fn plan_pack(
         let mut rest = &lists[..];
         while !rest.is_empty() {
             let mut n = 0;
-            let mut ids = 0u64;
-            while n < rest.len() && ids + rest[n].count <= region_ids {
-                ids += rest[n].count;
+            let mut bytes = 0u64;
+            while n < rest.len() && bytes + rest[n].bytes() <= region_bytes {
+                bytes += rest[n].bytes();
                 n += 1;
             }
             let n = n.max(1);
@@ -267,8 +268,10 @@ fn pack_ns(
                 ns += reader_ns(&chunk[0], timing, page_size);
                 continue;
             }
-            let bytes = chunk.iter().map(|l| l.bytes()).sum::<u64>();
-            let pages = bytes.div_ceil(page_size as u64) as u128;
+            let ids = chunk.iter().map(|l| l.count).sum::<u64>();
+            let width = chunk_width(chunk);
+            let bytes = ids * width as u64;
+            let pages = ids.div_ceil(slots_per_page(width, page_size)) as u128;
             ns += span_read_ns(chunk, timing, page_size)
                 + pages * (timing.write_cost_ns(page_size) + timing.read_cost_ns(0))
                 + bytes as u128 * timing.transfer_ns_per_byte as u128;
@@ -341,12 +344,19 @@ fn union_step(ctx: &mut ExecCtx<'_>, groups: &mut [Vec<IdSource>], reserve: usiz
     Ok(())
 }
 
-/// Union a batch of sources into a fresh temp list.
+/// Union a batch of flash sublists into a fresh temp list of their width.
 fn union_to_temp(ctx: &mut ExecCtx<'_>, batch: &[IdSource]) -> Result<IdList> {
     let max_ids: u64 = batch.iter().map(|s| s.count()).sum();
+    let width = (batch.iter())
+        .filter_map(|s| match s {
+            IdSource::Flash(l) => Some(l.width),
+            _ => None,
+        })
+        .max()
+        .unwrap_or(1);
     let page_size = ctx.page_size();
     let ram = ctx.ram();
-    let mut writer = IdListWriter::create(ctx.lane.alloc(), &ram, max_ids, page_size)?;
+    let mut writer = IdListWriter::create(ctx.lane.alloc(), &ram, max_ids, width, page_size)?;
     ctx.add_temp(writer.segment());
     let readers = batch
         .iter()
@@ -362,90 +372,109 @@ fn union_to_temp(ctx: &mut ExecCtx<'_>, batch: &[IdSource]) -> Result<IdList> {
 }
 
 /// The in-page byte pieces of `lists` (sorted by position), as
-/// `(segment, page, in-page bytes)` in read order.
+/// `(segment, page, id width, in-page bytes)` in read order.
 fn pieces(
     lists: &[IdList],
     page_size: usize,
-) -> impl Iterator<Item = (Segment, u64, Range<usize>)> + '_ {
-    let ps = page_size as u64;
-    lists.iter().filter(|l| l.count > 0).flat_map(move |l| {
-        let (start, end) = (l.byte_offset, l.byte_offset + l.bytes());
-        (start / ps..end.div_ceil(ps)).map(move |p| {
-            let lo = start.max(p * ps) - p * ps;
-            let hi = end.min((p + 1) * ps) - p * ps;
-            (l.segment, p, lo as usize..hi as usize)
-        })
+) -> impl Iterator<Item = (Segment, u64, usize, Range<usize>)> + '_ {
+    lists.iter().flat_map(move |l| {
+        (l.pages(page_size)).map(move |p| (l.segment, p, l.width, l.bytes_on(p, page_size)))
     })
 }
 
 /// The pages `lists` (sorted by position) touch, in read order, each with
-/// its in-page pieces.
+/// the width of its ids (one segment holds one width) and its in-page
+/// pieces.
 fn pages(
     lists: &[IdList],
     page_size: usize,
-) -> impl Iterator<Item = (Segment, u64, Vec<Range<usize>>)> + '_ {
+) -> impl Iterator<Item = (Segment, u64, usize, Vec<Range<usize>>)> + '_ {
     let mut all = pieces(lists, page_size).peekable();
     std::iter::from_fn(move || {
-        let (seg, page, first) = all.next()?;
+        let (seg, page, width, first) = all.next()?;
         let mut page_pieces = vec![first];
-        while let Some((_, _, r)) = all.next_if(|(s, p, _)| *s == seg && *p == page) {
+        while let Some((.., r)) = all.next_if(|(s, p, ..)| *s == seg && *p == page) {
             page_pieces.push(r);
         }
-        Some((seg, page, page_pieces))
+        Some((seg, page, width, page_pieces))
     })
 }
 
 /// Read `lists` (sorted by position) page by page through `stage`, one
-/// read per [`page_spans`] span, and hand each piece's bytes to `f` in
-/// position order.
+/// read per [`page_spans`] span, and hand each piece's bytes and id width
+/// to `f` in position order.
 fn load_pieces(
     dev: &mut FlashDevice,
     lists: &[IdList],
     stage: &mut [u8],
     page_size: usize,
-    mut f: impl FnMut(&[u8]) -> Result<()>,
+    mut f: impl FnMut(&[u8], usize) -> Result<()>,
 ) -> Result<()> {
-    for (seg, page, page_pieces) in pages(lists, page_size) {
+    for (seg, page, width, page_pieces) in pages(lists, page_size) {
         let lpn = seg.lpn(page)?;
         for span in page_spans(dev.timing(), page_pieces.iter().cloned()) {
             dev.read(lpn, span.start, &mut stage[span])?;
         }
         for r in page_pieces {
-            f(&stage[r])?;
+            f(&stage[r], width)?;
         }
     }
     Ok(())
 }
 
-/// Load the ids of `chunk` into one RAM region, page by page, then sort
-/// them there and write them as a fresh temp list.
+/// Load the ids of `chunk`, sublists of one width, into one RAM region,
+/// page by page, then sort them there and write them as a fresh temp list
+/// of that width.
 fn pack_chunk(ctx: &mut ExecCtx<'_>, chunk: &[IdList]) -> Result<IdList> {
+    let width = chunk_width(chunk);
+    if chunk.iter().any(|l| l.count > 0 && l.width != width) {
+        return Err(ExecError::Query(
+            "Merge: pack chunk of mixed id widths".into(),
+        ));
+    }
     let ids: u64 = chunk.iter().map(|l| l.count).sum();
     let page_size = ctx.page_size();
     let ram = ctx.ram();
-    let mut region = ram.alloc_region((ids as usize * ID_BYTES).div_ceil(page_size))?;
+    let mut region = ram.alloc_region((ids as usize * width).div_ceil(page_size))?;
     let mut fill = 0usize;
     {
         let mut stage = ram.alloc()?;
         ctx.lane.with_flash(|dev| {
-            load_pieces(dev, chunk, &mut stage, page_size, |bytes| {
+            load_pieces(dev, chunk, &mut stage, page_size, |bytes, _| {
                 region[fill..fill + bytes.len()].copy_from_slice(bytes);
                 fill += bytes.len();
                 Ok(())
             })
         })?;
     }
-    let (cells, _) = region[..fill].as_chunks_mut::<ID_BYTES>();
-    cells.sort_unstable_by_key(|c| Id::from_le_bytes(*c));
-    let mut writer = IdListWriter::create(ctx.lane.alloc(), &ram, ids, page_size)?;
+    let cells = &mut region[..fill];
+    match width {
+        1 => sort_cells::<1>(cells),
+        2 => sort_cells::<2>(cells),
+        3 => sort_cells::<3>(cells),
+        _ => sort_cells::<4>(cells),
+    }
+    let mut writer = IdListWriter::create(ctx.lane.alloc(), &ram, ids, width, page_size)?;
     ctx.add_temp(writer.segment());
     ctx.lane.with_flash(|dev| {
         // The writer collapses the duplicates the sort brought together.
-        for c in cells.iter() {
-            writer.push(dev, Id::from_le_bytes(*c))?;
+        for c in cells.chunks_exact(width) {
+            writer.push(dev, get_id_cell(c))?;
         }
         Ok(writer.finish(dev)?)
     })
+}
+
+/// The id width of a pack chunk's cells: its non-empty sublists' (an
+/// empty one holds no cell, whatever its width).
+fn chunk_width(chunk: &[IdList]) -> usize {
+    chunk.iter().find(|l| l.count > 0).map_or(1, |l| l.width)
+}
+
+/// Sort the `W`-byte little-endian id cells of `bytes` in place.
+fn sort_cells<const W: usize>(bytes: &mut [u8]) {
+    let (cells, _) = bytes.as_chunks_mut::<W>();
+    cells.sort_unstable_by_key(|c| get_id_cell(c));
 }
 
 /// Buffers per bitmap for `groups` groups in `budget` free buffers, one of
@@ -601,18 +630,24 @@ impl Windows {
                 }
             }
             let domain = self.domain;
-            load_pieces(dev, &g.flash, &mut self.stage, self.page_size, |bytes| {
-                for c in bytes.as_chunks::<ID_BYTES>().0 {
-                    let id = Id::from_le_bytes(*c) as u64;
-                    if id >= domain {
-                        return Err(outside(id, domain));
+            load_pieces(
+                dev,
+                &g.flash,
+                &mut self.stage,
+                self.page_size,
+                |bytes, width| {
+                    for c in bytes.chunks_exact(width) {
+                        let id = get_id_cell(c) as u64;
+                        if id >= domain {
+                            return Err(outside(id, domain));
+                        }
+                        if window.contains(&id) {
+                            set_bit(bits, id - window.start);
+                        }
                     }
-                    if window.contains(&id) {
-                        set_bit(bits, id - window.start);
-                    }
-                }
-                Ok(())
-            })?;
+                    Ok(())
+                },
+            )?;
             if let (Some(scratch), true) = (&self.scratch, i > 0) {
                 for (a, s) in self.acc[..used].iter_mut().zip(&scratch[..used]) {
                     *a &= s;
@@ -681,8 +716,9 @@ fn open_reduced(
     Ok(MergeStream { eval })
 }
 
-/// Merge to a materialised sorted ID list on flash. Read side is Merge,
-/// output writes are Store.
+/// Merge to a materialised sorted ID list on flash, its ids
+/// [`id_width`]`(domain)` bytes. Read side is Merge, output writes are
+/// Store.
 pub fn merge_to_list(
     ctx: &mut ExecCtx<'_>,
     groups: Vec<Vec<IdSource>>,
@@ -697,7 +733,8 @@ pub fn merge_to_list(
     let mut stream = open_merge(ctx, groups, 1, domain)?;
     let page_size = ctx.page_size();
     let ram = ctx.ram();
-    let mut writer = IdListWriter::create(ctx.lane.alloc(), &ram, max_ids, page_size)?;
+    let width = id_width(domain);
+    let mut writer = IdListWriter::create(ctx.lane.alloc(), &ram, max_ids, width, page_size)?;
     ctx.add_temp(writer.segment());
     loop {
         let id = stream.next(ctx)?;
@@ -890,37 +927,10 @@ mod tests {
         }
     }
 
-    /// Write `lists` (each sorted) into one fresh segment, `gaps[i]` junk
-    /// bytes before list `i`, and return their `IdList`s.
-    fn lay_out(ctx: &mut crate::ExecCtx<'_>, lists: &[Vec<Id>], gaps: &[usize]) -> Vec<IdList> {
-        let page_size = ctx.page_size();
-        let mut bytes: Vec<u8> = Vec::new();
-        let mut out = Vec::new();
-        for (ids, gap) in lists.iter().zip(gaps) {
-            bytes.extend(std::iter::repeat_n(0xA5, *gap));
-            out.push((bytes.len() as u64, ids.len() as u64));
-            for id in ids {
-                bytes.extend_from_slice(&id.to_le_bytes());
-            }
-        }
-        let seg = ctx
-            .lane
-            .alloc()
-            .alloc_bytes(bytes.len().max(1) as u64, page_size)
-            .unwrap();
-        ctx.add_temp(seg);
-        ctx.lane.with_flash(|dev| {
-            for (p, page) in bytes.chunks(page_size).enumerate() {
-                dev.write(seg.lpn(p as u64).unwrap(), page).unwrap();
-            }
-        });
-        out.into_iter()
-            .map(|(byte_offset, count)| IdList {
-                segment: seg,
-                byte_offset,
-                count,
-            })
-            .collect()
+    /// `lists` laid out back to back in 4-byte slots, `gaps[i]` slots
+    /// before list `i`.
+    fn lay_out(ctx: &mut crate::ExecCtx<'_>, lists: &[Vec<Id>], gaps: &[u64]) -> Vec<IdList> {
+        testkit::lay_out(ctx, lists, gaps, 4).unwrap()
     }
 
     /// Pages one reader per sublist loads: every page each sublist touches.
@@ -928,10 +938,7 @@ mod tests {
         lists
             .iter()
             .filter(|l| l.count > 0)
-            .map(|l| {
-                let ps = page_size as u64;
-                (l.byte_offset + l.bytes() - 1) / ps - l.byte_offset / ps + 1
-            })
+            .map(|l| l.pages(page_size).count() as u64)
             .sum()
     }
 
@@ -974,7 +981,7 @@ mod tests {
                 3 + rng.below(2) as usize
             };
             let held = ram.alloc_region(ram.capacity() - free).unwrap();
-            let region_ids = ((free - 1) * page_size / ID_BYTES) as u64;
+            let region_ids = ((free - 1) * page_size / 4) as u64;
             let mut groups: Vec<Vec<IdSource>> = Vec::new();
             let mut all_lists: Vec<IdList> = Vec::new();
             // One or two segments, each holding a group's worth of
@@ -996,10 +1003,10 @@ mod tests {
                     ids.sort_unstable();
                     ids.dedup();
                     lists.push(ids);
-                    // Ids never straddle a page: gaps are whole ids.
+                    // Gaps are whole id slots.
                     gaps.push(match rng.below(4) {
-                        0 => rng.below(150) as usize * ID_BYTES,
-                        1 => rng.below(page_size as u64) as usize * ID_BYTES,
+                        0 => rng.below(150),
+                        1 => rng.below(page_size as u64),
                         _ => 0,
                     });
                 }
@@ -1150,7 +1157,7 @@ mod tests {
         ids.push(vec![last]);
         ids.extend((0..6u32).map(|k| (0..900).map(|i| i * 97 + k * 13).collect::<Vec<Id>>()));
         ids.last_mut().unwrap().push(last);
-        let gaps: Vec<usize> = (0..ids.len()).map(|i| (i % 7) * ID_BYTES).collect();
+        let gaps: Vec<u64> = (0..ids.len() as u64).map(|i| i % 7).collect();
         let lists = lay_out(&mut ctx, &ids, &gaps);
         let groups = vec![
             lists[..1500]

@@ -62,11 +62,11 @@ use ghostdb_bloom::calibrate::{self, calibrate};
 use ghostdb_bloom::filter::theoretical_fp;
 use ghostdb_bloom::BloomFilter;
 use ghostdb_flash::{FlashDevice, FlashTiming};
+use ghostdb_storage::idlist::slots_per_page;
 use ghostdb_storage::row::{id_width, RowLayout};
 use ghostdb_storage::table::{FlashTableReader, FlashTableWriter, PageCursor};
 use ghostdb_storage::{
     ColumnType, FlashTable, HiddenColumn, HiddenImage, Id, IdListWriter, Predicate, TableId, Value,
-    ID_BYTES,
 };
 use ghostdb_token::RamArena;
 use ghostdb_untrusted::VisShipment;
@@ -427,7 +427,9 @@ fn sigma_vh(ctx: &mut ExecCtx<'_>, id_col: &FlashTable, probe: Probe<'_>) -> Res
                 .collect(),
         ))),
         Probe::Dense(rows) => {
-            let mut writer = IdListWriter::create(ctx.lane.alloc(), &ram, rows as u64, page_size)?;
+            let width = id_width(rows.into());
+            let mut writer =
+                IdListWriter::create(ctx.lane.alloc(), &ram, rows.into(), width, page_size)?;
             ctx.add_temp(writer.segment());
             let list = ctx.track(OpKind::ProjBloom, |ctx| {
                 ctx.lane.with_flash(|dev| {
@@ -447,11 +449,16 @@ fn sigma_vh(ctx: &mut ExecCtx<'_>, id_col: &FlashTable, probe: Probe<'_>) -> Res
 /// Reads the id column's length, a hidden cardinality, so the choice and
 /// everything it changes stay below the channel.
 fn sparse_sigma_pays(ctx: &ExecCtx<'_>, t: TableId, prep: &TablePrep<'_>, n: u64) -> Result<bool> {
-    let width = |c: &str| column_type(ctx, t, c).map(|ty| ty.width());
+    // Scans read each column's stored cells; a dict entry holds each
+    // projected value at its declared width.
+    let image = &ctx.cat.hidden[t];
     let widths = (prep.tproj.hid.iter())
-        .map(|c| width(c))
-        .chain(prep.rechecks.iter().map(|p| width(&p.column)))
+        .chain(prep.rechecks.iter().map(|p| &p.column))
+        .map(|c| Ok(image.column(c)?.width()))
         .collect::<Result<Vec<usize>>>()?;
+    let declared = (prep.tproj.hid.iter())
+        .map(|c| column_type(ctx, t, c).map(|ty| ty.width()))
+        .sum::<Result<usize>>()?;
     let id_bytes = id_width(ctx.cat.rows[t]);
     let ram = ctx.ram();
     // What MJoin's dict keeps after its scans, its two buffers (§4) and,
@@ -462,7 +469,7 @@ fn sparse_sigma_pays(ctx: &ExecCtx<'_>, t: TableId, prep: &TablePrep<'_>, n: u64
         rows: ctx.cat.rows[t],
         id_bytes,
         pos_bytes: id_width(ctx.cat.rows[ctx.cat.schema.root()]),
-        entry_bytes: id_bytes + widths[..prep.tproj.hid.len()].iter().sum::<usize>(),
+        entry_bytes: id_bytes + declared,
         widths,
         dict_bytes: dict_buffers * ram.buf_size(),
         buf_size: ram.buf_size(),
@@ -524,10 +531,10 @@ impl SigmaShape {
         let distinct = self.n.min(self.rows);
         let fp = theoretical_fp(self.filter_bits.max(1), distinct, calibrate::PAPER_K);
         let sigma = distinct + (fp * (self.rows - distinct) as f64).ceil() as u64;
-        let sigma_pages = (sigma * ID_BYTES as u64).div_ceil(page_size as u64);
+        let sigma_pages = sigma.div_ceil(slots_per_page(self.id_bytes, page_size));
         let fixed = self.sweep_ns(t, page_size)
             + sigma_pages as u128 * (t.write_cost_ns(page_size) + t.read_cost_ns(0))
-            + sigma as u128 * ID_BYTES as u128 * t.transfer_ns_per_byte as u128;
+            + sigma as u128 * self.id_bytes as u128 * t.transfer_ns_per_byte as u128;
         let columns: u128 = self
             .widths
             .iter()

@@ -172,13 +172,14 @@ pub fn analyze(schema: &SchemaTree, q: &SpjQuery) -> Result<Analyzed> {
     let mut output = Vec::new();
     for (t, cname) in &q.projections {
         let def = schema.def(*t);
-        let slot = match projections.iter_mut().find(|(tt, _)| tt == t) {
-            Some((_, s)) => s,
+        let at = match projections.iter().position(|(tt, _)| tt == t) {
+            Some(at) => at,
             None => {
                 projections.push((*t, TableProjection::default()));
-                &mut projections.last_mut().expect("just pushed").1
+                projections.len() - 1
             }
         };
+        let slot = &mut projections[at].1;
         if cname == "id" {
             slot.id = true;
         } else {

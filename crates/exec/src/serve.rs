@@ -93,6 +93,12 @@ pub enum ServeError {
     Exec(ExecError),
     /// The query panicked; the message is the panic's payload.
     Panicked(String),
+    /// [`Session::query`] found no outcome for its query after the drain:
+    /// another call on the same session ([`Session::take`]) took it first.
+    OutcomeTaken {
+        /// The query's sequence ticket.
+        seq: u64,
+    },
 }
 
 impl std::fmt::Display for ServeError {
@@ -104,6 +110,9 @@ impl std::fmt::Display for ServeError {
             ServeError::Config(msg) => write!(f, "invalid serve config: {msg}"),
             ServeError::Exec(e) => write!(f, "query failed: {e}"),
             ServeError::Panicked(msg) => write!(f, "query panicked: {msg}"),
+            ServeError::OutcomeTaken { seq } => {
+                write!(f, "the outcome of query {seq} was taken by another call")
+            }
         }
     }
 }
@@ -317,7 +326,7 @@ impl Session<'_> {
         self.server.drain()?;
         self.server
             .take_seq(self.id, seq)
-            .expect("drained query must deliver an outcome")
+            .unwrap_or(Err(ServeError::OutcomeTaken { seq }))
     }
 
     /// Pop this session's oldest undelivered outcome, if any.
@@ -364,6 +373,7 @@ const _: () = {
 mod tests {
     use super::*;
     use crate::testkit;
+    use crate::ExecCtx;
     use ghostdb_storage::{CmpOp, Predicate};
     use ghostdb_token::RamArena;
 
@@ -433,6 +443,7 @@ mod tests {
     #[test]
     fn a_panicking_query_is_its_own_error_and_the_server_keeps_serving() {
         let db = testkit::tiny_db();
+        let free_before = db.alloc.free_pages();
         let server = GhostDbServer::new(db, ServeConfig::default()).expect("server");
         let a = server.session();
         let b = server.session();
@@ -440,6 +451,10 @@ mod tests {
         b.submit(&q("runs"), &ExecOptions::auto()).expect("b1");
         let drained = server.drain_with(|db, item| {
             if item.query.text == "panics" {
+                // The query has written a temp when it panics.
+                let mut ctx = ExecCtx::new(db);
+                let temp = ctx.lane.alloc().alloc(8).expect("temp pages");
+                ctx.add_temp(temp);
                 panic!("injected fault");
             }
             execute(db, item)
@@ -465,6 +480,8 @@ mod tests {
         assert_eq!(server.drain().expect("drain"), 1);
         assert!(a.take().expect("a has an outcome").is_ok());
         assert_eq!(server.batch_stats().queries, 3);
+        // Every allocator page came back, the panicking query's temp too.
+        assert_eq!(server.state().db.alloc.free_pages(), free_before);
     }
 
     #[test]

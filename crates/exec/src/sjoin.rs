@@ -17,11 +17,12 @@
 //!
 //! **The foreign-key route.** When π holds exactly one SKT column and that
 //! table is a direct child of `T`, the same ids also sit in `T`'s hidden
-//! foreign-key column: 4 bytes per row where an SKT row holds every
-//! descendant's id (16 bytes for `SKT_T0`). SJoin then reads the ids in
-//! page groups, the ids of as many whole SKT pages as one page of ids holds
-//! (one fk-column page, 512 rows at 2 KB, wherever SKT pages nest in
-//! fk-column pages as in the synthetic schema). For each group it prices
+//! foreign-key column: one id cell per row where an SKT row holds every
+//! descendant's (at ×0.02, 2 bytes against `SKT_T0`'s 8). SJoin then reads
+//! the ids in page groups, the ids of as many whole SKT pages as one page
+//! of the fk column holds (one fk-column page, 1,024 rows of 2-byte cells
+//! at 2 KB, wherever SKT pages nest in fk-column pages as in the synthetic
+//! schema). For each group it prices
 //! both reads with [`FlashTable::read_ns`], the rule [`PageCursor::flush`]
 //! bills by, and reads the cheaper source. The emitted rows are the same
 //! either way. Every other π reads the SKT exactly as before. The choice
@@ -40,7 +41,7 @@ use ghostdb_storage::row::RowLayout;
 use ghostdb_storage::table::FlashTableWriter;
 #[cfg(doc)]
 use ghostdb_storage::table::{page_spans, PageCursor};
-use ghostdb_storage::{FlashTable, HiddenColumn, Id, TableId, ID_BYTES};
+use ghostdb_storage::{FlashTable, HiddenColumn, Id, TableId};
 
 /// The QEPSJ result F': one id column per table, root first. Row `i` of
 /// every column is position `i` of F'.
@@ -85,10 +86,12 @@ fn fk_route<'a>(
 /// of the source, whose rows are then read in the byte spans
 /// [`page_spans`] plans for them (one tracked flash access per page) and
 /// emitted. Ids are pulled one page group ahead: one SKT page, or on the
-/// foreign-key route (module docs) the SKT pages one page of ids covers.
-/// They are held in one more secure-RAM buffer, charged here: an id is 4
-/// bytes, so a group fits in one page-sized buffer. At most one source
-/// reader is open at a time, so SJoin holds 2 buffers on either route.
+/// foreign-key route (module docs) the SKT pages one fk-column page covers.
+/// A group is held in one more secure-RAM buffer, charged here, as a bitmap
+/// over its row range (modelled below as the list of its rows): a row is
+/// at least one byte, so a group spans at most `page_size` rows, far fewer
+/// than a buffer's bits. At most one source reader is open at a time, so
+/// SJoin holds 2 buffers on either route.
 pub fn sjoin_stream(
     ctx: &mut ExecCtx<'_>,
     skt: &SubtreeKeyTable,
@@ -121,9 +124,13 @@ pub fn sjoin_stream(
     let timing = *ctx.lane.timing();
     let skt_rpp = skt.flash.layout.rows_per_page(page_size) as u64;
     let group_rows = match fk {
-        Some(_) => (page_size / ID_BYTES) as u64 / skt_rpp * skt_rpp,
+        Some(fk) => fk.table().layout.rows_per_page(page_size) as u64 / skt_rpp * skt_rpp,
         None => skt_rpp,
     };
+    debug_assert!(
+        group_rows <= (page_size * 8) as u64,
+        "a group's bitmap fits a buffer"
+    );
     // The open source reader, and whether it reads the fk column.
     let mut source = Some((false, skt.flash.cursor(&ram, page_size)?));
     let _lookahead = ram.alloc()?;
@@ -337,20 +344,21 @@ mod tests {
 
     #[test]
     fn sjoin_ascending_reads_each_page_once() {
-        // T12 is a grandchild of T0, so SJoin stays on the SKT: 600 rows ×
-        // 16-byte rows = 128 rows/page → 5 pages.
+        // T12 is a grandchild of T0, so SJoin stays on the SKT: 600 rows of
+        // four 1-byte ids (every descendant has ≤ 256 rows) = 512 rows/page
+        // → 2 pages.
         let (got, pages) = dense_sjoin(&["T12"]);
         assert_eq!(got.len(), 600);
-        assert_eq!(pages, 5);
+        assert_eq!(pages, 2);
     }
 
     #[test]
     fn sjoin_fk_route_reads_the_fk_column_pages() {
-        // T1 is a direct child: the same ids sit in T0.fk1, 512 to a page,
-        // so 600 dense ids read its 2 pages instead of the SKT's 5, and
-        // emit what an SKT read of T1 emits.
+        // T1 is a direct child: the same ids sit in T0.fk1, in 1-byte cells
+        // 2,048 to a page, so 600 dense ids read its 1 page instead of the
+        // SKT's 2, and emit what an SKT read of T1 emits.
         let (got, pages) = dense_sjoin(&["T1"]);
-        assert_eq!(pages, 2);
+        assert_eq!(pages, 1);
         let (skt, _) = dense_sjoin(&["T1", "T12"]);
         let skt: Vec<(Id, Vec<Id>)> = skt.into_iter().map(|(id, t)| (id, vec![t[0]])).collect();
         assert_eq!(got, skt);

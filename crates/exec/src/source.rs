@@ -354,7 +354,7 @@ mod tests {
     #[test]
     fn union_of_mixed_sources() {
         let (mut dev, mut alloc, ram) = setup();
-        let flash = write_id_list(&mut dev, &mut alloc, &ram, &[2, 4, 6, 8]).unwrap();
+        let flash = write_id_list(&mut dev, &mut alloc, &ram, 4, &[2, 4, 6, 8]).unwrap();
         let sources = vec![
             IdSource::Flash(flash),
             IdSource::Host(Arc::new(vec![1, 4, 9])),
@@ -367,8 +367,8 @@ mod tests {
     #[test]
     fn intersection_across_groups() {
         let (mut dev, mut alloc, ram) = setup();
-        let a = write_id_list(&mut dev, &mut alloc, &ram, &[1, 3, 5, 7, 9]).unwrap();
-        let b = write_id_list(&mut dev, &mut alloc, &ram, &[3, 4, 5, 9]).unwrap();
+        let a = write_id_list(&mut dev, &mut alloc, &ram, 4, &[1, 3, 5, 7, 9]).unwrap();
+        let b = write_id_list(&mut dev, &mut alloc, &ram, 4, &[3, 4, 5, 9]).unwrap();
         let g1 = UnionStream::open(&[IdSource::Flash(a)], &ram, dev.page_size()).unwrap();
         let g2 = UnionStream::open(&[IdSource::Flash(b)], &ram, dev.page_size()).unwrap();
         let g3 = UnionStream::open(
@@ -440,7 +440,7 @@ mod tests {
             .collect();
         let mut sources: Vec<IdSource> = lists
             .iter()
-            .map(|ids| IdSource::Flash(write_id_list(&mut dev, &mut alloc, &ram, ids).unwrap()))
+            .map(|ids| IdSource::Flash(write_id_list(&mut dev, &mut alloc, &ram, 4, ids).unwrap()))
             .collect();
         sources.push(IdSource::Host(Arc::new(vec![3, 5, 1000, 4000])));
         sources.push(IdSource::Range {
@@ -470,7 +470,7 @@ mod tests {
     #[test]
     fn heap_union_seek_skips_equivalently() {
         let (mut dev, mut alloc, ram) = setup();
-        let a = write_id_list(&mut dev, &mut alloc, &ram, &[1, 4, 9, 16, 25, 36]).unwrap();
+        let a = write_id_list(&mut dev, &mut alloc, &ram, 4, &[1, 4, 9, 16, 25, 36]).unwrap();
         let sources = [
             IdSource::Flash(a),
             IdSource::Host(Arc::new(vec![2, 9, 30, 36, 50])),

@@ -40,6 +40,7 @@ use crate::source::{IdSource, SharedIds, SourceReader};
 use crate::Result;
 use ghostdb_bloom::calibrate;
 use ghostdb_flash::FlashDevice;
+use ghostdb_storage::row::id_width;
 #[cfg(doc)]
 use ghostdb_storage::table::PageCursor;
 use ghostdb_storage::{FlashTable, Id, IdList, IdListReader, IdListWriter, Predicate, TableId};
@@ -530,7 +531,10 @@ fn select_positions(ctx: &mut ExecCtx<'_>, column: &FlashTable, ids: &[Id]) -> R
             .alloc_region(buffers_needed.min(ctx.ram().available().saturating_sub(3).max(1)))?;
         let chunk = [(0, chunk.iter().copied().collect())];
         let (ram, page_size) = (ctx.ram(), ctx.page_size());
-        let mut writer = IdListWriter::create(ctx.lane.alloc(), &ram, column.rows(), page_size)?;
+        // Positions of F', whose rows are at most the root's.
+        let width = id_width(ctx.cat.rows[ctx.cat.schema.root()]);
+        let mut writer =
+            IdListWriter::create(ctx.lane.alloc(), &ram, column.rows(), width, page_size)?;
         ctx.add_temp(writer.segment());
         scan_pass(ctx, std::slice::from_ref(column), &chunk, |dev, pos, _| {
             Ok(writer.push(dev, pos)?)

@@ -1,9 +1,13 @@
 //! Deterministic miniature databases for tests (not part of the public
 //! API; `ghostdb-datagen` provides the real generators).
 
+use crate::ctx::ExecCtx;
 use crate::database::{ColumnLoad, Database, TableLoad};
+use crate::Result;
+use ghostdb_storage::idlist::{id_pages, slots_per_page};
+use ghostdb_storage::row::put_id_cell;
 use ghostdb_storage::schema::paper_synthetic_schema;
-use ghostdb_storage::{Id, Value};
+use ghostdb_storage::{Id, IdList, Value};
 use ghostdb_token::TokenConfig;
 
 /// Zero-padded 8-digit decimal string: unique 8-byte prefix, so index keys
@@ -34,6 +38,10 @@ pub fn wide_key_db() -> Database {
 }
 
 /// The tiny instance with `h1` generated by `h1`.
+#[allow(
+    clippy::expect_used,
+    reason = "test support: a fixed instance that fails to assemble is a broken test build"
+)]
 fn assemble_tiny(h1: fn(Id) -> Value) -> Database {
     let schema = paper_synthetic_schema(2, 2);
     let [n0, n1, n2, n11, n12] = TINY_ROWS;
@@ -111,4 +119,50 @@ pub fn tiny_truth(mut keep: impl FnMut(u64, u64, u64, u64, u64) -> bool) -> Vec<
         })
         .map(|i| i as Id)
         .collect()
+}
+
+/// Lay `lists` (each sorted) out in one fresh segment, as a climbing-index
+/// area lays out its sublists: `width`-byte id slots, `gaps[i]` unused
+/// slots before list `i`. The segment is registered as a temp of `ctx`.
+pub fn lay_out(
+    ctx: &mut ExecCtx<'_>,
+    lists: &[Vec<Id>],
+    gaps: &[u64],
+    width: usize,
+) -> Result<Vec<IdList>> {
+    let page_size = ctx.page_size();
+    let spp = slots_per_page(width, page_size);
+    let mut out = Vec::with_capacity(lists.len());
+    let mut slot = 0u64;
+    for (ids, gap) in lists.iter().zip(gaps) {
+        slot += gap;
+        out.push((slot, ids.len() as u64));
+        slot += ids.len() as u64;
+    }
+    let pages = id_pages(slot, width, page_size);
+    let mut image = vec![0xA5u8; pages as usize * page_size];
+    for ((start, _), ids) in out.iter().zip(lists) {
+        for (i, id) in ids.iter().enumerate() {
+            let s = start + i as u64;
+            let at = (s / spp) as usize * page_size + (s % spp) as usize * width;
+            put_id_cell(&mut image[at..at + width], *id)?;
+        }
+    }
+    let segment = ctx.lane.alloc().alloc(pages)?;
+    ctx.add_temp(segment);
+    ctx.lane.with_flash(|dev| {
+        for (p, page) in image.chunks(page_size).enumerate() {
+            dev.write(segment.lpn(p as u64)?, page)?;
+        }
+        Ok::<_, crate::ExecError>(())
+    })?;
+    Ok(out
+        .into_iter()
+        .map(|(start, count)| IdList {
+            segment,
+            start,
+            count,
+            width,
+        })
+        .collect())
 }

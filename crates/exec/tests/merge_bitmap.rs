@@ -21,7 +21,8 @@
 use ghostdb_exec::merge::open_merge;
 use ghostdb_exec::source::IdSource;
 use ghostdb_exec::{testkit, ExecCtx};
-use ghostdb_storage::{Id, IdList, ID_BYTES};
+use ghostdb_storage::row::id_width;
+use ghostdb_storage::Id;
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -47,39 +48,6 @@ impl SplitMix {
     }
 }
 
-/// Write `lists` (each sorted) into one fresh segment, `gaps[i]` junk
-/// bytes before list `i`, and return their `IdList`s.
-fn lay_out(ctx: &mut ExecCtx<'_>, lists: &[Vec<Id>], gaps: &[usize]) -> Vec<IdList> {
-    let page_size = ctx.page_size();
-    let mut bytes: Vec<u8> = Vec::new();
-    let mut out = Vec::new();
-    for (ids, gap) in lists.iter().zip(gaps) {
-        bytes.extend(std::iter::repeat_n(0xA5, *gap));
-        out.push((bytes.len() as u64, ids.len() as u64));
-        for id in ids {
-            bytes.extend_from_slice(&id.to_le_bytes());
-        }
-    }
-    let seg = ctx
-        .lane
-        .alloc()
-        .alloc_bytes(bytes.len().max(1) as u64, page_size)
-        .unwrap();
-    ctx.add_temp(seg);
-    ctx.lane.with_flash(|dev| {
-        for (p, page) in bytes.chunks(page_size).enumerate() {
-            dev.write(seg.lpn(p as u64).unwrap(), page).unwrap();
-        }
-    });
-    out.into_iter()
-        .map(|(byte_offset, count)| IdList {
-            segment: seg,
-            byte_offset,
-            count,
-        })
-        .collect()
-}
-
 /// What one case observed.
 struct Case {
     /// The merge needed a reduction (more flash sublists than buffers).
@@ -100,7 +68,6 @@ fn run_case(seed: u64, reserve: usize, free: usize, windows: u64) -> Case {
     let held = ram.alloc_region(ram.capacity() - reserve - free).unwrap();
     // The pack region's ids, and the window width the bitmap path gets:
     // the free buffers less one stage buffer, halved for two bitmaps.
-    let region_ids = ((reserve + free - 1) * page_size / ID_BYTES) as u64;
     // One to five groups (more than the free buffers, some of the time);
     // every sublist of the one or two segments joins a random group, so
     // segments interleave inside groups.
@@ -108,6 +75,10 @@ fn run_case(seed: u64, reserve: usize, free: usize, windows: u64) -> Case {
     let bitmaps = if group_count > 1 { 2 } else { 1 };
     let width = ((free - 1) / bitmaps * page_size * 8) as u64;
     let domain = (windows - 1) * width + 1 + rng.below(width);
+    // Sublists in the domain's id width, as a climbing-index level stores
+    // them.
+    let id_bytes = id_width(domain);
+    let region_ids = ((reserve + free - 1) * page_size / id_bytes) as u64;
     let mut groups: Vec<Vec<IdSource>> = vec![Vec::new(); group_count];
     let mut sets: Vec<BTreeSet<Id>> = vec![BTreeSet::new(); group_count];
     for _ in 0..1 + rng.below(2) {
@@ -123,14 +94,15 @@ fn run_case(seed: u64, reserve: usize, free: usize, windows: u64) -> Case {
                 _ => 1 + rng.below(5),
             };
             lists.push(rng.ids(len, domain));
-            // Ids never straddle a page: gaps are whole ids.
+            // Gaps are whole id slots.
             gaps.push(match rng.below(4) {
-                0 => rng.below(150) as usize * ID_BYTES,
-                1 => rng.below(page_size as u64) as usize * ID_BYTES,
+                0 => rng.below(150),
+                1 => rng.below(page_size as u64),
                 _ => 0,
             });
         }
-        for (list, ids) in lay_out(&mut ctx, &lists, &gaps).into_iter().zip(&lists) {
+        let laid = testkit::lay_out(&mut ctx, &lists, &gaps, id_bytes).unwrap();
+        for (list, ids) in laid.into_iter().zip(&lists) {
             let gi = rng.below(group_count as u64) as usize;
             groups[gi].push(IdSource::Flash(list));
             sets[gi].extend(ids);

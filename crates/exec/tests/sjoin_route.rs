@@ -1,7 +1,8 @@
 //! SJoin's foreign-key route. When an SJoin projects exactly one SKT
 //! column and that table is a direct child of the SKT owner, the same ids
-//! sit in the owner's 4-byte fk column, and `sjoin_stream` reads each page
-//! group from whichever source `FlashTable::read_ns` prices cheaper.
+//! sit in the owner's fk column, one `id_width(|child|)`-byte cell a row,
+//! and `sjoin_stream` reads each page group (the SKT pages one fk-column
+//! page covers) from whichever source `FlashTable::read_ns` prices cheaper.
 //!
 //! 1. **Build** — on the synthetic and medical datasets, every direct-child
 //!    SKT column equals the owner's fk column, row for row: the two sources
@@ -17,7 +18,7 @@
 use ghostdb_datagen::{MedicalDataset, SyntheticDataset, SyntheticSpec};
 use ghostdb_exec::sjoin::sjoin_stream;
 use ghostdb_exec::{Database, ExecCtx, OpKind};
-use ghostdb_storage::{FlashTable, Id, TableId, ID_BYTES};
+use ghostdb_storage::{FlashTable, Id, TableId};
 use proptest::prelude::*;
 use std::sync::{Mutex, OnceLock};
 
@@ -72,9 +73,10 @@ fn medical_skt_columns_equal_fk_columns() {
 }
 
 /// The databases the route cases share: synthetic ×0.0005 (T0 = 5 000
-/// rows, ten fk-column pages of 512 ids, each holding four whole `SKT_T0`
-/// pages) and medical ×0.005 (6 500 measurements, whose 12-byte SKT rows
-/// do not nest in fk-column pages, so a page group can straddle two).
+/// rows, five `T0.fk1` pages of 1,024 2-byte ids, and 6-byte `SKT_T0`
+/// rows, 341 to a page, so a page group of three SKT pages is one id short
+/// of an fk-column page and groups straddle two) and medical ×0.005 (6 500
+/// measurements).
 fn shared_dbs() -> &'static [Mutex<Database>; 2] {
     static DBS: OnceLock<[Mutex<Database>; 2]> = OnceLock::new();
     DBS.get_or_init(|| {
@@ -186,7 +188,8 @@ proptest! {
         let plan = if ctx.cat.schema.parent(target) == Some(owner) {
             let fk = ctx.cat.fk_column(target).unwrap().table();
             let skt_rpp = skt.layout.rows_per_page(page_size) as u64;
-            let group = (page_size / ID_BYTES) as u64 / skt_rpp * skt_rpp;
+            let fk_rpp = fk.layout.rows_per_page(page_size) as u64;
+            let group = fk_rpp / skt_rpp * skt_rpp;
             ids.chunk_by(|a, b| a / group == b / group)
                 .map(|g| skt.read_ns(&timing, page_size, g).min(fk.read_ns(&timing, page_size, g)))
                 .sum()

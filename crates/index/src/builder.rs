@@ -10,7 +10,8 @@ use crate::climbing::{ClimbingIndex, LevelSpec, LEVEL_DESC_BYTES};
 use crate::skt::SubtreeKeyTable;
 use ghostdb_flash::{FlashDevice, SegmentAllocator};
 use ghostdb_storage::btree::BTree;
-use ghostdb_storage::row::RowLayout;
+use ghostdb_storage::idlist::{id_pages, slots_per_page};
+use ghostdb_storage::row::{id_width, RowLayout};
 use ghostdb_storage::{FlashTable, Id, Result, SchemaTree, StorageError, TableId};
 use std::collections::HashMap;
 
@@ -136,16 +137,21 @@ impl IndexBuilder {
             .iter()
             .map(|d| self.map_to_descendant(t, *d))
             .collect::<Result<_>>()?;
-        let layout = RowLayout::ids(descendants.len());
+        let widths: Vec<u64> = descendants.iter().map(|d| self.rows[*d]).collect();
+        let layout = RowLayout::id_cells(&widths);
         let fill_layout = layout.clone();
+        let mut bad = None;
         let flash = FlashTable::bulk_load_with(dev, alloc, layout, self.rows[t], |r, out| {
             for (c, m) in maps.iter().enumerate() {
-                fill_layout
-                    .field_mut(out, c)
-                    .copy_from_slice(&m[r as usize].to_le_bytes());
+                if let Err(e) = fill_layout.put_id(out, c, m[r as usize]) {
+                    bad.get_or_insert(e);
+                }
             }
         })?;
-        SubtreeKeyTable::new(&self.schema, t, flash)
+        if let Some(e) = bad {
+            return Err(e);
+        }
+        SubtreeKeyTable::new(&self.schema, &self.rows, t, flash)
     }
 
     /// Resolve a [`LevelSpec`] into concrete target tables for table `t`.
@@ -222,25 +228,31 @@ impl IndexBuilder {
             for k in &level_keys {
                 counts[rank[k] as usize] += 1;
             }
+            // Sublists back to back, one `width`-byte slot per id: the
+            // area's slots are contiguous, and each page takes the next
+            // `page_size / width` of them.
+            let width = id_width(self.rows[*level_table]);
             let mut offsets = vec![0u64; distinct.len()];
             let mut acc = 0u64;
             for (i, c) in counts.iter().enumerate() {
                 offsets[i] = acc;
-                acc += *c as u64 * 4;
+                acc += *c as u64;
             }
-            let mut area = vec![0u8; n * 4];
+            let mut area = vec![0u8; n * width];
             let mut cursor = offsets.clone();
-            for (r, k) in level_keys.iter().enumerate() {
-                let at = &mut cursor[rank[k] as usize];
-                area[*at as usize..*at as usize + 4].copy_from_slice(&(r as Id).to_le_bytes());
-                *at += 4;
+            match width {
+                1 => lay_ids::<1>(&mut area, &level_keys, &rank, &mut cursor),
+                2 => lay_ids::<2>(&mut area, &level_keys, &rank, &mut cursor),
+                3 => lay_ids::<3>(&mut area, &level_keys, &rank, &mut cursor),
+                _ => lay_ids::<4>(&mut area, &level_keys, &rank, &mut cursor),
             }
             // Write the packed area sequentially.
-            let seg = alloc.alloc_bytes((n as u64 * 4).max(1), page_size)?;
-            for (p, chunk) in area.chunks(page_size).enumerate() {
+            let seg = alloc.alloc(id_pages(n as u64, width, page_size))?;
+            let page_bytes = slots_per_page(width, page_size) as usize * width;
+            for (p, chunk) in area.chunks(page_bytes).enumerate() {
                 dev.write(seg.lpn(p as u64)?, chunk)?;
             }
-            areas.push(seg);
+            areas.push((seg, width));
             for (ki, payload) in payloads.iter_mut().enumerate() {
                 let at = li * LEVEL_DESC_BYTES;
                 payload[at..at + 8].copy_from_slice(&offsets[ki].to_le_bytes());
@@ -259,6 +271,24 @@ impl IndexBuilder {
             tree,
             areas,
         ))
+    }
+}
+
+/// Lay row `r` of a level table, keyed `keys[r]`, into the next slot of
+/// its key's sublist in `area`, `W` bytes a slot; `cursor[rank]` is the
+/// next free slot of each key. `W` is the level table's [`id_width`], so
+/// every row id fits.
+fn lay_ids<const W: usize>(
+    area: &mut [u8],
+    keys: &[u64],
+    rank: &HashMap<u64, u32>,
+    cursor: &mut [u64],
+) {
+    let (cells, _) = area.as_chunks_mut::<W>();
+    for (r, k) in keys.iter().enumerate() {
+        let slot = &mut cursor[rank[k] as usize];
+        cells[*slot as usize].copy_from_slice(&(r as Id).to_le_bytes()[..W]);
+        *slot += 1;
     }
 }
 

@@ -11,10 +11,13 @@
 //! leaf payloads hold, per level, an `(offset, count)` descriptor into that
 //! level's packed **ID area** (one contiguous segment per level, sublists
 //! back to back in key order — so a range scan touches each area
-//! sequentially).
+//! sequentially). The offset is an id slot: a level's ids take its table's
+//! [`id_width`]`(|T|)` bytes, as every [`IdList`] does.
 
 use ghostdb_flash::{FlashDevice, Segment};
 use ghostdb_storage::btree::{BTree, BTreeCursor};
+#[cfg(doc)]
+use ghostdb_storage::row::id_width;
 use ghostdb_storage::{IdList, Result, StorageError, TableId};
 use ghostdb_token::RamArena;
 
@@ -52,8 +55,9 @@ pub struct ClimbingIndex {
     /// Rows in the indexed table (selectivity estimation).
     pub rows: u64,
     tree: BTree,
-    /// Packed ID area per level (parallel to `levels`).
-    areas: Vec<Segment>,
+    /// Packed ID area per level and the width of its ids (parallel to
+    /// `levels`).
+    areas: Vec<(Segment, usize)>,
 }
 
 impl ClimbingIndex {
@@ -65,7 +69,7 @@ impl ClimbingIndex {
         exact: bool,
         rows: u64,
         tree: BTree,
-        areas: Vec<Segment>,
+        areas: Vec<(Segment, usize)>,
     ) -> Self {
         assert_eq!(levels.len(), areas.len());
         assert_eq!(tree.payload_size(), levels.len() * LEVEL_DESC_BYTES);
@@ -96,7 +100,7 @@ impl ClimbingIndex {
             + self
                 .areas
                 .iter()
-                .map(|a| a.pages() * page_size as u64)
+                .map(|(a, _)| a.pages() * page_size as u64)
                 .sum::<u64>()
     }
 
@@ -113,10 +117,12 @@ impl ClimbingIndex {
         let at = level * LEVEL_DESC_BYTES;
         let offset = u64::from_le_bytes(std::array::from_fn(|i| payload[at + i]));
         let count = u32::from_le_bytes(std::array::from_fn(|i| payload[at + 8 + i]));
+        let (segment, width) = self.areas[level];
         IdList {
-            segment: self.areas[level],
-            byte_offset: offset,
+            segment,
+            start: offset,
             count: count as u64,
+            width,
         }
     }
 }

@@ -1,14 +1,16 @@
 //! Exact storage-size model for the Figure 7 comparison.
 //!
 //! Sizes are computed from the same layout formulas the builders use
-//! (`BTree::pages_needed`, `RowLayout::pages_for`, packed 4-byte ID areas),
-//! so the model is exact for this implementation — a property the tests
-//! check by physically building small instances and comparing.
+//! (`BTree::pages_needed`, `RowLayout::pages_for`, ID areas of
+//! [`id_width`]`(|T|)`-byte slots), so the model is exact for this
+//! implementation — a property the tests check by physically building
+//! small instances and comparing.
 
 use crate::climbing::{LevelSpec, LEVEL_DESC_BYTES};
 use crate::schemes::IndexScheme;
 use ghostdb_storage::btree::BTree;
-use ghostdb_storage::row::RowLayout;
+use ghostdb_storage::idlist::id_pages;
+use ghostdb_storage::row::{id_width, RowLayout};
 use ghostdb_storage::{SchemaTree, TableId};
 
 /// Inputs of the size model.
@@ -36,17 +38,18 @@ pub fn db_raw_bytes(schema: &SchemaTree, rows: &[u64]) -> u64 {
         .sum()
 }
 
-fn pages_bytes(bytes: u64, page_size: usize) -> u64 {
-    bytes.div_ceil(page_size as u64).max(1) * page_size as u64
+/// Bytes of the page-rounded ID area holding `count` ids of table `t`.
+fn area_bytes(rows: &[u64], t: TableId, count: u64, page_size: usize) -> u64 {
+    id_pages(count, id_width(rows[t]), page_size) * page_size as u64
 }
 
 /// Size of one SKT in bytes (page-rounded).
 pub fn skt_bytes(schema: &SchemaTree, rows: &[u64], t: TableId, page_size: usize) -> u64 {
-    let desc = schema.descendants(t).len();
-    if desc == 0 {
+    let desc: Vec<u64> = schema.descendants(t).iter().map(|d| rows[*d]).collect();
+    if desc.is_empty() {
         return 0;
     }
-    RowLayout::ids(desc).pages_for(rows[t], page_size) * page_size as u64
+    RowLayout::id_cells(&desc).pages_for(rows[t], page_size) * page_size as u64
 }
 
 /// Size of one climbing index in bytes: B+-tree pages plus the packed ID
@@ -82,7 +85,7 @@ pub fn climbing_bytes(
     let tree = BTree::pages_needed(distinct, page_size, payload) * page_size as u64;
     let areas: u64 = levels
         .iter()
-        .map(|l| pages_bytes(rows[*l] * 4, page_size))
+        .map(|l| area_bytes(rows, *l, rows[*l], page_size))
         .sum();
     tree + areas
 }
@@ -129,7 +132,7 @@ pub fn scheme_index_bytes(scheme: IndexScheme, input: &SizeModelInput<'_>) -> u6
         if scheme.has_fk_join_indexes() {
             for child in schema.children(t) {
                 let tree = BTree::pages_needed(rows[*child], page, LEVEL_DESC_BYTES) * page as u64;
-                let area = pages_bytes(rows[t] * 4, page);
+                let area = area_bytes(rows, t, rows[t], page);
                 total += tree + area;
             }
         }
@@ -207,6 +210,9 @@ mod tests {
     fn figure7_ordering_matches_paper() {
         // Paper: FullIndex ≳ BasicIndex > StarIndex > JoinIndex at any x ≥ 1,
         // with Full ≈ Basic ("the small difference between these two curves").
+        // Narrow stored ids swap the last two at these cardinalities (see
+        // below; at the paper's ×1, where every id takes 3 bytes, they keep
+        // the paper's order: README "Figure 7 deviation").
         // Ordering is an asymptotic property: use paper-shaped cardinalities
         // (model only, nothing is built).
         let schema = paper_synthetic_schema(5, 5);
@@ -235,7 +241,11 @@ mod tests {
             let join = scheme_index_bytes(IndexScheme::Join, &input);
             assert!(full >= basic, "x={x}: full {full} < basic {basic}");
             assert!(basic > star, "x={x}: basic {basic} <= star {star}");
-            assert!(star > join || x == 0, "x={x}: star {star} <= join {join}");
+            // Deviation: the paper has StarIndex above JoinIndex. With every
+            // id in `id_width(|T|)` bytes the root's SKT shrinks from 16 to
+            // 10 bytes a row here, and StarIndex ends about 1 MB (2.5–6%)
+            // below JoinIndex, whose B+-tree descriptors stay 12 bytes.
+            assert!(star < join, "x={x}: star {star} >= join {join}");
             // Full ≈ Basic: within 20% (paper: "small difference").
             assert!(
                 (full as f64 - basic as f64) / full as f64 <= 0.2,

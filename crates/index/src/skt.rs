@@ -6,13 +6,20 @@
 //! eliminates the need to store those identifiers"), holding the id of the
 //! unique joining tuple of every descendant table in DFS pre-order.
 //!
+//! Each id takes its descendant table's [`id_width`]`(|Ti|)` bytes, so a
+//! row's layout is a function of public row counts only: at the synthetic
+//! schema's ×0.02 scale an `SKT_T0` row holds four 2-byte ids, 8 bytes.
+//!
 //! The `SJoin` operator semi-joins a sorted list of `T` ids against this
 //! table with a single ascending pass, projecting any subset of descendant
 //! id columns. The column of a direct child `C` holds the same ids as `T`'s
 //! hidden foreign-key column into `C` (both are built from one `FkData`
-//! array), so when `C` is the only column an SJoin needs, it reads that
-//! 4-byte column instead wherever it is cheaper than these wider rows.
+//! array, at the same width), so when `C` is the only column an SJoin
+//! needs, it reads that narrower column instead wherever it is cheaper
+//! than these wider rows.
 
+#[cfg(doc)]
+use ghostdb_storage::row::id_width;
 use ghostdb_storage::row::RowLayout;
 use ghostdb_storage::{FlashTable, Result, SchemaTree, StorageError, TableId};
 
@@ -23,14 +30,20 @@ pub struct SubtreeKeyTable {
     pub table: TableId,
     /// Descendant tables, in DFS pre-order — the column order of each row.
     pub descendants: Vec<TableId>,
-    /// The rows on flash: layout = `ids(descendants.len())`, sorted by the
-    /// implicit owner id.
+    /// The rows on flash: one id cell per descendant, each
+    /// [`id_width`] of that table's rows, sorted by the implicit owner id.
     pub flash: FlashTable,
 }
 
 impl SubtreeKeyTable {
-    /// Wrap a built flash table (used by `IndexBuilder`).
-    pub fn new(schema: &SchemaTree, table: TableId, flash: FlashTable) -> Result<SubtreeKeyTable> {
+    /// Wrap a built flash table (used by `IndexBuilder`); `rows[t]` is the
+    /// cardinality of table `t`.
+    pub fn new(
+        schema: &SchemaTree,
+        rows: &[u64],
+        table: TableId,
+        flash: FlashTable,
+    ) -> Result<SubtreeKeyTable> {
         let descendants = schema.descendants(table);
         if descendants.is_empty() {
             return Err(StorageError::Schema(format!(
@@ -38,7 +51,8 @@ impl SubtreeKeyTable {
                 schema.def(table).name
             )));
         }
-        if flash.layout != RowLayout::ids(descendants.len()) {
+        let widths: Vec<u64> = descendants.iter().map(|d| rows[*d]).collect();
+        if flash.layout != RowLayout::id_cells(&widths) {
             return Err(StorageError::Corrupt("SKT layout mismatch".into()));
         }
         Ok(SubtreeKeyTable {

@@ -68,11 +68,15 @@ impl RefDb {
         Ok(id)
     }
 
-    /// Value of `(table, column)` for a root row.
+    /// Value of `(table, column)` for a root row; a foreign-key column
+    /// holds the id it references.
     fn value(&self, root_row: u32, t: TableId, column: &str) -> Result<Value> {
         let id = self.join_id(root_row, t)?;
         if column == "id" {
             return Ok(Value::Int(id as i64));
+        }
+        if let Some(fk) = self.tables[t].fks.get(column) {
+            return Ok(Value::Int(fk[id as usize].into()));
         }
         let col = self.tables[t]
             .columns

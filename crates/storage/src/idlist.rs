@@ -1,26 +1,46 @@
 //! Sorted ID lists on flash — the currency of every GhostDB operator.
 //!
 //! Climbing-index entries yield sorted sublists of IDs; `Merge` consumes and
-//! produces them; Bloom filters are built from them. On flash they are
-//! packed little-endian `u32` runs. A run may start at any byte offset
-//! inside a shared segment (climbing-index payload areas pack thousands of
-//! runs back to back); readers therefore handle arbitrary offsets and charge
-//! exactly the bytes they pull through the data register.
+//! produces them; Bloom filters are built from them. On flash an id takes
+//! its table's [`id_width`]`(|T|)` bytes, little-endian, a function of the
+//! table's public row count only. A list addresses its ids by *slot*: a
+//! page holds `page_size / width` slots and no id straddles a page (at
+//! width 3 each 2 KB page leaves 2 bytes unused; at width 4 the layout is
+//! packed `u32`s). A run may start at any slot inside a shared segment
+//! (climbing-index payload areas pack thousands of runs back to back);
+//! readers therefore handle arbitrary starts and charge exactly the bytes
+//! they pull through the data register.
 
 use crate::error::StorageError;
-use crate::{bytes_at, Id, Result, ID_BYTES};
+#[cfg(doc)]
+use crate::row::id_width;
+use crate::row::{get_id_cell, put_id_cell};
+use crate::{Id, Result, ID_BYTES};
 use ghostdb_flash::{FlashDevice, Segment, SegmentAllocator};
 use ghostdb_token::{RamArena, RamBuffer};
+use std::ops::Range;
+
+/// Id slots of `width` bytes in one page.
+pub fn slots_per_page(width: usize, page_size: usize) -> u64 {
+    (page_size / width) as u64
+}
+
+/// Pages holding `count` ids of `width` bytes from slot 0 (at least one).
+pub fn id_pages(count: u64, width: usize, page_size: usize) -> u64 {
+    count.div_ceil(slots_per_page(width, page_size)).max(1)
+}
 
 /// A sorted run of IDs somewhere on flash.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IdList {
     /// Segment holding the run (possibly shared with other runs).
     pub segment: Segment,
-    /// Byte offset of the first ID within the segment.
-    pub byte_offset: u64,
+    /// Slot of the first ID within the segment.
+    pub start: u64,
     /// Number of IDs.
     pub count: u64,
+    /// Bytes per ID (1–4).
+    pub width: usize,
 }
 
 impl IdList {
@@ -28,14 +48,33 @@ impl IdList {
     pub fn empty() -> Self {
         IdList {
             segment: Segment::EMPTY,
-            byte_offset: 0,
+            start: 0,
             count: 0,
+            width: 1,
         }
     }
 
-    /// Bytes occupied on flash.
+    /// Bytes of ids on flash (page tails left unused not included).
     pub fn bytes(&self) -> u64 {
-        self.count * ID_BYTES as u64
+        self.count * self.width as u64
+    }
+
+    /// The pages the list touches (empty for an empty list).
+    pub fn pages(&self, page_size: usize) -> Range<u64> {
+        if self.count == 0 {
+            return 0..0;
+        }
+        let spp = slots_per_page(self.width, page_size);
+        self.start / spp..(self.start + self.count - 1) / spp + 1
+    }
+
+    /// The in-page byte range of page `page` that the list's ids occupy
+    /// (one of [`IdList::pages`]).
+    pub fn bytes_on(&self, page: u64, page_size: usize) -> Range<usize> {
+        let spp = slots_per_page(self.width, page_size);
+        let lo = self.start.max(page * spp) - page * spp;
+        let hi = (self.start + self.count).min((page + 1) * spp) - page * spp;
+        lo as usize * self.width..hi as usize * self.width
     }
 }
 
@@ -51,15 +90,17 @@ pub struct IdListWriter {
     next_page: u64,
     count: u64,
     last: Option<Id>,
+    width: usize,
     page_size: usize,
 }
 
 impl IdListWriter {
-    /// Create a writer for up to `max_ids` IDs.
+    /// Create a writer for up to `max_ids` IDs of `width` bytes (1–4).
     pub fn create(
         alloc: &mut SegmentAllocator,
         ram: &RamArena,
         max_ids: u64,
+        width: usize,
         page_size: usize,
     ) -> Result<Self> {
         assert_eq!(
@@ -67,10 +108,11 @@ impl IdListWriter {
             page_size,
             "RAM buffer must equal the flash I/O unit"
         );
+        assert!((1..=ID_BYTES).contains(&width), "id width {width}");
         // The buffer first: a segment allocated before a failed buffer
         // would be lost to the caller.
         let buf = ram.alloc()?;
-        let segment = alloc.alloc_bytes((max_ids * ID_BYTES as u64).max(1), page_size)?;
+        let segment = alloc.alloc(id_pages(max_ids, width, page_size))?;
         Ok(IdListWriter {
             segment,
             buf,
@@ -78,12 +120,14 @@ impl IdListWriter {
             next_page: 0,
             count: 0,
             last: None,
+            width,
             page_size,
         })
     }
 
     /// Append an ID. IDs must arrive in non-decreasing order; duplicates are
-    /// collapsed (all GhostDB lists are sets of tuple IDs).
+    /// collapsed (all GhostDB lists are sets of tuple IDs). An ID the width
+    /// cannot hold is [`StorageError::IdTooWide`].
     pub fn push(&mut self, dev: &mut FlashDevice, id: Id) -> Result<()> {
         if let Some(last) = self.last {
             if id == last {
@@ -95,12 +139,12 @@ impl IdListWriter {
                 )));
             }
         }
-        self.last = Some(id);
-        if self.in_buf + ID_BYTES > self.page_size {
+        if self.in_buf + self.width > self.page_size {
             self.flush(dev)?;
         }
-        self.buf[self.in_buf..self.in_buf + ID_BYTES].copy_from_slice(&id.to_le_bytes());
-        self.in_buf += ID_BYTES;
+        put_id_cell(&mut self.buf[self.in_buf..self.in_buf + self.width], id)?;
+        self.last = Some(id);
+        self.in_buf += self.width;
         self.count += 1;
         Ok(())
     }
@@ -121,8 +165,9 @@ impl IdListWriter {
         self.flush(dev)?;
         Ok(IdList {
             segment: self.segment,
-            byte_offset: 0,
+            start: 0,
             count: self.count,
+            width: self.width,
         })
     }
 
@@ -137,8 +182,10 @@ impl IdListWriter {
 pub struct IdListReader {
     list: IdList,
     buf: RamBuffer,
-    /// Page of the segment currently in the buffer, if any.
-    buffered_page: Option<u64>,
+    /// Bytes of the buffer holding ids not yet delivered.
+    held: Range<usize>,
+    /// The next page of the list to load.
+    next_page: u64,
     /// Next element index to deliver.
     pos: u64,
     page_size: usize,
@@ -153,7 +200,8 @@ impl IdListReader {
         Ok(IdListReader {
             list,
             buf: ram.alloc()?,
-            buffered_page: None,
+            held: 0..0,
+            next_page: list.pages(page_size).start,
             pos: 0,
             page_size,
             lookahead: None,
@@ -170,22 +218,21 @@ impl IdListReader {
         self.list.count - self.pos + self.lookahead.is_some() as u64
     }
 
-    fn load_id(&mut self, dev: &mut FlashDevice, idx: u64) -> Result<Id> {
-        let byte = self.list.byte_offset + idx * ID_BYTES as u64;
-        let page = byte / self.page_size as u64;
-        let off = (byte % self.page_size as u64) as usize;
-        if self.buffered_page != Some(page) {
-            // Pull the relevant part of the page: from this ID to the end of
-            // the page or the end of the run, whichever comes first.
-            let run_end = self.list.byte_offset + self.list.bytes();
-            let page_end = (page + 1) * self.page_size as u64;
-            let want = (run_end.min(page_end) - byte) as usize;
+    /// The next id of a list not yet exhausted. A page is read when its
+    /// first id is wanted, and only the bytes its ids of the run occupy.
+    fn load_next(&mut self, dev: &mut FlashDevice) -> Result<Id> {
+        if self.held.is_empty() {
+            let page = self.next_page;
+            let bytes = self.list.bytes_on(page, self.page_size);
             let lpn = self.list.segment.lpn(page)?;
-            // Read into the buffer aligned at `off` so in-page offsets match.
-            dev.read(lpn, off, &mut self.buf[off..off + want])?;
-            self.buffered_page = Some(page);
+            // Read into the buffer at the same offsets as on the page.
+            dev.read(lpn, bytes.start, &mut self.buf[bytes.clone()])?;
+            self.held = bytes;
+            self.next_page += 1;
         }
-        Ok(Id::from_le_bytes(bytes_at(&self.buf, off)))
+        let at = self.held.start;
+        self.held.start += self.list.width;
+        Ok(get_id_cell(&self.buf[at..self.held.start]))
     }
 
     /// Next ID, or `None` at the end.
@@ -196,7 +243,7 @@ impl IdListReader {
         if self.pos >= self.list.count {
             return Ok(None);
         }
-        let id = self.load_id(dev, self.pos)?;
+        let id = self.load_next(dev)?;
         self.pos += 1;
         Ok(Some(id))
     }
@@ -292,15 +339,16 @@ pub fn union_sorted(a: &[Id], b: &[Id]) -> Vec<Id> {
     out
 }
 
-/// Write a host-side slice of sorted IDs as a fresh list (bulk-load paths
-/// and tests). Charges normal sequential write I/O.
+/// Write a host-side slice of sorted IDs as a fresh list of `width`-byte
+/// ids (bulk-load paths and tests). Charges normal sequential write I/O.
 pub fn write_id_list(
     dev: &mut FlashDevice,
     alloc: &mut SegmentAllocator,
     ram: &RamArena,
+    width: usize,
     ids: &[Id],
 ) -> Result<IdList> {
-    let mut w = IdListWriter::create(alloc, ram, ids.len() as u64, dev.page_size())?;
+    let mut w = IdListWriter::create(alloc, ram, ids.len() as u64, width, dev.page_size())?;
     for id in ids {
         w.push(dev, *id)?;
     }
@@ -328,7 +376,7 @@ mod tests {
         let ram = RamArena::new(dev.page_size(), 1);
         let _held = ram.alloc().unwrap();
         let free = alloc.free_pages();
-        assert!(IdListWriter::create(&mut alloc, &ram, 1000, dev.page_size()).is_err());
+        assert!(IdListWriter::create(&mut alloc, &ram, 1000, 4, dev.page_size()).is_err());
         assert_eq!(alloc.free_pages(), free);
     }
 
@@ -336,7 +384,7 @@ mod tests {
     fn roundtrip_multi_page() {
         let (mut dev, mut alloc, ram) = setup();
         let ids: Vec<Id> = (0..3000).map(|i| i * 3).collect();
-        let list = write_id_list(&mut dev, &mut alloc, &ram, &ids).unwrap();
+        let list = write_id_list(&mut dev, &mut alloc, &ram, 4, &ids).unwrap();
         assert_eq!(list.count, 3000);
         let r = IdListReader::open(list, &ram, dev.page_size()).unwrap();
         assert_eq!(r.drain(&mut dev).unwrap(), ids);
@@ -345,7 +393,7 @@ mod tests {
     #[test]
     fn duplicates_collapse_and_unsorted_rejected() {
         let (mut dev, mut alloc, ram) = setup();
-        let mut w = IdListWriter::create(&mut alloc, &ram, 10, dev.page_size()).unwrap();
+        let mut w = IdListWriter::create(&mut alloc, &ram, 10, 4, dev.page_size()).unwrap();
         w.push(&mut dev, 5).unwrap();
         w.push(&mut dev, 5).unwrap();
         w.push(&mut dev, 6).unwrap();
@@ -357,7 +405,7 @@ mod tests {
     #[test]
     fn peek_does_not_consume() {
         let (mut dev, mut alloc, ram) = setup();
-        let list = write_id_list(&mut dev, &mut alloc, &ram, &[1, 2, 3]).unwrap();
+        let list = write_id_list(&mut dev, &mut alloc, &ram, 4, &[1, 2, 3]).unwrap();
         let mut r = IdListReader::open(list, &ram, dev.page_size()).unwrap();
         assert_eq!(r.peek(&mut dev).unwrap(), Some(1));
         assert_eq!(r.peek(&mut dev).unwrap(), Some(1));
@@ -384,8 +432,9 @@ mod tests {
         }
         let run_b = IdList {
             segment: seg,
-            byte_offset: ids_a.len() as u64 * 4,
+            start: ids_a.len() as u64,
             count: ids_b.len() as u64,
+            width: 4,
         };
         let r = IdListReader::open(run_b, &ram, page).unwrap();
         assert_eq!(r.drain(&mut dev).unwrap(), ids_b);
@@ -395,13 +444,39 @@ mod tests {
     fn reader_charges_exact_bytes() {
         let (mut dev, mut alloc, ram) = setup();
         let ids: Vec<Id> = (0..1000).collect(); // 4000 bytes: 1 full page + 1952
-        let list = write_id_list(&mut dev, &mut alloc, &ram, &ids).unwrap();
+        let list = write_id_list(&mut dev, &mut alloc, &ram, 4, &ids).unwrap();
         let snap = dev.snapshot();
         let r = IdListReader::open(list, &ram, dev.page_size()).unwrap();
         r.drain(&mut dev).unwrap();
         let d = dev.stats_since(&snap);
         assert_eq!(d.pages_read, 2);
         assert_eq!(d.bytes_to_ram, 4000);
+    }
+
+    #[test]
+    fn narrow_ids_take_their_width_and_never_straddle_a_page() {
+        let (mut dev, mut alloc, ram) = setup();
+        // Width 3: 682 slots a page, the last 2 bytes of each page unused.
+        let ids: Vec<Id> = (0..1500).map(|i| i * 11).collect();
+        let list = write_id_list(&mut dev, &mut alloc, &ram, 3, &ids).unwrap();
+        assert_eq!((list.width, list.bytes()), (3, 4500));
+        assert_eq!(list.pages(dev.page_size()), 0..3);
+        assert_eq!(list.bytes_on(1, dev.page_size()), 0..2046);
+        let snap = dev.snapshot();
+        let r = IdListReader::open(list, &ram, dev.page_size()).unwrap();
+        assert_eq!(r.drain(&mut dev).unwrap(), ids);
+        let d = dev.stats_since(&snap);
+        assert_eq!((d.pages_read, d.bytes_to_ram), (3, 4500));
+        // An id its width cannot hold is refused, not truncated.
+        let mut w = IdListWriter::create(&mut alloc, &ram, 2, 2, dev.page_size()).unwrap();
+        w.push(&mut dev, 65_535).unwrap();
+        assert_eq!(
+            w.push(&mut dev, 65_536).unwrap_err(),
+            StorageError::IdTooWide {
+                id: 65_536,
+                width: 2
+            }
+        );
     }
 
     #[test]
@@ -472,7 +547,7 @@ mod tests {
     fn writer_respects_ram_budget() {
         let (dev, mut alloc, _ram) = setup();
         let tiny_ram = RamArena::new(dev.page_size(), 1);
-        let w = IdListWriter::create(&mut alloc, &tiny_ram, 10, dev.page_size()).unwrap();
+        let w = IdListWriter::create(&mut alloc, &tiny_ram, 10, 4, dev.page_size()).unwrap();
         // Arena exhausted: a reader cannot open concurrently.
         let list = IdList::empty();
         assert!(IdListReader::open(list, &tiny_ram, dev.page_size()).is_err());

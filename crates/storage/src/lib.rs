@@ -45,7 +45,8 @@ pub type Result<T> = std::result::Result<T, StorageError>;
 /// A tuple identifier (the paper's 4-byte surrogate `id`).
 pub type Id = u32;
 
-/// Width in bytes of an encoded [`Id`] on flash and on the wire.
+/// Width in bytes of an [`Id`] in RAM and in the padded wire format. On
+/// flash an id takes [`row::id_width`]`(|T|)` bytes, at most this.
 pub const ID_BYTES: usize = 4;
 
 /// The `N` bytes of `buf` at `at`, as an array: the fixed-width field

@@ -4,10 +4,11 @@
 //! offset of any field are pure arithmetic (no directories, no slots) and
 //! rows never span pages — a row's page holds `page_size / row_size` rows.
 //!
-//! An id field is 1–4 bytes wide. Base data (SKT rows, hidden foreign-key
-//! columns) keeps 4-byte ids; a query temporary sizes each id cell by its
-//! table's public row count ([`id_width`]), so the width never depends on
-//! hidden data.
+//! An id field is 1–4 bytes wide. Every id the token stores, in base data
+//! (SKT rows, hidden foreign-key columns, climbing-index sublists) and in
+//! query temporaries alike, takes its table's [`id_width`]`(|T|)` bytes: a
+//! function of the table's public row count, so the width never depends
+//! on hidden data.
 
 use crate::{Id, Result, StorageError, ID_BYTES};
 
@@ -16,6 +17,38 @@ use crate::{Id, Result, StorageError, ID_BYTES};
 pub fn id_width(rows: u64) -> usize {
     let bits = (u64::BITS - rows.saturating_sub(1).leading_zeros()) as usize;
     bits.div_ceil(8).clamp(1, ID_BYTES)
+}
+
+/// Decode one little-endian id cell of 1–4 bytes.
+#[inline]
+pub fn get_id_cell(cell: &[u8]) -> Id {
+    match *cell {
+        [a] => Id::from(a),
+        [a, b] => Id::from_le_bytes([a, b, 0, 0]),
+        [a, b, c] => Id::from_le_bytes([a, b, c, 0]),
+        [a, b, c, d] => Id::from_le_bytes([a, b, c, d]),
+        _ => panic!("an id cell is 1–4 bytes, not {}", cell.len()),
+    }
+}
+
+/// Encode `id` into the 1–4 byte `cell`. An id the cell cannot hold is
+/// [`StorageError::IdTooWide`], never truncated.
+#[inline]
+pub fn put_id_cell(cell: &mut [u8], id: Id) -> Result<()> {
+    let [b0, b1, b2, b3] = id.to_le_bytes();
+    match cell {
+        [a] if id >> 8 == 0 => *a = b0,
+        [a, b] if id >> 16 == 0 => (*a, *b) = (b0, b1),
+        [a, b, c] if id >> 24 == 0 => (*a, *b, *c) = (b0, b1, b2),
+        [a, b, c, d] => (*a, *b, *c, *d) = (b0, b1, b2, b3),
+        _ => {
+            return Err(StorageError::IdTooWide {
+                id,
+                width: cell.len(),
+            })
+        }
+    }
+    Ok(())
 }
 
 /// Layout of a fixed-width record: field widths and cumulative offsets.
@@ -44,13 +77,9 @@ impl RowLayout {
         }
     }
 
-    /// Layout of `n` 4-byte id columns (SKT rows, foreign-key columns).
-    pub fn ids(n: usize) -> Self {
-        RowLayout::new(&vec![ID_BYTES; n])
-    }
-
     /// Layout of one id column per table of `rows[i]` rows, each cell
-    /// [`id_width`]`(rows[i])` bytes (query temporaries).
+    /// [`id_width`]`(rows[i])` bytes (SKT rows, foreign-key columns, query
+    /// temporaries).
     pub fn id_cells(rows: &[u64]) -> Self {
         let widths: Vec<usize> = rows.iter().map(|r| id_width(*r)).collect();
         RowLayout::new(&widths)
@@ -89,23 +118,13 @@ impl RowLayout {
     /// Read id field `i`: its 1–4 bytes, little-endian.
     pub fn get_id(&self, row: &[u8], i: usize) -> Id {
         debug_assert!(self.widths[i] <= ID_BYTES, "field {i} is not an id column");
-        let mut cell = [0u8; ID_BYTES];
-        cell[..self.widths[i]].copy_from_slice(self.field(row, i));
-        Id::from_le_bytes(cell)
+        get_id_cell(self.field(row, i))
     }
 
     /// Write id field `i` little-endian in its width. An id the width
     /// cannot hold is [`StorageError::IdTooWide`], never truncated.
     pub fn put_id(&self, row: &mut [u8], i: usize, id: Id) -> Result<()> {
-        let width = self.widths[i];
-        let bytes = id.to_le_bytes();
-        match bytes.get(..width) {
-            Some(cell) if bytes[width..].iter().all(|b| *b == 0) => {
-                self.field_mut(row, i).copy_from_slice(cell);
-                Ok(())
-            }
-            _ => Err(StorageError::IdTooWide { id, width }),
-        }
+        put_id_cell(self.field_mut(row, i), id)
     }
 
     /// Records that fit in one page (records never span pages).
@@ -168,7 +187,7 @@ mod tests {
 
     #[test]
     fn paging_math() {
-        let l = RowLayout::ids(4); // 16-byte rows
+        let l = RowLayout::new(&[4; 4]); // 16-byte rows
         assert_eq!(l.rows_per_page(2048), 128);
         assert_eq!(l.locate(0, 2048), (0, 0));
         assert_eq!(l.locate(127, 2048), (0, 127 * 16));

@@ -9,6 +9,8 @@
 //! Row tables hold multi-ID records in id order (SKTs, `SJoin` results).
 
 use crate::error::StorageError;
+#[cfg(doc)]
+use crate::row::id_width;
 use crate::row::RowLayout;
 use crate::value::{ColumnType, Value};
 use crate::{Id, Result, ID_BYTES};
@@ -21,6 +23,9 @@ use std::ops::Range;
 /// On flash it is a one-field row table: a page holds `page_size / width`
 /// values, exactly what [`RowLayout::new`]`(&[width])` gives, so every read
 /// of it goes through [`FlashTableReader`] and decodes the bytes it returns.
+/// A foreign-key column ([`HiddenColumn::bulk_load_ids`]) stores each id in
+/// its referenced table's [`id_width`] bytes, not its declared width, and
+/// decodes them as unsigned ids.
 #[derive(Debug, Clone)]
 pub struct HiddenColumn {
     /// Column name.
@@ -28,6 +33,8 @@ pub struct HiddenColumn {
     /// Declared type (fixed width).
     pub ty: ColumnType,
     table: FlashTable,
+    /// Whether the cells are unsigned id cells (a foreign key).
+    ids: bool,
 }
 
 impl HiddenColumn {
@@ -56,6 +63,37 @@ impl HiddenColumn {
             name: name.into(),
             ty,
             table,
+            ids: false,
+        })
+    }
+
+    /// Bulk-load a foreign-key column of `INT` declared type: `ids[r]` is
+    /// row `r`'s id in the referenced table of `referenced_rows` rows, stored
+    /// in [`id_width`]`(referenced_rows)` bytes. An id that width cannot
+    /// hold is [`StorageError::IdTooWide`].
+    pub fn bulk_load_ids(
+        dev: &mut FlashDevice,
+        alloc: &mut SegmentAllocator,
+        name: &str,
+        referenced_rows: u64,
+        ids: &[Id],
+    ) -> Result<Self> {
+        let layout = RowLayout::id_cells(&[referenced_rows]);
+        let fill_layout = layout.clone();
+        let mut bad = None;
+        let table = FlashTable::bulk_load_with(dev, alloc, layout, ids.len() as u64, |r, cell| {
+            if let Err(e) = fill_layout.put_id(cell, 0, ids[r as usize]) {
+                bad.get_or_insert(e);
+            }
+        })?;
+        if let Some(e) = bad {
+            return Err(e);
+        }
+        Ok(HiddenColumn {
+            name: name.into(),
+            ty: ColumnType::int(),
+            table,
+            ids: true,
         })
     }
 
@@ -87,15 +125,24 @@ impl HiddenColumn {
         &self.table
     }
 
+    /// Bytes of one stored cell.
+    pub fn width(&self) -> usize {
+        self.table.layout.size()
+    }
+
     /// Decode one stored value (bytes handed back by a reader over
-    /// [`HiddenColumn::table`]).
+    /// [`HiddenColumn::table`]). An id cell decodes unsigned, whatever its
+    /// width.
     pub fn decode(&self, bytes: &[u8]) -> Value {
+        if self.ids {
+            return Value::Int(self.table.layout.get_id(bytes, 0).into());
+        }
         Value::decode(&self.ty, bytes)
     }
 
     /// Random access to one value (charges a page load + `width` bytes).
     pub fn get(&self, dev: &mut FlashDevice, row: Id) -> Result<Value> {
-        let mut buf = vec![0u8; self.ty.width()];
+        let mut buf = vec![0u8; self.width()];
         self.table.read_row(dev, row as u64, &mut buf)?;
         Ok(self.decode(&buf))
     }
@@ -668,7 +715,7 @@ mod tests {
         let ram = RamArena::new(dev.page_size(), 1);
         let _held = ram.alloc().unwrap();
         let free = alloc.free_pages();
-        let layout = RowLayout::ids(1);
+        let layout = RowLayout::new(&[4; 1]);
         assert!(FlashTableWriter::create(&mut alloc, &ram, layout, 1000, dev.page_size()).is_err());
         assert_eq!(alloc.free_pages(), free);
     }
@@ -700,7 +747,7 @@ mod tests {
     #[test]
     fn flash_table_writer_reader_roundtrip() {
         let (mut dev, mut alloc, ram) = setup();
-        let layout = RowLayout::ids(3);
+        let layout = RowLayout::new(&[4; 3]);
         let mut w =
             FlashTableWriter::create(&mut alloc, &ram, layout.clone(), 1000, dev.page_size())
                 .unwrap();
@@ -725,7 +772,7 @@ mod tests {
     #[test]
     fn flash_table_skip_access() {
         let (mut dev, mut alloc, ram) = setup();
-        let layout = RowLayout::ids(2);
+        let layout = RowLayout::new(&[4; 2]);
         let rows: Vec<Vec<u8>> = (0..500u32)
             .map(|i| {
                 let mut row = vec![0u8; 8];
@@ -976,7 +1023,7 @@ mod tests {
     #[test]
     fn random_row_read() {
         let (mut dev, mut alloc, _ram) = setup();
-        let layout = RowLayout::ids(1);
+        let layout = RowLayout::new(&[4; 1]);
         let rows: Vec<Vec<u8>> = (0..300u32)
             .map(|i| (i * 5).to_le_bytes().to_vec())
             .collect();
@@ -1010,5 +1057,24 @@ mod tests {
         assert!(image.column("h1").is_ok());
         assert!(image.column("nope").is_err());
         assert_eq!(image.bytes(), 4);
+    }
+
+    #[test]
+    fn foreign_key_columns_store_narrow_unsigned_ids() {
+        let (mut dev, mut alloc, _ram) = setup();
+        // 40 000 referenced rows: 2-byte cells, whose top bit is set for
+        // every id from 32 768 on.
+        let ids: Vec<Id> = (0..3000).map(|r| r * 13 % 40_000).collect();
+        let col = HiddenColumn::bulk_load_ids(&mut dev, &mut alloc, "fk", 40_000, &ids).unwrap();
+        assert_eq!((col.width(), col.ty), (2, ColumnType::int()));
+        assert_eq!(col.table().pages(dev.page_size()), 3);
+        for r in [0u32, 2600, 2999] {
+            let want = Value::Int(ids[r as usize].into());
+            assert_eq!(col.get(&mut dev, r).unwrap(), want, "row {r}");
+        }
+        assert!(ids.iter().any(|id| *id >= 32_768));
+        let err =
+            HiddenColumn::bulk_load_ids(&mut dev, &mut alloc, "fk", 256, &[0, 256]).unwrap_err();
+        assert_eq!(err, StorageError::IdTooWide { id: 256, width: 1 });
     }
 }

@@ -1,13 +1,15 @@
 //! The optimizer's cutoffs sit at this system's own forced-strategy
 //! crossovers. Each test sweeps a selectivity over a log grid on a small
-//! synthetic dataset (×0.002, T0 = 20 000), runs the competing forced
-//! plans at every point, and checks that the committed cutoff lies within
-//! one grid step of the first point where the cheaper plan changes.
+//! synthetic dataset (×0.01, T0 = 100 000: the smallest scale whose stored
+//! ids have the workloads' widths, 3 bytes for T0 and 2 for the other
+//! tables), runs the competing forced plans at every point, and checks
+//! that the committed cutoff lies within one grid step of the first point
+//! where the cheaper plan changes.
 
 use ghostdb_datagen::{SyntheticDataset, SyntheticSpec};
 use ghostdb_exec::optimizer::{
-    CROSS_PRE_CUTOFF, DEFER_RATIO, HIDDEN_ROOT_PRE_POST_CUTOFF, PRE_POST_CUTOFF, ROOT_PRE_CUTOFF,
-    ROOT_PRE_POST_CUTOFF, SIBLING_PRE_POST_CUTOFF,
+    CROSS_PRE_CUTOFF, DEFER_RATIO, HIDDEN_ROOT_PRE_POST_CUTOFF, OWN_CROSS_PRE_CUTOFF,
+    PRE_POST_CUTOFF, ROOT_PRE_CUTOFF, ROOT_PRE_POST_CUTOFF, SIBLING_PRE_POST_CUTOFF,
 };
 use ghostdb_exec::strategy::{VisDecision, VisStrategy};
 use ghostdb_exec::{Database, ExecOptions, Executor, SpjQuery};
@@ -18,7 +20,7 @@ use VisStrategy::*;
 const STEP: f64 = 1.259_921_049_894_873_2;
 
 fn setup() -> (SyntheticDataset, Database) {
-    let mut spec = SyntheticSpec::paper(0.002);
+    let mut spec = SyntheticSpec::paper(0.01);
     spec.visible_attrs = 3;
     let ds = SyntheticDataset::generate(spec);
     let db = ds.build().expect("build");
@@ -85,7 +87,7 @@ fn pre_post_cutoff_is_the_measured_crossover() {
 }
 
 /// A visible selection on T1 at `sv` beside a hidden one on `hidden`
-/// (table, column) at `sh`, outside T1's subtree.
+/// (table, column) at `sh`.
 fn beside_hidden(
     ds: &SyntheticDataset,
     db: &Database,
@@ -103,31 +105,33 @@ fn beside_hidden(
         .project(t1, "v1")
 }
 
-/// The hidden selectivity moves the Pre/Post crossover beside a hidden
-/// selection, and the optimizer cannot see it, so at each sV this compares
-/// the worst regret of Pre and of Post over sH; the result is the first sV
-/// where Post's worst regret is the smaller.
-fn minimax_pre_post_crossover(hidden: (&str, &str)) -> f64 {
+/// The hidden selectivity moves the crossover of T1's plans `a` and `b`
+/// beside a hidden selection, and the optimizer cannot see it, so at each
+/// sV from `lo` this compares the worst regret of `a` and of `b` over sH,
+/// in simulated ns lost; the result is the first sV where `b`'s worst
+/// regret is the smaller.
+fn minimax_crossover(hidden: (&str, &str), [a, b]: [VisStrategy; 2], lo: f64, hi: f64) -> f64 {
     let (ds, mut db) = setup();
     let t1 = db.schema.table_id("T1").unwrap();
-    crossover(0.005, 0.2, |sv| {
-        let (mut pre_worst, mut post_worst) = (1.0f64, 1.0f64);
+    crossover(lo, hi, |sv| {
+        let (mut a_worst, mut b_worst) = (0, 0);
         for sh in [0.01, 0.03, 0.1, 0.3] {
             let q = beside_hidden(&ds, &db, hidden, sv, sh);
-            let pre = cost(&mut db, &q, &[(t1, Pre)]) as f64;
-            let post = cost(&mut db, &q, &[(t1, Post)]) as f64;
-            pre_worst = pre_worst.max(pre / pre.min(post));
-            post_worst = post_worst.max(post / pre.min(post));
+            let ca = cost(&mut db, &q, &[(t1, a)]);
+            let cb = cost(&mut db, &q, &[(t1, b)]);
+            a_worst = a_worst.max(ca - ca.min(cb));
+            b_worst = b_worst.max(cb - ca.min(cb));
         }
-        (pre_worst, post_worst)
+        (a_worst, b_worst)
     })
 }
 
 #[test]
 fn hidden_root_pre_post_cutoff_is_the_narrowest_range_crossover() {
-    // Beside a hidden root selection the crossover moves with sH (0.016 at
-    // sH = 0.01, 0.025 at 0.02–0.1, 0.020 at 0.3). The cutoff sits at the
-    // narrowest swept sH, so a narrow hidden range never pays Pre's regret.
+    // Beside a hidden root selection the crossover moves with sH (0.010 at
+    // sH = 0.01, 0.013 at 0.03, 0.010 at 0.1, 0.008 at 0.3). The cutoff
+    // sits at the narrowest swept sH, so a narrow hidden range never pays
+    // Pre's regret.
     let (ds, mut db) = setup();
     let t1 = db.schema.table_id("T1").unwrap();
     let measured = crossover(0.005, 0.2, |sv| {
@@ -149,8 +153,18 @@ fn a_hidden_sibling_selection_has_its_own_pre_post_cutoff() {
     // With the hidden selection on T2 instead of the root, the minimax
     // point sits well above the plain crossover: a thinned root stream
     // gains little from SJoin's foreign-key route, so Post pays later.
-    let measured = minimax_pre_post_crossover(("T2", "h1"));
+    let measured = minimax_crossover(("T2", "h1"), [Pre, Post], 0.005, 0.2);
     assert_within_one_step("SIBLING_PRE_POST_CUTOFF", SIBLING_PRE_POST_CUTOFF, measured);
+}
+
+#[test]
+fn a_hidden_selection_on_the_table_itself_has_its_own_cross_pre_cutoff() {
+    // `T1.v1 ∧ T1.h1`, the hidden selection on the filtered table itself:
+    // Post overtakes Cross-Pre far below CROSS_PRE_CUTOFF once sH is wide,
+    // and far above it when sH is narrow (sV ≈ 0.4 at sH 0.01, 0.05 at
+    // 0.1). The cutoff is the worst-regret point.
+    let measured = minimax_crossover(("T1", "h1"), [CrossPre, Post], 0.02, 0.5);
+    assert_within_one_step("OWN_CROSS_PRE_CUTOFF", OWN_CROSS_PRE_CUTOFF, measured);
 }
 
 #[test]
