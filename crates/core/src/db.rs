@@ -16,7 +16,7 @@ use ghostdb_exec::{
 use ghostdb_storage::schema::{Column, SchemaTree, TableDef, Visibility};
 use ghostdb_storage::{ColumnType, Id, Value};
 use ghostdb_token::TokenConfig;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Configuration of a GhostDB instance.
 #[derive(Debug, Clone)]
@@ -209,7 +209,7 @@ impl GhostDb {
     /// server owns the one immutable catalog from here on.
     pub fn into_server(mut self, cfg: ServeConfig) -> Result<GhostDbServer> {
         self.finalize_inner()?;
-        let db = self.db.take().expect("finalized");
+        let db = self.db.take().ok_or_else(not_loaded)?;
         GhostDbServer::new(db, cfg).map_err(|e| CoreError::Semantic(e.to_string()))
     }
 
@@ -296,8 +296,7 @@ impl GhostDb {
     }
 
     fn translate(&self, stmt: &SelectStmt) -> Result<SpjQuery> {
-        let db = self.db.as_ref().expect("finalized");
-        let schema = &db.schema;
+        let schema = &self.loaded()?.schema;
         let mut q = SpjQuery::new();
         q.text = stmt.text.clone();
         for name in &stmt.tables {
@@ -345,7 +344,7 @@ impl GhostDb {
     /// pinned [`VisDecision`]s, everything else passes through the wrapped
     /// [`ExecOptions`] untouched.
     fn exec_options(&self, opts: &QueryOptions) -> Result<ExecOptions> {
-        let db = self.db.as_ref().expect("finalized");
+        let db = self.loaded()?;
         let mut exec = opts.exec.clone();
         for (tname, s) in &opts.per_table {
             exec = exec.pin(VisDecision {
@@ -367,8 +366,7 @@ impl GhostDb {
         };
         let q = self.translate(&stmt)?;
         let exec_opts = self.exec_options(opts)?;
-        let db = self.db.as_mut().expect("finalized");
-        Ok(Executor::run(db, &q, &exec_opts)?)
+        Ok(Executor::run(self.loaded_mut()?, &q, &exec_opts)?)
     }
 
     fn explain_inner(&mut self, sql_text: &str) -> Result<String> {
@@ -377,7 +375,7 @@ impl GhostDb {
             return Err(CoreError::Semantic("expected a SELECT statement".into()));
         };
         let q = self.translate(&stmt)?;
-        let db = self.db.as_mut().expect("finalized");
+        let db = self.loaded_mut()?;
         let a = analyze(&db.schema, &q)?;
         let ctx = ExecCtx::new(db);
         let decisions = optimizer::decide(&ctx, &a)?;
@@ -412,11 +410,7 @@ impl GhostDb {
     /// Audit the channel transcript of the last query (or of everything
     /// since the channel was last reset).
     pub fn audit(&self) -> Result<AuditReport> {
-        let db = self
-            .db
-            .as_ref()
-            .ok_or_else(|| CoreError::Semantic("no data loaded".into()))?;
-        Ok(audit_transcript(db.token.channel.transcript()))
+        Ok(audit_transcript(self.loaded()?.token.channel.transcript()))
     }
 
     /// The host-observable trace of the last query: every store request
@@ -424,11 +418,16 @@ impl GhostDb {
     /// wire volumes. The leakage suite asserts its invariants; see
     /// `SECURITY.md`.
     pub fn host_trace(&self) -> Result<HostTrace> {
-        let db = self
-            .db
-            .as_ref()
-            .ok_or_else(|| CoreError::Semantic("no data loaded".into()))?;
-        Ok(db.untrusted.trace())
+        Ok(self.loaded()?.untrusted.trace())
+    }
+
+    /// The loaded database; an error before [`GhostDb::finalize`].
+    fn loaded(&self) -> Result<&Database> {
+        self.db.as_ref().ok_or_else(not_loaded)
+    }
+
+    fn loaded_mut(&mut self) -> Result<&mut Database> {
+        self.db.as_mut().ok_or_else(not_loaded)
     }
 
     /// Access the assembled database (benchmarks, tests).
@@ -456,8 +455,13 @@ pub struct SealedGhostDb<'a> {
 }
 
 impl<'a> SealedGhostDb<'a> {
-    fn lock(&self) -> std::sync::MutexGuard<'_, &'a mut GhostDb> {
-        self.inner.lock().expect("sealed facade")
+    /// Lock the facade. A query that panics under the lock unwinds through
+    /// the executor's drop guards, which return its RAM buffers and flash
+    /// temps; the next query resets the channel transcript and host trace it
+    /// left, and the catalog is immutable once sealed. So a poisoned guard
+    /// is taken as it is.
+    fn lock(&self) -> MutexGuard<'_, &'a mut GhostDb> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Run a SELECT with default (automatic) options.
@@ -496,6 +500,11 @@ const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<SealedGhostDb<'_>>();
 };
+
+/// The error of a method that needs the database before it is loaded.
+fn not_loaded() -> CoreError {
+    CoreError::Semantic("no data loaded".into())
+}
 
 /// Whether `cell` is stored in `ty` without being cut: `Value::encode`
 /// truncates a string to `CHAR(n)` and an int to its byte width, while the

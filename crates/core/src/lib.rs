@@ -41,6 +41,8 @@
 //! (the paper's operators and filtering strategies). This crate adds the
 //! SQL surface, the database facade and the leak auditor.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod audit;
 pub mod db;
 pub mod error;

@@ -26,9 +26,21 @@
 //! last level of the external merge is folded into its consumer, so no
 //! projection row is written twice. Only when one reader per run would not
 //! fit the arena's free buffers does FinalJoin first merge the fewest runs
-//! that make it fit (`fit_runs`). The run count equals MJoin's pass
-//! count, a hidden-derived cardinality; it changes only token-internal
-//! flash reads, never a host request, shipment or wire byte.
+//! that make it fit (`fit_runs`).
+//!
+//! One table's last pass may write no run at all. The tables' MJoin jobs
+//! run in table order but for the one with the widest run row, a public
+//! width, which runs last. When that table's last pass holds no more
+//! entries than fit beside FinalJoin's buffers, its dict stays in the
+//! arena as the table's resident tail (`Resident`): FinalJoin reads the
+//! table's F' id column beside its other streams and looks each
+//! position's id up in that dict, falling back to the table's earlier runs
+//! on a miss (`TableStream`). A resident pass costs one id-column sweep,
+//! in FinalJoin instead of MJoin, and saves its run's write and read. The
+//! pass before it is cut so that the last one fills the room FinalJoin
+//! leaves, where that pays ([`mjoin`]). The pass and run counts, the cut
+//! and whether a tail stays are hidden-derived; they change only
+//! token-internal flash I/O, never a host request, shipment or wire byte.
 //!
 //! A table with no visible side (no visible predicate, no visible
 //! projection) has no visible stream to shrink. MJoin over the dense range
@@ -68,7 +80,7 @@ use ghostdb_storage::table::{FlashTableReader, FlashTableWriter, PageCursor};
 use ghostdb_storage::{
     ColumnType, FlashTable, HiddenColumn, HiddenImage, Id, IdListWriter, Predicate, TableId, Value,
 };
-use ghostdb_token::RamArena;
+use ghostdb_token::{RamArena, RamRegion};
 use ghostdb_untrusted::VisShipment;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -96,40 +108,48 @@ impl ProjectAlgo {
     }
 }
 
-/// A per-table projection: MJoin's runs, one per dict load, of rows
-/// `<pos, idTi, values…>` sorted by `pos`. Each σ id enters exactly one
-/// pass's dict, so the runs partition the positions the table confirms;
-/// FinalJoin reads them as one stream through a [`RunMerge`]. A table no
-/// pass filled has no run and confirms no position.
+/// A per-table projection: MJoin's runs, one per dict load written to
+/// flash, of rows `<pos, idTi, values…>` sorted by `pos`, and at most one
+/// resident tail, the last dict load kept in the arena. Each σ id enters
+/// exactly one pass's dict, so the runs and the tail partition the
+/// positions the table confirms; FinalJoin reads them as one
+/// [`TableStream`]. A table no pass filled has neither and confirms no
+/// position.
 struct ProjTable {
     runs: Vec<FlashTable>,
+    tail: Option<Resident>,
     layout: RowLayout,
     vis: Vec<(String, ColumnType)>,
-    hid: Vec<(String, ColumnType)>,
+    hid: Vec<HiddenColumn>,
+}
+
+/// MJoin's last pass kept in RAM for FinalJoin: the dict, the region that
+/// charges it to the arena, and the table's F' id column, whose cell at
+/// each position FinalJoin looks up in the dict.
+struct Resident {
+    dict: HashMap<Id, Vec<u8>>,
+    _region: RamRegion,
+    id_col: FlashTable,
 }
 
 impl ProjTable {
     /// The run row `<pos, idTi, values…>`: `pos` and `idTi` in the id
-    /// widths of the root's and the table's row counts, `rows`.
-    fn layout(
-        rows: [u64; 2],
-        vis: &[(String, ColumnType)],
-        hid: &[(String, ColumnType)],
-    ) -> RowLayout {
+    /// widths of the root's and the table's row counts, `rows`, and each
+    /// hidden value in its stored width (a foreign key's is its id width).
+    fn layout(rows: [u64; 2], vis: &[(String, ColumnType)], hid: &[HiddenColumn]) -> RowLayout {
         let mut widths = rows.map(id_width).to_vec();
         widths.extend(vis.iter().map(|(_, ty)| ty.width()));
-        widths.extend(hid.iter().map(|(_, ty)| ty.width()));
+        widths.extend(hid.iter().map(HiddenColumn::width));
         RowLayout::new(&widths)
     }
 
-    fn field_of(&self, name: &str) -> Option<(usize, ColumnType)> {
+    /// Column `name`'s value in `row`, one of this table's rows.
+    fn value(&self, row: &[u8], name: &str) -> Option<Value> {
         if let Some(i) = self.vis.iter().position(|(n, _)| n == name) {
-            return Some((2 + i, self.vis[i].1));
+            return Some(Value::decode(&self.vis[i].1, self.layout.field(row, 2 + i)));
         }
-        self.hid
-            .iter()
-            .position(|(n, _)| n == name)
-            .map(|i| (2 + self.vis.len() + i, self.hid[i].1))
+        let j = self.hid.iter().position(|c| c.name == name)?;
+        Some(self.hid[j].decode(self.layout.field(row, 2 + self.vis.len() + j)))
     }
 }
 
@@ -145,6 +165,21 @@ fn typed(ctx: &ExecCtx<'_>, t: TableId, names: &[String]) -> Result<Vec<(String,
     (names.iter())
         .map(|c| Ok((c.clone(), column_type(ctx, t, c)?)))
         .collect()
+}
+
+/// `t`'s MJoin columns under `tproj`, visible then hidden, and the run row
+/// that holds them.
+type RunRow = (Vec<(String, ColumnType)>, Vec<HiddenColumn>, RowLayout);
+
+fn run_row(ctx: &ExecCtx<'_>, t: TableId, tproj: &TableProjection) -> Result<RunRow> {
+    let vis = typed(ctx, t, &tproj.vis)?;
+    let image = &ctx.cat.hidden[t];
+    let hid = (tproj.hid.iter())
+        .map(|c| Ok(image.column(c)?.clone()))
+        .collect::<Result<Vec<_>>>()?;
+    let rows = [ctx.cat.rows[ctx.cat.schema.root()], ctx.cat.rows[t]];
+    let layout = ProjTable::layout(rows, &vis, &hid);
+    Ok((vis, hid, layout))
 }
 
 /// A projection input that analysis and planning guarantee, found missing.
@@ -242,6 +277,67 @@ impl RunMerge {
     }
 }
 
+/// Where a table's stream found a position: a run's head, or the resident
+/// tail's dict entry for an id.
+#[derive(Debug, Clone, Copy)]
+enum Confirm {
+    Run(usize),
+    Tail(Id),
+}
+
+/// A table's stream in FinalJoin: its runs through a [`RunMerge`] and, when
+/// MJoin kept its last pass resident, one reader over the table's F' id
+/// column whose cell at each position is looked up in that pass's dict.
+struct TableStream<'t> {
+    runs: RunMerge,
+    tail: Option<(&'t Resident, FlashTableReader)>,
+}
+
+impl<'t> TableStream<'t> {
+    fn open(
+        dev: &mut FlashDevice,
+        pt: &'t ProjTable,
+        ram: &RamArena,
+        page_size: usize,
+    ) -> Result<Self> {
+        let runs = RunMerge::open(dev, &pt.runs, &pt.layout, ram, page_size)?;
+        let tail = match &pt.tail {
+            Some(r) => Some((r, r.id_col.reader(ram, page_size)?)),
+            None => None,
+        };
+        Ok(TableStream { runs, tail })
+    }
+
+    /// Where the table confirms `pos`, if it does: the tail's dict first,
+    /// then the runs. `pos` must rise from call to call.
+    fn seek(&mut self, dev: &mut FlashDevice, pos: u32) -> Result<Option<Confirm>> {
+        if let Some((resident, reader)) = &mut self.tail {
+            // The id column has a row per position; skip to `pos`.
+            while let Some(row) = reader.advance(dev)? {
+                if row == u64::from(pos) {
+                    let id = resident.id_col.layout.get_id(reader.loaded_row(row)?, 0);
+                    if resident.dict.contains_key(&id) {
+                        return Ok(Some(Confirm::Tail(id)));
+                    }
+                    break;
+                }
+            }
+        }
+        Ok(self.runs.seek(dev, pos)?.map(Confirm::Run))
+    }
+
+    /// The row found at `at`.
+    fn head(&self, at: Confirm) -> Result<&[u8]> {
+        match at {
+            Confirm::Run(run) => self.runs.head(run),
+            Confirm::Tail(id) => (self.tail.as_ref())
+                .and_then(|(r, _)| r.dict.get(&id))
+                .map(Vec::as_slice)
+                .ok_or_else(|| missing(id)),
+        }
+    }
+}
+
 /// Everything one table's σVH + MJoin pass needs from the channel,
 /// prefetched before the first pass.
 struct TablePrep<'q> {
@@ -253,6 +349,8 @@ struct TablePrep<'q> {
     /// Visible values for MJoin (the ids+values shipment of a table with a
     /// visible projection, whose ids are also `sigma_ids`).
     vis_values: Option<VisShipment>,
+    /// The columns MJoin projects and its run row.
+    row: RunRow,
 }
 
 /// `t`'s visible ids under `preds`, all of its visible predicates: the
@@ -298,15 +396,9 @@ pub fn execute(
     // passes will need, in table order. The channel charges a byte sum, so
     // hoisting the shipments out of the per-table loop leaves `comm` and
     // `bytes_to_secure` exactly as the interleaved serial order did.
-    let empty = TableProjection::default();
     let mut preps: Vec<TablePrep<'_>> = Vec::with_capacity(participants.len());
     for t in participants {
-        let tproj = a
-            .projections
-            .iter()
-            .find(|(tt, _)| tt == t)
-            .map(|(_, p)| p)
-            .unwrap_or(&empty);
+        let tproj = projection_of(a, *t);
         let rechecks: Vec<&Predicate> = sj
             .recheck
             .iter()
@@ -329,11 +421,20 @@ pub fn execute(
             rechecks,
             sigma_ids,
             vis_values,
+            row: run_row(ctx, *t, tproj)?,
         });
     }
 
-    // Steps 2–3, one job per participating table, in table order.
-    let job = |ctx: &mut ExecCtx<'_>, i: usize| -> Result<ProjTable> {
+    // Steps 2–3, one job per participating table, in table order but for
+    // the widest run row (the later table on a tie), which runs last so
+    // that its last pass can stay resident for FinalJoin. Run rows are
+    // public, so the order is too.
+    let widths: Vec<usize> = preps.iter().map(|prep| prep.row.2.size()).collect();
+    // FinalJoin's held entry: the root id, then each table's run row.
+    let held = RowLayout::new(&[&[root_col.layout.size()], &widths[..]].concat());
+    let fixed = final_fixed(ctx, a, &sj, &held);
+    let last = (0..participants.len()).max_by_key(|i| widths[*i]);
+    let job = |ctx: &mut ExecCtx<'_>, i: usize, finale: Option<usize>| -> Result<ProjTable> {
         let t = participants[i];
         let prep = &preps[i];
         let rows = ctx.cat.rows[t];
@@ -352,23 +453,48 @@ pub fn execute(
                 end: rows as Id,
             },
         };
-        mjoin(
-            ctx,
-            t,
-            prep.tproj,
-            &prep.rechecks,
-            &id_cols[i],
-            sigma,
-            prep.vis_values.as_ref(),
-        )
+        mjoin(ctx, t, prep, &id_cols[i], sigma, finale)
     };
-    let outs = (0..participants.len())
-        .map(|i| job(ctx, i))
-        .collect::<Result<Vec<_>>>()?;
-    let proj_tables: Vec<(TableId, ProjTable)> = participants.iter().copied().zip(outs).collect();
+    let mut outs: Vec<Option<ProjTable>> = participants.iter().map(|_| None).collect();
+    for i in (0..participants.len()).filter(|i| Some(*i) != last) {
+        outs[i] = Some(job(ctx, i, None)?);
+    }
+    if let Some(i) = last {
+        // FinalJoin's buffers beside the last table's runs and dict: its
+        // fixed ones, every other run's reader and the tail's F' reader.
+        let runs: usize = outs.iter().flatten().map(|pt| pt.runs.len()).sum();
+        outs[i] = Some(job(ctx, i, Some(fixed + runs + 1))?);
+    }
+    let proj_tables: Vec<(TableId, ProjTable)> = participants
+        .iter()
+        .copied()
+        .zip(outs.into_iter().flatten())
+        .collect();
 
     // Step 4: the final position-merge join.
-    final_join(ctx, a, &sj, root_col, proj_tables)
+    final_join(ctx, a, &sj, root_col, proj_tables, &held, fixed)
+}
+
+/// The projection analysis asked of `t`, none if it asked nothing.
+fn projection_of(a: &Analyzed, t: TableId) -> &TableProjection {
+    static NONE: TableProjection = TableProjection {
+        vis: Vec::new(),
+        hid: Vec::new(),
+        id: false,
+    };
+    (a.projections.iter())
+        .find(|(tt, _)| *tt == t)
+        .map_or(&NONE, |(_, p)| p)
+}
+
+/// The buffers FinalJoin holds besides the tables' streams: the root
+/// reader, the region of `held` entries, and one cursor per root re-check
+/// and per projected root hidden column.
+fn final_fixed(ctx: &ExecCtx<'_>, a: &Analyzed, sj: &SjOutcome, held: &RowLayout) -> usize {
+    let root = ctx.cat.schema.root();
+    let rechecks = sj.recheck.iter().filter(|(t, _)| *t == root).count();
+    let held_buffers = held.size().div_ceil(ctx.ram().buf_size());
+    1 + held_buffers + rechecks + projection_of(a, root).hid.len()
 }
 
 /// What a table's σVH Bloom filter is probed with.
@@ -449,16 +575,13 @@ fn sigma_vh(ctx: &mut ExecCtx<'_>, id_col: &FlashTable, probe: Probe<'_>) -> Res
 /// Reads the id column's length, a hidden cardinality, so the choice and
 /// everything it changes stay below the channel.
 fn sparse_sigma_pays(ctx: &ExecCtx<'_>, t: TableId, prep: &TablePrep<'_>, n: u64) -> Result<bool> {
-    // Scans read each column's stored cells; a dict entry holds each
-    // projected value at its declared width.
+    // Scans and dict entries alike hold each column's stored cells.
     let image = &ctx.cat.hidden[t];
     let widths = (prep.tproj.hid.iter())
         .chain(prep.rechecks.iter().map(|p| &p.column))
         .map(|c| Ok(image.column(c)?.width()))
         .collect::<Result<Vec<usize>>>()?;
-    let declared = (prep.tproj.hid.iter())
-        .map(|c| column_type(ctx, t, c).map(|ty| ty.width()))
-        .sum::<Result<usize>>()?;
+    let projected: usize = widths[..prep.tproj.hid.len()].iter().sum();
     let id_bytes = id_width(ctx.cat.rows[t]);
     let ram = ctx.ram();
     // What MJoin's dict keeps after its scans, its two buffers (§4) and,
@@ -469,7 +592,7 @@ fn sparse_sigma_pays(ctx: &ExecCtx<'_>, t: TableId, prep: &TablePrep<'_>, n: u64
         rows: ctx.cat.rows[t],
         id_bytes,
         pos_bytes: id_width(ctx.cat.rows[ctx.cat.schema.root()]),
-        entry_bytes: id_bytes + declared,
+        entry_bytes: id_bytes + projected,
         widths,
         dict_bytes: dict_buffers * ram.buf_size(),
         buf_size: ram.buf_size(),
@@ -549,9 +672,7 @@ impl SigmaShape {
 
     /// One sequential read of the id column.
     fn sweep_ns(&self, t: &FlashTiming, page_size: usize) -> u128 {
-        let bytes = self.n * self.id_bytes as u64;
-        bytes.div_ceil(page_size as u64) as u128 * t.read_cost_ns(0)
-            + bytes as u128 * t.transfer_ns_per_byte as u128
+        scan_ns(t, page_size, self.n * self.id_bytes as u64)
     }
 
     /// MJoin's passes over `entries` σ ids with `dict_bytes` of dict: one
@@ -572,12 +693,22 @@ impl SigmaShape {
         let mut ns = passes as u128 * self.sweep_ns(t, page_size);
         if passes > 1 {
             let run_bytes = self.n * (self.entry_bytes + self.pos_bytes) as u64;
-            let run_pages = run_bytes.div_ceil(page_size as u64) as u128;
-            ns += run_pages * (t.read_cost_ns(0) + t.write_cost_ns(page_size))
-                + run_bytes as u128 * t.transfer_ns_per_byte as u128;
+            ns += temp_ns(t, page_size, run_bytes);
         }
         ns
     }
+}
+
+/// One sequential read of `bytes` on flash, page by page.
+fn scan_ns(t: &FlashTiming, page_size: usize, bytes: u64) -> u128 {
+    bytes.div_ceil(page_size as u64) as u128 * t.read_cost_ns(0)
+        + bytes as u128 * t.transfer_ns_per_byte as u128
+}
+
+/// Writing `bytes` to a flash temp and reading them back once.
+fn temp_ns(t: &FlashTiming, page_size: usize, bytes: u64) -> u128 {
+    bytes.div_ceil(page_size as u64) as u128 * (t.read_cost_ns(0) + t.write_cost_ns(page_size))
+        + bytes as u128 * t.transfer_ns_per_byte as u128
 }
 
 /// Pages of a hidden column of `rows` values of `width` bytes.
@@ -698,26 +829,40 @@ fn missing(id: Id) -> ExecError {
 /// Figure 5, line 6: MJoin — merge visible values, hidden columns and σVH
 /// into complete tuples held in RAM (capacity minus the scan buffers), then
 /// sweep the table's id column once per RAM-load, writing the `<pos, tuple>`
-/// run of that pass. The runs are returned unmerged: FinalJoin reads them
-/// in place (see [`fit_runs`] for when it merges some first).
-/// `sigma` is a shipment's filtered ids, a sparse σ temp on flash (one
-/// more buffer, so a smaller dict) or the dense range. A σ id that is a
+/// run of that pass (but for a resident last pass, below). The runs are
+/// returned unmerged: FinalJoin reads them in place (see [`fit_runs`] for
+/// when it merges some first). `prep` gives the table's columns, re-checks
+/// and visible shipment; `sigma` is a shipment's filtered ids, a sparse σ
+/// temp on flash (one more buffer, so a smaller dict) or the dense range. A σ id that is a
 /// Bloom false positive enters the dict and matches no position. Each
 /// re-check and projected column is read page by page through a
 /// [`PageCursor`], in the spans the page's wanted ids need.
+///
+/// `finale` is set for the table [`execute`] runs last: the buffers
+/// FinalJoin will hold besides this table's runs and dict (its fixed
+/// buffers, every other table's run readers and this table's F' reader).
+/// Then the pass σ runs out in writes no run when its entries fit the
+/// buffers FinalJoin leaves beside one reader per run written so far: its
+/// dict stays in the arena, in a region cut to the entries, as the
+/// table's [`Resident`] tail. Every pass still takes the whole dict, but
+/// for one: when the rest of σ takes this pass and the next, this pass
+/// takes only what the next cannot keep, so that the resident pass is as
+/// large as FinalJoin allows. σ's length counts the entries still to come
+/// only for a table without re-checks, so only such a table cuts. Where the rest would fit this pass alone,
+/// the cut adds a pass, and is made only when writing and re-reading the
+/// rows the next pass keeps would cost more than the sweep it adds. The
+/// pass count, the cut and the tail are hidden-derived, like the run
+/// count: they change only token-internal flash I/O.
 fn mjoin(
     ctx: &mut ExecCtx<'_>,
     t: TableId,
-    tproj: &TableProjection,
-    rechecks: &[&Predicate],
+    prep: &TablePrep<'_>,
     id_col: &FlashTable,
     sigma: IdSource,
-    vis_values: Option<&VisShipment>,
+    finale: Option<usize>,
 ) -> Result<ProjTable> {
-    let vis = typed(ctx, t, &tproj.vis)?;
-    let hid = typed(ctx, t, &tproj.hid)?;
-    let root = ctx.cat.schema.root();
-    let layout = ProjTable::layout([ctx.cat.rows[root], ctx.cat.rows[t]], &vis, &hid);
+    let (vis, hid, layout) = prep.row.clone();
+    let vis_values = prep.vis_values.as_ref();
     // A dict entry is its run row but for `pos`, which the sweep fills.
     let entry_bytes = layout.size() - layout.width(0);
 
@@ -726,29 +871,26 @@ fn mjoin(
     let image = &ctx.cat.hidden[t];
     let ram = ctx.ram();
     let page_size = ctx.page_size();
+    // What FinalJoin will find free: MJoin's buffers are all its own.
+    let free = ram.available();
     let mut hid_cursors: Vec<PageCursor> = hid
         .iter()
-        .map(|(name, _)| Ok(image.column(name)?.table().cursor(&ram, page_size)?))
+        .map(|c| Ok(c.table().cursor(&ram, page_size)?))
         .collect::<Result<_>>()?;
-    let mut recheck_cols: Vec<Recheck<'_>> = rechecks
-        .iter()
+    let mut recheck_cols: Vec<Recheck<'_>> = (prep.rechecks.iter())
         .map(|p| Recheck::open(image, p, &ram, page_size))
         .collect::<Result<_>>()?;
 
     // Dict capacity: RAM minus two buffers (§4) and the open scans.
     let reserved = 2 + sigma.buffers_needed();
-    let avail = ctx.ram().available();
+    let avail = ram.available();
     if avail <= reserved {
         return Err(ExecError::Token(ghostdb_token::TokenError::OutOfRam {
             requested: reserved + 1,
             available: avail,
-            capacity: ctx.ram().capacity(),
+            capacity: ram.capacity(),
         }));
     }
-    let dict_buffers = avail - reserved;
-    let dict_bytes = dict_buffers * ctx.ram().buf_size();
-    let dict_capacity = (dict_bytes / entry_bytes.max(1)).max(1);
-    let _dict_region = ctx.ram().alloc_region(dict_buffers)?;
 
     // Host map for value lookup of the visible shipment.
     let vis_map: Option<HashMap<Id, usize>> =
@@ -758,16 +900,50 @@ fn mjoin(
         .map(|j| layout.offset(2 + vis.len() + j))
         .collect();
 
+    let full = avail - reserved;
+    let slots = |buffers: usize| (buffers * ram.buf_size() / entry_bytes.max(1)) as u64;
+    // The dict entries FinalJoin leaves room for beside `runs` run readers.
+    let reserve = |runs: usize| {
+        let buffers = finale.and_then(|need| free.checked_sub(need + runs));
+        slots(buffers.unwrap_or(0).min(full))
+    };
+    // What a cut pass weighs: σ's length (each id pulled counts), the id
+    // column's sweep and the run row.
+    let timing = *ctx.lane.timing();
+    let (sigma_ids, mut pulled) = (sigma.count(), 0u64);
+    let n = id_col.rows();
+    let sweep_ns = scan_ns(&timing, page_size, n * id_col.layout.size() as u64);
+
     let mut sigma_reader = SourceReader::open(&sigma, &ram, page_size)?;
     let mut runs: Vec<FlashTable> = Vec::new();
+    let mut tail = None;
     loop {
+        // Room for this pass's entries should it be the last, and for the
+        // next pass's, beside one more run.
+        let (keep, next) = (reserve(runs.len()), reserve(runs.len() + 1));
+        // When the rest of σ (`left` ids, every one an entry unless a
+        // re-check drops some) takes this pass and the next, this one
+        // leaves the next exactly what it can keep. Where the rest would
+        // fit this pass alone, that adds a pass: it pays when writing and
+        // re-reading the kept rows, estimated at the mean positions per σ
+        // id, costs more than the id-column sweep it adds.
+        let left = sigma_ids - pulled;
+        let kept_rows = u128::from(n) * u128::from(next) / u128::from(sigma_ids.max(1));
+        let cut = prep.rechecks.is_empty()
+            && left > keep
+            && next > 0
+            && left <= slots(full) + next
+            && (left > slots(full)
+                || sweep_ns < temp_ns(&timing, page_size, kept_rows as u64 * layout.size() as u64));
+        let dict_capacity = if cut { left - next } else { slots(full).max(1) } as usize;
+        let dict_region = ram.alloc_region(full)?;
         // Fill the dict with the next RAM-load of σVH entries. The dict's
         // free slots are the lookahead: σ ids are pulled that many at a
         // time, and each column reads them page by page. Ids waiting on a
         // re-check page hold a slot each, so a pass takes exactly the σ
         // ids an id-at-a-time fill would.
         let mut dict: HashMap<Id, Vec<u8>> = HashMap::new();
-        ctx.track(OpKind::MJoin, |ctx| {
+        let last = ctx.track(OpKind::MJoin, |ctx| {
             ctx.lane.with_flash(|dev| {
                 // Enter re-check survivors into the dict and queue their
                 // projected values.
@@ -810,6 +986,7 @@ fn mjoin(
                         let Some(id) = sigma_reader.next(dev)? else {
                             break;
                         };
+                        pulled += 1;
                         // Not visible-selected: dropped before any read.
                         if vis_map.as_ref().is_none_or(|m| m.contains_key(&id)) {
                             batch.push(id);
@@ -823,10 +1000,23 @@ fn mjoin(
                 for (cursor, at) in hid_cursors.iter_mut().zip(&hid_at) {
                     drain(dev, cursor, next, into_dict(&mut dict, *at))?;
                 }
-                Ok(())
+                // σ ran out: this is the last pass.
+                Ok(next.is_none())
             })
         })?;
         if dict.is_empty() {
+            break;
+        }
+        // A last pass whose entries fit beside FinalJoin keeps them, in a
+        // region cut to their size.
+        if last && dict.len() as u64 <= keep {
+            let used = (dict.len() * entry_bytes).div_ceil(ram.buf_size());
+            drop(dict_region);
+            tail = Some(Resident {
+                dict,
+                _region: ram.alloc_region(used)?,
+                id_col: id_col.clone(),
+            });
             break;
         }
         // Sweep the id column, emitting each dict hit's row at its `pos`.
@@ -854,12 +1044,13 @@ fn mjoin(
         })?;
         let run = ctx.lane.with_flash(|dev| writer.finish(dev))?;
         runs.push(run);
-        if dict.len() < dict_capacity {
+        if last {
             break;
         }
     }
     Ok(ProjTable {
         runs,
+        tail,
         layout,
         vis,
         hid,
@@ -867,9 +1058,10 @@ fn mjoin(
 }
 
 /// FinalJoin's fallback. It holds `fixed` buffers (the root reader, the
-/// held region and the root cursors) plus one reader per run. While that
-/// exceeds the arena's free buffers, merge the excess + 1 shortest runs of
-/// the table with the most runs into one. While the readers fit, no run is
+/// held region and the root cursors) plus one reader per run and one per
+/// resident tail (whose dict the arena already holds). While that exceeds
+/// the arena's free buffers, merge the excess + 1 shortest runs of the
+/// table with the most runs into one. While the readers fit, no run is
 /// merged: a merge reads and rewrites its runs only for FinalJoin to read
 /// them again. With every table down to one run, FinalJoin's own
 /// allocations report the shortfall.
@@ -879,7 +1071,10 @@ fn fit_runs(
     tables: &mut [(TableId, ProjTable)],
 ) -> Result<()> {
     loop {
-        let need = fixed + tables.iter().map(|(_, pt)| pt.runs.len()).sum::<usize>();
+        let need = fixed
+            + (tables.iter())
+                .map(|(_, pt)| pt.runs.len() + usize::from(pt.tail.is_some()))
+                .sum::<usize>();
         let available = ctx.ram().available();
         if need <= available {
             return Ok(());
@@ -939,29 +1134,28 @@ fn merge_runs_level(ctx: &mut ExecCtx<'_>, runs: Vec<FlashTable>) -> Result<Flas
 
 /// Figure 5, line 7: merge every per-table projection stream (and the root
 /// streams) in position order; a row survives only if every participating
-/// table confirmed its position. A table's stream is a [`RunMerge`] over
-/// its MJoin runs, read in place. Survivors wait in one charged buffer,
-/// and each flush of it reads the root re-check and root hidden projection
-/// columns page by page, in the spans the held root ids need.
+/// table confirmed its position. A table's stream is a [`TableStream`]: a
+/// [`RunMerge`] over its MJoin runs, read in place, and for the table
+/// [`execute`] ran last, its resident tail, probed with the F' id column's
+/// cell at each position. Survivors wait in one charged buffer, and each
+/// flush of it reads the root re-check and root hidden projection columns
+/// page by page, in the spans the held root ids need. `held` and `fixed`
+/// are the held entry and FinalJoin's own buffers ([`final_fixed`]).
 fn final_join(
     ctx: &mut ExecCtx<'_>,
     a: &Analyzed,
     sj: &SjOutcome,
     root_col: FlashTable,
     mut proj_tables: Vec<(TableId, ProjTable)>,
+    held_layout: &RowLayout,
+    fixed: usize,
 ) -> Result<ResultSet> {
     let root = ctx.cat.schema.root();
     let ram = ctx.ram();
     let page_size = ctx.page_size();
 
     // Root-side needs.
-    let empty = TableProjection::default();
-    let root_proj = a
-        .projections
-        .iter()
-        .find(|(t, _)| *t == root)
-        .map(|(_, p)| p)
-        .unwrap_or(&empty);
+    let root_proj = projection_of(a, root);
     let root_vis_preds = a.vis_preds_of(root);
     let root_filter_pending = sj.approx_vis.contains(&root) || sj.deferred_vis.contains(&root);
     let root_shipment = if !root_proj.vis.is_empty() {
@@ -981,11 +1175,6 @@ fn final_join(
     // Survivors wait in one charged buffer for their root re-checks and
     // root hidden projections: root id, then each table's current row.
     let root_layout = root_col.layout.clone();
-    let held_layout = RowLayout::new(
-        &std::iter::once(root_layout.size())
-            .chain(proj_tables.iter().map(|(_, pt)| pt.layout.size()))
-            .collect::<Vec<_>>(),
-    );
     let entry_bytes = held_layout.size();
     let held_buffers = entry_bytes.div_ceil(ram.buf_size());
     let root_rechecks: Vec<&Predicate> = sj
@@ -994,7 +1183,6 @@ fn final_join(
         .filter(|(t, _)| *t == root)
         .map(|(_, p)| p)
         .collect();
-    let fixed = 1 + held_buffers + root_rechecks.len() + root_proj.hid.len();
     fit_runs(ctx, fixed, &mut proj_tables)?;
 
     let image = &ctx.cat.hidden[root];
@@ -1026,10 +1214,10 @@ fn final_join(
         ctx.lane.with_flash(|dev| {
             let mut streams = proj_tables
                 .iter()
-                .map(|(_, pt)| RunMerge::open(dev, &pt.runs, &pt.layout, &ram, page_size))
+                .map(|(_, pt)| TableStream::open(dev, pt, &ram, page_size))
                 .collect::<Result<Vec<_>>>()?;
-            // The run that confirmed the current position, per table.
-            let mut confirming = vec![0usize; streams.len()];
+            // Where each table confirmed the current position.
+            let mut confirming = vec![Confirm::Run(0); streams.len()];
             // Run held entries through the root re-checks and then the root
             // hidden projections, each page by page, and append the
             // survivors' rows in position order. `next` is the next root id
@@ -1088,9 +1276,9 @@ fn final_join(
                             if cname == "id" {
                                 out_row.push(Value::Int(pt.layout.get_id(row, 1) as i64));
                             } else {
-                                let (field, ty) = (pt.field_of(cname))
+                                let value = (pt.value(row, cname))
                                     .ok_or_else(|| unplanned(format!("column {cname}")))?;
-                                out_row.push(Value::decode(&ty, pt.layout.field(row, field)));
+                                out_row.push(value);
                             }
                         }
                     }
@@ -1105,9 +1293,9 @@ fn final_join(
             while let Some(root_id) = next_root {
                 // Advance each table stream to `pos`.
                 let mut all_present = true;
-                for (stream, run) in streams.iter_mut().zip(&mut confirming) {
+                for (stream, at) in streams.iter_mut().zip(&mut confirming) {
                     match stream.seek(dev, pos)? {
-                        Some(r) => *run = r,
+                        Some(found) => *at = found,
                         None => {
                             all_present = false;
                             break;
@@ -1124,10 +1312,10 @@ fn final_join(
                 if keep {
                     let entry = &mut held[n_held * entry_bytes..(n_held + 1) * entry_bytes];
                     held_layout.put_id(entry, 0, root_id)?;
-                    for (i, (stream, run)) in streams.iter().zip(&confirming).enumerate() {
+                    for (i, (stream, at)) in streams.iter().zip(&confirming).enumerate() {
                         held_layout
                             .field_mut(entry, 1 + i)
-                            .copy_from_slice(stream.head(*run)?);
+                            .copy_from_slice(stream.head(*at)?);
                     }
                     n_held += 1;
                 }
@@ -1173,17 +1361,11 @@ fn brute_force(
     // ids of every table with a pending visible filter before the scan, so
     // that it runs entirely below the channel. A plan's shipments are
     // charged even where an empty QEPSJ result never reads them.
-    let empty = TableProjection::default();
     let mut shipments: HashMap<TableId, (VisShipment, HashMap<Id, usize>)> = HashMap::new();
     let mut all_tables: Vec<TableId> = participants.to_vec();
     all_tables.push(root);
     for t in &all_tables {
-        let tproj = a
-            .projections
-            .iter()
-            .find(|(tt, _)| tt == t)
-            .map(|(_, p)| p)
-            .unwrap_or(&empty);
+        let tproj = projection_of(a, *t);
         let preds = a.vis_preds_of(*t);
         let s = if !tproj.vis.is_empty() {
             ctx.vis(*t, preds, &tproj.vis)?
@@ -1303,10 +1485,17 @@ mod tests {
 
     const PAGE: usize = 2048;
 
-    /// T0's id column and MJoin over all 600 of its ids, re-checking
-    /// `h2 < pad8(4)` (half the ids pass) and projecting `h1` and `h2`,
-    /// with the arena cut so the dict gets `dict_buffers` buffers.
-    fn multipass_mjoin(ctx: &mut ExecCtx<'_>, dict_buffers: usize) -> (FlashTable, ProjTable) {
+    /// T0's id column and MJoin over all 600 of its ids, projecting `h1`
+    /// and `h2` and, when `rechecked`, re-checking `h2 < pad8(4)` (half
+    /// the ids pass), with the arena cut to `free` buffers: a cursor per
+    /// column, the sweep's reader and writer, and the dict. `finale` is
+    /// passed on to `mjoin`.
+    fn t0_mjoin(
+        ctx: &mut ExecCtx<'_>,
+        free: usize,
+        finale: Option<usize>,
+        rechecked: bool,
+    ) -> (FlashTable, ProjTable) {
         let t0 = ctx.cat.schema.root();
         let rows = ctx.cat.rows[t0];
         let layout = RowLayout::id_cells(&[rows]);
@@ -1325,38 +1514,41 @@ mod tests {
         // `h2 = pad8(id % 8)`: half the ids pass.
         let recheck = Predicate::new("h2", CmpOp::Lt, pad8(4), None);
         let ram = ctx.ram();
-        // Leave the three cursors, the sweep's reader and writer, and the
-        // dict.
-        let hold = ram
-            .alloc_region(ram.available() - 5 - dict_buffers)
-            .unwrap();
+        let hold = ram.alloc_region(ram.available() - free).unwrap();
         let sigma = IdSource::Range {
             start: 0,
             end: rows as Id,
         };
-        let pt = mjoin(ctx, t0, &tproj, &[&recheck], &id_col, sigma, None).unwrap();
+        let prep = TablePrep {
+            tproj: &tproj,
+            rechecks: if rechecked { vec![&recheck] } else { vec![] },
+            sigma_ids: None,
+            vis_values: None,
+            row: run_row(ctx, t0, &tproj).unwrap(),
+        };
+        let pt = mjoin(ctx, t0, &prep, &id_col, sigma, finale).unwrap();
         drop(hold);
         (id_col, pt)
     }
 
-    /// `(pos, idT0, h1)` of every row `pt`'s runs hold, read through the
-    /// k-way merge FinalJoin uses: one seek per position of the id column.
+    /// `(pos, idT0, h1)` of every row `pt`'s runs and tail hold, read
+    /// through the stream FinalJoin uses: one seek per position of the id
+    /// column.
     fn merged_rows(
         ctx: &mut ExecCtx<'_>,
         id_col: &FlashTable,
         pt: &ProjTable,
     ) -> Vec<(u64, u64, Value)> {
         let ram = ctx.ram();
-        let (field, ty) = pt.field_of("h1").unwrap();
         ctx.lane
             .with_flash(|dev| {
-                let mut merge = RunMerge::open(dev, &pt.runs, &pt.layout, &ram, PAGE)?;
+                let mut stream = TableStream::open(dev, pt, &ram, PAGE)?;
                 let mut got = Vec::new();
                 for pos in 0..id_col.rows() as u32 {
-                    if let Some(run) = merge.seek(dev, pos)? {
-                        let row = merge.head(run)?;
+                    if let Some(at) = stream.seek(dev, pos)? {
+                        let row = stream.head(at)?;
                         let id = pt.layout.get_id(row, 1) as u64;
-                        let value = Value::decode(&ty, pt.layout.field(row, field));
+                        let value = pt.value(row, "h1").unwrap();
                         got.push((pos as u64, id, value));
                     }
                 }
@@ -1373,6 +1565,11 @@ mod tests {
             .collect()
     }
 
+    /// Every T0 id, as `merged_rows` reads them.
+    fn every_row(rows: u64) -> Vec<(u64, u64, Value)> {
+        (0..rows).map(|id| (id, id, pad8(id % 4))).collect()
+    }
+
     /// With the dict cut to one buffer, MJoin over T0's 600 ids takes
     /// exactly ⌈survivors / capacity⌉ passes, as an id-at-a-time fill does:
     /// ids waiting on a re-check page hold their dict slot. It writes only
@@ -1384,7 +1581,7 @@ mod tests {
         let rows = ctx.cat.rows[ctx.cat.schema.root()];
         let id_layout = RowLayout::id_cells(&[rows]);
         let free = ctx.lane.alloc().free_pages() - id_layout.pages_for(rows, PAGE);
-        let (id_col, pt) = multipass_mjoin(&mut ctx, 1);
+        let (id_col, pt) = t0_mjoin(&mut ctx, 6, None, true);
         // |T0| = 600: `pos` and `idT0` take 2 bytes each, so a run row is
         // `<2, 2, 10, 10>` and a dict entry 22 bytes.
         assert_eq!(pt.layout, RowLayout::new(&[2, 2, 10, 10]));
@@ -1409,7 +1606,7 @@ mod tests {
         let mut ctx = ExecCtx::new(&mut db);
         let t0 = ctx.cat.schema.root();
         let rows = ctx.cat.rows[t0];
-        let (id_col, pt) = multipass_mjoin(&mut ctx, 1);
+        let (id_col, pt) = t0_mjoin(&mut ctx, 6, None, true);
         let runs = pt.runs.len();
         assert!(runs >= 3, "{runs} runs");
         let mut tables = vec![(t0, pt)];
@@ -1437,6 +1634,108 @@ mod tests {
             pt.layout.pages_for(shortest, PAGE)
         );
         assert_eq!(ram.in_use(), 0);
+        let pt = tables.pop().unwrap().1;
+        assert_eq!(merged_rows(&mut ctx, &id_col, &pt), expected_rows(rows));
+    }
+
+    /// With `finale` FinalJoin buffers to leave, MJoin sizes each pass so
+    /// that FinalJoin fits beside its dict and one reader per run so far,
+    /// and keeps the pass σ runs out in resident; a pass whose reserve the
+    /// arena cannot hold writes its run. Each case is `(free, finale)` and
+    /// the runs and tail entries it gives: 300 entries of 22 bytes, 93 a
+    /// buffer, against dicts of 4, 3 and 1 buffers.
+    #[test]
+    fn the_last_pass_stays_resident_where_finaljoin_fits_beside_it() {
+        let cases: [(usize, usize, usize, Option<usize>); 4] = [
+            // One pass, 372 slots: nothing written.
+            (12, 3, 0, Some(300)),
+            // 279 slots, then the 21 left stay resident.
+            (8, 3, 1, Some(21)),
+            // 93 slots a pass, three written, the 21 left resident.
+            (6, 2, 3, Some(21)),
+            // The fourth pass cannot keep FinalJoin's reserve: written.
+            (6, 3, 4, None),
+        ];
+        for (free, finale, runs, tail) in cases {
+            let mut db = testkit::tiny_db();
+            let mut ctx = ExecCtx::new(&mut db);
+            let rows = ctx.cat.rows[ctx.cat.schema.root()];
+            let id_layout = RowLayout::id_cells(&[rows]);
+            let pages = ctx.lane.alloc().free_pages() - id_layout.pages_for(rows, PAGE);
+            let (id_col, pt) = t0_mjoin(&mut ctx, free, Some(finale), true);
+            let label = format!("{free} free, {finale} for FinalJoin");
+            assert_eq!(pt.runs.len(), runs, "{label}");
+            assert_eq!(pt.tail.as_ref().map(|r| r.dict.len()), tail, "{label}");
+            // Only the written passes take flash.
+            let written = ctx.lane.alloc().free_pages();
+            assert_eq!(
+                pages - written,
+                runs as u64 * pt.layout.pages_for(rows, PAGE)
+            );
+            // FinalJoin's buffers, a reader per run and the tail's reader
+            // fit beside the dict the arena still holds.
+            let ram = ctx.ram();
+            if pt.tail.is_some() {
+                assert!(ram.available() >= finale + runs, "{label}");
+            } else {
+                assert_eq!(ram.in_use(), 0, "{label}");
+            }
+            assert_eq!(merged_rows(&mut ctx, &id_col, &pt), expected_rows(rows));
+            drop(pt);
+            assert_eq!(
+                ram.in_use(),
+                0,
+                "{label}: the dict is released with the table"
+            );
+        }
+    }
+
+    /// Without re-checks σ's length counts the entries to come, so the
+    /// pass before the last is cut to leave the last what FinalJoin can
+    /// keep: 600 entries of 22 bytes, 93 a buffer.
+    #[test]
+    fn the_pass_before_the_last_leaves_it_what_finaljoin_can_keep() {
+        let cases: [(usize, usize, u64); 2] = [
+            // Two passes either way (465 slots): 135 written, 465 kept,
+            // not 465 written and 135 kept.
+            (9, 3, 465),
+            // One 744-slot pass would do, but not resident (558 slots):
+            // the cut adds a pass, and a sweep of 600 two-byte ids costs
+            // less than writing and reading 465 run rows.
+            (12, 6, 465),
+        ];
+        for (free, finale, kept) in cases {
+            let mut db = testkit::tiny_db();
+            let mut ctx = ExecCtx::new(&mut db);
+            let rows = ctx.cat.rows[ctx.cat.schema.root()];
+            let (id_col, pt) = t0_mjoin(&mut ctx, free, Some(finale), false);
+            let label = format!("{free} free, {finale} for FinalJoin");
+            assert_eq!(pt.runs.len(), 1, "{label}");
+            assert_eq!(pt.runs[0].rows(), rows - kept, "{label}");
+            assert_eq!(pt.tail.as_ref().map(|r| r.dict.len() as u64), Some(kept));
+            // FinalJoin's buffers and the run's reader fit beside the dict.
+            assert!(ctx.ram().available() >= finale + pt.runs.len(), "{label}");
+            assert_eq!(merged_rows(&mut ctx, &id_col, &pt), every_row(rows));
+        }
+    }
+
+    /// `fit_runs` counts a resident tail's reader beside the runs'.
+    #[test]
+    fn the_run_merge_counts_the_tail_reader() {
+        let mut db = testkit::tiny_db();
+        let mut ctx = ExecCtx::new(&mut db);
+        let t0 = ctx.cat.schema.root();
+        let rows = ctx.cat.rows[t0];
+        let (id_col, pt) = t0_mjoin(&mut ctx, 6, Some(2), true);
+        assert_eq!((pt.runs.len(), pt.tail.is_some()), (3, true));
+        let mut tables = vec![(t0, pt)];
+        let ram = ctx.ram();
+        let fixed = ram.available() - 4;
+        fit_runs(&mut ctx, fixed, &mut tables).unwrap();
+        assert_eq!(tables[0].1.runs.len(), 3);
+        // One buffer short: the two shortest runs merge.
+        fit_runs(&mut ctx, fixed + 1, &mut tables).unwrap();
+        assert_eq!(tables[0].1.runs.len(), 2);
         let pt = tables.pop().unwrap().1;
         assert_eq!(merged_rows(&mut ctx, &id_col, &pt), expected_rows(rows));
     }

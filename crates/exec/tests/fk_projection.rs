@@ -10,6 +10,7 @@ use ghostdb_exec::project::ProjectAlgo;
 use ghostdb_exec::strategy::VisStrategy;
 use ghostdb_exec::{Database, ExecError, ExecOptions, Executor, SpjQuery};
 use ghostdb_reference::{RefDb, RefQuery, RefTable};
+use ghostdb_storage::row::RowLayout;
 use ghostdb_storage::{
     CmpOp, Column, ColumnType, Id, Predicate, SchemaTree, TableDef, TableId, Value,
 };
@@ -156,4 +157,121 @@ fn a_two_byte_fk_column_projects_unsigned_ids() {
             }
         }
     }
+}
+
+const ROOT_ROWS: u64 = 3_000;
+const MID_ROWS: u64 = 1_000;
+
+/// `R → M(c → C) → C(w HIDDEN indexed)`: `M.c` is a foreign key of a
+/// non-root table, so projecting it goes through M's MJoin runs.
+fn chain() -> (Database, RefDb) {
+    let schema = SchemaTree::new(vec![
+        TableDef::new("R").with_fk("m", "M"),
+        TableDef::new("M").with_fk("c", "C"),
+        TableDef::new("C").with_column(Column::hidden("w", ColumnType::int())),
+    ])
+    .unwrap();
+    let m: Vec<Id> = (0..ROOT_ROWS).map(|r| (r * 7 % MID_ROWS) as Id).collect();
+    let c: Vec<Id> = (0..MID_ROWS)
+        .map(|r| (r * 7_919 % CHILD_ROWS) as Id)
+        .collect();
+    let w = |r: Id| Value::Int(i64::from(r % 4));
+    let loads = vec![
+        TableLoad {
+            table: "R".into(),
+            rows: ROOT_ROWS,
+            fks: vec![("m".into(), m.clone())],
+            columns: vec![],
+        },
+        TableLoad {
+            table: "M".into(),
+            rows: MID_ROWS,
+            fks: vec![("c".into(), c.clone())],
+            columns: vec![],
+        },
+        TableLoad {
+            table: "C".into(),
+            rows: CHILD_ROWS,
+            fks: vec![],
+            columns: vec![ColumnLoad {
+                name: "w".into(),
+                gen: Box::new(w),
+                index: true,
+                exact: Some(true),
+            }],
+        },
+    ];
+    let db = Database::assemble(
+        schema.clone(),
+        &TokenConfig::paper_platform(32 * 1024 * 1024),
+        loads,
+    )
+    .unwrap();
+    let table = |rows, fks: Vec<(&str, Vec<Id>)>| RefTable {
+        rows,
+        fks: fks
+            .into_iter()
+            .map(|(n, ids)| (n.to_string(), ids))
+            .collect(),
+        columns: HashMap::new(),
+    };
+    let mut tables = vec![
+        table(ROOT_ROWS, vec![("m", m)]),
+        table(MID_ROWS, vec![("c", c)]),
+        table(CHILD_ROWS, vec![]),
+    ];
+    tables[2].columns = HashMap::from([("w".to_string(), (0..CHILD_ROWS as Id).map(w).collect())]);
+    let mut ordered = vec![RefTable::default(); 3];
+    for (name, t) in ["R", "M", "C"].iter().zip(tables) {
+        ordered[schema.table_id(name).unwrap()] = t;
+    }
+    (
+        db,
+        RefDb {
+            schema,
+            tables: ordered,
+        },
+    )
+}
+
+/// A projected fk cell travels at its stored width. Projecting `M.c`
+/// instead of `M.id` adds exactly its 2-byte cell to each row of M's MJoin
+/// run: M's run row is narrower than C's `<pos, id, w>`, so M's MJoin runs
+/// first and writes its one pass, while C's last pass may stay resident.
+/// At the declared 4 bytes the run would take twice the extra pages, or
+/// tie with C's row and stay resident.
+#[test]
+fn a_mid_table_fk_column_is_carried_at_its_stored_width() {
+    let (mut db, oracle) = chain();
+    let [r, m, c] = ["R", "M", "C"].map(|n| db.schema.table_id(n).unwrap());
+    assert_eq!(db.hidden[m].column("c").unwrap().width(), 2);
+    let mut written = Vec::new();
+    for column in ["c", "id"] {
+        let q = SpjQuery::new()
+            .project(r, "id")
+            .project(m, column)
+            .project(c, "w");
+        let expect = oracle
+            .run(&RefQuery {
+                predicates: vec![],
+                projections: q.projections.clone(),
+            })
+            .unwrap();
+        if column == "c" {
+            assert!(expect
+                .iter()
+                .any(|row| matches!(row[1], Value::Int(id) if id >= 32_768)));
+        }
+        let (rs, report) = Executor::run(&mut db, &q, &ExecOptions::default()).unwrap();
+        assert_eq!(rs.rows, expect, "M.{column}");
+        written.push(report.io.pages_written);
+    }
+    // Every root row confirms an M row: M's run holds 3 000 rows of
+    // `<pos, id, c>` in 2 bytes each, against `<pos, id>`.
+    let page = db.token.flash.page_size();
+    let run_pages = |widths: &[usize]| RowLayout::new(widths).pages_for(ROOT_ROWS, page);
+    assert_eq!(
+        written[0] - written[1],
+        run_pages(&[2, 2, 2]) - run_pages(&[2, 2])
+    );
 }
