@@ -269,15 +269,19 @@ fn pack_ns(
                 continue;
             }
             let ids = chunk.iter().map(|l| l.count).sum::<u64>();
-            let width = chunk_width(chunk);
-            let bytes = ids * width as u64;
-            let pages = ids.div_ceil(slots_per_page(width, page_size)) as u128;
             ns += span_read_ns(chunk, timing, page_size)
-                + pages * (timing.write_cost_ns(page_size) + timing.read_cost_ns(0))
-                + bytes as u128 * timing.transfer_ns_per_byte as u128;
+                + temp_ns(ids, chunk_width(chunk), timing, page_size);
         }
     }
     ns
+}
+
+/// Simulated ns of writing `ids` ids of `width` bytes as a temp list and
+/// reading it back through one reader.
+fn temp_ns(ids: u64, width: usize, timing: &FlashTiming, page_size: usize) -> u128 {
+    let pages = ids.div_ceil(slots_per_page(width, page_size)) as u128;
+    pages * (timing.write_cost_ns(page_size) + timing.read_cost_ns(0))
+        + (ids * width as u64) as u128 * timing.transfer_ns_per_byte as u128
 }
 
 /// Run a pack plan: each planned chunk of two or more sublists becomes one
@@ -676,6 +680,64 @@ fn next_set_bit(bits: &[u8], from: u64, len: u64) -> Option<u64> {
     None
 }
 
+/// Simulated `Merge` ns of evaluating `groups` as `reduction` plans, from
+/// the sublist descriptors alone; `None` for the union step, which is
+/// unpriced.
+fn reduction_ns(
+    groups: &[Vec<IdSource>],
+    reduction: &Reduction,
+    domain: u64,
+    timing: &FlashTiming,
+    page_size: usize,
+) -> Option<u128> {
+    match reduction {
+        Reduction::Scan(plan) => plan.fits.then(|| pack_ns(groups, plan, timing, page_size)),
+        Reduction::Windows(buffers) => {
+            let windows = domain.div_ceil(window_width(*buffers, page_size));
+            Some(windows_ns(groups, windows, timing, page_size))
+        }
+    }
+}
+
+/// Whether the merge of `groups` over `0..domain` should stream into a
+/// consumer that holds `reserve` buffers, rather than be written as a
+/// sorted list beside one writer buffer and read back by that consumer.
+/// It streams when it can open beside the reserve at a price no higher
+/// than the list's: the merge beside one buffer, plus programming the list
+/// and reading it back. The list is priced at its upper bound,
+/// [`max_ids`], in [`id_width`]`(domain)` bytes. A merge
+/// that needs the union step beside the reserve is unpriced and keeps the
+/// list; one that needs it only beside one buffer streams. Reads sublist
+/// descriptors and the RAM budget, no flash.
+pub(crate) fn streams_beside(
+    ctx: &ExecCtx<'_>,
+    groups: &[Vec<IdSource>],
+    reserve: usize,
+    domain: u64,
+) -> bool {
+    let (timing, page_size) = (ctx.lane.timing(), ctx.page_size());
+    let price = |reserve| {
+        let reduction = reduce(ctx, groups, reserve, domain).ok()?;
+        reduction_ns(groups, &reduction, domain, timing, page_size)
+    };
+    let Some(stream) = price(reserve) else {
+        return false;
+    };
+    let Some(merge) = price(1) else {
+        return true;
+    };
+    stream <= merge + temp_ns(max_ids(groups), id_width(domain), timing, page_size)
+}
+
+/// The most ids a merge of `groups` can yield: its smallest group's id
+/// count.
+pub(crate) fn max_ids(groups: &[Vec<IdSource>]) -> u64 {
+    (groups.iter())
+        .map(|g| g.iter().map(|s| s.count()).sum::<u64>())
+        .min()
+        .unwrap_or(0)
+}
+
 /// Open a merge over CNF groups whose ids lie in `0..domain` (the level's
 /// public row count), reserving `reserve` RAM buffers for the downstream
 /// consumer (pipelining budget, §3.4). Runs the reduction if needed.
@@ -724,11 +786,7 @@ pub fn merge_to_list(
     groups: Vec<Vec<IdSource>>,
     domain: u64,
 ) -> Result<IdList> {
-    let max_ids: u64 = groups
-        .iter()
-        .map(|g| g.iter().map(|s| s.count()).sum::<u64>())
-        .min()
-        .unwrap_or(0);
+    let max_ids = max_ids(&groups);
     // One output buffer reserved for the writer.
     let mut stream = open_merge(ctx, groups, 1, domain)?;
     let page_size = ctx.page_size();
@@ -1205,6 +1263,35 @@ mod tests {
         }
         assert!(wrote[0] > 0, "pack writes temps");
         assert_eq!(wrote[1], 0, "bitmap windows write nothing");
+        drop(held);
+        ctx.free_temps().unwrap();
+    }
+
+    #[test]
+    fn a_merge_streams_unless_it_cannot_open_or_prices_dearer_than_a_list() {
+        // Two groups of three 900-id sublists over 0..100_000: six sources.
+        let domain = 100_000u64;
+        let mut db = testkit::tiny_db();
+        let mut ctx = crate::ExecCtx::new(&mut db);
+        let ram = ctx.ram();
+        let ids: Vec<Vec<Id>> = (0..6u32)
+            .map(|k| (0..900).map(|i| i * 97 + k * 13).collect())
+            .collect();
+        let lists = lay_out(&mut ctx, &ids, &[0; 6]);
+        let group = |l: &[IdList]| l.iter().copied().map(IdSource::Flash).collect();
+        let groups: Vec<Vec<IdSource>> = vec![group(&lists[..3]), group(&lists[3..])];
+        // The sources fit beside a reserve of four: nothing to reduce.
+        assert!(streams_beside(&ctx, &groups, 4, domain));
+        // Seven free buffers: the six sources fit beside one writer buffer,
+        // but beside four they take a reduction that writes two temps, dearer
+        // than one list of at most 2 700 ids.
+        let held = ram.alloc_region(ram.available() - 7).unwrap();
+        assert!(!streams_beside(&ctx, &groups, 4, domain));
+        drop(held);
+        // Five free buffers leave one beside the reserve: no merge opens.
+        let held = ram.alloc_region(ram.available() - 5).unwrap();
+        assert!(reduce(&ctx, &groups, 4, domain).is_err());
+        assert!(!streams_beside(&ctx, &groups, 4, domain));
         drop(held);
         ctx.free_temps().unwrap();
     }

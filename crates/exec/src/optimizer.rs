@@ -33,10 +33,9 @@
 //!   SJoin's foreign-key route, so Post's advantage comes later than in the
 //!   plain case. Past a cross cutoff, a hidden selection in the table's
 //!   own subtree leaves the plain [`PRE_POST_CUTOFF`];
-//! * a selection on the root needs no climbing-index probe, so Pre wins
-//!   there up to [`ROOT_PRE_POST_CUTOFF`]. Above it Post wins while its
-//!   Bloom filter stays useful; past that Pre wins again, and the
-//!   selection is deferred above [`ROOT_PRE_CUTOFF`];
+//! * a selection on the root needs no climbing-index probe, and its
+//!   shipped ids stream straight into SJoin, so Pre is the cheapest root
+//!   plan at every selectivity swept (0.005–1);
 //! * with visible selections on several tables, the most selective one is
 //!   filtered and every other one whose sV exceeds [`DEFER_RATIO`] times
 //!   that is deferred to projection: its probes would cost more than
@@ -51,23 +50,26 @@ use crate::Result;
 use ghostdb_bloom::worth_post_filtering;
 
 /// Cross-Pre vs the cheapest other strategy on a table with a hidden
-/// selection in its subtree (measured: 0.20 at ×0.01, 0.126 at ×0.002;
-/// 0.50 at both scales until every stored id took its table's id width,
-/// which made Post's SJoin and Merge cheaper; 0.63 → 0.50 once post plans
-/// stopped reading F' back into columns).
-pub const CROSS_PRE_CUTOFF: f64 = 0.19;
+/// selection in its subtree (measured: 0.25 at ×0.01, 0.20 at ×0.002;
+/// 0.20 and 0.126 until Pre plans streamed their merged root ids into
+/// SJoin and climbing-index descriptors narrowed; 0.50 at both scales
+/// until every stored id took its table's id width, which made Post's
+/// SJoin and Merge cheaper; 0.63 → 0.50 once post plans stopped reading F'
+/// back into columns).
+pub const CROSS_PRE_CUTOFF: f64 = 0.25;
 /// Cross-Pre vs Post when the hidden selection is on the filtered table
 /// itself (`T1.v1 ∧ T1.h1`): the worst-regret point over hidden
 /// selectivities 0.01–0.3, regret counted in simulated time lost
-/// (measured: 0.063 at ×0.01 and ×0.002). Post's own crossover moves
-/// with the hidden range: at ×0.01, from sV ≈ 0.4 at sH 0.01, 0.16 at
-/// 0.03, 0.05 at 0.1 and 0.032 at 0.3. Counted as a ratio the worst
+/// (measured: 0.08 at ×0.01, 0.10 at ×0.002; 0.063 at both before Pre
+/// plans streamed their merged root ids into SJoin). Post's own crossover
+/// moves with the hidden range: at ×0.01, from sV ≈ 0.4 at sH 0.01, 0.16
+/// at 0.03, 0.05 at 0.1 and 0.032 at 0.3. Counted as a ratio the worst
 /// regret would sit at sH 0.01, where the whole query is cheap (Post 2.2×
 /// a 7 ms Cross-Pre at sV 0.05, against Cross-Pre 1.2× a 38 ms Post at sH
 /// 0.3), and the point would move up to 0.16. [`CROSS_PRE_CUTOFF`],
 /// swept with the hidden selection on T12 instead, sits three times
 /// higher.
-pub const OWN_CROSS_PRE_CUTOFF: f64 = 0.055;
+pub const OWN_CROSS_PRE_CUTOFF: f64 = 0.08;
 /// Pre vs Post on a non-root table without cross-filtering or any hidden
 /// selection (measured: 0.0063 at ×0.01 and ×0.002). SJoin's foreign-key
 /// route made Post's single-column SJoin cheap, which moved this from 0.08
@@ -78,45 +80,38 @@ pub const OWN_CROSS_PRE_CUTOFF: f64 = 0.055;
 /// ×0.01). Narrow id cells in projection temporaries, which save most on
 /// Post's larger QEPSJ result, moved it 0.016 → 0.010, and narrow stored
 /// ids, which halve the foreign-key column Post's SJoin reads, 0.010 →
-/// 0.006.
+/// 0.006. Pre plans streaming their merged root ids into SJoin left it at
+/// 0.0063 at ×0.01 (0.008 at ×0.002).
 pub const PRE_POST_CUTOFF: f64 = 0.006;
 /// Pre vs Post on a non-root table without cross-filtering beside a hidden
 /// selection in a sibling subtree: the worst-regret point over hidden
 /// selectivities 0.01–0.3, regret counted in simulated time lost or as a
-/// ratio alike (measured: 0.08 at ×0.01, 0.050 at ×0.002;
+/// ratio alike (measured: 0.10 at ×0.01, 0.08 at ×0.002; 0.08 and 0.050
+/// before Pre plans streamed their merged root ids into SJoin;
 /// 0.13 at ×0.002 and 0.16 at ×0.01 before narrow stored ids, and
 /// 0.16 → 0.13 at ×0.002 once post plans stopped reading F' back into
 /// columns).
-pub const SIBLING_PRE_POST_CUTOFF: f64 = 0.07;
+pub const SIBLING_PRE_POST_CUTOFF: f64 = 0.10;
 /// Pre vs Post on a non-root table without cross-filtering when the root
 /// carries a hidden selection: the crossover at hidden selectivity 0.01,
-/// the narrowest swept (measured: 0.010 at ×0.01, 0.008 at ×0.002; 0.016
+/// the narrowest swept (measured: 0.0127 at ×0.01 and ×0.002; 0.010 and
+/// 0.008 before Pre plans streamed their merged root ids into SJoin; 0.016
 /// before narrow stored ids, down from 0.032 before SJoin's foreign-key
 /// route; 0.020 since bitmap-window Merge reductions, one grid step up,
 /// and 0.020 → 0.016 once post plans stopped reading F' back into
-/// columns). Wider hidden root ranges move the crossover (0.013 at 0.03,
-/// 0.010 at 0.1, 0.008 at 0.3, at ×0.01), so on them one side pays a
+/// columns). Wider hidden root ranges move the crossover (0.016 at 0.03,
+/// 0.0127 at 0.1, 0.008 at 0.3, at ×0.01), so on them one side pays a
 /// little regret between here and there: the price of never paying Pre's
 /// regret on a narrow hidden range.
-pub const HIDDEN_ROOT_PRE_POST_CUTOFF: f64 = 0.009;
-/// Pre vs Post on the root table (measured: the first grid point where
-/// Post wins is 0.16 at ×0.002 and ×0.01, 0.127 before narrow stored ids;
-/// 0.16 before narrow id cells in projection temporaries). Post never beat
-/// Pre on the root while post-filter plans wrote F' as rows and projection
-/// read them back into per-table columns; with SJoin writing the columns
-/// directly it wins from here until its Bloom filter stops being useful
-/// (sV ≈ 0.7).
-pub const ROOT_PRE_POST_CUTOFF: f64 = 0.13;
-/// Pre vs NoFilter on the root table (measured: 0.81–0.93; the first grid
-/// point where NoFilter wins is 1.0 at ×0.002 and ×0.01).
-pub const ROOT_PRE_CUTOFF: f64 = 0.9;
+pub const HIDDEN_ROOT_PRE_POST_CUTOFF: f64 = 0.0126;
 /// With several visible tables, a table is deferred to projection when its
-/// sV exceeds this multiple of the most selective table's (measured: 6.35
-/// at ×0.01, 2.52 at ×0.002, with the most selective sV at 0.01; 4.0 at
+/// sV exceeds this multiple of the most selective table's (measured: 8.0
+/// at ×0.01, 6.35 at ×0.002, with the most selective sV at 0.01; 6.35 and
+/// 2.52 before Pre plans streamed their merged root ids into SJoin; 4.0 at
 /// ×0.002 and 10.1 at ×0.01 before narrow stored ids; 3.17 and 5.0 before
 /// bitmap-window Merge reductions made filtering cheaper; 8.0 at ×0.01
 /// while projection shipped a filtered table's ids a second time).
-pub const DEFER_RATIO: f64 = 5.5;
+pub const DEFER_RATIO: f64 = 8.0;
 
 /// Decide a strategy for every table carrying visible predicates.
 pub fn decide(ctx: &ExecCtx<'_>, a: &Analyzed) -> Result<Vec<VisDecision>> {
@@ -149,13 +144,7 @@ pub fn decide(ctx: &ExecCtx<'_>, a: &Analyzed) -> Result<Vec<VisDecision>> {
         let strategy = if sv > DEFER_RATIO * min_sv {
             VisStrategy::NoFilter
         } else if *t == root {
-            if sv > ROOT_PRE_POST_CUTOFF && worth_post(matching, sv) {
-                VisStrategy::Post
-            } else if sv <= ROOT_PRE_CUTOFF {
-                VisStrategy::Pre
-            } else {
-                VisStrategy::NoFilter
-            }
+            VisStrategy::Pre
         } else if cross_applicable && sv <= cross_pre_cutoff {
             VisStrategy::CrossPre
         } else if sv <= pre_post_cutoff(*t) {
@@ -211,17 +200,17 @@ mod tests {
         assert!(1.0 / n1 > PRE_POST_CUTOFF);
         assert_eq!(decide_t1(0, false), VisStrategy::Pre);
         assert_eq!(decide_t1(1, false), VisStrategy::Post);
-        // With Cross: Cross-Pre up to CROSS_PRE_CUTOFF (22/120), then the
-        // plain rules, whose Bloom filter is still useful at 23/120.
-        assert!(22.0 / n1 <= CROSS_PRE_CUTOFF && 23.0 / n1 > CROSS_PRE_CUTOFF);
-        assert_eq!(decide_t1(22, true), VisStrategy::CrossPre);
-        assert_eq!(decide_t1(23, true), VisStrategy::Post);
+        // With Cross: Cross-Pre up to CROSS_PRE_CUTOFF (30/120), then the
+        // plain rules, whose Bloom filter is still useful at 31/120.
+        assert!(30.0 / n1 <= CROSS_PRE_CUTOFF && 31.0 / n1 > CROSS_PRE_CUTOFF);
+        assert_eq!(decide_t1(30, true), VisStrategy::CrossPre);
+        assert_eq!(decide_t1(31, true), VisStrategy::Post);
     }
 
     #[test]
     fn a_hidden_selection_on_the_table_itself_has_its_own_cross_cutoff() {
         // T1 carries `v1 < pad8(k)` and a hidden `h1` selection of its own:
-        // Cross-Pre up to OWN_CROSS_PRE_CUTOFF (6/120), Post past it: the
+        // Cross-Pre up to OWN_CROSS_PRE_CUTOFF (9/120), Post past it: the
         // sibling Pre/Post cutoff does not apply to T1's own selection.
         let decide_own = |k: u64| {
             let mut db = testkit::tiny_db();
@@ -235,12 +224,12 @@ mod tests {
             d.iter().find(|d| d.table == t1).unwrap().strategy
         };
         let n1 = TINY_ROWS[1] as f64;
-        assert!(6.0 / n1 <= OWN_CROSS_PRE_CUTOFF && 7.0 / n1 > OWN_CROSS_PRE_CUTOFF);
-        assert!(7.0 / n1 <= SIBLING_PRE_POST_CUTOFF);
-        assert_eq!(decide_own(6), VisStrategy::CrossPre);
-        assert_eq!(decide_own(7), VisStrategy::Post);
+        assert!(9.0 / n1 <= OWN_CROSS_PRE_CUTOFF && 10.0 / n1 > OWN_CROSS_PRE_CUTOFF);
+        assert!(10.0 / n1 <= SIBLING_PRE_POST_CUTOFF);
+        assert_eq!(decide_own(9), VisStrategy::CrossPre);
+        assert_eq!(decide_own(10), VisStrategy::Post);
         // A hidden selection below T1 keeps the subtree cutoff.
-        assert_eq!(decide_t1(7, true), VisStrategy::CrossPre);
+        assert_eq!(decide_t1(10, true), VisStrategy::CrossPre);
     }
 
     #[test]
@@ -262,11 +251,11 @@ mod tests {
         };
         let n1 = TINY_ROWS[1] as f64;
         assert!(1.0 / n1 <= HIDDEN_ROOT_PRE_POST_CUTOFF && 2.0 / n1 > HIDDEN_ROOT_PRE_POST_CUTOFF);
-        assert!(8.0 / n1 <= SIBLING_PRE_POST_CUTOFF && 9.0 / n1 > SIBLING_PRE_POST_CUTOFF);
+        assert!(12.0 / n1 <= SIBLING_PRE_POST_CUTOFF && 13.0 / n1 > SIBLING_PRE_POST_CUTOFF);
         assert_eq!(decide_with(1, "T0"), VisStrategy::Pre);
         assert_eq!(decide_with(2, "T0"), VisStrategy::Post);
-        assert_eq!(decide_with(8, "T2"), VisStrategy::Pre);
-        assert_eq!(decide_with(9, "T2"), VisStrategy::Post);
+        assert_eq!(decide_with(12, "T2"), VisStrategy::Pre);
+        assert_eq!(decide_with(13, "T2"), VisStrategy::Post);
     }
 
     /// Decisions for a query with visible selections on T1 (`k1` of 120
@@ -288,48 +277,51 @@ mod tests {
     #[test]
     fn less_selective_tables_are_deferred() {
         // T2 at 1/40 = 0.025 is the most selective; T1 ties it at 3/120 and
-        // at 16/120 = 0.133 stays within DEFER_RATIO × 0.025: both keep
+        // at 24/120 = 0.2 stays within DEFER_RATIO × 0.025: both keep
         // their own filter (Post, both being past PRE_POST_CUTOFF).
         assert_eq!(decide_t1_t2(3, 1), (VisStrategy::Post, VisStrategy::Post));
-        assert_eq!(decide_t1_t2(16, 1), (VisStrategy::Post, VisStrategy::Post));
-        // At 17/120 T1 is past the ratio: it is checked at projection.
+        assert_eq!(decide_t1_t2(24, 1), (VisStrategy::Post, VisStrategy::Post));
+        // At 25/120 T1 is past the ratio: it is checked at projection.
         let (n1, n2) = (TINY_ROWS[1] as f64, TINY_ROWS[2] as f64);
-        assert!(16.0 / n1 <= DEFER_RATIO / n2 && 17.0 / n1 > DEFER_RATIO / n2);
+        assert!(24.0 / n1 <= DEFER_RATIO / n2 && 25.0 / n1 > DEFER_RATIO / n2);
         assert_eq!(
-            decide_t1_t2(17, 1),
+            decide_t1_t2(25, 1),
             (VisStrategy::NoFilter, VisStrategy::Post)
         );
         // The rule is symmetric: the most selective table is kept whichever
-        // it is (T1 at 1/120, past PRE_POST_CUTOFF).
+        // it is (T1 at 1/120, past PRE_POST_CUTOFF; T2 at 3/40 is 9 times
+        // that).
         assert_eq!(
-            decide_t1_t2(1, 2),
+            decide_t1_t2(1, 3),
             (VisStrategy::Post, VisStrategy::NoFilter)
         );
     }
 
     #[test]
-    fn root_selections_switch_at_the_root_cutoffs() {
+    fn root_selections_are_pre_unless_deferred() {
         let mut db = testkit::tiny_db();
         let t0 = db.schema.root();
+        let t2 = db.schema.table_id("T2").unwrap();
         let n0 = TINY_ROWS[0];
-        let decide_t0 = |db: &mut crate::Database, k: u64| {
-            let q = SpjQuery::new().pred(t0, Predicate::new("v1", CmpOp::Lt, pad8(k), None));
+        // `T0.v1 < pad8(k0)`, beside `T2.v1 < pad8(k2)` when given.
+        let decide_t0 = |db: &mut crate::Database, k0: u64, k2: Option<u64>| {
+            let mut q = SpjQuery::new().pred(t0, Predicate::new("v1", CmpOp::Lt, pad8(k0), None));
+            if let Some(k2) = k2 {
+                q = q.pred(t2, Predicate::new("v1", CmpOp::Lt, pad8(k2), None));
+            }
             let a = analyze(&db.schema, &q).unwrap();
             let ctx = crate::ExecCtx::new(db);
             decide(&ctx, &a).unwrap()[0].strategy
         };
-        // Pre up to ROOT_PRE_POST_CUTOFF (78/600), Post past it while the
-        // Bloom filter is useful.
-        let n = n0 as f64;
-        assert!(78.0 / n <= ROOT_PRE_POST_CUTOFF && 79.0 / n > ROOT_PRE_POST_CUTOFF);
-        assert_eq!(decide_t0(&mut db, 78), VisStrategy::Pre);
-        assert_eq!(decide_t0(&mut db, 79), VisStrategy::Post);
-        assert_eq!(decide_t0(&mut db, n0 / 2), VisStrategy::Post);
-        // A filter passing 90% of the root stream prunes too little: Pre
-        // again, up to ROOT_PRE_CUTOFF.
-        let at = (ROOT_PRE_CUTOFF * n0 as f64) as u64;
-        assert_eq!(decide_t0(&mut db, at), VisStrategy::Pre);
-        assert_eq!(decide_t0(&mut db, at + 1), VisStrategy::NoFilter);
+        // Alone, the root's selection is Pre at every selectivity.
+        for k in [0, 1, 78, 79, n0 / 2, n0 * 9 / 10, n0] {
+            assert_eq!(decide_t0(&mut db, k, None), VisStrategy::Pre, "{k}/{n0}");
+        }
+        // Beside a table more than DEFER_RATIO times more selective (T2 at
+        // 1/40), it is deferred to projection.
+        let at = (DEFER_RATIO / TINY_ROWS[2] as f64 * n0 as f64) as u64;
+        assert_eq!(decide_t0(&mut db, at, Some(1)), VisStrategy::Pre);
+        assert_eq!(decide_t0(&mut db, at + 1, Some(1)), VisStrategy::NoFilter);
     }
 
     #[test]

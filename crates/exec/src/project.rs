@@ -38,7 +38,7 @@
 //! on a miss (`TableStream`). A resident pass costs one id-column sweep,
 //! in FinalJoin instead of MJoin, and saves its run's write and read. The
 //! pass before it is cut so that the last one fills the room FinalJoin
-//! leaves, where that pays ([`mjoin`]). The pass and run counts, the cut
+//! leaves, where that pays (`mjoin`). The pass and run counts, the cut
 //! and whether a tail stays are hidden-derived; they change only
 //! token-internal flash I/O, never a host request, shipment or wire byte.
 //!

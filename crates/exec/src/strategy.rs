@@ -32,7 +32,7 @@ use crate::bloom_ops::{build_bloom, BloomHandle};
 use crate::ci_ops::{probe_in, select_sublists, select_sublists_multi};
 use crate::ctx::ExecCtx;
 use crate::error::ExecError;
-use crate::merge::{merge_to_list, merge_to_vec, open_merge};
+use crate::merge::{max_ids, merge_to_list, merge_to_vec, open_merge, streams_beside};
 use crate::query::Analyzed;
 use crate::report::OpKind;
 use crate::sjoin::{finish_columns, id_column, SJoinTable, SJoinWriter};
@@ -353,37 +353,28 @@ pub fn execute_sj(
         }
     }
 
-    // Pre side: the merged root ids (all of them with no selection), then
-    // SJoin (the SJoin whose cost dominates Figures 15–16 for pre-filter
-    // plans). Post side: Merge → SJoin → ProbeBF, pipelined: reduction fits
-    // the merge beside the Bloom RAM and the SJoin reserve.
+    // Pre side: the merged root ids (all of them with no selection) stream
+    // into SJoin (the SJoin whose cost dominates Figures 15–16 for
+    // pre-filter plans), unless the merge cannot open beside SJoin's
+    // reserve or prices dearer there than as a list SJoin reads back.
+    // Post side: Merge → SJoin → ProbeBF, pipelined: reduction fits the
+    // merge beside the Bloom RAM and the SJoin reserve.
     let rows = ctx.cat.rows[root];
+    if groups.is_empty() {
+        groups.push(vec![IdSource::Range {
+            start: 0,
+            end: rows as Id,
+        }]);
+    }
     let mut writer;
     let mut next_id: RootFeed;
-    if pre {
-        let source = if groups.is_empty() {
-            IdSource::Range {
-                start: 0,
-                end: rows as Id,
-            }
-        } else {
-            IdSource::Flash(merge_to_list(ctx, groups, rows)?)
-        };
+    if pre && !streams_beside(ctx, &groups, sjoin_reserve, rows) {
+        let source = IdSource::Flash(merge_to_list(ctx, groups, rows)?);
         writer = SJoinWriter::create(ctx, root, &cols, source.count())?;
         let mut feed = SourceReader::open(&source, &ctx.ram(), ctx.page_size())?;
         next_id = Box::new(move |ctx| ctx.tracked(OpKind::SJoin, |dev| feed.next(dev)));
     } else {
-        if groups.is_empty() {
-            groups.push(vec![IdSource::Range {
-                start: 0,
-                end: rows as Id,
-            }]);
-        }
-        let upper: u64 = groups
-            .iter()
-            .map(|g| g.iter().map(|s| s.count()).sum::<u64>())
-            .min()
-            .unwrap_or(0);
+        let upper = max_ids(&groups);
         let mut stream = open_merge(ctx, groups, sjoin_reserve, rows)?;
         writer = SJoinWriter::create(ctx, root, &cols, upper)?;
         next_id = Box::new(move |ctx| stream.next(ctx));

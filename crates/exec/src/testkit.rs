@@ -27,24 +27,28 @@ pub const TINY_ROWS: [u64; 5] = [600, 120, 40, 20, 16];
 /// * every table: `v1 = pad8(id)` (unique), `v2 = pad8(id % 10)`,
 ///   `h1 = pad8(id % 4)`, `h2 = pad8(id % 8)`; `h1`/`h2` are indexed.
 pub fn tiny_db() -> Database {
-    assemble_tiny(|r| pad8(r as u64 % 4))
+    assemble_tiny(TINY_ROWS, |r| pad8(r as u64 % 4))
 }
 
-/// [`tiny_db`], but `h1` is distinct per row, so T1's `h1` climbing index
-/// spans several B+-tree leaves ((2048-8)/44 = 46 entries per leaf at 3
-/// levels) and per-level rescans actually pay leaf I/O.
+/// Table cardinalities of [`wide_key_db`]: [`TINY_ROWS`] with 480 T1 rows.
+pub const WIDE_KEY_ROWS: [u64; 5] = [600, 480, 40, 20, 16];
+
+/// [`tiny_db`] with [`WIDE_KEY_ROWS`], and `h1` distinct per row, so T1's
+/// `h1` climbing index spans several B+-tree leaves ((2048-8)/16 = 127
+/// entries per leaf, each two levels of 2-byte descriptor cells) and
+/// per-level rescans actually pay leaf I/O.
 pub fn wide_key_db() -> Database {
-    assemble_tiny(|r| pad8(r as u64))
+    assemble_tiny(WIDE_KEY_ROWS, |r| pad8(r as u64))
 }
 
-/// The tiny instance with `h1` generated by `h1`.
+/// An instance of `rows` cardinalities with `h1` generated by `h1`.
 #[allow(
     clippy::expect_used,
     reason = "test support: a fixed instance that fails to assemble is a broken test build"
 )]
-fn assemble_tiny(h1: fn(Id) -> Value) -> Database {
+fn assemble_tiny(rows: [u64; 5], h1: fn(Id) -> Value) -> Database {
     let schema = paper_synthetic_schema(2, 2);
-    let [n0, n1, n2, n11, n12] = TINY_ROWS;
+    let [n0, n1, n2, n11, n12] = rows;
     let table = |name: &str, rows: u64, fks: Vec<(String, Vec<Id>)>| TableLoad {
         table: name.into(),
         rows,

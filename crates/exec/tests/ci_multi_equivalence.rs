@@ -30,7 +30,7 @@ use ghostdb_exec::ci_ops::{level_of, select_sublists_multi};
 use ghostdb_exec::project::ProjectAlgo;
 use ghostdb_exec::source::IdSource;
 use ghostdb_exec::strategy::VisStrategy;
-use ghostdb_exec::testkit::{pad8, tiny_db, wide_key_db};
+use ghostdb_exec::testkit::{pad8, tiny_db, wide_key_db, WIDE_KEY_ROWS};
 use ghostdb_exec::{Database, ExecCtx, ExecOptions, ExecReport, Executor, OpKind, SpjQuery};
 use ghostdb_flash::{FlashDevice, FlashGeometry, FlashStats, FlashTiming, SegmentAllocator};
 use ghostdb_index::{ClimbingIndex, ClimbingSpec, FkData, IndexBuilder, LevelSpec};
@@ -444,7 +444,7 @@ fn cross_post_ci_bytes_materially_reduced() {
     let mut db = wide_key_db();
     let root = db.schema.root();
     let t1 = db.schema.table_id("T1").unwrap();
-    let pred = Predicate::new("h1", CmpOp::Lt, pad8(120), None); // every key
+    let pred = Predicate::new("h1", CmpOp::Lt, pad8(WIDE_KEY_ROWS[1]), None); // every key
     let targets = [t1, root];
     let (ids_m, ci_multi, io_multi, _) = run_ci_op(&mut db, |ctx| {
         let ci = ctx.attr_index(t1, "h1").unwrap();

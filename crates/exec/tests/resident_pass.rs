@@ -125,9 +125,9 @@ fn every_pass_count_matches_the_oracle_in_every_arena() {
 }
 
 /// A Pre-Filter query with one participant whose σ fits one dict keeps
-/// that dict resident, so projection programs nothing: the query's only
-/// programs are the select-join phase's, Merge's list of the selected root
-/// ids and F' (the root's and T1's id columns, which SJoin writes).
+/// that dict resident, so projection programs nothing, and its merged root
+/// ids stream into SJoin: the query's only programs are F' (the root's and
+/// T1's id columns, which SJoin writes).
 #[test]
 fn a_one_pass_pre_plan_programs_only_f_prime() {
     let (ds, mut db) = dataset();
@@ -144,13 +144,39 @@ fn a_one_pass_pre_plan_programs_only_f_prime() {
         let report = check(&mut db, &q, VisStrategy::Pre, 32, &expect);
         let n = expect.len() as u64;
         let page = db.token.flash.page_size();
-        let root_rows = db.hidden[t0].rows;
-        let merged = n.div_ceil(slots_per_page(id_width(root_rows), page));
-        let f_prime: u64 = [root_rows, db.hidden[t1].rows]
+        let f_prime: u64 = [db.hidden[t0].rows, db.hidden[t1].rows]
             .iter()
             .map(|rows| RowLayout::id_cells(&[*rows]).pages_for(n, page))
             .sum();
-        assert_eq!(report.io.pages_written, merged + f_prime, "{}", q.text);
+        assert_eq!(report.io.pages_written, f_prime, "{}", q.text);
         assert!(report.op(OpKind::MJoin).as_ns() > 0, "{}", q.text);
+    }
+}
+
+/// Where the Pre side's merge cannot open beside SJoin's reserve (its
+/// scan buffers, id lookahead and the root column's writer: four buffers
+/// here), it is written as a list SJoin reads back: the same rows, and the
+/// list's pages are the only programs besides F'.
+#[test]
+fn a_pre_plan_too_tight_to_stream_falls_back_to_the_list() {
+    let (ds, mut db) = dataset();
+    let t0 = db.schema.root();
+    let t1: TableId = db.schema.table_id("T1").unwrap();
+    let mut q = SpjQuery::new()
+        .pred(t1, ds.selectivity_pred("T1", "v1", 0.1))
+        .project(t0, "id");
+    q.text = "T1.v1 < 0.1 projecting T0.id".into();
+    let expect = oracle(&ds, &q);
+    let n = expect.len() as u64;
+    let page = db.token.flash.page_size();
+    let root_rows = db.hidden[t0].rows;
+    let f_prime = RowLayout::id_cells(&[root_rows]).pages_for(n, page);
+    let list = n.div_ceil(slots_per_page(id_width(root_rows), page));
+    let streamed = check(&mut db, &q, VisStrategy::Pre, 32, &expect);
+    assert_eq!(streamed.io.pages_written, f_prime);
+    // Fewer than two buffers beside the reserve: no merge can open.
+    for buffers in [5, 4] {
+        let listed = check(&mut db, &q, VisStrategy::Pre, buffers, &expect);
+        assert_eq!(listed.io.pages_written, f_prime + list, "{buffers} buffers");
     }
 }

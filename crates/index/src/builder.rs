@@ -6,7 +6,7 @@
 //! snapshot the device counters afterwards so query measurements start
 //! clean.
 
-use crate::climbing::{ClimbingIndex, LevelSpec, LEVEL_DESC_BYTES};
+use crate::climbing::{ClimbingIndex, DescLayout, LevelSpec};
 use crate::skt::SubtreeKeyTable;
 use ghostdb_flash::{FlashDevice, SegmentAllocator};
 use ghostdb_storage::btree::BTree;
@@ -208,8 +208,9 @@ impl IndexBuilder {
             .collect();
 
         let page_size = dev.page_size();
-        let payload_size = levels.len() * LEVEL_DESC_BYTES;
-        let mut payloads: Vec<Vec<u8>> = vec![vec![0u8; payload_size]; distinct.len()];
+        let level_rows: Vec<u64> = levels.iter().map(|l| self.rows[*l]).collect();
+        let desc = DescLayout::new(&level_rows);
+        let mut payloads: Vec<Vec<u8>> = vec![vec![0u8; desc.size()]; distinct.len()];
         let mut areas = Vec::with_capacity(levels.len());
 
         for (li, level_table) in levels.iter().enumerate() {
@@ -224,7 +225,7 @@ impl IndexBuilder {
             let n = level_keys.len();
             // Bucket ids per key rank; iterating rows in ascending id order
             // keeps every sublist sorted.
-            let mut counts = vec![0u32; distinct.len()];
+            let mut counts: Vec<Id> = vec![0; distinct.len()];
             for k in &level_keys {
                 counts[rank[k] as usize] += 1;
             }
@@ -232,11 +233,11 @@ impl IndexBuilder {
             // area's slots are contiguous, and each page takes the next
             // `page_size / width` of them.
             let width = id_width(self.rows[*level_table]);
-            let mut offsets = vec![0u64; distinct.len()];
-            let mut acc = 0u64;
+            let mut offsets: Vec<Id> = vec![0; distinct.len()];
+            let mut acc: Id = 0;
             for (i, c) in counts.iter().enumerate() {
                 offsets[i] = acc;
-                acc += *c as u64;
+                acc += *c;
             }
             let mut area = vec![0u8; n * width];
             let mut cursor = offsets.clone();
@@ -252,23 +253,21 @@ impl IndexBuilder {
             for (p, chunk) in area.chunks(page_bytes).enumerate() {
                 dev.write(seg.lpn(p as u64)?, chunk)?;
             }
-            areas.push((seg, width));
+            areas.push((*level_table, seg, width));
             for (ki, payload) in payloads.iter_mut().enumerate() {
-                let at = li * LEVEL_DESC_BYTES;
-                payload[at..at + 8].copy_from_slice(&offsets[ki].to_le_bytes());
-                payload[at + 8..at + 12].copy_from_slice(&counts[ki].to_le_bytes());
+                desc.put(payload, li, offsets[ki], counts[ki])?;
             }
         }
 
         let entries: Vec<(u64, Vec<u8>)> = distinct.into_iter().zip(payloads).collect();
-        let tree = BTree::bulk_build(dev, alloc, payload_size, &entries)?;
+        let tree = BTree::bulk_build(dev, alloc, desc.size(), &entries)?;
         Ok(ClimbingIndex::new(
             t,
             column.to_string(),
-            levels,
             exact,
             self.rows[t],
             tree,
+            desc,
             areas,
         ))
     }
@@ -282,7 +281,7 @@ fn lay_ids<const W: usize>(
     area: &mut [u8],
     keys: &[u64],
     rank: &HashMap<u64, u32>,
-    cursor: &mut [u64],
+    cursor: &mut [Id],
 ) {
     let (cells, _) = area.as_chunks_mut::<W>();
     for (r, k) in keys.iter().enumerate() {

@@ -12,13 +12,16 @@
 //! level's packed **ID area** (one contiguous segment per level, sublists
 //! back to back in key order — so a range scan touches each area
 //! sequentially). The offset is an id slot: a level's ids take its table's
-//! [`id_width`]`(|T|)` bytes, as every [`IdList`] does.
+//! [`id_width`]`(|T|)` bytes, as every [`IdList`] does. Offset and count
+//! both range over `0..=|T|`, so each takes [`id_width`]`(|T| + 1)` bytes
+//! ([`DescLayout`]): the payload is a function of public row counts only.
 
 use ghostdb_flash::{FlashDevice, Segment};
 use ghostdb_storage::btree::{BTree, BTreeCursor};
 #[cfg(doc)]
 use ghostdb_storage::row::id_width;
-use ghostdb_storage::{IdList, Result, StorageError, TableId};
+use ghostdb_storage::row::RowLayout;
+use ghostdb_storage::{Id, IdList, Result, StorageError, TableId};
 use ghostdb_token::RamArena;
 
 /// Which levels (targets) a climbing index carries.
@@ -35,8 +38,40 @@ pub enum LevelSpec {
     AncestorsOnly,
 }
 
-/// Per-level descriptor width in a leaf payload: offset u64 + count u32.
-pub const LEVEL_DESC_BYTES: usize = 12;
+/// The leaf payload of a climbing index: per level, the `(offset, count)`
+/// descriptor of its sublist, each an id cell of [`id_width`]`(|T| + 1)`
+/// bytes for a level table of `|T|` rows, since both range over
+/// `0..=|T|` (a trailing empty sublist starts at `|T|`).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct DescLayout(RowLayout);
+
+impl DescLayout {
+    /// The payload layout for levels of `level_rows` rows each.
+    pub fn new(level_rows: &[u64]) -> Self {
+        let cells: Vec<u64> = level_rows.iter().flat_map(|&r| [r + 1, r + 1]).collect();
+        DescLayout(RowLayout::id_cells(&cells))
+    }
+
+    /// Payload bytes per leaf entry.
+    pub fn size(&self) -> usize {
+        self.0.size()
+    }
+
+    /// Write `level`'s descriptor into `payload`. A value its cells cannot
+    /// hold is [`StorageError::IdTooWide`], never truncated.
+    pub fn put(&self, payload: &mut [u8], level: usize, offset: Id, count: Id) -> Result<()> {
+        self.0.put_id(payload, 2 * level, offset)?;
+        self.0.put_id(payload, 2 * level + 1, count)
+    }
+
+    /// `level`'s `(offset, count)` descriptor in `payload`.
+    pub fn get(&self, payload: &[u8], level: usize) -> (Id, Id) {
+        (
+            self.0.get_id(payload, 2 * level),
+            self.0.get_id(payload, 2 * level + 1),
+        )
+    }
+}
 
 /// A climbing index on flash.
 #[derive(Debug, Clone)]
@@ -55,24 +90,29 @@ pub struct ClimbingIndex {
     /// Rows in the indexed table (selectivity estimation).
     pub rows: u64,
     tree: BTree,
+    /// Layout of the tree's leaf payloads.
+    desc: DescLayout,
     /// Packed ID area per level and the width of its ids (parallel to
     /// `levels`).
     areas: Vec<(Segment, usize)>,
 }
 
 impl ClimbingIndex {
-    /// Assemble from built parts (used by `IndexBuilder`).
+    /// Assemble from built parts (used by `IndexBuilder`): each level's
+    /// table, packed ID area and id width, innermost first.
     pub fn new(
         table: TableId,
         column: String,
-        levels: Vec<TableId>,
         exact: bool,
         rows: u64,
         tree: BTree,
-        areas: Vec<(Segment, usize)>,
+        desc: DescLayout,
+        levels: Vec<(TableId, Segment, usize)>,
     ) -> Self {
-        assert_eq!(levels.len(), areas.len());
-        assert_eq!(tree.payload_size(), levels.len() * LEVEL_DESC_BYTES);
+        assert_eq!(tree.payload_size(), desc.size());
+        let (levels, areas) = (levels.into_iter())
+            .map(|(t, segment, width)| (t, (segment, width)))
+            .unzip();
         ClimbingIndex {
             table,
             column,
@@ -80,6 +120,7 @@ impl ClimbingIndex {
             exact,
             rows,
             tree,
+            desc,
             areas,
         }
     }
@@ -114,14 +155,12 @@ impl ClimbingIndex {
     }
 
     fn decode_level(&self, payload: &[u8], level: usize) -> IdList {
-        let at = level * LEVEL_DESC_BYTES;
-        let offset = u64::from_le_bytes(std::array::from_fn(|i| payload[at + i]));
-        let count = u32::from_le_bytes(std::array::from_fn(|i| payload[at + 8 + i]));
+        let (offset, count) = self.desc.get(payload, level);
         let (segment, width) = self.areas[level];
         IdList {
             segment,
-            start: offset,
-            count: count as u64,
+            start: offset.into(),
+            count: count.into(),
             width,
         }
     }
@@ -620,8 +659,9 @@ mod tests {
         let t11 = schema.table_id("T11").unwrap();
         let t12 = schema.table_id("T12").unwrap();
         // Enough distinct keys that the B+-tree spans several leaves: with
-        // FullClimb from T1 (2 levels → 24-byte payloads) a 2 KiB page
-        // holds (2048 - 8) / 32 = 63 leaf entries.
+        // T1 and the root as levels (200 and 400 rows: 1- and 2-byte
+        // descriptor cells, 6-byte payloads) a 2 KiB page holds
+        // (2048 - 8) / 14 = 145 leaf entries.
         let n1 = 200u64;
         let mut rows = vec![0u64; schema.len()];
         rows[t0] = 400;
@@ -649,10 +689,8 @@ mod tests {
                 },
             )
             .unwrap();
-        let leaf_cap = ghostdb_storage::btree::BTree::leaf_capacity(
-            dev.page_size(),
-            ci.levels.len() * LEVEL_DESC_BYTES,
-        ) as u64;
+        let leaf_cap =
+            ghostdb_storage::btree::BTree::leaf_capacity(dev.page_size(), ci.desc.size()) as u64;
         assert!(n1 > leaf_cap, "index must span more than one leaf");
         let boundary = leaf_cap - 1; // last key of the first leaf
                                      // An ascending probe run holding *equal* keys at and across the
