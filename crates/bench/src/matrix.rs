@@ -23,8 +23,8 @@ use ghostdb_exec::sjoin::sjoin_stream;
 use ghostdb_exec::source::{IdSource, UnionStream};
 use ghostdb_exec::strategy::VisStrategy;
 use ghostdb_exec::{
-    Database, ExecCtx, ExecOptions, ExecReport, Executor, GhostDbServer, ServeConfig, Session,
-    SpjQuery,
+    Database, ExecCtx, ExecOptions, ExecReport, Executor, GhostDbServer, OpKind, ServeConfig,
+    Session, SpjQuery,
 };
 use ghostdb_flash::{
     FlashDevice, FlashGeometry, FlashStats, FlashTiming, SegmentAllocator, SimDuration,
@@ -760,21 +760,34 @@ fn micro_ci_multi() -> Family {
 /// SJoin over 20 000 dense root ids of the synthetic SKT: `stream`
 /// projects `[T1, T12]` and reads the SKT (wall time only); `fk-route`
 /// projects `[T1]`, a direct child, so it reads `T0.fk1` instead and
-/// records the simulated time and flash bytes of that read.
+/// records the simulated time and flash bytes of that read. `keyed` runs
+/// the Cross-Pre Q at sV = 0.1 and records its SJoin layer: the probe ids
+/// name T1 for every root id, so SJoin reads T12 through `SKT_T1` for the
+/// distinct probe ids and never opens `SKT_T0`.
 fn micro_sjoin(scale: f64) -> Family {
-    const POINTS: [(&str, bool); 2] = [("stream", false), ("fk-route", true)];
+    const POINTS: [&str; 3] = ["stream", "fk-route", "keyed"];
     let names = POINTS
         .iter()
-        .map(|(name, _)| format!("micro/sjoin/{name}"))
+        .map(|name| format!("micro/sjoin/{name}"))
         .collect();
     Family::new(names, move || {
-        let (_, mut db) = build_synthetic(scale);
+        let (ds, mut db) = build_synthetic(scale);
         let root = db.schema.root();
         let t1 = db.schema.table_id("T1").unwrap();
         let t12 = db.schema.table_id("T12").unwrap();
         let rows = db.rows[root].min(20_000);
+        let q = query_q(&ds, &db, 0.1, false);
         Box::new(move |i| {
-            let simulated = POINTS[i].1;
+            if POINTS[i] == "keyed" {
+                let opts = ExecOptions::new().strategy(VisStrategy::CrossPre);
+                let (rs, report) = Executor::run(&mut db, &q, &opts).unwrap();
+                return Run {
+                    simulated: report.op(OpKind::SJoin),
+                    ops: rs.rows.len() as u64,
+                    ..Run::default()
+                };
+            }
+            let simulated = POINTS[i] == "fk-route";
             let targets = if simulated { vec![t1] } else { vec![t1, t12] };
             let mut ctx = ExecCtx::new(&mut db);
             let skt = ctx.skt(root).unwrap();

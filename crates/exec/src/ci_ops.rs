@@ -12,7 +12,7 @@ use crate::report::OpKind;
 use crate::source::IdSource;
 use crate::Result;
 use ghostdb_index::ClimbingIndex;
-use ghostdb_storage::{Id, Predicate, TableId};
+use ghostdb_storage::{Id, IdList, Predicate, TableId};
 
 /// Resolve the level index of `target` in `ci`, erroring with context.
 pub fn level_of(ctx: &ExecCtx<'_>, ci: &ClimbingIndex, target: TableId) -> Result<usize> {
@@ -73,7 +73,10 @@ pub fn select_sublists_multi(
     })
 }
 
-/// `CI(I, id ∈ probe_ids, target)`: one sublist per present probe id.
+/// `CI(I, id ∈ probe_ids, target)`: each present probe id with its
+/// sublist, empty sublists dropped. On a primary-key index every id of a
+/// probe id's sublist joins that probe id, which is what a keyed SJoin
+/// reads back (see [`crate::strategy`]).
 ///
 /// Probe ids are sorted once (they normally arrive ascending from sorted
 /// visible selections or merges, making the sort a single verification
@@ -85,7 +88,7 @@ pub fn probe_in(
     ci: &ClimbingIndex,
     probe_ids: &[Id],
     target: TableId,
-) -> Result<Vec<IdSource>> {
+) -> Result<Vec<(Id, IdList)>> {
     let level = level_of(ctx, ci, target)?;
     let mut keys: Vec<u64> = probe_ids.iter().map(|id| *id as u64).collect();
     keys.sort_unstable();
@@ -97,8 +100,8 @@ pub fn probe_in(
             .with_flash(|dev| probe.lookup_eq_run(dev, &keys, level))?;
         Ok(lists
             .into_iter()
-            .filter(|l| l.count > 0)
-            .map(IdSource::Flash)
+            .filter(|(_, l)| l.count > 0)
+            .map(|(key, l)| (key as Id, l))
             .collect())
     })
 }

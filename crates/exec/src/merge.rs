@@ -40,6 +40,11 @@
 //! fix. Every path bills every byte to `Merge` through the flash device,
 //! and all are token-internal: none changes rows, host requests or channel
 //! traffic.
+//!
+//! A keyed SJoin (see [`crate::strategy`]) holds one group's root ids in
+//! RAM. The merge then evaluates the other groups against those ids alone
+//! (`resident_intersection`): one bitmap window whose domain is the
+//! resident ids, so each flash sublist is read once, page-span exact.
 
 use crate::ctx::ExecCtx;
 use crate::error::ExecError;
@@ -426,6 +431,40 @@ fn load_pieces(
     Ok(())
 }
 
+/// Load the ids of `lists` into RAM the way the pack step loads a chunk
+/// (page by page through one stage buffer, one read per [`page_spans`]
+/// span), handing `f` each id with the index in `lists` of its sublist.
+/// Reads are billed to `Merge`.
+pub(crate) fn load_ids(
+    ctx: &mut ExecCtx<'_>,
+    lists: &[IdList],
+    mut f: impl FnMut(usize, Id),
+) -> Result<()> {
+    let mut order: Vec<usize> = (0..lists.len()).filter(|&i| lists[i].count > 0).collect();
+    if order.is_empty() {
+        return Ok(());
+    }
+    order.sort_by_key(|&i| (lists[i].segment.start(), lists[i].start));
+    let sorted: Vec<IdList> = order.iter().map(|&i| lists[i]).collect();
+    let page_size = ctx.page_size();
+    let mut stage = ctx.ram().alloc()?;
+    // The sublist the next id belongs to, and its ids still to come.
+    let (mut at, mut left) = (0, sorted.first().map_or(0, |l| l.count));
+    ctx.tracked(OpKind::Merge, |dev| {
+        load_pieces(dev, &sorted, &mut stage, page_size, |bytes, width| {
+            for c in bytes.chunks_exact(width) {
+                while left == 0 {
+                    at += 1;
+                    left = sorted[at].count;
+                }
+                f(order[at], get_id_cell(c));
+                left -= 1;
+            }
+            Ok(())
+        })
+    })
+}
+
 /// Load the ids of `chunk`, sublists of one width, into one RAM region,
 /// page by page, then sort them there and write them as a fresh temp list
 /// of that width.
@@ -660,6 +699,66 @@ impl Windows {
         }
         Ok(())
     }
+}
+
+/// Buffers of one bitmap over `ids` ids.
+pub(crate) fn bitmap_buffers(ids: u64, buf_size: usize) -> usize {
+    ids.div_ceil(8).div_ceil(buf_size as u64) as usize
+}
+
+/// The ids of the ascending, RAM-resident `ids` that every one of `groups`
+/// holds: the bitmap-window evaluation with `ids` standing in for the id
+/// domain, one bit an id of `ids`. A group's flash sublists are read once,
+/// page-span exact through one stage buffer, and its RAM-resident sources
+/// from RAM; its bits are set in a scratch bitmap that is then ANDed into
+/// the accumulator. Holds the two bitmaps and the stage buffer.
+pub(crate) fn resident_intersection(
+    ctx: &mut ExecCtx<'_>,
+    ids: &[Id],
+    groups: &[Vec<IdSource>],
+) -> Result<Vec<Id>> {
+    if groups.is_empty() {
+        return Ok(ids.to_vec());
+    }
+    let ram = ctx.ram();
+    let buffers = bitmap_buffers(ids.len() as u64, ram.buf_size());
+    let (mut acc, mut scratch) = (ram.alloc_region(buffers)?, ram.alloc_region(buffers)?);
+    let used = ids.len().div_ceil(8);
+    acc[..used].fill(u8::MAX);
+    let at = |id: Id| ids.binary_search(&id).ok().map(|i| i as u64);
+    for g in groups {
+        let bits = &mut scratch[..used];
+        bits.fill(0);
+        for s in g {
+            match s {
+                IdSource::Host(host) => {
+                    for i in host.iter().filter_map(|&id| at(id)) {
+                        set_bit(bits, i);
+                    }
+                }
+                IdSource::Range { start, end } => {
+                    let lo = ids.partition_point(|id| id < start) as u64;
+                    let hi = ids.partition_point(|id| id < end) as u64;
+                    for i in lo..hi {
+                        set_bit(bits, i);
+                    }
+                }
+                IdSource::Flash(_) => {}
+            }
+        }
+        load_ids(ctx, &flash_lists(g), |_, id| {
+            if let Some(i) = at(id) {
+                set_bit(bits, i);
+            }
+        })?;
+        for (a, s) in acc[..used].iter_mut().zip(&scratch[..used]) {
+            *a &= s;
+        }
+    }
+    Ok((ids.iter().enumerate())
+        .filter(|(i, _)| acc[i / 8] >> (i % 8) & 1 == 1)
+        .map(|(_, id)| *id)
+        .collect())
 }
 
 fn set_bit(bits: &mut [u8], i: u64) {

@@ -16,10 +16,11 @@
 //!
 //! * cross-filtering applies whenever a hidden selection exists on the
 //!   table or its subtree; Cross-Pre is then the cheapest plan up to
-//!   [`CROSS_PRE_CUTOFF`], or [`OWN_CROSS_PRE_CUTOFF`] when the hidden
-//!   selection is on the table itself, after which the table is treated
-//!   as if it had no hidden selection below it (Cross-Post never wins by
-//!   more than a few percent);
+//!   [`CROSS_PRE_CUTOFF`] (every sV since SJoin reads a Cross-Pre probe's
+//!   targets through its keys), or [`OWN_CROSS_PRE_CUTOFF`] when the
+//!   hidden selection is on the table itself, after which the table is
+//!   treated as if it had no hidden selection below it (Cross-Post never
+//!   wins by more than a few percent);
 //! * without Cross: Pre wins up to [`PRE_POST_CUTOFF`] (Figure 10); Post
 //!   is used above only while the Bloom filter stays useful, otherwise the
 //!   selection is deferred to projection (the sV = 0.5 cutoff);
@@ -50,28 +51,31 @@ use crate::Result;
 use ghostdb_bloom::worth_post_filtering;
 
 /// Cross-Pre vs the cheapest other strategy on a table with a hidden
-/// selection in its subtree (measured: 0.25 at ×0.01, 0.20 at ×0.002;
+/// selection in its subtree (measured: no crossover up to sV = 1 at ×0.01
+/// or ×0.002 since SJoin reads a keyed probe's targets through its keys
+/// instead of the root's SKT; 0.25 at ×0.01 and 0.20 at ×0.002 before;
 /// 0.20 and 0.126 until Pre plans streamed their merged root ids into
 /// SJoin and climbing-index descriptors narrowed; 0.50 at both scales
 /// until every stored id took its table's id width, which made Post's
 /// SJoin and Merge cheaper; 0.63 → 0.50 once post plans stopped reading F'
 /// back into columns).
-pub const CROSS_PRE_CUTOFF: f64 = 0.25;
+pub const CROSS_PRE_CUTOFF: f64 = 1.0;
 /// Cross-Pre vs Post when the hidden selection is on the filtered table
 /// itself (`T1.v1 ∧ T1.h1`): the worst-regret point over hidden
 /// selectivities 0.01–0.3, regret counted in simulated time lost
-/// (measured: 0.08 at ×0.01, 0.10 at ×0.002; 0.063 at both before Pre
-/// plans streamed their merged root ids into SJoin). Post's own crossover
-/// moves with the hidden range: at ×0.01, from sV ≈ 0.4 at sH 0.01, 0.16
-/// at 0.03, 0.05 at 0.1 and 0.032 at 0.3. Counted as a ratio the worst
-/// regret would sit at sH 0.01, where the whole query is cheap (Post 2.2×
-/// a 7 ms Cross-Pre at sV 0.05, against Cross-Pre 1.2× a 38 ms Post at sH
-/// 0.3), and the point would move up to 0.16. [`CROSS_PRE_CUTOFF`],
-/// swept with the hidden selection on T12 instead, sits three times
-/// higher.
-pub const OWN_CROSS_PRE_CUTOFF: f64 = 0.08;
+/// (measured: 0.40 at ×0.01, none up to 0.5 at ×0.002, since SJoin reads
+/// a keyed probe's targets through its keys; 0.08 at ×0.01 and 0.10 at
+/// ×0.002 before; 0.063 at both before Pre plans streamed their merged
+/// root ids into SJoin). Post's own crossover moves with the hidden
+/// range, since Cross-Pre's probe grows with sH: at ×0.01 Post wins below
+/// sV = 0.2 at sH 0.3 and by 0.4 at sH 0.1, and not up to sV = 0.5 at
+/// sH ≤ 0.03 (before keyed SJoin: from sV ≈ 0.4 at sH 0.01, 0.16 at 0.03,
+/// 0.05 at 0.1 and 0.032 at 0.3).
+pub const OWN_CROSS_PRE_CUTOFF: f64 = 0.4;
 /// Pre vs Post on a non-root table without cross-filtering or any hidden
-/// selection (measured: 0.0063 at ×0.01 and ×0.002). SJoin's foreign-key
+/// selection (measured: 0.032 at ×0.01, 0.063 at ×0.002, since SJoin
+/// reads a Pre probe's targets through its keys; 0.0063 at ×0.01 and
+/// ×0.002 before). SJoin's foreign-key
 /// route made Post's single-column SJoin cheap, which moved this from 0.08
 /// to 0.020; bitmap-window Merge reductions made Pre's wide `∈`-probe
 /// merge cheaper, which moved it back up to 0.03. Post plans writing the
@@ -82,11 +86,12 @@ pub const OWN_CROSS_PRE_CUTOFF: f64 = 0.08;
 /// ids, which halve the foreign-key column Post's SJoin reads, 0.010 →
 /// 0.006. Pre plans streaming their merged root ids into SJoin left it at
 /// 0.0063 at ×0.01 (0.008 at ×0.002).
-pub const PRE_POST_CUTOFF: f64 = 0.006;
+pub const PRE_POST_CUTOFF: f64 = 0.032;
 /// Pre vs Post on a non-root table without cross-filtering beside a hidden
 /// selection in a sibling subtree: the worst-regret point over hidden
 /// selectivities 0.01–0.3, regret counted in simulated time lost or as a
-/// ratio alike (measured: 0.10 at ×0.01, 0.08 at ×0.002; 0.08 and 0.050
+/// ratio alike (measured: 0.10 at ×0.01, and no crossover up to 0.2 at
+/// ×0.002 since keyed SJoin; 0.08 at ×0.002 before; 0.08 and 0.050
 /// before Pre plans streamed their merged root ids into SJoin;
 /// 0.13 at ×0.002 and 0.16 at ×0.01 before narrow stored ids, and
 /// 0.16 → 0.13 at ×0.002 once post plans stopped reading F' back into
@@ -94,7 +99,8 @@ pub const PRE_POST_CUTOFF: f64 = 0.006;
 pub const SIBLING_PRE_POST_CUTOFF: f64 = 0.10;
 /// Pre vs Post on a non-root table without cross-filtering when the root
 /// carries a hidden selection: the crossover at hidden selectivity 0.01,
-/// the narrowest swept (measured: 0.0127 at ×0.01 and ×0.002; 0.010 and
+/// the narrowest swept (measured: 0.0127 at ×0.01 and 0.016 at ×0.002,
+/// 0.0127 at both before keyed SJoin; 0.010 and
 /// 0.008 before Pre plans streamed their merged root ids into SJoin; 0.016
 /// before narrow stored ids, down from 0.032 before SJoin's foreign-key
 /// route; 0.020 since bitmap-window Merge reductions, one grid step up,
@@ -105,8 +111,9 @@ pub const SIBLING_PRE_POST_CUTOFF: f64 = 0.10;
 /// regret on a narrow hidden range.
 pub const HIDDEN_ROOT_PRE_POST_CUTOFF: f64 = 0.0126;
 /// With several visible tables, a table is deferred to projection when its
-/// sV exceeds this multiple of the most selective table's (measured: 8.0
-/// at ×0.01, 6.35 at ×0.002, with the most selective sV at 0.01; 6.35 and
+/// sV exceeds this multiple of the most selective table's (measured: 10.1
+/// at ×0.01, 8.0 at ×0.002, with the most selective sV at 0.01; 8.0 and
+/// 6.35 before keyed SJoin; 6.35 and
 /// 2.52 before Pre plans streamed their merged root ids into SJoin; 4.0 at
 /// ×0.002 and 10.1 at ×0.01 before narrow stored ids; 3.17 and 5.0 before
 /// bitmap-window Merge reductions made filtering cheaper; 8.0 at ×0.01
@@ -195,23 +202,21 @@ mod tests {
     #[test]
     fn cutoffs_switch_strategies_at_their_boundaries() {
         let n1 = TINY_ROWS[1] as f64;
-        // Without Cross: Pre up to PRE_POST_CUTOFF, which one T1 row of
-        // 120 already passes, Post past it.
-        assert!(1.0 / n1 > PRE_POST_CUTOFF);
-        assert_eq!(decide_t1(0, false), VisStrategy::Pre);
-        assert_eq!(decide_t1(1, false), VisStrategy::Post);
-        // With Cross: Cross-Pre up to CROSS_PRE_CUTOFF (30/120), then the
-        // plain rules, whose Bloom filter is still useful at 31/120.
-        assert!(30.0 / n1 <= CROSS_PRE_CUTOFF && 31.0 / n1 > CROSS_PRE_CUTOFF);
-        assert_eq!(decide_t1(30, true), VisStrategy::CrossPre);
-        assert_eq!(decide_t1(31, true), VisStrategy::Post);
+        // Without Cross: Pre up to PRE_POST_CUTOFF (3/120), Post past it.
+        assert!(3.0 / n1 <= PRE_POST_CUTOFF && 4.0 / n1 > PRE_POST_CUTOFF);
+        assert_eq!(decide_t1(3, false), VisStrategy::Pre);
+        assert_eq!(decide_t1(4, false), VisStrategy::Post);
+        // With Cross: Cross-Pre at every selectivity.
+        for k in [30, 31, 90, 120] {
+            assert_eq!(decide_t1(k, true), VisStrategy::CrossPre, "{k}/120");
+        }
     }
 
     #[test]
     fn a_hidden_selection_on_the_table_itself_has_its_own_cross_cutoff() {
         // T1 carries `v1 < pad8(k)` and a hidden `h1` selection of its own:
-        // Cross-Pre up to OWN_CROSS_PRE_CUTOFF (9/120), Post past it: the
-        // sibling Pre/Post cutoff does not apply to T1's own selection.
+        // Cross-Pre up to OWN_CROSS_PRE_CUTOFF (48/120), then the plain
+        // rules, Post at 49/120.
         let decide_own = |k: u64| {
             let mut db = testkit::tiny_db();
             let t1 = db.schema.table_id("T1").unwrap();
@@ -224,12 +229,11 @@ mod tests {
             d.iter().find(|d| d.table == t1).unwrap().strategy
         };
         let n1 = TINY_ROWS[1] as f64;
-        assert!(9.0 / n1 <= OWN_CROSS_PRE_CUTOFF && 10.0 / n1 > OWN_CROSS_PRE_CUTOFF);
-        assert!(10.0 / n1 <= SIBLING_PRE_POST_CUTOFF);
-        assert_eq!(decide_own(9), VisStrategy::CrossPre);
-        assert_eq!(decide_own(10), VisStrategy::Post);
+        assert!(48.0 / n1 <= OWN_CROSS_PRE_CUTOFF && 49.0 / n1 > OWN_CROSS_PRE_CUTOFF);
+        assert_eq!(decide_own(48), VisStrategy::CrossPre);
+        assert_eq!(decide_own(49), VisStrategy::Post);
         // A hidden selection below T1 keeps the subtree cutoff.
-        assert_eq!(decide_t1(10, true), VisStrategy::CrossPre);
+        assert_eq!(decide_t1(49, true), VisStrategy::CrossPre);
     }
 
     #[test]
@@ -278,22 +282,21 @@ mod tests {
     fn less_selective_tables_are_deferred() {
         // T2 at 1/40 = 0.025 is the most selective; T1 ties it at 3/120 and
         // at 24/120 = 0.2 stays within DEFER_RATIO × 0.025: both keep
-        // their own filter (Post, both being past PRE_POST_CUTOFF).
-        assert_eq!(decide_t1_t2(3, 1), (VisStrategy::Post, VisStrategy::Post));
-        assert_eq!(decide_t1_t2(24, 1), (VisStrategy::Post, VisStrategy::Post));
+        // their own filter (Pre within PRE_POST_CUTOFF, Post past it).
+        assert_eq!(decide_t1_t2(3, 1), (VisStrategy::Pre, VisStrategy::Pre));
+        assert_eq!(decide_t1_t2(24, 1), (VisStrategy::Post, VisStrategy::Pre));
         // At 25/120 T1 is past the ratio: it is checked at projection.
         let (n1, n2) = (TINY_ROWS[1] as f64, TINY_ROWS[2] as f64);
         assert!(24.0 / n1 <= DEFER_RATIO / n2 && 25.0 / n1 > DEFER_RATIO / n2);
         assert_eq!(
             decide_t1_t2(25, 1),
-            (VisStrategy::NoFilter, VisStrategy::Post)
+            (VisStrategy::NoFilter, VisStrategy::Pre)
         );
         // The rule is symmetric: the most selective table is kept whichever
-        // it is (T1 at 1/120, past PRE_POST_CUTOFF; T2 at 3/40 is 9 times
-        // that).
+        // it is (T1 at 1/120; T2 at 3/40 is 9 times that).
         assert_eq!(
             decide_t1_t2(1, 3),
-            (VisStrategy::Post, VisStrategy::NoFilter)
+            (VisStrategy::Pre, VisStrategy::NoFilter)
         );
     }
 
@@ -338,8 +341,8 @@ mod tests {
     fn cross_needs_a_subtree_hidden_selection() {
         // Same low selectivity: without a hidden selection below T1 the
         // cross strategies are not applicable and the plain rules apply.
-        assert_eq!(decide_t1(1, true), VisStrategy::CrossPre);
-        assert_eq!(decide_t1(1, false), VisStrategy::Post);
+        assert_eq!(decide_t1(4, true), VisStrategy::CrossPre);
+        assert_eq!(decide_t1(4, false), VisStrategy::Post);
         assert_eq!(decide_t1(0, false), VisStrategy::Pre);
     }
 

@@ -121,9 +121,10 @@ impl ExecReport {
     /// what `io` adds up to (`io.elapsed(timing, page_size)`): the last
     /// page of a QEPSJ id column, of an MJoin run and of a merged run is
     /// programmed outside any operator's scope and billed to none. At
-    /// ×0.002 the gap is 0 to 2.42 ms per query (five unbilled 302.4 µs
-    /// last-page programs on a Cross-Pre plan at sV 0.01). The simulated
-    /// pins (`tests/sim_pins.rs`) record it per query as `unbilled_ns`.
+    /// ×0.002 the gap is 0 to 2.12 ms per query: up to seven unbilled
+    /// 302.4 µs last-page programs, on the Post-Select plans at sV 0.01
+    /// and 0.1. The simulated pins (`tests/sim_pins.rs`) record it per
+    /// query as `unbilled_ns`.
     pub fn flash_total(&self) -> SimDuration {
         SimDuration::from_ns(self.op_ns.iter().sum())
     }

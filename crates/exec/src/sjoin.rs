@@ -29,19 +29,30 @@
 //! is made on the token from hidden-derived ids and `FlashTiming` alone,
 //! and only changes which token-internal pages are read (SECURITY.md
 //! claim 12).
+//!
+//! **Keyed groups.** A merge group can already name, for each of its root
+//! ids, the id of one table `K` it joins (`KeyedIds`): the probe id of a
+//! Pre probe, or the single own-level id of a hidden selection's key. Once
+//! the merge has kept the group's pairs whose root ids it yields, SJoin
+//! takes `K`'s column from the pairs, in step with the ascending root ids,
+//! and the columns of `K`'s descendants from a sorted RAM map built by one
+//! [`sjoin_stream`] over the distinct keys against `K`'s SKT (or fk
+//! column). When keyed groups cover every target,
+//! `SJoinWriter::sjoin_keyed` writes F' without opening the root's SKT;
+//! the rows are the ones [`SJoinWriter::sjoin`] writes.
 
 use crate::ctx::ExecCtx;
 use crate::error::ExecError;
+use crate::merge::load_ids;
 use crate::report::OpKind;
 use crate::Result;
 use ghostdb_index::SubtreeKeyTable;
-#[cfg(doc)]
-use ghostdb_storage::row::id_width;
-use ghostdb_storage::row::RowLayout;
+use ghostdb_storage::row::{id_width, RowLayout};
 use ghostdb_storage::table::FlashTableWriter;
 #[cfg(doc)]
 use ghostdb_storage::table::{page_spans, PageCursor};
-use ghostdb_storage::{FlashTable, HiddenColumn, Id, TableId};
+use ghostdb_storage::{FlashTable, HiddenColumn, Id, IdList, TableId};
+use ghostdb_token::RamRegion;
 
 /// The QEPSJ result F': one id column per table, root first. Row `i` of
 /// every column is position `i` of F'.
@@ -183,6 +194,155 @@ pub fn sjoin_stream(
     Ok(emitted)
 }
 
+/// A keyed merge group as SJoin reads it (module docs): each root id of
+/// the group with the id of `table` it joins, ascending by root id, and,
+/// once the merge has kept the pairs it yields, the ids of `table`'s
+/// descendants SJoin projects for each surviving key. Both are held in
+/// secure-RAM regions charged here, at [`id_width`]`(|T|)` bytes an id
+/// (modelled below as host vectors).
+pub(crate) struct KeyedIds {
+    /// The key table.
+    pub(crate) table: TableId,
+    /// The group's root ids, ascending, and the key of each.
+    roots: Vec<Id>,
+    keys: Vec<Id>,
+    /// Pairs kept by the merge so far, and the next pair to look at.
+    kept: usize,
+    cursor: usize,
+    /// The descendants of `table` read through the keys.
+    below: Vec<TableId>,
+    /// The surviving keys, ascending, and `below.len()` ids for each.
+    map_keys: Vec<Id>,
+    map_rows: Vec<Id>,
+    _pairs: RamRegion,
+    _map: Option<RamRegion>,
+}
+
+impl KeyedIds {
+    /// RAM buffers of a group keyed by `table`: its `pairs` root ids with
+    /// their keys, and the map of at most `keys` distinct keys to an id per
+    /// `below` table. A function of public row counts and the group's
+    /// sizes.
+    pub(crate) fn buffers(
+        ctx: &ExecCtx<'_>,
+        table: TableId,
+        pairs: u64,
+        keys: u64,
+        below: &[TableId],
+    ) -> (usize, usize) {
+        let rows = &ctx.cat.rows;
+        let width = |t: TableId| id_width(rows[t]) as u64;
+        let buffers = |bytes: u64| bytes.div_ceil(ctx.ram().buf_size() as u64) as usize;
+        let pair = buffers(pairs * (width(ctx.cat.schema.root()) + width(table)));
+        let map = match below {
+            [] => 0,
+            _ => buffers(keys * (width(table) + below.iter().map(|t| width(*t)).sum::<u64>())),
+        };
+        (pair, map)
+    }
+
+    /// Load a group keyed by `table`, whose root sublist `lists[i]` holds
+    /// the root ids joining key `keys[i]`: the sublists are read
+    /// page-span exact (as the merge's pack step reads a chunk) and the
+    /// pairs sorted by root id.
+    pub(crate) fn load(
+        ctx: &mut ExecCtx<'_>,
+        table: TableId,
+        keys: &[Id],
+        lists: &[IdList],
+        below: &[TableId],
+    ) -> Result<Self> {
+        let count: u64 = lists.iter().map(|l| l.count).sum();
+        let (pairs, _) = Self::buffers(ctx, table, count, 0, below);
+        let region = ctx.ram().alloc_region(pairs)?;
+        let mut loaded = Vec::with_capacity(count as usize);
+        load_ids(ctx, lists, |i, id| loaded.push((id, keys[i])))?;
+        loaded.sort_unstable();
+        let (roots, keys) = loaded.into_iter().unzip();
+        Ok(KeyedIds {
+            table,
+            roots,
+            keys,
+            kept: 0,
+            cursor: 0,
+            below: below.to_vec(),
+            map_keys: Vec::new(),
+            map_rows: Vec::new(),
+            _pairs: region,
+            _map: None,
+        })
+    }
+
+    /// The group's root ids, ascending.
+    pub(crate) fn roots(&self) -> &[Id] {
+        &self.roots
+    }
+
+    /// Pairs held.
+    pub(crate) fn len(&self) -> usize {
+        self.roots.len()
+    }
+
+    /// Keep the pair of root id `id`, the next id the merge yields: ids
+    /// arrive ascending and each is in every group, so the kept pairs
+    /// overwrite the group's front in place.
+    pub(crate) fn keep(&mut self, id: Id) -> Result<()> {
+        self.cursor += self.roots[self.cursor..].partition_point(|&r| r < id);
+        if self.roots.get(self.cursor) != Some(&id) {
+            return Err(ExecError::Query(format!(
+                "SJoin: root id {id} is not in the group keyed by {}",
+                self.table
+            )));
+        }
+        self.roots[self.kept] = id;
+        self.keys[self.kept] = self.keys[self.cursor];
+        self.kept += 1;
+        self.cursor += 1;
+        Ok(())
+    }
+
+    /// Drop the pairs the merge did not keep, and map each surviving key to
+    /// its `below` ids: one [`sjoin_stream`] over the keys against
+    /// `table`'s SKT (or fk column), billed to `SJoin`.
+    pub(crate) fn map(&mut self, ctx: &mut ExecCtx<'_>) -> Result<()> {
+        self.roots.truncate(self.kept);
+        self.keys.truncate(self.kept);
+        if self.below.is_empty() {
+            return Ok(());
+        }
+        let mut keys = self.keys.clone();
+        keys.sort_unstable();
+        keys.dedup();
+        let (_, map) = Self::buffers(ctx, self.table, 0, keys.len() as u64, &self.below);
+        self._map = Some(ctx.ram().alloc_region(map)?);
+        let skt = ctx.skt(self.table)?;
+        let mut feed = keys.iter().copied();
+        let mut rows = Vec::with_capacity(keys.len() * self.below.len());
+        sjoin_stream(
+            ctx,
+            skt,
+            &self.below,
+            |_| Ok(feed.next()),
+            |_, _, ids| {
+                rows.extend_from_slice(ids);
+                Ok(())
+            },
+        )?;
+        self.map_keys = keys;
+        self.map_rows = rows;
+        Ok(())
+    }
+
+    /// The id of `self.below[j]` joined by key `key`.
+    fn below_of(&self, key: Id, j: usize) -> Result<Id> {
+        let at = self
+            .map_keys
+            .binary_search(&key)
+            .map_err(|_| ExecError::Query(format!("SJoin: key {key} missing from its map")))?;
+        Ok(self.map_rows[at * self.below.len() + j])
+    }
+}
+
 /// A writer of F' columns, one [`FlashTableWriter`] (one RAM buffer) per
 /// column; writes attributed to `Store`.
 pub struct SJoinWriter {
@@ -244,6 +404,41 @@ impl SJoinWriter {
             Ok(())
         })
         .map(drop)
+    }
+
+    /// Write the pairs `keyed` kept (every group keeps the same root ids)
+    /// with every target read through the keys (module docs): each target
+    /// is a key table of `keyed` or one of its mapped descendants. No SKT
+    /// is read here.
+    pub(crate) fn sjoin_keyed(&mut self, ctx: &mut ExecCtx<'_>, keyed: &[KeyedIds]) -> Result<()> {
+        // Per target: its group, and its `below` slot (`None`: the key).
+        let sources = (self.tables[1..].iter())
+            .map(|t| {
+                (keyed.iter().enumerate())
+                    .find_map(|(g, k)| {
+                        if k.table == *t {
+                            return Some((g, None));
+                        }
+                        k.below.iter().position(|b| b == t).map(|j| (g, Some(j)))
+                    })
+                    .ok_or_else(|| ExecError::Query(format!("SJoin: no keyed group holds {t}")))
+            })
+            .collect::<Result<Vec<_>>>()?;
+        let Some(first) = keyed.first() else {
+            return Ok(());
+        };
+        let mut row = vec![0; sources.len()];
+        for (i, &id) in first.roots.iter().enumerate() {
+            for (slot, &(g, j)) in row.iter_mut().zip(&sources) {
+                let key = keyed[g].keys[i];
+                *slot = match j {
+                    None => key,
+                    Some(j) => keyed[g].below_of(key, j)?,
+                };
+            }
+            self.push(ctx, id, &row)?;
+        }
+        Ok(())
     }
 
     /// Write each column's last page and return F' (see `finish_columns`).

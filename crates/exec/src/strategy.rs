@@ -27,15 +27,33 @@
 //! copies the survivors out of the kept columns through [`PageCursor`]s.
 //! Whether the sets fit, and the chunk count, are hidden-derived and change
 //! only token-internal flash I/O (SECURITY.md claims 12–13).
+//!
+//! **Keyed SJoin.** A root-level group of a Pre plan can be *keyed*: a Pre
+//! or Cross-Pre probe group, whose every sublist holds the root ids of one
+//! probe id, or a hidden selection whose index keys in range each hold
+//! exactly one own-level id (one `CI` traversal decodes both levels). When
+//! keyed groups cover every column of F' and their `(root id, key)` pairs
+//! fit the arena beside the merge's bitmaps, then beside their descendant
+//! maps and SJoin's writers, they are loaded into RAM (`KeyedIds`). The
+//! merge then reads every other group once against the smallest of them
+//! (`resident_intersection`), and SJoin reads every target through the
+//! keys instead of `SKT_T0`. Post plans, plans with no non-root key, and
+//! keyed groups that leave a column uncovered or do not fit take the SKT
+//! path. The decision reads hidden counts, so it stays on the token and
+//! changes only token-internal reads: F', the rows and the host's view are
+//! the same either way (SECURITY.md claim 12).
 
 use crate::bloom_ops::{build_bloom, BloomHandle};
 use crate::ci_ops::{probe_in, select_sublists, select_sublists_multi};
 use crate::ctx::ExecCtx;
 use crate::error::ExecError;
-use crate::merge::{max_ids, merge_to_list, merge_to_vec, open_merge, streams_beside};
+use crate::merge::{
+    bitmap_buffers, load_ids, max_ids, merge_to_list, merge_to_vec, open_merge,
+    resident_intersection, streams_beside,
+};
 use crate::query::Analyzed;
 use crate::report::OpKind;
-use crate::sjoin::{finish_columns, id_column, SJoinTable, SJoinWriter};
+use crate::sjoin::{finish_columns, id_column, KeyedIds, SJoinTable, SJoinWriter};
 use crate::source::{IdSource, SharedIds, SourceReader};
 use crate::Result;
 use ghostdb_bloom::calibrate;
@@ -44,6 +62,7 @@ use ghostdb_storage::row::id_width;
 #[cfg(doc)]
 use ghostdb_storage::table::PageCursor;
 use ghostdb_storage::{FlashTable, Id, IdList, IdListReader, IdListWriter, Predicate, TableId};
+use std::cmp::Reverse;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
@@ -119,10 +138,166 @@ pub struct SjOutcome {
     /// The visible ids shipped per table, under all of the table's visible
     /// predicates: projection reuses them instead of shipping them again.
     pub shipped: Vec<(TableId, SharedIds)>,
+    /// The key tables of the keyed groups SJoin read F' through, empty
+    /// where it read the root's SKT (module docs).
+    pub keyed: Vec<TableId>,
 }
 
 /// The ascending root ids SJoin reads, from whichever source the plan has.
 type RootFeed = Box<dyn FnMut(&mut ExecCtx<'_>) -> Result<Option<Id>>>;
+
+/// A root-level merge group whose every sublist holds the root ids that
+/// join one id of `table` (module docs).
+struct KeyedCandidate {
+    /// The group's index among the merge groups.
+    group: usize,
+    table: TableId,
+    /// The group's root sublists.
+    roots: Vec<IdList>,
+    keys: Keys,
+}
+
+/// Where the key of each root sublist of a [`KeyedCandidate`] comes from.
+enum Keys {
+    /// The probe ids of a Pre or Cross-Pre probe.
+    Probe(Vec<Id>),
+    /// A hidden selection's own-level sublists, one id each.
+    Own(Vec<IdList>),
+}
+
+impl KeyedCandidate {
+    fn pairs(&self) -> u64 {
+        self.roots.iter().map(|l| l.count).sum()
+    }
+
+    /// Distinct keys: one per non-empty sublist, as probe ids and
+    /// own-level ids are distinct.
+    fn keys(&self) -> u64 {
+        self.roots.iter().filter(|l| l.count > 0).count() as u64
+    }
+}
+
+/// The sublists of a climbing-index lookup's sources, in its key order.
+fn sublists(sources: &[IdSource]) -> Vec<IdList> {
+    (sources.iter())
+        .filter_map(|s| match s {
+            IdSource::Flash(l) => Some(*l),
+            _ => None,
+        })
+        .collect()
+}
+
+/// The two levels a two-target climbing-index lookup returned.
+fn two_levels(levels: Vec<Vec<IdSource>>) -> Result<[Vec<IdSource>; 2]> {
+    levels.try_into().map_err(|got: Vec<_>| {
+        ExecError::Query(format!(
+            "climbing index returned {} levels, 2 requested",
+            got.len()
+        ))
+    })
+}
+
+/// The keyed groups SJoin reads every column of `cols` through, each with
+/// the columns below its key table it projects from its map. Empty when
+/// the candidates leave a column uncovered, or their pairs do not fit the
+/// arena beside the intersection with the other `groups`, or beside their
+/// maps and SJoin's `1 + cols.len()` writers. Reads sublist descriptors
+/// and the RAM budget, no flash.
+fn plan_keyed<'c>(
+    ctx: &ExecCtx<'_>,
+    candidates: &'c [KeyedCandidate],
+    groups: &[Vec<IdSource>],
+    cols: &[TableId],
+) -> Vec<(&'c KeyedCandidate, Vec<TableId>)> {
+    let schema = ctx.cat.schema;
+    let mut uncovered = cols.to_vec();
+    let mut chosen: Vec<(&KeyedCandidate, Vec<TableId>)> = Vec::new();
+    // The candidate covering the most uncovered columns, the fewest pairs
+    // on a tie.
+    while !uncovered.is_empty() {
+        let covers = |c: &KeyedCandidate| {
+            (uncovered.iter())
+                .filter(|t| schema.is_ancestor_or_self(c.table, **t))
+                .count()
+        };
+        let Some(best) = (candidates.iter())
+            .filter(|c| covers(c) > 0)
+            .max_by_key(|c| (covers(c), Reverse(c.pairs())))
+        else {
+            return Vec::new();
+        };
+        let (mine, rest): (Vec<TableId>, Vec<TableId>) =
+            (uncovered.into_iter()).partition(|t| schema.is_ancestor_or_self(best.table, *t));
+        uncovered = rest;
+        chosen.push((
+            best,
+            mine.into_iter().filter(|t| *t != best.table).collect(),
+        ));
+    }
+    let buf_size = ctx.ram().buf_size();
+    let (mut pairs, mut maps) = (0, 0);
+    for (c, below) in &chosen {
+        let (p, m) = KeyedIds::buffers(ctx, c.table, c.pairs(), c.keys(), below);
+        pairs += p;
+        maps += m;
+    }
+    // The intersection's two bitmaps over the smallest keyed group and its
+    // stage buffer; then the maps beside SJoin's writers, at least two
+    // buffers, which also covers a map's own SJoin.
+    let smallest = chosen.iter().map(|(c, _)| c.pairs()).min().unwrap_or(0);
+    let intersect = match groups.len() {
+        1 => 0,
+        _ => 2 * bitmap_buffers(smallest, buf_size) + 1,
+    };
+    let beside = intersect.max(maps + 1 + cols.len());
+    if pairs + beside <= ctx.ram().available() {
+        chosen
+    } else {
+        Vec::new()
+    }
+}
+
+/// The keyed SJoin (module docs) of the groups [`plan_keyed`] chose among
+/// the merge `groups`: load them, intersect the smallest with every other
+/// group, keep the surviving pairs in each, map their keys, and write F'
+/// from the pairs.
+fn keyed_sjoin(
+    ctx: &mut ExecCtx<'_>,
+    cols: &[TableId],
+    plan: Vec<(&KeyedCandidate, Vec<TableId>)>,
+    groups: Vec<Vec<IdSource>>,
+) -> Result<SJoinTable> {
+    let mut keyed = Vec::with_capacity(plan.len());
+    for (c, below) in &plan {
+        let keys = match &c.keys {
+            Keys::Probe(ids) => ids.clone(),
+            Keys::Own(lists) => {
+                let mut keys = vec![0; lists.len()];
+                load_ids(ctx, lists, |i, id| keys[i] = id)?;
+                keys
+            }
+        };
+        keyed.push(KeyedIds::load(ctx, c.table, &keys, &c.roots, below)?);
+    }
+    keyed.sort_by_key(KeyedIds::len);
+    let mut others: Vec<Vec<IdSource>> = (groups.into_iter().enumerate())
+        .filter(|(g, _)| plan.iter().all(|(c, _)| c.group != *g))
+        .map(|(_, g)| g)
+        .collect();
+    others.extend((keyed[1..].iter()).map(|k| vec![IdSource::Host(Arc::new(k.roots().to_vec()))]));
+    let kept = resident_intersection(ctx, keyed[0].roots(), &others)?;
+    for k in &mut keyed {
+        for &id in &kept {
+            k.keep(id)?;
+        }
+        k.map(ctx)?;
+    }
+    let root = ctx.cat.schema.root();
+    let mut writer = SJoinWriter::create(ctx, root, cols, kept.len() as u64)?;
+    writer.sjoin_keyed(ctx, &keyed)?;
+    drop(keyed);
+    writer.finish(ctx)
+}
 
 struct PostPlan {
     table: TableId,
@@ -173,6 +348,7 @@ pub fn execute_sj(
     // read path).
     let mut root_prefetch: HashMap<usize, Vec<IdSource>> = HashMap::new();
     let mut post_plans: Vec<PostPlan> = Vec::new();
+    let mut candidates: Vec<KeyedCandidate> = Vec::new();
     let mut approx_vis = Vec::new();
     let mut deferred_vis = Vec::new();
     let mut shipped = Vec::new();
@@ -230,13 +406,7 @@ pub fn execute_sj(
                     lgroups.push(select_sublists(ctx, ci, &sel.pred, *t)?);
                 } else {
                     let levels = select_sublists_multi(ctx, ci, &sel.pred, &[*t, root])?;
-                    let [cross_subs, root_subs]: [Vec<IdSource>; 2] =
-                        levels.try_into().map_err(|got: Vec<_>| {
-                            ExecError::Query(format!(
-                                "climbing index returned {} levels, 2 requested",
-                                got.len()
-                            ))
-                        })?;
+                    let [cross_subs, root_subs] = two_levels(levels)?;
                     lgroups.push(cross_subs);
                     root_prefetch.insert(*i, root_subs);
                 }
@@ -258,7 +428,14 @@ pub fn execute_sj(
                         // Empty selection: empty group → empty intersection.
                         groups.push(vec![IdSource::Host(Arc::new(Vec::new()))]);
                     } else {
-                        groups.push(subs);
+                        let (keys, roots): (Vec<Id>, Vec<IdList>) = subs.into_iter().unzip();
+                        candidates.push(KeyedCandidate {
+                            group: groups.len(),
+                            table: *t,
+                            roots: roots.clone(),
+                            keys: Keys::Probe(keys),
+                        });
+                        groups.push(roots.into_iter().map(IdSource::Flash).collect());
                     }
                 }
             }
@@ -276,9 +453,12 @@ pub fn execute_sj(
         }
     }
 
+    let pre = post_plans.is_empty();
     // Hidden selections not folded into a Cross-Pre probe climb to the
     // root — via the sublists a Cross-Post traversal already banked where
-    // possible, a fresh single-level scan otherwise.
+    // possible, a fresh scan otherwise. In a Pre plan the scan also
+    // decodes the non-root table's own level, from the same traversal: a
+    // range whose keys each hold one own-level id is a keyed candidate.
     for (i, sel) in a.hid_sels.iter().enumerate() {
         if crossed.contains(&i) {
             continue;
@@ -287,7 +467,22 @@ pub fn execute_sj(
             Some(subs) => subs,
             None => {
                 let ci = ctx.attr_index(sel.table, &sel.pred.column)?;
-                select_sublists(ctx, ci, &sel.pred, root)?
+                if pre && sel.table != root && ci.level_of(sel.table).is_some() {
+                    let levels = select_sublists_multi(ctx, ci, &sel.pred, &[sel.table, root])?;
+                    let [own, roots] = two_levels(levels)?;
+                    let own = sublists(&own);
+                    if !own.is_empty() && own.iter().all(|l| l.count == 1) {
+                        candidates.push(KeyedCandidate {
+                            group: groups.len(),
+                            table: sel.table,
+                            roots: sublists(&roots),
+                            keys: Keys::Own(own),
+                        });
+                    }
+                    roots
+                } else {
+                    select_sublists(ctx, ci, &sel.pred, root)?
+                }
             }
         };
         if subs.is_empty() {
@@ -305,7 +500,6 @@ pub fn execute_sj(
         .map(|h| (h.table, h.pred.clone()))
         .collect();
 
-    let pre = post_plans.is_empty();
     // Columns of F' besides the root: the participants and every post
     // table. A post table is a column whether its Bloom filter is built or
     // its selection deferred, so the set is known before the filters take
@@ -366,45 +560,54 @@ pub fn execute_sj(
             end: rows as Id,
         }]);
     }
-    let mut writer;
-    let mut next_id: RootFeed;
-    if pre && !streams_beside(ctx, &groups, sjoin_reserve, rows) {
-        let source = IdSource::Flash(merge_to_list(ctx, groups, rows)?);
-        writer = SJoinWriter::create(ctx, root, &cols, source.count())?;
-        let mut feed = SourceReader::open(&source, &ctx.ram(), ctx.page_size())?;
-        next_id = Box::new(move |ctx| ctx.tracked(OpKind::SJoin, |dev| feed.next(dev)));
+    let plan = if pre {
+        plan_keyed(ctx, &candidates, &groups, &cols)
     } else {
-        let upper = max_ids(&groups);
-        let mut stream = open_merge(ctx, groups, sjoin_reserve, rows)?;
-        writer = SJoinWriter::create(ctx, root, &cols, upper)?;
-        next_id = Box::new(move |ctx| stream.next(ctx));
-    }
-    // Each filter with the target column it probes; root-table filters
-    // probe the owner id itself.
-    let probes = bloom_filters
-        .iter()
-        .map(|(t, bf)| {
-            if *t == root {
-                return Ok((None, bf));
-            }
-            let idx = cols
+        Vec::new()
+    };
+    let keyed = plan.iter().map(|(c, _)| c.table).collect();
+    let mut table = if !plan.is_empty() {
+        keyed_sjoin(ctx, &cols, plan, groups)?
+    } else {
+        let mut writer;
+        let mut next_id: RootFeed;
+        if pre && !streams_beside(ctx, &groups, sjoin_reserve, rows) {
+            let source = IdSource::Flash(merge_to_list(ctx, groups, rows)?);
+            writer = SJoinWriter::create(ctx, root, &cols, source.count())?;
+            let mut feed = SourceReader::open(&source, &ctx.ram(), ctx.page_size())?;
+            next_id = Box::new(move |ctx| ctx.tracked(OpKind::SJoin, |dev| feed.next(dev)));
+        } else {
+            let upper = max_ids(&groups);
+            let mut stream = open_merge(ctx, groups, sjoin_reserve, rows)?;
+            writer = SJoinWriter::create(ctx, root, &cols, upper)?;
+            next_id = Box::new(move |ctx| stream.next(ctx));
+        }
+        // Each filter with the target column it probes; root-table filters
+        // probe the owner id itself.
+        let probes = (bloom_filters.iter())
+            .map(|(t, bf)| {
+                if *t == root {
+                    return Ok((None, bf));
+                }
+                let idx = cols
+                    .iter()
+                    .position(|c| c == t)
+                    .ok_or_else(|| ExecError::Query("Bloom filter column missing in F'".into()))?;
+                Ok((Some(idx), bf))
+            })
+            .collect::<Result<Vec<_>>>()?;
+        writer.sjoin(ctx, &mut next_id, |id, targets| {
+            probes
                 .iter()
-                .position(|c| c == t)
-                .ok_or_else(|| ExecError::Query("Bloom filter column missing in F'".into()))?;
-            Ok((Some(idx), bf))
-        })
-        .collect::<Result<Vec<_>>>()?;
-    writer.sjoin(ctx, &mut next_id, |id, targets| {
-        probes
-            .iter()
-            .all(|(idx, bf)| bf.contains(idx.map_or(id, |i| targets[i])))
-    })?;
-    // The exhausted id feed's readers and the filters go back to the arena
-    // before the post-select passes size their RAM chunks.
-    drop(next_id);
-    drop(probes);
-    drop(bloom_filters);
-    let mut table = writer.finish(ctx)?;
+                .all(|(idx, bf)| bf.contains(idx.map_or(id, |i| targets[i])))
+        })?;
+        // The exhausted id feed's readers and the filters go back to the
+        // arena before the post-select passes size their RAM chunks.
+        drop(next_id);
+        drop(probes);
+        drop(bloom_filters);
+        writer.finish(ctx)?
+    };
 
     // Exact post-selects (Figure 11) over F'. A column only a post-select
     // needed is not copied.
@@ -421,6 +624,7 @@ pub fn execute_sj(
         deferred_vis,
         recheck,
         shipped,
+        keyed,
     })
 }
 

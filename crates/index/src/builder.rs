@@ -411,7 +411,7 @@ mod tests {
             .unwrap();
         assert_eq!(ci.levels, vec![t0]);
         let mut probe = ci.probe(&ram).unwrap();
-        let list = probe.lookup_eq_run(&mut dev, &[4], 0).unwrap().remove(0);
+        let (_, list) = probe.lookup_eq_run(&mut dev, &[4], 0).unwrap().remove(0);
         assert_eq!(list.count, 10);
     }
 
@@ -453,7 +453,7 @@ mod tests {
         let mut probe = ci.probe(&ram).unwrap();
         // Key 7: T1 row 7 exists but no T0 row references it.
         let root_level = ci.level_of(t0).unwrap();
-        let list = probe
+        let (_, list) = probe
             .lookup_eq_run(&mut dev, &[7], root_level)
             .unwrap()
             .remove(0);

@@ -185,8 +185,8 @@ impl CiProbe<'_> {
         Ok(())
     }
 
-    /// Batched equality probes over an **ascending** key run: one sublist
-    /// per present key, in input order. The ascending order lets the
+    /// Batched equality probes over an **ascending** key run: each present
+    /// key with its sublist, in input order. The ascending order lets the
     /// cursor resolve runs of keys inside the currently-buffered leaf with
     /// an in-place binary search — no per-key root-to-leaf descent — which
     /// is the hot path of Pre-Filter probe lists (§3.3).
@@ -195,7 +195,7 @@ impl CiProbe<'_> {
         dev: &mut FlashDevice,
         keys: &[u64],
         level: usize,
-    ) -> Result<Vec<IdList>> {
+    ) -> Result<Vec<(u64, IdList)>> {
         self.check_level(level)?;
         debug_assert!(
             keys.windows(2).all(|w| w[0] <= w[1]),
@@ -207,7 +207,7 @@ impl CiProbe<'_> {
                 .cursor
                 .lookup_ascending_into(dev, key, &mut self.payload)?
             {
-                out.push(self.index.decode_level(&self.payload, level));
+                out.push((key, self.index.decode_level(&self.payload, level)));
             }
         }
         Ok(out)
@@ -306,7 +306,10 @@ mod tests {
         key: u64,
         level: usize,
     ) -> Result<Option<IdList>> {
-        Ok(probe.lookup_eq_run(dev, &[key], level)?.pop())
+        Ok(probe
+            .lookup_eq_run(dev, &[key], level)?
+            .pop()
+            .map(|(_, l)| l))
     }
 
     /// One level of a range probe.
@@ -483,6 +486,9 @@ mod tests {
             let snap = dev.snapshot();
             let got = batched.lookup_eq_run(&mut dev, &probes, level).unwrap();
             let batched_io = dev.stats_since(&snap);
+            let hits: Vec<u64> = probes.iter().copied().filter(|&k| k < 10).collect();
+            assert_eq!(got.iter().map(|(k, _)| *k).collect::<Vec<_>>(), hits);
+            let got: Vec<IdList> = got.into_iter().map(|(_, l)| l).collect();
             assert_eq!(got, expect, "level {level}");
             assert!(
                 batched_io.pages_read <= scalar_io.pages_read,
@@ -713,6 +719,8 @@ mod tests {
             drop(scalar);
             let mut batched = ci.probe(&ram).unwrap();
             let got = batched.lookup_eq_run(&mut dev, &probes, level).unwrap();
+            assert_eq!(got.iter().map(|(k, _)| *k).collect::<Vec<_>>(), probes);
+            let got: Vec<IdList> = got.into_iter().map(|(_, l)| l).collect();
             assert_eq!(got, expect, "level {level}");
         }
     }

@@ -11,8 +11,10 @@ use ghostdb_datagen::{SyntheticDataset, SyntheticSpec};
 use ghostdb_exec::project::ProjectAlgo;
 use ghostdb_exec::strategy::VisStrategy;
 use ghostdb_exec::{
-    Database, ExecOptions, Executor, GhostDbServer, HostOp, HostTrace, ServeConfig, SpjQuery,
+    Database, ExecOptions, Executor, GhostDbServer, HostOp, HostTrace, OpKind, ServeConfig,
+    SpjQuery,
 };
+use ghostdb_token::RamArena;
 
 const STRATEGIES: [VisStrategy; 7] = [
     VisStrategy::Pre,
@@ -211,4 +213,36 @@ fn each_visible_selection_is_shipped_once() {
             }
         }
     }
+}
+
+/// Keyed SJoin decides on the token, from hidden counts and the RAM budget,
+/// whether SJoin reads its targets through a group's keys or through the
+/// root's SKT. The same Pre probe of all of T1 (5 000 pairs, ten buffers)
+/// is keyed in the paper's 32-buffer arena and falls back to the SKT in a
+/// 10-buffer one; both runs record the same host trace and rows.
+#[test]
+fn keyed_sjoin_fallback_leaves_the_host_trace_unchanged() {
+    let ds = dataset();
+    let t0 = ds.schema.root();
+    let t1 = ds.schema.table_id("T1").expect("T1");
+    let mut q = SpjQuery::new()
+        .pred(t1, ds.selectivity_pred("T1", "v1", 1.0))
+        .project(t0, "id")
+        .project(t1, "id")
+        .project(t1, "v1");
+    q.text = "keyed-sjoin-fallback".into();
+    let opts = ExecOptions::new().strategy(VisStrategy::Pre);
+    let mut db = ds.build().expect("build");
+    let mut run = |buffers| {
+        db.token.ram = RamArena::new(db.token.flash.page_size(), buffers);
+        let (rs, report) = Executor::run(&mut db, &q, &opts).expect("run");
+        let sjoin = report.op(OpKind::SJoin).as_ns();
+        (rs.rows, sjoin, db.untrusted.trace())
+    };
+    let (rows_keyed, sjoin_keyed, keyed) = run(32);
+    let (rows_skt, sjoin_skt, skt) = run(10);
+    assert_eq!(sjoin_keyed, 0, "keyed by T1: no SKT read");
+    assert!(sjoin_skt > 0, "too tight for the pairs: the SKT is read");
+    assert_eq!(rows_keyed, rows_skt);
+    assert_eq!(keyed, skt);
 }

@@ -7,6 +7,7 @@
 //! Each test here is named from `SECURITY.md`; keep the two in sync.
 
 use ghostdb_core::{GhostDb, GhostDbConfig, HostOp, QueryOptions, Strategy};
+use ghostdb_exec::OpKind;
 use ghostdb_storage::Value;
 use ghostdb_untrusted::IdCodec;
 
@@ -454,4 +455,66 @@ fn root_hidden_projection_under_a_recheck_is_invisible() {
     assert_eq!(a.host_trace().unwrap(), b.host_trace().unwrap());
     assert!(a.audit().unwrap().ok);
     assert!(b.audit().unwrap().ok);
+}
+
+/// Two worlds for keyed SJoin: `Branches.code` is a hidden INT whose
+/// values are one branch's each (`dup` false) or two branches' each
+/// (`dup` true); the visible partitions are identical.
+fn keyed_world(dup: bool) -> GhostDb {
+    let mut db = GhostDb::new(GhostDbConfig {
+        capture_channel: true,
+        ..Default::default()
+    });
+    db.execute("CREATE TABLE Branches (id INT, city CHAR(10), code INT HIDDEN)")
+        .expect("DDL");
+    db.execute(
+        "CREATE TABLE Accounts (id INT, branch_id INT HIDDEN REFERENCES Branches, \
+         kind CHAR(10))",
+    )
+    .expect("DDL");
+    let code = |i: i64| if dup { i / 2 } else { i };
+    db.insert_rows(
+        "Branches",
+        (0..64)
+            .map(|i| vec![Value::Str(format!("CITY{:02}", i % 4)), Value::Int(code(i))])
+            .collect(),
+    )
+    .expect("load");
+    db.insert_rows(
+        "Accounts",
+        (0..512)
+            .map(|i| vec![Value::Int(i % 64), Value::Str(format!("K{}", i % 3))])
+            .collect(),
+    )
+    .expect("load");
+    db
+}
+
+/// SECURITY.md claim 12, keyed SJoin: whether a hidden range's group is
+/// keyed (each code one branch's: SJoin reads the branch ids through the
+/// keys and no SKT) or falls back (two branches share each code: SJoin
+/// reads the root's SKT) is decided on the token from hidden counts. The
+/// two worlds produce bit-identical transcripts and host traces.
+#[test]
+fn keyed_sjoin_decision_is_invisible() {
+    const Q: &str = "SELECT Accounts.id, Branches.id FROM Accounts, Branches \
+                     WHERE Accounts.branch_id = Branches.id AND Accounts.kind = 'K1' \
+                     AND Branches.code < 16";
+    let mut keyed = keyed_world(false);
+    let mut fallback = keyed_world(true);
+    let opts = QueryOptions::default();
+    let (rows_k, report_k) = (keyed.finalize().expect("finalize"))
+        .query_with(Q, &opts)
+        .expect("query keyed");
+    let (rows_f, report_f) = (fallback.finalize().expect("finalize"))
+        .query_with(Q, &opts)
+        .expect("query fallback");
+    assert!(!rows_k.rows.is_empty());
+    assert_ne!(rows_k.rows, rows_f.rows, "the worlds must differ");
+    assert_eq!(report_k.op(OpKind::SJoin).as_ns(), 0, "keyed: no SKT read");
+    assert!(report_f.op(OpKind::SJoin).as_ns() > 0, "fallback: SKT read");
+    assert_eq!(transcript(&keyed), transcript(&fallback));
+    assert_eq!(keyed.host_trace().unwrap(), fallback.host_trace().unwrap());
+    assert!(keyed.audit().unwrap().ok);
+    assert!(fallback.audit().unwrap().ok);
 }

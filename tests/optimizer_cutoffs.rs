@@ -161,9 +161,10 @@ fn a_hidden_sibling_selection_has_its_own_pre_post_cutoff() {
 #[test]
 fn a_hidden_selection_on_the_table_itself_has_its_own_cross_pre_cutoff() {
     // `T1.v1 ∧ T1.h1`, the hidden selection on the filtered table itself:
-    // Post overtakes Cross-Pre far below CROSS_PRE_CUTOFF once sH is wide,
-    // and far above it when sH is narrow (sV ≈ 0.4 at sH 0.01, 0.05 at
-    // 0.1). The cutoff is the worst-regret point.
+    // Cross-Pre's probe grows with sH, so Post overtakes it early on wide
+    // hidden ranges (below sV = 0.2 at sH 0.3, by 0.4 at sH 0.1) and not
+    // up to sV = 0.5 on narrow ones (sH ≤ 0.03). The cutoff is the
+    // worst-regret point.
     let measured = minimax_crossover(("T1", "h1"), [CrossPre, Post], 0.02, 0.5);
     assert_within_one_step("OWN_CROSS_PRE_CUTOFF", OWN_CROSS_PRE_CUTOFF, measured);
 }
@@ -171,7 +172,10 @@ fn a_hidden_selection_on_the_table_itself_has_its_own_cross_pre_cutoff() {
 #[test]
 fn cross_pre_cutoff_is_the_measured_crossover() {
     // The §6.4 query Q: visible T1.v1, hidden T12.h2 at sH = 0.1. Cross-Pre
-    // against the cheapest of every other plan.
+    // against the cheapest of every other plan. SJoin reads the targets of
+    // a keyed Cross-Pre probe through its keys, so Cross-Pre wins at every
+    // grid point up to sV = 1: the crossover lies past the grid, and the
+    // optimizer's plan is Cross-Pre at every point.
     let (ds, mut db) = setup();
     let t0 = db.schema.root();
     let (t1, t12) = (
@@ -187,15 +191,25 @@ fn cross_pre_cutoff_is_the_measured_crossover() {
             .project(t12, "id")
             .project(t1, "v1")
     };
-    let measured = crossover(0.1, 1.0, |sv| {
+    let grid = std::iter::successors(Some(0.1), |sv| Some(sv * STEP)).take_while(|sv| *sv < 1.0);
+    for sv in grid.chain([1.0]) {
         let q = q(sv);
         let others = [Post, CrossPost, NoFilter]
             .iter()
             .map(|s| cost(&mut db, &q, &[(t1, *s)]))
-            .min();
-        (cost(&mut db, &q, &[(t1, CrossPre)]), others.unwrap())
-    });
-    assert_within_one_step("CROSS_PRE_CUTOFF", CROSS_PRE_CUTOFF, measured);
+            .min()
+            .unwrap();
+        let cross_pre = cost(&mut db, &q, &[(t1, CrossPre)]);
+        assert!(
+            cross_pre <= others,
+            "Cross-Pre {cross_pre} ns vs {others} ns at sV = {sv}"
+        );
+        assert_eq!(
+            cost(&mut db, &q, &[]),
+            cross_pre,
+            "the optimizer's plan is not Cross-Pre at sV = {sv} (CROSS_PRE_CUTOFF = {CROSS_PRE_CUTOFF})"
+        );
+    }
 }
 
 /// A visible selection on the root at `sv`, projecting a hidden T1 column.
