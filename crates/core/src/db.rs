@@ -252,7 +252,6 @@ impl GhostDb {
                         name: col.name.clone(),
                         gen: Box::new(move |r| rows[r as usize][ci_copy].clone()),
                         index: col.visibility == Visibility::Hidden,
-                        exact: None, // verified by the loader
                     });
                 }
             }
@@ -382,14 +381,16 @@ impl GhostDb {
         let mut out = String::new();
         out.push_str(&format!("query: {}\n", q.text));
         for sel in &a.hid_sels {
+            let ci = ctx.attr_index(sel.table, &sel.pred.column)?;
+            let recheck = ci.key_range(&sel.pred).recheck;
             out.push_str(&format!(
                 "  hidden selection on {}.{} → climbing index{}\n",
                 ctx.cat.schema.def(sel.table).name,
                 sel.pred.column,
-                if sel.exact {
-                    ""
-                } else {
+                if recheck {
                     " (+ exact re-check at projection)"
+                } else {
+                    ""
                 }
             ));
         }

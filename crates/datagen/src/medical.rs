@@ -158,7 +158,6 @@ impl MedicalDataset {
                     name: "time".into(),
                     gen: Box::new(move |r| Value::Str(format!("d{:08}", r as u64 % 3650))),
                     index: false,
-                    exact: Some(false),
                 },
                 ColumnLoad {
                     name: "measurement".into(),
@@ -169,13 +168,11 @@ impl MedicalDataset {
                         ))
                     }),
                     index: false,
-                    exact: Some(false),
                 },
                 ColumnLoad {
                     name: "comment".into(),
                     gen: Box::new(|r| Value::Str(format!("glycemia reading #{r} nominal"))),
                     index: false,
-                    exact: Some(false),
                 },
             ],
         };
@@ -190,61 +187,51 @@ impl MedicalDataset {
                     name: "first_name".into(),
                     gen: Box::new(move |r| pad8(first_name_perm[r as usize] as u64)),
                     index: false,
-                    exact: Some(true),
                 },
                 ColumnLoad {
                     name: "name".into(),
                     gen: Box::new(|r| Value::Str(format!("PATIENT_{r:06}"))),
                     index: false,
-                    exact: Some(false),
                 },
                 ColumnLoad {
                     name: "ssn".into(),
                     gen: Box::new(move |r| Value::Str(format!("{:09}", r as u64 * 37 % 999999999))),
                     index: false,
-                    exact: Some(false),
                 },
                 ColumnLoad {
                     name: "address".into(),
                     gen: Box::new(|r| Value::Str(format!("{} rue de la Paix", r % 300))),
                     index: false,
-                    exact: Some(false),
                 },
                 ColumnLoad {
                     name: "birthdate".into(),
                     gen: Box::new(|r| Value::Str(format!("19{:02}-01-01", r % 80))),
                     index: false,
-                    exact: Some(false),
                 },
                 ColumnLoad {
                     name: "bodymassindex".into(),
                     gen: Box::new(move |r| Value::Float(bmi[r as usize] as f64)),
                     index: true,
-                    exact: Some(true),
                 },
                 ColumnLoad {
                     name: "age".into(),
                     gen: Box::new(|r| Value::Int(18 + (r as i64 * 13) % 72)),
                     index: false,
-                    exact: Some(true),
                 },
                 ColumnLoad {
                     name: "sexe".into(),
                     gen: Box::new(|r| Value::Str(if r % 2 == 0 { "F" } else { "M" }.into())),
                     index: false,
-                    exact: Some(false),
                 },
                 ColumnLoad {
                     name: "city".into(),
                     gen: Box::new(|r| Value::Str(format!("City{:03}", r % 500))),
                     index: false,
-                    exact: Some(false),
                 },
                 ColumnLoad {
                     name: "zipcode".into(),
                     gen: Box::new(|r| Value::Str(format!("{:05}", 1000 + r % 95000))),
                     index: false,
-                    exact: Some(false),
                 },
             ],
         };
@@ -260,25 +247,21 @@ impl MedicalDataset {
                         Value::Str(SPECIALTIES[r as usize % SPECIALTIES.len()].into())
                     }),
                     index: false,
-                    exact: Some(true),
                 },
                 ColumnLoad {
                     name: "description".into(),
                     gen: Box::new(|r| Value::Str(format!("practice #{r}"))),
                     index: false,
-                    exact: Some(false),
                 },
                 ColumnLoad {
                     name: "first_name".into(),
                     gen: Box::new(|r| Value::Str(format!("DF{r:06}"))),
                     index: false,
-                    exact: Some(false),
                 },
                 ColumnLoad {
                     name: "name".into(),
                     gen: Box::new(move |r| pad8(doctor_name_perm[r as usize] as u64)),
                     index: true,
-                    exact: Some(true),
                 },
             ],
         };
@@ -291,13 +274,11 @@ impl MedicalDataset {
                     name: "property".into(),
                     gen: Box::new(|r| Value::Str(format!("insulin-class-{r}"))),
                     index: false,
-                    exact: Some(false),
                 },
                 ColumnLoad {
                     name: "comment".into(),
                     gen: Box::new(|r| Value::Str(format!("posology note {r}"))),
                     index: true,
-                    exact: Some(false),
                 },
             ],
         };

@@ -106,7 +106,6 @@ impl SyntheticDataset {
                     name: cname,
                     gen: Box::new(move |r| pad8(perm[r as usize] as u64)),
                     index: false,
-                    exact: Some(true),
                 });
             }
             for h in 1..=self.spec.hidden_attrs {
@@ -121,7 +120,6 @@ impl SyntheticDataset {
                     name: cname,
                     gen: Box::new(move |r| pad8(perm[r as usize] as u64)),
                     index,
-                    exact: Some(true),
                 });
             }
             let fks = self

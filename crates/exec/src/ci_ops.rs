@@ -11,7 +11,7 @@ use crate::error::ExecError;
 use crate::report::OpKind;
 use crate::source::IdSource;
 use crate::Result;
-use ghostdb_index::ClimbingIndex;
+use ghostdb_index::{ClimbingIndex, KeyRange};
 use ghostdb_storage::{Id, IdList, Predicate, TableId};
 
 /// Resolve the level index of `target` in `ci`, erroring with context.
@@ -59,7 +59,7 @@ pub fn select_sublists_multi(
         .iter()
         .map(|t| level_of(ctx, ci, *t))
         .collect::<Result<_>>()?;
-    let (lo, hi) = pred.key_range();
+    let KeyRange { lo, hi, .. } = ci.key_range(pred);
     ctx.track(OpKind::Ci, |ctx| {
         let ram = ctx.ram();
         let mut probe = ci.probe(&ram)?;

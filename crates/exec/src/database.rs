@@ -26,12 +26,10 @@ pub struct ColumnLoad {
     pub name: String,
     /// Deterministic value generator (row id → value).
     pub gen: Box<dyn Fn(Id) -> Value>,
-    /// Build a climbing index on this column (hidden columns only).
+    /// Build a climbing index on this column (hidden columns only). The
+    /// loader derives whether its keys are the full values
+    /// ([`ClimbingIndex::exact`]) from the generated values.
     pub index: bool,
-    /// Whether order-keys are injective for this column's data. `None`
-    /// lets the loader verify (hashes every distinct value: fine for small
-    /// loads, pass a hint for big ones).
-    pub exact: Option<bool>,
 }
 
 /// One table's load specification.
@@ -127,13 +125,12 @@ impl Database {
                         )?);
                         if col.index {
                             let mut keys = Vec::with_capacity(load.rows as usize);
+                            let mut exact = true;
                             for r in 0..load.rows {
-                                keys.push(stored_key(&decl.ty, (col.gen)(r as Id)));
+                                let v = (col.gen)(r as Id);
+                                exact &= key_is_value(&decl.ty, &v);
+                                keys.push(stored_key(&decl.ty, v));
                             }
-                            let exact = match col.exact {
-                                Some(e) => e,
-                                None => verify_exact(&decl.ty, load.rows, |r| (col.gen)(r)),
-                            };
                             pending_cis.push((t, col.name.clone(), keys, exact));
                         }
                     }
@@ -282,19 +279,13 @@ fn stored_key(ty: &ColumnType, v: Value) -> u64 {
     }
 }
 
-/// Check key-encoding injectivity by hashing every distinct value.
-fn verify_exact(ty: &ColumnType, rows: u64, gen: impl Fn(Id) -> Value) -> bool {
-    use std::collections::HashSet;
-    let mut values: HashSet<Vec<u8>> = HashSet::new();
-    let mut keys: HashSet<u64> = HashSet::new();
-    let mut buf = vec![0u8; ty.width()];
-    for r in 0..rows {
-        let v = gen(r as Id);
-        if v.encode(ty, &mut buf).is_err() {
-            return false;
-        }
-        values.insert(buf.clone());
-        keys.insert(stored_key(ty, v));
-    }
-    values.len() == keys.len()
+/// Whether a cell's index key is the value its column stores: the key
+/// determines the value ([`Value::key_is_exact`]) and the column keeps it
+/// whole.
+fn key_is_value(ty: &ColumnType, v: &Value) -> bool {
+    let whole = match (ty, v) {
+        (ColumnType::Char { width }, Value::Str(s)) => s.len() <= usize::from(*width),
+        _ => true,
+    };
+    whole && v.key_is_exact()
 }

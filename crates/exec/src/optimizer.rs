@@ -30,10 +30,10 @@
 //!   [`HIDDEN_ROOT_PRE_POST_CUTOFF`], the crossover beside the narrowest
 //!   hidden root range. Outside the table's own subtree the cutoff is
 //!   [`SIBLING_PRE_POST_CUTOFF`], the worst-regret crossover over hidden
-//!   selectivities: there the thinned root stream gains little from
-//!   SJoin's foreign-key route, so Post's advantage comes later than in the
-//!   plain case. Past a cross cutoff, a hidden selection in the table's
-//!   own subtree leaves the plain [`PRE_POST_CUTOFF`];
+//!   selectivities: below the plain one now that a selection whose index
+//!   keys are the full values is not re-checked, well above it while
+//!   every one was. Past a cross cutoff, a hidden selection in the
+//!   table's own subtree leaves the plain [`PRE_POST_CUTOFF`];
 //! * a selection on the root needs no climbing-index probe, and its
 //!   shipped ids stream straight into SJoin, so Pre is the cheapest root
 //!   plan at every selectivity swept (0.005–1);
@@ -90,23 +90,27 @@ pub const PRE_POST_CUTOFF: f64 = 0.032;
 /// Pre vs Post on a non-root table without cross-filtering beside a hidden
 /// selection in a sibling subtree: the worst-regret point over hidden
 /// selectivities 0.01–0.3, regret counted in simulated time lost or as a
-/// ratio alike (measured: 0.10 at ×0.01, and no crossover up to 0.2 at
-/// ×0.002 since keyed SJoin; 0.08 at ×0.002 before; 0.08 and 0.050
-/// before Pre plans streamed their merged root ids into SJoin;
-/// 0.13 at ×0.002 and 0.16 at ×0.01 before narrow stored ids, and
-/// 0.16 → 0.13 at ×0.002 once post plans stopped reading F' back into
-/// columns).
-pub const SIBLING_PRE_POST_CUTOFF: f64 = 0.10;
+/// ratio alike (measured: 0.020 at ×0.01 and 0.032 at ×0.002 since hidden
+/// selections whose keys are the full values skip the projection
+/// re-check; 0.10 at ×0.01,
+/// and no crossover up to 0.2 at ×0.002, since keyed SJoin; 0.08 at
+/// ×0.002 before; 0.08 and 0.050 before Pre plans streamed their merged
+/// root ids into SJoin; 0.13 at ×0.002 and 0.16 at ×0.01 before narrow
+/// stored ids, and 0.16 → 0.13 at ×0.002 once post plans stopped reading
+/// F' back into columns).
+pub const SIBLING_PRE_POST_CUTOFF: f64 = 0.02;
 /// Pre vs Post on a non-root table without cross-filtering when the root
 /// carries a hidden selection: the crossover at hidden selectivity 0.01,
 /// the narrowest swept (measured: 0.0127 at ×0.01 and 0.016 at ×0.002,
-/// 0.0127 at both before keyed SJoin; 0.010 and
+/// unmoved by skipping the re-check of hidden selections whose keys are
+/// the full values; 0.0127 at both before keyed SJoin; 0.010 and
 /// 0.008 before Pre plans streamed their merged root ids into SJoin; 0.016
 /// before narrow stored ids, down from 0.032 before SJoin's foreign-key
 /// route; 0.020 since bitmap-window Merge reductions, one grid step up,
 /// and 0.020 → 0.016 once post plans stopped reading F' back into
-/// columns). Wider hidden root ranges move the crossover (0.016 at 0.03,
-/// 0.0127 at 0.1, 0.008 at 0.3, at ×0.01), so on them one side pays a
+/// columns). Wider hidden root ranges move the crossover (0.020 at 0.03,
+/// 0.020 at 0.1, 0.025 at 0.3, at ×0.01; 0.016, 0.0127 and 0.008 while
+/// every hidden selection was re-checked), so on them one side pays a
 /// little regret between here and there: the price of never paying Pre's
 /// regret on a narrow hidden range.
 pub const HIDDEN_ROOT_PRE_POST_CUTOFF: f64 = 0.0126;
@@ -255,11 +259,11 @@ mod tests {
         };
         let n1 = TINY_ROWS[1] as f64;
         assert!(1.0 / n1 <= HIDDEN_ROOT_PRE_POST_CUTOFF && 2.0 / n1 > HIDDEN_ROOT_PRE_POST_CUTOFF);
-        assert!(12.0 / n1 <= SIBLING_PRE_POST_CUTOFF && 13.0 / n1 > SIBLING_PRE_POST_CUTOFF);
+        assert!(2.0 / n1 <= SIBLING_PRE_POST_CUTOFF && 3.0 / n1 > SIBLING_PRE_POST_CUTOFF);
         assert_eq!(decide_with(1, "T0"), VisStrategy::Pre);
         assert_eq!(decide_with(2, "T0"), VisStrategy::Post);
-        assert_eq!(decide_with(12, "T2"), VisStrategy::Pre);
-        assert_eq!(decide_with(13, "T2"), VisStrategy::Post);
+        assert_eq!(decide_with(2, "T2"), VisStrategy::Pre);
+        assert_eq!(decide_with(3, "T2"), VisStrategy::Post);
     }
 
     /// Decisions for a query with visible selections on T1 (`k1` of 120

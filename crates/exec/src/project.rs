@@ -9,7 +9,8 @@
 //! (`σVH`), builds complete tuples in RAM-bounded `MJoin` passes, and lets
 //! the final position-merge join drop every row a table failed to confirm —
 //! which simultaneously kills Bloom false positives and deferred visible
-//! selections, and runs the exact re-checks for non-injective index keys.
+//! selections, and runs the exact re-checks of the hidden selections whose
+//! climbing index cannot answer them exactly (`ClimbingIndex::key_range`).
 //!
 //! The ID columns (Figure 5, line 1) come straight from SJoin, as footnote 7
 //! allows: every plan's select-join phase ends by writing them
@@ -603,11 +604,14 @@ fn sparse_sigma_pays(ctx: &ExecCtx<'_>, t: TableId, prep: &TablePrep<'_>, n: u64
 }
 
 /// The inputs of the sparse-σ cost rule: the flash time each σ arm costs
-/// MJoin under the Table 1 model. Both estimates are upper bounds of the
-/// same shape (every σ id reads a whole page of each scanned column), so
-/// they compare like for like. MJoin reads its columns in page spans, and
-/// a page's spans never cost more than one whole-page read, so the
-/// whole-page term stays an upper bound of what either arm reads.
+/// MJoin under the Table 1 model. MJoin reads its columns in page spans
+/// ([`page_spans`]): a page's spans never cost more than one whole-page
+/// read, nor more than one span per wanted value. The dense arm wants
+/// every value, so it reads every page whole; the filter arm's scans are
+/// bounded by the cheaper of the two, so both estimates stay upper bounds
+/// of what each arm reads.
+///
+/// [`page_spans`]: ghostdb_storage::table::page_spans
 #[derive(Debug, Clone, PartialEq)]
 struct SigmaShape {
     /// Rows of the QEPSJ id column.
@@ -647,7 +651,8 @@ impl SigmaShape {
     }
 
     /// Bloom sweep of the id column, the σ temp's write and read, at most
-    /// one page per σ id per scanned column, and MJoin's passes over σ.
+    /// one span per σ id per scanned column (never more than the whole
+    /// column), and MJoin's passes over σ.
     /// σ holds at most min(n, |Ti|) distinct ids plus the filter's false
     /// positives over the rest of the range.
     fn sparse_ns(&self, t: &FlashTiming, page_size: usize) -> u128 {
@@ -662,8 +667,9 @@ impl SigmaShape {
             .widths
             .iter()
             .map(|w| {
-                column_pages(self.rows, *w, page_size).min(sigma) as u128
-                    * page_read_ns(t, self.rows, *w, page_size)
+                let pages = column_pages(self.rows, *w, page_size) as u128
+                    * page_read_ns(t, self.rows, *w, page_size);
+                pages.min(sigma as u128 * t.read_cost_ns(*w))
             })
             .sum();
         let dict_bytes = self.dict_bytes.saturating_sub(self.buf_size);
@@ -1787,8 +1793,8 @@ mod tests {
     #[test]
     fn the_choice_flips_once_as_the_id_column_grows() {
         // A re-check-only table (`T12` at ×0.05): 25 column pages, one dict
-        // load. The filter pays for a handful of ids and stops paying once
-        // the distinct-id bound reaches the page count.
+        // load. The filter pays for a handful of ids and stops paying
+        // before its one span per distinct id costs a whole-column read.
         let flips: Vec<u64> = (1..=5_000)
             .filter(|n| pays(&shape(n - 1, 5_000, 1, 0)) != pays(&shape(*n, 5_000, 1, 0)))
             .collect();
@@ -1796,8 +1802,10 @@ mod tests {
         let boundary = flips[0];
         assert!(pays(&shape(boundary - 1, 5_000, 1, 0)));
         assert!(!pays(&shape(boundary, 5_000, 1, 0)));
-        let column_pages = column_pages(5_000, 10, PAGE);
-        assert!(boundary > 1 && boundary <= column_pages, "{boundary}");
+        let t = FlashTiming::default();
+        let column_ns = column_pages(5_000, 10, PAGE) as u128 * page_read_ns(&t, 5_000, 10, PAGE);
+        let spans = (column_ns / t.read_cost_ns(10)) as u64;
+        assert!(boundary > 1 && boundary <= spans, "{boundary}");
     }
 
     #[test]

@@ -72,8 +72,6 @@ pub struct HiddenSel {
     pub table: TableId,
     /// The predicate.
     pub pred: Predicate,
-    /// Whether index keys are exact for this predicate (no re-check needed).
-    pub exact: bool,
 }
 
 /// Per-table projection requirements.
@@ -154,17 +152,10 @@ pub fn analyze(schema: &SchemaTree, q: &SpjQuery) -> Result<Analyzed> {
         let p = &coerce(&def.name, col, p)?;
         match col.visibility {
             Visibility::Visible => push_vis(&mut vis_preds, *t, p.clone()),
-            Visibility::Hidden => {
-                let exact = match &col.ty {
-                    ghostdb_storage::ColumnType::Char { width } => *width as usize <= 8,
-                    _ => true,
-                };
-                hid_sels.push(HiddenSel {
-                    table: *t,
-                    pred: p.clone(),
-                    exact,
-                });
-            }
+            Visibility::Hidden => hid_sels.push(HiddenSel {
+                table: *t,
+                pred: p.clone(),
+            }),
         }
     }
 
@@ -274,7 +265,6 @@ mod tests {
         assert_eq!(a.vis_preds_of(t1).len(), 1);
         assert_eq!(a.hid_sels.len(), 1);
         assert_eq!(a.hid_sels[0].table, t12);
-        assert!(!a.hid_sels[0].exact, "char(10) keys are prefix-approximate");
         assert_eq!(a.output.len(), 2);
     }
 

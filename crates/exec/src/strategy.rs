@@ -132,8 +132,10 @@ pub struct SjOutcome {
     /// Visible tables whose selection was not applied at all in QEPSJ:
     /// projection must apply it.
     pub deferred_vis: Vec<TableId>,
-    /// Hidden predicates needing exact re-checks at projection time
-    /// (non-injective index keys).
+    /// Hidden predicates needing exact re-checks at projection time: those
+    /// whose index cannot answer them exactly ([`KeyRange::recheck`]).
+    ///
+    /// [`KeyRange::recheck`]: ghostdb_index::KeyRange::recheck
     pub recheck: Vec<(TableId, Predicate)>,
     /// The visible ids shipped per table, under all of the table's visible
     /// predicates: projection reuses them instead of shipping them again.
@@ -492,13 +494,15 @@ pub fn execute_sj(
         }
     }
 
-    // Exact re-checks the projection must run.
-    let recheck: Vec<(TableId, Predicate)> = a
-        .hid_sels
-        .iter()
-        .filter(|h| !h.exact)
-        .map(|h| (h.table, h.pred.clone()))
-        .collect();
+    // Exact re-checks the projection must run: one per hidden selection
+    // its index cannot answer exactly.
+    let mut recheck: Vec<(TableId, Predicate)> = Vec::new();
+    for h in &a.hid_sels {
+        let ci = ctx.attr_index(h.table, &h.pred.column)?;
+        if ci.key_range(&h.pred).recheck {
+            recheck.push((h.table, h.pred.clone()));
+        }
+    }
 
     // Columns of F' besides the root: the participants and every post
     // table. A post table is a column whether its Bloom filter is built or

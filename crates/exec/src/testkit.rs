@@ -58,25 +58,21 @@ fn assemble_tiny(rows: [u64; 5], h1: fn(Id) -> Value) -> Database {
                 name: "v1".into(),
                 gen: Box::new(|r| pad8(r as u64)),
                 index: false,
-                exact: None,
             },
             ColumnLoad {
                 name: "v2".into(),
                 gen: Box::new(|r| pad8(r as u64 % 10)),
                 index: false,
-                exact: None,
             },
             ColumnLoad {
                 name: "h1".into(),
                 gen: Box::new(h1),
                 index: true,
-                exact: Some(true),
             },
             ColumnLoad {
                 name: "h2".into(),
                 gen: Box::new(|r| pad8(r as u64 % 8)),
                 index: true,
-                exact: Some(true),
             },
         ],
     };

@@ -234,7 +234,8 @@ fn naive_select_sublists_multi(
         .iter()
         .map(|t| level_of(ctx, ci, *t))
         .collect::<ghostdb_exec::Result<_>>()?;
-    let (lo, hi) = pred.key_range();
+    let range = ci.key_range(pred);
+    let (lo, hi) = (range.lo, range.hi);
     ctx.track(OpKind::Ci, |ctx| {
         let ram = ctx.ram();
         let mut probe = ci.probe(&ram)?;

@@ -44,7 +44,6 @@ fn databases() -> (Database, RefDb) {
         name: name.into(),
         gen: Box::new(gen),
         index,
-        exact: Some(true),
     };
     let loads = vec![
         TableLoad {
@@ -197,7 +196,6 @@ fn chain() -> (Database, RefDb) {
                 name: "w".into(),
                 gen: Box::new(w),
                 index: true,
-                exact: Some(true),
             }],
         },
     ];

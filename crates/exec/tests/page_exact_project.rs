@@ -128,10 +128,22 @@ fn a_root_hidden_projection_reads_only_its_survivors_spans() {
     );
 }
 
-#[test]
-fn a_t12_recheck_conjunction_matches_the_oracle() {
-    // `T1.h1 BETWEEN ∧ T12.h2 BETWEEN`, projecting `T1.h1`: T12 is a
-    // re-check-only participant, T1 is re-checked and projected in MJoin.
+/// `p` with its lower bound one digit longer: a literal that outgrows
+/// the 8-byte key, so the selection is re-checked although the index is
+/// exact, and the rows keyed by the bound itself fall below it.
+fn past_lower_bound((table, p): (&str, Predicate)) -> (&str, Predicate) {
+    let Value::Str(lo) = &p.value else {
+        panic!("{p:?}")
+    };
+    let value = Value::Str(format!("{lo}5"));
+    (table, Predicate { value, ..p })
+}
+
+/// `T1.h1 BETWEEN ∧ T12.h2 BETWEEN`, projecting `T1.h1`; then the same
+/// with a root range and a root hidden projection. With `long` lower
+/// bounds every selection is re-checked: T12 as a re-check-only
+/// participant, T1 re-checked and projected in MJoin, T0 in FinalJoin.
+fn t12_conjunctions(long: bool) {
     let (oracle, mut db) = synthetic(0.004);
     let t12 = oracle.schema.table_id("T12").unwrap();
     let n12 = oracle.tables[t12].rows;
@@ -141,16 +153,58 @@ fn a_t12_recheck_conjunction_matches_the_oracle() {
         pad8(n12 / 5),
         Some(pad8(n12 / 5 + n12 / 20)),
     );
-    let preds = [range(&oracle, "T1", 0.4, 0.05), ("T12", t12_range)];
+    let adjust = |p| if long { past_lower_bound(p) } else { p };
+    let preds = [range(&oracle, "T1", 0.4, 0.05), ("T12", t12_range)].map(adjust);
+    let rechecked = |db: &Database, preds: &[(&str, Predicate)]| {
+        for (t, p) in preds {
+            let ci = db.index(db.schema.table_id(t).unwrap(), &p.column).unwrap();
+            assert!(ci.exact, "{t}: 8-character values fit their keys");
+            assert_eq!(ci.key_range(p).recheck, long, "{t}: {p:?}");
+        }
+    };
+    rechecked(&db, &preds);
     let q = query(&db, &preds, &[("T0", "id"), ("T1", "id"), ("T1", "h1")]);
     let (_, report) = check(&mut db, &oracle, &q);
     assert!(report.op(OpKind::MJoin).as_ns() > 0);
-    // The same re-checks with a root hidden projection and a root range.
     let preds = [
-        range(&oracle, "T0", 0.5, 0.02),
-        range(&oracle, "T1", 0.1, 0.3),
+        adjust(range(&oracle, "T0", 0.5, 0.02)),
+        adjust(range(&oracle, "T1", 0.1, 0.3)),
         preds[1].clone(),
     ];
+    rechecked(&db, &preds);
     let q = query(&db, &preds, &[("T0", "id"), ("T0", "h2"), ("T12", "h1")]);
-    check(&mut db, &oracle, &q);
+    let (rows, _) = check(&mut db, &oracle, &q);
+    if long {
+        // The re-checks have rows to drop: the bounds' own keys join.
+        let short = preds.clone().map(|(t, p)| {
+            let Value::Str(lo) = &p.value else {
+                panic!("{p:?}")
+            };
+            (
+                t,
+                Predicate {
+                    value: Value::Str(lo[..8].into()),
+                    ..p
+                },
+            )
+        });
+        let q = query(&db, &short, &[("T0", "id"), ("T0", "h2"), ("T12", "h1")]);
+        let (short_rows, _) = check(&mut db, &oracle, &q);
+        assert!(
+            rows.len() < short_rows.len(),
+            "{} vs {}",
+            rows.len(),
+            short_rows.len()
+        );
+    }
+}
+
+#[test]
+fn a_t12_conjunction_on_exact_keys_matches_the_oracle() {
+    t12_conjunctions(false);
+}
+
+#[test]
+fn a_t12_recheck_conjunction_matches_the_oracle() {
+    t12_conjunctions(true);
 }

@@ -80,9 +80,10 @@ fn between(column: &str, lo: u64, hi: u64) -> Predicate {
     Predicate::new(column, CmpOp::Between, pad8(lo), Some(pad8(hi)))
 }
 
-/// The ghostbench `sql-hidden` dataset shape at `scale` (every hidden
-/// predicate is re-checked: the columns are char(10), so index keys are
-/// 8-byte prefixes).
+/// The ghostbench `sql-hidden` dataset shape at `scale`. The columns are
+/// char(10), but their 8-character values fit the 8-byte index keys, so
+/// no hidden predicate is re-checked ([`prefix_collisions`] is the
+/// re-check case).
 fn synthetic(scale: f64) -> (RefDb, Database) {
     let ds = SyntheticDataset::generate(SyntheticSpec::paper(scale));
     let db = ds.build().expect("synthetic build");
@@ -151,7 +152,8 @@ fn hidden_only_queries_match_the_oracle_on_either_arm() {
             vec![("T0", "id"), ("T2", "h1")],
             Arm::Dense,
         ),
-        // Two tables: T1 projected (filter), T12 re-checked only (dense).
+        // Two tables: T1 projected (filter); T12's selection needs no
+        // re-check, so T12 takes no part in projection.
         (
             joint(t1_joint),
             vec![("T0", "id"), ("T1", "h1")],
@@ -225,7 +227,6 @@ fn prefix_collisions() -> (Database, RefDb) {
                     name: c.into(),
                     gen: Box::new(move |r| value(&name, c, r as u64)),
                     index: c == "h1",
-                    exact: None,
                 }
             })
             .collect();
@@ -264,6 +265,13 @@ fn a_recheck_on_colliding_keys_drops_the_siblings() {
     );
     assert!(!oracle_rows(&oracle, &q).is_empty());
     check(&mut db, &oracle, &q, Arm::Filter);
+    // T1 re-checked only: its σ comes from the id column all the same.
+    let q = query(
+        &db,
+        &[("T1", Predicate::eq("h1", Value::Str("0000030002".into())))],
+        &[("T0", "id")],
+    );
+    check(&mut db, &oracle, &q, Arm::Filter);
 }
 
 /// `MJoin` + `ProjBloom` simulated time of `T1.h1 = <point>` projecting
@@ -286,8 +294,8 @@ fn hidden_point_projection_ns(scale: f64) -> u128 {
 
 #[test]
 fn a_hidden_point_projection_does_not_grow_with_the_table() {
-    // Over the dense range, MJoin reads all of T1.h2 and T1.h1 (the
-    // re-check), so its cost grows with |T1|. A point's σ holds one id.
+    // Over the dense range, MJoin reads all of T1.h2, so its cost grows
+    // with |T1|. A point's σ holds one id.
     let small = hidden_point_projection_ns(0.001);
     let large = hidden_point_projection_ns(0.004);
     assert!(

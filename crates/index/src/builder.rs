@@ -39,9 +39,11 @@ impl FkData {
 /// ([`IndexBuilder::build_climbing`]).
 ///
 /// `keys[r]` is the order-preserving key of the attribute value of row `r`
-/// ([`ghostdb_storage::Value::order_key`]). `exact` states whether that
-/// encoding is injective for this column's data (drives whether operators
-/// must re-check predicates on exact values).
+/// ([`ghostdb_storage::Value::order_key`]). `exact` states that every
+/// row's value equals its key ([`ghostdb_storage::Value::key_is_exact`]);
+/// it becomes [`ClimbingIndex::exact`], which decides whether operators
+/// re-check predicates on exact values, so a wrong `true` returns wrong
+/// rows.
 #[derive(Debug, Clone, Copy)]
 pub struct ClimbingSpec<'a> {
     /// Indexed table.
@@ -52,7 +54,7 @@ pub struct ClimbingSpec<'a> {
     pub keys: &'a [u64],
     /// Which target levels the index climbs to.
     pub levels: LevelSpec,
-    /// Whether the key encoding is injective for this column's data.
+    /// Whether every row's value equals its key.
     pub exact: bool,
 }
 

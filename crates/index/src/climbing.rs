@@ -21,7 +21,7 @@ use ghostdb_storage::btree::{BTree, BTreeCursor};
 #[cfg(doc)]
 use ghostdb_storage::row::id_width;
 use ghostdb_storage::row::RowLayout;
-use ghostdb_storage::{Id, IdList, Result, StorageError, TableId};
+use ghostdb_storage::{Id, IdList, Predicate, Result, StorageError, TableId, Value};
 use ghostdb_token::RamArena;
 
 /// Which levels (targets) a climbing index carries.
@@ -73,6 +73,18 @@ impl DescLayout {
     }
 }
 
+/// A predicate's probe of a climbing index ([`ClimbingIndex::key_range`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct KeyRange {
+    /// Lowest key (inclusive).
+    pub lo: u64,
+    /// Highest key (inclusive); below `lo` when nothing can match.
+    pub hi: u64,
+    /// Rows in the range may fail the predicate: the projection must
+    /// re-check it on their values.
+    pub recheck: bool,
+}
+
 /// A climbing index on flash.
 #[derive(Debug, Clone)]
 pub struct ClimbingIndex {
@@ -82,10 +94,9 @@ pub struct ClimbingIndex {
     pub column: String,
     /// Target tables, innermost first (e.g. `[T12, T1, T0]`).
     pub levels: Vec<TableId>,
-    /// True when value→key encoding is injective for the indexed data, so
-    /// equality probes are exact; otherwise operators must re-check the
-    /// predicate on exact values at projection time (same machinery that
-    /// discards Bloom false positives).
+    /// True when every indexed value equals its key
+    /// ([`Value::key_is_exact`]), derived from the data at load. Only then
+    /// can a predicate go without re-checking ([`key_range`](Self::key_range)).
     pub exact: bool,
     /// Rows in the indexed table (selectivity estimation).
     pub rows: u64,
@@ -122,6 +133,23 @@ impl ClimbingIndex {
             tree,
             desc,
             areas,
+        }
+    }
+
+    /// The probe `pred` makes of this index: the inclusive key range that
+    /// holds every matching row, and whether rows in it may fail `pred`, so
+    /// that the projection must re-check them on their values (the same
+    /// machinery that discards Bloom false positives). No re-check is
+    /// needed iff the keys are the full values ([`exact`](Self::exact))
+    /// and every literal of `pred` fits a key ([`Value::key_is_exact`]: a
+    /// string of at most 8 bytes, any int or float).
+    pub fn key_range(&self, pred: &Predicate) -> KeyRange {
+        let exact = self.exact && pred.literals().all(Value::key_is_exact);
+        let (lo, hi) = pred.key_range(exact);
+        KeyRange {
+            lo,
+            hi,
+            recheck: !exact,
         }
     }
 

@@ -29,6 +29,6 @@ pub mod size_model;
 pub mod skt;
 
 pub use builder::{ClimbingSpec, FkData, IndexBuilder};
-pub use climbing::{CiProbe, ClimbingIndex, LevelSpec};
+pub use climbing::{CiProbe, ClimbingIndex, KeyRange, LevelSpec};
 pub use schemes::IndexScheme;
 pub use skt::SubtreeKeyTable;

@@ -78,24 +78,34 @@ impl Predicate {
         }
     }
 
-    /// Inclusive `[lo, hi]` order-key range for index probes.
+    /// The literals the predicate compares with: its value, and a
+    /// `Between`'s upper bound.
+    pub fn literals(&self) -> impl Iterator<Item = &Value> {
+        std::iter::once(&self.value).chain(&self.value2)
+    }
+
+    /// Inclusive `[lo, hi]` order-key range for index probes; an empty
+    /// selection gives `lo > hi`.
     ///
-    /// Exact for injective key encodings (ints, floats, strings up to 8
-    /// significant bytes); for longer strings the range is a superset and
-    /// the executor re-checks exact values at projection time.
+    /// With `exact` keys (every indexed value and every literal determined
+    /// by its key, [`Value::key_is_exact`]) the range holds exactly the
+    /// matching keys. Otherwise it holds every key a matching value can
+    /// have: `<` and `>` keep the literal's own key, whose other values
+    /// the caller re-checks on exact values.
     #[allow(
         clippy::expect_used,
         reason = "invariant: a `Between` has its upper bound, since \
                   `Predicate::new` asserts it and `analyze` rejects one without"
     )]
-    pub fn key_range(&self) -> (u64, u64) {
+    pub fn key_range(&self, exact: bool) -> (u64, u64) {
+        const EMPTY: (u64, u64) = (1, 0);
         let k = self.value.order_key();
         match self.op {
             CmpOp::Eq => (k, k),
-            CmpOp::Lt => (0, k.saturating_sub(1)),
-            CmpOp::Le => (0, k),
-            CmpOp::Gt => (k.saturating_add(1), u64::MAX),
-            CmpOp::Ge => (k, u64::MAX),
+            CmpOp::Lt if exact => k.checked_sub(1).map_or(EMPTY, |hi| (0, hi)),
+            CmpOp::Lt | CmpOp::Le => (0, k),
+            CmpOp::Gt if exact => k.checked_add(1).map_or(EMPTY, |lo| (lo, u64::MAX)),
+            CmpOp::Gt | CmpOp::Ge => (k, u64::MAX),
             CmpOp::Between => (k, self.value2.as_ref().expect("between").order_key()),
         }
     }
@@ -136,7 +146,7 @@ mod tests {
             Predicate::new("c", CmpOp::Between, Value::Int(-5), Some(Value::Int(5))),
         ];
         for p in &preds {
-            let (lo, hi) = p.key_range();
+            let (lo, hi) = p.key_range(true);
             for c in &candidates {
                 let v = Value::Int(*c);
                 let k = v.order_key();
@@ -154,10 +164,47 @@ mod tests {
         let p = Predicate::new("bmi", CmpOp::Gt, Value::Float(25.0), None);
         assert!(p.matches(&Value::Float(25.1)));
         assert!(!p.matches(&Value::Float(25.0)));
-        let (lo, hi) = p.key_range();
+        let (lo, hi) = p.key_range(true);
         assert!(Value::Float(25.0001).order_key() >= lo);
         assert!(Value::Float(1e9).order_key() <= hi);
         assert!(Value::Float(25.0).order_key() < lo);
+    }
+
+    #[test]
+    fn strict_ranges_past_the_key_domain_are_empty() {
+        let below = Predicate::new("c", CmpOp::Lt, Value::Int(i64::MIN), None);
+        let above = Predicate::new("c", CmpOp::Gt, Value::Int(i64::MAX), None);
+        for p in [below, above] {
+            let (lo, hi) = p.key_range(true);
+            assert!(lo > hi, "{p:?} selects nothing");
+        }
+    }
+
+    #[test]
+    fn inexact_ranges_keep_every_key_a_match_can_have() {
+        // 8-byte keys of strings up to 10 bytes: a string shares its key
+        // with every string of its 8-byte prefix.
+        let s = |v: &str| Value::Str(v.into());
+        let values = [
+            "00000001",
+            "000000013",
+            "00000002",
+            "000000005",
+            "0000000",
+            "000000019",
+        ];
+        for lit in ["0000000", "00000001", "000000012"] {
+            for op in [CmpOp::Eq, CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge] {
+                let p = Predicate::new("c", op, s(lit), None);
+                let (lo, hi) = p.key_range(false);
+                for v in values.map(s) {
+                    let k = v.order_key();
+                    if p.matches(&v) {
+                        assert!(lo <= k && k <= hi, "{p:?} must keep {v:?}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

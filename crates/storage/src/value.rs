@@ -149,6 +149,9 @@ impl Value {
     /// * strings: first 8 bytes big-endian (prefix order — GhostDB indexes
     ///   compare fixed-width values, and ties fall back to exact predicate
     ///   re-checks at the operator level).
+    ///
+    /// [`key_is_exact`](Self::key_is_exact) tells which values the key
+    /// determines.
     pub fn order_key(&self) -> u64 {
         match self {
             Value::Int(v) => (*v as i128 - i64::MIN as i128) as u64,
@@ -167,6 +170,17 @@ impl Value {
                 buf[..n].copy_from_slice(&bytes[..n]);
                 u64::from_be_bytes(buf)
             }
+        }
+    }
+
+    /// Whether [`order_key`](Self::order_key) determines this value: every
+    /// int and float, and a string of at most 8 bytes with no NUL byte. A
+    /// longer string shares its key with every string of its 8-byte
+    /// prefix, and one with a NUL byte with the string it pads to.
+    pub fn key_is_exact(&self) -> bool {
+        match self {
+            Value::Int(_) | Value::Float(_) => true,
+            Value::Str(s) => s.len() <= 8 && !s.as_bytes().contains(&0),
         }
     }
 
@@ -289,6 +303,18 @@ mod tests {
     fn order_keys_preserve_string_prefix_order() {
         assert!(Value::Str("abc".into()).order_key() < Value::Str("abd".into()).order_key());
         assert!(Value::Str("a".into()).order_key() < Value::Str("b".into()).order_key());
+    }
+
+    #[test]
+    fn short_strings_and_numbers_have_exact_keys() {
+        assert!(Value::Int(i64::MIN).key_is_exact());
+        assert!(Value::Float(-2.5).key_is_exact());
+        assert!(Value::Str(String::new()).key_is_exact());
+        assert!(Value::Str("ABCDEFGH".into()).key_is_exact());
+        // Shares its key with "ABCDEFGH".
+        assert!(!Value::Str("ABCDEFGH1".into()).key_is_exact());
+        // Shares its key with "AB".
+        assert!(!Value::Str("AB\0".into()).key_is_exact());
     }
 
     #[test]

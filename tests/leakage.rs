@@ -518,3 +518,92 @@ fn keyed_sjoin_decision_is_invisible() {
     assert!(keyed.audit().unwrap().ok);
     assert!(fallback.audit().unwrap().ok);
 }
+
+/// Two worlds for the exactness of a climbing index: every hidden `code`
+/// fits its 8-byte key, but for one branch's and one account's, which in
+/// the `long` world run two bytes past it. The visible partitions are
+/// identical.
+fn exactness_world(long: bool) -> GhostDb {
+    let mut db = GhostDb::new(GhostDbConfig {
+        capture_channel: true,
+        ..Default::default()
+    });
+    db.execute("CREATE TABLE Branches (id INT, city CHAR(10), code CHAR(12) HIDDEN)")
+        .expect("DDL");
+    db.execute(
+        "CREATE TABLE Accounts (id INT, branch_id INT HIDDEN REFERENCES Branches, \
+         kind CHAR(10), code CHAR(12) HIDDEN, balance INT HIDDEN)",
+    )
+    .expect("DDL");
+    let code = |prefix: &str, i: i64| {
+        let tail = if long && i == 5 { "X1" } else { "" };
+        Value::Str(format!("{prefix}{i:06}{tail}"))
+    };
+    db.insert_rows(
+        "Branches",
+        (0..16)
+            .map(|i| vec![Value::Str(format!("CITY{:02}", i % 4)), code("BR", i)])
+            .collect(),
+    )
+    .expect("load");
+    db.insert_rows(
+        "Accounts",
+        (0..512)
+            .map(|i| {
+                vec![
+                    Value::Int(i * 7 % 16),
+                    Value::Str(format!("K{}", i % 3)),
+                    code("AC", i * 5 % 512),
+                    Value::Int(1_000 + i * 13),
+                ]
+            })
+            .collect(),
+    )
+    .expect("load");
+    db
+}
+
+/// SECURITY.md claim 12, exact hidden selections: whether a hidden
+/// selection is re-checked at projection follows from whether its index's
+/// keys are the full values, a bit derived from hidden data at load. Worlds
+/// that differ only in one hidden value longer than the key (one index
+/// exact, the other not) produce bit-identical transcripts and host traces
+/// for the same queries.
+#[test]
+fn index_exactness_is_invisible() {
+    const QUERIES: [&str; 4] = [
+        "SELECT Accounts.id, Accounts.balance, Branches.city FROM Accounts, Branches \
+         WHERE Accounts.branch_id = Branches.id AND Accounts.kind = 'K1' \
+         AND Branches.code >= 'BR000004' AND Accounts.code < 'AC000300'",
+        "SELECT Accounts.id, Branches.code FROM Accounts, Branches \
+         WHERE Accounts.branch_id = Branches.id AND Branches.city = 'CITY01' \
+         AND Branches.code BETWEEN 'BR000003' AND 'BR000011'",
+        // Branches takes part in projection only for its re-check.
+        "SELECT Accounts.id FROM Accounts, Branches \
+         WHERE Accounts.branch_id = Branches.id AND Branches.city = 'CITY01' \
+         AND Branches.code >= 'BR000004'",
+        "SELECT Accounts.code FROM Accounts WHERE Accounts.code > 'AC000005'",
+    ];
+    let mut exact = exactness_world(false);
+    let mut long = exactness_world(true);
+    let rechecks = |db: &mut GhostDb, q: &str| {
+        let plan = db.finalize().expect("finalize").explain(q).expect("plan");
+        plan.matches("(+ exact re-check at projection)").count()
+    };
+    for q in QUERIES {
+        assert_eq!(rechecks(&mut exact, q), 0, "{q}");
+        assert!(rechecks(&mut long, q) > 0, "{q}: the long world re-checks");
+        let rows_e = exact.finalize().expect("finalize").query(q).expect("query");
+        let rows_l = long.finalize().expect("finalize").query(q).expect("query");
+        assert!(!rows_e.rows.is_empty(), "{q}");
+        assert_eq!(rows_e.columns, rows_l.columns);
+        assert_eq!(transcript(&exact), transcript(&long), "{q}");
+        assert_eq!(
+            exact.host_trace().unwrap(),
+            long.host_trace().unwrap(),
+            "{q}"
+        );
+        assert!(exact.audit().unwrap().ok);
+        assert!(long.audit().unwrap().ok);
+    }
+}

@@ -152,8 +152,9 @@ fn hidden_root_pre_post_cutoff_is_the_narrowest_range_crossover() {
 #[test]
 fn a_hidden_sibling_selection_has_its_own_pre_post_cutoff() {
     // With the hidden selection on T2 instead of the root, the minimax
-    // point sits well above the plain crossover: a thinned root stream
-    // gains little from SJoin's foreign-key route, so Post pays later.
+    // point has a cutoff of its own (below the plain crossover since an
+    // exact index needs no re-check; well above it while T2 was
+    // re-checked).
     let measured = minimax_crossover(("T2", "h1"), [Pre, Post], 0.005, 0.2);
     assert_within_one_step("SIBLING_PRE_POST_CUTOFF", SIBLING_PRE_POST_CUTOFF, measured);
 }
