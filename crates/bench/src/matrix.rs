@@ -678,8 +678,8 @@ fn micro_bloom() -> Family {
     })
 }
 
-/// Climbing-index equality probes: one batched ascending run sharing the
-/// cached leaf.
+/// Primary-key climbing-index probes: one ascending run of 2 000 ids, every
+/// tenth of T1's 20 000, each finding its T0 sublist in T1's offset array.
 fn micro_ci_probe() -> Family {
     Family::new(vec!["micro/ci/probe_run".into()], || {
         let schema = paper_synthetic_schema(1, 1);
@@ -697,13 +697,17 @@ fn micro_ci_probe() -> Family {
         fks.insert(t0, t2, (0..n0).map(|i| (i % 10) as Id).collect());
         fks.insert(t1, t11, (0..n1).map(|i| (i % 5) as Id).collect());
         fks.insert(t1, t12, (0..n1).map(|i| (i % 4) as Id).collect());
-        let keys: Vec<u64> = (0..n1).map(|r| r % 5000).collect();
-        let (mut dev, ram, ci) = micro_index(IndexBuilder::new(schema, rows, fks), t1, "h1", &keys);
-        let probes: Vec<u64> = (0..2000u64).map(|i| i * 2).collect();
+        let builder = IndexBuilder::new(schema, rows, fks);
+        let (mut dev, mut alloc, ram) = micro_device();
+        let pk = builder
+            .build_pk(&mut dev, &mut alloc, t1, vec![t0])
+            .unwrap();
+        let probes: Vec<Id> = (0..2000).map(|i| i * 10).collect();
         Box::new(move |_| {
-            let mut probe = ci.probe(&ram).unwrap();
-            let lists = probe.lookup_eq_run(&mut dev, &probes, 1).unwrap();
-            Run::host(lists.len() as u64)
+            let snap = dev.snapshot();
+            let lists = pk.probe_run(&mut dev, &ram, &probes, 0).unwrap();
+            let io = dev.stats_since(&snap);
+            Run::device(dev.elapsed_since(&snap), lists.len() as u64, &io)
         })
     })
 }

@@ -153,7 +153,8 @@ impl GhostDb {
     /// Stage rows for a table. Values follow the declared column order
     /// (excluding the implicit `id`); foreign-key cells are integers. A
     /// cell wider than its column (a string longer than `CHAR(n)`, an int
-    /// outside its width's signed range) rejects the whole call.
+    /// outside its width's signed range) rejects the whole call, and so
+    /// does a string holding a NUL byte ([`CoreError::NulInChar`]).
     pub fn insert_rows(&mut self, table: &str, rows: Vec<Vec<Value>>) -> Result<()> {
         if self.db.is_some() {
             return Err(CoreError::Semantic(
@@ -175,6 +176,12 @@ impl GhostDb {
                 )));
             }
             for (col, cell) in def.columns.iter().zip(row) {
+                if matches!(cell, Value::Str(s) if s.contains('\0')) {
+                    return Err(CoreError::NulInChar(format!(
+                        "{table}.{} of row {r}",
+                        col.name
+                    )));
+                }
                 if !fits(&col.ty, cell) {
                     return Err(CoreError::Semantic(format!(
                         "{table}.{} of row {r}: {cell:?} does not fit {:?}",

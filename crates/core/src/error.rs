@@ -9,6 +9,11 @@ pub enum CoreError {
     Parse(String),
     /// Semantic failure (unknown table/column, bad statement order…).
     Semantic(String),
+    /// A CHAR cell or string literal holding a NUL byte, named by its
+    /// place. CHAR cells are stored NUL-padded and read back up to their
+    /// first NUL, so such a value could not round-trip, and a literal
+    /// holding one could select what its stored values do not equal.
+    NulInChar(String),
     /// Propagated executor error.
     Exec(ghostdb_exec::ExecError),
     /// Propagated storage error.
@@ -20,6 +25,7 @@ impl fmt::Display for CoreError {
         match self {
             CoreError::Parse(m) => write!(f, "parse error: {m}"),
             CoreError::Semantic(m) => write!(f, "semantic error: {m}"),
+            CoreError::NulInChar(at) => write!(f, "{at}: CHAR values may not hold a NUL byte"),
             CoreError::Exec(e) => write!(f, "execution: {e}"),
             CoreError::Storage(e) => write!(f, "storage: {e}"),
         }

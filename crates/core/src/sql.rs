@@ -120,6 +120,9 @@ fn lex(input: &str) -> Result<Vec<Tok>> {
                     s.push(chars[i]);
                     i += 1;
                 }
+                if s.contains('\0') {
+                    return Err(CoreError::NulInChar(format!("string literal {s:?}")));
+                }
                 out.push(Tok::Str(s));
             }
             c if c.is_ascii_digit() || c == '-' => {

@@ -11,7 +11,7 @@ use crate::error::ExecError;
 use crate::report::OpKind;
 use crate::source::IdSource;
 use crate::Result;
-use ghostdb_index::{ClimbingIndex, KeyRange};
+use ghostdb_index::{ClimbingIndex, KeyRange, PkIndex};
 use ghostdb_storage::{Id, IdList, Predicate, TableId};
 
 /// Resolve the level index of `target` in `ci`, erroring with context.
@@ -73,35 +73,40 @@ pub fn select_sublists_multi(
     })
 }
 
-/// `CI(I, id ∈ probe_ids, target)`: each present probe id with its
-/// sublist, empty sublists dropped. On a primary-key index every id of a
-/// probe id's sublist joins that probe id, which is what a keyed SJoin
-/// reads back (see [`crate::strategy`]).
+/// `CI(I, id ∈ probe_ids, target)` on a table's primary-key index: each
+/// probe id with its sublist, empty sublists dropped. Every id of a probe
+/// id's sublist joins that probe id, which is what a keyed SJoin reads
+/// back (see [`crate::strategy`]).
 ///
 /// Probe ids are sorted once (they normally arrive ascending from sorted
 /// visible selections or merges, making the sort a single verification
-/// pass) and the whole batch walks the B+-tree strictly forward, so runs of
-/// ids falling in the same leaf are resolved in place without per-id
-/// root-to-leaf descents.
+/// pass); the index finds each id's offsets by arithmetic, and the whole
+/// batch reads each offset-array page once ([`PkIndex::probe_run`]).
 pub fn probe_in(
     ctx: &mut ExecCtx<'_>,
-    ci: &ClimbingIndex,
+    pk: &PkIndex,
     probe_ids: &[Id],
     target: TableId,
 ) -> Result<Vec<(Id, IdList)>> {
-    let level = level_of(ctx, ci, target)?;
-    let mut keys: Vec<u64> = probe_ids.iter().map(|id| *id as u64).collect();
+    let level = pk.level_of(target).ok_or_else(|| {
+        ExecError::StrategyNotApplicable(format!(
+            "primary-key index of {} does not climb to {}",
+            ctx.cat.schema.def(pk.table).name,
+            ctx.cat.schema.def(target).name
+        ))
+    })?;
+    let mut keys = probe_ids.to_vec();
     keys.sort_unstable();
+    keys.dedup();
     ctx.track(OpKind::Ci, |ctx| {
         let ram = ctx.ram();
-        let mut probe = ci.probe(&ram)?;
         let lists = ctx
             .lane
-            .with_flash(|dev| probe.lookup_eq_run(dev, &keys, level))?;
-        Ok(lists
+            .with_flash(|dev| pk.probe_run(dev, &ram, &keys, level))?;
+        Ok(keys
             .into_iter()
+            .zip(lists)
             .filter(|(_, l)| l.count > 0)
-            .map(|(key, l)| (key as Id, l))
             .collect())
     })
 }

@@ -26,7 +26,7 @@ use crate::Result;
 use ghostdb_flash::{
     FlashDevice, FlashSnapshot, FlashStats, FlashTiming, Segment, SegmentAllocator, SimDuration,
 };
-use ghostdb_index::{ClimbingIndex, SubtreeKeyTable};
+use ghostdb_index::{ClimbingIndex, PkIndex, SubtreeKeyTable};
 #[cfg(doc)]
 use ghostdb_storage::row::id_width;
 use ghostdb_storage::row::RowLayout;
@@ -46,21 +46,21 @@ pub struct CatalogCtx<'a> {
     pub hidden: &'a [HiddenImage],
     /// SKTs per table.
     pub skts: &'a [Option<SubtreeKeyTable>],
-    /// Climbing indexes.
+    /// Climbing indexes on hidden attributes.
     pub cis: &'a HashMap<(TableId, String), ClimbingIndex>,
+    /// Primary-key climbing indexes per table.
+    pub pks: &'a [Option<PkIndex>],
     /// The untrusted PC.
     pub untrusted: &'a UntrustedHost,
 }
 
 impl<'a> CatalogCtx<'a> {
     /// The primary-key climbing index of a table.
-    pub fn pk_index(&self, t: TableId) -> Result<&'a ClimbingIndex> {
-        self.cis
-            .get(&(t, "id".to_string()))
-            .ok_or_else(|| ExecError::MissingIndex {
-                table: self.schema.def(t).name.clone(),
-                column: "id".into(),
-            })
+    pub fn pk_index(&self, t: TableId) -> Result<&'a PkIndex> {
+        (self.pks.get(t).and_then(Option::as_ref)).ok_or_else(|| ExecError::MissingIndex {
+            table: self.schema.def(t).name.clone(),
+            column: "id".into(),
+        })
     }
 
     /// The climbing index on an attribute.
@@ -243,6 +243,7 @@ impl<'a> ExecCtx<'a> {
                 hidden: &db.hidden,
                 skts: &db.skts,
                 cis: &db.cis,
+                pks: &db.pks,
                 untrusted: &db.untrusted,
             },
             lane: DeviceLane::new(&mut token.flash, token.ram.clone(), &mut db.alloc),
@@ -263,7 +264,7 @@ impl<'a> ExecCtx<'a> {
     }
 
     /// The primary-key climbing index of a table.
-    pub fn pk_index(&self, t: TableId) -> Result<&'a ClimbingIndex> {
+    pub fn pk_index(&self, t: TableId) -> Result<&'a PkIndex> {
         self.cat.pk_index(t)
     }
 

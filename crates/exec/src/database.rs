@@ -11,7 +11,7 @@ use crate::error::ExecError;
 use crate::Result;
 use ghostdb_flash::SegmentAllocator;
 use ghostdb_index::{
-    ClimbingIndex, ClimbingSpec, FkData, IndexBuilder, LevelSpec, SubtreeKeyTable,
+    ClimbingIndex, ClimbingSpec, FkData, IndexBuilder, LevelSpec, PkIndex, SubtreeKeyTable,
 };
 use ghostdb_storage::{
     ColumnType, HiddenColumn, HiddenImage, Id, SchemaTree, TableId, Value, Visibility,
@@ -56,9 +56,11 @@ pub struct Database {
     pub hidden: Vec<HiddenImage>,
     /// SKT per non-leaf table.
     pub skts: Vec<Option<SubtreeKeyTable>>,
-    /// Climbing indexes, keyed by (table, column); the primary-key index of
-    /// a table is keyed by `(table, "id")` with ancestor levels only.
+    /// Climbing indexes on hidden attributes, keyed by (table, column).
     pub cis: HashMap<(TableId, String), ClimbingIndex>,
+    /// Primary-key climbing index per non-root table, climbing to every
+    /// ancestor.
+    pub pks: Vec<Option<PkIndex>>,
     /// The secure USB key.
     pub token: SecureToken,
     /// Logical-space allocator of the token's flash (temporaries draw from
@@ -186,25 +188,14 @@ impl Database {
         let builder = IndexBuilder::new(schema.clone(), rows.clone(), fk_data);
         let mut skts: Vec<Option<SubtreeKeyTable>> = vec![None; schema.len()];
         let mut cis = HashMap::new();
+        let mut pks: Vec<Option<PkIndex>> = vec![None; schema.len()];
         for t in schema.tables() {
             if !schema.children(t).is_empty() {
                 skts[t] = Some(builder.build_skt(&mut token.flash, &mut alloc, t)?);
             }
             if t != schema.root() {
-                // Primary-key climbing index: keys are the ids themselves.
-                let keys: Vec<u64> = (0..rows[t]).collect();
-                let ci = builder.build_climbing(
-                    &mut token.flash,
-                    &mut alloc,
-                    ClimbingSpec {
-                        table: t,
-                        column: "id",
-                        keys: &keys,
-                        levels: LevelSpec::AncestorsOnly,
-                        exact: true,
-                    },
-                )?;
-                cis.insert((t, "id".to_string()), ci);
+                let levels = schema.ancestors(t);
+                pks[t] = Some(builder.build_pk(&mut token.flash, &mut alloc, t, levels)?);
             }
         }
         for (t, name, keys, exact) in pending_cis {
@@ -228,6 +219,7 @@ impl Database {
             hidden,
             skts,
             cis,
+            pks,
             token,
             alloc,
             untrusted: UntrustedHost::new(store),

@@ -15,12 +15,12 @@
 //! the other tables' 2; each constant's doc also gives ×0.002):
 //!
 //! * cross-filtering applies whenever a hidden selection exists on the
-//!   table or its subtree; Cross-Pre is then the cheapest plan up to
-//!   [`CROSS_PRE_CUTOFF`] (every sV since SJoin reads a Cross-Pre probe's
-//!   targets through its keys), or [`OWN_CROSS_PRE_CUTOFF`] when the
-//!   hidden selection is on the table itself, after which the table is
-//!   treated as if it had no hidden selection below it (Cross-Post never
-//!   wins by more than a few percent);
+//!   table or its subtree; Cross-Pre is then the cheapest plan at every sV
+//!   (SJoin reads a Cross-Pre probe's targets through its keys), or up to
+//!   [`OWN_CROSS_PRE_CUTOFF`] when the hidden selection is on the table
+//!   itself, after which the table is treated as if it had no hidden
+//!   selection below it (Cross-Post never wins by more than a few
+//!   percent);
 //! * without Cross: Pre wins up to [`PRE_POST_CUTOFF`] (Figure 10); Post
 //!   is used above only while the Bloom filter stays useful, otherwise the
 //!   selection is deferred to projection (the sV = 0.5 cutoff);
@@ -28,12 +28,20 @@
 //!   selectivity, which the optimizer may not see. On the root it thins
 //!   the root stream that Post checks, and the cutoff is
 //!   [`HIDDEN_ROOT_PRE_POST_CUTOFF`], the crossover beside the narrowest
-//!   hidden root range. Outside the table's own subtree the cutoff is
-//!   [`SIBLING_PRE_POST_CUTOFF`], the worst-regret crossover over hidden
-//!   selectivities: below the plain one now that a selection whose index
-//!   keys are the full values is not re-checked, well above it while
-//!   every one was. Past a cross cutoff, a hidden selection in the
-//!   table's own subtree leaves the plain [`PRE_POST_CUTOFF`];
+//!   hidden root range, which climbs to
+//!   [`SMALL_HIDDEN_ROOT_PRE_POST_CUTOFF`] on small roots. Outside the
+//!   table's own subtree the cutoff is [`SIBLING_PRE_POST_CUTOFF`], the
+//!   worst-regret crossover over hidden selectivities. Past a cross
+//!   cutoff, a hidden selection in the table's own subtree leaves the
+//!   plain [`PRE_POST_CUTOFF`];
+//! * beside a table that Cross-Pre filters, whose root stream is thinned
+//!   by its hidden selection too, a table is Pre only up to that table's
+//!   sV (measured at ×0.01: the crossover lies within one grid step of
+//!   it);
+//! * Pre is taken only while its probe's root ids, estimated from public
+//!   row counts, keep SJoin keyed (`keyed_fits`): past that, SJoin reads
+//!   the root SKT and Pre's cost jumps (at ×0.02 the plain crossover is
+//!   this jump, at sV 0.063);
 //! * a selection on the root needs no climbing-index probe, and its
 //!   shipped ids stream straight into SJoin, so Pre is the cheapest root
 //!   plan at every selectivity swept (0.005–1);
@@ -46,34 +54,31 @@
 
 use crate::ctx::ExecCtx;
 use crate::query::Analyzed;
+use crate::sjoin::KeyedIds;
 use crate::strategy::{VisDecision, VisStrategy};
 use crate::Result;
 use ghostdb_bloom::worth_post_filtering;
+use ghostdb_storage::TableId;
 
-/// Cross-Pre vs the cheapest other strategy on a table with a hidden
-/// selection in its subtree (measured: no crossover up to sV = 1 at ×0.01
-/// or ×0.002 since SJoin reads a keyed probe's targets through its keys
-/// instead of the root's SKT; 0.25 at ×0.01 and 0.20 at ×0.002 before;
-/// 0.20 and 0.126 until Pre plans streamed their merged root ids into
-/// SJoin and climbing-index descriptors narrowed; 0.50 at both scales
-/// until every stored id took its table's id width, which made Post's
-/// SJoin and Merge cheaper; 0.63 → 0.50 once post plans stopped reading F'
-/// back into columns).
-pub const CROSS_PRE_CUTOFF: f64 = 1.0;
 /// Cross-Pre vs Post when the hidden selection is on the filtered table
 /// itself (`T1.v1 ∧ T1.h1`): the worst-regret point over hidden
 /// selectivities 0.01–0.3, regret counted in simulated time lost
-/// (measured: 0.40 at ×0.01, none up to 0.5 at ×0.002, since SJoin reads
+/// (measured: 0.51 at ×0.01, none up to 1 at ×0.002, since primary-key
+/// probes read offset arrays; 0.40 at ×0.01, none up to 0.5 at ×0.002,
+/// since SJoin reads
 /// a keyed probe's targets through its keys; 0.08 at ×0.01 and 0.10 at
 /// ×0.002 before; 0.063 at both before Pre plans streamed their merged
 /// root ids into SJoin). Post's own crossover moves with the hidden
-/// range, since Cross-Pre's probe grows with sH: at ×0.01 Post wins below
-/// sV = 0.2 at sH 0.3 and by 0.4 at sH 0.1, and not up to sV = 0.5 at
-/// sH ≤ 0.03 (before keyed SJoin: from sV ≈ 0.4 at sH 0.01, 0.16 at 0.03,
+/// range, since Cross-Pre's probe grows with sH: at ×0.01 Post wins from
+/// sV 0.51 at sH 0.3 and at 1 at sH 0.1, and not up to sV = 1 at
+/// sH ≤ 0.03 (before offset arrays: below sV = 0.2 at sH 0.3 and by 0.4
+/// at sH 0.1; before keyed SJoin: from sV ≈ 0.4 at sH 0.01, 0.16 at 0.03,
 /// 0.05 at 0.1 and 0.032 at 0.3).
-pub const OWN_CROSS_PRE_CUTOFF: f64 = 0.4;
+pub const OWN_CROSS_PRE_CUTOFF: f64 = 0.5;
 /// Pre vs Post on a non-root table without cross-filtering or any hidden
-/// selection (measured: 0.032 at ×0.01, 0.063 at ×0.002, since SJoin
+/// selection (measured: 0.10 at ×0.01, none up to 0.5 at ×0.002, since
+/// primary-key probes read offset arrays; 0.032 at ×0.01, 0.063 at
+/// ×0.002, since SJoin
 /// reads a Pre probe's targets through its keys; 0.0063 at ×0.01 and
 /// ×0.002 before). SJoin's foreign-key
 /// route made Post's single-column SJoin cheap, which moved this from 0.08
@@ -86,11 +91,13 @@ pub const OWN_CROSS_PRE_CUTOFF: f64 = 0.4;
 /// ids, which halve the foreign-key column Post's SJoin reads, 0.010 →
 /// 0.006. Pre plans streaming their merged root ids into SJoin left it at
 /// 0.0063 at ×0.01 (0.008 at ×0.002).
-pub const PRE_POST_CUTOFF: f64 = 0.032;
+pub const PRE_POST_CUTOFF: f64 = 0.1;
 /// Pre vs Post on a non-root table without cross-filtering beside a hidden
 /// selection in a sibling subtree: the worst-regret point over hidden
 /// selectivities 0.01–0.3, regret counted in simulated time lost or as a
-/// ratio alike (measured: 0.020 at ×0.01 and 0.032 at ×0.002 since hidden
+/// ratio alike (measured: 0.063 at ×0.01 and none up to 0.5 at ×0.002
+/// since primary-key probes read offset arrays; 0.020 at ×0.01 and 0.032
+/// at ×0.002 since hidden
 /// selections whose keys are the full values skip the projection
 /// re-check; 0.10 at ×0.01,
 /// and no crossover up to 0.2 at ×0.002, since keyed SJoin; 0.08 at
@@ -98,31 +105,71 @@ pub const PRE_POST_CUTOFF: f64 = 0.032;
 /// root ids into SJoin; 0.13 at ×0.002 and 0.16 at ×0.01 before narrow
 /// stored ids, and 0.16 → 0.13 at ×0.002 once post plans stopped reading
 /// F' back into columns).
-pub const SIBLING_PRE_POST_CUTOFF: f64 = 0.02;
+pub const SIBLING_PRE_POST_CUTOFF: f64 = 0.063;
 /// Pre vs Post on a non-root table without cross-filtering when the root
 /// carries a hidden selection: the crossover at hidden selectivity 0.01,
-/// the narrowest swept (measured: 0.0127 at ×0.01 and 0.016 at ×0.002,
-/// unmoved by skipping the re-check of hidden selections whose keys are
+/// the narrowest swept (measured: 0.050 at ×0.01 and 0.080 at ×0.002
+/// since primary-key probes read offset arrays; 0.0127 at ×0.01 and 0.016
+/// at ×0.002, unmoved by skipping the re-check of hidden selections whose keys are
 /// the full values; 0.0127 at both before keyed SJoin; 0.010 and
 /// 0.008 before Pre plans streamed their merged root ids into SJoin; 0.016
 /// before narrow stored ids, down from 0.032 before SJoin's foreign-key
 /// route; 0.020 since bitmap-window Merge reductions, one grid step up,
 /// and 0.020 → 0.016 once post plans stopped reading F' back into
-/// columns). Wider hidden root ranges move the crossover (0.020 at 0.03,
-/// 0.020 at 0.1, 0.025 at 0.3, at ×0.01; 0.016, 0.0127 and 0.008 while
-/// every hidden selection was re-checked), so on them one side pays a
+/// columns). Wider hidden root ranges move the crossover (0.063 at 0.03,
+/// 0.080 at 0.1 and at 0.3, at ×0.01; 0.020, 0.020 and 0.025 before
+/// offset arrays; 0.016, 0.0127 and 0.008 while every hidden selection
+/// was re-checked), so on them one side pays a
 /// little regret between here and there: the price of never paying Pre's
 /// regret on a narrow hidden range.
-pub const HIDDEN_ROOT_PRE_POST_CUTOFF: f64 = 0.0126;
+pub const HIDDEN_ROOT_PRE_POST_CUTOFF: f64 = 0.05;
+/// [`HIDDEN_ROOT_PRE_POST_CUTOFF`] at ×0.002 (a root of 20 000 rows, a
+/// fifth of ×0.01's): the crossover beside the narrowest hidden root range
+/// there (measured: 0.080 since primary-key probes read offset arrays;
+/// 0.016 before). With offset arrays Pre's probe costs a few pages on
+/// small tables, so the crossover climbs as the root shrinks. The cutoff
+/// moves from this one to the ×0.01 one log-linearly in the root's public
+/// row count, and stays at the nearer one outside that range.
+pub const SMALL_HIDDEN_ROOT_PRE_POST_CUTOFF: f64 = 0.08;
+/// Root rows of the ×0.01 and ×0.002 datasets the two hidden-root cutoffs
+/// were measured on.
+const HIDDEN_ROOT_CUTOFF_ROWS: [u64; 2] = [100_000, 20_000];
+
+/// The hidden-root Pre/Post cutoff for a root of `root_rows` rows (see
+/// [`SMALL_HIDDEN_ROOT_PRE_POST_CUTOFF`]).
+pub fn hidden_root_pre_post_cutoff(root_rows: u64) -> f64 {
+    let [large, small] = HIDDEN_ROOT_CUTOFF_ROWS.map(|r| (r as f64).ln());
+    let at = ((root_rows.max(1) as f64).ln() - small) / (large - small);
+    let at = at.clamp(0.0, 1.0);
+    SMALL_HIDDEN_ROOT_PRE_POST_CUTOFF
+        + at * (HIDDEN_ROOT_PRE_POST_CUTOFF - SMALL_HIDDEN_ROOT_PRE_POST_CUTOFF)
+}
 /// With several visible tables, a table is deferred to projection when its
-/// sV exceeds this multiple of the most selective table's (measured: 10.1
-/// at ×0.01, 8.0 at ×0.002, with the most selective sV at 0.01; 8.0 and
+/// sV exceeds this multiple of the most selective table's (measured: 16.0
+/// at ×0.01, 80.6 at ×0.002, with the most selective sV at 0.01, since
+/// primary-key probes read offset arrays; 10.1 at ×0.01, 8.0 at ×0.002
+/// before; 8.0 and
 /// 6.35 before keyed SJoin; 6.35 and
 /// 2.52 before Pre plans streamed their merged root ids into SJoin; 4.0 at
 /// ×0.002 and 10.1 at ×0.01 before narrow stored ids; 3.17 and 5.0 before
 /// bitmap-window Merge reductions made filtering cheaper; 8.0 at ×0.01
 /// while projection shipped a filtered table's ids a second time).
-pub const DEFER_RATIO: f64 = 8.0;
+pub const DEFER_RATIO: f64 = 16.0;
+
+/// Whether a Pre probe of `matching` ids of non-root table `t` is expected
+/// to keep SJoin keyed: its root ids, estimated from public row counts
+/// alone as `matching × |T0| / |T|`, paired with their keys, fit the arena
+/// beside one SJoin writer per non-root table of the query (the rule
+/// `plan_keyed` applies to the actual pairs). Past that point SJoin reads
+/// the root SKT instead, and Pre's cost jumps.
+fn keyed_fits(ctx: &ExecCtx<'_>, a: &Analyzed, t: TableId, matching: u64) -> bool {
+    let rows = &ctx.cat.rows;
+    let root_rows = rows[ctx.cat.schema.root()];
+    let pairs = u128::from(matching) * u128::from(root_rows) / u128::from(rows[t].max(1));
+    let pairs = u64::try_from(pairs).unwrap_or(u64::MAX);
+    let (buffers, _) = KeyedIds::buffers(ctx, t, pairs, matching, &[]);
+    buffers + a.tables.len() <= ctx.ram().capacity()
+}
 
 /// Decide a strategy for every table carrying visible predicates.
 pub fn decide(ctx: &ExecCtx<'_>, a: &Analyzed) -> Result<Vec<VisDecision>> {
@@ -136,7 +183,7 @@ pub fn decide(ctx: &ExecCtx<'_>, a: &Analyzed) -> Result<Vec<VisDecision>> {
     let min_sv = svs.iter().map(|(_, sv)| *sv).fold(f64::INFINITY, f64::min);
     let pre_post_cutoff = |t| {
         if a.hid_sels.iter().any(|h| h.table == root) {
-            HIDDEN_ROOT_PRE_POST_CUTOFF
+            hidden_root_pre_post_cutoff(ctx.cat.rows[root])
         } else if a.hid_sels.len() > a.hidden_in_subtree(ctx.cat.schema, t).len() {
             SIBLING_PRE_POST_CUTOFF
         } else {
@@ -144,21 +191,25 @@ pub fn decide(ctx: &ExecCtx<'_>, a: &Analyzed) -> Result<Vec<VisDecision>> {
         }
     };
     let worth_post = |matching, sv| worth_post_filtering(matching, sv, ctx.ram().total_bytes() / 2);
+    let cross = |t: TableId, sv: f64| {
+        t != root
+            && !a.hidden_in_subtree(ctx.cat.schema, t).is_empty()
+            && (a.hid_sels.iter().all(|h| h.table != t) || sv <= OWN_CROSS_PRE_CUTOFF)
+    };
+    // The least sV among the tables Cross-Pre filters.
+    let cross_sv = (a.vis_preds.iter().zip(&svs))
+        .filter(|((t, _), (_, sv))| cross(*t, *sv))
+        .map(|(_, (_, sv))| *sv)
+        .fold(f64::INFINITY, f64::min);
     let mut out = Vec::with_capacity(svs.len());
-    for ((t, _), (matching, sv)) in a.vis_preds.iter().zip(svs) {
-        let cross_applicable = *t != root && !a.hidden_in_subtree(ctx.cat.schema, *t).is_empty();
-        let cross_pre_cutoff = if a.hid_sels.iter().any(|h| h.table == *t) {
-            OWN_CROSS_PRE_CUTOFF
-        } else {
-            CROSS_PRE_CUTOFF
-        };
+    for ((t, _), &(matching, sv)) in a.vis_preds.iter().zip(&svs) {
         let strategy = if sv > DEFER_RATIO * min_sv {
             VisStrategy::NoFilter
         } else if *t == root {
             VisStrategy::Pre
-        } else if cross_applicable && sv <= cross_pre_cutoff {
+        } else if cross(*t, sv) {
             VisStrategy::CrossPre
-        } else if sv <= pre_post_cutoff(*t) {
+        } else if sv <= pre_post_cutoff(*t).min(cross_sv) && keyed_fits(ctx, a, *t, matching) {
             VisStrategy::Pre
         } else if worth_post(matching, sv) {
             VisStrategy::Post
@@ -206,10 +257,10 @@ mod tests {
     #[test]
     fn cutoffs_switch_strategies_at_their_boundaries() {
         let n1 = TINY_ROWS[1] as f64;
-        // Without Cross: Pre up to PRE_POST_CUTOFF (3/120), Post past it.
-        assert!(3.0 / n1 <= PRE_POST_CUTOFF && 4.0 / n1 > PRE_POST_CUTOFF);
-        assert_eq!(decide_t1(3, false), VisStrategy::Pre);
-        assert_eq!(decide_t1(4, false), VisStrategy::Post);
+        // Without Cross: Pre up to PRE_POST_CUTOFF (12/120), Post past it.
+        assert!(12.0 / n1 <= PRE_POST_CUTOFF && 13.0 / n1 > PRE_POST_CUTOFF);
+        assert_eq!(decide_t1(12, false), VisStrategy::Pre);
+        assert_eq!(decide_t1(13, false), VisStrategy::Post);
         // With Cross: Cross-Pre at every selectivity.
         for k in [30, 31, 90, 120] {
             assert_eq!(decide_t1(k, true), VisStrategy::CrossPre, "{k}/120");
@@ -219,8 +270,8 @@ mod tests {
     #[test]
     fn a_hidden_selection_on_the_table_itself_has_its_own_cross_cutoff() {
         // T1 carries `v1 < pad8(k)` and a hidden `h1` selection of its own:
-        // Cross-Pre up to OWN_CROSS_PRE_CUTOFF (48/120), then the plain
-        // rules, Post at 49/120.
+        // Cross-Pre up to OWN_CROSS_PRE_CUTOFF (60/120), then the plain
+        // rules, Post at 61/120.
         let decide_own = |k: u64| {
             let mut db = testkit::tiny_db();
             let t1 = db.schema.table_id("T1").unwrap();
@@ -233,11 +284,11 @@ mod tests {
             d.iter().find(|d| d.table == t1).unwrap().strategy
         };
         let n1 = TINY_ROWS[1] as f64;
-        assert!(48.0 / n1 <= OWN_CROSS_PRE_CUTOFF && 49.0 / n1 > OWN_CROSS_PRE_CUTOFF);
-        assert_eq!(decide_own(48), VisStrategy::CrossPre);
-        assert_eq!(decide_own(49), VisStrategy::Post);
-        // A hidden selection below T1 keeps the subtree cutoff.
-        assert_eq!(decide_t1(49, true), VisStrategy::CrossPre);
+        assert!(60.0 / n1 <= OWN_CROSS_PRE_CUTOFF && 61.0 / n1 > OWN_CROSS_PRE_CUTOFF);
+        assert_eq!(decide_own(60), VisStrategy::CrossPre);
+        assert_eq!(decide_own(61), VisStrategy::Post);
+        // A hidden selection below T1 keeps Cross-Pre.
+        assert_eq!(decide_t1(61, true), VisStrategy::CrossPre);
     }
 
     #[test]
@@ -258,12 +309,72 @@ mod tests {
             d.iter().find(|d| d.table == t1).unwrap().strategy
         };
         let n1 = TINY_ROWS[1] as f64;
-        assert!(1.0 / n1 <= HIDDEN_ROOT_PRE_POST_CUTOFF && 2.0 / n1 > HIDDEN_ROOT_PRE_POST_CUTOFF);
-        assert!(2.0 / n1 <= SIBLING_PRE_POST_CUTOFF && 3.0 / n1 > SIBLING_PRE_POST_CUTOFF);
-        assert_eq!(decide_with(1, "T0"), VisStrategy::Pre);
-        assert_eq!(decide_with(2, "T0"), VisStrategy::Post);
-        assert_eq!(decide_with(2, "T2"), VisStrategy::Pre);
-        assert_eq!(decide_with(3, "T2"), VisStrategy::Post);
+        // The tiny root is below ×0.002's: the small-root cutoff applies.
+        let hidden_root = hidden_root_pre_post_cutoff(TINY_ROWS[0]);
+        assert_eq!(hidden_root, SMALL_HIDDEN_ROOT_PRE_POST_CUTOFF);
+        assert!(9.0 / n1 <= hidden_root && 10.0 / n1 > hidden_root);
+        assert!(7.0 / n1 <= SIBLING_PRE_POST_CUTOFF && 8.0 / n1 > SIBLING_PRE_POST_CUTOFF);
+        assert_eq!(decide_with(9, "T0"), VisStrategy::Pre);
+        assert_eq!(decide_with(10, "T0"), VisStrategy::Post);
+        assert_eq!(decide_with(7, "T2"), VisStrategy::Pre);
+        assert_eq!(decide_with(8, "T2"), VisStrategy::Post);
+    }
+
+    #[test]
+    fn the_hidden_root_cutoff_moves_with_the_root_size() {
+        let cutoff = hidden_root_pre_post_cutoff;
+        assert_eq!(cutoff(100_000), HIDDEN_ROOT_PRE_POST_CUTOFF);
+        assert_eq!(cutoff(1_000_000), HIDDEN_ROOT_PRE_POST_CUTOFF);
+        assert_eq!(cutoff(20_000), SMALL_HIDDEN_ROOT_PRE_POST_CUTOFF);
+        assert_eq!(cutoff(0), SMALL_HIDDEN_ROOT_PRE_POST_CUTOFF);
+        let mid = cutoff(44_721); // √(20 000 × 100 000)
+        let half = (HIDDEN_ROOT_PRE_POST_CUTOFF + SMALL_HIDDEN_ROOT_PRE_POST_CUTOFF) / 2.0;
+        assert!((mid - half).abs() < 1e-4, "{mid} vs {half}");
+    }
+
+    #[test]
+    fn a_cross_pre_table_caps_the_pre_post_cutoff_of_the_others() {
+        // T1 (`v1 < pad8(k1)` of 120) is Cross-Pre filtered through the
+        // hidden T12 selection; T2 (`v1 < pad8(k2)` of 40) has no hidden
+        // selection below it: Pre while its sV does not exceed T1's.
+        let decide_t2 = |k1: u64, k2: u64| {
+            let mut db = testkit::tiny_db();
+            let t1 = db.schema.table_id("T1").unwrap();
+            let t2 = db.schema.table_id("T2").unwrap();
+            let t12 = db.schema.table_id("T12").unwrap();
+            let q = SpjQuery::new()
+                .pred(t1, Predicate::new("v1", CmpOp::Lt, pad8(k1), None))
+                .pred(t2, Predicate::new("v1", CmpOp::Lt, pad8(k2), None))
+                .pred(t12, Predicate::eq("h1", pad8(1)));
+            let a = analyze(&db.schema, &q).unwrap();
+            let ctx = crate::ExecCtx::new(&mut db);
+            let d = decide(&ctx, &a).unwrap();
+            let of = |t| d.iter().find(|d| d.table == t).unwrap().strategy;
+            (of(t1), of(t2))
+        };
+        // T1 at 6/120 = 0.05: T2 at 2/40 = 0.05 ties it, 3/40 is past it.
+        assert_eq!(decide_t2(6, 2), (VisStrategy::CrossPre, VisStrategy::Pre));
+        assert_eq!(decide_t2(6, 3), (VisStrategy::CrossPre, VisStrategy::Post));
+        // Without the hidden selection T1 is plain Pre, and T2 at 3/40
+        // keeps Pre.
+        assert_eq!(decide_t1_t2(6, 3), (VisStrategy::Pre, VisStrategy::Pre));
+    }
+
+    #[test]
+    fn pre_is_taken_only_while_the_keyed_pairs_fit() {
+        // T1 at 3/120, within PRE_POST_CUTOFF: Pre with the paper's 32
+        // buffers. Its 3 T1 ids estimate 3 × 600 / 120 = 15 root ids, 2
+        // bytes each plus a 1-byte key: one buffer of 64 bytes, beside
+        // one buffer per table of the query, overflows a 2-buffer arena.
+        assert_eq!(decide_t1(3, false), VisStrategy::Pre);
+        let mut db = testkit::tiny_db();
+        db.token.ram = ghostdb_token::RamArena::new(64, 2);
+        let t1 = db.schema.table_id("T1").unwrap();
+        let q = SpjQuery::new().pred(t1, Predicate::new("v1", CmpOp::Lt, pad8(3), None));
+        let a = analyze(&db.schema, &q).unwrap();
+        let ctx = crate::ExecCtx::new(&mut db);
+        assert!(!keyed_fits(&ctx, &a, t1, 3));
+        assert_ne!(decide(&ctx, &a).unwrap()[0].strategy, VisStrategy::Pre);
     }
 
     /// Decisions for a query with visible selections on T1 (`k1` of 120
@@ -285,21 +396,21 @@ mod tests {
     #[test]
     fn less_selective_tables_are_deferred() {
         // T2 at 1/40 = 0.025 is the most selective; T1 ties it at 3/120 and
-        // at 24/120 = 0.2 stays within DEFER_RATIO × 0.025: both keep
+        // at 48/120 = 0.4 stays within DEFER_RATIO × 0.025: both keep
         // their own filter (Pre within PRE_POST_CUTOFF, Post past it).
         assert_eq!(decide_t1_t2(3, 1), (VisStrategy::Pre, VisStrategy::Pre));
-        assert_eq!(decide_t1_t2(24, 1), (VisStrategy::Post, VisStrategy::Pre));
-        // At 25/120 T1 is past the ratio: it is checked at projection.
+        assert_eq!(decide_t1_t2(48, 1), (VisStrategy::Post, VisStrategy::Pre));
+        // At 49/120 T1 is past the ratio: it is checked at projection.
         let (n1, n2) = (TINY_ROWS[1] as f64, TINY_ROWS[2] as f64);
-        assert!(24.0 / n1 <= DEFER_RATIO / n2 && 25.0 / n1 > DEFER_RATIO / n2);
+        assert!(48.0 / n1 <= DEFER_RATIO / n2 && 49.0 / n1 > DEFER_RATIO / n2);
         assert_eq!(
-            decide_t1_t2(25, 1),
+            decide_t1_t2(49, 1),
             (VisStrategy::NoFilter, VisStrategy::Pre)
         );
         // The rule is symmetric: the most selective table is kept whichever
-        // it is (T1 at 1/120; T2 at 3/40 is 9 times that).
+        // it is (T1 at 1/120; T2 at 7/40 is 21 times that).
         assert_eq!(
-            decide_t1_t2(1, 3),
+            decide_t1_t2(1, 7),
             (VisStrategy::Pre, VisStrategy::NoFilter)
         );
     }
@@ -345,8 +456,8 @@ mod tests {
     fn cross_needs_a_subtree_hidden_selection() {
         // Same low selectivity: without a hidden selection below T1 the
         // cross strategies are not applicable and the plain rules apply.
-        assert_eq!(decide_t1(4, true), VisStrategy::CrossPre);
-        assert_eq!(decide_t1(4, false), VisStrategy::Post);
+        assert_eq!(decide_t1(13, true), VisStrategy::CrossPre);
+        assert_eq!(decide_t1(13, false), VisStrategy::Post);
         assert_eq!(decide_t1(0, false), VisStrategy::Pre);
     }
 

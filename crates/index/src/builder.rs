@@ -7,8 +7,9 @@
 //! clean.
 
 use crate::climbing::{ClimbingIndex, DescLayout, LevelSpec};
+use crate::pk::PkIndex;
 use crate::skt::SubtreeKeyTable;
-use ghostdb_flash::{FlashDevice, SegmentAllocator};
+use ghostdb_flash::{FlashDevice, Segment, SegmentAllocator};
 use ghostdb_storage::btree::BTree;
 use ghostdb_storage::idlist::{id_pages, slots_per_page};
 use ghostdb_storage::row::{id_width, RowLayout};
@@ -71,16 +72,6 @@ impl IndexBuilder {
     pub fn new(schema: SchemaTree, rows: Vec<u64>, fks: FkData) -> Self {
         assert_eq!(rows.len(), schema.len());
         IndexBuilder { schema, rows, fks }
-    }
-
-    /// The schema.
-    pub fn schema(&self) -> &SchemaTree {
-        &self.schema
-    }
-
-    /// Cardinality of a table.
-    pub fn rows(&self, t: TableId) -> u64 {
-        self.rows[t]
     }
 
     /// For each row of `from`, the id of the unique joining row of the
@@ -156,33 +147,6 @@ impl IndexBuilder {
         SubtreeKeyTable::new(&self.schema, &self.rows, t, flash)
     }
 
-    /// Resolve a [`LevelSpec`] into concrete target tables for table `t`.
-    pub fn resolve_levels(&self, t: TableId, spec: LevelSpec) -> Result<Vec<TableId>> {
-        let ancestors = self.schema.ancestors(t);
-        let levels = match spec {
-            LevelSpec::FullClimb => {
-                let mut v = vec![t];
-                v.extend(ancestors);
-                v
-            }
-            LevelSpec::SelfAndRoot => {
-                if t == self.schema.root() {
-                    vec![t]
-                } else {
-                    vec![t, self.schema.root()]
-                }
-            }
-            LevelSpec::SelfOnly => vec![t],
-            LevelSpec::AncestorsOnly => ancestors,
-        };
-        if levels.is_empty() {
-            return Err(StorageError::Schema(
-                "climbing index with no levels (AncestorsOnly on the root?)".into(),
-            ));
-        }
-        Ok(levels)
-    }
-
     /// Build the climbing index described by `spec`.
     pub fn build_climbing(
         &self,
@@ -198,96 +162,130 @@ impl IndexBuilder {
             exact,
         } = spec;
         assert_eq!(keys.len() as u64, self.rows[t], "one key per row");
-        let levels = self.resolve_levels(t, level_spec)?;
-        // Distinct keys, sorted.
+        let levels = level_spec.levels(&self.schema, t);
+        // Distinct keys, sorted, and each row's rank among them.
         let mut distinct: Vec<u64> = keys.to_vec();
         distinct.sort_unstable();
         distinct.dedup();
-        let rank: HashMap<u64, u32> = distinct
-            .iter()
-            .enumerate()
-            .map(|(i, k)| (*k, i as u32))
+        let ranks: Vec<Id> = (keys.iter())
+            .map(|k| distinct.partition_point(|d| d < k) as Id)
             .collect();
 
-        let page_size = dev.page_size();
         let level_rows: Vec<u64> = levels.iter().map(|l| self.rows[*l]).collect();
         let desc = DescLayout::new(&level_rows);
         let mut payloads: Vec<Vec<u8>> = vec![vec![0u8; desc.size()]; distinct.len()];
         let mut areas = Vec::with_capacity(levels.len());
-
         for (li, level_table) in levels.iter().enumerate() {
-            // Key of each row of the level table: its own key if this is the
-            // indexed table, else the key of the `t` row it joins with.
-            let level_keys: Vec<u64> = if *level_table == t {
-                keys.to_vec()
-            } else {
-                let map = self.map_to_descendant(*level_table, t)?;
-                map.iter().map(|ti| keys[*ti as usize]).collect()
-            };
-            let n = level_keys.len();
-            // Bucket ids per key rank; iterating rows in ascending id order
-            // keeps every sublist sorted.
-            let mut counts: Vec<Id> = vec![0; distinct.len()];
-            for k in &level_keys {
-                counts[rank[k] as usize] += 1;
-            }
-            // Sublists back to back, one `width`-byte slot per id: the
-            // area's slots are contiguous, and each page takes the next
-            // `page_size / width` of them.
-            let width = id_width(self.rows[*level_table]);
-            let mut offsets: Vec<Id> = vec![0; distinct.len()];
-            let mut acc: Id = 0;
-            for (i, c) in counts.iter().enumerate() {
-                offsets[i] = acc;
-                acc += *c;
-            }
-            let mut area = vec![0u8; n * width];
-            let mut cursor = offsets.clone();
-            match width {
-                1 => lay_ids::<1>(&mut area, &level_keys, &rank, &mut cursor),
-                2 => lay_ids::<2>(&mut area, &level_keys, &rank, &mut cursor),
-                3 => lay_ids::<3>(&mut area, &level_keys, &rank, &mut cursor),
-                _ => lay_ids::<4>(&mut area, &level_keys, &rank, &mut cursor),
-            }
-            // Write the packed area sequentially.
-            let seg = alloc.alloc(id_pages(n as u64, width, page_size))?;
-            let page_bytes = slots_per_page(width, page_size) as usize * width;
-            for (p, chunk) in area.chunks(page_bytes).enumerate() {
-                dev.write(seg.lpn(p as u64)?, chunk)?;
-            }
-            areas.push((*level_table, seg, width));
-            for (ki, payload) in payloads.iter_mut().enumerate() {
-                desc.put(payload, li, offsets[ki], counts[ki])?;
+            let (seg, width, offsets) =
+                self.lay_area(dev, alloc, t, &ranks, distinct.len(), *level_table)?;
+            areas.push((seg, width));
+            for (payload, off) in payloads.iter_mut().zip(offsets.windows(2)) {
+                desc.put(payload, li, off[0], off[1] - off[0])?;
             }
         }
-
         let entries: Vec<(u64, Vec<u8>)> = distinct.into_iter().zip(payloads).collect();
-        let tree = BTree::bulk_build(dev, alloc, desc.size(), &entries)?;
-        Ok(ClimbingIndex::new(
-            t,
-            column.to_string(),
+        Ok(ClimbingIndex {
+            table: t,
+            column: column.to_string(),
+            levels,
             exact,
-            self.rows[t],
-            tree,
+            tree: BTree::bulk_build(dev, alloc, desc.size(), &entries)?,
             desc,
             areas,
-        ))
+        })
+    }
+
+    /// Build the primary-key index of non-root table `t`, climbing to
+    /// `levels`, ancestors of `t`: for each, the packed ID area of the
+    /// sublists of `t`'s ids and its array of `|T| + 1` offsets.
+    pub fn build_pk(
+        &self,
+        dev: &mut FlashDevice,
+        alloc: &mut SegmentAllocator,
+        t: TableId,
+        levels: Vec<TableId>,
+    ) -> Result<PkIndex> {
+        if levels.is_empty() {
+            return Err(StorageError::Schema(
+                "primary-key index with no levels".into(),
+            ));
+        }
+        let ids: Vec<Id> = (0..self.rows[t] as Id).collect();
+        let mut arrays = Vec::with_capacity(levels.len());
+        for &level in &levels {
+            let (area, width, offsets) = self.lay_area(dev, alloc, t, &ids, ids.len(), level)?;
+            let offsets = FlashTable::bulk_load_ids(dev, alloc, self.rows[level] + 1, &offsets)?;
+            arrays.push((offsets, area, width));
+        }
+        Ok(PkIndex {
+            table: t,
+            levels,
+            arrays,
+        })
+    }
+
+    /// Write the packed ID area of `level_table` for an index on `t` whose
+    /// row `r` has key rank `ranks[r]` of `0..n_ranks`: the level's rows
+    /// grouped by the rank of the `t` row they join, sublists back to back
+    /// in rank order, ascending within each. Returns the area, its id
+    /// width and the `n_ranks + 1` offsets that bound the sublists (the
+    /// last is the level's row count).
+    fn lay_area(
+        &self,
+        dev: &mut FlashDevice,
+        alloc: &mut SegmentAllocator,
+        t: TableId,
+        ranks: &[Id],
+        n_ranks: usize,
+        level_table: TableId,
+    ) -> Result<(Segment, usize, Vec<Id>)> {
+        // Rank of each row of the level table: its own if this is the
+        // indexed table, else that of the `t` row it joins with.
+        let level_ranks: Vec<Id> = if level_table == t {
+            ranks.to_vec()
+        } else {
+            let map = self.map_to_descendant(level_table, t)?;
+            map.iter().map(|ti| ranks[*ti as usize]).collect()
+        };
+        let mut offsets: Vec<Id> = vec![0; n_ranks + 1];
+        for r in &level_ranks {
+            offsets[*r as usize + 1] += 1;
+        }
+        for i in 1..offsets.len() {
+            offsets[i] += offsets[i - 1];
+        }
+        // Sublists back to back, one `width`-byte slot per id: the area's
+        // slots are contiguous, and each page takes the next
+        // `page_size / width` of them. Iterating rows in ascending id
+        // order keeps every sublist sorted.
+        let width = id_width(self.rows[level_table]);
+        let n = level_ranks.len();
+        let mut area = vec![0u8; n * width];
+        let mut cursor = offsets[..n_ranks].to_vec();
+        match width {
+            1 => lay_ids::<1>(&mut area, &level_ranks, &mut cursor),
+            2 => lay_ids::<2>(&mut area, &level_ranks, &mut cursor),
+            3 => lay_ids::<3>(&mut area, &level_ranks, &mut cursor),
+            _ => lay_ids::<4>(&mut area, &level_ranks, &mut cursor),
+        }
+        let page_size = dev.page_size();
+        let seg = alloc.alloc(id_pages(n as u64, width, page_size))?;
+        let page_bytes = slots_per_page(width, page_size) as usize * width;
+        for (p, chunk) in area.chunks(page_bytes).enumerate() {
+            dev.write(seg.lpn(p as u64)?, chunk)?;
+        }
+        Ok((seg, width, offsets))
     }
 }
 
-/// Lay row `r` of a level table, keyed `keys[r]`, into the next slot of
-/// its key's sublist in `area`, `W` bytes a slot; `cursor[rank]` is the
-/// next free slot of each key. `W` is the level table's [`id_width`], so
-/// every row id fits.
-fn lay_ids<const W: usize>(
-    area: &mut [u8],
-    keys: &[u64],
-    rank: &HashMap<u64, u32>,
-    cursor: &mut [Id],
-) {
+/// Lay row `r` of a level table, of key rank `ranks[r]`, into the next
+/// slot of its rank's sublist in `area`, `W` bytes a slot; `cursor[rank]`
+/// is the next free slot of each rank. `W` is the level table's
+/// [`id_width`], so every row id fits.
+fn lay_ids<const W: usize>(area: &mut [u8], ranks: &[Id], cursor: &mut [Id]) {
     let (cells, _) = area.as_chunks_mut::<W>();
-    for (r, k) in keys.iter().enumerate() {
-        let slot = &mut cursor[rank[k] as usize];
+    for (r, rank) in ranks.iter().enumerate() {
+        let slot = &mut cursor[*rank as usize];
         cells[*slot as usize].copy_from_slice(&(r as Id).to_le_bytes()[..W]);
         *slot += 1;
     }
@@ -298,6 +296,7 @@ mod tests {
     use super::*;
     use ghostdb_flash::{FlashGeometry, FlashTiming};
     use ghostdb_storage::schema::paper_synthetic_schema;
+    use ghostdb_storage::IdListReader;
     use ghostdb_token::RamArena;
 
     fn setup() -> (FlashDevice, SegmentAllocator, RamArena) {
@@ -381,12 +380,29 @@ mod tests {
     }
 
     #[test]
-    fn ancestors_only_on_root_rejected() {
+    fn pk_index_climbs_to_ancestors_only() {
         let schema = paper_synthetic_schema(1, 1);
+        let (mut dev, mut alloc, ram) = setup();
         let b = builder(&schema);
-        assert!(b
-            .resolve_levels(schema.root(), LevelSpec::AncestorsOnly)
-            .is_err());
+        let (t0, t1) = (schema.root(), schema.table_id("T1").unwrap());
+        let t12 = schema.table_id("T12").unwrap();
+        let pk = b
+            .build_pk(&mut dev, &mut alloc, t12, schema.ancestors(t12))
+            .unwrap();
+        assert_eq!(pk.levels, vec![t1, t0]);
+        // T12 id 3 → T1 ids {3, 11, …, 43} (fk12 = id % 8) → T0 ids whose
+        // T1 parent (id % 50) is one of them.
+        let lists = pk.probe_run(&mut dev, &ram, &[3], 1).unwrap();
+        let ids = IdListReader::open(lists[0], &ram, dev.page_size())
+            .unwrap()
+            .drain(&mut dev)
+            .unwrap();
+        let expect: Vec<Id> = (0..100).filter(|i| (i % 50) % 8 == 3).collect();
+        assert_eq!(ids, expect);
+        // A level must be an ancestor, and there must be one.
+        let t2 = schema.table_id("T2").unwrap();
+        assert!(b.build_pk(&mut dev, &mut alloc, t12, vec![t2]).is_err());
+        assert!(b.build_pk(&mut dev, &mut alloc, t0, Vec::new()).is_err());
     }
 
     #[test]
@@ -413,7 +429,7 @@ mod tests {
             .unwrap();
         assert_eq!(ci.levels, vec![t0]);
         let mut probe = ci.probe(&ram).unwrap();
-        let (_, list) = probe.lookup_eq_run(&mut dev, &[4], 0).unwrap().remove(0);
+        let list = probe.lookup_range_multi(&mut dev, 4, 4, &[0]).unwrap()[0][0];
         assert_eq!(list.count, 10);
     }
 
@@ -455,10 +471,9 @@ mod tests {
         let mut probe = ci.probe(&ram).unwrap();
         // Key 7: T1 row 7 exists but no T0 row references it.
         let root_level = ci.level_of(t0).unwrap();
-        let (_, list) = probe
-            .lookup_eq_run(&mut dev, &[7], root_level)
-            .unwrap()
-            .remove(0);
+        let list = probe
+            .lookup_range_multi(&mut dev, 7, 7, &[root_level])
+            .unwrap()[0][0];
         assert_eq!(list.count, 0);
     }
 }

@@ -1,4 +1,4 @@
-//! Climbing indexes (paper §3.2, Figure 4).
+//! Climbing indexes on attribute values (paper §3.2, Figure 4).
 //!
 //! A climbing index on attribute `Ti.a` maps each attribute value to **one
 //! sorted sublist of IDs per target level**: the indexed table itself and
@@ -15,16 +15,21 @@
 //! [`id_width`]`(|T|)` bytes, as every [`IdList`] does. Offset and count
 //! both range over `0..=|T|`, so each takes [`id_width`]`(|T| + 1)` bytes
 //! ([`DescLayout`]): the payload is a function of public row counts only.
+//!
+//! Primary-key indexes, whose keys are the ids themselves, need no tree:
+//! they are offset arrays beside the same ID areas ([`crate::pk`]).
 
 use ghostdb_flash::{FlashDevice, Segment};
 use ghostdb_storage::btree::{BTree, BTreeCursor};
 #[cfg(doc)]
 use ghostdb_storage::row::id_width;
 use ghostdb_storage::row::RowLayout;
-use ghostdb_storage::{Id, IdList, Predicate, Result, StorageError, TableId, Value};
+use ghostdb_storage::{Id, IdList, Predicate, Result, SchemaTree, StorageError, TableId, Value};
 use ghostdb_token::RamArena;
 
-/// Which levels (targets) a climbing index carries.
+/// Which levels (targets) an attribute's climbing index carries. Every
+/// spec starts at the indexed table; primary-key indexes, whose self level
+/// would be the identity, are [`crate::pk::PkIndex`]es instead.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LevelSpec {
     /// The indexed table and every ancestor up to the root (FullIndex).
@@ -33,9 +38,19 @@ pub enum LevelSpec {
     SelfAndRoot,
     /// The indexed table only (StarIndex / JoinIndex selection indexes).
     SelfOnly,
-    /// Ancestors only — used for primary-key indexes, where the self level
-    /// is the identity (Figure 4's "Climbing Index on T1.id").
-    AncestorsOnly,
+}
+
+impl LevelSpec {
+    /// The target tables of an index on `t`, innermost first.
+    pub fn levels(self, schema: &SchemaTree, t: TableId) -> Vec<TableId> {
+        let mut levels = vec![t];
+        match self {
+            LevelSpec::FullClimb => levels.extend(schema.ancestors(t)),
+            LevelSpec::SelfAndRoot if t != schema.root() => levels.push(schema.root()),
+            LevelSpec::SelfAndRoot | LevelSpec::SelfOnly => {}
+        }
+        levels
+    }
 }
 
 /// The leaf payload of a climbing index: per level, the `(offset, count)`
@@ -90,7 +105,7 @@ pub struct KeyRange {
 pub struct ClimbingIndex {
     /// Indexed table.
     pub table: TableId,
-    /// Indexed column name (`"id"` for primary-key indexes).
+    /// Indexed column name.
     pub column: String,
     /// Target tables, innermost first (e.g. `[T12, T1, T0]`).
     pub levels: Vec<TableId>,
@@ -98,44 +113,15 @@ pub struct ClimbingIndex {
     /// ([`Value::key_is_exact`]), derived from the data at load. Only then
     /// can a predicate go without re-checking ([`key_range`](Self::key_range)).
     pub exact: bool,
-    /// Rows in the indexed table (selectivity estimation).
-    pub rows: u64,
-    tree: BTree,
+    pub(crate) tree: BTree,
     /// Layout of the tree's leaf payloads.
-    desc: DescLayout,
+    pub(crate) desc: DescLayout,
     /// Packed ID area per level and the width of its ids (parallel to
     /// `levels`).
-    areas: Vec<(Segment, usize)>,
+    pub(crate) areas: Vec<(Segment, usize)>,
 }
 
 impl ClimbingIndex {
-    /// Assemble from built parts (used by `IndexBuilder`): each level's
-    /// table, packed ID area and id width, innermost first.
-    pub fn new(
-        table: TableId,
-        column: String,
-        exact: bool,
-        rows: u64,
-        tree: BTree,
-        desc: DescLayout,
-        levels: Vec<(TableId, Segment, usize)>,
-    ) -> Self {
-        assert_eq!(tree.payload_size(), desc.size());
-        let (levels, areas) = (levels.into_iter())
-            .map(|(t, segment, width)| (t, (segment, width)))
-            .unzip();
-        ClimbingIndex {
-            table,
-            column,
-            levels,
-            exact,
-            rows,
-            tree,
-            desc,
-            areas,
-        }
-    }
-
     /// The probe `pred` makes of this index: the inclusive key range that
     /// holds every matching row, and whether rows in it may fail `pred`, so
     /// that the projection must re-check them on their values (the same
@@ -165,12 +151,8 @@ impl ClimbingIndex {
 
     /// Bytes occupied on flash: B+-tree plus all ID areas.
     pub fn bytes(&self, page_size: usize) -> u64 {
-        self.tree.bytes()
-            + self
-                .areas
-                .iter()
-                .map(|(a, _)| a.pages() * page_size as u64)
-                .sum::<u64>()
+        let areas: u64 = self.areas.iter().map(|(a, _)| a.pages()).sum();
+        self.tree.bytes() + areas * page_size as u64
     }
 
     /// Open a probe (pins one RAM buffer per B+-tree level, §3.4).
@@ -211,34 +193,6 @@ impl CiProbe<'_> {
             )));
         }
         Ok(())
-    }
-
-    /// Batched equality probes over an **ascending** key run: each present
-    /// key with its sublist, in input order. The ascending order lets the
-    /// cursor resolve runs of keys inside the currently-buffered leaf with
-    /// an in-place binary search — no per-key root-to-leaf descent — which
-    /// is the hot path of Pre-Filter probe lists (§3.3).
-    pub fn lookup_eq_run(
-        &mut self,
-        dev: &mut FlashDevice,
-        keys: &[u64],
-        level: usize,
-    ) -> Result<Vec<(u64, IdList)>> {
-        self.check_level(level)?;
-        debug_assert!(
-            keys.windows(2).all(|w| w[0] <= w[1]),
-            "lookup_eq_run requires ascending keys"
-        );
-        let mut out = Vec::with_capacity(keys.len());
-        for &key in keys {
-            if self
-                .cursor
-                .lookup_ascending_into(dev, key, &mut self.payload)?
-            {
-                out.push((key, self.index.decode_level(&self.payload, level)));
-            }
-        }
-        Ok(out)
     }
 
     /// Reference implementation of one level of
@@ -291,10 +245,11 @@ impl CiProbe<'_> {
             self.check_level(level)?;
         }
         let index = self.index;
-        // NB: not `vec![Vec::with_capacity(..); n]` — Vec::clone does not
-        // preserve capacity, which would silently drop the hint for all
-        // but one slot.
-        let hint = self.range_capacity_hint(lo, hi);
+        // Matching entries are bounded by the distinct keys and the range
+        // width; capped so wide scans over huge indexes don't over-allocate.
+        // (Not `vec![Vec::with_capacity(..); n]`: clones drop capacity.)
+        let width = hi.saturating_sub(lo).saturating_add(1);
+        let hint = (index.distinct().min(width) as usize).min(16 * 1024);
         let mut out: Vec<Vec<IdList>> = (0..levels.len())
             .map(|_| Vec::with_capacity(hint))
             .collect();
@@ -305,17 +260,6 @@ impl CiProbe<'_> {
             Ok(())
         })?;
         Ok(out)
-    }
-
-    /// Pre-size hint for range-scan output vectors: matching entries are
-    /// bounded by both the distinct-key count and the key-range width (so
-    /// equality and narrow probes stay allocation-free), capped so wide
-    /// scans over huge indexes don't over-allocate. Shaves the
-    /// doubling-realloc churn off wide scans (the multi-level microbench
-    /// pushes ~12k descriptors per level per pass).
-    fn range_capacity_hint(&self, lo: u64, hi: u64) -> usize {
-        let width = hi.saturating_sub(lo).saturating_add(1);
-        (self.index.distinct().min(width) as usize).min(16 * 1024)
     }
 }
 
@@ -334,10 +278,7 @@ mod tests {
         key: u64,
         level: usize,
     ) -> Result<Option<IdList>> {
-        Ok(probe
-            .lookup_eq_run(dev, &[key], level)?
-            .pop()
-            .map(|(_, l)| l))
+        Ok(range(probe, dev, key, key, level)?.pop())
     }
 
     /// One level of a range probe.
@@ -475,54 +416,6 @@ mod tests {
             .collect();
         assert_eq!(all[0], vec![3, 13]);
         assert_eq!(all[3], vec![6, 16]);
-    }
-
-    #[test]
-    fn batched_run_matches_scalar_probes() {
-        let schema = paper_synthetic_schema(1, 1);
-        let (mut dev, mut alloc, ram) = setup();
-        let b = tiny_builder(&schema);
-        let t1 = schema.table_id("T1").unwrap();
-        let keys: Vec<u64> = (0..20).map(|r| (r % 10) as u64).collect();
-        let ci = b
-            .build_climbing(
-                &mut dev,
-                &mut alloc,
-                ClimbingSpec {
-                    table: t1,
-                    column: "h1",
-                    keys: &keys,
-                    levels: LevelSpec::FullClimb,
-                    exact: true,
-                },
-            )
-            .unwrap();
-        // Ascending probes with hits, misses and a duplicate.
-        let probes: Vec<u64> = vec![0, 2, 2, 3, 7, 9, 11, 40];
-        for level in 0..ci.levels.len() {
-            let mut scalar = ci.probe(&ram).unwrap();
-            let snap = dev.snapshot();
-            let mut expect = Vec::new();
-            for &k in &probes {
-                if let Some(l) = eq(&mut scalar, &mut dev, k, level).unwrap() {
-                    expect.push(l);
-                }
-            }
-            let scalar_io = dev.stats_since(&snap);
-            drop(scalar);
-            let mut batched = ci.probe(&ram).unwrap();
-            let snap = dev.snapshot();
-            let got = batched.lookup_eq_run(&mut dev, &probes, level).unwrap();
-            let batched_io = dev.stats_since(&snap);
-            let hits: Vec<u64> = probes.iter().copied().filter(|&k| k < 10).collect();
-            assert_eq!(got.iter().map(|(k, _)| *k).collect::<Vec<_>>(), hits);
-            let got: Vec<IdList> = got.into_iter().map(|(_, l)| l).collect();
-            assert_eq!(got, expect, "level {level}");
-            assert!(
-                batched_io.pages_read <= scalar_io.pages_read,
-                "batched run must not read more pages"
-            );
-        }
     }
 
     #[test]
@@ -684,76 +577,6 @@ mod tests {
     }
 
     #[test]
-    fn equal_key_run_across_leaf_boundary() {
-        let schema = paper_synthetic_schema(1, 1);
-        let (mut dev, mut alloc, ram) = setup();
-        let t0 = schema.table_id("T0").unwrap();
-        let t1 = schema.table_id("T1").unwrap();
-        let t2 = schema.table_id("T2").unwrap();
-        let t11 = schema.table_id("T11").unwrap();
-        let t12 = schema.table_id("T12").unwrap();
-        // Enough distinct keys that the B+-tree spans several leaves: with
-        // T1 and the root as levels (200 and 400 rows: 1- and 2-byte
-        // descriptor cells, 6-byte payloads) a 2 KiB page holds
-        // (2048 - 8) / 14 = 145 leaf entries.
-        let n1 = 200u64;
-        let mut rows = vec![0u64; schema.len()];
-        rows[t0] = 400;
-        rows[t1] = n1;
-        rows[t2] = 10;
-        rows[t11] = 5;
-        rows[t12] = 4;
-        let mut fks = FkData::default();
-        fks.insert(t0, t1, (0..400).map(|i| (i / 2) as u32).collect());
-        fks.insert(t0, t2, (0..400).map(|i| (i % 10) as u32).collect());
-        fks.insert(t1, t11, (0..n1).map(|i| (i % 5) as u32).collect());
-        fks.insert(t1, t12, (0..n1).map(|i| (i % 4) as u32).collect());
-        let b = IndexBuilder::new(schema.clone(), rows, fks);
-        let keys: Vec<u64> = (0..n1).collect();
-        let ci = b
-            .build_climbing(
-                &mut dev,
-                &mut alloc,
-                ClimbingSpec {
-                    table: t1,
-                    column: "h1",
-                    keys: &keys,
-                    levels: LevelSpec::SelfAndRoot,
-                    exact: true,
-                },
-            )
-            .unwrap();
-        let leaf_cap =
-            ghostdb_storage::btree::BTree::leaf_capacity(dev.page_size(), ci.desc.size()) as u64;
-        assert!(n1 > leaf_cap, "index must span more than one leaf");
-        let boundary = leaf_cap - 1; // last key of the first leaf
-                                     // An ascending probe run holding *equal* keys at and across the
-                                     // boundary: the repeated keys re-resolve inside the buffered leaf,
-                                     // then the run steps into the next leaf.
-        let probes: Vec<u64> = vec![
-            boundary,
-            boundary,
-            boundary, // equal run ending leaf 0
-            boundary + 1,
-            boundary + 1, // equal run opening leaf 1
-            boundary + 2,
-        ];
-        for level in 0..ci.levels.len() {
-            let mut scalar = ci.probe(&ram).unwrap();
-            let mut expect = Vec::new();
-            for &k in &probes {
-                expect.push(eq(&mut scalar, &mut dev, k, level).unwrap().unwrap());
-            }
-            drop(scalar);
-            let mut batched = ci.probe(&ram).unwrap();
-            let got = batched.lookup_eq_run(&mut dev, &probes, level).unwrap();
-            assert_eq!(got.iter().map(|(k, _)| *k).collect::<Vec<_>>(), probes);
-            let got: Vec<IdList> = got.into_iter().map(|(_, l)| l).collect();
-            assert_eq!(got, expect, "level {level}");
-        }
-    }
-
-    #[test]
     fn missing_key_and_bad_level() {
         let schema = paper_synthetic_schema(1, 1);
         let (mut dev, mut alloc, ram) = setup();
@@ -777,37 +600,6 @@ mod tests {
         let mut probe = ci.probe(&ram).unwrap();
         assert!(eq(&mut probe, &mut dev, 5, 0).unwrap().is_none());
         assert!(eq(&mut probe, &mut dev, 0, 5).is_err());
-    }
-
-    #[test]
-    fn pk_index_has_ancestor_levels_only() {
-        let schema = paper_synthetic_schema(1, 1);
-        let (mut dev, mut alloc, ram) = setup();
-        let b = tiny_builder(&schema);
-        let t1 = schema.table_id("T1").unwrap();
-        let keys: Vec<u64> = (0..20).map(|r| r as u64).collect(); // id index
-        let ci = b
-            .build_climbing(
-                &mut dev,
-                &mut alloc,
-                ClimbingSpec {
-                    table: t1,
-                    column: "id",
-                    keys: &keys,
-                    levels: LevelSpec::AncestorsOnly,
-                    exact: true,
-                },
-            )
-            .unwrap();
-        assert_eq!(ci.levels.len(), 1); // T0 only
-        let mut probe = ci.probe(&ram).unwrap();
-        // T1 id 7 → T0 ids {14, 15} (fk1 = id/2).
-        let list = eq(&mut probe, &mut dev, 7, 0).unwrap().unwrap();
-        let ids = IdListReader::open(list, &ram, dev.page_size())
-            .unwrap()
-            .drain(&mut dev)
-            .unwrap();
-        assert_eq!(ids, vec![14, 15]);
     }
 
     #[test]

@@ -13,6 +13,9 @@
 //!   table and each of its ancestors up to the root). One index probe
 //!   "climbs" straight to any ancestor, avoiding cascading lookups and the
 //!   multi-pass list unions they would force on a 64 KB-RAM device.
+//! * [`pk::PkIndex`] — the primary-key climbing index of a non-root
+//!   table: its keys are the ids themselves, so each ancestor level is an
+//!   offset array into that level's ID area, read by arithmetic.
 //! * [`builder::IndexBuilder`] — bulk construction of both structures from
 //!   loaded foreign-key data ("burning the key" happens at load time; query
 //!   measurements start afterwards).
@@ -24,11 +27,13 @@
 
 pub mod builder;
 pub mod climbing;
+pub mod pk;
 pub mod schemes;
 pub mod size_model;
 pub mod skt;
 
 pub use builder::{ClimbingSpec, FkData, IndexBuilder};
 pub use climbing::{CiProbe, ClimbingIndex, KeyRange, LevelSpec};
+pub use pk::PkIndex;
 pub use schemes::IndexScheme;
 pub use skt::SubtreeKeyTable;

@@ -2,9 +2,10 @@
 //!
 //! * **FullIndex** — the GhostDB design: one SKT per non-leaf table, every
 //!   indexed attribute carries a climbing index referencing *all* ancestor
-//!   tables, and every node table's primary key carries a climbing index.
+//!   tables, and every node table's primary key carries a climbing index
+//!   (an offset array per ancestor, [`crate::pk`]).
 //! * **BasicIndex** — a single SKT (root) and climbing indexes referencing
-//!   the indexed table and the root only. Cheaper, but Cross-filtering on
+//!   the indexed table and the root only (primary keys: the root only). Cheaper, but Cross-filtering on
 //!   intermediate tables becomes impossible.
 //! * **StarIndex** — the data-warehouse baseline (O'Neil & Graefe style):
 //!   the root SKT precomputes star joins, selection indexes are traditional
@@ -68,17 +69,19 @@ impl IndexScheme {
         }
     }
 
-    /// Does this scheme build a primary-key climbing index on node table
-    /// `t`, and with which levels?
-    pub fn pk_levels(&self, schema: &SchemaTree, t: TableId) -> Option<LevelSpec> {
+    /// The levels of the primary-key climbing index this scheme builds on
+    /// node table `t` (Figure 4's "Climbing Index on T1.id"): every
+    /// ancestor for FullIndex, the root only for BasicIndex, none for the
+    /// root or the other schemes.
+    pub fn pk_levels(&self, schema: &SchemaTree, t: TableId) -> Vec<TableId> {
         if t == schema.root() {
-            return None; // tables and SKTs are already sorted by root id
+            return Vec::new(); // tables and SKTs are already sorted by root id
         }
         match self {
-            IndexScheme::Full => Some(LevelSpec::AncestorsOnly),
-            IndexScheme::Basic => Some(LevelSpec::AncestorsOnly), // sized as root-only in the model
-            IndexScheme::Star => None,
-            IndexScheme::Join => None, // joins go through per-fk join indexes instead
+            IndexScheme::Full => schema.ancestors(t),
+            IndexScheme::Basic => vec![schema.root()],
+            IndexScheme::Star => Vec::new(),
+            IndexScheme::Join => Vec::new(), // joins go through per-fk join indexes instead
         }
     }
 
@@ -115,6 +118,18 @@ mod tests {
         assert_eq!(IndexScheme::Basic.attr_levels(), LevelSpec::SelfAndRoot);
         assert_eq!(IndexScheme::Star.attr_levels(), LevelSpec::SelfOnly);
         assert_eq!(IndexScheme::Join.attr_levels(), LevelSpec::SelfOnly);
+    }
+
+    #[test]
+    fn pk_levels_per_scheme() {
+        let s = paper_synthetic_schema(1, 1);
+        let (t0, t1) = (s.root(), s.table_id("T1").unwrap());
+        let t12 = s.table_id("T12").unwrap();
+        assert_eq!(IndexScheme::Full.pk_levels(&s, t12), vec![t1, t0]);
+        assert_eq!(IndexScheme::Basic.pk_levels(&s, t12), vec![t0]);
+        assert!(IndexScheme::Full.pk_levels(&s, t0).is_empty());
+        assert!(IndexScheme::Star.pk_levels(&s, t12).is_empty());
+        assert!(IndexScheme::Join.pk_levels(&s, t12).is_empty());
     }
 
     #[test]

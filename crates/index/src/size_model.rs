@@ -2,7 +2,8 @@
 //!
 //! Sizes are computed from the same layout formulas the builders use
 //! (`BTree::pages_needed` over [`DescLayout`] payloads,
-//! `RowLayout::pages_for`, ID areas of [`id_width`]`(|T|)`-byte slots), so
+//! `RowLayout::pages_for` for SKTs and primary-key offset arrays, ID areas
+//! of [`id_width`]`(|T|)`-byte slots), so
 //! the model is exact for this
 //! implementation — a property the tests check by physically building
 //! small instances and comparing.
@@ -63,25 +64,7 @@ pub fn climbing_bytes(
     spec: LevelSpec,
     page_size: usize,
 ) -> u64 {
-    let levels: Vec<TableId> = match spec {
-        LevelSpec::FullClimb => {
-            let mut v = vec![t];
-            v.extend(schema.ancestors(t));
-            v
-        }
-        LevelSpec::SelfAndRoot => {
-            if t == schema.root() {
-                vec![t]
-            } else {
-                vec![t, schema.root()]
-            }
-        }
-        LevelSpec::SelfOnly => vec![t],
-        LevelSpec::AncestorsOnly => schema.ancestors(t),
-    };
-    if levels.is_empty() {
-        return 0;
-    }
+    let levels = spec.levels(schema, t);
     let level_rows: Vec<u64> = levels.iter().map(|l| rows[*l]).collect();
     let payload = DescLayout::new(&level_rows).size();
     let tree = BTree::pages_needed(distinct, page_size, payload) * page_size as u64;
@@ -90,6 +73,19 @@ pub fn climbing_bytes(
         .map(|l| area_bytes(rows, *l, rows[*l], page_size))
         .sum();
     tree + areas
+}
+
+/// Size of table `t`'s primary-key index in bytes: per level of `levels`,
+/// an offset array of `|T| + 1` cells of [`id_width`]`(|T_l| + 1)` bytes
+/// plus the level's packed ID area.
+pub fn pk_bytes(rows: &[u64], t: TableId, levels: &[TableId], page_size: usize) -> u64 {
+    (levels.iter())
+        .map(|l| {
+            RowLayout::id_cells(&[rows[*l] + 1]).pages_for(rows[t] + 1, page_size)
+                * page_size as u64
+                + area_bytes(rows, *l, rows[*l], page_size)
+        })
+        .sum()
 }
 
 /// Index storage overhead of one scheme (excluding raw data), in bytes.
@@ -115,17 +111,7 @@ pub fn scheme_index_bytes(scheme: IndexScheme, input: &SizeModelInput<'_>) -> u6
                 page,
             );
         // Primary-key indexes.
-        if let Some(spec) = scheme.pk_levels(schema, t) {
-            let spec = match (scheme, spec) {
-                // BasicIndex pk indexes reference the root only.
-                (IndexScheme::Basic, _) if schema.parent(t) != Some(schema.root()) => {
-                    LevelSpec::AncestorsOnly
-                }
-                (_, s) => s,
-            };
-            // pk index keys are the table's ids: distinct = rows.
-            total += climbing_bytes(schema, rows, t, rows[t], spec, page);
-        }
+        total += pk_bytes(rows, t, &scheme.pk_levels(schema, t), page);
         // JoinIndex scheme: a binary join index per fk edge (child id →
         // sorted list of parent ids), Valduriez-style. Key columns need no
         // separate index: tables are stored sorted by id, so id lookup is
@@ -169,6 +155,35 @@ mod tests {
         let t0 = schema.root();
         let skt = b.build_skt(&mut dev, &mut alloc, t0).unwrap();
         assert_eq!(skt.bytes(page), skt_bytes(&schema, &rows, t0, page));
+    }
+
+    #[test]
+    fn pk_model_matches_built_offset_arrays_byte_for_byte() {
+        // FullIndex's and BasicIndex's primary-key levels on every node
+        // table, with levels of 255/256 rows (offset cells grow from one
+        // byte to two at 256 rows: offsets reach |T_l|) and arrays of
+        // several pages.
+        for card in [[5000, 255, 256, 1000, 1500], [4000, 256, 255, 2000, 256]] {
+            let (schema, rows, fks) = instance(card);
+            let mut dev = FlashDevice::new(
+                FlashGeometry::for_capacity(64 * 1024 * 1024),
+                FlashTiming::default(),
+            );
+            let mut alloc = SegmentAllocator::new(dev.logical_pages());
+            let b = IndexBuilder::new(schema.clone(), rows.clone(), fks);
+            let page = dev.page_size();
+            for t in schema.tables().filter(|t| *t != schema.root()) {
+                for scheme in [IndexScheme::Full, IndexScheme::Basic] {
+                    let levels = scheme.pk_levels(&schema, t);
+                    let pk = b.build_pk(&mut dev, &mut alloc, t, levels.clone()).unwrap();
+                    assert_eq!(
+                        pk.bytes(page),
+                        pk_bytes(&rows, t, &levels, page),
+                        "{card:?} table {t} {scheme:?}"
+                    );
+                }
+            }
+        }
     }
 
     /// A `paper_synthetic_schema` instance with `card` rows in T0, T1, T2,
@@ -215,11 +230,7 @@ mod tests {
                     LevelSpec::FullClimb,
                     LevelSpec::SelfAndRoot,
                     LevelSpec::SelfOnly,
-                    LevelSpec::AncestorsOnly,
                 ] {
-                    if spec == LevelSpec::AncestorsOnly && t == schema.root() {
-                        continue;
-                    }
                     let ci = b
                         .build_climbing(
                             &mut dev,

@@ -4,9 +4,9 @@
 //! indexes in CI are implemented by means of B+-Trees, so that CI requires
 //! at most one buffer per B+-Tree level" — a [`BTreeCursor`] pins exactly
 //! one RAM buffer per level and re-reads a level's page only when the
-//! descent actually moves to a different page, so consecutive probes with
-//! nearby keys (the sorted-ID probe streams of Pre-Filter plans) share the
-//! upper levels for free, while genuinely random probes pay a full descent.
+//! descent actually moves to a different page, so consecutive lookups with
+//! nearby keys share the upper levels for free, while genuinely random
+//! lookups pay a full descent.
 //!
 //! Keys are order-preserving `u64` encodings of column values
 //! ([`crate::value::Value::order_key`]); payloads are fixed-width byte
@@ -201,12 +201,6 @@ impl BTree {
         self.segment.pages() * self.page_size as u64
     }
 
-    /// Backing segment (so owners can free a superseded tree when an
-    /// index rebuilds itself out of place).
-    pub fn segment(&self) -> Segment {
-        self.segment
-    }
-
     /// Open a cursor (pins one RAM buffer per level — the §3.4 budget).
     pub fn cursor(&self, ram: &RamArena) -> Result<BTreeCursor> {
         let mut bufs = Vec::with_capacity(self.height as usize);
@@ -273,8 +267,7 @@ impl BTreeCursor {
     }
 
     /// First entry index in the buffered leaf whose key is ≥ `target`
-    /// (the leaf-level lower bound shared by `seek` and the ascending
-    /// fast path — one implementation so they can never diverge).
+    /// (the leaf-level lower bound of `seek`).
     fn leaf_lower_bound(&self, target: u64) -> usize {
         let count = self.node_count(0);
         let mut lo = 0usize;
@@ -361,73 +354,6 @@ impl BTreeCursor {
         }
     }
 
-    /// Exact-match lookup: payload for `key` if present.
-    pub fn lookup(&mut self, dev: &mut FlashDevice, key: u64) -> Result<Option<Vec<u8>>> {
-        self.seek(dev, key)?;
-        let mut payload = vec![0u8; self.tree.payload_size];
-        match self.next_into(dev, &mut payload)? {
-            Some(k) if k == key => Ok(Some(payload)),
-            _ => Ok(None),
-        }
-    }
-
-    /// Exact-match lookup into a caller buffer, optimised for ascending
-    /// probe runs: when the leaf page already buffered covers `key`, the
-    /// whole descent is skipped and the leaf is binary-searched in place
-    /// (zero I/O, zero internal-node work); otherwise it falls back to a
-    /// full [`seek`](Self::seek). Identical results and identical pages
-    /// read either way — the fast path only elides work on pages the slow
-    /// path would find cached.
-    ///
-    /// Returns `true` (payload copied into `payload_out`) on an exact hit.
-    pub fn lookup_ascending_into(
-        &mut self,
-        dev: &mut FlashDevice,
-        key: u64,
-        payload_out: &mut [u8],
-    ) -> Result<bool> {
-        if self.pages[0].is_some() && self.node_kind(0) == KIND_LEAF {
-            let count = self.node_count(0);
-            if count > 0 && self.leaf_key(0) <= key && key <= self.leaf_key(count - 1) {
-                let lo = self.leaf_lower_bound(key);
-                if self.leaf_key(lo) == key {
-                    payload_out[..self.tree.payload_size].copy_from_slice(self.leaf_payload(lo));
-                    self.leaf_page = self.pages[0];
-                    self.leaf_pos = lo + 1;
-                    return Ok(true);
-                }
-                self.leaf_page = self.pages[0];
-                self.leaf_pos = lo;
-                return Ok(false);
-            }
-        }
-        self.seek(dev, key)?;
-        match self.next_into(dev, payload_out)? {
-            Some(k) if k == key => Ok(true),
-            _ => Ok(false),
-        }
-    }
-
-    /// Position at the first entry with `key ≥ target`, reusing the cached
-    /// leaf when it already covers `target` — the same fast path as
-    /// [`lookup_ascending_into`](Self::lookup_ascending_into), shared by
-    /// range scans so consecutive ascending scans on one cursor skip the
-    /// root-to-leaf descent entirely (zero I/O, zero internal-node work).
-    /// Identical position and identical pages read either way — the fast
-    /// path only elides work on pages a full [`seek`](Self::seek) would
-    /// find cached.
-    pub fn seek_ascending(&mut self, dev: &mut FlashDevice, target: u64) -> Result<()> {
-        if self.pages[0].is_some() && self.node_kind(0) == KIND_LEAF {
-            let count = self.node_count(0);
-            if count > 0 && self.leaf_key(0) <= target && target <= self.leaf_key(count - 1) {
-                self.leaf_page = self.pages[0];
-                self.leaf_pos = self.leaf_lower_bound(target);
-                return Ok(());
-            }
-        }
-        self.seek(dev, target)
-    }
-
     /// Single-traversal range scan: hand every `(key, payload)` with
     /// `lo ≤ key ≤ hi` to `visit`, in ascending key order, touching each
     /// qualifying leaf entry exactly once. The payload slice borrows the
@@ -435,9 +361,7 @@ impl BTreeCursor {
     /// several independent views of one payload from a single traversal —
     /// the climbing-index multi-level read path is built on this.
     ///
-    /// Positioning goes through [`seek_ascending`](Self::seek_ascending),
-    /// so a scan continuing past an earlier ascending probe or scan reuses
-    /// the buffered leaf. An inverted range (`hi < lo`) visits nothing.
+    /// An inverted range (`hi < lo`) visits nothing.
     pub fn scan_range(
         &mut self,
         dev: &mut FlashDevice,
@@ -448,7 +372,7 @@ impl BTreeCursor {
         if hi < lo {
             return Ok(());
         }
-        self.seek_ascending(dev, lo)?;
+        self.seek(dev, lo)?;
         let Some(mut page) = self.leaf_page else {
             return Ok(());
         };
@@ -482,6 +406,18 @@ impl BTreeCursor {
 mod tests {
     use super::*;
     use ghostdb_flash::{FlashGeometry, FlashTiming};
+
+    impl BTreeCursor {
+        /// Exact-match lookup: payload for `key` if present.
+        fn lookup(&mut self, dev: &mut FlashDevice, key: u64) -> Result<Option<Vec<u8>>> {
+            self.seek(dev, key)?;
+            let mut payload = vec![0u8; self.tree.payload_size];
+            match self.next_into(dev, &mut payload)? {
+                Some(k) if k == key => Ok(Some(payload)),
+                _ => Ok(None),
+            }
+        }
+    }
 
     fn setup() -> (FlashDevice, SegmentAllocator, RamArena) {
         let dev = FlashDevice::new(
@@ -599,48 +535,6 @@ mod tests {
         assert!(dev.stats_since(&snap).pages_read <= tree.height() as u64);
     }
 
-    #[test]
-    fn ascending_lookup_matches_plain_lookup() {
-        let (mut dev, mut alloc, ram) = setup();
-        let tree = build(&mut dev, &mut alloc, 20_000, 3);
-        let mut plain = tree.cursor(&ram).unwrap();
-        let mut fast = tree.cursor(&ram).unwrap();
-        let mut payload = vec![0u8; 4];
-        // Mix of hits, misses and leaf-boundary crossings, ascending.
-        for probe in (0u64..60_000).step_by(7) {
-            let expect = plain.lookup(&mut dev, probe).unwrap();
-            let hit = fast
-                .lookup_ascending_into(&mut dev, probe, &mut payload)
-                .unwrap();
-            assert_eq!(hit, expect.is_some(), "probe {probe}");
-            if let Some(p) = expect {
-                assert_eq!(payload, p, "probe {probe}");
-            }
-        }
-    }
-
-    #[test]
-    fn ascending_lookup_within_cached_leaf_reads_nothing() {
-        let (mut dev, mut alloc, ram) = setup();
-        let tree = build(&mut dev, &mut alloc, 50_000, 1);
-        let mut cur = tree.cursor(&ram).unwrap();
-        let mut payload = vec![0u8; 4];
-        assert!(cur
-            .lookup_ascending_into(&mut dev, 1000, &mut payload)
-            .unwrap());
-        let snap = dev.snapshot();
-        // Neighbours live in the same leaf: the fast path must not touch
-        // flash at all, not even cached internal levels.
-        // Leaf capacity is (2048-8)/12 = 170 keys; the leaf holding 1000
-        // spans 850..=1019, so these probes all stay inside it.
-        for probe in 1001..1019 {
-            assert!(cur
-                .lookup_ascending_into(&mut dev, probe, &mut payload)
-                .unwrap());
-        }
-        assert_eq!(dev.stats_since(&snap).pages_read, 0);
-    }
-
     /// Reference: keys in [lo, hi] via seek + next_into (the pre-scan_range
     /// traversal), for differential checks below.
     fn range_by_cursor(
@@ -718,7 +612,7 @@ mod tests {
         cur.scan_range(&mut dev, 1_000, 1_003, |_, _| Ok(()))
             .unwrap();
         // A second scan inside the same leaf must not touch flash at all:
-        // seek_ascending resolves it on the buffered page.
+        // every page of its descent is still buffered.
         let snap = dev.snapshot();
         let mut n = 0u64;
         cur.scan_range(&mut dev, 1_005, 1_010, |_, _| {

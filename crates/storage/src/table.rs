@@ -78,21 +78,10 @@ impl HiddenColumn {
         referenced_rows: u64,
         ids: &[Id],
     ) -> Result<Self> {
-        let layout = RowLayout::id_cells(&[referenced_rows]);
-        let fill_layout = layout.clone();
-        let mut bad = None;
-        let table = FlashTable::bulk_load_with(dev, alloc, layout, ids.len() as u64, |r, cell| {
-            if let Err(e) = fill_layout.put_id(cell, 0, ids[r as usize]) {
-                bad.get_or_insert(e);
-            }
-        })?;
-        if let Some(e) = bad {
-            return Err(e);
-        }
         Ok(HiddenColumn {
             name: name.into(),
             ty: ColumnType::int(),
-            table,
+            table: FlashTable::bulk_load_ids(dev, alloc, referenced_rows, ids)?,
             ids: true,
         })
     }
@@ -278,6 +267,25 @@ impl FlashTable {
             page_end: 0,
             ready: Vec::new(),
         })
+    }
+
+    /// Bulk-load one id cell per row: `ids[r]` in [`id_width`]`(id_rows)`
+    /// bytes. An id that width cannot hold is [`StorageError::IdTooWide`].
+    pub fn bulk_load_ids(
+        dev: &mut FlashDevice,
+        alloc: &mut SegmentAllocator,
+        id_rows: u64,
+        ids: &[Id],
+    ) -> Result<FlashTable> {
+        let layout = RowLayout::id_cells(&[id_rows]);
+        let fill_layout = layout.clone();
+        let mut bad = None;
+        let table = FlashTable::bulk_load_with(dev, alloc, layout, ids.len() as u64, |r, cell| {
+            if let Err(e) = fill_layout.put_id(cell, 0, ids[r as usize]) {
+                bad.get_or_insert(e);
+            }
+        })?;
+        bad.map_or(Ok(table), Err)
     }
 
     /// Bulk-load `n_rows` rows produced by a fill callback (build path:

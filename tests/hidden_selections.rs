@@ -180,3 +180,38 @@ fn explain_shows_no_recheck_on_eight_character_data() {
     assert_eq!(plan.matches("→ climbing index\n").count(), 2, "{plan}");
     assert!(!plan.contains("re-check"), "{plan}");
 }
+
+/// CHAR values hold no NUL byte: CHAR cells are stored NUL-padded and read
+/// back up to their first NUL, so `'AB\0C'` would project as `'AB'` while
+/// the index keys all four bytes, and `= 'AB'` would not select it. Staging
+/// refuses such a cell, hidden or visible, and parsing refuses such a
+/// literal, each with `CoreError::NulInChar`, and the database stays usable.
+#[test]
+fn a_nul_byte_is_refused_in_char_cells_and_literals() {
+    use ghostdb_core::CoreError;
+    let mut db = world(&SHORT);
+    let nul = || Value::Str("AB\0C".into());
+    let ok = || Value::Str("AB".into());
+    for (name, row) in [("code", vec![ok(), nul()]), ("city", vec![nul(), ok()])] {
+        let err = db
+            .insert_rows("Branches", vec![row])
+            .expect_err("a NUL byte is refused");
+        assert!(
+            matches!(&err, CoreError::NulInChar(at) if at.contains(name)),
+            "{name}: {err}"
+        );
+    }
+    // Nothing of the refused calls was staged: the load and every query
+    // see the world as built.
+    let db = db.finalize().expect("finalize");
+    let n = SHORT.len() as i64;
+    let all: Vec<i64> = (0..4 * n).collect();
+    let sql = "SELECT Accounts.id FROM Accounts, Branches WHERE Accounts.branch_id = Branches.id";
+    assert_eq!(ids(&db, sql), all);
+    for column in ["Branches.code", "Branches.city", "Accounts.code"] {
+        let sql = format!("{sql} AND {column} = 'AB\0C'");
+        let err = db.query(&sql).expect_err("a NUL literal is refused");
+        assert!(matches!(err, CoreError::NulInChar(_)), "{sql}: {err}");
+    }
+    assert_eq!(ids(&db, sql), all);
+}

@@ -9,8 +9,8 @@
 
 use ghostdb_datagen::{SyntheticDataset, SyntheticSpec};
 use ghostdb_exec::optimizer::{
-    CROSS_PRE_CUTOFF, DEFER_RATIO, HIDDEN_ROOT_PRE_POST_CUTOFF, OWN_CROSS_PRE_CUTOFF,
-    PRE_POST_CUTOFF, SIBLING_PRE_POST_CUTOFF,
+    DEFER_RATIO, HIDDEN_ROOT_PRE_POST_CUTOFF, OWN_CROSS_PRE_CUTOFF, PRE_POST_CUTOFF,
+    SIBLING_PRE_POST_CUTOFF, SMALL_HIDDEN_ROOT_PRE_POST_CUTOFF,
 };
 use ghostdb_exec::strategy::{VisDecision, VisStrategy};
 use ghostdb_exec::{Database, ExecOptions, Executor, SpjQuery};
@@ -21,7 +21,11 @@ use VisStrategy::*;
 const STEP: f64 = 1.259_921_049_894_873_2;
 
 fn setup() -> (SyntheticDataset, Database) {
-    let mut spec = SyntheticSpec::paper(0.01);
+    setup_at(0.01)
+}
+
+fn setup_at(scale: f64) -> (SyntheticDataset, Database) {
+    let mut spec = SyntheticSpec::paper(scale);
     spec.visible_attrs = 3;
     let ds = SyntheticDataset::generate(spec);
     let db = ds.build().expect("build");
@@ -127,21 +131,65 @@ fn minimax_crossover(hidden: (&str, &str), [a, b]: [VisStrategy; 2], lo: f64, hi
     })
 }
 
-#[test]
-fn hidden_root_pre_post_cutoff_is_the_narrowest_range_crossover() {
-    // Beside a hidden root selection the crossover moves with sH (0.013 at
-    // sH = 0.01, 0.016 at 0.03, 0.013 at 0.1, 0.008 at 0.3). The cutoff
-    // sits at the narrowest swept sH, so a narrow hidden range never pays
-    // Pre's regret.
-    let (ds, mut db) = setup();
+/// The Pre/Post crossover of T1 beside a hidden root range at sH = 0.01.
+fn hidden_root_crossover(scale: f64) -> f64 {
+    let (ds, mut db) = setup_at(scale);
     let t1 = db.schema.table_id("T1").unwrap();
-    let measured = crossover(0.005, 0.2, |sv| {
+    crossover(0.005, 0.2, |sv| {
         let q = beside_hidden(&ds, &db, ("T0", "h1"), sv, 0.01);
         (
             cost(&mut db, &q, &[(t1, Pre)]),
             cost(&mut db, &q, &[(t1, Post)]),
         )
+    })
+}
+
+#[test]
+fn a_small_root_has_its_own_hidden_root_pre_post_cutoff() {
+    // At ×0.002 (a root of 20 000 rows) Pre's probe reads a few offset
+    // array pages, and the crossover beside the narrowest hidden root
+    // range climbs one grid step above ×0.01's.
+    assert_within_one_step(
+        "SMALL_HIDDEN_ROOT_PRE_POST_CUTOFF",
+        SMALL_HIDDEN_ROOT_PRE_POST_CUTOFF,
+        hidden_root_crossover(0.002),
+    );
+}
+
+#[test]
+fn a_cross_pre_table_caps_the_others_pre_post_cutoff() {
+    // T1.v1 at sV 0.03, Cross-Pre filtered through the hidden T12.h2 at
+    // sH 0.1, beside a visible T2.v1 swept upwards: T2's Pre/Post
+    // crossover lies within one grid step of T1's sV, the cap the
+    // optimizer applies.
+    let (ds, mut db) = setup();
+    let t0 = db.schema.root();
+    let id = |name: &str| db.schema.table_id(name).unwrap();
+    let (t1, t2, t12) = (id("T1"), id("T2"), id("T12"));
+    let sv1 = 0.03;
+    let measured = crossover(0.005, 0.3, |sv2| {
+        let q = SpjQuery::new()
+            .pred(t1, ds.selectivity_pred("T1", "v1", sv1))
+            .pred(t2, ds.selectivity_pred("T2", "v1", sv2))
+            .pred(t12, ds.selectivity_pred("T12", "h2", 0.1))
+            .project(t0, "id")
+            .project(t1, "id")
+            .project(t2, "id");
+        (
+            cost(&mut db, &q, &[(t1, CrossPre), (t2, Pre)]),
+            cost(&mut db, &q, &[(t1, CrossPre), (t2, Post)]),
+        )
     });
+    assert_within_one_step("the Cross-Pre table's sV", sv1, measured);
+}
+
+#[test]
+fn hidden_root_pre_post_cutoff_is_the_narrowest_range_crossover() {
+    // Beside a hidden root selection the crossover moves with sH (0.050 at
+    // sH = 0.01, 0.063 at 0.03, 0.080 at 0.1 and at 0.3). The cutoff
+    // sits at the narrowest swept sH, so a narrow hidden range never pays
+    // Pre's regret.
+    let measured = hidden_root_crossover(0.01);
     assert_within_one_step(
         "HIDDEN_ROOT_PRE_POST_CUTOFF",
         HIDDEN_ROOT_PRE_POST_CUTOFF,
@@ -162,16 +210,15 @@ fn a_hidden_sibling_selection_has_its_own_pre_post_cutoff() {
 #[test]
 fn a_hidden_selection_on_the_table_itself_has_its_own_cross_pre_cutoff() {
     // `T1.v1 ∧ T1.h1`, the hidden selection on the filtered table itself:
-    // Cross-Pre's probe grows with sH, so Post overtakes it early on wide
-    // hidden ranges (below sV = 0.2 at sH 0.3, by 0.4 at sH 0.1) and not
-    // up to sV = 0.5 on narrow ones (sH ≤ 0.03). The cutoff is the
-    // worst-regret point.
-    let measured = minimax_crossover(("T1", "h1"), [CrossPre, Post], 0.02, 0.5);
+    // Cross-Pre's probe grows with sH, so Post overtakes it on wide hidden
+    // ranges and not on narrow ones. The cutoff is the worst-regret point,
+    // near sV = 0.5, so the sweep runs to sV = 1.
+    let measured = minimax_crossover(("T1", "h1"), [CrossPre, Post], 0.02, 1.0);
     assert_within_one_step("OWN_CROSS_PRE_CUTOFF", OWN_CROSS_PRE_CUTOFF, measured);
 }
 
 #[test]
-fn cross_pre_cutoff_is_the_measured_crossover() {
+fn cross_pre_is_never_dearer_up_to_sv_one() {
     // The §6.4 query Q: visible T1.v1, hidden T12.h2 at sH = 0.1. Cross-Pre
     // against the cheapest of every other plan. SJoin reads the targets of
     // a keyed Cross-Pre probe through its keys, so Cross-Pre wins at every
@@ -208,7 +255,7 @@ fn cross_pre_cutoff_is_the_measured_crossover() {
         assert_eq!(
             cost(&mut db, &q, &[]),
             cross_pre,
-            "the optimizer's plan is not Cross-Pre at sV = {sv} (CROSS_PRE_CUTOFF = {CROSS_PRE_CUTOFF})"
+            "the optimizer's plan is not Cross-Pre at sV = {sv}"
         );
     }
 }
@@ -280,7 +327,7 @@ fn defer_ratio_is_the_measured_crossover() {
             .project(t1, "id")
             .project(t2, "id")
     };
-    let measured = crossover(1.0, 16.0, |r| {
+    let measured = crossover(1.0, 32.0, |r| {
         let q = q(r);
         (
             cost(&mut db, &q, &[(t1, Pre), (t2, Pre)]),
