@@ -41,11 +41,13 @@ pub fn select_sublists(
 /// `CI(I, attribute θ value, {targets})`: sublists for several levels from
 /// a **single** B+-tree traversal — the paper's remark that the "redundant
 /// lookup" of Cross-Post plans "can be easily avoided in practice", since
-/// every leaf payload carries all levels. Each qualifying leaf entry is
-/// visited once (`CiProbe::lookup_range_multi` in `ghostdb_index`) and all
-/// requested levels
-/// decode from its payload, so the flash pages charged to `OpKind::Ci`
-/// equal those of *one* per-level scan, independent of `targets.len()`.
+/// every leaf carries an offset column per level. Each qualifying leaf
+/// entry is visited once (`CiProbe::lookup_range_multi` in
+/// `ghostdb_index`) and all requested levels decode from its leaf, so the
+/// flash pages charged to `OpKind::Ci` are those of *one* per-level
+/// lookup, independent of `targets.len()`; only the leaves between the
+/// range's ends, read column by column, cost more bytes for each extra
+/// level, never more than the per-level lookups together.
 ///
 /// The differential suite (`ci_multi_equivalence`) holds it to the
 /// per-level reference path: identical sublists, never more I/O.

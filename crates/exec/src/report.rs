@@ -16,7 +16,7 @@ use serde::{Deserialize, Serialize};
 pub enum OpKind {
     /// Visible shipments (channel time lives in `comm`, flash time ~0).
     Vis,
-    /// Climbing-index lookups (B+-tree descents + sublist descriptor reads).
+    /// Climbing-index lookups (B+-tree descents + offset-cell reads).
     Ci,
     /// Sorted-list CNF evaluation, including reduction-phase I/O.
     Merge,

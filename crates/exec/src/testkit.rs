@@ -34,8 +34,8 @@ pub fn tiny_db() -> Database {
 pub const WIDE_KEY_ROWS: [u64; 5] = [600, 480, 40, 20, 16];
 
 /// [`tiny_db`] with [`WIDE_KEY_ROWS`], and `h1` distinct per row, so T1's
-/// `h1` climbing index spans several B+-tree leaves ((2048-8)/16 = 127
-/// entries per leaf, each two levels of 2-byte descriptor cells) and
+/// `h1` climbing index spans several B+-tree leaves ((2048-8-4)/12 = 169
+/// entries per leaf, each a key and two levels of 2-byte offset cells) and
 /// per-level rescans actually pay leaf I/O.
 pub fn wide_key_db() -> Database {
     assemble_tiny(WIDE_KEY_ROWS, |r| pad8(r as u64))

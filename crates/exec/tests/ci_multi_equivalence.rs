@@ -11,14 +11,17 @@
 //!    1–4, ranges that are empty / inverted / single-leaf /
 //!    leaf-boundary-spanning): `lookup_range_multi` must return exactly the
 //!    sublists the per-level `naive_lookup_range` returns, and its
-//!    traversal must read exactly the pages of ONE single-level scan —
-//!    never more, no matter how many levels decode (and none on an
-//!    inverted range, which it rejects before touching flash).
+//!    traversal must load exactly the pages of ONE single-level lookup —
+//!    never more, no matter how many levels decode — reading no more bytes
+//!    than the single-level lookups together (and nothing on an inverted
+//!    range, which it rejects before touching flash).
 //! 2. **Operator level** — `select_sublists_multi` vs
 //!    `naive_select_sublists_multi` on a real database: identical decoded
 //!    id lists, identical `OpKind` bucket *shape* (all I/O in `Ci`,
 //!    nothing anywhere else), multi cost ≤ naive cost with equality at one
-//!    level, and run-to-run determinism of `ops`/`bytes_io`.
+//!    level (every index of the tiny database is one leaf, where a lookup
+//!    reads what the naive walk reads), and run-to-run determinism of
+//!    `ops`/`bytes_io`.
 //! 3. **Plan level** — Cross-Post/Cross-Pre queries through the full
 //!    executor: results and every `ExecReport` field bit-identical across
 //!    fresh databases and repeats on one database.
@@ -122,12 +125,29 @@ fn build_chain_case(depth: usize, n_rows: usize, key_mod: u64, seed: u64) -> Cha
     ChainCase { dev, ram, ci }
 }
 
+/// I/O of a single-level `lookup_range_multi` on a fresh probe.
+fn single_lookup_io(
+    ci: &ClimbingIndex,
+    ram: &RamArena,
+    dev: &mut FlashDevice,
+    lo: u64,
+    hi: u64,
+    level: usize,
+) -> FlashStats {
+    let mut probe = ci.probe(ram).unwrap();
+    let snap = dev.snapshot();
+    probe.lookup_range_multi(dev, lo, hi, &[level]).unwrap();
+    dev.stats_since(&snap)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// The core differential: multi-level lists equal per-level lists for
-    /// every level, and the multi traversal's I/O equals ONE single-level
-    /// scan's — bit for bit, on every counter — regardless of depth.
+    /// every level, and the multi traversal loads the pages of ONE
+    /// single-level lookup, regardless of depth, reading no more bytes than
+    /// the single-level lookups together (its middle leaves cost more
+    /// bytes only for the extra columns they decode).
     #[test]
     fn multi_matches_per_level_lists_and_single_scan_io(
         depth in 1usize..=4,
@@ -139,8 +159,9 @@ proptest! {
     ) {
         let ChainCase { mut dev, ram, ci } = build_chain_case(depth, n_rows, key_mod, seed);
         // Span 1.5× the key domain so ranges land empty, clipped, inverted
-        // and fully covering; small mods keep everything in one leaf while
-        // large ones span several (63+ entries per leaf at depth ≤ 2).
+        // and fully covering; most mods keep everything in one leaf, and
+        // the largest span two at depth ≥ 3 (185 entries per leaf at depth
+        // 3, 169 at depth 4; `columnar_leaves` covers many-leaf ranges).
         let span = key_mod + key_mod / 2 + 2;
         let (lo, hi) = (lo_raw % span, hi_raw % span);
         let levels: Vec<usize> = (0..depth).collect();
@@ -167,10 +188,19 @@ proptest! {
 
         prop_assert_eq!(&multi, &per_level, "range [{}, {}]", lo, hi);
         if lo <= hi {
-            prop_assert_eq!(
-                &multi_io,
-                single_io.as_ref().unwrap(),
-                "multi traversal must cost exactly one single-level scan"
+            let mut single_bytes = 0;
+            for &level in &levels {
+                let io = single_lookup_io(&ci, &ram, &mut dev, lo, hi, level);
+                prop_assert_eq!(
+                    multi_io.pages_read,
+                    io.pages_read,
+                    "multi traversal must load exactly one single-level lookup's pages"
+                );
+                single_bytes += io.bytes_to_ram;
+            }
+            prop_assert!(
+                multi_io.bytes_to_ram <= single_bytes,
+                "multi traversal read more bytes than the per-level lookups together"
             );
         } else {
             prop_assert_eq!(multi_io.pages_read, 0, "inverted range reads nothing");
@@ -186,7 +216,7 @@ proptest! {
     }
 
     /// Requesting a subset (with repeats) of the levels returns exactly the
-    /// matching single-level scans, still at one scan's I/O.
+    /// matching single-level scans, still loading one lookup's pages.
     #[test]
     fn multi_level_subsets_and_repeats(
         n_rows in 1usize..=160,
@@ -204,14 +234,16 @@ proptest! {
         let snap = dev.snapshot();
         let multi = probe.lookup_range_multi(&mut dev, lo, hi, &levels).unwrap();
         let multi_io = dev.stats_since(&snap);
+        let mut single_bytes = 0;
         for (i, &level) in levels.iter().enumerate() {
             let mut single = ci.probe(&ram).unwrap();
-            let snap = dev.snapshot();
             let want = single.naive_lookup_range(&mut dev, lo, hi, level).unwrap();
-            let single_io = dev.stats_since(&snap);
             prop_assert_eq!(&multi[i], &want, "slot {} (level {})", i, level);
-            prop_assert_eq!(&multi_io, &single_io, "slot {} (level {})", i, level);
+            let io = single_lookup_io(&ci, &ram, &mut dev, lo, hi, level);
+            prop_assert_eq!(multi_io.pages_read, io.pages_read, "slot {} (level {})", i, level);
+            single_bytes += io.bytes_to_ram;
         }
+        prop_assert!(multi_io.bytes_to_ram <= single_bytes);
     }
 }
 
@@ -222,7 +254,7 @@ proptest! {
 /// Per-level reference for `select_sublists_multi`: one full
 /// `CiProbe::naive_lookup_range` traversal per target level on a shared
 /// probe — the pre-batching behaviour verbatim. Same sublists; re-reads
-/// the range's leaf pages and re-copies every payload once per level, so
+/// the range's leaf pages and re-copies every entry's cells once per level, so
 /// it is the honest baseline the single-traversal path is judged against.
 fn naive_select_sublists_multi(
     ctx: &mut ExecCtx<'_>,

@@ -172,25 +172,21 @@ impl IndexBuilder {
             .collect();
 
         let level_rows: Vec<u64> = levels.iter().map(|l| self.rows[*l]).collect();
-        let desc = DescLayout::new(&level_rows);
-        let mut payloads: Vec<Vec<u8>> = vec![vec![0u8; desc.size()]; distinct.len()];
         let mut areas = Vec::with_capacity(levels.len());
-        for (li, level_table) in levels.iter().enumerate() {
+        let mut columns = Vec::with_capacity(levels.len());
+        for level_table in &levels {
             let (seg, width, offsets) =
                 self.lay_area(dev, alloc, t, &ranks, distinct.len(), *level_table)?;
             areas.push((seg, width));
-            for (payload, off) in payloads.iter_mut().zip(offsets.windows(2)) {
-                desc.put(payload, li, off[0], off[1] - off[0])?;
-            }
+            columns.push(offsets);
         }
-        let entries: Vec<(u64, Vec<u8>)> = distinct.into_iter().zip(payloads).collect();
+        let desc = DescLayout::new(&level_rows);
         Ok(ClimbingIndex {
             table: t,
             column: column.to_string(),
             levels,
             exact,
-            tree: BTree::bulk_build(dev, alloc, desc.size(), &entries)?,
-            desc,
+            tree: BTree::bulk_build(dev, alloc, desc.widths(), &distinct, &columns)?,
             areas,
         })
     }

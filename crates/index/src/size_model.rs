@@ -1,7 +1,7 @@
 //! Exact storage-size model for the Figure 7 comparison.
 //!
 //! Sizes are computed from the same layout formulas the builders use
-//! (`BTree::pages_needed` over [`DescLayout`] payloads,
+//! (`BTree::pages_needed` over [`DescLayout`] offset columns,
 //! `RowLayout::pages_for` for SKTs and primary-key offset arrays, ID areas
 //! of [`id_width`]`(|T|)`-byte slots), so
 //! the model is exact for this
@@ -54,7 +54,8 @@ pub fn skt_bytes(schema: &SchemaTree, rows: &[u64], t: TableId, page_size: usize
     RowLayout::id_cells(&desc).pages_for(rows[t], page_size) * page_size as u64
 }
 
-/// Size of one climbing index in bytes: B+-tree pages plus the packed ID
+/// Size of one climbing index in bytes: B+-tree pages, whose leaves hold
+/// a key and one offset cell per level for each entry, plus the packed ID
 /// area of every level.
 pub fn climbing_bytes(
     schema: &SchemaTree,
@@ -66,8 +67,8 @@ pub fn climbing_bytes(
 ) -> u64 {
     let levels = spec.levels(schema, t);
     let level_rows: Vec<u64> = levels.iter().map(|l| rows[*l]).collect();
-    let payload = DescLayout::new(&level_rows).size();
-    let tree = BTree::pages_needed(distinct, page_size, payload) * page_size as u64;
+    let desc = DescLayout::new(&level_rows);
+    let tree = BTree::pages_needed(distinct, page_size, desc.widths()) * page_size as u64;
     let areas: u64 = levels
         .iter()
         .map(|l| area_bytes(rows, *l, rows[*l], page_size))
@@ -119,8 +120,8 @@ pub fn scheme_index_bytes(scheme: IndexScheme, input: &SizeModelInput<'_>) -> u6
         // directions.
         if scheme.has_fk_join_indexes() {
             for child in schema.children(t) {
-                let payload = DescLayout::new(&[rows[t]]).size();
-                let tree = BTree::pages_needed(rows[*child], page, payload) * page as u64;
+                let desc = DescLayout::new(&[rows[t]]);
+                let tree = BTree::pages_needed(rows[*child], page, desc.widths()) * page as u64;
                 let area = area_bytes(rows, t, rows[t], page);
                 total += tree + area;
             }
@@ -211,7 +212,7 @@ mod tests {
     fn climbing_model_matches_multi_leaf_indexes_byte_for_byte() {
         // Every level spec on every table, each tree several leaves wide
         // (up to 3 000 distinct keys), with levels of exactly 255 and 256
-        // rows, where a descriptor cell grows from one byte to two, and
+        // rows, where an offset cell grows from one byte to two, and
         // unreferenced T11/T12 rows, whose sublists above their own level
         // are empty and trailing ones start at |T|.
         for card in [[5000, 256, 255, 1000, 1500], [4000, 255, 256, 2000, 256]] {
@@ -296,9 +297,10 @@ mod tests {
             assert!(basic > star, "x={x}: basic {basic} <= star {star}");
             // StarIndex above JoinIndex, as in the paper, but only just:
             // with every id in `id_width(|T|)` bytes the root's SKT shrinks
-            // from 16 to 10 bytes a row, and with descriptors in
-            // `id_width(|T| + 1)` bytes JoinIndex's fk trees shrink too,
-            // leaving StarIndex about 290 KB (0.8–1.9%) above it.
+            // from 16 to 10 bytes a row, and with column-major leaves of
+            // `id_width(|T| + 1)`-byte offset cells JoinIndex's fk trees
+            // shrink too, leaving StarIndex about 0.97 MB (2.8–10.6%)
+            // above it.
             assert!(star > join, "x={x}: star {star} <= join {join}");
             // Full ≈ Basic: within 20% (paper: "small difference").
             assert!(
